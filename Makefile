@@ -10,7 +10,7 @@ GO ?= go
 # Short commit hash, or "dev" when not in a git checkout.
 BENCH_TAG := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build vet test race bench bench-json bench-diff bench-html trace metrics evaluate examples fuzz lint doccheck serve loadtest clean
+.PHONY: all build vet test perf-check race bench bench-json bench-diff bench-html trace metrics evaluate examples fuzz lint doccheck serve loadtest clean
 
 # Service address shared by the serve and loadtest targets.
 SERVE_ADDR ?= localhost:9470
@@ -31,6 +31,12 @@ lint: vet
 
 test:
 	$(GO) test ./...
+
+# bench/ (svperf, the wall-clock benchmark) is a nested module that
+# `./...` from the root never sees: vet and test it against the current
+# internal/ API (runs in CI's test job).
+perf-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Documentation gate: every exported identifier in the packages the
 # design docs lean on must carry a godoc comment (runs in CI's lint job).

@@ -1,6 +1,10 @@
 package circuit
 
-import "fmt"
+import (
+	"fmt"
+
+	"svsim/internal/gate"
+)
 
 // Permutation maps logical qubits to physical bit positions. The
 // communication-avoiding scheduler (internal/sched) and the remapping
@@ -56,6 +60,17 @@ func (p Permutation) LogicalAt(pos int) int {
 		}
 	}
 	return -1
+}
+
+// PhysicalGate returns g with every operand qubit replaced by the
+// physical bit position it currently occupies: the gate as the remapping
+// executors apply it to their partitions.
+func (p Permutation) PhysicalGate(g *gate.Gate) gate.Gate {
+	pg := *g
+	for i := range pg.Qubits[:pg.NQ] {
+		pg.Qubits[i] = int32(p[pg.Qubits[i]])
+	}
+	return pg
 }
 
 // SwapLogical exchanges the physical positions of logical qubits a and b

@@ -2,7 +2,6 @@ package compile
 
 import (
 	"svsim/internal/circuit"
-	"svsim/internal/gate"
 	"svsim/internal/sched"
 )
 
@@ -124,7 +123,7 @@ func stepMaxTargets(cp *CompiledPlan) []int {
 			perm.SwapLogical(step.A, step.B)
 		case sched.StepGate:
 			g := &cp.Circuit.Ops[step.Op].G
-			if !g.Kind.Unitary() || tileElementwise(g.Kind) {
+			if !g.Kind.Unitary() || g.Kind.Diagonal() {
 				continue
 			}
 			for _, t := range g.Targets() {
@@ -190,22 +189,4 @@ func tileCompatible(cp *CompiledPlan, steps []sched.Step, i int, maxT []int, til
 func stepUnitary(cp *CompiledPlan, step *sched.Step) bool {
 	k := cp.Circuit.Ops[step.Op].G.Kind
 	return k.Unitary()
-}
-
-// tileElementwise lists the gate kinds whose specialized kernels are
-// element-wise for every parameter value: they multiply each amplitude
-// by a phase read off the full basis index and never couple two
-// amplitudes, so their operand positions place no constraint on the
-// tile size. This is a static per-kind property on purpose — a
-// parameter-dependent diagonality check (a u3 that happens to be
-// diagonal for one binding) would make tile plans change shape under
-// re-binding.
-func tileElementwise(k gate.Kind) bool {
-	switch k {
-	case gate.ID, gate.Z, gate.S, gate.SDG, gate.T, gate.TDG, gate.U1,
-		gate.RZ, gate.CZ, gate.CU1, gate.CRZ, gate.CS, gate.CSDG,
-		gate.CT, gate.CTDG, gate.RZZ, gate.GPHASE, gate.BARRIER:
-		return true
-	}
-	return false
 }

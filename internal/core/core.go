@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -48,9 +49,9 @@ type Config struct {
 	// Tile enables cache-blocked execution on the single-node backends
 	// (single, threaded): compatible gate runs execute as one homogeneous
 	// pass over cache-resident tiles of the state instead of one full
-	// state sweep per gate. The final state is bit-identical to the
-	// per-gate path of the same backend. Ignored by the distributed
-	// backends.
+	// state sweep per gate. A tile runs the per-gate kernels on a window
+	// of the state, so the final state is bit-identical to the per-gate
+	// path. Ignored by the distributed backends.
 	Tile bool
 	// TileBits overrides the tile size (amplitudes per tile = 1<<TileBits)
 	// when > 0; 0 lets the planner derive it from the circuit's target
@@ -222,7 +223,7 @@ func checkPEs(p, n int) error {
 		return fmt.Errorf("core: PE count %d is not a power of two", p)
 	}
 	if 1<<uint(n-1) < p {
-		return fmt.Errorf("core: %d PEs need at least %d qubits (have %d)", p, log2(p)+1, n)
+		return fmt.Errorf("core: %d PEs need at least %d qubits (have %d)", p, bits.Len(uint(p-1))+1, n)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -27,23 +28,19 @@ import (
 // applies to the measured traffic (NVLink/NVSwitch vs network SHMEM).
 //
 // The state vector is partitioned in natural array order: PE r owns global
-// amplitudes [r*S, (r+1)*S) with S = 2^n / P. A gate whose operand qubits
-// all lie below localBits = n - log2(P) is pure-local and runs through the
-// specialized single-device kernels; a gate touching higher qubits incurs
-// the paper's fine-grained remote traffic.
-
-func insZeroBit(x, b int) int {
-	return x>>uint(b)<<uint(b+1) | x&(1<<uint(b)-1)
-}
+// amplitudes [r*S, (r+1)*S) with S = 2^n / P — a window of the state with
+// base r*S. A gate that couples no amplitudes across partitions (diagonal,
+// or every target below localBits = n - log2(P); controls anywhere) runs
+// through the ordinary kernels on that window; a gate with a target on a
+// higher qubit incurs the paper's fine-grained remote traffic.
 
 // distSim is one distributed run in progress.
 type distSim struct {
 	name      string
 	n         int // qubits
 	p         int // PEs
-	k         int // log2 p
 	S         int // amplitudes per PE
-	localBits int // n - k
+	localBits int // n - log2 p
 	dim       int
 	coalesced bool
 	style     statevec.KernelStyle
@@ -64,11 +61,12 @@ type distSim struct {
 type boundDistGate struct {
 	g    gate.Gate
 	cond *circuit.Condition
-	// cls is precomputed for gates that touch global qubits (the upload
-	// step of Listing 4/5: the circuit is transferred to the device once,
-	// with everything derivable done up front).
-	cls   *gate.Class
-	local bool
+	// cls is set for gates that need the remote paths — some target
+	// pairs amplitudes across partitions — and nil for everything the
+	// partition window applies on its own (the upload step of Listing
+	// 4/5: the circuit is transferred to the device once, with
+	// everything derivable done up front).
+	cls *gate.Class
 }
 
 // peRun is the per-PE mutable execution state.
@@ -100,13 +98,12 @@ func newDistSim(name string, cfg Config, cp *compile.CompiledPlan) (*distSim, er
 		name:      name,
 		n:         n,
 		p:         p,
-		k:         log2(p),
 		dim:       1 << uint(n),
 		coalesced: cfg.Coalesced,
 		style:     cfg.Style,
 	}
 	d.S = d.dim / p
-	d.localBits = n - d.k
+	d.localBits = n - bits.Len(uint(p-1))
 	d.comm = pgas.NewComm(p)
 	d.comm.SetFault(cfg.Fault)
 	d.comm.SetTimeouts(cfg.Timeouts)
@@ -126,15 +123,14 @@ func newDistSim(name string, cfg Config, cp *compile.CompiledPlan) (*distSim, er
 	for i := range c.Ops {
 		g := c.Ops[i].G
 		bd := boundDistGate{g: g, cond: c.Ops[i].Cond}
-		if cp.Classes[i] != nil {
-			// Classification was precomputed by the compile pipeline
-			// (the paper's upload step); pure-local gates skip it and
-			// run through the specialized single-device kernels.
-			if g.MaxQubit() < d.localBits {
-				bd.local = true
-			} else {
-				bd.cls = cp.Classes[i]
-			}
+		switch {
+		case cp.Classes[i] != nil && !cp.Classes[i].Local(d.localBits):
+			bd.cls = cp.Classes[i]
+		case g.Kind == gate.RESET && int(g.Qubits[0]) >= d.localBits:
+			// The X a RESET applies after measuring 1 on a global qubit.
+			x := gate.NewX(int(g.Qubits[0]))
+			cls := gate.Classify(&x)
+			bd.cls = &cls
 		}
 		d.bound[i] = bd
 	}
@@ -147,6 +143,7 @@ func newDistSim(name string, cfg Config, cp *compile.CompiledPlan) (*distSim, er
 				Dim:   d.S,
 				Re:    d.svRe.PartitionUnsafe(r),
 				Im:    d.svIm.PartitionUnsafe(r),
+				Base:  r * d.S,
 				Style: cfg.Style,
 			},
 			rng:   newRNG(cfg.Seed),
@@ -194,14 +191,6 @@ func newDistSim(name string, cfg Config, cp *compile.CompiledPlan) (*distSim, er
 		cfg.Flight.Record(-1, obs.EventRestore, dir, int64(m.Step))
 	}
 	return d, nil
-}
-
-func log2(p int) int {
-	k := 0
-	for 1<<uint(k) < p {
-		k++
-	}
-	return k
 }
 
 // run executes the bound circuit SPMD and returns the gathered result.
@@ -301,37 +290,15 @@ func (d *distSim) execOp(pe *pgas.PE, run *peRun, bg *boundDistGate) {
 		return
 	case gate.RESET:
 		if d.measure(pe, run, int(g.Qubits[0])) == 1 {
-			x := gate.NewX(int(g.Qubits[0]))
-			bx := boundDistGate{g: x}
-			if int(g.Qubits[0]) < d.localBits {
-				bx.local = true
-			} else {
-				cls := gate.Classify(&x)
-				bx.cls = &cls
-			}
-			d.execOp(pe, run, &bx)
+			d.execOp(pe, run, &boundDistGate{g: gate.NewX(int(g.Qubits[0])), cls: bg.cls})
 		}
-		return
-	case gate.GPHASE:
-		run.local.ApplyGPhase(g.Params[0])
-		pe.Barrier()
-		return
-	}
-	if bg.local {
-		// Pure-local fast path: the specialized kernels run unchanged on
-		// the partition (operand bit positions are identical locally).
-		run.local.Apply(g)
-		pe.Barrier()
 		return
 	}
 	cls := bg.cls
-	if cls.Diag {
-		d.applyDiagLocal(pe, run, cls)
-		pe.Barrier()
-		return
-	}
-	if maxOf(cls.Targets) < d.localBits {
-		d.applyTargetsLocal(pe, run, cls)
+	if cls == nil {
+		// The partition is a window of the state: global controls and
+		// diagonal targets resolve against its base inside the kernel.
+		run.local.Apply(g)
 		pe.Barrier()
 		return
 	}
@@ -341,73 +308,6 @@ func (d *distSim) execOp(pe *pgas.PE, run *peRun, bg *boundDistGate) {
 	}
 	d.applyRemoteGeneric(pe, run, cls)
 	pe.Barrier()
-}
-
-func maxOf(xs []int) int {
-	m := -1
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// applyDiagLocal executes any diagonal gate without communication: every
-// amplitude's multiplier depends only on its own global index.
-func (d *distSim) applyDiagLocal(pe *pgas.PE, run *peRun, cls *gate.Class) {
-	off := pe.Rank * d.S
-	var cmask int
-	for _, c := range cls.Ctrls {
-		cmask |= 1 << uint(c)
-	}
-	re := run.local.Re
-	im := run.local.Im
-	var touched int64
-	for i := 0; i < d.S; i++ {
-		gidx := off + i
-		if gidx&cmask != cmask {
-			continue
-		}
-		sub := 0
-		for j, t := range cls.Targets {
-			if gidx>>uint(t)&1 == 1 {
-				sub |= 1 << uint(j)
-			}
-		}
-		f := cls.U.At(sub, sub)
-		if f == 1 {
-			continue
-		}
-		fr, fi := real(f), imag(f)
-		r, ii := re[i], im[i]
-		re[i] = fr*r - fi*ii
-		im[i] = fr*ii + fi*r
-		touched++
-	}
-	run.extra.Gates++
-	run.extra.AmpsTouched += touched
-	run.extra.BytesTouched += touched * 16
-	run.extra.FlopEst += touched * 6
-}
-
-// applyTargetsLocal handles gates whose targets are local but whose
-// controls include global qubits: the global controls are constant over
-// the partition, so the gate either reduces to a locally controlled gate
-// or is a no-op for this PE.
-func (d *distSim) applyTargetsLocal(pe *pgas.PE, run *peRun, cls *gate.Class) {
-	off := pe.Rank * d.S
-	var localCtrls []int
-	for _, c := range cls.Ctrls {
-		if c < d.localBits {
-			localCtrls = append(localCtrls, c)
-			continue
-		}
-		if off>>uint(c)&1 == 0 {
-			return // a global control is 0 across this whole partition
-		}
-	}
-	run.local.ApplyControlledMatrix(cls.U, localCtrls, cls.Targets)
 }
 
 // applyRemoteGeneric is the paper's fine-grained remote path: the work
@@ -450,7 +350,7 @@ func (d *distSim) applyRemoteGeneric(pe *pgas.PE, run *peRun, cls *gate.Class) {
 	for i := lo; i < hi; i++ {
 		base := i
 		for _, b := range bits {
-			base = insZeroBit(base, b)
+			base = statevec.InsertZeroBit(base, b)
 		}
 		base |= cmask // operand enumeration: targets stay 0, controls pin to 1
 		for a := 0; a < sub; a++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -34,7 +35,6 @@ type lazySim struct {
 	name      string
 	n         int
 	p         int
-	k         int
 	S         int
 	localBits int
 	dim       int
@@ -45,7 +45,6 @@ type lazySim struct {
 
 	c       *circuit.Circuit
 	plan    *sched.Plan
-	cls     []*gate.Class     // per op: classification, nil for non-unitary kinds
 	exch    []*sched.Exchange // per step: all-to-all plan for remap steps
 	label   []string          // per step: trace span label, "" when untraced kind
 	blockOf []int             // per step: 1-based schedule block for attribution
@@ -123,19 +122,17 @@ func newLazySim(name string, cfg Config, cp *compile.CompiledPlan) (*lazySim, er
 		name: name,
 		n:    n,
 		p:    p,
-		k:    log2(p),
 		dim:  1 << uint(n),
 		c:    c,
 	}
 	d.S = d.dim / p
-	d.localBits = n - d.k
+	d.localBits = n - bits.Len(uint(p-1))
 
-	// The compile pipeline already did the upload step: plan, per-op
-	// classifications, and every remap's all-to-all geometry arrive
+	// The compile pipeline already did the upload step: the plan and
+	// every remap's all-to-all geometry arrive
 	// precomputed (and possibly shared with concurrent runs via the
 	// plan cache), so the SPMD loop only executes.
 	d.plan = cp.Plan
-	d.cls = cp.Classes
 	d.exch = cp.Exchanges
 	d.topo = cp.Topo
 	d.tl = cp.TwoLevels
@@ -214,6 +211,7 @@ func newLazySim(name string, cfg Config, cp *compile.CompiledPlan) (*lazySim, er
 				Dim:   d.S,
 				Re:    d.svRe.PartitionUnsafe(r),
 				Im:    d.svIm.PartitionUnsafe(r),
+				Base:  r * d.S,
 				Style: cfg.Style,
 			},
 			rng:  newRNG(cfg.Seed),
@@ -470,90 +468,20 @@ func (d *lazySim) execGate(pe *pgas.PE, run *lazyRun, opIdx int) {
 			run.local.Apply(&x)
 		}
 		return
-	case gate.GPHASE:
-		run.markAll()
-		run.local.ApplyGPhase(g.Params[0])
-		return
 	}
-	cls := d.cls[opIdx]
-	physC := make([]int, len(cls.Ctrls))
-	for i, c := range cls.Ctrls {
-		physC[i] = run.perm[c]
-	}
-	physT := make([]int, len(cls.Targets))
-	for i, t := range cls.Targets {
-		physT[i] = run.perm[t]
-	}
-	if cls.Diag {
-		// Write tracking: only amplitudes satisfying every LOCAL control
-		// bit can change (global controls merely gate the whole partition,
-		// conservatively ignored here).
-		var localMask int
-		for _, c := range physC {
-			if c < d.localBits {
-				localMask |= 1 << uint(c)
-			}
-		}
-		run.markCtrls(localMask)
-		d.applyDiagPhys(pe, run, cls, physC, physT)
-		return
-	}
-	off := pe.Rank * d.S
-	var localCtrls []int
-	for _, c := range physC {
-		if c < d.localBits {
-			localCtrls = append(localCtrls, c)
-			continue
-		}
-		if off>>uint(c)&1 == 0 {
-			return // a global control is 0 across this whole partition
-		}
-	}
+	// The op runs on the partition window at its current physical
+	// positions; the kernel resolves the global ones. Write tracking: only
+	// amplitudes satisfying every LOCAL control bit can change (global
+	// controls merely gate the whole partition, conservatively ignored).
+	pg := run.perm.PhysicalGate(g)
 	var localMask int
-	for _, c := range localCtrls {
-		localMask |= 1 << uint(c)
+	for _, c := range pg.Qubits[:g.Kind.NumControls()] {
+		if int(c) < d.localBits {
+			localMask |= 1 << uint(c)
+		}
 	}
 	run.markCtrls(localMask)
-	run.local.ApplyControlledMatrix(cls.U, localCtrls, physT)
-}
-
-// applyDiagPhys executes a diagonal gate communication-free at arbitrary
-// physical positions: every amplitude's multiplier depends only on its
-// own global physical index.
-func (d *lazySim) applyDiagPhys(pe *pgas.PE, run *lazyRun, cls *gate.Class, physC, physT []int) {
-	off := pe.Rank * d.S
-	var cmask int
-	for _, c := range physC {
-		cmask |= 1 << uint(c)
-	}
-	re := run.local.Re
-	im := run.local.Im
-	var touched int64
-	for i := 0; i < d.S; i++ {
-		gidx := off + i
-		if gidx&cmask != cmask {
-			continue
-		}
-		sub := 0
-		for j, t := range physT {
-			if gidx>>uint(t)&1 == 1 {
-				sub |= 1 << uint(j)
-			}
-		}
-		f := cls.U.At(sub, sub)
-		if f == 1 {
-			continue
-		}
-		fr, fi := real(f), imag(f)
-		r, ii := re[i], im[i]
-		re[i] = fr*r - fi*ii
-		im[i] = fr*ii + fi*r
-		touched++
-	}
-	run.extra.Gates++
-	run.extra.AmpsTouched += touched
-	run.extra.BytesTouched += touched * 16
-	run.extra.FlopEst += touched * 6
+	run.local.Apply(&pg)
 }
 
 // execRemap performs one batched all-to-all qubit-remap exchange: each

@@ -136,7 +136,8 @@ func (b *SingleDevice) Run(c *circuit.Circuit) (*Result, error) {
 	start := time.Now()
 	runErr := func() error {
 		if b.cfg.Tile && cp.Tiles != nil {
-			return runTiledSingle(cp, bound, rt, cw, trk, gm, b.cfg.Metrics, startGate, stop)
+			exec := func(op int) { bound[op].op(rt, &bound[op].g) }
+			return runTiled(cp, rt, nil, exec, cw, trk, gm, b.cfg.Metrics, startGate, stop)
 		}
 		if trk == nil && gm == nil {
 			// The homogeneous run loop: the paper's simulation_kernel.

@@ -99,7 +99,8 @@ func (b *Threaded) Run(c *circuit.Circuit) (*Result, error) {
 	start := time.Now()
 	runErr := func() error {
 		if b.cfg.Tile && cp.Tiles != nil {
-			return runTiledShared(cp, rt, pool, cw, trk, gm, b.cfg.Metrics, startGate, stop)
+			exec := func(op int) { apply(&c.Ops[op].G) }
+			return runTiled(cp, rt, pool, exec, cw, trk, gm, b.cfg.Metrics, startGate, stop)
 		}
 		for t := startGate; t < len(c.Ops); t++ {
 			if err := stopLocal(stop, cw, rt.st, t, startGate, rt.cbits, rt.draws); err != nil {

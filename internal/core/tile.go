@@ -19,16 +19,17 @@ import (
 // whole gate run replayed over it before the executor moves on. Memory
 // traffic per group drops from gates×state to 1×state; everything the
 // planner excluded (straddling gates, measurements, short runs) runs on
-// the unchanged per-gate path, so the final state is bit-identical to a
-// per-gate run of the same backend.
+// the per-gate path. A tile is a window of the state and runs the same
+// kernels (statevec/window.go), so the final state is bit-identical to a
+// per-gate run on any single-node backend.
 
 // runTiledGroup executes one tiled group as a single homogeneous pass.
 // ops lists the op indices whose conditions passed (conditions are
 // stable inside a group: the planner never admits a MEASURE). With a
 // pool the tile index space is split across the workers — parallelism
-// over tiles, not over one gate's index space — using the
-// classification-generic shared kernels; without one the tiles run in
-// order with the specialized kernels. Returns the bytes charged.
+// over tiles, not over one gate's index space; without one the tiles run
+// in order. Either way each tile runs the same kernels as the per-gate
+// path. Returns the bytes charged.
 func runTiledGroup(st *statevec.State, pool *statevec.Pool, cp *compile.CompiledPlan, ops []int) int64 {
 	if len(ops) == 0 {
 		return 0
@@ -36,32 +37,29 @@ func runTiledGroup(st *statevec.State, pool *statevec.Pool, cp *compile.Compiled
 	tb := uint(cp.Tiles.TileBits)
 	tdim := 1 << tb
 	numTiles := st.Dim >> tb
-	var amps, flops int64
-	if pool != nil {
-		amps, flops = pool.ForTiles(numTiles, func(tile int) (int64, int64) {
-			lo := tile << tb
-			var a, f int64
-			for _, oi := range ops {
-				ga, gf := st.ApplyTileShared(&cp.Circuit.Ops[oi].G, cp.Classes[oi], lo, lo+tdim)
-				a += ga
-				f += gf
-			}
-			return a, f
-		})
-	} else {
-		for tile := 0; tile < numTiles; tile++ {
-			lo := tile << tb
-			for _, oi := range ops {
-				ga, gf := st.ApplyTile(&cp.Circuit.Ops[oi].G, lo, lo+tdim)
-				amps += ga
-				flops += gf
-			}
-		}
-	}
 	gates := int64(0)
 	for _, oi := range ops {
 		if cp.Circuit.Ops[oi].G.Kind != gate.BARRIER {
 			gates++
+		}
+	}
+	tile := func(t int) (amps, flops int64) {
+		lo := t << tb
+		for _, oi := range ops {
+			a, f := st.ApplyTile(&cp.Circuit.Ops[oi].G, lo, lo+tdim)
+			amps += a
+			flops += f
+		}
+		return amps, flops
+	}
+	var amps, flops int64
+	if pool != nil {
+		amps, flops = pool.ForTiles(numTiles, tile)
+	} else {
+		for t := 0; t < numTiles; t++ {
+			a, f := tile(t)
+			amps += a
+			flops += f
 		}
 	}
 	st.Stats.AddTileWork(gates, amps, flops)
@@ -106,122 +104,45 @@ func tiledGroupObs(st *statevec.State, pool *statevec.Pool, cp *compile.Compiled
 	}
 }
 
-// runTiledSingle drives the single-device tile mode: tiled groups run as
-// homogeneous passes with the specialized tile kernels; every other step
-// (straddlers, measurements, short runs) executes exactly as the
-// per-gate loop would, tracing and checkpoints included. Checkpoint
+// runTiled drives tile mode for the single-node backends (pool nil:
+// single-device; pool set: threaded, parallel over tiles with one barrier
+// per group instead of per gate). Tiled groups run as homogeneous passes;
+// every other step (straddlers, measurements, short runs) goes through
+// exec — the backend's per-gate applier, taking an op index — exactly as
+// the per-gate loop would, tracing and checkpoints included. Checkpoint
 // cadence quantizes to group boundaries — mid-pass state is not a valid
 // cut point — and a resume that lands inside a tiled group finishes that
-// group per-gate (bit-identical by construction) before re-entering
-// tiled execution at the next group.
-func runTiledSingle(cp *compile.CompiledPlan, bound []boundGate, rt *rtctx,
+// group per-gate (bit-identical: same kernels) before re-entering tiled
+// execution at the next group.
+func runTiled(cp *compile.CompiledPlan, rt *rtctx, pool *statevec.Pool, exec func(op int),
 	cw *ckptWriter, trk *obs.Track, gm *gateObs, m *obs.Metrics, startGate int, stop *StopLatch) error {
 	st := rt.st
 	startBytes := st.Stats.BytesTouched
 	startSweeps := st.Stats.Sweeps
-	perGate := func(t int) error {
+	boundary := func(t int) error {
 		if err := stopLocal(stop, cw, st, t, startGate, rt.cbits, rt.draws); err != nil {
 			return err
 		}
 		if t > startGate && cw.due(t) {
-			if err := cw.writeLocal(st, t, t, rt.cbits, rt.draws); err != nil {
-				return err
-			}
-		}
-		bg := &bound[cp.Plan.Steps[t].Op]
-		if !condSatisfied(bg.cond, rt.cbits) {
-			return nil
-		}
-		if trk == nil && gm == nil {
-			bg.op(rt, &bg.g)
-			return nil
-		}
-		g0 := time.Now()
-		bg.op(rt, &bg.g)
-		g1 := time.Now()
-		gm.observe(bg.g.Kind, g1.Sub(g0))
-		if trk != nil {
-			trk.SpanAt(gateLabel(&bg.g), g0, g1, obs.SpanArgs{
-				Kind: bg.g.Kind.String(), Qubits: qubitList(&bg.g),
-			})
+			return cw.writeLocal(st, t, t, rt.cbits, rt.draws)
 		}
 		return nil
 	}
-	for _, grp := range cp.Tiles.Groups {
-		if grp.End <= startGate {
-			continue
-		}
-		if !grp.Tiled || startGate > grp.Start {
-			from := grp.Start
-			if startGate > from {
-				from = startGate
-			}
-			for t := from; t < grp.End; t++ {
-				if err := perGate(t); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if err := stopLocal(stop, cw, st, grp.Start, startGate, rt.cbits, rt.draws); err != nil {
-			return err
-		}
-		if grp.Start > startGate && cw.due(grp.Start) {
-			if err := cw.writeLocal(st, grp.Start, grp.Start, rt.cbits, rt.draws); err != nil {
-				return err
-			}
-		}
-		tiledGroupObs(st, nil, cp, grp, rt.cbits, trk, m, 0)
-	}
-	if m != nil {
-		m.Counter(obs.MetricBytesTouched).Add(st.Stats.BytesTouched - startBytes)
-		m.Counter(obs.MetricTileSweeps).Add(st.Stats.Sweeps - startSweeps)
-	}
-	return nil
-}
-
-// runTiledShared drives the threaded tile mode: tiled groups parallelize
-// over tiles (each worker replays the whole gate run on its own tiles,
-// one barrier per group instead of per gate) with the shared-arithmetic
-// tile kernels; everything else falls back to the unchanged per-gate
-// Pool.ApplyShared path. Checkpoints quantize to group boundaries like
-// runTiledSingle, and a resume landing inside a tiled group finishes it
-// per-gate before re-entering tiled execution.
-func runTiledShared(cp *compile.CompiledPlan, rt *rtctx, pool *statevec.Pool,
-	cw *ckptWriter, trk *obs.Track, gm *gateObs, m *obs.Metrics, startGate int, stop *StopLatch) error {
-	st := rt.st
-	startBytes := st.Stats.BytesTouched
-	startSweeps := st.Stats.Sweeps
 	perGate := func(t int) error {
-		if err := stopLocal(stop, cw, st, t, startGate, rt.cbits, rt.draws); err != nil {
+		if err := boundary(t); err != nil {
 			return err
 		}
-		if t > startGate && cw.due(t) {
-			if err := cw.writeLocal(st, t, t, rt.cbits, rt.draws); err != nil {
-				return err
-			}
-		}
-		op := &cp.Circuit.Ops[cp.Plan.Steps[t].Op]
+		oi := cp.Plan.Steps[t].Op
+		op := &cp.Circuit.Ops[oi]
 		if !condSatisfied(op.Cond, rt.cbits) {
 			return nil
 		}
-		apply := func() {
-			switch op.G.Kind {
-			case gate.MEASURE:
-				out := st.MeasureQubit(int(op.G.Qubits[0]), rt.draw())
-				rt.cbits = setCbit(rt.cbits, int(op.G.Cbit), out)
-			case gate.RESET:
-				st.ResetQubit(int(op.G.Qubits[0]), rt.draw())
-			default:
-				pool.ApplyShared(st, &op.G)
-			}
-		}
 		if trk == nil && gm == nil {
-			apply()
+			exec(oi)
 			return nil
 		}
 		g0 := time.Now()
-		apply()
+		exec(oi)
 		g1 := time.Now()
 		gm.observe(op.G.Kind, g1.Sub(g0))
 		if trk != nil {
@@ -236,24 +157,15 @@ func runTiledShared(cp *compile.CompiledPlan, rt *rtctx, pool *statevec.Pool,
 			continue
 		}
 		if !grp.Tiled || startGate > grp.Start {
-			from := grp.Start
-			if startGate > from {
-				from = startGate
-			}
-			for t := from; t < grp.End; t++ {
+			for t := max(grp.Start, startGate); t < grp.End; t++ {
 				if err := perGate(t); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		if err := stopLocal(stop, cw, st, grp.Start, startGate, rt.cbits, rt.draws); err != nil {
+		if err := boundary(grp.Start); err != nil {
 			return err
-		}
-		if grp.Start > startGate && cw.due(grp.Start) {
-			if err := cw.writeLocal(st, grp.Start, grp.Start, rt.cbits, rt.draws); err != nil {
-				return err
-			}
 		}
 		tiledGroupObs(st, pool, cp, grp, rt.cbits, trk, m, 0)
 	}

@@ -33,6 +33,23 @@ func Classify(g *Gate) Class {
 	return cl
 }
 
+// Local reports whether the gate can be applied to an aligned window of
+// 2^bits amplitudes without reading outside it: a diagonal unitary never
+// couples amplitudes, and otherwise every target must sit below bits.
+// Controls may sit anywhere (a control above the window makes it wholly
+// active or skipped).
+func (c *Class) Local(bits int) bool {
+	if c.Diag {
+		return true
+	}
+	for _, t := range c.Targets {
+		if t >= bits {
+			return false
+		}
+	}
+	return true
+}
+
 func iotaOperands(k int) []int {
 	qs := make([]int, k)
 	for i := range qs {

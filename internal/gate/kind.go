@@ -89,26 +89,27 @@ type kindInfo struct {
 	controls  int  // leading operands that act as controls
 	base      Kind // kind applied to the remaining operands when controls fire
 	hermitian bool // self-adjoint (adjoint == same gate)
+	diag      bool // diagonal for every parameter value (element-wise kernel)
 }
 
 var kindTable = [numKinds]kindInfo{
 	U3:      {name: "u3", nq: 1, np: 3},
 	U2:      {name: "u2", nq: 1, np: 2},
-	U1:      {name: "u1", nq: 1, np: 1},
+	U1:      {name: "u1", nq: 1, np: 1, diag: true},
 	CX:      {name: "cx", nq: 2, controls: 1, base: X, hermitian: true},
-	ID:      {name: "id", nq: 1, hermitian: true},
+	ID:      {name: "id", nq: 1, hermitian: true, diag: true},
 	X:       {name: "x", nq: 1, hermitian: true},
 	Y:       {name: "y", nq: 1, hermitian: true},
-	Z:       {name: "z", nq: 1, hermitian: true},
+	Z:       {name: "z", nq: 1, hermitian: true, diag: true},
 	H:       {name: "h", nq: 1, hermitian: true},
-	S:       {name: "s", nq: 1},
-	SDG:     {name: "sdg", nq: 1},
-	T:       {name: "t", nq: 1},
-	TDG:     {name: "tdg", nq: 1},
+	S:       {name: "s", nq: 1, diag: true},
+	SDG:     {name: "sdg", nq: 1, diag: true},
+	T:       {name: "t", nq: 1, diag: true},
+	TDG:     {name: "tdg", nq: 1, diag: true},
 	RX:      {name: "rx", nq: 1, np: 1},
 	RY:      {name: "ry", nq: 1, np: 1},
-	RZ:      {name: "rz", nq: 1, np: 1},
-	CZ:      {name: "cz", nq: 2, controls: 1, base: Z, hermitian: true},
+	RZ:      {name: "rz", nq: 1, np: 1, diag: true},
+	CZ:      {name: "cz", nq: 2, controls: 1, base: Z, hermitian: true, diag: true},
 	CY:      {name: "cy", nq: 2, controls: 1, base: Y, hermitian: true},
 	SWAP:    {name: "swap", nq: 2, hermitian: true},
 	CH:      {name: "ch", nq: 2, controls: 1, base: H, hermitian: true},
@@ -116,11 +117,11 @@ var kindTable = [numKinds]kindInfo{
 	CSWAP:   {name: "cswap", nq: 3, controls: 1, base: SWAP, hermitian: true},
 	CRX:     {name: "crx", nq: 2, np: 1, controls: 1, base: RX},
 	CRY:     {name: "cry", nq: 2, np: 1, controls: 1, base: RY},
-	CRZ:     {name: "crz", nq: 2, np: 1, controls: 1, base: RZ},
-	CU1:     {name: "cu1", nq: 2, np: 1, controls: 1, base: U1},
+	CRZ:     {name: "crz", nq: 2, np: 1, controls: 1, base: RZ, diag: true},
+	CU1:     {name: "cu1", nq: 2, np: 1, controls: 1, base: U1, diag: true},
 	CU3:     {name: "cu3", nq: 2, np: 3, controls: 1, base: U3},
 	RXX:     {name: "rxx", nq: 2, np: 1},
-	RZZ:     {name: "rzz", nq: 2, np: 1},
+	RZZ:     {name: "rzz", nq: 2, np: 1, diag: true},
 	RCCX:    {name: "rccx", nq: 3},
 	RC3X:    {name: "rc3x", nq: 4},
 	C3X:     {name: "c3x", nq: 4, controls: 3, base: X, hermitian: true},
@@ -128,14 +129,14 @@ var kindTable = [numKinds]kindInfo{
 	C4X:     {name: "c4x", nq: 5, controls: 4, base: X, hermitian: true},
 	SX:      {name: "sx", nq: 1},
 	SXDG:    {name: "sxdg", nq: 1},
-	CS:      {name: "cs", nq: 2, controls: 1, base: S},
-	CT:      {name: "ct", nq: 2, controls: 1, base: T},
-	CSDG:    {name: "csdg", nq: 2, controls: 1, base: SDG},
-	CTDG:    {name: "ctdg", nq: 2, controls: 1, base: TDG},
-	GPHASE:  {name: "gphase", nq: 0, np: 1},
+	CS:      {name: "cs", nq: 2, controls: 1, base: S, diag: true},
+	CT:      {name: "ct", nq: 2, controls: 1, base: T, diag: true},
+	CSDG:    {name: "csdg", nq: 2, controls: 1, base: SDG, diag: true},
+	CTDG:    {name: "ctdg", nq: 2, controls: 1, base: TDG, diag: true},
+	GPHASE:  {name: "gphase", nq: 0, np: 1, diag: true},
 	MEASURE: {name: "measure", nq: 1},
 	RESET:   {name: "reset", nq: 1},
-	BARRIER: {name: "barrier", nq: 0},
+	BARRIER: {name: "barrier", nq: 0, diag: true},
 }
 
 // String returns the lower-case OpenQASM-style mnemonic of the kind.
@@ -170,6 +171,15 @@ func (k Kind) BaseKind() Kind {
 // Hermitian reports whether the gate is self-adjoint for all parameter
 // values (so its adjoint is itself).
 func (k Kind) Hermitian() bool { return kindTable[k].hermitian }
+
+// Diagonal reports whether the kind's unitary is diagonal for every
+// parameter value: its kernel multiplies each amplitude by a phase read
+// off the basis index and never couples two amplitudes, so its operands
+// may sit anywhere relative to a tile or partition boundary. This is a
+// static per-kind property on purpose — a u3 that happens to be diagonal
+// for one binding does not count, or plans would change shape under
+// re-binding.
+func (k Kind) Diagonal() bool { return kindTable[k].diag }
 
 // Unitary reports whether the kind denotes a unitary operation (as opposed
 // to measurement, reset, or a barrier).

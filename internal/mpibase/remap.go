@@ -3,6 +3,7 @@ package mpibase
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -64,7 +65,7 @@ func (s *RemapSimulator) Run(c *circuit.Circuit) (*RemapResult, error) {
 	}
 	dim := 1 << uint(n)
 	S := dim / p
-	localBits := n - lg(p)
+	localBits := n - bits.Len(uint(p-1))
 
 	// One compile pass: block-aware fusion, the communication-avoiding
 	// schedule, and the per-op classification (the upload step) all come
@@ -82,7 +83,6 @@ func (s *RemapSimulator) Run(c *circuit.Circuit) (*RemapResult, error) {
 	}
 	c = cp.Circuit
 	plan := cp.Plan
-	cls := cp.Classes
 
 	eng := &remapEngine{n: n, p: p, S: S, localBits: localBits, topo: cp.Topo}
 
@@ -93,7 +93,7 @@ func (s *RemapSimulator) Run(c *circuit.Circuit) (*RemapResult, error) {
 		eng.re[r] = make([]float64, S)
 		eng.im[r] = make([]float64, S)
 		runs[r] = remapRun{
-			local: &statevec.State{N: localBits, Dim: S, Re: eng.re[r], Im: eng.im[r], Style: s.cfg.Style},
+			local: &statevec.State{N: localBits, Dim: S, Re: eng.re[r], Im: eng.im[r], Base: r * S, Style: s.cfg.Style},
 			rng:   rand.New(rand.NewSource(s.cfg.Seed)),
 			perm:  circuit.IdentityPermutation(n),
 		}
@@ -166,12 +166,12 @@ func (s *RemapSimulator) Run(c *circuit.Circuit) (*RemapResult, error) {
 					}
 				}
 				if trk == nil && gm == nil {
-					eng.execOp(r, run, op, cls[st.Op])
+					eng.execOp(r, run, op)
 					continue
 				}
 				c0 := comm.StatsOf(r.R)
 				g0 := time.Now()
-				eng.execOp(r, run, op, cls[st.Op])
+				eng.execOp(r, run, op)
 				g1 := time.Now()
 				gm.observe(op.G.Kind, g1.Sub(g0))
 				if trk != nil {
@@ -276,7 +276,7 @@ type remapEngine struct {
 
 // execOp applies one circuit op at its current physical positions. The
 // planner guarantees every non-diagonal unitary target is already local.
-func (e *remapEngine) execOp(r *Rank, run *remapRun, op *circuit.Op, cls *gate.Class) {
+func (e *remapEngine) execOp(r *Rank, run *remapRun, op *circuit.Op) {
 	g := &op.G
 	switch g.Kind {
 	case gate.BARRIER:
@@ -295,20 +295,11 @@ func (e *remapEngine) execOp(r *Rank, run *remapRun, op *circuit.Op, cls *gate.C
 			run.local.Apply(&x)
 		}
 		return
-	case gate.GPHASE:
-		run.local.ApplyGPhase(g.Params[0])
-		r.Barrier()
-		return
 	}
-	physT := make([]int, len(cls.Targets))
-	for i, t := range cls.Targets {
-		physT[i] = run.perm[t]
-	}
-	physC := make([]int, len(cls.Ctrls))
-	for i, cq := range cls.Ctrls {
-		physC[i] = run.perm[cq]
-	}
-	e.applyLocal(r, run.local, cls, physC, physT)
+	// The op runs on the partition window (base rank*S) at its current
+	// physical positions; the kernel resolves the global ones.
+	pg := run.perm.PhysicalGate(g)
+	run.local.Apply(&pg)
 	r.Barrier()
 }
 
@@ -410,51 +401,6 @@ func (e *remapEngine) swapBitsTraced(r *Rank, run *remapRun, gBit, lBit int, trk
 	trk.SpanAt(label+" unpack", w1, time.Now(), obs.SpanArgs{
 		Kind: "unpack", Phase: obs.PhaseUnpack, Block: block, PackBytes: int64(e.S) * 8})
 	run.perm.SwapPhysical(gBit, lBit)
-}
-
-// applyLocal applies the classified gate at its physical positions: local
-// targets through the shared kernels, global controls via rank bits.
-func (e *remapEngine) applyLocal(r *Rank, local *statevec.State, cls *gate.Class, physC, physT []int) {
-	off := r.R * e.S
-	if cls.Diag {
-		var cmask int
-		for _, c := range physC {
-			cmask |= 1 << uint(c)
-		}
-		re, im := local.Re, local.Im
-		for i := 0; i < e.S; i++ {
-			gidx := off + i
-			if gidx&cmask != cmask {
-				continue
-			}
-			sub := 0
-			for j, t := range physT {
-				if gidx>>uint(t)&1 == 1 {
-					sub |= 1 << uint(j)
-				}
-			}
-			f := cls.U.At(sub, sub)
-			if f == 1 {
-				continue
-			}
-			fr, fi := real(f), imag(f)
-			rr, ii := re[i], im[i]
-			re[i] = fr*rr - fi*ii
-			im[i] = fr*ii + fi*rr
-		}
-		return
-	}
-	var localCtrls []int
-	for _, c := range physC {
-		if c < e.localBits {
-			localCtrls = append(localCtrls, c)
-			continue
-		}
-		if off>>uint(c)&1 == 0 {
-			return
-		}
-	}
-	local.ApplyControlledMatrix(cls.U, localCtrls, physT)
 }
 
 // measure performs a projective measurement of the LOGICAL qubit q at its

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"path/filepath"
 	"time"
@@ -199,7 +200,7 @@ func (s *Simulator) Run(c *circuit.Circuit) (*Result, error) {
 	for {
 		attempts++
 		s.cfg.Flight.Record(-1, obs.EventRunStart, "mpi", int64(attempts))
-		res, err := s.runOnce(c, p, resume, cp.PlanFP)
+		res, err := s.runOnce(cp, p, resume)
 		if err == nil {
 			res.Recoveries = recovered
 			res.Compile = cst
@@ -237,11 +238,12 @@ func (s *Simulator) Run(c *circuit.Circuit) (*Result, error) {
 
 // runOnce is one execution attempt, optionally restoring from a resume
 // checkpoint first.
-func (s *Simulator) runOnce(c *circuit.Circuit, p int, resume string, planFP uint64) (*Result, error) {
+func (s *Simulator) runOnce(cp *compile.CompiledPlan, p int, resume string) (*Result, error) {
+	c, planFP := cp.Circuit, cp.PlanFP
 	n := c.NumQubits
 	dim := 1 << uint(n)
 	S := dim / p
-	localBits := n - lg(p)
+	localBits := n - bits.Len(uint(p-1))
 
 	parts := make([][2][]float64, p)
 	runs := make([]mpiRun, p)
@@ -251,6 +253,7 @@ func (s *Simulator) runOnce(c *circuit.Circuit, p int, resume string, planFP uin
 			local: &statevec.State{
 				N: localBits, Dim: S,
 				Re: parts[r][0], Im: parts[r][1],
+				Base:  r * S,
 				Style: s.cfg.Style,
 			},
 			rng:  rand.New(rand.NewSource(s.cfg.Seed)),
@@ -344,12 +347,12 @@ func (s *Simulator) runOnce(c *circuit.Circuit, p int, resume string, planFP uin
 				}
 			}
 			if trk == nil && gm == nil {
-				eng.exec(r, run, &op.G)
+				eng.exec(r, run, &op.G, cp.Classes[i])
 				continue
 			}
 			c0 := comm.StatsOf(r.R)
 			g0 := time.Now()
-			eng.exec(r, run, &op.G)
+			eng.exec(r, run, &op.G, cp.Classes[i])
 			g1 := time.Now()
 			gm.observe(op.G.Kind, g1.Sub(g0))
 			if run.spanned {
@@ -491,19 +494,16 @@ func (s *Simulator) validateResume(m *ckpt.Manifest, c *circuit.Circuit, p int, 
 	return nil
 }
 
-func lg(p int) int {
-	k := 0
-	for 1<<uint(k) < p {
-		k++
-	}
-	return k
-}
-
 type mpiEngine struct {
 	n, p, S, localBits, dim int
 }
 
-func (e *mpiEngine) exec(r *Rank, run *mpiRun, g *gate.Gate) {
+// xMatrix is the unitary of the X a RESET applies after measuring 1.
+var xMatrix = gate.Unitary(gate.NewX(0))
+
+// exec runs one op; cls is its precomputed classification (nil for the
+// kinds the compile pipeline does not classify).
+func (e *mpiEngine) exec(r *Rank, run *mpiRun, g *gate.Gate, cls *gate.Class) {
 	switch g.Kind {
 	case gate.BARRIER:
 		return
@@ -516,34 +516,22 @@ func (e *mpiEngine) exec(r *Rank, run *mpiRun, g *gate.Gate) {
 		}
 		return
 	case gate.RESET:
-		if e.measure(r, run, int(g.Qubits[0])) == 1 {
-			x := gate.NewX(int(g.Qubits[0]))
-			e.exec(r, run, &x)
+		if q := int(g.Qubits[0]); e.measure(r, run, q) == 1 {
+			x := gate.NewX(q)
+			e.exec(r, run, &x, &gate.Class{Targets: []int{q}, U: xMatrix})
 		}
 		return
-	case gate.GPHASE:
-		run.local.ApplyGPhase(g.Params[0])
-		r.Barrier()
-		return
 	}
-	if g.MaxQubit() < e.localBits {
+	if cls == nil || cls.Local(e.localBits) {
+		// The partition is a window of the state (base rank*S): the
+		// ordinary kernels resolve global controls and diagonal targets
+		// against it.
 		run.local.Apply(g)
 		r.Barrier()
 		return
 	}
-	cls := gate.Classify(g)
-	if cls.Diag {
-		e.applyDiagLocal(r, run, &cls)
-		r.Barrier()
-		return
-	}
-	if maxOf(cls.Targets) < e.localBits {
-		e.applyTargetsLocal(r, run, &cls)
-		r.Barrier()
-		return
-	}
 	if run.trk != nil {
-		e.applyGroupExchangeTraced(r, run, &cls)
+		e.applyGroupExchangeTraced(r, run, cls)
 		b0 := time.Now()
 		r.Barrier()
 		run.trk.SpanAt("barrier", b0, time.Now(),
@@ -551,67 +539,8 @@ func (e *mpiEngine) exec(r *Rank, run *mpiRun, g *gate.Gate) {
 		run.spanned = true
 		return
 	}
-	e.applyGroupExchange(r, run, &cls)
+	e.applyGroupExchange(r, run, cls)
 	r.Barrier()
-}
-
-func maxOf(xs []int) int {
-	m := -1
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-func (e *mpiEngine) applyDiagLocal(r *Rank, run *mpiRun, cls *gate.Class) {
-	off := r.R * e.S
-	var cmask int
-	for _, c := range cls.Ctrls {
-		cmask |= 1 << uint(c)
-	}
-	re, im := run.local.Re, run.local.Im
-	var touched int64
-	for i := 0; i < e.S; i++ {
-		gidx := off + i
-		if gidx&cmask != cmask {
-			continue
-		}
-		sub := 0
-		for j, t := range cls.Targets {
-			if gidx>>uint(t)&1 == 1 {
-				sub |= 1 << uint(j)
-			}
-		}
-		f := cls.U.At(sub, sub)
-		if f == 1 {
-			continue
-		}
-		fr, fi := real(f), imag(f)
-		rr, ii := re[i], im[i]
-		re[i] = fr*rr - fi*ii
-		im[i] = fr*ii + fi*rr
-		touched++
-	}
-	run.extra.Gates++
-	run.extra.AmpsTouched += touched
-	run.extra.BytesTouched += touched * 16
-}
-
-func (e *mpiEngine) applyTargetsLocal(r *Rank, run *mpiRun, cls *gate.Class) {
-	off := r.R * e.S
-	var localCtrls []int
-	for _, c := range cls.Ctrls {
-		if c < e.localBits {
-			localCtrls = append(localCtrls, c)
-			continue
-		}
-		if off>>uint(c)&1 == 0 {
-			return
-		}
-	}
-	run.local.ApplyControlledMatrix(cls.U, localCtrls, cls.Targets)
 }
 
 // applyGroupExchange is the traditional global-qubit strategy: the ranks

@@ -102,160 +102,18 @@ func (p *Pool) ForTiles(numTiles int, body func(tile int) (amps, flops int64)) (
 }
 
 // ApplyShared executes one unitary gate on the shared state with the
-// paper's parallel-for structure. It covers the full gate set through the
-// control/target/unitary classification: diagonal gates run element-wise,
-// single-target gates run over the pair space, and multi-target gates run
-// over their orbit space — each split across the workers with no
-// intra-gate write conflicts (orbits are disjoint).
+// paper's parallel-for structure: the gate's compressed iteration space
+// is cut into one share per worker and each share runs the same kernel
+// Apply runs, so the result is bit-identical to Apply at any worker
+// count. Shares never conflict: every index of the compressed space
+// owns its own amplitude pair (or orbit).
 func (p *Pool) ApplyShared(s *State, g *gate.Gate) {
-	switch g.Kind {
-	case gate.BARRIER:
-		return
-	case gate.ID:
-		s.Stats.add(0, 0)
-		return
-	case gate.GPHASE:
-		u := gate.Unitary(*g)
-		fr, fi := real(u.At(0, 0)), imag(u.At(0, 0))
-		re, im := s.Re, s.Im
-		p.parallelFor(s.Dim, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				r, ii := re[i], im[i]
-				re[i] = fr*r - fi*ii
-				im[i] = fr*ii + fi*r
-			}
-		})
-		s.Stats.add(int64(s.Dim), int64(6*s.Dim))
+	if g.Kind == gate.BARRIER {
 		return
 	}
-	cls := gate.Classify(g)
-	var cmask int
-	for _, c := range cls.Ctrls {
-		cmask |= 1 << uint(c)
-	}
-	switch {
-	case cls.Diag:
-		p.applyDiagShared(s, &cls, cmask)
-	case len(cls.Targets) == 1:
-		p.applyPairShared(s, &cls, cmask)
-	default:
-		p.applyOrbitShared(s, &cls, cmask)
-	}
-}
-
-func (p *Pool) applyDiagShared(s *State, cls *gate.Class, cmask int) {
-	re, im := s.Re, s.Im
-	p.parallelFor(s.Dim, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i&cmask != cmask {
-				continue
-			}
-			sub := 0
-			for j, t := range cls.Targets {
-				if i>>uint(t)&1 == 1 {
-					sub |= 1 << uint(j)
-				}
-			}
-			f := cls.U.At(sub, sub)
-			if f == 1 {
-				continue
-			}
-			fr, fi := real(f), imag(f)
-			r, ii := re[i], im[i]
-			re[i] = fr*r - fi*ii
-			im[i] = fr*ii + fi*r
-		}
-	})
-	s.Stats.add(int64(s.Dim>>uint(len(cls.Ctrls))), int64(3*s.Dim))
-}
-
-func (p *Pool) applyPairShared(s *State, cls *gate.Class, cmask int) {
-	t := cls.Targets[0]
-	tbit := 1 << uint(t)
-	u := cls.U
-	ar, ai := real(u.At(0, 0)), imag(u.At(0, 0))
-	br, bi := real(u.At(0, 1)), imag(u.At(0, 1))
-	cr, ci := real(u.At(1, 0)), imag(u.At(1, 0))
-	dr, di := real(u.At(1, 1)), imag(u.At(1, 1))
-	re, im := s.Re, s.Im
-	half := s.Dim >> 1
-	p.parallelFor(half, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p0 := insertZeroBit(i, t)
-			if p0&cmask != cmask {
-				continue
-			}
-			p1 := p0 | tbit
-			r0, i0 := re[p0], im[p0]
-			r1, i1 := re[p1], im[p1]
-			re[p0] = ar*r0 - ai*i0 + br*r1 - bi*i1
-			im[p0] = ar*i0 + ai*r0 + br*i1 + bi*r1
-			re[p1] = cr*r0 - ci*i0 + dr*r1 - di*i1
-			im[p1] = cr*i0 + ci*r0 + dr*i1 + di*r1
-		}
-	})
-	pairs := int64(s.Dim >> uint(1+len(cls.Ctrls)))
-	s.Stats.add(2*pairs, 14*pairs)
-}
-
-func (p *Pool) applyOrbitShared(s *State, cls *gate.Class, cmask int) {
-	k := len(cls.Targets)
-	sub := 1 << uint(k)
-	offsets := make([]int, sub)
-	for a := 0; a < sub; a++ {
-		off := 0
-		for j, t := range cls.Targets {
-			if a>>uint(j)&1 == 1 {
-				off |= 1 << uint(t)
-			}
-		}
-		offsets[a] = off
-	}
-	bits := append(append([]int(nil), cls.Ctrls...), cls.Targets...)
-	sortInts(bits)
-	nb := len(bits)
-	total := s.Dim >> uint(nb)
-	re, im := s.Re, s.Im
-	u := cls.U
-	p.parallelFor(total, func(lo, hi int) {
-		ampR := make([]float64, sub)
-		ampI := make([]float64, sub)
-		outR := make([]float64, sub)
-		outI := make([]float64, sub)
-		for i := lo; i < hi; i++ {
-			base := i
-			for _, b := range bits {
-				base = insertZeroBit(base, b)
-			}
-			base |= cmask
-			for a := 0; a < sub; a++ {
-				pidx := base | offsets[a]
-				ampR[a], ampI[a] = re[pidx], im[pidx]
-			}
-			for a := 0; a < sub; a++ {
-				var sr, si float64
-				row := u.Data[a*sub : (a+1)*sub]
-				for b2, v := range row {
-					vr, vi := real(v), imag(v)
-					sr += vr*ampR[b2] - vi*ampI[b2]
-					si += vr*ampI[b2] + vi*ampR[b2]
-				}
-				outR[a], outI[a] = sr, si
-			}
-			for a := 0; a < sub; a++ {
-				pidx := base | offsets[a]
-				re[pidx], im[pidx] = outR[a], outI[a]
-			}
-		}
-	})
-	touched := int64(total) * int64(sub)
-	s.Stats.add(touched, touched*4*int64(sub))
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	s.Stats.add(p.ForTiles(p.workers, func(part int) (int64, int64) {
+		w := s.window(0, s.Dim)
+		w.part, w.parts = part, p.workers
+		return w.apply(g)
+	}))
 }

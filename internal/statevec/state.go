@@ -1,8 +1,9 @@
 // Package statevec implements the dense state-vector substrate of SV-Sim:
-// the storage layout, the specialized per-gate kernels (the paper's
-// "specialized gate implementation", §3.2.1), the generic matrix-apply path
-// (the Aer-style baseline the paper contrasts against), and measurement,
-// sampling, and expectation-value routines.
+// the storage layout, the one set of specialized gate kernels every
+// executor applies (the paper's "specialized gate implementation", §3.2.1;
+// see window.go), the generic matrix-apply path (the Aer-style baseline
+// the paper contrasts against), and measurement, sampling, and
+// expectation-value routines.
 //
 // The state is stored as two separate float64 slices (sv_real / sv_imag),
 // exactly as in the paper, because the structure-of-arrays layout is what
@@ -82,6 +83,11 @@ type State struct {
 
 	Re, Im []float64
 
+	// Base is the global index of Re[0] when the state wraps one
+	// partition of a larger register (a PE's rank*S); 0 for a whole
+	// state. Apply resolves operand qubits at or above N against it.
+	Base int
+
 	Style KernelStyle
 	Stats Stats
 }
@@ -118,7 +124,7 @@ func (s *State) Reset() {
 
 // Clone returns a deep copy of the state (stats are copied too).
 func (s *State) Clone() *State {
-	c := &State{N: s.N, Dim: s.Dim, Style: s.Style, Stats: s.Stats}
+	c := &State{N: s.N, Dim: s.Dim, Base: s.Base, Style: s.Style, Stats: s.Stats}
 	c.Re = append([]float64(nil), s.Re...)
 	c.Im = append([]float64(nil), s.Im...)
 	return c
@@ -213,14 +219,8 @@ func (s *State) Amplitudes() []complex128 {
 	return out
 }
 
-// insertZeroBit spreads x so that a zero bit appears at position b:
+// InsertZeroBit spreads x so that a zero bit appears at position b:
 // the paper's s_i = floor(i/2^q)*2^{q+1} + (i mod 2^q) index transform.
-func insertZeroBit(x, b int) int {
+func InsertZeroBit(x, b int) int {
 	return x>>uint(b)<<uint(b+1) | x&(1<<uint(b)-1)
-}
-
-// insertZeroBits2 inserts zero bits at positions lo < hi, implementing the
-// paper's two-qubit s_i formula.
-func insertZeroBits2(x, lo, hi int) int {
-	return insertZeroBit(insertZeroBit(x, lo), hi)
 }

@@ -428,16 +428,16 @@ func TestNewRejectsBadSizes(t *testing.T) {
 }
 
 func TestInsertZeroBit(t *testing.T) {
-	// insertZeroBit must enumerate exactly the indices with bit q == 0.
+	// InsertZeroBit must enumerate exactly the indices with bit q == 0.
 	for q := 0; q < 4; q++ {
 		seen := map[int]bool{}
 		for i := 0; i < 8; i++ {
-			p := insertZeroBit(i, q)
+			p := InsertZeroBit(i, q)
 			if p&(1<<uint(q)) != 0 {
-				t.Fatalf("insertZeroBit(%d,%d) = %d has bit %d set", i, q, p, q)
+				t.Fatalf("InsertZeroBit(%d,%d) = %d has bit %d set", i, q, p, q)
 			}
 			if seen[p] {
-				t.Fatalf("insertZeroBit(%d,%d) duplicates %d", i, q, p)
+				t.Fatalf("InsertZeroBit(%d,%d) duplicates %d", i, q, p)
 			}
 			seen[p] = true
 		}

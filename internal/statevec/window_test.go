@@ -1,0 +1,245 @@
+package statevec
+
+import (
+	"math/cmplx"
+	"math/rand"
+	"testing"
+
+	"svsim/internal/baseline"
+	"svsim/internal/circuit"
+	"svsim/internal/gate"
+)
+
+// windowKinds is every unitary kind, including the operand-less ones.
+func windowKinds() []gate.Kind {
+	return append(kernelKinds(), gate.GPHASE, gate.BARRIER)
+}
+
+// prepCircuit returns a seeded circuit that drives |0...0> to a dense,
+// entangled state with no structure a kernel bug could hide behind.
+func prepCircuit(rng *rand.Rand, n int) *circuit.Circuit {
+	c := circuit.New("prep", n)
+	for layer := 0; layer < 2; layer++ {
+		for q := 0; q < n; q++ {
+			a := randAngles(rng, 3)
+			c.Append(gate.NewU3(a[0], a[1], a[2], q))
+		}
+		for q := 0; q < n; q++ {
+			c.Append(gate.NewCX(q, (q+1+layer)%n))
+		}
+	}
+	return c
+}
+
+// windowFits reports whether g obeys the window rule for windows of
+// 2^wbits amplitudes: every pairing target below wbits (diagonal kinds
+// and controls are free).
+func windowFits(g *gate.Gate, wbits int) bool {
+	if g.Kind.Diagonal() {
+		return true
+	}
+	for _, t := range g.Targets() {
+		if int(t) >= wbits {
+			return false
+		}
+	}
+	return true
+}
+
+// applyParts applies g to the whole state as `parts` separate shares of
+// its compressed iteration space (a pool worker's view), in order.
+func applyParts(s *State, g *gate.Gate, parts int) (amps, flops int64) {
+	for part := 0; part < parts; part++ {
+		w := s.window(0, s.Dim)
+		w.part, w.parts = part, parts
+		a, f := w.apply(g)
+		amps += a
+		flops += f
+	}
+	return amps, flops
+}
+
+// TestWindowKernels is the one property test of the kernel core: for
+// every unitary kind, seeded random operand placements (controls and
+// diagonal targets land below and at/above every window boundary), every
+// window size 2^1..2^n and both loop shapes,
+//
+//	(a) applying the gate window by window is bit-identical to one full
+//	    Apply and visits the same (amps, flops),
+//	(b) splitting the compressed range into 2, 3 and 7 shares is
+//	    bit-identical to the unsplit call,
+//	(c) the result is within 1e-12 of internal/baseline's generic-matrix
+//	    simulator, an implementation that shares no kernel code.
+func TestWindowKernels(t *testing.T) {
+	const n = 6
+	rng := rand.New(rand.NewSource(61))
+	prep := prepCircuit(rng, n)
+	for _, style := range []KernelStyle{Scalar, Vectorized} {
+		start := New(n)
+		start.Style = style
+		for i := range prep.Ops {
+			start.Apply(&prep.Ops[i].G)
+		}
+		for _, k := range windowKinds() {
+			for trial := 0; trial < 6; trial++ {
+				g := gate.New(k, sampleOperands(rng, k, n), randAngles(rng, k.NumParams())...)
+				want := start.Clone()
+				want.Stats = Stats{}
+				want.Apply(&g)
+
+				for wbits := 1; wbits <= n; wbits++ {
+					if !windowFits(&g, wbits) {
+						continue
+					}
+					got := start.Clone()
+					var amps, flops int64
+					for lo := 0; lo < got.Dim; lo += 1 << uint(wbits) {
+						a, f := got.ApplyTile(&g, lo, lo+1<<uint(wbits))
+						amps += a
+						flops += f
+					}
+					if d := got.MaxAbsDiff(want); d != 0 {
+						t.Fatalf("style=%d %s: 2^%d windows deviate from Apply by %g", style, g, wbits, d)
+					}
+					if amps != want.Stats.AmpsTouched || flops != want.Stats.FlopEst {
+						t.Fatalf("style=%d %s: 2^%d windows visit (amps=%d flops=%d), Apply (amps=%d flops=%d)",
+							style, g, wbits, amps, flops, want.Stats.AmpsTouched, want.Stats.FlopEst)
+					}
+				}
+
+				for _, parts := range []int{2, 3, 7} {
+					got := start.Clone()
+					amps, flops := applyParts(got, &g, parts)
+					if d := got.MaxAbsDiff(want); d != 0 {
+						t.Fatalf("style=%d %s: %d shares deviate from the unsplit call by %g", style, g, parts, d)
+					}
+					if amps != want.Stats.AmpsTouched || flops != want.Stats.FlopEst {
+						t.Fatalf("style=%d %s: %d shares visit (amps=%d flops=%d), unsplit (amps=%d flops=%d)",
+							style, g, parts, amps, flops, want.Stats.AmpsTouched, want.Stats.FlopEst)
+					}
+				}
+
+				ref := circuit.New("ref", n)
+				ref.Ops = append(ref.Ops, prep.Ops...)
+				if k != gate.BARRIER { // the oracle takes pure evolution only
+					ref.Append(g)
+				}
+				oracle, err := baseline.NewGenericMatrix().Run(ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, a := range oracle {
+					if d := cmplx.Abs(a - want.Amplitude(i)); d > 1e-12 {
+						t.Fatalf("style=%d %s: amplitude %d deviates from the generic-matrix oracle by %g", style, g, i, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDiagonalBindingAboveWindow covers the one escape from the window
+// rule: a pairing kind whose binding happens to be diagonal may have its
+// target above the window (the schedulers classify per binding and leave
+// such a gate's target global).
+func TestDiagonalBindingAboveWindow(t *testing.T) {
+	const n = 5
+	rng := rand.New(rand.NewSource(67))
+	for _, g := range []gate.Gate{
+		gate.NewU3(0, 0.3, 0.9, n-1),
+		gate.NewCU3(0, -0.4, 1.1, 1, n-1),
+		gate.NewRX(0, n-2),
+		gate.NewRXX(0, 0, n-1),
+	} {
+		got := randomState(rng, n, Vectorized)
+		want := got.Clone()
+		want.Apply(&g)
+		for lo := 0; lo < got.Dim; lo += 4 {
+			got.ApplyTile(&g, lo, lo+4)
+		}
+		if d := got.MaxAbsDiff(want); d != 0 {
+			t.Fatalf("%s over 4-amplitude windows deviates by %g", g, d)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a coupling target above the window must panic, not compute garbage")
+		}
+	}()
+	h := gate.NewH(n - 1)
+	randomState(rng, n, Scalar).ApplyTile(&h, 0, 4)
+}
+
+// TestKernelsDoNotAllocate pins the dispatch cost the small-state
+// workloads (thousands of gates on L1-sized states) pay per gate: no
+// kernel allocates, whether applied to the whole state or tile by tile —
+// the matrix kinds keep their scratch on the stack.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	const n, wbits = 8, 5
+	rng := rand.New(rand.NewSource(71))
+	s := randomState(rng, n, Vectorized)
+	for _, k := range windowKinds() {
+		ops := rng.Perm(wbits)[:k.NumQubits()] // every operand below the tile boundary
+		g := gate.New(k, ops, randAngles(rng, k.NumParams())...)
+		if a := testing.AllocsPerRun(10, func() { s.Apply(&g) }); a != 0 {
+			t.Errorf("Apply(%s): %g allocations per gate, want 0", k, a)
+		}
+		tiled := func() {
+			for lo := 0; lo < s.Dim; lo += 1 << wbits {
+				s.ApplyTile(&g, lo, lo+1<<wbits)
+			}
+		}
+		if a := testing.AllocsPerRun(10, tiled); a != 0 {
+			t.Errorf("ApplyTile(%s) over %d tiles: %g allocations per gate, want 0", k, s.Dim>>wbits, a)
+		}
+	}
+}
+
+// TestPartitionWindow checks the State.Base contract the distributed
+// executors rely on: a state wrapping partition r of a larger register
+// applies a gate with global controls and diagonal targets exactly as
+// the whole register would.
+func TestPartitionWindow(t *testing.T) {
+	const n, localBits = 6, 4
+	rng := rand.New(rand.NewSource(73))
+	whole := randomState(rng, n, Vectorized)
+	parts := whole.Clone()
+	gs := []gate.Gate{
+		gate.NewCX(5, 2), gate.NewCCX(4, 1, 3), gate.NewCU1(0.7, 2, 5), gate.NewRZ(1.3, 4),
+		gate.NewRZZ(0.4, 5, 0), gate.NewCZ(4, 5), gate.NewT(5), gate.NewGPhase(0.2), gate.NewCSWAP(5, 0, 3),
+	}
+	S := 1 << localBits
+	for i := range gs {
+		whole.Apply(&gs[i])
+		for r := 0; r < parts.Dim/S; r++ {
+			pe := &State{N: localBits, Dim: S, Re: parts.Re[r*S : (r+1)*S], Im: parts.Im[r*S : (r+1)*S], Base: r * S, Style: Vectorized}
+			pe.Apply(&gs[i])
+		}
+		if d := parts.MaxAbsDiff(whole); d != 0 {
+			t.Fatalf("%s applied partition by partition deviates by %g", gs[i], d)
+		}
+	}
+}
+
+// TestStatsTileAccounting checks the Stats helpers used by the tiled
+// executors: AddTileWork charges gates/amps/flops without memory
+// traffic, AddSweep charges one homogeneous pass, Add merges Sweeps.
+func TestStatsTileAccounting(t *testing.T) {
+	var s Stats
+	s.AddTileWork(5, 100, 700)
+	if s.Gates != 5 || s.AmpsTouched != 100 || s.FlopEst != 700 {
+		t.Fatalf("AddTileWork: %+v", s)
+	}
+	if s.BytesTouched != 0 || s.Sweeps != 0 {
+		t.Fatalf("AddTileWork must not charge bytes or sweeps: %+v", s)
+	}
+	s.AddSweep(1 << 10)
+	if s.Sweeps != 1 || s.BytesTouched != 1<<10*16 {
+		t.Fatalf("AddSweep: %+v", s)
+	}
+	var o Stats
+	o.Add(s)
+	if o.Sweeps != 1 || o.BytesTouched != s.BytesTouched || o.Gates != 5 {
+		t.Fatalf("Add must merge tile counters: %+v", o)
+	}
+}
