@@ -4,6 +4,8 @@
 # (BENCH_<sha>.json). Outside a git checkout — an exported source
 # tarball, a docker build context without .git — `git rev-parse` fails,
 # so the tag falls back to "dev" and the records land in BENCH_dev.json.
+# A perf PR records its run before it has a commit of its own:
+# `make bench-diff BENCH_TAG=pr<N>` writes the BENCH_pr<N>.json it commits.
 
 GO ?= go
 

@@ -40,8 +40,8 @@ func ElasticRestorable(m *Manifest) error {
 
 // ReshardLogical rebuilds the full logical state vector from a
 // checkpoint directory: every rank's shard is materialized through its
-// delta chain, assembled into the global physical array, and
-// un-permuted through the manifest's logical-to-physical permutation
+// delta chain and un-permuted, straight into its place in the logical
+// array, through the manifest's logical-to-physical permutation
 // (identity for the naive schedules). The result is geometry-free —
 // ready to re-shard onto any PE count.
 func ReshardLogical(dir string, m *Manifest) (*WarmStart, error) {
@@ -62,33 +62,26 @@ func ReshardLogical(dir string, m *Manifest) (*WarmStart, error) {
 	for 1<<uint(localBits) > S {
 		localBits--
 	}
-	phys := statevec.New(n)
-	phys.Re[0] = 0 // New seeds |0...0>; the shards bring the real state
+	perm := circuit.Permutation(m.Perm)
+	if len(perm) == 0 {
+		perm = circuit.IdentityPermutation(n)
+	}
+	if len(perm) != n {
+		return nil, fmt.Errorf("ckpt: manifest permutation has %d entries, want %d", len(perm), n)
+	}
+	if err := perm.Validate(); err != nil {
+		return nil, fmt.Errorf("ckpt: manifest permutation invalid: %w", err)
+	}
+	// Every physical index lands on exactly one logical index, so the
+	// shards overwrite all of New's |0...0>.
+	logical := statevec.New(n)
 	for r := 0; r < m.PEs; r++ {
 		st, err := RestoreShardChain(links, r, localBits)
 		if err != nil {
 			return nil, err
 		}
-		copy(phys.Re[r*S:(r+1)*S], st.Re)
-		copy(phys.Im[r*S:(r+1)*S], st.Im)
-	}
-	logical := phys
-	if len(m.Perm) > 0 {
-		perm := circuit.Permutation(m.Perm)
-		if len(perm) != n {
-			return nil, fmt.Errorf("ckpt: manifest permutation has %d entries, want %d", len(perm), n)
-		}
-		if err := perm.Validate(); err != nil {
-			return nil, fmt.Errorf("ckpt: manifest permutation invalid: %w", err)
-		}
-		if !perm.IsIdentity() {
-			logical = statevec.New(n)
-			for x := 0; x < dim; x++ {
-				p := perm.PhysicalIndex(x)
-				logical.Re[x] = phys.Re[p]
-				logical.Im[x] = phys.Im[p]
-			}
-		}
+		statevec.Unpermute(logical.Re, st.Re, r, perm)
+		statevec.Unpermute(logical.Im, st.Im, r, perm)
 	}
 	return &WarmStart{State: logical, Cbits: m.Cbits, Draws: m.Draws}, nil
 }

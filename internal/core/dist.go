@@ -256,8 +256,8 @@ func (d *distSim) run() (*Result, error) {
 	elapsed := time.Since(start)
 
 	st := statevec.New(d.n)
-	copy(st.Re, d.svRe.Gather())
-	copy(st.Im, d.svIm.Gather())
+	d.svRe.GatherInto(st.Re)
+	d.svIm.GatherInto(st.Im)
 	res := &Result{
 		Backend: d.name,
 		State:   st,

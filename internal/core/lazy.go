@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -345,10 +344,7 @@ func (d *lazySim) run() (*Result, error) {
 			// Remap step: always executed, always on every PE. A folded
 			// remap acts on |0...0>, which every bit permutation fixes,
 			// so its data movement is elided and only the permutation
-			// bookkeeping applies. The traced variants replace the single
-			// remap span with pack/wire/barrier/unpack sub-spans so phase
-			// attribution sees inside the exchange (the parent span would
-			// double-count).
+			// bookkeeping applies.
 			if st.Folded {
 				for _, sw := range st.Swaps {
 					run.perm.SwapPhysical(sw.Global, sw.Local)
@@ -357,19 +353,19 @@ func (d *lazySim) run() (*Result, error) {
 				continue
 			}
 			run.markAll() // the exchange rewrites the whole partition
-			ex := d.exch[si]
 			tl := d.twoLevelAt(si)
 			c0 := d.comm.StatsOf(pe.Rank)
 			i0, e0 := run.intraBytes, run.interBytes
-			switch {
-			case tl != nil && trk != nil:
-				d.execRemapTwoLevelTraced(pe, run, tl, trk, d.label[si], d.blockOf[si])
-			case tl != nil:
-				d.execRemapTwoLevel(pe, run, tl)
-			case trk != nil:
-				d.execRemapTraced(pe, run, ex, trk, d.label[si], d.blockOf[si])
-			default:
-				d.execRemap(pe, run, ex)
+			tr := exchTrace{trk: trk, label: d.label[si], block: d.blockOf[si]}
+			if tl == nil {
+				d.execRemap(pe, run, d.exch[si], tr)
+			} else {
+				if tl.Intra != nil {
+					d.execPhase(pe, run, tl.Intra, true, tr)
+				}
+				if tl.Inter != nil {
+					d.execPhase(pe, run, tl.Inter, false, tr)
+				}
 			}
 			for _, sw := range st.Swaps {
 				run.perm.SwapPhysical(sw.Global, sw.Local)
@@ -397,18 +393,12 @@ func (d *lazySim) run() (*Result, error) {
 	}
 	elapsed := time.Since(start)
 
+	// Un-permute partition by partition: logical index x lives at the
+	// physical index with bit Final[q] holding logical bit q.
 	st := statevec.New(d.n)
-	reAll := d.svRe.Gather()
-	imAll := d.svIm.Gather()
-	if d.plan.Final.IsIdentity() {
-		copy(st.Re, reAll)
-		copy(st.Im, imAll)
-	} else {
-		for x := 0; x < d.dim; x++ {
-			phys := d.plan.Final.PhysicalIndex(x)
-			st.Re[x] = reAll[phys]
-			st.Im[x] = imAll[phys]
-		}
+	for r := 0; r < d.p; r++ {
+		statevec.Unpermute(st.Re, d.svRe.PartitionUnsafe(r), r, d.plan.Final)
+		statevec.Unpermute(st.Im, d.svIm.PartitionUnsafe(r), r, d.plan.Final)
 	}
 	res := &Result{
 		Backend: d.name,
@@ -484,118 +474,110 @@ func (d *lazySim) execGate(pe *pgas.PE, run *lazyRun, opIdx int) {
 	run.local.Apply(&pg)
 }
 
-// execRemap performs one batched all-to-all qubit-remap exchange: each
-// PE packs one contiguous block per destination (the affine subcube of
-// its partition headed there), puts it into the destination's staging
-// area with a single coalesced transfer, and after a barrier unpacks its
-// own staging into its partition.
-func (d *lazySim) execRemap(pe *pgas.PE, run *lazyRun, ex *sched.Exchange) {
-	s := pe.Rank
-	re, im := run.local.Re, run.local.Im
-	B := ex.BlockLen
-	for dst := 0; dst < d.p; dst++ {
-		if !ex.Compat[s][dst] {
-			continue
-		}
-		pinned := ex.PinnedVal(dst, d.localBits)
-		buf := run.pack[:2*B]
-		for t := 0; t < B; t++ {
-			i := pinned | sched.Spread(t, ex.FreeBits)
-			buf[t] = re[i]
-			buf[B+t] = im[i]
-		}
-		pe.PutV(d.stage, dst, 2*ex.OffElems[s][dst], buf)
+// exchTrace names the sub-spans of one remap exchange. The traced and
+// untraced runs execute the same routine; a nil track only drops the
+// records, so the per-phase shares of a traced run describe the loops an
+// untraced run executes.
+type exchTrace struct {
+	trk   *obs.Track
+	label string
+	block int
+}
+
+func (x exchTrace) span(suffix string, start, end time.Time, args obs.SpanArgs) {
+	if x.trk == nil {
+		return
 	}
-	// All blocks must land before anyone reads its staging.
-	pe.Barrier()
-	stg := d.stage.PartitionUnsafe(s)
+	args.Block = x.block
+	x.trk.SpanAt(x.label+suffix, start, end, args)
+}
+
+// barrier records a one-barrier span from start to now and returns now.
+func (x exchTrace) barrier(suffix string, start time.Time) time.Time {
+	now := time.Now()
+	x.span(suffix+" barrier", start, now, obs.SpanArgs{Kind: "barrier", Phase: obs.PhaseBarrier, Barriers: 1})
+	return now
+}
+
+// wireArgs attributes the one-sided traffic between two stats samples of
+// one PE to a wire span.
+func wireArgs(phase string, c0, c1 pgas.Stats) obs.SpanArgs {
+	return obs.SpanArgs{
+		Kind: "wire", Phase: phase,
+		LocalBytes:  c1.LocalBytes - c0.LocalBytes,
+		RemoteBytes: c1.RemoteBytes - c0.RemoteBytes,
+		LocalMsgs:   (c1.LocalGets + c1.LocalPuts) - (c0.LocalGets + c0.LocalPuts),
+		RemoteMsgs:  c1.RemoteMessages() - c0.RemoteMessages(),
+	}
+}
+
+// packBlock gathers the block of this PE's partition headed to dst — the
+// affine subcube with the out-bits pinned to dst's rank bits — into buf,
+// re plane then im plane.
+func (d *lazySim) packBlock(buf []float64, run *lazyRun, ex *sched.Exchange, dst int) {
+	B := ex.BlockLen
+	pinned := ex.PinnedVal(dst, d.localBits)
+	statevec.GatherBits(buf[:B], run.local.Re, pinned, ex.FreeBits)
+	statevec.GatherBits(buf[B:], run.local.Im, pinned, ex.FreeBits)
+}
+
+// unpackBlocks scatters every block that landed in this PE's staging
+// area to its place in the partition.
+func (d *lazySim) unpackBlocks(rank int, run *lazyRun, ex *sched.Exchange) {
+	B := ex.BlockLen
+	stg := d.stage.PartitionUnsafe(rank)
 	for src := 0; src < d.p; src++ {
-		if !ex.Compat[src][s] {
+		if !ex.Compat[src][rank] {
 			continue
 		}
-		off := 2 * ex.OffElems[src][s]
-		base := ex.InBase[src]
-		for t := 0; t < B; t++ {
-			j := base | sched.Spread(t, ex.ImgFree)
-			re[j] = stg[off+t]
-			im[j] = stg[off+B+t]
-		}
+		blk := stg[2*ex.OffElems[src][rank]:][:2*B]
+		statevec.ScatterBits(run.local.Re, blk[:B], ex.InBase[src], ex.ImgFree)
+		statevec.ScatterBits(run.local.Im, blk[B:], ex.InBase[src], ex.ImgFree)
 	}
 	run.extra.AmpsTouched += 2 * int64(d.S)
 	run.extra.BytesTouched += 2 * int64(d.S) * 16
-	// All staging reads must finish before the next exchange overwrites it.
-	pe.Barrier()
 }
 
-// execRemapTraced is execRemap with phase-attributed sub-spans: the
-// pack/put loop is split into a pack span (the accumulated buffer-fill
+// execRemap performs one batched all-to-all qubit-remap exchange: each
+// PE packs one contiguous block per destination, puts it into the
+// destination's staging area with a single coalesced transfer, and after
+// a barrier unpacks its own staging into its partition. Its sub-spans
+// split the pack/put loop into a pack span (the accumulated buffer-fill
 // time, drawn contiguously from the loop start) and a wire span (the
-// remainder, covering the coalesced puts), then barrier, unpack, and the
-// trailing barrier get spans of their own. The untraced execRemap stays
-// the zero-overhead path.
-func (d *lazySim) execRemapTraced(pe *pgas.PE, run *lazyRun, ex *sched.Exchange, trk *obs.Track, label string, block int) {
+// remainder, covering the coalesced puts), then barrier, unpack and the
+// trailing barrier get spans of their own — in place of one remap span,
+// which would double-count them.
+func (d *lazySim) execRemap(pe *pgas.PE, run *lazyRun, ex *sched.Exchange, tr exchTrace) {
 	s := pe.Rank
-	re, im := run.local.Re, run.local.Im
 	B := ex.BlockLen
 	c0 := d.comm.StatsOf(s)
 	loopStart := time.Now()
-	var packNS, packBytes int64
+	var packed time.Duration
+	var packBytes int64
 	for dst := 0; dst < d.p; dst++ {
 		if !ex.Compat[s][dst] {
 			continue
 		}
-		pinned := ex.PinnedVal(dst, d.localBits)
 		buf := run.pack[:2*B]
 		p0 := time.Now()
-		for t := 0; t < B; t++ {
-			i := pinned | sched.Spread(t, ex.FreeBits)
-			buf[t] = re[i]
-			buf[B+t] = im[i]
-		}
-		packNS += time.Since(p0).Nanoseconds()
+		d.packBlock(buf, run, ex, dst)
+		packed += time.Since(p0)
 		packBytes += int64(2*B) * 8
 		pe.PutV(d.stage, dst, 2*ex.OffElems[s][dst], buf)
 	}
 	loopEnd := time.Now()
-	packEnd := loopStart.Add(time.Duration(packNS))
-	cw := d.comm.StatsOf(s)
-	trk.SpanAt(label+" pack", loopStart, packEnd, obs.SpanArgs{
-		Kind: "pack", Phase: obs.PhasePack, Block: block, PackBytes: packBytes})
-	trk.SpanAt(label+" wire", packEnd, loopEnd, obs.SpanArgs{
-		Kind: "wire", Phase: obs.PhaseWire, Block: block,
-		LocalBytes:  cw.LocalBytes - c0.LocalBytes,
-		RemoteBytes: cw.RemoteBytes - c0.RemoteBytes,
-		LocalMsgs:   (cw.LocalGets + cw.LocalPuts) - (c0.LocalGets + c0.LocalPuts),
-		RemoteMsgs:  cw.RemoteMessages() - c0.RemoteMessages(),
-	})
+	packEnd := loopStart.Add(packed)
+	tr.span(" pack", loopStart, packEnd, obs.SpanArgs{Kind: "pack", Phase: obs.PhasePack, PackBytes: packBytes})
+	tr.span(" wire", packEnd, loopEnd, wireArgs(obs.PhaseWire, c0, d.comm.StatsOf(s)))
 	// All blocks must land before anyone reads its staging.
-	b0 := time.Now()
 	pe.Barrier()
-	trk.SpanAt(label+" barrier", b0, time.Now(), obs.SpanArgs{
-		Kind: "barrier", Phase: obs.PhaseBarrier, Block: block, Barriers: 1})
-	stg := d.stage.PartitionUnsafe(s)
-	u0 := time.Now()
-	for src := 0; src < d.p; src++ {
-		if !ex.Compat[src][s] {
-			continue
-		}
-		off := 2 * ex.OffElems[src][s]
-		base := ex.InBase[src]
-		for t := 0; t < B; t++ {
-			j := base | sched.Spread(t, ex.ImgFree)
-			re[j] = stg[off+t]
-			im[j] = stg[off+B+t]
-		}
-	}
-	trk.SpanAt(label+" unpack", u0, time.Now(), obs.SpanArgs{
-		Kind: "unpack", Phase: obs.PhaseUnpack, Block: block, PackBytes: packBytes})
-	run.extra.AmpsTouched += 2 * int64(d.S)
-	run.extra.BytesTouched += 2 * int64(d.S) * 16
+	u0 := tr.barrier("", loopEnd)
+	d.unpackBlocks(s, run, ex)
+	u1 := time.Now()
+	tr.span(" unpack", u0, u1, obs.SpanArgs{Kind: "unpack", Phase: obs.PhaseUnpack, PackBytes: packBytes})
 	// All staging reads must finish before the next exchange overwrites it.
-	b1 := time.Now()
 	pe.Barrier()
-	trk.SpanAt(label+" barrier", b1, time.Now(), obs.SpanArgs{
-		Kind: "barrier", Phase: obs.PhaseBarrier, Block: block, Barriers: 1})
+	tr.barrier("", u1)
 }
 
 // twoLevelAt returns the hierarchical split of a remap step, nil when
@@ -607,33 +589,16 @@ func (d *lazySim) twoLevelAt(si int) *sched.TwoLevel {
 	return nil
 }
 
-// phaseGroup returns the barrier domain one exchange phase couples: the
-// PE's node group for the intra phase, its rail — the ranks holding the
-// same within-node position across all nodes — for the inter phase.
-func (d *lazySim) phaseGroup(rank int, intra bool) *pgas.Group {
-	if intra {
-		return d.nodeGrp[d.topo.Node(rank)]
-	}
-	return d.railGrp[rank%len(d.railGrp)]
-}
-
-// execRemapTwoLevel performs one remap as the hierarchical two-level
-// exchange: the intra-node phase first (all its compatible pairs share a
-// node), then the minimal inter-node phase. The phases realize disjoint
+// execPhase runs one phase of a two-level remap over the barrier domain
+// it couples: the PE's node group for the intra phase, its rail — the
+// ranks holding the same within-node position across all nodes — for the
+// inter phase. A remap runs its intra phase (all compatible pairs share a
+// node) and then its minimal inter phase; the two realize disjoint
 // transpositions, so their composition lands every amplitude exactly
 // where the flat exchange would — bit-identically — while the fleet-wide
 // stop-the-world barriers of the flat path are replaced by per-phase
-// group synchronization over only the ranks each phase couples.
-func (d *lazySim) execRemapTwoLevel(pe *pgas.PE, run *lazyRun, tl *sched.TwoLevel) {
-	if tl.Intra != nil {
-		d.execPhase(pe, run, tl.Intra, d.phaseGroup(pe.Rank, true), true)
-	}
-	if tl.Inter != nil {
-		d.execPhase(pe, run, tl.Inter, d.phaseGroup(pe.Rank, false), false)
-	}
-}
-
-// execPhase runs one phase of a two-level remap over its barrier group.
+// group synchronization.
+//
 // The per-phase protocol is: entry group barrier, pipelined pack+put,
 // mid group barrier (all of this phase's blocks have landed), unpack —
 // and no exit barrier, because the next phase's (or the next remap's)
@@ -648,56 +613,62 @@ func (d *lazySim) execRemapTwoLevel(pe *pgas.PE, run *lazyRun, tl *sched.TwoLeve
 // put k is joined and put k+1 launched, so the pack of block k+1
 // overlaps the wire transfer of block k. Every phase exchange moves at
 // least one local bit out, so 2 blocks fit the 2S-float scratch.
-func (d *lazySim) execPhase(pe *pgas.PE, run *lazyRun, ex *sched.Exchange, grp *pgas.Group, intra bool) {
+//
+// Each destination block gets a pack span (the buffer fill) and a wire
+// span (put launch to join), labeled pack.intra/wire.intra or
+// pack.inter/wire.inter so attribution separates same-node from
+// node-crossing exchange time. The timeline exhibits the pipeline
+// directly: the pack span of block k+1 starts before the wire span of
+// block k ends. Wire span k is recorded at its join, just before pack
+// span k+1, which keeps the track's nondecreasing-start contract.
+func (d *lazySim) execPhase(pe *pgas.PE, run *lazyRun, ex *sched.Exchange, intra bool, tr exchTrace) {
 	s := pe.Rank
-	re, im := run.local.Re, run.local.Im
 	B := ex.BlockLen
+	grp, moved := d.railGrp[s%len(d.railGrp)], &run.interBytes
+	phPack, phWire, sub := obs.PhasePackInter, obs.PhaseWireInter, " inter"
+	if intra {
+		grp, moved = d.nodeGrp[d.topo.Node(s)], &run.intraBytes
+		phPack, phWire, sub = obs.PhasePackIntra, obs.PhaseWireIntra, " intra"
+	}
+	b0 := time.Now()
 	grp.Barrier(pe)
+	tr.barrier(sub, b0)
 	var join func()
+	var wStart time.Time
+	var wc0 pgas.Stats
+	finish := func() {
+		join()
+		tr.span(sub+" wire", wStart, time.Now(), wireArgs(phWire, wc0, d.comm.StatsOf(s)))
+	}
 	half := 0
 	for dst := 0; dst < d.p; dst++ {
 		if !ex.Compat[s][dst] {
 			continue
 		}
-		pinned := ex.PinnedVal(dst, d.localBits)
 		buf := run.pack[half : half+2*B]
-		for t := 0; t < B; t++ {
-			i := pinned | sched.Spread(t, ex.FreeBits)
-			buf[t] = re[i]
-			buf[B+t] = im[i]
-		}
+		p0 := time.Now()
+		d.packBlock(buf, run, ex, dst)
+		p1 := time.Now()
 		if join != nil {
-			join()
+			finish()
 		}
+		tr.span(sub+" pack", p0, p1, obs.SpanArgs{Kind: "pack", Phase: phPack, PackBytes: int64(2*B) * 8})
+		wc0 = d.comm.StatsOf(s)
+		wStart = time.Now()
 		join = d.asyncPut(pe, dst, 2*ex.OffElems[s][dst], buf)
 		half ^= 2 * B
 		if dst != s {
-			if intra {
-				run.intraBytes += int64(2*B) * 8
-			} else {
-				run.interBytes += int64(2*B) * 8
-			}
+			*moved += int64(2*B) * 8
 		}
 	}
 	if join != nil {
-		join()
+		finish()
 	}
+	mb0 := time.Now()
 	grp.Barrier(pe)
-	stg := d.stage.PartitionUnsafe(s)
-	for src := 0; src < d.p; src++ {
-		if !ex.Compat[src][s] {
-			continue
-		}
-		off := 2 * ex.OffElems[src][s]
-		base := ex.InBase[src]
-		for t := 0; t < B; t++ {
-			j := base | sched.Spread(t, ex.ImgFree)
-			re[j] = stg[off+t]
-			im[j] = stg[off+B+t]
-		}
-	}
-	run.extra.AmpsTouched += 2 * int64(d.S)
-	run.extra.BytesTouched += 2 * int64(d.S) * 16
+	u0 := tr.barrier(sub, mb0)
+	d.unpackBlocks(s, run, ex)
+	tr.span(sub+" unpack", u0, time.Now(), obs.SpanArgs{Kind: "unpack", Phase: obs.PhaseUnpack})
 }
 
 // asyncPut issues pe.PutV from a helper goroutine so the caller can pack
@@ -720,121 +691,6 @@ func (d *lazySim) asyncPut(pe *pgas.PE, dst, off int, buf []float64) func() {
 			panic(rec)
 		}
 	}
-}
-
-// execRemapTwoLevelTraced is execRemapTwoLevel with phase-attributed
-// sub-spans from execPhaseTraced.
-func (d *lazySim) execRemapTwoLevelTraced(pe *pgas.PE, run *lazyRun, tl *sched.TwoLevel, trk *obs.Track, label string, block int) {
-	if tl.Intra != nil {
-		d.execPhaseTraced(pe, run, tl.Intra, d.phaseGroup(pe.Rank, true), true, trk, label, block)
-	}
-	if tl.Inter != nil {
-		d.execPhaseTraced(pe, run, tl.Inter, d.phaseGroup(pe.Rank, false), false, trk, label, block)
-	}
-}
-
-// execPhaseTraced is execPhase with per-block spans: each destination
-// block gets a pack span (the buffer fill) and a wire span (put launch
-// to join), labeled pack.intra/wire.intra or pack.inter/wire.inter so
-// attribution separates same-node from node-crossing exchange time. The
-// span timeline exhibits the pipeline directly — the pack span of block
-// k+1 starts before the wire span of block k ends, because put k is
-// joined only after block k+1 is packed. Barriers and the unpack get
-// spans as in the flat traced remap.
-func (d *lazySim) execPhaseTraced(pe *pgas.PE, run *lazyRun, ex *sched.Exchange, grp *pgas.Group, intra bool, trk *obs.Track, label string, block int) {
-	s := pe.Rank
-	re, im := run.local.Re, run.local.Im
-	B := ex.BlockLen
-	phPack, phWire, sub := obs.PhasePackInter, obs.PhaseWireInter, " inter"
-	if intra {
-		phPack, phWire, sub = obs.PhasePackIntra, obs.PhaseWireIntra, " intra"
-	}
-	b0 := time.Now()
-	grp.Barrier(pe)
-	trk.SpanAt(label+sub+" barrier", b0, time.Now(), obs.SpanArgs{
-		Kind: "barrier", Phase: obs.PhaseBarrier, Block: block, Barriers: 1})
-	// Pack and wire spans interleave out of start order (the wire span of
-	// block k ends only after block k+1 is packed), so they are buffered
-	// and flushed sorted to keep the track's nondecreasing-start contract.
-	type pendingSpan struct {
-		name       string
-		start, end time.Time
-		args       obs.SpanArgs
-	}
-	var spans []pendingSpan
-	var join func()
-	var wStart time.Time
-	var wc0 pgas.Stats
-	finish := func() {
-		join()
-		c1 := d.comm.StatsOf(s)
-		spans = append(spans, pendingSpan{label + sub + " wire", wStart, time.Now(), obs.SpanArgs{
-			Kind: "wire", Phase: phWire, Block: block,
-			LocalBytes:  c1.LocalBytes - wc0.LocalBytes,
-			RemoteBytes: c1.RemoteBytes - wc0.RemoteBytes,
-			LocalMsgs:   (c1.LocalGets + c1.LocalPuts) - (wc0.LocalGets + wc0.LocalPuts),
-			RemoteMsgs:  c1.RemoteMessages() - wc0.RemoteMessages(),
-		}})
-	}
-	half := 0
-	for dst := 0; dst < d.p; dst++ {
-		if !ex.Compat[s][dst] {
-			continue
-		}
-		pinned := ex.PinnedVal(dst, d.localBits)
-		buf := run.pack[half : half+2*B]
-		p0 := time.Now()
-		for t := 0; t < B; t++ {
-			i := pinned | sched.Spread(t, ex.FreeBits)
-			buf[t] = re[i]
-			buf[B+t] = im[i]
-		}
-		spans = append(spans, pendingSpan{label + sub + " pack", p0, time.Now(), obs.SpanArgs{
-			Kind: "pack", Phase: phPack, Block: block, PackBytes: int64(2*B) * 8}})
-		if join != nil {
-			finish()
-		}
-		wc0 = d.comm.StatsOf(s)
-		wStart = time.Now()
-		join = d.asyncPut(pe, dst, 2*ex.OffElems[s][dst], buf)
-		half ^= 2 * B
-		if dst != s {
-			if intra {
-				run.intraBytes += int64(2*B) * 8
-			} else {
-				run.interBytes += int64(2*B) * 8
-			}
-		}
-	}
-	if join != nil {
-		finish()
-	}
-	sort.SliceStable(spans, func(i, j int) bool { return spans[i].start.Before(spans[j].start) })
-	for _, sp := range spans {
-		trk.SpanAt(sp.name, sp.start, sp.end, sp.args)
-	}
-	mb0 := time.Now()
-	grp.Barrier(pe)
-	trk.SpanAt(label+sub+" barrier", mb0, time.Now(), obs.SpanArgs{
-		Kind: "barrier", Phase: obs.PhaseBarrier, Block: block, Barriers: 1})
-	stg := d.stage.PartitionUnsafe(s)
-	u0 := time.Now()
-	for src := 0; src < d.p; src++ {
-		if !ex.Compat[src][s] {
-			continue
-		}
-		off := 2 * ex.OffElems[src][s]
-		base := ex.InBase[src]
-		for t := 0; t < B; t++ {
-			j := base | sched.Spread(t, ex.ImgFree)
-			re[j] = stg[off+t]
-			im[j] = stg[off+B+t]
-		}
-	}
-	trk.SpanAt(label+sub+" unpack", u0, time.Now(), obs.SpanArgs{
-		Kind: "unpack", Phase: obs.PhaseUnpack, Block: block})
-	run.extra.AmpsTouched += 2 * int64(d.S)
-	run.extra.BytesTouched += 2 * int64(d.S) * 16
 }
 
 // measure performs a distributed projective measurement of logical qubit

@@ -184,3 +184,44 @@ func TestLazySchedWithFusion(t *testing.T) {
 		t.Fatalf("lazy+fusion deviates by %g", d)
 	}
 }
+
+// TestLazyTracedRunMatchesUntraced guards the single exchange routine:
+// a tracer only records spans, so the state, the communication counters
+// and the two-level byte split of a traced run must equal the untraced
+// run's exactly — flat and under a topology, at every fleet size.
+func TestLazyTracedRunMatchesUntraced(t *testing.T) {
+	c := measuredCircuit(41, 8, 120)
+	for _, ppn := range []int{0, 2} {
+		for _, pes := range []int{2, 4, 8} {
+			cfg := Config{Seed: 9, PEs: pes, Sched: sched.Lazy, Topology: sched.Topology{PEsPerNode: ppn}}
+			plain, err := NewScaleOut(cfg).Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Trace = obs.NewTracer()
+			traced, err := NewScaleOut(cfg).Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := traced.State.MaxAbsDiff(plain.State); d != 0 || traced.Cbits != plain.Cbits {
+				t.Fatalf("ppn %d PEs=%d: traced run deviates by %g (cbits %b vs %b)", ppn, pes, d, traced.Cbits, plain.Cbits)
+			}
+			if traced.Comm != plain.Comm {
+				t.Fatalf("ppn %d PEs=%d: comm counters differ\ntraced %+v\nplain  %+v", ppn, pes, traced.Comm, plain.Comm)
+			}
+			if traced.IntraBytes != plain.IntraBytes || traced.InterBytes != plain.InterBytes ||
+				traced.ExchangePhases != plain.ExchangePhases {
+				t.Fatalf("ppn %d PEs=%d: two-level split differs: intra %d/%d inter %d/%d phases %d/%d", ppn, pes,
+					traced.IntraBytes, plain.IntraBytes, traced.InterBytes, plain.InterBytes,
+					traced.ExchangePhases, plain.ExchangePhases)
+			}
+			if plain.Comm.RemoteBytes == 0 || (ppn > 0) != (plain.ExchangePhases > 0) {
+				t.Fatalf("ppn %d PEs=%d: run exercised no exchange (remote bytes %d, phases %d)",
+					ppn, pes, plain.Comm.RemoteBytes, plain.ExchangePhases)
+			}
+			if cfg.Trace.TotalEvents() == 0 {
+				t.Fatalf("ppn %d PEs=%d: tracer recorded nothing", ppn, pes)
+			}
+		}
+	}
+}

@@ -187,10 +187,9 @@ func (s *RemapSimulator) Run(c *circuit.Circuit) (*RemapResult, error) {
 	// Gather and undo the final permutation: logical index x lives at the
 	// physical index with bit Final[q] holding logical bit q.
 	st := statevec.New(n)
-	for x := 0; x < dim; x++ {
-		phys := plan.Final.PhysicalIndex(x)
-		st.Re[x] = eng.re[phys>>uint(localBits)][phys&(S-1)]
-		st.Im[x] = eng.im[phys>>uint(localBits)][phys&(S-1)]
+	for r := 0; r < p; r++ {
+		statevec.Unpermute(st.Re, eng.re[r], r, plan.Final)
+		statevec.Unpermute(st.Im, eng.im[r], r, plan.Final)
 	}
 	res := &RemapResult{
 		BitSwaps: int64(plan.BitSwaps),

@@ -232,7 +232,8 @@ func TestGatherScatter(t *testing.T) {
 		src[i] = float64(i * i)
 	}
 	sym.ScatterFrom(src)
-	got := sym.Gather()
+	got := make([]float64, len(src))
+	sym.GatherInto(got)
 	for i := range src {
 		if got[i] != src[i] {
 			t.Fatalf("gather[%d] = %g, want %g", i, got[i], src[i])

@@ -149,14 +149,15 @@ func (pe *PE) GlobalPut(s *SymF64, gidx int, v float64) {
 	pe.Put(s, gidx/s.PerPE, gidx%s.PerPE, v)
 }
 
-// Gather copies the whole symmetric array into one flat slice in natural
-// order. Host-side helper for result extraction and tests.
-func (s *SymF64) Gather() []float64 {
-	out := make([]float64, 0, s.PerPE*s.comm.P)
-	for _, p := range s.parts {
-		out = append(out, p...)
+// GatherInto copies the whole symmetric array into dst in natural order.
+// Host-side helper for result extraction and tests.
+func (s *SymF64) GatherInto(dst []float64) {
+	if len(dst) != s.PerPE*s.comm.P {
+		panic("pgas: GatherInto length mismatch")
 	}
-	return out
+	for i, p := range s.parts {
+		copy(dst[i*s.PerPE:], p)
+	}
 }
 
 // ScatterFrom overwrites the symmetric array from one flat slice in
