@@ -71,7 +71,7 @@ metrics:
 		-metrics-out metrics.om -phase-report phase_report.json -flight flight.jsonl
 
 # Machine-readable measured bench records for perf-trajectory tracking
-# (svsim-bench/v4: includes the two-level remap's ppn/intra_bytes/
+# (svsim-bench/v5: includes the two-level remap's ppn/intra_bytes/
 # inter_bytes/exchange_phases fields). If the tag somehow resolves empty
 # (a broken git stub that exits 0 with no output), fall back to "dev" so
 # the target never writes a bare "BENCH_.json".
@@ -79,7 +79,7 @@ bench-json:
 	$(GO) run ./cmd/svbench -json BENCH_$(or $(BENCH_TAG),dev).json
 
 # Compare a fresh bench run against the committed baseline, with the
-# same v4 gates CI applies: tight bounds on remote and inter-node bytes,
+# same v5 gates CI applies: tight bounds on remote and inter-node bytes,
 # a loose one on local wall time.
 bench-diff: bench-json
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_$(or $(BENCH_TAG),dev).json -time-tol 1.0 -inter-tol 0.15

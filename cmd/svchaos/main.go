@@ -199,11 +199,9 @@ func buildScenario(seed int64, gateScale int, stallDeadline time.Duration) *scen
 	default: // wire
 		sc.backend = pick("scale-up", "scale-out", "mpi")
 		sc.pes = 1 << uint(1+rng.Intn(3))
-		if sc.backend != "mpi" {
-			sc.lazy = rng.Intn(2) == 0
-			if sc.lazy && sc.pes >= 4 && rng.Intn(2) == 0 {
-				sc.ppn = sc.pes / 2
-			}
+		sc.lazy = rng.Intn(2) == 0
+		if sc.lazy && sc.pes >= 4 && rng.Intn(2) == 0 {
+			sc.ppn = sc.pes / 2
 		}
 		sc.ckptEvery = 3 + 2*rng.Intn(2)
 		sc.async = rng.Intn(2) == 0
@@ -231,9 +229,12 @@ func buildScenario(seed int64, gateScale int, stallDeadline time.Duration) *scen
 		}
 		for i := 0; i < benign; i++ {
 			if sc.backend == "mpi" {
-				// The two-sided baseline only injects at barriers.
+				// The two-sided transport's fault surface is its
+				// barriers; with no deadline armed a stall there is a
+				// delay the fleet must simply outlast.
+				kinds := []fault.Kind{fault.Delay, fault.Stall}
 				sc.faults = append(sc.faults, fault.Fault{
-					Kind: fault.Delay, Rank: rng.Intn(sc.pes), Op: fault.Barrier,
+					Kind: kinds[rng.Intn(2)], Rank: rng.Intn(sc.pes), Op: fault.Barrier,
 					After: int64(5 + rng.Intn(30)), Count: int64(1 + rng.Intn(3)),
 					Delay: time.Duration(1+rng.Intn(3)) * time.Millisecond,
 				})
@@ -370,6 +371,7 @@ func (sc *scenario) runMPI(dir string, faults []fault.Fault, flight *obs.FlightR
 		Flight: flight,
 		Fault:  sc.injector(faults),
 	}
+	cfg.Topology.PEsPerNode = sc.ppn
 	if dir != "" {
 		cfg.CheckpointEvery = sc.ckptEvery
 		cfg.CheckpointDir = dir
@@ -377,7 +379,11 @@ func (sc *scenario) runMPI(dir string, faults []fault.Fault, flight *obs.FlightR
 		cfg.MaxRestarts = sc.maxRestarts
 		cfg.Elastic = sc.elastic
 	}
-	res, err := mpibase.New(cfg).Run(sc.circ)
+	sim := mpibase.New(cfg)
+	if sc.lazy {
+		sim = mpibase.NewRemap(cfg)
+	}
+	res, err := sim.Run(sc.circ)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -39,6 +40,24 @@ func TestGridCoverage(t *testing.T) {
 		if !backends[b] {
 			t.Errorf("64 seeds never targeted backend %q", b)
 		}
+	}
+}
+
+// TestCICampaignCoversTwoSidedLazy: the 16-seed campaign CI runs must
+// put a kill through the fourth transport × plan cell of the distributed
+// runtime — the lazy plan over the two-sided transport — with and
+// without an elastic shrink.
+func TestCICampaignCoversTwoSidedLazy(t *testing.T) {
+	var restart, shrink bool
+	for seed := int64(1); seed <= 16; seed++ {
+		sc := buildScenario(seed, 60, 2*time.Second)
+		if sc.backend == "mpi" && sc.lazy && strings.Contains(spec(sc.faults), "kill:") {
+			restart = restart || !sc.elastic
+			shrink = shrink || sc.elastic
+		}
+	}
+	if !restart || !shrink {
+		t.Errorf("seeds 1-16 kill an mpi lazy rank: restart=%v elastic=%v, want both", restart, shrink)
 	}
 }
 

@@ -61,9 +61,9 @@ func (o *runOpts) validate() error {
 	}
 	if o.elastic {
 		switch o.backend {
-		case "scale-up", "scale-out", "mpi":
+		case "scale-up", "scale-out", "mpi", "remap":
 		default:
-			return fmt.Errorf("-elastic needs a distributed backend (scale-up, scale-out, or mpi); backend %q has no fleet to shrink", o.backend)
+			return fmt.Errorf("-elastic needs a distributed backend (scale-up, scale-out, mpi, or remap); backend %q has no fleet to shrink", o.backend)
 		}
 		if o.checkpointEvery <= 0 || o.maxRestarts <= 0 {
 			return fmt.Errorf("-elastic needs -checkpoint-every and -max-restarts: recovery reshards the latest checkpoint")
@@ -90,9 +90,9 @@ func (o *runOpts) validate() error {
 	}
 	if o.faultSpec != "" {
 		switch o.backend {
-		case "scale-up", "scale-out", "mpi":
+		case "scale-up", "scale-out", "mpi", "remap":
 		default:
-			return fmt.Errorf("-fault needs a communicating backend (scale-up, scale-out, or mpi); backend %q has no fault surface", o.backend)
+			return fmt.Errorf("-fault needs a communicating backend (scale-up, scale-out, mpi, or remap); backend %q has no fault surface", o.backend)
 		}
 		if _, err := fault.ParseSpec(o.faultSpec, o.seed); err != nil {
 			return fmt.Errorf("-fault %q: %v", o.faultSpec, err)

@@ -40,6 +40,19 @@ func TestFlagValidation(t *testing.T) {
 			o.backend = "remap"
 			o.checkpointEvery = 10
 			o.checkpointDir = dir
+		}, ""},
+		{"fault and elastic on remap", func(o *runOpts) {
+			o.backend = "remap"
+			o.faultSpec = "kill:rank=1:op=barrier:after=30"
+			o.elastic = true
+			o.checkpointEvery = 10
+			o.checkpointDir = dir
+			o.maxRestarts = 1
+		}, ""},
+		{"checkpoint on unknown backend", func(o *runOpts) {
+			o.backend = "nonesuch"
+			o.checkpointEvery = 10
+			o.checkpointDir = dir
 		}, "does not support"},
 		{"async without interval", func(o *runOpts) {
 			o.checkpointAsync = true

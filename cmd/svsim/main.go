@@ -140,30 +140,8 @@ func main() {
 	defer telemetry.close()
 	latch := installStopHandler(telemetry.flight)
 
-	if *backendName == "mpi" {
-		runMPI(c, opts, ks, *shots, *printState, telemetry, latch)
-		return
-	}
-	if *backendName == "remap" {
-		mcfg := mpibase.Config{Ranks: *pes, Seed: *seed, Style: ks, Fuse: *fuse,
-			Topology: topo,
-			Trace:    telemetry.tracer, Metrics: telemetry.metrics, Flight: telemetry.flight}
-		telemetry.beginRun("remap", c.Name, *pes)
-		res, err := mpibase.NewRemap(mcfg).Run(c)
-		if err != nil {
-			telemetry.fail(err)
-		}
-		fmt.Printf("circuit : %s\n", c.Summary())
-		fmt.Printf("backend : remap (%d ranks, %d bit swaps)\n", res.Ranks, res.BitSwaps)
-		if topo.Enabled() {
-			fmt.Printf("topology: %d PEs/node, %d folded remap(s), intra=%dB inter=%dB\n",
-				topo.PEsPerNode, res.Folded, res.IntraBytes, res.InterBytes)
-		}
-		fmt.Printf("elapsed : %v\n", res.Elapsed)
-		printCompile(res.Compile, *fuse)
-		fmt.Printf("mpi     : %s\n", res.MPI)
-		telemetry.finish(res.Elapsed.Nanoseconds(), res.Compile.TotalNS, res.Mem)
-		report(res.State, *seed, *shots, *printState)
+	if *backendName == "mpi" || *backendName == "remap" {
+		runMPI(c, opts, ks, topo, *shots, *printState, telemetry, latch)
 		return
 	}
 
@@ -190,7 +168,7 @@ func main() {
 	telemetry.beginRun(*backendName, c.Name, *pes)
 	var res *core.Result
 	if opts.resumePEs > 0 {
-		res, err = core.RunElastic(*backendName, cfg, c, opts.resume, opts.resumePEs)
+		res, err = core.RunElastic(*backendName, cfg, c, opts.resume, opts.resumePEs, core.OneSided)
 	} else {
 		res, err = backend.Run(c)
 	}
@@ -306,7 +284,7 @@ func (t *telemetry) finish(wallNS, compileNS int64, mem *obs.MemSnapshot) {
 // the run failure. A graceful interruption (ErrInterrupted) flushes the
 // same sinks but exits 130, the conventional fatal-signal status.
 func (t *telemetry) fail(err error) {
-	if errors.Is(err, core.ErrInterrupted) || errors.Is(err, mpibase.ErrInterrupted) {
+	if errors.Is(err, core.ErrInterrupted) {
 		t.flight.Record(-1, obs.EventInterrupted, err.Error(), 0)
 		t.phaseReport(time.Since(t.runStart).Nanoseconds(), 0, os.Stderr)
 		if werr := t.writeSinks(os.Stderr); werr != nil {
@@ -392,29 +370,43 @@ func (t *telemetry) close() {
 	t.stops = nil
 }
 
-func runMPI(c *circuit.Circuit, opts runOpts, ks statevec.KernelStyle, shots int, printState bool, telemetry *telemetry, latch *core.StopLatch) {
+// runMPI runs the two message-passing baselines: "mpi" walks the naive
+// plan (pack-exchange-compute per global-qubit gate), "remap" the lazy
+// plan (qubit remapping) over the same two-sided transport.
+func runMPI(c *circuit.Circuit, opts runOpts, ks statevec.KernelStyle, topo sched.Topology, shots int, printState bool, telemetry *telemetry, latch *core.StopLatch) {
 	cfg := mpibase.Config{
-		Ranks: opts.pes, Seed: opts.seed, Style: ks, Fuse: opts.fuse,
+		Ranks: opts.pes, Seed: opts.seed, Style: ks, Fuse: opts.fuse, Topology: topo,
 		Trace: telemetry.tracer, Metrics: telemetry.metrics, Flight: telemetry.flight,
 		CheckpointEvery: opts.checkpointEvery, CheckpointDir: opts.checkpointDir,
 		CheckpointAsync: opts.checkpointAsync,
-		Resume:          opts.resume, Elastic: opts.elastic, Stop: latch.Triggered,
+		Resume:          opts.resume, Elastic: opts.elastic, Stop: latch,
 		MaxRestarts: opts.maxRestarts, Fault: opts.injector(),
 	}
-	telemetry.beginRun("mpi", c.Name, opts.pes)
+	sim := mpibase.New(cfg)
+	if opts.backend == "remap" {
+		sim = mpibase.NewRemap(cfg)
+	}
+	telemetry.beginRun(opts.backend, c.Name, opts.pes)
 	var res *mpibase.Result
 	var err error
 	if opts.resumePEs > 0 {
-		cfg.Resume = ""
-		res, err = mpibase.New(cfg).RunElastic(c, opts.resume, opts.resumePEs)
+		res, err = sim.RunElastic(c, opts.resume, opts.resumePEs)
 	} else {
-		res, err = mpibase.New(cfg).Run(c)
+		res, err = sim.Run(c)
 	}
 	if err != nil {
 		telemetry.fail(err)
 	}
 	fmt.Printf("circuit : %s\n", c.Summary())
-	fmt.Printf("backend : mpi-baseline (%d ranks)\n", res.Ranks)
+	if opts.backend == "remap" {
+		fmt.Printf("backend : remap (%d ranks, %d bit swaps)\n", res.Ranks, res.BitSwaps)
+	} else {
+		fmt.Printf("backend : mpi-baseline (%d ranks)\n", res.Ranks)
+	}
+	if topo.Enabled() {
+		fmt.Printf("topology: %d PEs/node, %d folded remap(s), intra=%dB inter=%dB\n",
+			topo.PEsPerNode, res.Folded, res.IntraBytes, res.InterBytes)
+	}
 	fmt.Printf("elapsed : %v\n", res.Elapsed)
 	printCompile(res.Compile, opts.fuse)
 	fmt.Printf("mpi     : %s\n", res.MPI)

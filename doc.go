@@ -30,6 +30,10 @@
 //     pointer array, the paper's Listing 4), scale-out (SHMEM one-sided,
 //     Listing 5, over internal/pgas), and the two traditional baselines
 //     in internal/mpibase (pack-exchange and JUQCS-style remapping).
+//     The four distributed engines are one runtime in internal/core — a
+//     plan walked by one step loop over a transport — differing only in
+//     the transport (one-sided PGAS vs two-sided messages) and the plan
+//     (naive vs lazy).
 //     The single-node engines additionally support cache-blocked tile
 //     execution: per schedule block, every tile-compatible run of gates
 //     is applied to one cache-resident tile at a time, cutting memory

@@ -21,6 +21,21 @@ var ckptBackends = map[string]bool{
 	"scale-up":  true,
 	"scale-out": true,
 	"mpi":       true,
+	"remap":     true,
+}
+
+// manifestID returns the (backend, schedule) pair a backend's checkpoint
+// manifests record. The two message-passing baselines share one
+// transport and therefore one manifest backend, "mpi"; the backend name,
+// not -sched, picks their plan.
+func manifestID(backend, schedName string) (string, string) {
+	switch backend {
+	case "mpi":
+		return "mpi", "naive"
+	case "remap":
+		return "mpi", "lazy"
+	}
+	return backend, schedName
 }
 
 // ValidatePEs rejects PE/rank counts the distributed backends cannot
@@ -44,7 +59,7 @@ func ValidateCheckpointing(backend string, every int, dir, resume string, maxRes
 		return nil // checkpointing entirely off
 	}
 	if !ckptBackends[backend] {
-		return fmt.Errorf("backend %q does not support checkpoint/restore (supported: single, threaded, scale-up, scale-out, mpi)", backend)
+		return fmt.Errorf("backend %q does not support checkpoint/restore (supported: single, threaded, scale-up, scale-out, mpi, remap)", backend)
 	}
 	if every < 0 {
 		return fmt.Errorf("-checkpoint-every %d: interval must be positive", every)
@@ -93,19 +108,23 @@ func ValidateResume(resume, backend string, pes int, schedName string) error {
 		return nil
 	}
 	if !ckptBackends[backend] {
-		return fmt.Errorf("backend %q does not support checkpoint/restore (supported: single, threaded, scale-up, scale-out, mpi)", backend)
+		return fmt.Errorf("backend %q does not support checkpoint/restore (supported: single, threaded, scale-up, scale-out, mpi, remap)", backend)
 	}
 	_, m, err := ckpt.Resolve(resume)
 	if err != nil {
 		return fmt.Errorf("-resume %s: %v", resume, err)
 	}
-	if m.Backend != backend {
+	wantBackend, wantSched := manifestID(backend, schedName)
+	if m.Backend != wantBackend {
 		return fmt.Errorf("-resume checkpoint was taken by backend %q; rerun with -backend %s (got -backend %s)", m.Backend, m.Backend, backend)
 	}
 	if m.PEs != pes {
 		return fmt.Errorf("-resume checkpoint used %d PEs; rerun with -pes %d (got -pes %d)", m.PEs, m.PEs, pes)
 	}
-	if m.Backend != "mpi" && m.Sched != schedName {
+	if m.Sched != wantSched {
+		if m.Backend == "mpi" {
+			return fmt.Errorf("-resume checkpoint used the %q schedule; rerun with -backend mpi for naive or -backend remap for lazy (got -backend %s)", m.Sched, backend)
+		}
 		return fmt.Errorf("-resume checkpoint used the %q schedule; rerun with -sched %s (got -sched %s)", m.Sched, m.Sched, schedName)
 	}
 	return nil
@@ -195,6 +214,7 @@ var elasticBackends = map[string]bool{
 	"scale-up":  true,
 	"scale-out": true,
 	"mpi":       true,
+	"remap":     true,
 }
 
 // ValidateElasticResume cross-checks a -resume-pes elastic restore: the
@@ -212,13 +232,13 @@ func ValidateElasticResume(resume, backend string, resumePEs int) error {
 		return fmt.Errorf("-resume-pes %d: PE count must be a power of two", resumePEs)
 	}
 	if !elasticBackends[backend] {
-		return fmt.Errorf("backend %q does not support elastic restore (supported: scale-up, scale-out, mpi)", backend)
+		return fmt.Errorf("backend %q does not support elastic restore (supported: scale-up, scale-out, mpi, remap)", backend)
 	}
 	_, m, err := ckpt.Resolve(resume)
 	if err != nil {
 		return fmt.Errorf("-resume %s: %v", resume, err)
 	}
-	if m.Backend != backend {
+	if want, _ := manifestID(backend, ""); m.Backend != want {
 		return fmt.Errorf("-resume checkpoint was taken by backend %q; rerun with -backend %s (got -backend %s)", m.Backend, m.Backend, backend)
 	}
 	if err := ckpt.ElasticRestorable(m); err != nil {

@@ -9,6 +9,7 @@ import (
 	"svsim/internal/circuit"
 	"svsim/internal/ckpt"
 	"svsim/internal/core"
+	"svsim/internal/mpibase"
 )
 
 func TestValidatePEs(t *testing.T) {
@@ -52,7 +53,8 @@ func TestValidateCheckpointing(t *testing.T) {
 		{"interval without dir", "scale-out", 10, "", "", 0, "-checkpoint-dir"},
 		{"restarts without dir", "scale-out", 0, "", "", 3, "-checkpoint-dir"},
 		{"threaded on", "threaded", 10, dir, "", 0, ""},
-		{"unsupported backend remap", "remap", 10, dir, "", 0, "does not support"},
+		{"remap on", "remap", 10, dir, "", 2, ""},
+		{"unsupported backend", "nonesuch", 10, dir, "", 0, "does not support"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -145,6 +147,34 @@ func TestValidateResume(t *testing.T) {
 	}
 	if err := ValidateResume("", "anything", 0, ""); err != nil {
 		t.Fatalf("empty resume should be a no-op, got %v", err)
+	}
+}
+
+// TestValidateResumeRemap pins the manifest identity of the two
+// message-passing baselines: both record backend "mpi", and the backend
+// name (not -sched) says which plan the checkpoint belongs to.
+func TestValidateResumeRemap(t *testing.T) {
+	dir := t.TempDir()
+	c := circuit.New("probe", 6)
+	for q := 0; q < 6; q++ {
+		c.H(q)
+	}
+	for q := 0; q < 5; q++ {
+		c.CX(q, q+1)
+	}
+	cfg := mpibase.Config{Ranks: 4, Seed: 1, CheckpointEvery: 3, CheckpointDir: dir}
+	if _, err := mpibase.NewRemap(cfg).Run(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateResume(dir, "remap", 4, "naive"); err != nil {
+		t.Fatalf("matching remap resume rejected: %v", err)
+	}
+	if err := ValidateElasticResume(dir, "remap", 2); err != nil {
+		t.Fatalf("elastic remap resume rejected: %v", err)
+	}
+	err := ValidateResume(dir, "mpi", 4, "naive")
+	if err == nil || !strings.Contains(err.Error(), "-backend remap") {
+		t.Fatalf("error %v, want a pointer to -backend remap", err)
 	}
 }
 

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	gohash "hash"
 	"hash/fnv"
+	"math/bits"
 	"time"
 
 	"svsim/internal/circuit"
@@ -162,9 +163,9 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("compile: PE count %d is not a power of two", p)
 	}
 	n := c.NumQubits
-	localBits := n - log2(p)
+	localBits := n - bits.Len(uint(p-1))
 	if localBits < 0 {
-		return nil, Stats{}, fmt.Errorf("compile: %d PEs need at least %d qubits (have %d)", p, log2(p), n)
+		return nil, Stats{}, fmt.Errorf("compile: %d PEs need at least %d qubits (have %d)", p, bits.Len(uint(p-1)), n)
 	}
 	if err := cfg.Topo.Validate(); err != nil {
 		return nil, Stats{}, err
@@ -565,14 +566,6 @@ func (h *fnvWriter) str(s string) {
 }
 
 func (h *fnvWriter) sum() uint64 { return h.h.Sum64() }
-
-func log2(p int) int {
-	k := 0
-	for 1<<uint(k) < p {
-		k++
-	}
-	return k
-}
 
 // OpsBefore returns, for every plan-step index si (length
 // len(Plan.Steps)+1), how many executable-stream ops are completed once

@@ -15,9 +15,9 @@ import (
 	"svsim/internal/statevec"
 )
 
-// Coordinated checkpoint/restore and the failure-recovery loop shared by
-// the distributed executors (dist.go naive, lazy.go scheduled) and, in
-// degenerate single-PE form, the single-node backends.
+// Coordinated checkpoint/restore shared by the distributed runtime
+// (runtime.go, every transport and plan) and, in degenerate single-PE
+// form, the single-node backends.
 //
 // Two write protocols exist. The synchronous one stops the fleet while
 // every PE serializes its full shard. The asynchronous one
@@ -244,9 +244,9 @@ func (w *ckptWriter) capture(rank int, local *statevec.State, dirty *ckpt.Dirty)
 // payload capture: rank 0 submits the job to the background writer and
 // compute proceeds while the shards serialize. Any I/O error aborts the
 // run as a terminal (non-recoverable) failure.
-func (w *ckptWriter) write(pe *pgas.PE, local *statevec.State, step, ops int, cbits uint64, draws int64, perm circuit.Permutation, dirty *ckpt.Dirty) {
+func (w *ckptWriter) write(pe *pgas.PE, r *Rank, step, ops int, perm circuit.Permutation) {
 	if w.async() {
-		w.writeAsync(pe, local, step, ops, cbits, draws, perm, dirty)
+		w.writeAsync(pe, r, step, ops, perm)
 		return
 	}
 	pe.Barrier() // quiesce: all in-flight one-sided writes are visible
@@ -262,9 +262,9 @@ func (w *ckptWriter) write(pe *pgas.PE, local *statevec.State, step, ops int, cb
 		}
 		return // peers unwind at their next barrier
 	}
-	w.shards[pe.Rank], w.errs[pe.Rank] = ckpt.WriteShard(w.stepDir, pe.Rank, local)
-	if dirty != nil {
-		dirty.Clear() // the full shard is the new delta baseline
+	w.shards[pe.Rank], w.errs[pe.Rank] = ckpt.WriteShard(w.stepDir, pe.Rank, r.Local)
+	if r.dirty != nil {
+		r.dirty.Clear() // the full shard is the new delta baseline
 	}
 	pe.Barrier()
 	if pe.Rank != 0 {
@@ -277,7 +277,7 @@ func (w *ckptWriter) write(pe *pgas.PE, local *statevec.State, step, ops int, cb
 		}
 	}
 	w.kind = ckpt.KindFull
-	m := w.fillManifest(step, ops, cbits, draws, perm)
+	m := w.fillManifest(step, ops, r.cbits, r.draws, perm)
 	m.Shards = append([]ckpt.Shard(nil), w.shards...)
 	if err := ckpt.WriteManifest(w.stepDir, m); err != nil {
 		pe.Fail(fmt.Errorf("core: checkpoint at step %d: %w", step, err))
@@ -301,14 +301,14 @@ func (w *ckptWriter) write(pe *pgas.PE, local *statevec.State, step, ops int, cb
 // fleet-uniformly, capture copy-on-write payloads, and hand the job to
 // the background writer. Only rank 0 talks to the writer; a latched
 // writer error surfaces here (and at finish) as a terminal failure.
-func (w *ckptWriter) writeAsync(pe *pgas.PE, local *statevec.State, step, ops int, cbits uint64, draws int64, perm circuit.Permutation, dirty *ckpt.Dirty) {
+func (w *ckptWriter) writeAsync(pe *pgas.PE, r *Rank, step, ops int, perm circuit.Permutation) {
 	pe.Barrier() // quiesce: all in-flight one-sided writes are visible
 	if pe.Rank == 0 {
 		w.t0 = time.Now()
 		w.subErr = w.aw.Err()
 		if w.subErr == nil {
 			w.stepDir = ckpt.StepDir(w.dir, step)
-			w.decideKind(dirty)
+			w.decideKind(r.dirty)
 		}
 	}
 	pe.Barrier() // publishes the kind decision (or the latched error)
@@ -318,12 +318,12 @@ func (w *ckptWriter) writeAsync(pe *pgas.PE, local *statevec.State, step, ops in
 		}
 		return // peers unwind at their next barrier
 	}
-	w.capture(pe.Rank, local, dirty)
+	w.capture(pe.Rank, r.Local, r.dirty)
 	pe.Barrier() // all payloads captured; compute may dirty state again
 	if pe.Rank != 0 {
 		return // durability is the writer's job from here
 	}
-	m := w.fillManifest(step, ops, cbits, draws, perm)
+	m := w.fillManifest(step, ops, r.cbits, r.draws, perm)
 	if err := w.aw.Submit(w.stepDir, m, append([]*ckpt.Payload(nil), w.payloads...)); err != nil {
 		pe.Fail(fmt.Errorf("core: checkpoint at step %d: %w", step, err))
 	}
@@ -431,20 +431,19 @@ func validateManifest(m *ckpt.Manifest, backend string, c *circuit.Circuit, p in
 }
 
 // restoreShards loads every rank's partition — materialized through its
-// delta chain when the checkpoint is incremental — into the symmetric
-// heap partitions.
-func restoreShards(dir string, m *ckpt.Manifest, svRe, svIm *pgas.SymF64, localBits int) error {
+// delta chain when the checkpoint is incremental.
+func restoreShards(dir string, m *ckpt.Manifest, ranks []Rank) error {
 	links, err := ckpt.Chain(dir, m)
 	if err != nil {
 		return err
 	}
-	for r := 0; r < m.PEs; r++ {
-		st, err := ckpt.RestoreShardChain(links, r, localBits)
+	for r := range ranks {
+		st, err := ckpt.RestoreShardChain(links, r, ranks[r].Local.N)
 		if err != nil {
 			return err
 		}
-		copy(svRe.PartitionUnsafe(r), st.Re)
-		copy(svIm.PartitionUnsafe(r), st.Im)
+		copy(ranks[r].Local.Re, st.Re)
+		copy(ranks[r].Local.Im, st.Im)
 	}
 	return nil
 }

@@ -3,6 +3,13 @@
 // execution backends of §3.2 — single-device, single-node scale-up over a
 // shared peer pointer array (Listing 4), and multi-node scale-out over the
 // SHMEM substrate (Listing 5).
+//
+// Every distributed run goes through one runtime (runtime.go): a
+// compiled plan walked by one SPMD step loop over a Transport, with one
+// checkpoint writer and one recovery loop. Scale-up and scale-out are
+// that runtime over the one-sided PGAS transport (pgastransport.go);
+// internal/mpibase supplies the two-sided transport and is otherwise the
+// same runtime.
 package core
 
 import (
@@ -83,7 +90,8 @@ type Config struct {
 
 	// CheckpointEvery, when > 0 together with CheckpointDir, writes a
 	// coordinated checkpoint every that many schedule steps (gates for
-	// the naive schedules, plan steps for the lazy executor).
+	// the single-node backends and the naive plan, plan steps — gates,
+	// aliases and remaps — for the lazy plan).
 	CheckpointEvery int
 	// CheckpointDir is the checkpoint base directory; each checkpoint
 	// becomes a ckpt-<step> subdirectory holding per-PE shards and a
@@ -92,9 +100,9 @@ type Config struct {
 	// CheckpointAsync moves shard serialization off the compute path: at
 	// a due step the fleet quiesces only to capture copy-on-write
 	// payloads, a background writer publishes the checkpoint, and compute
-	// proceeds immediately. Backends with write tracking (the lazy
-	// scale-out executor) capture only dirtied tiles as delta
-	// checkpoints chained to their parent full checkpoint.
+	// proceeds immediately. The distributed runtime tracks writes and
+	// captures only dirtied tiles as delta checkpoints chained to their
+	// parent full checkpoint.
 	CheckpointAsync bool
 	// CheckpointFullEvery bounds delta chains in async mode: every N-th
 	// checkpoint is forced full (compacting the chain). <= 1 makes every
@@ -128,7 +136,7 @@ type Config struct {
 	// checkpoint after a PE failure before giving up with a RunFailure.
 	MaxRestarts int
 	// Topology describes how PEs map onto nodes (PEs-per-node). When
-	// enabled, the lazy executor runs each remap as a hierarchical
+	// enabled, the PGAS transport runs each remap as a hierarchical
 	// two-level exchange — an intra-node phase first, then a minimal
 	// inter-node phase — and elides initial remaps that act on |0...0>.
 	// The schedule, plan fingerprint, and final state are identical to

@@ -165,7 +165,7 @@ func (f *Fleet) RunElastic(c *circuit.Circuit, job JobConfig, resume string) (*R
 	}
 	cfg := f.config(job)
 	cfg.Resume = ""
-	res, err := RunElastic(f.backend, cfg, c, resume, f.PEs())
+	res, err := RunElastic(f.backend, cfg, c, resume, f.PEs(), OneSided)
 	f.jobs++
 	return res, err
 }

@@ -9,6 +9,50 @@ import (
 	"svsim/internal/obs"
 )
 
+// StepTrace names the sub-spans a transport records inside one plan
+// step. The traced and untraced runs execute the same routine; a nil
+// track only drops the records, so the per-phase shares of a traced run
+// describe the loops an untraced run executes.
+type StepTrace struct {
+	trk   *obs.Track
+	label string
+	block int
+}
+
+// On reports whether spans are being recorded.
+func (x StepTrace) On() bool { return x.trk != nil }
+
+// Span records one sub-span named after the step plus suffix.
+func (x StepTrace) Span(suffix string, start, end time.Time, args obs.SpanArgs) {
+	if x.trk == nil {
+		return
+	}
+	args.Block = x.block
+	x.trk.SpanAt(x.label+suffix, start, end, args)
+}
+
+// Barrier records a one-barrier span from start to now and returns now.
+func (x StepTrace) Barrier(suffix string, start time.Time) time.Time {
+	now := time.Now()
+	x.Span(suffix+" barrier", start, now, obs.SpanArgs{Kind: "barrier", Phase: obs.PhaseBarrier, Barriers: 1})
+	return now
+}
+
+// spanDelta attributes the traffic between two Transport.Counters
+// samples of one rank to a span.
+func spanDelta(c0, c1 obs.SpanArgs) obs.SpanArgs {
+	return obs.SpanArgs{
+		LocalBytes:  c1.LocalBytes - c0.LocalBytes,
+		RemoteBytes: c1.RemoteBytes - c0.RemoteBytes,
+		LocalMsgs:   c1.LocalMsgs - c0.LocalMsgs,
+		RemoteMsgs:  c1.RemoteMsgs - c0.RemoteMsgs,
+		Barriers:    c1.Barriers - c0.Barriers,
+		Msgs:        c1.Msgs - c0.Msgs,
+		MsgBytes:    c1.MsgBytes - c0.MsgBytes,
+		PackBytes:   c1.PackBytes - c0.PackBytes,
+	}
+}
+
 // gateObs pre-resolves the per-kind gate-kernel latency histograms so
 // the observed run loop records with one array index and an atomic add —
 // no map lookup or string concatenation per gate. A nil *gateObs means

@@ -1,0 +1,431 @@
+package core
+
+import (
+	"sort"
+	"time"
+
+	"svsim/internal/gate"
+	"svsim/internal/obs"
+	"svsim/internal/pgas"
+	"svsim/internal/sched"
+	"svsim/internal/statevec"
+)
+
+// oneSided is the PGAS transport of the scale-up backend (peer
+// pointer-array access, Listing 4) and the scale-out backend (SHMEM
+// one-sided access, Listing 5): partitions live in the symmetric heap, a
+// gate that pairs amplitudes across partitions pays the paper's
+// fine-grained get/put traffic, and a remap is one coalesced all-to-all
+// of PutV blocks. In this reproduction both device classes are emulated
+// by goroutine PEs over the instrumented heap; the two backends differ
+// in which platform constants the performance model applies to the
+// measured traffic (NVLink/NVSwitch vs network SHMEM).
+type oneSided struct {
+	*Grid
+	svRe, svIm *pgas.SymF64
+	stage      *pgas.SymF64 // 2S staging floats per PE; nil unless the plan exchanges
+	scratch    [][]float64  // per PE, 2S floats on first use: coalesced-get buffer or remap pack halves
+
+	// Barrier domains of the two-level exchange, nil on a flat run.
+	nodeGrp []*pgas.Group // per node: that node's PEs
+	railGrp []*pgas.Group // per within-node position: its ranks across nodes
+}
+
+// OneSided is the NewTransport of the PGAS backends.
+func OneSided(g *Grid) Transport {
+	t := &oneSided{Grid: g, scratch: make([][]float64, g.P)}
+	t.svRe = g.Comm.NewSymF64(g.S)
+	t.svIm = g.Comm.NewSymF64(g.S)
+	if plan := g.Compiled.Plan; plan.Remaps > plan.Folded {
+		t.stage = g.Comm.NewSymF64(2 * g.S)
+	}
+	if topo := g.Compiled.Topo; topo.Enabled() && g.P > 1 {
+		// One group per node (its consecutive ranks) and one per
+		// within-node position (its "rail" of ranks across nodes): each
+		// exchange phase synchronizes only the ranks it couples instead
+		// of stopping the whole fleet.
+		ppn := topo.PEsPerNode
+		if ppn > g.P {
+			ppn = g.P
+		}
+		t.nodeGrp = make([]*pgas.Group, topo.Nodes(g.P))
+		for nd := range t.nodeGrp {
+			ranks := make([]int, ppn)
+			for i := range ranks {
+				ranks[i] = nd*ppn + i
+			}
+			t.nodeGrp[nd] = g.Comm.Group(ranks)
+		}
+		t.railGrp = make([]*pgas.Group, ppn)
+		for w := range t.railGrp {
+			var ranks []int
+			for r := w; r < g.P; r += ppn {
+				ranks = append(ranks, r)
+			}
+			t.railGrp[w] = g.Comm.Group(ranks)
+		}
+	}
+	return t
+}
+
+func (t *oneSided) Partition(rank int) (re, im []float64) {
+	return t.svRe.PartitionUnsafe(rank), t.svIm.PartitionUnsafe(rank)
+}
+
+func (t *oneSided) Counters(rank int) obs.SpanArgs {
+	c := t.Comm.StatsOf(rank)
+	return obs.SpanArgs{
+		LocalBytes:  c.LocalBytes,
+		RemoteBytes: c.RemoteBytes,
+		LocalMsgs:   c.LocalGets + c.LocalPuts,
+		RemoteMsgs:  c.RemoteMessages(),
+		Barriers:    c.Barriers,
+	}
+}
+
+// buf returns rank's 2S-float scratch, allocated on first use.
+func (t *oneSided) buf(rank int) []float64 {
+	if t.scratch[rank] == nil {
+		t.scratch[rank] = make([]float64, 2*t.S)
+	}
+	return t.scratch[rank]
+}
+
+func (t *oneSided) RemoteGate(pe *pgas.PE, r *Rank, cls *gate.Class, _ StepTrace) bool {
+	if len(cls.Targets) == 1 && t.Coalesced {
+		t.applyRemoteCoalesced(pe, r, cls)
+	} else {
+		t.applyRemoteGeneric(pe, r, cls)
+	}
+	return false
+}
+
+// applyRemoteGeneric is the paper's fine-grained remote path: the work
+// index space is chunked evenly across PEs; each PE gathers the amplitudes
+// of its orbits one-sided, applies the small unitary, and scatters the
+// results back (Listing 5's nvshmem_double_g / nvshmem_double_p loop).
+func (t *oneSided) applyRemoteGeneric(pe *pgas.PE, r *Rank, cls *gate.Class) {
+	bits := append(append([]int(nil), cls.Ctrls...), cls.Targets...)
+	sort.Ints(bits)
+	nb := len(bits)
+	var cmask int
+	for _, c := range cls.Ctrls {
+		cmask |= 1 << uint(c)
+	}
+	k := len(cls.Targets)
+	sub := 1 << uint(k)
+	offsets := make([]int, sub)
+	for a := 0; a < sub; a++ {
+		o := 0
+		for j, tq := range cls.Targets {
+			if a>>uint(j)&1 == 1 {
+				o |= 1 << uint(tq)
+			}
+		}
+		offsets[a] = o
+	}
+	ampR := make([]float64, sub)
+	ampI := make([]float64, sub)
+	outR := make([]float64, sub)
+	outI := make([]float64, sub)
+
+	total := (t.S * t.P) >> uint(nb)
+	chunk := (total + t.P - 1) / t.P
+	lo := pe.Rank * chunk
+	hi := lo + chunk
+	if hi > total {
+		hi = total
+	}
+	var touched int64
+	for i := lo; i < hi; i++ {
+		base := i
+		for _, b := range bits {
+			base = statevec.InsertZeroBit(base, b)
+		}
+		base |= cmask // operand enumeration: targets stay 0, controls pin to 1
+		for a := 0; a < sub; a++ {
+			gidx := base | offsets[a]
+			ampR[a] = pe.GlobalGet(t.svRe, gidx)
+			ampI[a] = pe.GlobalGet(t.svIm, gidx)
+		}
+		for a := 0; a < sub; a++ {
+			var sr, si float64
+			row := cls.U.Data[a*sub : (a+1)*sub]
+			for b, v := range row {
+				vr, vi := real(v), imag(v)
+				sr += vr*ampR[b] - vi*ampI[b]
+				si += vr*ampI[b] + vi*ampR[b]
+			}
+			outR[a], outI[a] = sr, si
+		}
+		for a := 0; a < sub; a++ {
+			gidx := base | offsets[a]
+			pe.GlobalPut(t.svRe, gidx, outR[a])
+			pe.GlobalPut(t.svIm, gidx, outI[a])
+		}
+		touched += int64(sub)
+	}
+	r.Extra.Gates++
+	r.Extra.AmpsTouched += touched
+	r.Extra.BytesTouched += touched * 16
+	r.Extra.FlopEst += touched * 4 * int64(sub)
+}
+
+// applyRemoteCoalesced handles a 1-target gate on a global qubit by a bulk
+// block exchange: each PE fetches its partner's whole partition with one
+// coalesced get per array, then updates its own partition locally. This is
+// the warp-coalesced NVSHMEM access pattern the paper recommends.
+func (t *oneSided) applyRemoteCoalesced(pe *pgas.PE, r *Rank, cls *gate.Class) {
+	q := cls.Targets[0]
+	partner := pe.Rank ^ 1<<uint(q-t.LocalBits)
+	buf := t.buf(pe.Rank)
+	bufRe, bufIm := buf[:t.S], buf[t.S:]
+	pe.GetV(t.svRe, partner, 0, bufRe)
+	pe.GetV(t.svIm, partner, 0, bufIm)
+	// All reads must complete before anyone overwrites its partition.
+	pe.Barrier()
+
+	off := pe.Rank * t.S
+	ownIsOne := off>>uint(q)&1 == 1
+	var cmask int
+	for _, c := range cls.Ctrls {
+		cmask |= 1 << uint(c)
+	}
+	u := cls.U
+	u00r, u00i := real(u.At(0, 0)), imag(u.At(0, 0))
+	u01r, u01i := real(u.At(0, 1)), imag(u.At(0, 1))
+	u10r, u10i := real(u.At(1, 0)), imag(u.At(1, 0))
+	u11r, u11i := real(u.At(1, 1)), imag(u.At(1, 1))
+	re := r.Local.Re
+	im := r.Local.Im
+	var touched int64
+	for i := 0; i < t.S; i++ {
+		gidx := off + i
+		if gidx&cmask != cmask {
+			continue
+		}
+		if ownIsOne {
+			// own amp = a1, partner amp = a0
+			r0, i0 := bufRe[i], bufIm[i]
+			r1, i1 := re[i], im[i]
+			re[i] = u10r*r0 - u10i*i0 + u11r*r1 - u11i*i1
+			im[i] = u10r*i0 + u10i*r0 + u11r*i1 + u11i*r1
+		} else {
+			r0, i0 := re[i], im[i]
+			r1, i1 := bufRe[i], bufIm[i]
+			re[i] = u00r*r0 - u00i*i0 + u01r*r1 - u01i*i1
+			im[i] = u00r*i0 + u00i*r0 + u01r*i1 + u01i*r1
+		}
+		touched++
+	}
+	r.Extra.Gates++
+	r.Extra.AmpsTouched += touched
+	r.Extra.BytesTouched += touched * 16
+	r.Extra.FlopEst += touched * 7
+}
+
+// Remap runs the flat exchange, or under a topology the intra-node
+// phase and then the minimal inter-node phase in its place.
+func (t *oneSided) Remap(pe *pgas.PE, r *Rank, si int, tr StepTrace) int {
+	var tl *sched.TwoLevel
+	if si < len(t.Compiled.TwoLevels) {
+		tl = t.Compiled.TwoLevels[si]
+	}
+	if tl == nil {
+		t.execRemap(pe, r, t.Compiled.Exchanges[si], tr)
+		return 0
+	}
+	if tl.Intra != nil {
+		t.execPhase(pe, r, tl.Intra, true, tr)
+	}
+	if tl.Inter != nil {
+		t.execPhase(pe, r, tl.Inter, false, tr)
+	}
+	return tl.Phases()
+}
+
+// wireArgs attributes the one-sided traffic between two stats samples of
+// one PE to a wire span.
+func wireArgs(phase string, c0, c1 pgas.Stats) obs.SpanArgs {
+	return obs.SpanArgs{
+		Kind: "wire", Phase: phase,
+		LocalBytes:  c1.LocalBytes - c0.LocalBytes,
+		RemoteBytes: c1.RemoteBytes - c0.RemoteBytes,
+		LocalMsgs:   (c1.LocalGets + c1.LocalPuts) - (c0.LocalGets + c0.LocalPuts),
+		RemoteMsgs:  c1.RemoteMessages() - c0.RemoteMessages(),
+	}
+}
+
+// packBlock gathers the block of this PE's partition headed to dst — the
+// affine subcube with the out-bits pinned to dst's rank bits — into buf,
+// re plane then im plane.
+func (t *oneSided) packBlock(buf []float64, r *Rank, ex *sched.Exchange, dst int) {
+	B := ex.BlockLen
+	pinned := ex.PinnedVal(dst, t.LocalBits)
+	statevec.GatherBits(buf[:B], r.Local.Re, pinned, ex.FreeBits)
+	statevec.GatherBits(buf[B:], r.Local.Im, pinned, ex.FreeBits)
+}
+
+// unpackBlocks scatters every block that landed in this PE's staging
+// area to its place in the partition.
+func (t *oneSided) unpackBlocks(rank int, r *Rank, ex *sched.Exchange) {
+	B := ex.BlockLen
+	stg := t.stage.PartitionUnsafe(rank)
+	for src := 0; src < t.P; src++ {
+		if !ex.Compat[src][rank] {
+			continue
+		}
+		blk := stg[2*ex.OffElems[src][rank]:][:2*B]
+		statevec.ScatterBits(r.Local.Re, blk[:B], ex.InBase[src], ex.ImgFree)
+		statevec.ScatterBits(r.Local.Im, blk[B:], ex.InBase[src], ex.ImgFree)
+	}
+	r.Extra.AmpsTouched += 2 * int64(t.S)
+	r.Extra.BytesTouched += 2 * int64(t.S) * 16
+}
+
+// execRemap performs one batched all-to-all qubit-remap exchange: each
+// PE packs one contiguous block per destination, puts it into the
+// destination's staging area with a single coalesced transfer, and after
+// a barrier unpacks its own staging into its partition. Its sub-spans
+// split the pack/put loop into a pack span (the accumulated buffer-fill
+// time, drawn contiguously from the loop start) and a wire span (the
+// remainder, covering the coalesced puts), then barrier, unpack and the
+// trailing barrier get spans of their own — in place of one remap span,
+// which would double-count them.
+func (t *oneSided) execRemap(pe *pgas.PE, r *Rank, ex *sched.Exchange, tr StepTrace) {
+	s := pe.Rank
+	B := ex.BlockLen
+	c0 := t.Comm.StatsOf(s)
+	loopStart := time.Now()
+	var packed time.Duration
+	var packBytes int64
+	for dst := 0; dst < t.P; dst++ {
+		if !ex.Compat[s][dst] {
+			continue
+		}
+		buf := t.buf(s)[:2*B]
+		p0 := time.Now()
+		t.packBlock(buf, r, ex, dst)
+		packed += time.Since(p0)
+		packBytes += int64(2*B) * 8
+		pe.PutV(t.stage, dst, 2*ex.OffElems[s][dst], buf)
+	}
+	loopEnd := time.Now()
+	packEnd := loopStart.Add(packed)
+	tr.Span(" pack", loopStart, packEnd, obs.SpanArgs{Kind: "pack", Phase: obs.PhasePack, PackBytes: packBytes})
+	tr.Span(" wire", packEnd, loopEnd, wireArgs(obs.PhaseWire, c0, t.Comm.StatsOf(s)))
+	// All blocks must land before anyone reads its staging.
+	pe.Barrier()
+	u0 := tr.Barrier("", loopEnd)
+	t.unpackBlocks(s, r, ex)
+	u1 := time.Now()
+	tr.Span(" unpack", u0, u1, obs.SpanArgs{Kind: "unpack", Phase: obs.PhaseUnpack, PackBytes: packBytes})
+	// All staging reads must finish before the next exchange overwrites it.
+	pe.Barrier()
+	tr.Barrier("", u1)
+}
+
+// execPhase runs one phase of a two-level remap over the barrier domain
+// it couples: the PE's node group for the intra phase, its rail — the
+// ranks holding the same within-node position across all nodes — for the
+// inter phase. A remap runs its intra phase (all compatible pairs share a
+// node) and then its minimal inter phase; the two realize disjoint
+// transpositions, so their composition lands every amplitude exactly
+// where the flat exchange would — bit-identically — while the fleet-wide
+// stop-the-world barriers of the flat path are replaced by per-phase
+// group synchronization.
+//
+// The per-phase protocol is: entry group barrier, pipelined pack+put,
+// mid group barrier (all of this phase's blocks have landed), unpack —
+// and no exit barrier, because the next phase's (or the next remap's)
+// entry barrier already orders every later write into this PE's staging
+// area after the unpack reads below. The entry barrier is what makes the
+// single staging buffer safe: a peer can only reach its puts after every
+// member of the group — in particular every PE it targets — has finished
+// reading its staging from the previous phase.
+//
+// The pack/put loop is double-buffered: block k+1 is packed into the
+// half of the scratch buffer the in-flight put is not reading, then
+// put k is joined and put k+1 launched, so the pack of block k+1
+// overlaps the wire transfer of block k. Every phase exchange moves at
+// least one local bit out, so 2 blocks fit the 2S-float scratch.
+//
+// Each destination block gets a pack span (the buffer fill) and a wire
+// span (put launch to join), labeled pack.intra/wire.intra or
+// pack.inter/wire.inter so attribution separates same-node from
+// node-crossing exchange time. The timeline exhibits the pipeline
+// directly: the pack span of block k+1 starts before the wire span of
+// block k ends. Wire span k is recorded at its join, just before pack
+// span k+1, which keeps the track's nondecreasing-start contract.
+func (t *oneSided) execPhase(pe *pgas.PE, r *Rank, ex *sched.Exchange, intra bool, tr StepTrace) {
+	s := pe.Rank
+	B := ex.BlockLen
+	grp, moved := t.railGrp[s%len(t.railGrp)], &r.InterBytes
+	phPack, phWire, sub := obs.PhasePackInter, obs.PhaseWireInter, " inter"
+	if intra {
+		grp, moved = t.nodeGrp[t.Compiled.Topo.Node(s)], &r.IntraBytes
+		phPack, phWire, sub = obs.PhasePackIntra, obs.PhaseWireIntra, " intra"
+	}
+	b0 := time.Now()
+	grp.Barrier(pe)
+	tr.Barrier(sub, b0)
+	var join func()
+	var wStart time.Time
+	var wc0 pgas.Stats
+	finish := func() {
+		join()
+		tr.Span(sub+" wire", wStart, time.Now(), wireArgs(phWire, wc0, t.Comm.StatsOf(s)))
+	}
+	pack := t.buf(s)
+	half := 0
+	for dst := 0; dst < t.P; dst++ {
+		if !ex.Compat[s][dst] {
+			continue
+		}
+		buf := pack[half : half+2*B]
+		p0 := time.Now()
+		t.packBlock(buf, r, ex, dst)
+		p1 := time.Now()
+		if join != nil {
+			finish()
+		}
+		tr.Span(sub+" pack", p0, p1, obs.SpanArgs{Kind: "pack", Phase: phPack, PackBytes: int64(2*B) * 8})
+		wc0 = t.Comm.StatsOf(s)
+		wStart = time.Now()
+		join = t.asyncPut(pe, dst, 2*ex.OffElems[s][dst], buf)
+		half ^= 2 * B
+		if dst != s {
+			*moved += int64(2*B) * 8
+		}
+	}
+	if join != nil {
+		finish()
+	}
+	mb0 := time.Now()
+	grp.Barrier(pe)
+	u0 := tr.Barrier(sub, mb0)
+	t.unpackBlocks(s, r, ex)
+	tr.Span(sub+" unpack", u0, time.Now(), obs.SpanArgs{Kind: "unpack", Phase: obs.PhaseUnpack})
+}
+
+// asyncPut issues pe.PutV from a helper goroutine so the caller can pack
+// the next block while this one is on the wire, returning the join that
+// must run before the buffer half is reused. At most one put is ever in
+// flight per PE (the caller joins before launching the next), so the
+// PE's statistics stay effectively single-writer, and the channel
+// handoff publishes them back to the PE goroutine. A failure inside the
+// put (an injected kill, an exhausted retry budget) unwinds the helper;
+// join re-raises it on the PE goroutine so the abort reaches
+// RunChecked's recover.
+func (t *oneSided) asyncPut(pe *pgas.PE, dst, off int, buf []float64) func() {
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		pe.PutV(t.stage, dst, off, buf)
+	}()
+	return func() {
+		if rec := <-done; rec != nil {
+			panic(rec)
+		}
+	}
+}

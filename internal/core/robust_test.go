@@ -158,7 +158,7 @@ func TestElasticReshard(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, newPEs := range []int{4, 8, 16} {
-				got, err := RunElastic("scale-out", base, c, dir, newPEs)
+				got, err := RunElastic("scale-out", base, c, dir, newPEs, OneSided)
 				if err != nil {
 					t.Fatalf("P'=%d: %v", newPEs, err)
 				}

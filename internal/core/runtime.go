@@ -1,0 +1,648 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"strconv"
+	"strings"
+	"time"
+
+	"svsim/internal/circuit"
+	"svsim/internal/ckpt"
+	"svsim/internal/compile"
+	"svsim/internal/fault"
+	"svsim/internal/gate"
+	"svsim/internal/obs"
+	"svsim/internal/pgas"
+	"svsim/internal/sched"
+	"svsim/internal/statevec"
+)
+
+// The one distributed runtime: every distributed run — scale-up,
+// scale-out, and the message-passing baselines of internal/mpibase — is
+// a compiled plan walked by one SPMD step loop over a Transport.
+//
+// The state vector is partitioned in natural array order: rank r owns
+// physical amplitudes [r*S, (r+1)*S) with S = 2^n / P, a window of the
+// state with base r*S. The plan (internal/sched) decides WHEN amplitudes
+// must cross partitions: the naive plan is one gate step per op under the
+// identity permutation, so a gate with a pairing target at or above
+// localBits = n - log2(P) crosses at that gate; the lazy plan keeps every
+// pairing target local and crosses only at its remap steps. The
+// transport decides HOW they cross — one-sided get/put over the
+// symmetric heap (pgastransport.go) or two-sided pack–exchange
+// (mpibase) — which is exactly the comparison the paper isolates.
+// Everything else (set-up, conditions, measurement, checkpoint cuts,
+// stop votes, spans, recovery, tear-down) exists once, here.
+
+// Transport is how amplitudes cross partitions. All methods except
+// Partition run inside the SPMD region on the calling rank's goroutine,
+// collectively: every rank reaches the same call at the same plan step.
+type Transport interface {
+	// Partition returns the storage of rank's partition: S reals and S
+	// imaginaries, zeroed. The transport owns the memory (a symmetric
+	// heap, or plain per-rank slices).
+	Partition(rank int) (re, im []float64)
+	// RemoteGate applies a gate one of whose pairing targets sits at or
+	// above LocalBits; cls is the gate at its physical positions. The
+	// routine synchronizes whatever it needs mid-gate; the loop's grid
+	// sync closes the gate. It reports whether it recorded sub-spans of
+	// its own through tr, in which case the loop drops the parent span.
+	RemoteGate(pe *pgas.PE, r *Rank, cls *gate.Class, tr StepTrace) bool
+	// Remap moves every amplitude to where plan step si (a remap that
+	// is not folded) puts it, barriers included, charging r.IntraBytes
+	// and r.InterBytes under a topology. It returns the exchange phases
+	// it ran (non-zero for two-level exchanges only). The permutation
+	// bookkeeping is the loop's.
+	Remap(pe *pgas.PE, r *Rank, si int, tr StepTrace) int
+	// Counters samples rank's cumulative traffic counters as span
+	// arguments; the loop attributes the difference of two samples to
+	// the span between them.
+	Counters(rank int) obs.SpanArgs
+}
+
+// NewTransport builds the transport of one execution attempt over its
+// grid; a restart or an elastic shrink builds a fresh one.
+type NewTransport func(g *Grid) Transport
+
+// Grid is what a transport is built over: the SPMD fleet, the
+// partition geometry, and the compiled plan whose remaps it realizes.
+type Grid struct {
+	Comm      *pgas.Comm
+	Compiled  *compile.CompiledPlan
+	N         int // qubits
+	P         int // ranks
+	S         int // amplitudes per rank
+	LocalBits int // n - log2 P
+	Coalesced bool
+}
+
+// Rank is the per-rank mutable state of a run. Each rank replays its own
+// copy of the classical side (cbits, RNG, permutation), so no cross-rank
+// bookkeeping writes exist.
+type Rank struct {
+	// Local is the rank's partition as a window of the state.
+	Local *statevec.State
+	// Extra counts state-vector work done outside Local's kernels.
+	Extra statevec.Stats
+	// IntraBytes and InterBytes split this rank's remap traffic by node
+	// locality under the run's topology; zero on a flat run.
+	IntraBytes int64
+	InterBytes int64
+
+	rng   *rand.Rand
+	draws int64 // uniform variates consumed, for checkpointed RNG replay
+	cbits uint64
+	perm  circuit.Permutation
+	dirty *ckpt.Dirty // write tracking for delta checkpoints; nil unless async ckpt
+	_     [64]byte
+}
+
+// markAll / markCtrls feed the delta-checkpoint write tracker; no-ops
+// when tracking is off.
+func (r *Rank) markAll() {
+	if r.dirty != nil {
+		r.dirty.MarkAll()
+	}
+}
+
+func (r *Rank) markCtrls(cmask int) {
+	if r.dirty != nil {
+		r.dirty.MarkCtrls(cmask)
+	}
+}
+
+// draw consumes one uniform variate from the replicated stream.
+func (r *Rank) draw() float64 {
+	r.draws++
+	return r.rng.Float64()
+}
+
+// restore sets the classical side of a rank to a checkpointed or
+// warm-started point.
+func (r *Rank) restore(cbits uint64, draws int64) {
+	r.cbits = cbits
+	replayDraws(r.rng, draws)
+	r.draws = draws
+}
+
+// runtime is one distributed execution attempt in progress.
+type runtime struct {
+	Grid
+	name  string
+	c     *circuit.Circuit // executable stream
+	plan  *sched.Plan
+	naive bool // the plan syncs the grid after every gate step
+	t     Transport
+	ranks []Rank
+
+	label     []string // per step: span label of remap and alias steps
+	blockOf   []int    // per step: 1-based schedule block; nil without remaps
+	opsBefore []int    // per step: executable-stream ops completed before it
+	start     int      // first plan step to execute (non-zero on resume)
+	phasesRun int64    // two-level exchange phases executed (rank 0 only)
+
+	ck   *ckptWriter // nil when checkpointing is off
+	stop *StopLatch  // graceful-shutdown latch, nil when unused
+
+	trace      *obs.Tracer
+	gm         *gateObs
+	flight     *obs.FlightRecorder
+	remapBytes *obs.Histogram // per-rank bytes moved by each remap
+	remapCount *obs.Counter
+	intraBytes *obs.Counter // node-local share of remap traffic
+	interBytes *obs.Counter // node-crossing share of remap traffic
+	exchPhases *obs.Counter // two-level exchange phases executed
+}
+
+// newRuntime sets one attempt up: the fleet, the transport's partitions
+// holding |0...0> (or the warm start, or the resumed checkpoint), and
+// the per-rank classical state.
+func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt NewTransport) (*runtime, error) {
+	c := cp.Circuit
+	p := cfg.PEs
+	if p < 1 {
+		p = 1
+	}
+	n := c.NumQubits
+	rt := &runtime{
+		name:      name,
+		c:         c,
+		plan:      cp.Plan,
+		naive:     cp.Plan.Policy == sched.Naive,
+		opsBefore: cp.OpsBefore(),
+		stop:      cfg.Stop,
+		trace:     cfg.Trace,
+		flight:    cfg.Flight,
+	}
+	rt.Grid = Grid{
+		Comm: pgas.NewComm(p), Compiled: cp,
+		N: n, P: p, S: (1 << uint(n)) / p, LocalBits: n - bits.Len(uint(p-1)),
+		Coalesced: cfg.Coalesced,
+	}
+	rt.Comm.SetFault(cfg.Fault)
+	rt.Comm.SetTimeouts(cfg.Timeouts)
+	rt.Comm.SetRecorder(cfg.Flight)
+	rt.ck = newCkptWriter(cfg, name, c, p, cp.PlanFP)
+	if m := cfg.Metrics; m != nil {
+		rt.Comm.SetMetrics(m)
+		rt.gm = newGateObs(m)
+		if cp.Plan.Remaps > 0 {
+			rt.remapBytes = m.Histogram(obs.MetricRemapBytes, obs.SizeBuckets())
+			rt.remapCount = m.Counter(obs.MetricRemapCount)
+		}
+		if cp.Topo.Enabled() {
+			rt.intraBytes = m.Counter(obs.MetricRemoteBytesIntra)
+			rt.interBytes = m.Counter(obs.MetricRemoteBytesInter)
+			rt.exchPhases = m.Counter(obs.MetricExchangePhases)
+		}
+	}
+	rt.t = nt(&rt.Grid)
+
+	rt.label = make([]string, len(rt.plan.Steps))
+	if rt.plan.Remaps > 0 {
+		rt.blockOf = make([]int, len(rt.plan.Steps))
+	}
+	block := 1
+	for si := range rt.plan.Steps {
+		st := &rt.plan.Steps[si]
+		if rt.blockOf != nil {
+			rt.blockOf[si] = block
+		}
+		switch st.Kind {
+		case sched.StepRemap:
+			rt.label[si] = remapLabel(st.Swaps)
+			block++ // a remap closes the block it belongs to
+		case sched.StepAlias:
+			rt.label[si] = "alias q" + strconv.Itoa(st.A) + "<->q" + strconv.Itoa(st.B)
+		}
+	}
+
+	rt.ranks = make([]Rank, p)
+	for r := range rt.ranks {
+		re, im := rt.t.Partition(r)
+		rt.ranks[r] = Rank{
+			Local: &statevec.State{N: rt.LocalBits, Dim: rt.S, Re: re, Im: im, Base: r * rt.S, Style: cfg.Style},
+			rng:   newRNG(cfg.Seed),
+			perm:  circuit.IdentityPermutation(n),
+		}
+		if rt.ck.async() {
+			rt.ranks[r].dirty = ckpt.NewDirty(rt.S, 0)
+		}
+	}
+	rt.ranks[0].Local.Re[0] = 1 // |0...0>
+
+	if ws := cfg.Init; ws != nil {
+		// Elastic warm start: scatter the full logical state across this
+		// fleet's partitions in place of |0...0>. The permutation starts
+		// as the identity, so logical index == physical index here.
+		if ws.State == nil || ws.State.N != n {
+			return nil, fmt.Errorf("core: warm-start state does not match circuit (%d qubits)", n)
+		}
+		for r := range rt.ranks {
+			run := &rt.ranks[r]
+			copy(run.Local.Re, ws.State.Re[r*rt.S:(r+1)*rt.S])
+			copy(run.Local.Im, ws.State.Im[r*rt.S:(r+1)*rt.S])
+			run.restore(ws.Cbits, ws.Draws)
+		}
+	}
+	if cfg.Resume != "" {
+		dir, m, err := resolveResume(cfg.Resume)
+		if err != nil {
+			return nil, err
+		}
+		if err := validateManifest(m, name, c, p, cfg.Sched, cp.PlanFP); err != nil {
+			return nil, err
+		}
+		// A lazy plan's manifest records where every qubit sat at the
+		// cut; a naive plan never leaves the identity and records none.
+		perm := circuit.Permutation(m.Perm)
+		if len(perm) == 0 && rt.naive {
+			perm = circuit.IdentityPermutation(n)
+		}
+		if len(perm) != n {
+			return nil, fmt.Errorf("core: checkpoint permutation has %d entries, want %d", len(perm), n)
+		}
+		if err := perm.Validate(); err != nil {
+			return nil, fmt.Errorf("core: checkpoint permutation invalid: %w", err)
+		}
+		if m.Step > len(rt.plan.Steps) {
+			return nil, fmt.Errorf("core: checkpoint step %d beyond plan length %d", m.Step, len(rt.plan.Steps))
+		}
+		if err := restoreShards(dir, m, rt.ranks); err != nil {
+			return nil, err
+		}
+		for r := range rt.ranks {
+			rt.ranks[r].restore(m.Cbits, m.Draws)
+			rt.ranks[r].perm = perm.Clone()
+		}
+		rt.start = m.Step
+		cfg.Flight.Record(-1, obs.EventRestore, dir, int64(m.Step))
+	}
+	return rt, nil
+}
+
+func remapLabel(swaps []sched.Swap) string {
+	var b strings.Builder
+	b.WriteString("remap ")
+	for i, sw := range swaps {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("b" + strconv.Itoa(sw.Global) + "<->b" + strconv.Itoa(sw.Local))
+	}
+	return b.String()
+}
+
+// block returns the 1-based schedule block of a plan step, 0 for a plan
+// without remaps (nothing to attribute to).
+func (rt *runtime) block(si int) int {
+	if rt.blockOf == nil {
+		return 0
+	}
+	return rt.blockOf[si]
+}
+
+// run walks the plan SPMD and returns the gathered, un-permuted result.
+func (rt *runtime) run() (*Result, error) {
+	startT := time.Now()
+	err := rt.Comm.RunChecked(func(pe *pgas.PE) {
+		r := &rt.ranks[pe.Rank]
+		trk := rt.trace.Track(pe.Rank)
+		for si := rt.start; si < len(rt.plan.Steps); si++ {
+			if si > rt.start && rt.ck.due(si) {
+				stopNow := rt.stop.vote(pe)
+				k0 := time.Now()
+				var perm circuit.Permutation
+				if !rt.naive {
+					perm = r.perm
+				}
+				rt.ck.write(pe, r, si, rt.opsBefore[si], perm)
+				trk.SpanAt("checkpoint", k0, time.Now(), obs.SpanArgs{
+					Kind: "checkpoint", Phase: obs.PhaseCheckpoint, Block: rt.block(si)})
+				if stopNow {
+					// The checkpoint above is the final one; every rank
+					// unwinds identically with the interrupt.
+					pe.Fail(ErrInterrupted)
+				}
+			}
+			st := &rt.plan.Steps[si]
+			tr := StepTrace{trk: trk, label: rt.label[si], block: rt.block(si)}
+			switch st.Kind {
+			case sched.StepGate:
+				op := &rt.c.Ops[st.Op]
+				if !condSatisfied(op.Cond, r.cbits) {
+					// All ranks hold identical cbits, so all skip together.
+					continue
+				}
+				if trk == nil && rt.gm == nil {
+					rt.gateStep(pe, r, st.Op, tr)
+					continue
+				}
+				// Observed path: time the gate and attribute this rank's
+				// traffic delta to the span.
+				if trk != nil {
+					tr.label = gateLabel(&op.G)
+				}
+				c0 := rt.t.Counters(pe.Rank)
+				g0 := time.Now()
+				spanned := rt.gateStep(pe, r, st.Op, tr)
+				g1 := time.Now()
+				rt.gm.observe(op.G.Kind, g1.Sub(g0))
+				if trk != nil && !spanned {
+					args := spanDelta(c0, rt.t.Counters(pe.Rank))
+					args.Kind, args.Qubits, args.Block = op.G.Kind.String(), qubitList(&op.G), tr.block
+					trk.SpanAt(tr.label, g0, g1, args)
+				}
+			case sched.StepAlias:
+				r.perm.SwapLogical(st.A, st.B)
+				if trk != nil {
+					now := time.Now()
+					trk.SpanAt(tr.label, now, now, obs.SpanArgs{Kind: "alias", Block: tr.block})
+				}
+			case sched.StepRemap:
+				// Always executed, always on every rank. A folded remap
+				// acts on |0...0>, which every bit permutation fixes, so
+				// its data movement is elided and only the permutation
+				// bookkeeping applies.
+				if st.Folded {
+					for _, sw := range st.Swaps {
+						r.perm.SwapPhysical(sw.Global, sw.Local)
+					}
+					rt.flight.Record(pe.Rank, obs.EventRemap, tr.label+" folded", 0)
+					continue
+				}
+				r.markAll() // the exchange rewrites the whole partition
+				c0 := rt.t.Counters(pe.Rank)
+				i0, e0 := r.IntraBytes, r.InterBytes
+				phases := int64(rt.t.Remap(pe, r, si, tr))
+				for _, sw := range st.Swaps {
+					r.perm.SwapPhysical(sw.Global, sw.Local)
+				}
+				d := spanDelta(c0, rt.t.Counters(pe.Rank))
+				moved := d.RemoteBytes + d.MsgBytes
+				rt.remapBytes.Observe(float64(moved))
+				rt.intraBytes.Add(r.IntraBytes - i0)
+				rt.interBytes.Add(r.InterBytes - e0)
+				if pe.Rank == 0 {
+					rt.remapCount.Add(1)
+					rt.phasesRun += phases
+					rt.exchPhases.Add(phases)
+				}
+				rt.flight.Record(pe.Rank, obs.EventRemap, tr.label, moved)
+			}
+		}
+	})
+	if ferr := rt.ck.finish(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		return nil, err
+	}
+	elapsed := time.Since(startT)
+
+	// Un-permute partition by partition: logical index x lives at the
+	// physical index with bit Final[q] holding logical bit q (one copy
+	// per partition under the naive plan's identity).
+	st := statevec.New(rt.N)
+	res := &Result{
+		Backend:        rt.name,
+		State:          st,
+		Cbits:          rt.ranks[0].cbits,
+		Comm:           rt.Comm.TotalStats(),
+		Elapsed:        elapsed,
+		PEs:            rt.P,
+		ExchangePhases: rt.phasesRun,
+	}
+	for r := range rt.ranks {
+		run := &rt.ranks[r]
+		statevec.Unpermute(st.Re, run.Local.Re, r, rt.plan.Final)
+		statevec.Unpermute(st.Im, run.Local.Im, r, rt.plan.Final)
+		res.SV.Add(run.Local.Stats)
+		res.SV.Add(run.Extra)
+		res.IntraBytes += run.IntraBytes
+		res.InterBytes += run.InterBytes
+	}
+	if rt.ck != nil {
+		res.Ckpt = rt.ck.stats
+	}
+	if rt.trace != nil || rt.gm != nil {
+		res.Mem = obs.TakeMemSnapshot()
+	}
+	return res, nil
+}
+
+// gateStep executes one circuit op at its current physical positions
+// and, under the naive plan, the grid sync that closes it (and the one
+// between a RESET's measurement and its X). It reports whether the
+// transport recorded sub-spans in place of the parent gate span.
+func (rt *runtime) gateStep(pe *pgas.PE, r *Rank, opIdx int, tr StepTrace) (spanned bool) {
+	g := &rt.c.Ops[opIdx].G
+	switch g.Kind {
+	case gate.BARRIER:
+		return false
+	case gate.MEASURE:
+		r.cbits = setCbit(r.cbits, int(g.Cbit), rt.measure(pe, r, int(g.Qubits[0])))
+	case gate.RESET:
+		if q := int(g.Qubits[0]); rt.measure(pe, r, q) == 1 {
+			if rt.naive {
+				pe.Barrier() // every partition collapsed before the X pairs across them
+			}
+			x := gate.NewX(q)
+			cls := gate.Classify(&x)
+			spanned = rt.apply(pe, r, &x, &cls, tr)
+		}
+	default:
+		spanned = rt.apply(pe, r, g, rt.Compiled.Classes[opIdx], tr)
+	}
+	if rt.naive {
+		var b0 time.Time
+		if spanned {
+			b0 = time.Now()
+		}
+		pe.Barrier()
+		if spanned {
+			tr.Barrier("", b0)
+		}
+	}
+	return spanned
+}
+
+// apply runs one unitary on the partition window when no pairing target
+// crosses partitions — the kernel resolves global controls and diagonal
+// targets against the window's base — and through the transport's
+// remote-gate routine otherwise. cls is nil for the kinds the compile
+// pipeline does not classify (GPHASE), which never cross.
+func (rt *runtime) apply(pe *pgas.PE, r *Rank, g *gate.Gate, cls *gate.Class, tr StepTrace) bool {
+	pg := r.perm.PhysicalGate(g)
+	nc := g.Kind.NumControls()
+	remote := false
+	if cls != nil && !cls.Diag {
+		for _, t := range pg.Targets() {
+			remote = remote || int(t) >= rt.LocalBits
+		}
+	}
+	if remote {
+		pc := gate.Class{U: cls.U}
+		for i, q := range pg.OperandQubits() {
+			if i < nc {
+				pc.Ctrls = append(pc.Ctrls, int(q))
+			} else {
+				pc.Targets = append(pc.Targets, int(q))
+			}
+		}
+		r.markAll() // peers may write into this partition
+		return rt.t.RemoteGate(pe, r, &pc, tr)
+	}
+	// Write tracking: only amplitudes satisfying every LOCAL control bit
+	// can change (global controls merely gate the whole partition,
+	// conservatively ignored).
+	var localMask int
+	for _, c := range pg.Qubits[:nc] {
+		if int(c) < rt.LocalBits {
+			localMask |= 1 << uint(c)
+		}
+	}
+	r.markCtrls(localMask)
+	r.Local.Apply(&pg)
+	return false
+}
+
+// measure performs a distributed projective measurement of logical qubit
+// q at its current physical position: the windows' probability shares
+// are combined with one all-reduce, every rank draws the same uniform
+// number from its replicated stream, and each collapses its partition.
+func (rt *runtime) measure(pe *pgas.PE, r *Rank, q int) int {
+	phys := r.perm[q]
+	r.markAll() // collapse renormalizes the whole partition
+	partial := r.Local.ProbOne(phys)
+	p1 := pe.AllReduceSum(partial)
+	outcome := 0
+	if r.draw() < p1 {
+		outcome = 1
+	}
+	r.Local.Project(phys, outcome, p1)
+	r.Extra.Gates++
+	r.Extra.AmpsTouched += int64(rt.S)
+	r.Extra.BytesTouched += int64(rt.S) * 16
+	return outcome
+}
+
+// runOnce builds and executes one attempt of an already-compiled circuit.
+func runOnce(name string, cfg Config, cp *compile.CompiledPlan, nt NewTransport) (*Result, error) {
+	rt, err := newRuntime(name, cfg, cp, nt)
+	if err != nil {
+		return nil, err
+	}
+	return rt.run()
+}
+
+// RunDistributed compiles c and executes it on cfg.PEs ranks over the
+// transport nt builds, driving the graceful-degradation loop: a
+// recoverable rank failure (injected kill, stalled barrier, exhausted
+// retry budget) restarts the run from its latest complete checkpoint up
+// to cfg.MaxRestarts times — or, with cfg.Elastic, re-shards it onto
+// half the fleet; without a checkpoint to restart from, or past the
+// budget, the run reports a structured RunFailure. backend names the
+// run in results and checkpoint manifests.
+func RunDistributed(backend string, cfg Config, c *circuit.Circuit, nt NewTransport) (*Result, error) {
+	if err := checkCircuit(c, 64); err != nil {
+		return nil, err
+	}
+	if err := checkPEs(cfg.PEs, c.NumQubits); err != nil {
+		return nil, err
+	}
+	// Compile once, outside the recovery loop: restarts re-execute the
+	// same immutable plan.
+	cp, cst, err := compileCircuit(cfg, c, cfg.PEs)
+	if err != nil {
+		return nil, err
+	}
+	var mFailures, mRecoveries *obs.Counter
+	if cfg.Metrics != nil {
+		mFailures = cfg.Metrics.Counter(obs.MetricPEFailures)
+		mRecoveries = cfg.Metrics.Counter(obs.MetricRecoveries)
+	}
+	attempts, recovered := 0, 0
+	resumeStep := -1 // step of the checkpoint the current cfg.Resume names
+	if cfg.Resume != "" {
+		if _, m, rerr := resolveResume(cfg.Resume); rerr == nil {
+			resumeStep = m.Step
+		}
+	}
+	for {
+		attempts++
+		cfg.Flight.Record(-1, obs.EventRunStart, backend, int64(attempts))
+		res, err := runOnce(backend, cfg, cp, nt)
+		if err == nil {
+			res.Recoveries = recovered
+			res.Compile = cst
+			return res, nil
+		}
+		var se *ckpt.ShardError
+		if errors.As(err, &se) && cfg.Resume != "" && cfg.CheckpointDir != "" {
+			// The checkpoint we tried to resume from is torn or corrupt:
+			// fall back to the next older complete one. Steps strictly
+			// decrease, so this loop terminates without a restart budget.
+			cfg.Flight.Record(-1, obs.EventRunFailed, "corrupt checkpoint: "+err.Error(), int64(attempts))
+			dir, step, ok := olderCheckpoint(cfg.CheckpointDir, resumeStep)
+			if !ok {
+				return nil, &RunFailure{Backend: backend, Attempts: attempts, Cause: err}
+			}
+			cfg.Resume = dir
+			resumeStep = step
+			cfg.Flight.Record(-1, obs.EventRestart, "fallback to "+dir, int64(step))
+			continue
+		}
+		if !recoverable(err) {
+			// Setup/validation problems, interrupts, and checkpoint I/O
+			// errors are terminal; restarting cannot help.
+			return nil, err
+		}
+		cfg.Flight.Record(-1, obs.EventRunFailed, err.Error(), int64(attempts))
+		mFailures.Add(1)
+		if cfg.CheckpointDir == "" || recovered >= cfg.MaxRestarts {
+			return nil, &RunFailure{Backend: backend, Attempts: attempts, Cause: err}
+		}
+		dir, m, ok, lerr := ckpt.Latest(cfg.CheckpointDir)
+		if lerr != nil || !ok {
+			return nil, &RunFailure{Backend: backend, Attempts: attempts, Cause: err}
+		}
+		var ke *fault.KillError
+		if cfg.Elastic && cfg.PEs > 1 && errors.As(err, &ke) && ckpt.ElasticRestorable(m) == nil {
+			// Elastic shrink: instead of restarting the dead rank's fleet
+			// at full size, re-shard the checkpoint onto half the ranks
+			// and run the residual circuit there.
+			res, eerr := runElastic(backend, cfg, cp, dir, m, cfg.PEs/2, nt)
+			if eerr != nil {
+				return nil, &RunFailure{Backend: backend, Attempts: attempts + 1, Cause: eerr}
+			}
+			res.Recoveries = recovered + 1
+			res.Compile = cst
+			mRecoveries.Add(1)
+			return res, nil
+		}
+		cfg.Resume = dir
+		resumeStep = m.Step
+		recovered++
+		mRecoveries.Add(1)
+		cfg.Flight.Record(-1, obs.EventRestart, "resume from "+dir, int64(recovered))
+	}
+}
+
+// olderCheckpoint returns the newest complete checkpoint strictly older
+// than step; a negative step accepts any.
+func olderCheckpoint(base string, step int) (string, int, bool) {
+	steps, err := ckpt.CompleteSteps(base)
+	if err != nil {
+		return "", 0, false
+	}
+	for _, s := range steps { // newest first
+		if step < 0 || s < step {
+			return ckpt.StepDir(base, s), s, true
+		}
+	}
+	return "", 0, false
+}

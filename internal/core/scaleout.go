@@ -19,5 +19,5 @@ func (b *ScaleOut) Name() string { return "scale-out" }
 
 // Run implements Backend.
 func (b *ScaleOut) Run(c *circuit.Circuit) (*Result, error) {
-	return runDistributed(b.Name(), b.cfg, c)
+	return RunDistributed(b.Name(), b.cfg, c, OneSided)
 }

@@ -29,5 +29,5 @@ func (b *ScaleUp) Run(c *circuit.Circuit) (*Result, error) {
 	// Peer access is element-grained loads/stores inside the kernel; the
 	// coalesced bulk path belongs to the SHMEM backend.
 	cfg.Coalesced = false
-	return runDistributed(b.Name(), cfg, c)
+	return RunDistributed(b.Name(), cfg, c, OneSided)
 }

@@ -1,11 +1,13 @@
 // Package mpibase implements the traditional CPU-driven message-passing
-// baseline that SV-Sim's PGAS design replaces (paper §2.1): a rank-based
-// two-sided communication runtime and a distributed state-vector simulator
-// that handles global-qubit gates by packing whole partitions into
-// coarse-grained messages, exchanging them between partner ranks, and
-// computing locally.
+// baseline that SV-Sim's PGAS design replaces (paper §2.1): a two-sided
+// communication layer and the transport that handles amplitudes crossing
+// partitions by packing them into coarse-grained messages, exchanging
+// them between partner ranks, and computing locally. The simulators
+// themselves are the shared distributed runtime of internal/core walking
+// a naive plan (New: pack–exchange–compute per global-qubit gate) or a
+// lazy plan (NewRemap: JUQCS-style qubit remapping) over that transport.
 //
-// The runtime counts everything the paper charges the traditional approach
+// The layer counts everything the paper charges the traditional approach
 // for — message counts, packed bytes, pack/unpack passes, and the
 // device-to-host staging traffic that CPU-managed MPI on a GPU cluster
 // incurs ("data has to be migrated from the accelerators to the system
@@ -15,11 +17,9 @@ package mpibase
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
-	"svsim/internal/fault"
 	"svsim/internal/obs"
+	"svsim/internal/pgas"
 )
 
 // Stats counts baseline communication work per rank or aggregated.
@@ -54,242 +54,102 @@ type rankState struct {
 	_     [64]byte
 }
 
-// Comm is a message-passing communicator of P ranks, with one buffered
-// channel per (src, dst) pair as the transport.
+// Comm adds two-sided messaging to an SPMD fleet: one buffered channel
+// per (src, dst) pair as the wire, and the per-rank counters. Goroutine
+// launch, barriers, reductions, fault injection and abort propagation are
+// the fleet's (pgas.Comm); a rank is the fleet's *pgas.PE.
 type Comm struct {
-	P     int
+	fleet *pgas.Comm
 	chans [][]chan []float64
 	ranks []rankState
-	ph    *phaser
-	redF  [2][]float64
 
-	// Abort latch: closed on the first rank failure so pending Recvs and
-	// barrier waiters are released instead of hanging (see resilience.go).
-	abortCh   chan struct{}
-	abortOnce sync.Once
-	abortErr  error
-	inj       *fault.Injector // nil when fault injection is off
-
-	// Optional metrics handles, nil when no registry is attached.
-	msgBytes  *obs.Histogram
-	barrierNS *obs.Histogram
-	rec       *obs.FlightRecorder
+	msgBytes *obs.Histogram // nil when no registry is attached
 }
 
-// SetMetrics attaches a metrics registry: message payload sizes and
-// barrier wait times are recorded as histograms from then on. Call
-// before entering the SPMD region; a nil registry detaches.
-func (c *Comm) SetMetrics(m *obs.Metrics) {
-	if m == nil {
-		c.msgBytes, c.barrierNS = nil, nil
-		return
-	}
-	c.msgBytes = m.Histogram(obs.MetricMsgBytes, obs.SizeBuckets())
-	c.barrierNS = m.Histogram(obs.MetricBarrierWaitNS, obs.LatencyBuckets())
-}
-
-// SetRecorder attaches a flight recorder that receives structured events
-// for injected faults and rank failures; nil detaches. Call before
-// entering the SPMD region.
-func (c *Comm) SetRecorder(r *obs.FlightRecorder) { c.rec = r }
-
-// NewComm creates a communicator with p ranks.
-func NewComm(p int) *Comm {
-	if p < 1 {
-		panic("mpibase: communicator needs at least one rank")
-	}
-	c := &Comm{P: p, ph: newPhaser(p), abortCh: make(chan struct{})}
-	c.chans = make([][]chan []float64, p)
-	for s := 0; s < p; s++ {
+// NewComm layers a message-passing communicator over fleet.
+func NewComm(fleet *pgas.Comm) *Comm {
+	p := fleet.P
+	c := &Comm{fleet: fleet, chans: make([][]chan []float64, p), ranks: make([]rankState, p)}
+	for s := range c.chans {
 		c.chans[s] = make([]chan []float64, p)
-		for d := 0; d < p; d++ {
+		for d := range c.chans[s] {
 			// Capacity covers eager sends so symmetric SendRecv pairs
 			// cannot deadlock.
 			c.chans[s][d] = make(chan []float64, 4)
 		}
 	}
-	c.ranks = make([]rankState, p)
-	for i := range c.redF {
-		c.redF[i] = make([]float64, p)
-	}
 	return c
 }
 
-// Run launches the SPMD body on every rank and waits for completion.
-// With no injector attached no failure can occur; if one does, Run
-// panics with the RunError (use RunChecked to handle failures).
-func (c *Comm) Run(fn func(r *Rank)) {
-	if err := c.RunChecked(fn); err != nil {
-		panic(err)
+// SetMetrics records message payload sizes as a histogram from then on.
+// Call before entering the SPMD region; a nil registry detaches.
+func (c *Comm) SetMetrics(m *obs.Metrics) {
+	c.msgBytes = nil
+	if m != nil {
+		c.msgBytes = m.Histogram(obs.MetricMsgBytes, obs.SizeBuckets())
 	}
 }
 
 // StatsOf returns the counters of a single rank. Safe to call from that
 // rank's own goroutine mid-run (used for per-gate span attribution).
-func (c *Comm) StatsOf(rank int) Stats { return c.ranks[rank].stats }
+func (c *Comm) StatsOf(rank int) Stats {
+	st := c.ranks[rank].stats
+	f := c.fleet.StatsOf(rank)
+	st.Reductions, st.Syncs = f.Collectives, f.Barriers
+	return st
+}
 
-// TotalStats aggregates all rank counters.
+// TotalStats aggregates all rank counters; reductions and syncs are the
+// fleet's collective and barrier counts.
 func (c *Comm) TotalStats() Stats {
 	var t Stats
-	for i := range c.ranks {
-		t.Add(c.ranks[i].stats)
+	for r := range c.ranks {
+		t.Add(c.StatsOf(r))
 	}
 	return t
 }
 
-// ResetStats zeroes all counters.
-func (c *Comm) ResetStats() {
-	for i := range c.ranks {
-		c.ranks[i].stats = Stats{}
-	}
-}
-
-// Rank is the per-goroutine handle inside an SPMD region.
-type Rank struct {
-	R    int
-	comm *Comm
-
-	seq uint64 // collective sequence for double buffering
-}
-
-// NRanks returns the communicator size.
-func (r *Rank) NRanks() int { return r.comm.P }
-
-// Send transmits buf to dst (two-sided, matched by Recv). The payload is
-// counted as one message; callers must not reuse buf until the receiver is
-// known to be done (the simulator always sends freshly packed buffers).
-func (r *Rank) Send(dst int, buf []float64) {
-	st := &r.comm.ranks[r.R].stats
+// Send transmits buf from pe to dst (two-sided, matched by Recv). The
+// payload is counted as one message; callers must not reuse buf until
+// the receiver is known to be done (the transport always sends freshly
+// packed buffers or snapshots it re-packs only after a grid sync).
+func (c *Comm) Send(pe *pgas.PE, dst int, buf []float64) {
+	st := &c.ranks[pe.Rank].stats
 	st.Messages++
 	st.MsgBytes += int64(len(buf)) * 8
-	if h := r.comm.msgBytes; h != nil {
+	if h := c.msgBytes; h != nil {
 		h.Observe(float64(len(buf)) * 8)
 	}
-	r.comm.chans[r.R][dst] <- buf
+	select {
+	case c.chans[pe.Rank][dst] <- buf:
+	case <-pe.Aborted():
+		pe.Unwind()
+	}
 }
 
-// Recv blocks for the next message from src, or unwinds with an
-// AbortError if the fleet fails while waiting (so a dead partner never
-// hangs the receiver).
-func (r *Rank) Recv(src int) []float64 {
+// Recv blocks for the next message from src, or unwinds pe if the fleet
+// fails while it waits (so a dead partner never hangs the receiver).
+func (c *Comm) Recv(pe *pgas.PE, src int) []float64 {
 	select {
-	case buf := <-r.comm.chans[src][r.R]:
+	case buf := <-c.chans[src][pe.Rank]:
 		return buf
-	case <-r.comm.abortCh:
-		panic(abortPanic{&AbortError{Rank: r.R, Cause: r.comm.abortErr}})
+	case <-pe.Aborted():
+		pe.Unwind()
+		return nil
 	}
 }
 
 // SendRecv exchanges buffers with a partner rank (the classic pairwise
 // exchange of distributed state-vector simulators).
-func (r *Rank) SendRecv(peer int, send []float64) []float64 {
-	r.Send(peer, send)
-	return r.Recv(peer)
-}
-
-// Barrier synchronizes all ranks. A fleet abort releases the waiter
-// with an AbortError instead of hanging it.
-func (r *Rank) Barrier() {
-	r.comm.ranks[r.R].stats.Syncs++
-	if in := r.comm.inj; in != nil {
-		v := in.BarrierEvent(r.R)
-		if v.Delay > 0 {
-			r.comm.rec.Record(r.R, obs.EventFaultInjected,
-				"barrier delay "+v.Delay.String(), 0)
-			time.Sleep(v.Delay)
-		}
-		if v.Kill != nil {
-			r.comm.rec.Record(r.R, obs.EventFaultInjected,
-				"barrier kill: "+v.Kill.Error(), 0)
-			r.fail(v.Kill)
-		}
-	}
-	var err error
-	if h := r.comm.barrierNS; h != nil {
-		t0 := time.Now()
-		err = r.comm.ph.await()
-		h.Observe(float64(time.Since(t0).Nanoseconds()))
-	} else {
-		err = r.comm.ph.await()
-	}
-	if err != nil {
-		panic(abortPanic{&AbortError{Rank: r.R, Cause: err}})
-	}
-}
-
-// AllReduceSum reduces v over all ranks and returns the total everywhere.
-// Counted as one reduction per rank (the underlying tree traffic is priced
-// by the performance model).
-func (r *Rank) AllReduceSum(v float64) float64 {
-	c := r.comm
-	buf := c.redF[r.seq&1]
-	r.seq++
-	c.ranks[r.R].stats.Reductions++
-	buf[r.R] = v
-	r.Barrier()
-	var s float64
-	for _, x := range buf {
-		s += x
-	}
-	r.Barrier()
-	return s
-}
-
-// phaser is a reusable barrier with a fleet-abort latch.
-type phaser struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	p     int
-	count int
-	gen   uint64
-	abort error
-}
-
-func newPhaser(p int) *phaser {
-	ph := &phaser{p: p}
-	ph.cond = sync.NewCond(&ph.mu)
-	return ph
-}
-
-// await returns the abort cause instead of blocking forever once the
-// fleet has failed; an aborted waiter retracts its arrival.
-func (ph *phaser) await() error {
-	ph.mu.Lock()
-	defer ph.mu.Unlock()
-	if ph.abort != nil {
-		return ph.abort
-	}
-	gen := ph.gen
-	ph.count++
-	if ph.count == ph.p {
-		ph.count = 0
-		ph.gen++
-		ph.cond.Broadcast()
-		return nil
-	}
-	for gen == ph.gen && ph.abort == nil {
-		ph.cond.Wait()
-	}
-	if gen == ph.gen { // aborted, not released
-		ph.count--
-		return ph.abort
-	}
-	return nil
-}
-
-func (ph *phaser) setAbort(err error) {
-	ph.mu.Lock()
-	if ph.abort == nil {
-		ph.abort = err
-	}
-	ph.cond.Broadcast()
-	ph.mu.Unlock()
+func (c *Comm) SendRecv(pe *pgas.PE, peer int, send []float64) []float64 {
+	c.Send(pe, peer, send)
+	return c.Recv(pe, peer)
 }
 
 // notePack charges one pack/unpack pass of n bytes plus the modeled
 // device<->host staging cost on accelerator platforms.
-func (r *Rank) notePack(bytes int64) {
-	st := &r.comm.ranks[r.R].stats
+func (c *Comm) notePack(rank int, bytes int64) {
+	st := &c.ranks[rank].stats
 	st.PackOps++
 	st.PackBytes += bytes
 	st.HostStagedBytes += bytes

@@ -8,6 +8,7 @@ import (
 
 	"svsim/internal/ckpt"
 	"svsim/internal/fault"
+	"svsim/internal/pgas"
 )
 
 // TestKillAtBarrierAbortsFleet checks that a rank killed at a barrier
@@ -21,9 +22,9 @@ func TestKillAtBarrierAbortsFleet(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected a failed run")
 	}
-	var re *RunError
+	var re *pgas.RunError
 	if !errors.As(err, &re) {
-		t.Fatalf("want *RunError, got %T: %v", err, err)
+		t.Fatalf("want *pgas.RunError, got %T: %v", err, err)
 	}
 	if len(re.Failures) != 4 {
 		t.Fatalf("want all 4 ranks to fail, got %d: %v", len(re.Failures), err)

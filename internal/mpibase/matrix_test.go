@@ -1,0 +1,168 @@
+package mpibase
+
+import (
+	"math/rand"
+	"testing"
+
+	"svsim/internal/circuit"
+	"svsim/internal/core"
+	"svsim/internal/gate"
+	"svsim/internal/qasmbench"
+	"svsim/internal/sched"
+	"svsim/internal/statevec"
+)
+
+// cell is one transport × plan combination of the distributed runtime.
+type cell struct {
+	name string
+	lazy bool
+	run  func(c *circuit.Circuit, seed int64, pes, ppn int) (*statevec.State, uint64, error)
+}
+
+// matrixCells lists the four cells; the PGAS naive cell appears twice,
+// once per remote-gate routine (element-wise and coalesced).
+func matrixCells() []cell {
+	pgas := func(pol sched.Policy, coalesced bool) func(*circuit.Circuit, int64, int, int) (*statevec.State, uint64, error) {
+		return func(c *circuit.Circuit, seed int64, pes, ppn int) (*statevec.State, uint64, error) {
+			cfg := core.Config{Seed: seed, PEs: pes, Sched: pol, Coalesced: coalesced,
+				Topology: sched.Topology{PEsPerNode: ppn}}
+			var b core.Backend = core.NewScaleUp(cfg)
+			if coalesced {
+				b = core.NewScaleOut(cfg)
+			}
+			r, err := b.Run(c)
+			if err != nil {
+				return nil, 0, err
+			}
+			return r.State, r.Cbits, nil
+		}
+	}
+	twoSided := func(newSim func(Config) *Simulator) func(*circuit.Circuit, int64, int, int) (*statevec.State, uint64, error) {
+		return func(c *circuit.Circuit, seed int64, pes, ppn int) (*statevec.State, uint64, error) {
+			r, err := newSim(Config{Seed: seed, Ranks: pes, Topology: sched.Topology{PEsPerNode: ppn}}).Run(c)
+			if err != nil {
+				return nil, 0, err
+			}
+			return r.State, r.Cbits, nil
+		}
+	}
+	return []cell{
+		{"pgas/naive", false, pgas(sched.Naive, false)},
+		{"pgas/naive-coalesced", false, pgas(sched.Naive, true)},
+		{"pgas/lazy", true, pgas(sched.Lazy, false)},
+		{"two-sided/naive", false, twoSided(New)},
+		{"two-sided/lazy", true, twoSided(NewRemap)},
+	}
+}
+
+// TestTransportPlanIdentityMatrix pins the one-runtime claim on the
+// medium suite's unitary circuits: a lazy plan keeps every pairing
+// target inside the partition window, so over either transport it
+// reproduces the single-device state exactly (MaxAbsDiff == 0, flat and
+// two-level); a naive plan runs its global-qubit gates through the
+// transport's own remote arithmetic and agrees within tolerance.
+func TestTransportPlanIdentityMatrix(t *testing.T) {
+	circuits := []*circuit.Circuit{qasmbench.RQC(12, 16, 1)}
+	for _, e := range qasmbench.Medium() {
+		if c := e.Compact(); c.UnitaryOnly() && (!testing.Short() || c.NumQubits <= 12) {
+			circuits = append(circuits, c)
+		}
+	}
+	for _, c := range circuits {
+		want, err := core.NewSingleDevice(core.Config{}).Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cl := range matrixCells() {
+			for _, pes := range []int{2, 4, 8} {
+				ppns := []int{0}
+				if cl.lazy {
+					ppns = []int{0, 2}
+				}
+				for _, ppn := range ppns {
+					got, _, err := cl.run(c, 0, pes, ppn)
+					if err != nil {
+						t.Fatalf("%s pes=%d ppn=%d on %s: %v", cl.name, pes, ppn, c.Name, err)
+					}
+					d := got.MaxAbsDiff(want.State)
+					if cl.lazy && d != 0 {
+						t.Errorf("%s pes=%d ppn=%d on %s: deviates from single by %g, want bit-identical", cl.name, pes, ppn, c.Name, d)
+					}
+					if d > 1e-10 {
+						t.Errorf("%s pes=%d ppn=%d on %s: deviates from single by %g", cl.name, pes, ppn, c.Name, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStressAllCellsWithFeedback runs deep random programs mixing every
+// unitary kind with mid-circuit measurement, reset, and classical
+// control, and demands bit-identical classical results plus
+// near-identical states between the single-device engine and every
+// transport × plan cell at several fleet sizes: equal seeds collapse
+// identically everywhere.
+func TestStressAllCellsWithFeedback(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	n := 8
+	for trial := 0; trial < 4; trial++ {
+		c := randomProgram(rng, n, 200)
+		ref, err := core.NewSingleDevice(core.Config{Seed: 42}).Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pes := range []int{2, 8, 32} {
+			for _, cl := range matrixCells() {
+				pes := pes
+				if cl.lazy && pes == 32 {
+					// 3 local bits cannot hold a 4-target gate's pairing
+					// targets, which a lazy plan must keep local.
+					pes = 16
+				}
+				st, cb, err := cl.run(c, 42, pes, 0)
+				if err != nil {
+					t.Fatalf("trial %d %s pes=%d: %v", trial, cl.name, pes, err)
+				}
+				if cb != ref.Cbits {
+					t.Fatalf("trial %d %s pes=%d: cbits %b vs %b", trial, cl.name, pes, cb, ref.Cbits)
+				}
+				if d := st.MaxAbsDiff(ref.State); d > 1e-9 {
+					t.Fatalf("trial %d %s pes=%d: state deviates by %g", trial, cl.name, pes, d)
+				}
+			}
+		}
+	}
+}
+
+func randomProgram(rng *rand.Rand, n, ops int) *circuit.Circuit {
+	c := circuit.New("stress", n)
+	c.NumClbits = 4
+	kinds := unitaryKinds()
+	for i := 0; i < ops; i++ {
+		switch r := rng.Float64(); {
+		case r < 0.04:
+			c.Measure(rng.Intn(n), rng.Intn(4))
+		case r < 0.06:
+			c.Reset(rng.Intn(n))
+		case r < 0.10:
+			k := kinds[rng.Intn(len(kinds))]
+			g := gate.New(k, rng.Perm(n)[:k.NumQubits()], angles(rng, k.NumParams())...)
+			c.AppendCond(g, circuit.Condition{
+				Offset: rng.Intn(3), Width: 1 + rng.Intn(2), Value: uint64(rng.Intn(2)),
+			})
+		default:
+			k := kinds[rng.Intn(len(kinds))]
+			c.Append(gate.New(k, rng.Perm(n)[:k.NumQubits()], angles(rng, k.NumParams())...))
+		}
+	}
+	return c
+}
+
+func angles(rng *rand.Rand, np int) []float64 {
+	p := make([]float64, np)
+	for i := range p {
+		p[i] = rng.NormFloat64()
+	}
+	return p
+}

@@ -1,6 +1,7 @@
 package mpibase
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"svsim/internal/circuit"
 	"svsim/internal/core"
 	"svsim/internal/gate"
+	"svsim/internal/pgas"
 )
 
 func unitaryKinds() []gate.Kind {
@@ -178,31 +180,43 @@ func TestBaselineConfigValidation(t *testing.T) {
 }
 
 func TestCommPrimitives(t *testing.T) {
-	comm := NewComm(4)
-	comm.Run(func(r *Rank) {
+	fleet := pgas.NewComm(4)
+	comm := NewComm(fleet)
+	fleet.Run(func(pe *pgas.PE) {
 		// Ring pass.
-		buf := []float64{float64(r.R)}
-		next := (r.R + 1) % 4
-		r.Send(next, buf)
-		got := r.Recv((r.R + 3) % 4)
-		if got[0] != float64((r.R+3)%4) {
-			t.Errorf("rank %d: ring got %v", r.R, got)
+		buf := []float64{float64(pe.Rank)}
+		next := (pe.Rank + 1) % 4
+		comm.Send(pe, next, buf)
+		got := comm.Recv(pe, (pe.Rank+3)%4)
+		if got[0] != float64((pe.Rank+3)%4) {
+			t.Errorf("rank %d: ring got %v", pe.Rank, got)
 		}
-		// Reduction.
-		if s := r.AllReduceSum(2); s != 8 {
+		// Reduction (the fleet's, counted as the baseline's).
+		if s := pe.AllReduceSum(2); s != 8 {
 			t.Errorf("allreduce = %g", s)
-		}
-		if r.NRanks() != 4 {
-			t.Error("NRanks")
 		}
 	})
 	st := comm.TotalStats()
-	if st.Messages != 4 || st.Reductions != 4 {
+	if st.Messages != 4 || st.Reductions != 4 || st.Syncs != 8 {
 		t.Fatalf("stats: %+v", st)
 	}
-	comm.ResetStats()
-	if comm.TotalStats() != (Stats{}) {
-		t.Fatal("reset failed")
+}
+
+// TestRecvUnwindsOnFleetAbort checks that a rank blocked in Recv on a
+// partner that died is released by the fleet's abort latch.
+func TestRecvUnwindsOnFleetAbort(t *testing.T) {
+	fleet := pgas.NewComm(2)
+	comm := NewComm(fleet)
+	boom := errors.New("boom")
+	err := fleet.RunChecked(func(pe *pgas.PE) {
+		if pe.Rank == 0 {
+			pe.Fail(boom)
+		}
+		comm.Recv(pe, 0)
+	})
+	var re *pgas.RunError
+	if !errors.As(err, &re) || len(re.Failures) != 2 || !errors.Is(err, boom) {
+		t.Fatalf("want both ranks failed with boom as root cause, got %v", err)
 	}
 }
 

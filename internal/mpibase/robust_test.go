@@ -8,6 +8,7 @@ import (
 
 	"svsim/internal/circuit"
 	"svsim/internal/ckpt"
+	"svsim/internal/core"
 	"svsim/internal/fault"
 )
 
@@ -162,10 +163,12 @@ func TestMpiStopWritesFinalCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
+	stop := &core.StopLatch{}
+	stop.Trigger()
 	_, err = New(Config{
 		Ranks: 4, Seed: 11,
 		CheckpointEvery: 5, CheckpointDir: dir,
-		Stop: func() bool { return true },
+		Stop: stop,
 	}).Run(c)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
@@ -182,5 +185,83 @@ func TestMpiStopWritesFinalCheckpoint(t *testing.T) {
 	}
 	if got.Cbits != ref.Cbits {
 		t.Fatalf("cbits %b vs %b", got.Cbits, ref.Cbits)
+	}
+}
+
+// TestRemapHonoursResilienceConfig pins what the remap baseline's Config
+// always offered and its private executor used to ignore: a barrier
+// kill is a structured RunFailure (not an ignored injector), with
+// checkpoints it restarts and finishes bit-identical, its manifests
+// record the lazy plan's identity, and a triggered stop publishes one
+// final checkpoint before unwinding.
+func TestRemapHonoursResilienceConfig(t *testing.T) {
+	c := randomCircuit(rand.New(rand.NewSource(31)), 7, 80)
+	c.Measure(6, 0)
+	c.Measure(2, 1)
+	ref, err := NewRemap(Config{Ranks: 4, Seed: 7}).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Remaps == 0 {
+		t.Fatal("test circuit never remaps; pick one that does")
+	}
+	kill := func() *fault.Injector {
+		in := fault.NewInjector(1)
+		in.KillAt(1, fault.Barrier, 12)
+		return in
+	}
+
+	_, err = NewRemap(Config{Ranks: 4, Seed: 7, Fault: kill()}).Run(c)
+	var rf *RunFailure
+	if !errors.As(err, &rf) || rf.Attempts != 1 {
+		t.Fatalf("kill without checkpoints: want *RunFailure after 1 attempt, got %T: %v", err, err)
+	}
+	var ke *fault.KillError
+	if !errors.As(err, &ke) || ke.Rank != 1 {
+		t.Fatalf("root cause should be rank 1's kill, got %v", err)
+	}
+
+	for _, async := range []bool{false, true} {
+		dir := t.TempDir()
+		got, err := NewRemap(Config{
+			Ranks: 4, Seed: 7, Fault: kill(),
+			CheckpointEvery: 4, CheckpointDir: dir, CheckpointAsync: async, MaxRestarts: 2,
+		}).Run(c)
+		if err != nil {
+			t.Fatalf("async=%v: %v", async, err)
+		}
+		if got.Recoveries != 1 || got.Ckpt.Count == 0 {
+			t.Fatalf("async=%v: recoveries=%d checkpoints=%d, want 1 and > 0", async, got.Recoveries, got.Ckpt.Count)
+		}
+		if d := got.State.MaxAbsDiff(ref.State); d != 0 || got.Cbits != ref.Cbits {
+			t.Fatalf("async=%v: recovered run deviates by %g, cbits %b vs %b", async, d, got.Cbits, ref.Cbits)
+		}
+		_, m, ok, err := ckpt.Latest(dir)
+		if err != nil || !ok {
+			t.Fatalf("async=%v: no checkpoint on disk: ok=%v err=%v", async, ok, err)
+		}
+		if m.Backend != "mpi" || m.Sched != "lazy" || len(m.Perm) != c.NumQubits {
+			t.Fatalf("async=%v: manifest backend=%q sched=%q perm=%v, want mpi/lazy and a %d-qubit permutation",
+				async, m.Backend, m.Sched, m.Perm, c.NumQubits)
+		}
+	}
+
+	dir := t.TempDir()
+	stop := &core.StopLatch{}
+	stop.Trigger()
+	_, err = NewRemap(Config{Ranks: 4, Seed: 7, CheckpointEvery: 4, CheckpointDir: dir, Stop: stop}).Run(c)
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+	steps, err := ckpt.CompleteSteps(dir)
+	if err != nil || len(steps) != 1 {
+		t.Fatalf("interrupted run left checkpoints %v (err %v), want exactly one", steps, err)
+	}
+	got, err := NewRemap(Config{Ranks: 4, Seed: 7, Resume: dir}).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := got.State.MaxAbsDiff(ref.State); d != 0 || got.Cbits != ref.Cbits {
+		t.Fatalf("resumed run deviates by %g, cbits %b vs %b", d, got.Cbits, ref.Cbits)
 	}
 }

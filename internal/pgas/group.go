@@ -122,9 +122,13 @@ type groupState struct {
 	groups  []*Group
 }
 
-// abortAll latches err onto the global barrier and every group barrier,
-// waking all waiters; the first cause wins everywhere.
+// abortAll latches err onto the abort channel, the global barrier and
+// every group barrier, waking all waiters; the first cause wins everywhere.
 func (c *Comm) abortAll(err error) {
+	c.abortOnce.Do(func() {
+		c.abortErr = err
+		close(c.abortCh)
+	})
 	c.bar.setAbort(err)
 	c.groupMu.Lock()
 	gs := append([]*Group(nil), c.groups...)

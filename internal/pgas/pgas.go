@@ -84,9 +84,12 @@ type Comm struct {
 	groupState // sub-communicator barrier registry (group.go)
 
 	// Resilience knobs, nil/zero when off (see resilience.go).
-	inj *fault.Injector
-	tmo Timeouts
-	rec *obs.FlightRecorder
+	abortCh   chan struct{} // closed at the first PE failure
+	abortOnce sync.Once
+	abortErr  error // the failure that closed abortCh
+	inj       *fault.Injector
+	tmo       Timeouts
+	rec       *obs.FlightRecorder
 
 	// Optional metrics handles, nil when no registry is attached; the
 	// one-sided ops and Barrier pay only a nil check then.
@@ -120,9 +123,10 @@ func NewComm(p int) *Comm {
 		panic("pgas: communicator needs at least one PE")
 	}
 	c := &Comm{
-		P:   p,
-		bar: newBarrier(p),
-		pes: make([]peState, p),
+		P:       p,
+		bar:     newBarrier(p),
+		pes:     make([]peState, p),
+		abortCh: make(chan struct{}),
 	}
 	for i := range c.scratchF {
 		c.scratchF[i] = make([]float64, p)

@@ -165,6 +165,18 @@ func (pe *PE) fail(err error) {
 // conditions of their own (e.g. a checkpoint write error).
 func (pe *PE) Fail(err error) { pe.fail(err) }
 
+// Aborted is closed at the fleet's first PE failure. Blocking primitives
+// layered over the communicator (mpibase's two-sided Send and Recv)
+// select on it beside their own wait and then call Unwind, so a dead
+// partner never hangs them.
+func (pe *PE) Aborted() <-chan struct{} { return pe.comm.abortCh }
+
+// Unwind unwinds the calling PE as a peer of the failure that closed
+// Aborted, exactly as a barrier released by the abort latch would.
+func (pe *PE) Unwind() {
+	pe.fail(&AbortError{Rank: pe.Rank, Cause: pe.comm.abortErr})
+}
+
 // jitter returns a deterministic per-PE uniform value in [0, 1).
 func (pe *PE) jitter() float64 {
 	if pe.jrng == nil {

@@ -11,10 +11,23 @@ import (
 // the distributed backends can broadcast one shared draw (the paper's
 // SPMD processes must all collapse identically).
 
-// ProbOne returns the probability of measuring qubit q as 1.
+// ProbOne returns this window's share of the probability of measuring
+// qubit q as 1: for a whole state, the probability itself. A qubit at or
+// above the window (q >= N) is one bit of Base, so the whole window
+// counts or none of it does; the shares of the windows that tile a
+// register sum to the register's probability.
 func (s *State) ProbOne(q int) float64 {
-	bit := 1 << uint(q)
 	var p float64
+	if q >= s.N {
+		if s.Base>>uint(q)&1 == 0 {
+			return 0
+		}
+		for i := 0; i < s.Dim; i++ {
+			p += s.Re[i]*s.Re[i] + s.Im[i]*s.Im[i]
+		}
+		return p
+	}
+	bit := 1 << uint(q)
 	for i := bit; i < s.Dim; i += 1 {
 		if i&bit != 0 {
 			p += s.Re[i]*s.Re[i] + s.Im[i]*s.Im[i]
@@ -31,7 +44,8 @@ func (s *State) MeasureQubit(q int, r float64) int {
 	if r < p1 {
 		outcome = 1
 	}
-	s.project(q, outcome, p1)
+	s.Project(q, outcome, p1)
+	s.Stats.add(int64(s.Dim), int64(2*s.Dim))
 	return outcome
 }
 
@@ -43,8 +57,14 @@ func (s *State) ResetQubit(q int, r float64) {
 	}
 }
 
-// project zeroes the non-matching amplitudes and renormalizes.
-func (s *State) project(q, outcome int, p1 float64) {
+// Project collapses this window onto qubit q == outcome: the matching
+// amplitudes are renormalized, the others zeroed. p1 is the probability
+// of q == 1 over the WHOLE register (for a window, the reduced sum of
+// every window's ProbOne), so all windows scale by the same factor and
+// end bit-identical to the projected register. A qubit at or above the
+// window keeps or clears the window as a whole. Work counters are the
+// caller's to charge.
+func (s *State) Project(q, outcome int, p1 float64) {
 	p := p1
 	if outcome == 0 {
 		p = 1 - p1
@@ -53,9 +73,13 @@ func (s *State) project(q, outcome int, p1 float64) {
 		panic("statevec: projecting onto a zero-probability outcome")
 	}
 	scale := 1 / math.Sqrt(p)
-	bit := 1 << uint(q)
+	bit, above := 1<<uint(q), false
+	if q >= s.N {
+		// One bit of Base decides for the whole window.
+		bit, above = 0, s.Base>>uint(q)&1 == 1
+	}
 	for i := 0; i < s.Dim; i++ {
-		if (i&bit != 0) == (outcome == 1) {
+		if (above || i&bit != 0) == (outcome == 1) {
 			s.Re[i] *= scale
 			s.Im[i] *= scale
 		} else {
@@ -63,7 +87,6 @@ func (s *State) project(q, outcome int, p1 float64) {
 			s.Im[i] = 0
 		}
 	}
-	s.Stats.add(int64(s.Dim), int64(2*s.Dim))
 }
 
 // Probabilities returns the full probability vector (length Dim).
