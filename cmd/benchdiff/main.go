@@ -6,9 +6,12 @@
 //	svbench -json BENCH_current.json
 //	benchdiff -baseline BENCH_baseline.json -current BENCH_current.json
 //
-// Remote communication bytes are deterministic for a given schedule, so
-// they are held to a tight tolerance; wall time is noisy on shared CI
-// runners, so its tolerance is configurable (and set generously in CI).
+// Only deterministic counters are gated — remote, inter-node and
+// state-vector bytes, fused-gate and remap counts, plan-cache hits, the
+// checkpoint stall factor. Wall time (elapsed_ns, compile_ns) is noisy
+// on shared runners and tripped on untouched code: it stays a series on
+// the -html page, and the clock is gated by paired svperf runs instead
+// (CI's perf-pair job).
 package main
 
 import (
@@ -89,7 +92,7 @@ func (g regression) String() string {
 // silently blind the trajectory); extra current configurations are
 // reported but allowed, so new workloads can land with their baseline
 // refresh in the same change.
-func diff(baseline, current []record, byteTol, timeTol, interTol float64) (regs []regression, notes []string) {
+func diff(baseline, current []record, byteTol, interTol float64) (regs []regression, notes []string) {
 	cur := make(map[string]*record, len(current))
 	for i := range current {
 		cur[current[i].key()] = &current[i]
@@ -109,9 +112,6 @@ func diff(baseline, current []record, byteTol, timeTol, interTol float64) (regs 
 		} else if r < 1 {
 			notes = append(notes, fmt.Sprintf("improved %-55s remote_bytes %d -> %d", k, b.CommRemoteBytes, c.CommRemoteBytes))
 		}
-		if r := ratio(c.ElapsedNS, b.ElapsedNS); r > 1+timeTol {
-			regs = append(regs, regression{k, "elapsed_ns", b.ElapsedNS, c.ElapsedNS, r})
-		}
 		// State-vector memory traffic is deterministic for a fixed workload
 		// and execution mode; growth means cache-blocking (or the kernels'
 		// byte accounting) regressed.
@@ -122,7 +122,7 @@ func diff(baseline, current []record, byteTol, timeTol, interTol float64) (regs 
 		}
 		// Compile-pipeline trajectory. Fused gate and remap counts are
 		// deterministic for a fixed workload, so they get the tight byte
-		// tolerance; compile wall time gets the noisy time tolerance.
+		// tolerance.
 		if r := ratio(c.FusedGates, b.FusedGates); r > 1+byteTol {
 			regs = append(regs, regression{k, "fused_gates", b.FusedGates, c.FusedGates, r})
 		} else if r < 1 {
@@ -132,9 +132,6 @@ func diff(baseline, current []record, byteTol, timeTol, interTol float64) (regs 
 			regs = append(regs, regression{k, "remaps", b.Remaps, c.Remaps, r})
 		} else if r < 1 {
 			notes = append(notes, fmt.Sprintf("improved %-55s remaps %d -> %d", k, b.Remaps, c.Remaps))
-		}
-		if r := ratio(c.CompileNS, b.CompileNS); r > 1+timeTol {
-			regs = append(regs, regression{k, "compile_ns", b.CompileNS, c.CompileNS, r})
 		}
 		// The two-level exchange split is deterministic for a fixed
 		// workload and topology; inter-node bytes are the expensive wire,
@@ -270,7 +267,6 @@ Flags:
 	basePath := flag.String("baseline", "BENCH_baseline.json", "committed baseline bench records")
 	curPath := flag.String("current", "", "bench records from the current build (required)")
 	byteTol := flag.Float64("byte-tol", 0.15, "allowed fractional growth in remote communication bytes")
-	timeTol := flag.Float64("time-tol", 0.15, "allowed fractional growth in wall time")
 	interTol := flag.Float64("inter-tol", 0.15, "allowed fractional growth in inter-node exchange bytes on topology records")
 	htmlOut := flag.String("html", "", "trajectory mode: render the positional per-commit BENCH files (oldest first) as a self-contained HTML report to FILE")
 	ckptPath := flag.String("ckpt-current", "", "bench records from an `svbench -ckpt-stall` run: apply only the checkpoint stall gate (no baseline needed)")
@@ -330,7 +326,7 @@ Flags:
 		os.Exit(2)
 	}
 
-	regs, notes := diff(baseline, current, *byteTol, *timeTol, *interTol)
+	regs, notes := diff(baseline, current, *byteTol, *interTol)
 	for _, n := range notes {
 		fmt.Println(n)
 	}
@@ -338,8 +334,8 @@ Flags:
 		for _, g := range regs {
 			fmt.Println(g)
 		}
-		fmt.Printf("benchdiff: %d regression(s) vs %s (byte-tol %.0f%%, time-tol %.0f%%)\n",
-			len(regs), *basePath, 100**byteTol, 100**timeTol)
+		fmt.Printf("benchdiff: %d regression(s) vs %s (byte-tol %.0f%%, inter-tol %.0f%%)\n",
+			len(regs), *basePath, 100**byteTol, 100**interTol)
 		os.Exit(1)
 	}
 	fmt.Printf("benchdiff: %d configs within tolerance of %s\n", len(baseline), *basePath)

@@ -431,18 +431,9 @@ func runBenchSpec(spec benchSpec, plans *compile.Cache, tracer *obs.Tracer, metr
 		CheckpointEvery: ck.every, CheckpointDir: ck.dir,
 		CheckpointAsync: ck.async, CheckpointFullEvery: ck.fullEvery,
 	}
-	var backend core.Backend
-	switch spec.backend {
-	case "single":
-		backend = core.NewSingleDevice(cfg)
-	case "threaded":
-		backend = core.NewThreaded(cfg)
-	case "scale-up":
-		backend = core.NewScaleUp(cfg)
-	case "scale-out":
-		backend = core.NewScaleOut(cfg)
-	default:
-		return nil, fmt.Errorf("unknown backend %q", spec.backend)
+	backend, err := core.NewBackend(spec.backend, cfg)
+	if err != nil {
+		return nil, err
 	}
 	res, err := backend.Run(c)
 	if err != nil {

@@ -27,7 +27,7 @@
 //     internal/pgas — so corruption is exercised where detection is
 //     the contract);
 //   - tile: checkpoint/resume round-trips through the cache-blocked
-//     single-node executors.
+//     one-rank grid (single, threaded), delta chains included.
 //
 // On violation the harness greedily minimizes the fault plan to the
 // smallest subset that still reproduces, prints it in the -fault
@@ -346,16 +346,9 @@ func (sc *scenario) coreConfig(dir string, flight *obs.FlightRecorder) core.Conf
 }
 
 func (sc *scenario) runCore(cfg core.Config) (*outcome, error) {
-	var b core.Backend
-	switch sc.backend {
-	case "scale-up":
-		b = core.NewScaleUp(cfg)
-	case "scale-out":
-		b = core.NewScaleOut(cfg)
-	case "single":
-		b = core.NewSingleDevice(cfg)
-	default:
-		b = core.NewThreaded(cfg)
+	b, err := core.NewBackend(sc.backend, cfg)
+	if err != nil {
+		return nil, err
 	}
 	res, err := b.Run(sc.circ)
 	if err != nil {

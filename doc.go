@@ -24,21 +24,21 @@
 //     variational sweeps plan once per ansatz shape and re-bind
 //     parameters into verified cache hits.
 //
-//   - Execute (internal/core and friends). Six execution engines consume
-//     the one CompiledPlan: single (one goroutine, specialized SoA
-//     kernels), threaded (a shared-state worker pool), scale-up (peer
-//     pointer array, the paper's Listing 4), scale-out (SHMEM one-sided,
+//   - Execute (internal/core and friends). Six backends consume the one
+//     CompiledPlan: single (one rank, specialized SoA kernels), threaded
+//     (one rank, a shared-state worker pool), scale-up (peer pointer
+//     array, the paper's Listing 4), scale-out (SHMEM one-sided,
 //     Listing 5, over internal/pgas), and the two traditional baselines
 //     in internal/mpibase (pack-exchange and JUQCS-style remapping).
-//     The four distributed engines are one runtime in internal/core — a
-//     plan walked by one step loop over a transport — differing only in
-//     the transport (one-sided PGAS vs two-sided messages) and the plan
+//     All six are one runtime in internal/core — a plan walked by one
+//     step loop over a transport — differing only in the grid size, the
+//     transport (local, one-sided PGAS, two-sided messages) and the plan
 //     (naive vs lazy).
-//     The single-node engines additionally support cache-blocked tile
-//     execution: per schedule block, every tile-compatible run of gates
-//     is applied to one cache-resident tile at a time, cutting memory
-//     traffic by a factor near the run length while remaining
-//     bit-identical to per-gate execution.
+//     On a one-rank grid the loop additionally executes cache-blocked
+//     tile groups: every tile-compatible run of gates is applied to one
+//     cache-resident tile at a time, cutting memory traffic by a factor
+//     near the run length while remaining bit-identical to per-gate
+//     execution.
 //
 //   - Observe (internal/obs). Per-gate Chrome-trace timelines, a metrics
 //     registry with OpenMetrics export, phase-attribution reports,

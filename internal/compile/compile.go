@@ -31,7 +31,7 @@
 // With Config.Tile set, the pipeline additionally attaches a TilePlan
 // (tile.go): per schedule block, maximal runs of gates whose kernels
 // stay inside one cache-resident tile of the amplitude arrays, so the
-// single-node executors can apply a whole run of gates to each tile
+// step loop's tile-group step can apply a whole run of gates to each tile
 // before moving to the next — one pass over the state vector per run
 // instead of one per gate. Tile runs never split a fused gate and never
 // cross a remap or relabeling boundary; gates that straddle tiles
@@ -65,7 +65,7 @@ type Config struct {
 	// values <= 1 compile for a single device).
 	PEs int
 	// Tile attaches a cache-blocking TilePlan to the compiled plan for
-	// the tiled single-node executors (see tile.go).
+	// the step loop's tile groups on a one-rank grid (see tile.go).
 	Tile bool
 	// TileBits overrides the tile size exponent when > 0; zero derives
 	// it from the plan's target-qubit strides. Ignored unless Tile.
@@ -566,24 +566,3 @@ func (h *fnvWriter) str(s string) {
 }
 
 func (h *fnvWriter) sum() uint64 { return h.h.Sum64() }
-
-// OpsBefore returns, for every plan-step index si (length
-// len(Plan.Steps)+1), how many executable-stream ops are completed once
-// steps [0, si) have run. Gate steps appear in the plan in executable
-// order, so the count doubles as a geometry-independent cut point in
-// cp.Circuit.Ops: a checkpoint quiesced before step si records
-// OpsBefore()[si] as its OpsDone, and an elastic restore slices the
-// residual circuit there regardless of the fleet size the plan was
-// compiled for.
-func (cp *CompiledPlan) OpsBefore() []int {
-	out := make([]int, len(cp.Plan.Steps)+1)
-	ops := 0
-	for si := range cp.Plan.Steps {
-		out[si] = ops
-		if cp.Plan.Steps[si].Kind == sched.StepGate {
-			ops++
-		}
-	}
-	out[len(cp.Plan.Steps)] = ops
-	return out
-}

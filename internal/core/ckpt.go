@@ -15,9 +15,9 @@ import (
 	"svsim/internal/statevec"
 )
 
-// Coordinated checkpoint/restore shared by the distributed runtime
-// (runtime.go, every transport and plan) and, in degenerate single-PE
-// form, the single-node backends.
+// Coordinated checkpoint/restore of the runtime (runtime.go: every
+// transport, plan and grid size — on one rank the protocol's barriers
+// have nobody to wait for and are skipped).
 //
 // Two write protocols exist. The synchronous one stops the fleet while
 // every PE serializes its full shard. The asynchronous one
@@ -249,13 +249,13 @@ func (w *ckptWriter) write(pe *pgas.PE, r *Rank, step, ops int, perm circuit.Per
 		w.writeAsync(pe, r, step, ops, perm)
 		return
 	}
-	pe.Barrier() // quiesce: all in-flight one-sided writes are visible
+	gridSync(pe) // quiesce: all in-flight one-sided writes are visible
 	if pe.Rank == 0 {
 		w.t0 = time.Now()
 		w.stepDir = ckpt.StepDir(w.dir, step)
 		w.mkdirErr = os.MkdirAll(w.stepDir, 0o755)
 	}
-	pe.Barrier()
+	gridSync(pe)
 	if w.mkdirErr != nil {
 		if pe.Rank == 0 {
 			pe.Fail(fmt.Errorf("core: checkpoint at step %d: %w", step, w.mkdirErr))
@@ -266,9 +266,9 @@ func (w *ckptWriter) write(pe *pgas.PE, r *Rank, step, ops int, perm circuit.Per
 	if r.dirty != nil {
 		r.dirty.Clear() // the full shard is the new delta baseline
 	}
-	pe.Barrier()
+	gridSync(pe)
 	if pe.Rank != 0 {
-		pe.Barrier() // matches rank 0's post-manifest barrier below
+		gridSync(pe) // matches rank 0's post-manifest barrier below
 		return
 	}
 	for r, err := range w.errs {
@@ -294,7 +294,7 @@ func (w *ckptWriter) write(pe *pgas.PE, r *Rank, step, ops int, perm circuit.Per
 	w.mBytes.Add(bytes)
 	w.mNS.Add(ns)
 	w.rec.Record(pe.Rank, obs.EventCheckpoint, fmt.Sprintf("step %d", step), bytes)
-	pe.Barrier() // nobody proceeds until the checkpoint is published
+	gridSync(pe) // nobody proceeds until the checkpoint is published
 }
 
 // writeAsync is the asynchronous protocol: quiesce, decide full/delta
@@ -302,7 +302,7 @@ func (w *ckptWriter) write(pe *pgas.PE, r *Rank, step, ops int, perm circuit.Per
 // the background writer. Only rank 0 talks to the writer; a latched
 // writer error surfaces here (and at finish) as a terminal failure.
 func (w *ckptWriter) writeAsync(pe *pgas.PE, r *Rank, step, ops int, perm circuit.Permutation) {
-	pe.Barrier() // quiesce: all in-flight one-sided writes are visible
+	gridSync(pe) // quiesce: all in-flight one-sided writes are visible
 	if pe.Rank == 0 {
 		w.t0 = time.Now()
 		w.subErr = w.aw.Err()
@@ -311,7 +311,7 @@ func (w *ckptWriter) writeAsync(pe *pgas.PE, r *Rank, step, ops int, perm circui
 			w.decideKind(r.dirty)
 		}
 	}
-	pe.Barrier() // publishes the kind decision (or the latched error)
+	gridSync(pe) // publishes the kind decision (or the latched error)
 	if w.subErr != nil {
 		if pe.Rank == 0 {
 			pe.Fail(fmt.Errorf("core: checkpoint at step %d: %w", step, w.subErr))
@@ -319,7 +319,7 @@ func (w *ckptWriter) writeAsync(pe *pgas.PE, r *Rank, step, ops int, perm circui
 		return // peers unwind at their next barrier
 	}
 	w.capture(pe.Rank, r.Local, r.dirty)
-	pe.Barrier() // all payloads captured; compute may dirty state again
+	gridSync(pe) // all payloads captured; compute may dirty state again
 	if pe.Rank != 0 {
 		return // durability is the writer's job from here
 	}
@@ -336,6 +336,14 @@ func (w *ckptWriter) writeAsync(pe *pgas.PE, r *Rank, step, ops int, perm circui
 	w.rec.Record(pe.Rank, obs.EventCkptQueued, fmt.Sprintf("step %d %s", step, w.kind), int64(step))
 }
 
+// gridSync is the protocol's fleet barrier; a one-rank grid has nobody
+// to wait for.
+func gridSync(pe *pgas.PE) {
+	if pe.NPEs() > 1 {
+		pe.Barrier()
+	}
+}
+
 // schedName normalizes a policy for manifest comparison (the zero value
 // means naive).
 func schedName(p sched.Policy) string {
@@ -343,56 +351,6 @@ func schedName(p sched.Policy) string {
 		return string(sched.Naive)
 	}
 	return string(p)
-}
-
-// writeLocal is the single-PE (no comm) form of the checkpoint protocol
-// used by the single-node backends. In async mode the shard write moves
-// to the background writer exactly as in the distributed protocol.
-func (w *ckptWriter) writeLocal(st *statevec.State, step, ops int, cbits uint64, draws int64) error {
-	t0 := time.Now()
-	dir := ckpt.StepDir(w.dir, step)
-	if w.async() {
-		if err := w.aw.Err(); err != nil {
-			return fmt.Errorf("core: checkpoint at step %d: %w", step, err)
-		}
-		w.decideKind(nil)
-		w.capture(0, st, nil)
-		m := w.fillManifest(step, ops, cbits, draws, nil)
-		if err := w.aw.Submit(dir, m, w.payloads[:1:1]); err != nil {
-			return fmt.Errorf("core: checkpoint at step %d: %w", step, err)
-		}
-		w.payloads = make([]*ckpt.Payload, 1)
-		w.noteSubmitted(step)
-		ns := time.Since(t0).Nanoseconds()
-		w.stats.Count++
-		w.stats.NS += ns
-		w.mCount.Add(1)
-		w.mNS.Add(ns)
-		w.rec.Record(0, obs.EventCkptQueued, fmt.Sprintf("step %d %s", step, w.kind), int64(step))
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("core: checkpoint at step %d: %w", step, err)
-	}
-	sh, err := ckpt.WriteShard(dir, 0, st)
-	if err != nil {
-		return fmt.Errorf("core: checkpoint at step %d: %w", step, err)
-	}
-	w.kind = ckpt.KindFull
-	m := w.fillManifest(step, ops, cbits, draws, nil)
-	m.Shards = []ckpt.Shard{sh}
-	if err := ckpt.WriteManifest(dir, m); err != nil {
-		return fmt.Errorf("core: checkpoint at step %d: %w", step, err)
-	}
-	ns := time.Since(t0).Nanoseconds()
-	w.stats.Count++
-	w.stats.Bytes += sh.Bytes
-	w.stats.NS += ns
-	w.mCount.Add(1)
-	w.mBytes.Add(sh.Bytes)
-	w.mNS.Add(ns)
-	w.rec.Record(0, obs.EventCheckpoint, fmt.Sprintf("step %d", step), sh.Bytes)
-	return nil
 }
 
 // resolveResume accepts either a specific ckpt-<step> directory or a

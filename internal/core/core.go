@@ -1,15 +1,18 @@
-// Package core implements the SV-Sim simulator itself: the preloaded
-// function-pointer gate dispatch of the paper's Listing 1, and the three
-// execution backends of §3.2 — single-device, single-node scale-up over a
-// shared peer pointer array (Listing 4), and multi-node scale-out over the
-// SHMEM substrate (Listing 5).
+// Package core implements the SV-Sim simulator itself: the execution
+// backends of §3.2 — single-device, threaded shared-memory (Listing 3),
+// single-node scale-up over a shared peer pointer array (Listing 4), and
+// multi-node scale-out over the SHMEM substrate (Listing 5).
 //
-// Every distributed run goes through one runtime (runtime.go): a
-// compiled plan walked by one SPMD step loop over a Transport, with one
-// checkpoint writer and one recovery loop. Scale-up and scale-out are
-// that runtime over the one-sided PGAS transport (pgastransport.go);
-// internal/mpibase supplies the two-sided transport and is otherwise the
-// same runtime.
+// Every run goes through one runtime (runtime.go): a compiled plan
+// walked by one SPMD step loop over a Transport, with one checkpoint
+// writer, one stop latch and one recovery loop. The paper's backends are
+// one gate loop that differs only in how the state array is reached, and
+// so are these (backend.go): single and threaded are the one-rank grid
+// over the local transport, scale-up and scale-out the one-sided PGAS
+// transport (pgastransport.go); internal/mpibase supplies the two-sided
+// transport and is otherwise the same runtime. The paper's preloaded
+// function-pointer gate dispatch (Listing 1) is statevec's per-kind
+// kernel dispatch.
 package core
 
 import (
@@ -35,9 +38,9 @@ type Config struct {
 	Seed int64
 	// Style selects the kernel loop shape (scalar vs blocked/vectorized).
 	Style statevec.KernelStyle
-	// PEs is the number of devices (scale-up) or SHMEM processing elements
-	// (scale-out). Must be a power of two. Ignored by the single-device
-	// backend.
+	// PEs is the number of devices (scale-up), SHMEM processing elements
+	// (scale-out) or pool workers (threaded). Must be a power of two on
+	// the partitioned backends. Ignored by the single-device backend.
 	PEs int
 	// Coalesced enables the bulk-transfer remote path in the scale-out
 	// backend (the paper's warp-coalesced NVSHMEM access); element-wise
@@ -53,12 +56,12 @@ type Config struct {
 	// local blocks separated by coalesced all-to-all exchanges). Ignored
 	// by the single-device backend.
 	Sched sched.Policy
-	// Tile enables cache-blocked execution on the single-node backends
-	// (single, threaded): compatible gate runs execute as one homogeneous
-	// pass over cache-resident tiles of the state instead of one full
-	// state sweep per gate. A tile runs the per-gate kernels on a window
-	// of the state, so the final state is bit-identical to the per-gate
-	// path. Ignored by the distributed backends.
+	// Tile enables cache-blocked execution on a one-rank grid (single,
+	// threaded): compatible gate runs execute as one homogeneous pass
+	// over cache-resident tiles of the state instead of one full state
+	// sweep per gate. A tile runs the per-gate kernels on a window of the
+	// state, so the final state is bit-identical to the per-gate path.
+	// Ignored on several ranks.
 	Tile bool
 	// TileBits overrides the tile size (amplitudes per tile = 1<<TileBits)
 	// when > 0; 0 lets the planner derive it from the circuit's target
@@ -77,7 +80,7 @@ type Config struct {
 	Plans *compile.Cache
 	// Trace, if non-nil, records one span per executed gate onto a
 	// per-PE track (Chrome trace-event timeline with communication
-	// attribution). Nil keeps the run loops on their untimed fast path.
+	// attribution). Nil keeps the step loop on its untimed fast path.
 	Trace *obs.Tracer
 	// Metrics, if non-nil, receives gate-kernel latency histograms by
 	// gate kind and — through the pgas substrate — put/get size and
@@ -89,9 +92,9 @@ type Config struct {
 	Flight *obs.FlightRecorder
 
 	// CheckpointEvery, when > 0 together with CheckpointDir, writes a
-	// coordinated checkpoint every that many schedule steps (gates for
-	// the single-node backends and the naive plan, plan steps — gates,
-	// aliases and remaps — for the lazy plan).
+	// coordinated checkpoint every that many plan steps (gates on one
+	// rank and under the naive plan; gates, aliases and remaps under the
+	// lazy plan), at tile-group edges in a tiled run.
 	CheckpointEvery int
 	// CheckpointDir is the checkpoint base directory; each checkpoint
 	// becomes a ckpt-<step> subdirectory holding per-PE shards and a
@@ -100,9 +103,9 @@ type Config struct {
 	// CheckpointAsync moves shard serialization off the compute path: at
 	// a due step the fleet quiesces only to capture copy-on-write
 	// payloads, a background writer publishes the checkpoint, and compute
-	// proceeds immediately. The distributed runtime tracks writes and
-	// captures only dirtied tiles as delta checkpoints chained to their
-	// parent full checkpoint.
+	// proceeds immediately. The runtime tracks writes and captures only
+	// dirtied tiles as delta checkpoints chained to their parent full
+	// checkpoint.
 	CheckpointAsync bool
 	// CheckpointFullEvery bounds delta chains in async mode: every N-th
 	// checkpoint is forced full (compacting the chain). <= 1 makes every
@@ -122,9 +125,10 @@ type Config struct {
 	// checkpoint is re-sharded onto half the PEs and the residual circuit
 	// re-planned there.
 	Elastic bool
-	// Stop, when non-nil, is polled at checkpoint cut points: once
-	// triggered the run writes a final checkpoint (when configured) and
-	// unwinds with ErrInterrupted.
+	// Stop, when non-nil, is polled at step boundaries — by several ranks
+	// cutting checkpoints, at the cuts, where they vote: once triggered
+	// the run writes a final checkpoint (when configured) and unwinds
+	// with ErrInterrupted.
 	Stop *StopLatch
 	// Fault, when non-nil, injects deterministic faults into the
 	// communication substrate (see internal/fault).
@@ -144,9 +148,6 @@ type Config struct {
 	// its intra/inter accounting) changes. The zero value is flat.
 	Topology sched.Topology
 }
-
-// observed reports whether any observability sink is attached.
-func (c *Config) observed() bool { return c.Trace != nil || c.Metrics != nil }
 
 // Result carries the outcome of one simulation run.
 type Result struct {
@@ -186,7 +187,8 @@ type Result struct {
 	ExchangePhases int64
 }
 
-// Backend runs circuits. Implementations: SingleDevice, ScaleUp, ScaleOut.
+// Backend runs circuits. NewSingleDevice, NewThreaded, NewScaleUp,
+// NewScaleOut and NewBackend build the core ones.
 type Backend interface {
 	Name() string
 	Run(c *circuit.Circuit) (*Result, error)
@@ -244,7 +246,7 @@ func compileCircuit(cfg Config, c *circuit.Circuit, pes int) (*compile.CompiledP
 		Fuse:     cfg.Fuse,
 		Sched:    cfg.Sched,
 		PEs:      pes,
-		Tile:     cfg.Tile,
+		Tile:     cfg.Tile && pes == 1, // tile groups apply gates as written: one-rank plans only
 		TileBits: cfg.TileBits,
 		Cache:    cfg.Plans,
 		Metrics:  cfg.Metrics,

@@ -98,7 +98,7 @@ func runElastic(backend string, cfg Config, cp *compile.CompiledPlan, dir string
 	if cfg.CheckpointDir != "" {
 		ecfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, fmt.Sprintf("elastic-p%d", newPEs))
 	}
-	res, err := RunDistributed(backend, ecfg, residual, nt)
+	res, err := Run(backend, ecfg, residual, nt)
 	if err != nil {
 		return nil, err
 	}

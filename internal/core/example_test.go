@@ -7,9 +7,9 @@ import (
 	"svsim/internal/core"
 )
 
-// ExampleSingleDevice builds a Bell pair with the fluent API and runs it
+// ExampleNewSingleDevice builds a Bell pair with the fluent API and runs it
 // on the single-device backend.
-func ExampleSingleDevice() {
+func ExampleNewSingleDevice() {
 	c := circuit.New("bell", 2)
 	c.H(0).CX(0, 1)
 	res, err := core.NewSingleDevice(core.Config{}).Run(c)
@@ -20,9 +20,9 @@ func ExampleSingleDevice() {
 	// Output: P(00)=0.50 P(11)=0.50
 }
 
-// ExampleScaleOut runs the same circuit distributed over four SHMEM PEs
+// ExampleNewScaleOut runs the same circuit distributed over four SHMEM PEs
 // and reports the one-sided communication it measured.
-func ExampleScaleOut() {
+func ExampleNewScaleOut() {
 	c := circuit.New("ghz", 8)
 	c.H(0)
 	for q := 1; q < 8; q++ {

@@ -62,15 +62,6 @@ type JobConfig struct {
 	MaxRestarts int
 }
 
-// fleetBackends are the backend names NewFleet accepts (the in-process
-// core backends; the mpibase package drives its own ranks).
-var fleetBackends = map[string]bool{
-	"single":    true,
-	"threaded":  true,
-	"scale-up":  true,
-	"scale-out": true,
-}
-
 // NewFleet validates the geometry and constructs the fleet's persistent
 // resources (the threaded backend's worker pool). cfg carries the
 // fleet-lifetime settings: PEs, Style, Coalesced, Topology, telemetry
@@ -78,7 +69,7 @@ var fleetBackends = map[string]bool{
 // through JobConfig; job-shaped fields set on cfg (Seed, Resume,
 // checkpointing, Stop) are ignored.
 func NewFleet(backend string, cfg Config) (*Fleet, error) {
-	if !fleetBackends[backend] {
+	if backends[backend] == nil {
 		return nil, fmt.Errorf("core: unknown fleet backend %q (want single, threaded, scale-up, or scale-out)", backend)
 	}
 	if cfg.PEs < 1 {
@@ -182,22 +173,5 @@ func (f *Fleet) Close() {
 	if f.pool != nil {
 		f.pool.Close()
 		f.pool = nil
-	}
-}
-
-// NewBackend constructs a core backend by name — the single dispatch
-// point shared by the CLI and the fleet layer, so the two cannot drift.
-func NewBackend(name string, cfg Config) (Backend, error) {
-	switch name {
-	case "single":
-		return NewSingleDevice(cfg), nil
-	case "threaded":
-		return NewThreaded(cfg), nil
-	case "scale-up":
-		return NewScaleUp(cfg), nil
-	case "scale-out":
-		return NewScaleOut(cfg), nil
-	default:
-		return nil, fmt.Errorf("core: unknown backend %q", name)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"svsim/internal/ckpt"
 	"svsim/internal/fault"
+	"svsim/internal/qasmbench"
 	"svsim/internal/sched"
 )
 
@@ -251,6 +252,39 @@ func TestStopLatchDistributed(t *testing.T) {
 				t.Fatalf("cbits %b vs %b", got.Cbits, ref.Cbits)
 			}
 		})
+	}
+}
+
+// TestStopLatchNoCheckpoint: with no checkpoint to cut there is nothing
+// for the ranks to agree on, so a triggered latch must still stop a
+// multi-rank run — any rank that reads it unwinds the fleet — and
+// polling it must not cost an uninterrupted run a single barrier
+// (qft_n15 at 8 PEs keeps its 4320 naive / 32 lazy).
+func TestStopLatchNoCheckpoint(t *testing.T) {
+	c := measuredCircuit(46, 6, 60)
+	for _, pes := range []int{2, 4} {
+		for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
+			stop := &StopLatch{}
+			stop.Trigger()
+			_, err := NewScaleOut(Config{PEs: pes, Seed: 11, Sched: pol, Stop: stop}).Run(c)
+			if !errors.Is(err, ErrInterrupted) {
+				t.Errorf("%d PEs %s: want ErrInterrupted, got %v", pes, pol, err)
+			}
+		}
+	}
+	e, err := qasmbench.ByName("qft_n15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qft := e.Build()
+	for pol, want := range map[sched.Policy]int64{sched.Naive: 4320, sched.Lazy: 32} {
+		res, err := NewScaleOut(Config{PEs: 8, Sched: pol, Stop: &StopLatch{}}).Run(qft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Comm.Barriers != want {
+			t.Errorf("qft_n15 8 PEs %s: %d barriers with a latch attached, want %d", pol, res.Comm.Barriers, want)
+		}
 	}
 }
 

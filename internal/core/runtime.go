@@ -20,9 +20,9 @@ import (
 	"svsim/internal/statevec"
 )
 
-// The one distributed runtime: every distributed run — scale-up,
-// scale-out, and the message-passing baselines of internal/mpibase — is
-// a compiled plan walked by one SPMD step loop over a Transport.
+// The one runtime: every run — single, threaded, scale-up, scale-out,
+// and the message-passing baselines of internal/mpibase — is a compiled
+// plan walked by one SPMD step loop over a Transport.
 //
 // The state vector is partitioned in natural array order: rank r owns
 // physical amplitudes [r*S, (r+1)*S) with S = 2^n / P, a window of the
@@ -31,11 +31,18 @@ import (
 // identity permutation, so a gate with a pairing target at or above
 // localBits = n - log2(P) crosses at that gate; the lazy plan keeps every
 // pairing target local and crosses only at its remap steps. The
-// transport decides HOW they cross — one-sided get/put over the
-// symmetric heap (pgastransport.go) or two-sided pack–exchange
-// (mpibase) — which is exactly the comparison the paper isolates.
-// Everything else (set-up, conditions, measurement, checkpoint cuts,
-// stop votes, spans, recovery, tear-down) exists once, here.
+// transport decides HOW they cross — not at all on a one-rank grid
+// (local), one-sided get/put over the symmetric heap (pgastransport.go)
+// or two-sided pack–exchange (mpibase) — which is exactly the comparison
+// the paper isolates. Everything else (set-up, conditions, measurement,
+// tile groups, checkpoint cuts, stop polls, spans, recovery, tear-down)
+// exists once, here.
+//
+// What a grid cannot need is derived from the grid, never configured:
+// one rank syncs with nobody (no grid sync, no all-reduce, no checkpoint
+// barrier) and its partition IS the result state; a plan that never
+// leaves the identity permutation executes its gates as written and
+// records no permutation in its checkpoints.
 
 // Transport is how amplitudes cross partitions. All methods except
 // Partition run inside the SPMD region on the calling rank's goroutine,
@@ -66,6 +73,27 @@ type Transport interface {
 // NewTransport builds the transport of one execution attempt over its
 // grid; a restart or an elastic shrink builds a fresh one.
 type NewTransport func(g *Grid) Transport
+
+// local is the transport of a one-rank grid: the partition is the whole
+// state in plain slices and no amplitude ever crosses, so the plan
+// (localBits == n: gate steps only) can reach neither exchange routine.
+type local struct{ *Grid }
+
+func localTransport(g *Grid) Transport { return local{g} }
+
+func (t local) Partition(int) (re, im []float64) {
+	return make([]float64, t.S), make([]float64, t.S)
+}
+
+func (local) RemoteGate(*pgas.PE, *Rank, *gate.Class, StepTrace) bool {
+	panic("core: remote gate on a one-rank grid")
+}
+
+func (local) Remap(*pgas.PE, *Rank, int, StepTrace) int {
+	panic("core: remap on a one-rank grid")
+}
+
+func (local) Counters(int) obs.SpanArgs { return obs.SpanArgs{} }
 
 // Grid is what a transport is built over: the SPMD fleet, the
 // partition geometry, and the compiled plan whose remaps it realizes.
@@ -100,17 +128,11 @@ type Rank struct {
 	_     [64]byte
 }
 
-// markAll / markCtrls feed the delta-checkpoint write tracker; no-ops
-// when tracking is off.
+// markAll feeds the delta-checkpoint write tracker; a no-op when
+// tracking is off.
 func (r *Rank) markAll() {
 	if r.dirty != nil {
 		r.dirty.MarkAll()
-	}
-}
-
-func (r *Rank) markCtrls(cmask int) {
-	if r.dirty != nil {
-		r.dirty.MarkCtrls(cmask)
 	}
 }
 
@@ -128,26 +150,26 @@ func (r *Rank) restore(cbits uint64, draws int64) {
 	r.draws = draws
 }
 
-// runtime is one distributed execution attempt in progress.
+// runtime is one execution attempt in progress.
 type runtime struct {
 	Grid
-	name  string
-	c     *circuit.Circuit // executable stream
-	plan  *sched.Plan
-	naive bool // the plan syncs the grid after every gate step
-	t     Transport
-	ranks []Rank
+	name     string
+	c        *circuit.Circuit // executable stream
+	plan     *sched.Plan
+	identity bool           // the plan never leaves the identity permutation
+	gateSync bool           // naive plan on several ranks: a grid sync closes every gate step
+	pool     *statevec.Pool // workers splitting each kernel call of the window; nil applies it whole
+	t        Transport
+	ranks    []Rank
 
-	label     []string // per step: span label of remap and alias steps
-	blockOf   []int    // per step: 1-based schedule block; nil without remaps
-	opsBefore []int    // per step: executable-stream ops completed before it
-	start     int      // first plan step to execute (non-zero on resume)
-	phasesRun int64    // two-level exchange phases executed (rank 0 only)
+	start     int   // first plan step to execute (non-zero on resume)
+	phasesRun int64 // two-level exchange phases executed (rank 0 only)
 
 	ck   *ckptWriter // nil when checkpointing is off
 	stop *StopLatch  // graceful-shutdown latch, nil when unused
 
 	trace      *obs.Tracer
+	metrics    *obs.Metrics
 	gm         *gateObs
 	flight     *obs.FlightRecorder
 	remapBytes *obs.Histogram // per-rank bytes moved by each remap
@@ -168,14 +190,16 @@ func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt NewTranspo
 	}
 	n := c.NumQubits
 	rt := &runtime{
-		name:      name,
-		c:         c,
-		plan:      cp.Plan,
-		naive:     cp.Plan.Policy == sched.Naive,
-		opsBefore: cp.OpsBefore(),
-		stop:      cfg.Stop,
-		trace:     cfg.Trace,
-		flight:    cfg.Flight,
+		name:     name,
+		c:        c,
+		plan:     cp.Plan,
+		identity: cp.Plan.Remaps == 0 && cp.Plan.Aliases == 0,
+		gateSync: cp.Plan.Policy == sched.Naive && p > 1,
+		pool:     cfg.Pool,
+		stop:     cfg.Stop,
+		trace:    cfg.Trace,
+		metrics:  cfg.Metrics,
+		flight:   cfg.Flight,
 	}
 	rt.Grid = Grid{
 		Comm: pgas.NewComm(p), Compiled: cp,
@@ -200,25 +224,6 @@ func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt NewTranspo
 		}
 	}
 	rt.t = nt(&rt.Grid)
-
-	rt.label = make([]string, len(rt.plan.Steps))
-	if rt.plan.Remaps > 0 {
-		rt.blockOf = make([]int, len(rt.plan.Steps))
-	}
-	block := 1
-	for si := range rt.plan.Steps {
-		st := &rt.plan.Steps[si]
-		if rt.blockOf != nil {
-			rt.blockOf[si] = block
-		}
-		switch st.Kind {
-		case sched.StepRemap:
-			rt.label[si] = remapLabel(st.Swaps)
-			block++ // a remap closes the block it belongs to
-		case sched.StepAlias:
-			rt.label[si] = "alias q" + strconv.Itoa(st.A) + "<->q" + strconv.Itoa(st.B)
-		}
-	}
 
 	rt.ranks = make([]Rank, p)
 	for r := range rt.ranks {
@@ -256,10 +261,10 @@ func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt NewTranspo
 		if err := validateManifest(m, name, c, p, cfg.Sched, cp.PlanFP); err != nil {
 			return nil, err
 		}
-		// A lazy plan's manifest records where every qubit sat at the
-		// cut; a naive plan never leaves the identity and records none.
+		// The manifest records where every qubit sat at the cut; a plan
+		// that never leaves the identity records nothing.
 		perm := circuit.Permutation(m.Perm)
-		if len(perm) == 0 && rt.naive {
+		if len(perm) == 0 && rt.identity {
 			perm = circuit.IdentityPermutation(n)
 		}
 		if len(perm) != n {
@@ -296,40 +301,64 @@ func remapLabel(swaps []sched.Swap) string {
 	return b.String()
 }
 
-// block returns the 1-based schedule block of a plan step, 0 for a plan
-// without remaps (nothing to attribute to).
-func (rt *runtime) block(si int) int {
-	if rt.blockOf == nil {
-		return 0
+// opsBefore counts the executable-stream ops completed once plan steps
+// [0, si) have run. Gate steps appear in the plan in executable order,
+// so the count is a geometry-independent cut point in the stream: a
+// checkpoint quiesced before step si records it as OpsDone, and an
+// elastic restore slices the residual circuit there whatever fleet size
+// the plan was compiled for.
+func (rt *runtime) opsBefore(si int) int {
+	ops := 0
+	for i := range rt.plan.Steps[:si] {
+		if rt.plan.Steps[i].Kind == sched.StepGate {
+			ops++
+		}
 	}
-	return rt.blockOf[si]
+	return ops
 }
 
-// run walks the plan SPMD and returns the gathered, un-permuted result.
+// blockAt returns the 1-based schedule block of plan step si — a remap
+// closes the block it belongs to — or 0 for a plan without remaps
+// (nothing to attribute to).
+func (rt *runtime) blockAt(si int) int {
+	if rt.plan.Remaps == 0 {
+		return 0
+	}
+	block := 1
+	for i := range rt.plan.Steps[:si] {
+		if rt.plan.Steps[i].Kind == sched.StepRemap {
+			block++
+		}
+	}
+	return block
+}
+
+// run walks the plan SPMD and returns the un-permuted result.
 func (rt *runtime) run() (*Result, error) {
 	startT := time.Now()
+	steps := rt.plan.Steps
+	var groups []compile.TileGroup
+	if rt.Compiled.Tiles != nil {
+		groups = rt.Compiled.Tiles.Groups
+	}
 	err := rt.Comm.RunChecked(func(pe *pgas.PE) {
 		r := &rt.ranks[pe.Rank]
-		trk := rt.trace.Track(pe.Rank)
-		for si := rt.start; si < len(rt.plan.Steps); si++ {
-			if si > rt.start && rt.ck.due(si) {
-				stopNow := rt.stop.vote(pe)
-				k0 := time.Now()
-				var perm circuit.Permutation
-				if !rt.naive {
-					perm = r.perm
-				}
-				rt.ck.write(pe, r, si, rt.opsBefore[si], perm)
-				trk.SpanAt("checkpoint", k0, time.Now(), obs.SpanArgs{
-					Kind: "checkpoint", Phase: obs.PhaseCheckpoint, Block: rt.block(si)})
-				if stopNow {
-					// The checkpoint above is the final one; every rank
-					// unwinds identically with the interrupt.
-					pe.Fail(ErrInterrupted)
-				}
+		tr := StepTrace{trk: rt.trace.Track(pe.Rank), block: rt.blockAt(rt.start)}
+		gi := 0 // tile group holding (or following) the next step
+		for si := rt.start; si < len(steps); {
+			rt.cutPoint(pe, r, si, tr)
+			for gi < len(groups) && groups[gi].End <= si {
+				gi++
 			}
-			st := &rt.plan.Steps[si]
-			tr := StepTrace{trk: trk, label: rt.label[si], block: rt.block(si)}
+			if gi < len(groups) && groups[gi].Tiled && groups[gi].Start == si {
+				// A resume that lands inside a tiled group misses its start
+				// and finishes the group per gate (same kernels).
+				rt.tileGroup(r, groups[gi], tr)
+				si = groups[gi].End
+				continue
+			}
+			st := &steps[si]
+			si++
 			switch st.Kind {
 			case sched.StepGate:
 				op := &rt.c.Ops[st.Op]
@@ -337,13 +366,13 @@ func (rt *runtime) run() (*Result, error) {
 					// All ranks hold identical cbits, so all skip together.
 					continue
 				}
-				if trk == nil && rt.gm == nil {
+				if !tr.On() && rt.gm == nil {
 					rt.gateStep(pe, r, st.Op, tr)
 					continue
 				}
 				// Observed path: time the gate and attribute this rank's
 				// traffic delta to the span.
-				if trk != nil {
+				if tr.On() {
 					tr.label = gateLabel(&op.G)
 				}
 				c0 := rt.t.Counters(pe.Rank)
@@ -351,47 +380,48 @@ func (rt *runtime) run() (*Result, error) {
 				spanned := rt.gateStep(pe, r, st.Op, tr)
 				g1 := time.Now()
 				rt.gm.observe(op.G.Kind, g1.Sub(g0))
-				if trk != nil && !spanned {
+				if tr.On() && !spanned {
 					args := spanDelta(c0, rt.t.Counters(pe.Rank))
-					args.Kind, args.Qubits, args.Block = op.G.Kind.String(), qubitList(&op.G), tr.block
-					trk.SpanAt(tr.label, g0, g1, args)
+					args.Kind, args.Qubits = op.G.Kind.String(), qubitList(&op.G)
+					tr.Span("", g0, g1, args)
 				}
 			case sched.StepAlias:
 				r.perm.SwapLogical(st.A, st.B)
-				if trk != nil {
+				if tr.On() {
 					now := time.Now()
-					trk.SpanAt(tr.label, now, now, obs.SpanArgs{Kind: "alias", Block: tr.block})
+					tr.label = "alias q" + strconv.Itoa(st.A) + "<->q" + strconv.Itoa(st.B)
+					tr.Span("", now, now, obs.SpanArgs{Kind: "alias"})
 				}
 			case sched.StepRemap:
 				// Always executed, always on every rank. A folded remap
 				// acts on |0...0>, which every bit permutation fixes, so
 				// its data movement is elided and only the permutation
 				// bookkeeping applies.
+				tr.label = remapLabel(st.Swaps)
+				var moved int64
 				if st.Folded {
-					for _, sw := range st.Swaps {
-						r.perm.SwapPhysical(sw.Global, sw.Local)
+					tr.label += " folded"
+				} else {
+					r.markAll() // the exchange rewrites the whole partition
+					c0 := rt.t.Counters(pe.Rank)
+					i0, e0 := r.IntraBytes, r.InterBytes
+					phases := int64(rt.t.Remap(pe, r, si-1, tr))
+					d := spanDelta(c0, rt.t.Counters(pe.Rank))
+					moved = d.RemoteBytes + d.MsgBytes
+					rt.remapBytes.Observe(float64(moved))
+					rt.intraBytes.Add(r.IntraBytes - i0)
+					rt.interBytes.Add(r.InterBytes - e0)
+					if pe.Rank == 0 {
+						rt.remapCount.Add(1)
+						rt.phasesRun += phases
+						rt.exchPhases.Add(phases)
 					}
-					rt.flight.Record(pe.Rank, obs.EventRemap, tr.label+" folded", 0)
-					continue
 				}
-				r.markAll() // the exchange rewrites the whole partition
-				c0 := rt.t.Counters(pe.Rank)
-				i0, e0 := r.IntraBytes, r.InterBytes
-				phases := int64(rt.t.Remap(pe, r, si, tr))
 				for _, sw := range st.Swaps {
 					r.perm.SwapPhysical(sw.Global, sw.Local)
 				}
-				d := spanDelta(c0, rt.t.Counters(pe.Rank))
-				moved := d.RemoteBytes + d.MsgBytes
-				rt.remapBytes.Observe(float64(moved))
-				rt.intraBytes.Add(r.IntraBytes - i0)
-				rt.interBytes.Add(r.InterBytes - e0)
-				if pe.Rank == 0 {
-					rt.remapCount.Add(1)
-					rt.phasesRun += phases
-					rt.exchPhases.Add(phases)
-				}
 				rt.flight.Record(pe.Rank, obs.EventRemap, tr.label, moved)
+				tr.block++ // a remap closes the block it belongs to
 			}
 		}
 	})
@@ -401,25 +431,29 @@ func (rt *runtime) run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(startT)
-
-	// Un-permute partition by partition: logical index x lives at the
-	// physical index with bit Final[q] holding logical bit q (one copy
-	// per partition under the naive plan's identity).
-	st := statevec.New(rt.N)
 	res := &Result{
 		Backend:        rt.name,
-		State:          st,
 		Cbits:          rt.ranks[0].cbits,
 		Comm:           rt.Comm.TotalStats(),
-		Elapsed:        elapsed,
+		Elapsed:        time.Since(startT),
 		PEs:            rt.P,
 		ExchangePhases: rt.phasesRun,
 	}
+	if rt.P == 1 && rt.plan.Final.IsIdentity() {
+		// One rank in natural order: the partition is the state.
+		res.State = rt.ranks[0].Local
+	} else {
+		// Un-permute partition by partition: logical index x lives at the
+		// physical index with bit Final[q] holding logical bit q (one copy
+		// per partition under the identity).
+		res.State = statevec.New(rt.N)
+	}
 	for r := range rt.ranks {
 		run := &rt.ranks[r]
-		statevec.Unpermute(st.Re, run.Local.Re, r, rt.plan.Final)
-		statevec.Unpermute(st.Im, run.Local.Im, r, rt.plan.Final)
+		if res.State != run.Local {
+			statevec.Unpermute(res.State.Re, run.Local.Re, r, rt.plan.Final)
+			statevec.Unpermute(res.State.Im, run.Local.Im, r, rt.plan.Final)
+		}
 		res.SV.Add(run.Local.Stats)
 		res.SV.Add(run.Extra)
 		res.IntraBytes += run.IntraBytes
@@ -428,16 +462,114 @@ func (rt *runtime) run() (*Result, error) {
 	if rt.ck != nil {
 		res.Ckpt = rt.ck.stats
 	}
+	if groups != nil && rt.metrics != nil {
+		rt.metrics.Counter(obs.MetricBytesTouched).Add(res.SV.BytesTouched)
+		rt.metrics.Counter(obs.MetricTileSweeps).Add(res.SV.Sweeps)
+	}
 	if rt.trace != nil || rt.gm != nil {
 		res.Mem = obs.TakeMemSnapshot()
 	}
 	return res, nil
 }
 
+// cutPoint is the protocol every rank runs before plan step si: cut a
+// checkpoint when one is due, and honour the stop latch. Several ranks
+// cutting a checkpoint must act on the latch identically, so they vote
+// at the cut; with no checkpoint to cut together, or nobody to agree
+// with, any rank that reads the latch set unwinds the fleet — a lone
+// rank after a final checkpoint of the progress it made.
+func (rt *runtime) cutPoint(pe *pgas.PE, r *Rank, si int, tr StepTrace) {
+	cut := si > rt.start && rt.ck.due(si)
+	stopNow := false
+	if rt.ck == nil || rt.P == 1 {
+		stopNow = rt.stop.Triggered()
+		cut = cut || stopNow && rt.ck != nil && si > rt.start
+	} else if cut {
+		stopNow = rt.stop.vote(pe)
+	}
+	if cut {
+		k0 := time.Now()
+		var perm circuit.Permutation
+		if !rt.identity {
+			perm = r.perm
+		}
+		rt.ck.write(pe, r, si, rt.opsBefore(si), perm)
+		tr.label = "checkpoint"
+		tr.Span("", k0, time.Now(), obs.SpanArgs{Kind: "checkpoint", Phase: obs.PhaseCheckpoint})
+	}
+	if stopNow {
+		// Every rank unwinds with the interrupt; a checkpoint cut above
+		// is the final one.
+		pe.Fail(ErrInterrupted)
+	}
+}
+
+// tileGroup executes one tiled group of the plan as a single homogeneous
+// pass over the rank's window: every cache-resident tile has the whole
+// gate run replayed over it before the next, so the group costs one
+// memory sweep instead of one per gate. Conditions are evaluated once up
+// front — the planner never admits a MEASURE, so the classical register
+// cannot change mid-group — and gates apply as written (a tiled plan
+// never leaves the identity permutation). With a pool the tile index
+// space is split across the workers — parallelism over tiles, not over
+// one gate's index space. A tile is a window of the state and runs the
+// per-gate kernels, so the result is bit-identical to the per-gate path.
+func (rt *runtime) tileGroup(r *Rank, grp compile.TileGroup, tr StepTrace) {
+	ops := make([]int, 0, grp.End-grp.Start)
+	var gates int64
+	for si := grp.Start; si < grp.End; si++ {
+		op := &rt.c.Ops[rt.plan.Steps[si].Op]
+		if condSatisfied(op.Cond, r.cbits) {
+			ops = append(ops, rt.plan.Steps[si].Op)
+			if op.G.Kind != gate.BARRIER {
+				gates++
+			}
+		}
+	}
+	if len(ops) == 0 {
+		return
+	}
+	r.markAll()
+	st := r.Local
+	tb := uint(rt.Compiled.Tiles.TileBits)
+	tile := func(t int) (amps, flops int64) {
+		lo := t << tb
+		for _, oi := range ops {
+			a, f := st.ApplyTile(&rt.c.Ops[oi].G, lo, lo+1<<tb)
+			amps += a
+			flops += f
+		}
+		return amps, flops
+	}
+	g0 := time.Now()
+	var amps, flops int64
+	if rt.pool != nil {
+		amps, flops = rt.pool.ForTiles(st.Dim>>tb, tile)
+	} else {
+		for t := 0; t < st.Dim>>tb; t++ {
+			a, f := tile(t)
+			amps += a
+			flops += f
+		}
+	}
+	st.Stats.AddTileWork(gates, amps, flops)
+	st.Stats.AddSweep(int64(st.Dim))
+	// One span per group (gate latencies do not exist inside a
+	// homogeneous pass) and the per-block bytes counter.
+	if tr.On() {
+		tr.label = fmt.Sprintf("tile run (%d gates)", len(ops))
+		tr.Span("", g0, time.Now(), obs.SpanArgs{Kind: "tile", Phase: obs.PhaseTile})
+	}
+	if rt.metrics != nil {
+		rt.metrics.Counter(obs.MetricBytesTouched + ".block" + strconv.Itoa(tr.block)).Add(int64(st.Dim) * 16)
+	}
+}
+
 // gateStep executes one circuit op at its current physical positions
-// and, under the naive plan, the grid sync that closes it (and the one
-// between a RESET's measurement and its X). It reports whether the
-// transport recorded sub-spans in place of the parent gate span.
+// and, under the naive plan on several ranks, the grid sync that closes
+// it (and the one between a RESET's measurement and its X). It reports
+// whether the transport recorded sub-spans in place of the parent gate
+// span.
 func (rt *runtime) gateStep(pe *pgas.PE, r *Rank, opIdx int, tr StepTrace) (spanned bool) {
 	g := &rt.c.Ops[opIdx].G
 	switch g.Kind {
@@ -447,7 +579,7 @@ func (rt *runtime) gateStep(pe *pgas.PE, r *Rank, opIdx int, tr StepTrace) (span
 		r.cbits = setCbit(r.cbits, int(g.Cbit), rt.measure(pe, r, int(g.Qubits[0])))
 	case gate.RESET:
 		if q := int(g.Qubits[0]); rt.measure(pe, r, q) == 1 {
-			if rt.naive {
+			if rt.gateSync {
 				pe.Barrier() // every partition collapsed before the X pairs across them
 			}
 			x := gate.NewX(q)
@@ -457,7 +589,7 @@ func (rt *runtime) gateStep(pe *pgas.PE, r *Rank, opIdx int, tr StepTrace) (span
 	default:
 		spanned = rt.apply(pe, r, g, rt.Compiled.Classes[opIdx], tr)
 	}
-	if rt.naive {
+	if rt.gateSync {
 		var b0 time.Time
 		if spanned {
 			b0 = time.Now()
@@ -476,17 +608,20 @@ func (rt *runtime) gateStep(pe *pgas.PE, r *Rank, opIdx int, tr StepTrace) (span
 // remote-gate routine otherwise. cls is nil for the kinds the compile
 // pipeline does not classify (GPHASE), which never cross.
 func (rt *runtime) apply(pe *pgas.PE, r *Rank, g *gate.Gate, cls *gate.Class, tr StepTrace) bool {
-	pg := r.perm.PhysicalGate(g)
+	if !rt.identity {
+		pg := r.perm.PhysicalGate(g)
+		g = &pg
+	}
 	nc := g.Kind.NumControls()
 	remote := false
-	if cls != nil && !cls.Diag {
-		for _, t := range pg.Targets() {
+	if rt.P > 1 && cls != nil && !cls.Diag {
+		for _, t := range g.Targets() {
 			remote = remote || int(t) >= rt.LocalBits
 		}
 	}
 	if remote {
 		pc := gate.Class{U: cls.U}
-		for i, q := range pg.OperandQubits() {
+		for i, q := range g.OperandQubits() {
 			if i < nc {
 				pc.Ctrls = append(pc.Ctrls, int(q))
 			} else {
@@ -496,37 +631,48 @@ func (rt *runtime) apply(pe *pgas.PE, r *Rank, g *gate.Gate, cls *gate.Class, tr
 		r.markAll() // peers may write into this partition
 		return rt.t.RemoteGate(pe, r, &pc, tr)
 	}
-	// Write tracking: only amplitudes satisfying every LOCAL control bit
-	// can change (global controls merely gate the whole partition,
-	// conservatively ignored).
-	var localMask int
-	for _, c := range pg.Qubits[:nc] {
-		if int(c) < rt.LocalBits {
-			localMask |= 1 << uint(c)
+	if r.dirty != nil {
+		// Write tracking: only amplitudes satisfying every LOCAL control
+		// bit can change (global controls merely gate the whole
+		// partition, conservatively ignored).
+		var localMask int
+		for _, c := range g.Qubits[:nc] {
+			if int(c) < rt.LocalBits {
+				localMask |= 1 << uint(c)
+			}
 		}
+		r.dirty.MarkCtrls(localMask)
 	}
-	r.markCtrls(localMask)
-	r.Local.Apply(&pg)
+	if rt.pool != nil {
+		rt.pool.ApplyShared(r.Local, g)
+	} else {
+		r.Local.Apply(g)
+	}
 	return false
 }
 
-// measure performs a distributed projective measurement of logical qubit
-// q at its current physical position: the windows' probability shares
-// are combined with one all-reduce, every rank draws the same uniform
-// number from its replicated stream, and each collapses its partition.
+// measure performs a projective measurement of logical qubit q at its
+// current physical position: the windows' probability shares are
+// combined with one all-reduce (a lone window's share is the
+// probability), every rank draws the same uniform number from its
+// replicated stream, and each collapses its partition.
 func (rt *runtime) measure(pe *pgas.PE, r *Rank, q int) int {
 	phys := r.perm[q]
 	r.markAll() // collapse renormalizes the whole partition
-	partial := r.Local.ProbOne(phys)
-	p1 := pe.AllReduceSum(partial)
+	p1 := r.Local.ProbOne(phys)
+	if rt.P > 1 {
+		p1 = pe.AllReduceSum(p1)
+	}
 	outcome := 0
 	if r.draw() < p1 {
 		outcome = 1
 	}
 	r.Local.Project(phys, outcome, p1)
 	r.Extra.Gates++
+	r.Extra.Sweeps++
 	r.Extra.AmpsTouched += int64(rt.S)
 	r.Extra.BytesTouched += int64(rt.S) * 16
+	r.Extra.FlopEst += int64(rt.S) * 2
 	return outcome
 }
 
@@ -539,15 +685,16 @@ func runOnce(name string, cfg Config, cp *compile.CompiledPlan, nt NewTransport)
 	return rt.run()
 }
 
-// RunDistributed compiles c and executes it on cfg.PEs ranks over the
-// transport nt builds, driving the graceful-degradation loop: a
+// Run compiles c and executes it on cfg.PEs ranks over the transport nt
+// builds — the one entry point behind every backend — driving the
+// graceful-degradation loop: a
 // recoverable rank failure (injected kill, stalled barrier, exhausted
 // retry budget) restarts the run from its latest complete checkpoint up
 // to cfg.MaxRestarts times — or, with cfg.Elastic, re-shards it onto
 // half the fleet; without a checkpoint to restart from, or past the
 // budget, the run reports a structured RunFailure. backend names the
 // run in results and checkpoint manifests.
-func RunDistributed(backend string, cfg Config, c *circuit.Circuit, nt NewTransport) (*Result, error) {
+func Run(backend string, cfg Config, c *circuit.Circuit, nt NewTransport) (*Result, error) {
 	if err := checkCircuit(c, 64); err != nil {
 		return nil, err
 	}

@@ -28,8 +28,15 @@ func RunShots(b Backend, c *circuit.Circuit, shots int, seed int64) (map[uint64]
 		}
 		return counts, nil
 	}
+	cb, _ := b.(*backend)
 	for s := 0; s < shots; s++ {
-		res, err := backendWithSeed(b, seed+int64(s)).Run(c)
+		if cb != nil {
+			// A fresh random stream per shot, the configuration kept.
+			sb := *cb
+			sb.cfg.Seed = seed + int64(s)
+			b = &sb
+		}
+		res, err := b.Run(c)
 		if err != nil {
 			return nil, err
 		}
@@ -91,24 +98,4 @@ func classicalValue(idx int, measures map[int]int, numClbits int) uint64 {
 	}
 	_ = numClbits
 	return v
-}
-
-// backendWithSeed rebuilds a backend with a different seed, preserving
-// its other configuration.
-func backendWithSeed(b Backend, seed int64) Backend {
-	switch t := b.(type) {
-	case *SingleDevice:
-		cfg := t.cfg
-		cfg.Seed = seed
-		return NewSingleDevice(cfg)
-	case *ScaleUp:
-		cfg := t.cfg
-		cfg.Seed = seed
-		return NewScaleUp(cfg)
-	case *ScaleOut:
-		cfg := t.cfg
-		cfg.Seed = seed
-		return NewScaleOut(cfg)
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"svsim/internal/circuit"
@@ -106,5 +107,37 @@ func TestRunShotsResetForcesPerShot(t *testing.T) {
 	}
 	if counts[0] != 50 {
 		t.Fatalf("reset shots: %v", counts)
+	}
+}
+
+// TestRunShotsAcrossBackends pins per-shot re-seeding on every backend:
+// a gate after a measurement forces one simulation per shot, and each
+// must draw from its own stream — the same one on every backend, so the
+// histograms agree shot for shot.
+func TestRunShotsAcrossBackends(t *testing.T) {
+	c := circuit.New("twocoins", 2)
+	c.H(0)
+	c.Measure(0, 0)
+	c.H(1)
+	c.Measure(1, 1)
+	want, err := RunShots(NewSingleDevice(Config{}), c, 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 4 {
+		t.Fatalf("single: two fair coins gave %v", want)
+	}
+	for _, b := range []Backend{
+		NewThreaded(Config{PEs: 2}),
+		NewScaleUp(Config{PEs: 2}),
+		NewScaleOut(Config{PEs: 2}),
+	} {
+		got, err := RunShots(b, c, 200, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name(), err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: histogram %v, single gives %v", b.Name(), got, want)
+		}
 	}
 }

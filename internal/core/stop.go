@@ -5,14 +5,14 @@ import (
 	"sync/atomic"
 
 	"svsim/internal/pgas"
-	"svsim/internal/statevec"
 )
 
 // Graceful shutdown: a signal handler (or any controller) triggers a
-// StopLatch; the executors observe it at safe cut points, write one
-// final checkpoint there, and unwind with ErrInterrupted so the caller
-// can flush observability sinks and exit cleanly instead of losing the
-// run's progress to a SIGTERM.
+// StopLatch; the step loop observes it at its cut points (runtime.go,
+// cutPoint), writes one final checkpoint there when checkpointing is
+// configured, and unwinds with ErrInterrupted so the caller can flush
+// observability sinks and exit cleanly instead of losing the run's
+// progress to a SIGTERM.
 
 // ErrInterrupted is the terminal error of a run stopped by a triggered
 // StopLatch. The run's state is NOT complete, but when checkpointing
@@ -35,8 +35,8 @@ func (s *StopLatch) Triggered() bool { return s != nil && s.v.Load() }
 // vote reaches fleet consensus on the latch inside an SPMD region: PEs
 // race the signal handler, so individual reads may disagree; the
 // all-reduce makes every PE act identically at the same cut point.
-// Only called at sites every PE reaches together (checkpoint
-// boundaries), so the collective cannot mismatch.
+// Only called at sites every PE reaches together (checkpoint cuts), so
+// the collective cannot mismatch.
 func (s *StopLatch) vote(pe *pgas.PE) bool {
 	if s == nil {
 		return false
@@ -46,20 +46,4 @@ func (s *StopLatch) vote(pe *pgas.PE) bool {
 		v = 1
 	}
 	return pe.AllReduceSum(v) > 0
-}
-
-// stopLocal checks the latch at a safe cut point of a single-node run:
-// when triggered it writes a final checkpoint at step t (if
-// checkpointing is configured and progress was made past the resume
-// point) and returns ErrInterrupted.
-func stopLocal(stop *StopLatch, cw *ckptWriter, st *statevec.State, t, startGate int, cbits uint64, draws int64) error {
-	if !stop.Triggered() {
-		return nil
-	}
-	if cw != nil && t > startGate {
-		if err := cw.writeLocal(st, t, t, cbits, draws); err != nil {
-			return err
-		}
-	}
-	return ErrInterrupted
 }

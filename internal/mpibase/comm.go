@@ -3,7 +3,7 @@
 // communication layer and the transport that handles amplitudes crossing
 // partitions by packing them into coarse-grained messages, exchanging
 // them between partner ranks, and computing locally. The simulators
-// themselves are the shared distributed runtime of internal/core walking
+// themselves are the shared runtime of internal/core walking
 // a naive plan (New: pack–exchange–compute per global-qubit gate) or a
 // lazy plan (NewRemap: JUQCS-style qubit remapping) over that transport.
 //

@@ -152,6 +152,24 @@ func TestMpiElasticShrinkOnKill(t *testing.T) {
 	}
 }
 
+// TestMpiStopWithoutCheckpoint: with checkpointing off there is no cut
+// to vote at, yet a triggered latch must still stop the fleet — any rank
+// that reads it at a step boundary unwinds everyone.
+func TestMpiStopWithoutCheckpoint(t *testing.T) {
+	c := randomCircuit(rand.New(rand.NewSource(24)), 6, 60)
+	c.Measure(1, 0)
+	for _, ranks := range []int{2, 4} {
+		for name, mk := range map[string]func(Config) *Simulator{"mpi": New, "remap": NewRemap} {
+			stop := &core.StopLatch{}
+			stop.Trigger()
+			sim := mk(Config{Ranks: ranks, Seed: 11, Stop: stop})
+			if _, err := sim.Run(c); !errors.Is(err, ErrInterrupted) {
+				t.Errorf("%s at %d ranks: want ErrInterrupted, got %v", name, ranks, err)
+			}
+		}
+	}
+}
+
 // TestMpiStopWritesFinalCheckpoint checks graceful shutdown: a stop
 // request makes the fleet publish one final checkpoint and unwind with
 // ErrInterrupted; a later resume finishes bit-identical.

@@ -67,8 +67,9 @@ type Config struct {
 	// state (elastic restore, see ckpt.ReshardLogical) instead of |0..0>.
 	// Applied before Resume.
 	Init *ckpt.WarmStart
-	// Stop, if non-nil, is polled at checkpoint boundaries; once
-	// triggered the fleet writes one final checkpoint there and unwinds
+	// Stop, if non-nil, is polled at checkpoint boundaries — at every
+	// step boundary when checkpointing is off; once triggered the fleet
+	// writes one final checkpoint there (when configured) and unwinds
 	// with ErrInterrupted (graceful shutdown).
 	Stop *core.StopLatch
 	// Elastic permits recovery at a smaller fleet: when a rank is killed
@@ -158,7 +159,7 @@ func (s *Simulator) coreConfig() core.Config {
 // to MaxRestarts times, before reporting a structured RunFailure.
 func (s *Simulator) Run(c *circuit.Circuit) (*Result, error) {
 	a := attempts{metrics: s.cfg.Metrics}
-	res, err := core.RunDistributed(backend, s.coreConfig(), c, a.transport)
+	res, err := core.Run(backend, s.coreConfig(), c, a.transport)
 	return a.result(res, err)
 }
 
