@@ -23,11 +23,13 @@ type trajMetric struct {
 
 // trajMetrics are the trajectory charts, in report order: wall time and
 // compile time (noisy, machine-dependent) bracket the deterministic
-// remote-byte series that CI gates on.
+// remote-byte series that CI gates on; bind_ns is the share of compile
+// time spent binding parameters into cached plans (the sweep records).
 var trajMetrics = []trajMetric{
 	{"elapsed_ns", "ns", func(r *record) int64 { return r.ElapsedNS }},
 	{"comm_remote_bytes", "B", func(r *record) int64 { return r.CommRemoteBytes }},
 	{"compile_ns", "ns", func(r *record) int64 { return r.CompileNS }},
+	{"bind_ns", "ns", func(r *record) int64 { return r.BindNS }},
 }
 
 // snapshot is one BENCH file resolved into a labeled point in time.

@@ -47,6 +47,7 @@ type record struct {
 	FusedGates      int64   `json:"fused_gates,omitempty"`
 	Remaps          int64   `json:"remaps,omitempty"`
 	CompileNS       int64   `json:"compile_ns,omitempty"`
+	BindNS          int64   `json:"bind_ns,omitempty"`
 	PlanCacheHits   int64   `json:"plan_cache_hits,omitempty"`
 	PlanCacheMisses int64   `json:"plan_cache_misses,omitempty"`
 }

@@ -21,8 +21,8 @@
 //     single-node path — a TilePlan of gate runs that fit cache-resident
 //     tiles of the amplitude arrays. Plans are memoized in an LRU
 //     compile.Cache keyed on the parameter-free circuit skeleton, so
-//     variational sweeps plan once per ansatz shape and re-bind
-//     parameters into verified cache hits.
+//     variational sweeps compile once per ansatz shape; a cache hit
+//     only re-binds the parameter-dependent gates of the cached plan.
 //
 //   - Execute (internal/core and friends). Six backends consume the one
 //     CompiledPlan: single (one rank, specialized SoA kernels), threaded

@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -120,39 +119,61 @@ func (s *Stats) Add(o Stats) {
 	s.NS += o.NS
 }
 
+// Hash is the FNV-1a 64 state behind the fingerprints a manifest records
+// (the circuit's here, compile's plan fingerprint): the values of
+// hash/fnv's New64a, without the interface and the staging buffer. They
+// are persisted, so the byte stream a fingerprint feeds it must never
+// change.
+type Hash uint64
+
+// NewHash returns the FNV-1a offset basis.
+func NewHash() Hash { return 14695981039346656037 }
+
+// U64 hashes v as eight little-endian bytes.
+func (h *Hash) U64(v uint64) {
+	x := uint64(*h)
+	for i := 0; i < 8; i++ {
+		x = (x ^ v&0xff) * 1099511628211
+		v >>= 8
+	}
+	*h = Hash(x)
+}
+
+// Str hashes the bytes of s.
+func (h *Hash) Str(s string) {
+	x := uint64(*h)
+	for i := 0; i < len(s); i++ {
+		x = (x ^ uint64(s[i])) * 1099511628211
+	}
+	*h = Hash(x)
+}
+
 // Fingerprint hashes the structural identity of a circuit (FNV-1a over
 // name, register sizes, and every op) so a resume against a different
 // circuit is rejected instead of producing garbage.
 func Fingerprint(c *circuit.Circuit) uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 8)
-	wu := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> uint(8*i))
-		}
-		h.Write(buf)
-	}
-	io.WriteString(h, c.Name)
-	wu(uint64(c.NumQubits))
-	wu(uint64(c.NumClbits))
+	h := NewHash()
+	h.Str(c.Name)
+	h.U64(uint64(c.NumQubits))
+	h.U64(uint64(c.NumClbits))
 	for i := range c.Ops {
 		op := &c.Ops[i]
-		wu(uint64(op.G.Kind))
-		wu(uint64(op.G.NQ))
+		h.U64(uint64(op.G.Kind))
+		h.U64(uint64(op.G.NQ))
 		for _, q := range op.G.OperandQubits() {
-			wu(uint64(q))
+			h.U64(uint64(q))
 		}
 		for _, p := range op.G.ParamSlice() {
-			wu(math.Float64bits(p))
+			h.U64(math.Float64bits(p))
 		}
-		wu(uint64(int64(op.G.Cbit)))
+		h.U64(uint64(int64(op.G.Cbit)))
 		if op.Cond != nil {
-			wu(uint64(op.Cond.Offset))
-			wu(uint64(op.Cond.Width))
-			wu(op.Cond.Value)
+			h.U64(uint64(op.Cond.Offset))
+			h.U64(uint64(op.Cond.Width))
+			h.U64(op.Cond.Value)
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // StepDir names the directory of the checkpoint taken at a schedule step.

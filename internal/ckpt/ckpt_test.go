@@ -9,6 +9,7 @@ import (
 
 	"svsim/internal/circuit"
 	"svsim/internal/gate"
+	"svsim/internal/qasmbench"
 	"svsim/internal/statevec"
 )
 
@@ -186,5 +187,29 @@ func TestFingerprintSensitivity(t *testing.T) {
 	c2.Append(gate.NewH(0), gate.NewCX(1, 0), gate.NewRZ(0.5, 2))
 	if Fingerprint(build(0.5)) == Fingerprint(c2) {
 		t.Fatal("operand swap not reflected in fingerprint")
+	}
+}
+
+// TestFingerprintGolden pins Fingerprint to the values hash/fnv's New64a
+// produced before the hash was inlined: manifests record it, so a
+// checkpoint written by an older build must still resume.
+func TestFingerprintGolden(t *testing.T) {
+	c := circuit.New("golden", 5)
+	c.NumClbits = 2
+	c.H(0)
+	c.CX(0, 1)
+	c.U3(0.25, -1.5, 3.0, 2)
+	c.Append(gate.NewCRZ(0.75, 3, 4))
+	c.Append(gate.NewMeasure(1, 0))
+	c.AppendCond(gate.NewX(2), circuit.Condition{Offset: 0, Width: 2, Value: 1})
+	if got, want := Fingerprint(c), uint64(0x1bd361f22e233435); got != want {
+		t.Fatalf("Fingerprint(golden) = %#016x, want %#016x", got, want)
+	}
+	e, err := qasmbench.ByName("qft_n15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := Fingerprint(e.Build()), uint64(0x830354418b3c0190); got != want {
+		t.Fatalf("Fingerprint(qft_n15) = %#016x, want %#016x", got, want)
 	}
 }

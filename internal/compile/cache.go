@@ -4,8 +4,7 @@ import (
 	"container/list"
 	"sync"
 
-	"svsim/internal/circuit"
-	"svsim/internal/sched"
+	"svsim/internal/fusion"
 )
 
 // DefaultCacheSize is the plan-cache capacity used when a caller wants
@@ -13,19 +12,28 @@ import (
 // ansatz shape, so even small caches stay hot).
 const DefaultCacheSize = 64
 
-// entry is one memoized compilation: everything parameter-independent
-// that a verified hit can reuse.
+// entry is one memoized compilation: the compiled template and where a
+// new binding's parameters go into it (see entry.bind).
 type entry struct {
-	boundaries []int
-	plan       *sched.Plan
-	exchanges  []*sched.Exchange
-	twoLevels  []*sched.TwoLevel
-	permTrace  []circuit.Permutation
-	skeletonFP uint64
-	planFP     uint64
-	origSig    uint64 // demand signature of the source stream (block-aware compiles)
-	fusedSig   uint64 // demand signature of the executable stream
-	owner      string // attribution label of the view that compiled it
+	// tmpl is the plan of the binding that missed, minus Source and Tiles
+	// (and minus Circuit when unfused: such a plan executes its source).
+	// Everything it points to is shared read-only with every hit.
+	tmpl   CompiledPlan
+	recipe *fusion.Recipe // how tmpl.Circuit depends on parameters; nil when unfused
+	// sites lists the executable ops whose class depends on a parameter,
+	// siteData the matrix elements those classes hold in total.
+	sites    []int32
+	siteData int
+	srcSites []srcSite // block-aware compiles: what the provisional plan saw
+	check    uint64    // second skeleton hash, compared before any index is trusted
+	owner    string    // attribution label of the view that compiled it
+}
+
+// srcSite is a source op whose diagonality depends on its parameters,
+// and the answer under the binding the entry was compiled from.
+type srcSite struct {
+	op   int32
+	diag bool
 }
 
 // Cache is a thread-safe LRU of compiled plans keyed on circuit
@@ -50,7 +58,7 @@ type cacheStore struct {
 	byKey  map[uint64]*list.Element
 	hits   int64
 	misses int64
-	// cross counts verified hits served to a view whose label differs
+	// cross counts hits served to a view whose label differs
 	// from the label that compiled the entry — the shared-cache payoff
 	// the service dashboard reports (tenant B reusing tenant A's plan).
 	cross   int64
@@ -62,10 +70,17 @@ type cacheStore struct {
 	inflight map[uint64]chan struct{}
 }
 
+// lruItem is one cached skeleton. It holds up to maxVariants templates,
+// newest first: a binding that does not fit the cached template (a zero
+// angle in a sweep, an optimizer's all-zeros starting point) is compiled
+// fresh and kept beside it rather than in its place, so one odd point
+// costs one compile, not two.
 type lruItem struct {
 	key uint64
-	e   *entry
+	es  []*entry
 }
+
+const maxVariants = 2
 
 // NewCache returns an LRU plan cache holding up to capacity skeletons
 // (capacity < 1 is clamped to 1; use DefaultCacheSize when unsure).
@@ -102,9 +117,10 @@ func (c *Cache) Label() string {
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness. Hits
-// count verified hits only; a lookup whose signature check failed is a
-// miss. CrossLabelHits counts the subset of hits where the entry was
-// compiled under a different attribution label (a cross-tenant reuse).
+// count completed rebinds only; a lookup whose binding did not fit the
+// cached template is a miss. CrossLabelHits counts the subset of hits
+// where the entry was compiled under a different attribution label (a
+// cross-tenant reuse).
 type CacheStats struct {
 	Hits           int64
 	Misses         int64
@@ -152,16 +168,18 @@ func (s *cacheStore) labelStatsLocked(label string) *CacheStats {
 	return ls
 }
 
-func (c *Cache) get(key uint64) (*entry, bool) {
+// get returns the templates cached under key, newest first (nil when the
+// key is cold). The slice is never modified after it is handed out.
+func (c *Cache) get(key uint64) []*entry {
 	s := c.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.byKey[key]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	s.ll.MoveToFront(el)
-	return el.Value.(*lruItem).e, true
+	return el.Value.(*lruItem).es
 }
 
 func (c *Cache) put(key uint64, e *entry) {
@@ -170,11 +188,19 @@ func (c *Cache) put(key uint64, e *entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.byKey[key]; ok {
-		el.Value.(*lruItem).e = e
+		// The binding fit no cached template: keep its own in front of
+		// them, in place of the oldest when full. Slices handed out by get
+		// are never written.
+		it := el.Value.(*lruItem)
+		es := append([]*entry{e}, it.es...)
+		if len(es) > maxVariants {
+			es = es[:maxVariants]
+		}
+		it.es = es
 		s.ll.MoveToFront(el)
 		return
 	}
-	s.byKey[key] = s.ll.PushFront(&lruItem{key: key, e: e})
+	s.byKey[key] = s.ll.PushFront(&lruItem{key: key, es: []*entry{e}})
 	for s.ll.Len() > s.cap {
 		oldest := s.ll.Back()
 		s.ll.Remove(oldest)
@@ -218,20 +244,18 @@ func (c *Cache) end(key uint64) {
 	}
 }
 
-// recordHit attributes a verified hit on key to this view's label; a
-// hit on an entry another label compiled also counts as cross-label.
-func (c *Cache) recordHit(key uint64) {
+// recordHit attributes a hit on template e to this view's label; a hit
+// on a template another label compiled also counts as cross-label.
+func (c *Cache) recordHit(e *entry) {
 	s := c.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hits++
 	ls := s.labelStatsLocked(c.label)
 	ls.Hits++
-	if el, ok := s.byKey[key]; ok {
-		if owner := el.Value.(*lruItem).e.owner; owner != c.label {
-			s.cross++
-			ls.CrossLabelHits++
-		}
+	if e.owner != c.label {
+		s.cross++
+		ls.CrossLabelHits++
 	}
 }
 

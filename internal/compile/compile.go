@@ -17,16 +17,28 @@
 // Plans are cacheable: parameterized circuits in a variational sweep
 // share a skeleton (gate kinds + qubit pattern, parameter values
 // excluded), so an LRU Cache keyed on that skeleton lets
-// batch.Runner/EnergySweep plan once per ansatz shape and re-bind
-// parameters into the cached plan. Because fusion's *output shape* can
-// depend on parameter values (a run may collapse to an identity for
-// degenerate angles) and sched.Build consults per-gate diagonality
-// (also parameter-dependent), a cache hit is verified, not trusted: the
-// hit re-runs fusion with the cached boundaries and compares demand
-// signatures of both streams against the cached plan's; any mismatch
-// falls back to a full compile, counted as a miss. A verified hit is
-// bit-identical to a fresh compile because sched.Build is a pure
-// function of the demand signature.
+// batch.Runner/EnergySweep compile once per ansatz shape. A cache entry
+// is the compiled template — the plan of the binding that missed, shared
+// read-only — plus its bind sites: the executable ops whose gate or
+// classification depends on a parameter, recorded by fusion while it
+// fused (fusion.Recipe) and, with fusion off, read off the classes. A
+// hit is a rebind, not a recompile: one walk of the source for the
+// skeleton hashes (the cache key, and a second hash the entry compares so
+// that a collision on the key costs a miss instead of running another
+// circuit's constant gates), one copy of the template's op and class
+// slices, and per bind site the angles re-read, the run multiplied out
+// and decomposed by the code the cold path uses, and that one gate
+// re-classified. Nothing
+// else about a compile depends on a parameter value, except through
+// each site's outcome tag — whether its run left an op, of which kind,
+// and whether that op's unitary is diagonal (sched.Build lets a diagonal
+// gate's targets sit anywhere). Equal tags at every site (plus, under
+// block-aware fusion, equal diagonality of the parametric source ops the
+// provisional plan saw) mean fusion, cancellation and scheduling would
+// retrace the template's steps exactly, so a hit is bit-identical to a
+// fresh compile by construction. A binding that lands on another tag —
+// an rx(0), a run collapsing to the identity, a global phase appearing —
+// is compiled fresh and counted as a miss.
 //
 // With Config.Tile set, the pipeline additionally attaches a TilePlan
 // (tile.go): per schedule block, maximal runs of gates whose kernels
@@ -42,8 +54,6 @@ package compile
 
 import (
 	"fmt"
-	gohash "hash"
-	"hash/fnv"
 	"math/bits"
 	"time"
 
@@ -86,8 +96,9 @@ type Config struct {
 }
 
 // CompiledPlan is the immutable artifact every backend executes. Treat
-// all fields as read-only: on a cache hit the Plan, Exchanges, and
-// PermTrace are shared between concurrent runs.
+// all fields as read-only: on a cache hit everything but Source, the
+// Circuit/Classes slices and the entries at bind sites is the cached
+// template's, shared between concurrent runs.
 type CompiledPlan struct {
 	Source  *circuit.Circuit // circuit as handed to Compile
 	Circuit *circuit.Circuit // executable gate stream (fused when Fused)
@@ -124,9 +135,8 @@ type CompiledPlan struct {
 
 	Fusion fusion.Stats
 
-	Fingerprint uint64 // full source-circuit hash (parameters included)
-	SkeletonFP  uint64 // skeleton hash (parameters excluded)
-	PlanFP      uint64 // schedule-structure hash, recorded in checkpoints
+	SkeletonFP uint64 // skeleton hash (parameters excluded)
+	PlanFP     uint64 // schedule-structure hash, recorded in checkpoints
 
 	NumQubits int
 	PEs       int
@@ -135,7 +145,9 @@ type CompiledPlan struct {
 	Fused     bool
 }
 
-// Stats reports what one Compile call did and where the time went.
+// Stats reports what one Compile call did and where the time went. A
+// cache hit spends its time in BindNS (the stage counters stay zero) and
+// reports the template's Fusion and Remaps.
 type Stats struct {
 	CacheHit   bool
 	Fusion     fusion.Stats
@@ -144,6 +156,7 @@ type Stats struct {
 	PlanNS     int64
 	ClassifyNS int64
 	ExchangeNS int64
+	BindNS     int64
 	TotalNS    int64
 }
 
@@ -174,30 +187,39 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 	blockAware := cfg.Fuse && pol == sched.Lazy && localBits < n
 
 	var st Stats
-	key := cacheKey(SkeletonFingerprint(c), cfg.Fuse, pol, p, localBits, cfg.Topo.PEsPerNode)
+	skel, check := skeletonHashes(c)
+	key := cacheKey(skel, cfg.Fuse, pol, p, localBits, cfg.Topo.PEsPerNode)
 	owner := false
 	if cfg.Cache != nil {
-		// Single-flight lookup loop: a verified hit returns immediately;
-		// a cold key is claimed by exactly one caller (the others wait
-		// for it, then hit). A present-but-unverifiable entry (parameter
-		// binding changed the fusion shape or a gate's diagonality)
+		// Single-flight lookup loop: a hit returns immediately; a cold key
+		// is claimed by exactly one caller (the others wait for it, then
+		// hit). A binding that fits none of the key's templates (its
+		// parameters change the fusion shape or a gate's diagonality)
 		// drops out and recompiles without claiming.
 		for {
-			present := false
-			if _, present = cfg.Cache.get(key); present {
-				if cp, ok := tryCached(c, cfg, key, pol, p, localBits, blockAware, &st); ok {
-					if cfg.Tile {
-						// tryCached builds a fresh CompiledPlan per hit
-						// (only Plan/Exchanges/PermTrace are shared), so
-						// attaching the tile schedule is hit-local.
-						cp.Tiles = BuildTilePlan(cp, cfg.TileBits)
-					}
-					st.CacheHit = true
-					st.TotalNS = time.Since(t0).Nanoseconds()
-					cfg.Cache.recordHit(key)
-					recordMetrics(cfg.Metrics, &st, true)
-					return cp, st, nil
+			es := cfg.Cache.get(key)
+			tb := time.Now()
+			for _, e := range es {
+				cp, ok := e.bind(c, check, blockAware)
+				if !ok {
+					continue
 				}
+				st.BindNS = time.Since(tb).Nanoseconds()
+				if cfg.Tile {
+					// bind builds a fresh CompiledPlan per hit, so attaching
+					// the tile schedule is hit-local.
+					cp.Tiles = BuildTilePlan(cp, cfg.TileBits)
+				}
+				st.CacheHit = true
+				st.Fusion = cp.Fusion
+				st.Remaps = cp.Plan.Remaps
+				st.TotalNS = time.Since(t0).Nanoseconds()
+				cfg.Cache.recordHit(e)
+				recordMetrics(cfg.Metrics, &st, true)
+				return cp, st, nil
+			}
+			if es != nil {
+				st.BindNS = time.Since(tb).Nanoseconds()
 				break
 			}
 			if cfg.Cache.begin(key) {
@@ -210,7 +232,7 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 			defer cfg.Cache.end(key)
 		}
 	}
-	cp, e, err := compileFresh(c, cfg, pol, p, localBits, blockAware, &st)
+	cp, e, err := compileFresh(c, cfg, skel, check, pol, p, localBits, blockAware, &st)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -226,68 +248,60 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 	return cp, st, nil
 }
 
-// tryCached attempts a verified cache hit: re-run fusion with the cached
-// block boundaries, then check that the demand signatures of the source
-// and executable streams match what the cached plan was built from. Any
-// mismatch (a parameter binding that changed the fusion shape or a
-// gate's diagonality) reports no hit and the caller compiles fresh.
-func tryCached(c *circuit.Circuit, cfg Config, key uint64, pol sched.Policy, p, localBits int, blockAware bool, st *Stats) (*CompiledPlan, bool) {
-	e, ok := cfg.Cache.get(key)
-	if !ok {
+// bind is a cache hit: it writes binding c — whose second skeleton hash
+// is check — into a copy of the template, touching only the bind sites.
+// ok is false when c is not the skeleton the entry was compiled from (a
+// collision on the cache key), or when some site's outcome tag differs
+// from the template's, i.e. when a fresh compile of c would not have the
+// template's shape; the caller then compiles fresh.
+func (e *entry) bind(c *circuit.Circuit, check uint64, blockAware bool) (*CompiledPlan, bool) {
+	if check != e.check {
 		return nil, false
 	}
-	n := c.NumQubits
+	var buf [16]complex128
 	if blockAware {
-		// The boundaries were derived from a provisional plan of the
-		// source stream; they only transfer if the source demands the
-		// same locality.
-		if demandSignature(c, classifyOps(c), n, localBits) != e.origSig {
-			return nil, false
+		// The boundaries came from a provisional plan of the source
+		// stream; they only transfer if its gates demand the same locality.
+		for _, s := range e.srcSites {
+			n := gate.TargetUnitaryInto(&c.Ops[s.op].G, buf[:])
+			if (gate.Matrix{N: n, Data: buf[:n*n]}).IsDiagonal() != s.diag {
+				return nil, false
+			}
 		}
 	}
-	exec := c
-	var spans []fusion.Span
-	var fstats fusion.Stats
-	if cfg.Fuse {
-		tf := time.Now()
-		exec, spans, fstats = fusion.OptimizeBlocks(c, e.boundaries)
-		st.FuseNS = time.Since(tf).Nanoseconds()
+	cp := e.tmpl
+	cp.Source, cp.Circuit = c, c
+	if e.recipe != nil {
+		ops := append([]circuit.Op(nil), e.tmpl.Circuit.Ops...)
+		if !e.recipe.Rebind(c, ops) {
+			return nil, false
+		}
+		cp.Circuit = &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, NumClbits: c.NumClbits, Ops: ops}
 	}
-	tc := time.Now()
-	classes := classifyOps(exec)
-	st.ClassifyNS = time.Since(tc).Nanoseconds()
-	if demandSignature(exec, classes, n, localBits) != e.fusedSig {
-		return nil, false
+	// Classes of parameter-free ops are the template's own; a site gets a
+	// copy (sharing the operand lists) with its unitary recomputed into
+	// one slab.
+	cp.Classes = append([]*gate.Class(nil), e.tmpl.Classes...)
+	classes := make([]gate.Class, len(e.sites))
+	data := make([]complex128, e.siteData)
+	for k, i := range e.sites {
+		t, cl := e.tmpl.Classes[i], &classes[k]
+		*cl = *t
+		nn := len(t.U.Data)
+		cl.U.Data, data = data[:nn:nn], data[nn:]
+		gate.TargetUnitaryInto(&cp.Circuit.Ops[i].G, cl.U.Data)
+		if cl.Diag = cl.U.IsDiagonal(); cl.Diag != t.Diag {
+			return nil, false
+		}
+		cp.Classes[i] = cl
 	}
-	st.Fusion = fstats
-	st.Remaps = e.plan.Remaps
-	return &CompiledPlan{
-		Source:      c,
-		Circuit:     exec,
-		Classes:     classes,
-		Plan:        e.plan,
-		Exchanges:   e.exchanges,
-		TwoLevels:   e.twoLevels,
-		Topo:        cfg.Topo,
-		Spans:       spans,
-		Boundaries:  e.boundaries,
-		PermTrace:   e.permTrace,
-		Fusion:      fstats,
-		Fingerprint: ckpt.Fingerprint(c),
-		SkeletonFP:  e.skeletonFP,
-		PlanFP:      e.planFP,
-		NumQubits:   n,
-		PEs:         p,
-		LocalBits:   localBits,
-		Policy:      pol,
-		Fused:       cfg.Fuse,
-	}, true
+	return &cp, true
 }
 
-func compileFresh(c *circuit.Circuit, cfg Config, pol sched.Policy, p, localBits int, blockAware bool, st *Stats) (*CompiledPlan, *entry, error) {
+func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.Policy, p, localBits int, blockAware bool, st *Stats) (*CompiledPlan, *entry, error) {
 	n := c.NumQubits
+	e := &entry{check: check}
 	var boundaries []int
-	var origSig uint64
 	if blockAware {
 		// Provisional plan of the source stream: its remap positions
 		// become the boundaries fusion must respect.
@@ -298,7 +312,6 @@ func compileFresh(c *circuit.Circuit, cfg Config, pol sched.Policy, p, localBits
 		}
 		st.PlanNS += time.Since(tp).Nanoseconds()
 		boundaries = remapBoundaries(prov)
-		origSig = demandSignature(c, classifyOps(c), n, localBits)
 	}
 
 	exec := c
@@ -306,7 +319,7 @@ func compileFresh(c *circuit.Circuit, cfg Config, pol sched.Policy, p, localBits
 	var fstats fusion.Stats
 	if cfg.Fuse {
 		tf := time.Now()
-		exec, spans, fstats = fusion.OptimizeBlocks(c, boundaries)
+		exec, spans, fstats, e.recipe = fusion.OptimizeBlocks(c, boundaries)
 		st.FuseNS = time.Since(tf).Nanoseconds()
 	}
 
@@ -352,49 +365,76 @@ func compileFresh(c *circuit.Circuit, cfg Config, pol sched.Policy, p, localBits
 	st.Fusion = fstats
 	st.Remaps = plan.Remaps
 
-	skel := SkeletonFingerprint(c)
 	cp := &CompiledPlan{
-		Source:      c,
-		Circuit:     exec,
-		Classes:     classes,
-		Plan:        plan,
-		Exchanges:   exchanges,
-		TwoLevels:   twoLevels,
-		Topo:        cfg.Topo,
-		Spans:       spans,
-		Boundaries:  boundaries,
-		PermTrace:   permTrace,
-		Fusion:      fstats,
-		Fingerprint: ckpt.Fingerprint(c),
-		SkeletonFP:  skel,
-		PlanFP:      PlanFingerprint(plan, p),
-		NumQubits:   n,
-		PEs:         p,
-		LocalBits:   localBits,
-		Policy:      pol,
-		Fused:       cfg.Fuse,
+		Source:     c,
+		Circuit:    exec,
+		Classes:    classes,
+		Plan:       plan,
+		Exchanges:  exchanges,
+		TwoLevels:  twoLevels,
+		Topo:       cfg.Topo,
+		Spans:      spans,
+		Boundaries: boundaries,
+		PermTrace:  permTrace,
+		Fusion:     fstats,
+		SkeletonFP: skel,
+		PlanFP:     PlanFingerprint(plan, p),
+		NumQubits:  n,
+		PEs:        p,
+		LocalBits:  localBits,
+		Policy:     pol,
+		Fused:      cfg.Fuse,
 	}
-	e := &entry{
-		boundaries: boundaries,
-		plan:       plan,
-		exchanges:  exchanges,
-		twoLevels:  twoLevels,
-		permTrace:  permTrace,
-		skeletonFP: skel,
-		planFP:     cp.PlanFP,
-		origSig:    origSig,
-		fusedSig:   demandSignature(exec, classes, n, localBits),
+	if cfg.Cache == nil {
+		return cp, nil, nil
+	}
+	// The template is this plan without what belongs to the binding or
+	// the caller: an unfused plan executes its own source, so there is no
+	// op stream to keep either.
+	e.tmpl = *cp
+	e.tmpl.Source, e.tmpl.Tiles = nil, nil
+	if blockAware {
+		// What the provisional plan read of the parameters: which of the
+		// source gates whose diagonality can change with an angle were
+		// diagonal.
+		for i := range c.Ops {
+			if g := &c.Ops[i].G; g.NP > 0 && classifiable(g) && !g.Kind.Diagonal() {
+				e.srcSites = append(e.srcSites, srcSite{int32(i), gate.Classify(g).Diag})
+			}
+		}
+	}
+	if e.recipe != nil {
+		for _, s := range e.recipe.Sites {
+			if s.Out >= 0 && classes[s.Out] != nil {
+				e.sites = append(e.sites, s.Out)
+			}
+		}
+	} else {
+		e.tmpl.Circuit = nil
+		for i, cl := range classes {
+			if cl != nil && c.Ops[i].G.NP > 0 {
+				e.sites = append(e.sites, int32(i))
+			}
+		}
+	}
+	for _, i := range e.sites {
+		e.siteData += len(classes[i].U.Data)
 	}
 	return cp, e, nil
 }
 
+// classifiable reports whether the pipeline classifies g: every unitary
+// but BARRIER and GPHASE (the upload step of the paper's Listing 4/5).
+func classifiable(g *gate.Gate) bool {
+	return g.Kind.Unitary() && g.Kind != gate.BARRIER && g.Kind != gate.GPHASE
+}
+
 // classifyOps precomputes gate classifications for every classifiable
-// op (unitary, not BARRIER, not GPHASE); other entries stay nil.
+// op; other entries stay nil.
 func classifyOps(c *circuit.Circuit) []*gate.Class {
 	cls := make([]*gate.Class, len(c.Ops))
 	for i := range c.Ops {
-		g := &c.Ops[i].G
-		if g.Kind.Unitary() && g.Kind != gate.BARRIER && g.Kind != gate.GPHASE {
+		if g := &c.Ops[i].G; classifiable(g) {
 			cl := gate.Classify(g)
 			cls[i] = &cl
 		}
@@ -437,6 +477,7 @@ func recordMetrics(m *obs.Metrics, st *Stats, hit bool) {
 	m.Counter(obs.MetricCompilePlanNS).Add(st.PlanNS)
 	m.Counter(obs.MetricCompileClassifyNS).Add(st.ClassifyNS)
 	m.Counter(obs.MetricCompileExchangeNS).Add(st.ExchangeNS)
+	m.Counter(obs.MetricCompileBindNS).Add(st.BindNS)
 	m.Counter(obs.MetricCompileNS).Add(st.TotalNS)
 }
 
@@ -445,124 +486,97 @@ func recordMetrics(m *obs.Metrics, st *Stats, hit bool) {
 // and condition. Parameter values and the circuit name are excluded, so
 // all bindings of one ansatz shape share a fingerprint.
 func SkeletonFingerprint(c *circuit.Circuit) uint64 {
-	h := newHash()
-	h.u64(uint64(c.NumQubits))
-	h.u64(uint64(c.NumClbits))
+	fp, _ := skeletonHashes(c)
+	return fp
+}
+
+// skeletonHashes is the one whole-circuit walk a cache hit pays. Neither
+// hash is ever persisted, so both fold a word at a time (two or three
+// words per op) rather than FNV's byte at a time. fp keys the cache. A
+// hit copies the template's constant gates on the strength of the
+// skeleton alone, so 64 bits are not enough to stand for it: check is a
+// second hash of the same words (and the op count), built differently,
+// that entry.bind compares before it trusts a single recorded index — a
+// collision on the key alone then costs a miss, as it did when a hit
+// re-fused the caller's own ops.
+func skeletonHashes(c *circuit.Circuit) (fp, check uint64) {
+	h, k := uint64(0), uint64(len(c.Ops))
+	h, k = mix(h, uint64(c.NumQubits)), mix2(k, uint64(c.NumQubits))
+	h, k = mix(h, uint64(c.NumClbits)), mix2(k, uint64(c.NumClbits))
 	for i := range c.Ops {
 		op := &c.Ops[i]
-		h.u64(uint64(op.G.Kind))
-		h.u64(uint64(op.G.NQ))
-		for _, q := range op.G.OperandQubits() {
-			h.u64(uint64(q))
-		}
-		h.u64(uint64(int64(op.G.Cbit)))
+		g := &op.G
+		head := uint64(g.Kind) | uint64(g.NQ)<<8 | uint64(uint32(g.Cbit))<<32
 		if op.Cond != nil {
-			h.u64(1)
-			h.u64(uint64(op.Cond.Offset))
-			h.u64(uint64(op.Cond.Width))
-			h.u64(op.Cond.Value)
-		} else {
-			h.u64(0)
+			head |= 1 << 16
+		}
+		h, k = mix(h, head), mix2(k, head)
+		for q := 0; q < int(g.NQ); q += 2 {
+			w := uint64(uint32(g.Qubits[q]))
+			if q+1 < int(g.NQ) {
+				w |= uint64(uint32(g.Qubits[q+1])) << 32
+			}
+			h, k = mix(h, w), mix2(k, w)
+		}
+		if cd := op.Cond; cd != nil {
+			for _, w := range [...]uint64{uint64(cd.Offset), uint64(cd.Width), cd.Value} {
+				h, k = mix(h, w), mix2(k, w)
+			}
 		}
 	}
-	return h.sum()
+	return h, k
+}
+
+// mix folds one word into an in-memory (never persisted) hash: xor, an
+// odd multiply and a xor-shift, each a bijection of the state.
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * 0xff51afd7ed558ccd
+	return h ^ h>>32
+}
+
+// mix2 is mix built from other parts (rotate, add, another multiplier),
+// so a word chosen to steer one hash does not steer the other.
+func mix2(h, w uint64) uint64 {
+	return (bits.RotateLeft64(h, 27) + w) * 0x9e3779b97f4a7c15
 }
 
 // PlanFingerprint hashes the schedule structure — policy, geometry, and
 // every step — so checkpoints can reject a resume under a different
 // plan (a different remap sequence would place amplitudes elsewhere).
+// Manifests record it, so it stays FNV-1a over the same byte stream.
 func PlanFingerprint(p *sched.Plan, pes int) uint64 {
-	h := newHash()
-	h.str(string(p.Policy))
-	h.u64(uint64(p.NumQubits))
-	h.u64(uint64(p.LocalBits))
-	h.u64(uint64(pes))
+	h := ckpt.NewHash()
+	h.U64(uint64(len(p.Policy)))
+	h.Str(string(p.Policy))
+	h.U64(uint64(p.NumQubits))
+	h.U64(uint64(p.LocalBits))
+	h.U64(uint64(pes))
 	for si := range p.Steps {
 		step := &p.Steps[si]
-		h.u64(uint64(step.Kind))
-		h.u64(uint64(step.Op))
-		h.u64(uint64(len(step.Swaps)))
+		h.U64(uint64(step.Kind))
+		h.U64(uint64(step.Op))
+		h.U64(uint64(len(step.Swaps)))
 		for _, sw := range step.Swaps {
-			h.u64(uint64(sw.Global))
-			h.u64(uint64(sw.Local))
+			h.U64(uint64(sw.Global))
+			h.U64(uint64(sw.Local))
 		}
-		h.u64(uint64(step.A))
-		h.u64(uint64(step.B))
+		h.U64(uint64(step.A))
+		h.U64(uint64(step.B))
 	}
-	return h.sum()
-}
-
-// demandSignature hashes exactly the circuit structure sched.Build's
-// decisions depend on: per op the gate kind, operand qubits, condition,
-// and whether its unitary is diagonal (diagonal gates never demand
-// locality). Two streams with equal signatures produce identical plans
-// for the same geometry and policy, which is what makes a verified
-// cache hit bit-identical to a fresh compile.
-func demandSignature(c *circuit.Circuit, classes []*gate.Class, n, localBits int) uint64 {
-	h := newHash()
-	h.u64(uint64(n))
-	h.u64(uint64(localBits))
-	for i := range c.Ops {
-		op := &c.Ops[i]
-		h.u64(uint64(op.G.Kind))
-		h.u64(uint64(op.G.NQ))
-		for _, q := range op.G.OperandQubits() {
-			h.u64(uint64(q))
-		}
-		if op.Cond != nil {
-			h.u64(1)
-			h.u64(uint64(op.Cond.Offset))
-			h.u64(uint64(op.Cond.Width))
-			h.u64(op.Cond.Value)
-		} else {
-			h.u64(0)
-		}
-		if classes[i] != nil && classes[i].Diag {
-			h.u64(1)
-		} else {
-			h.u64(0)
-		}
-	}
-	return h.sum()
+	return uint64(h)
 }
 
 func cacheKey(skeleton uint64, fuse bool, pol sched.Policy, pes, localBits, pesPerNode int) uint64 {
-	h := newHash()
-	h.u64(skeleton)
-	if fuse {
-		h.u64(1)
-	} else {
-		h.u64(0)
-	}
-	h.str(string(pol))
-	h.u64(uint64(pes))
-	h.u64(uint64(localBits))
+	h := mix(skeleton, uint64(pes))
+	h = mix(h, uint64(localBits))
 	// Topology-annotated plans cache separately: the step list is shared
 	// in spirit, but the Folded marks and TwoLevels artifacts are not.
-	h.u64(uint64(pesPerNode))
-	return h.sum()
-}
-
-// fnvWriter is a tiny FNV-1a wrapper shared by the fingerprint functions.
-type fnvWriter struct {
-	h   gohash.Hash64
-	buf [8]byte
-}
-
-func newHash() *fnvWriter {
-	return &fnvWriter{h: fnv.New64a()}
-}
-
-func (h *fnvWriter) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.buf[i] = byte(v >> uint(8*i))
+	h = mix(h, uint64(pesPerNode))
+	if fuse {
+		h = mix(h, 1)
 	}
-	h.h.Write(h.buf[:])
+	for i := 0; i < len(pol); i++ {
+		h = mix(h, uint64(pol[i]))
+	}
+	return h
 }
-
-func (h *fnvWriter) str(s string) {
-	h.u64(uint64(len(s)))
-	h.h.Write([]byte(s))
-}
-
-func (h *fnvWriter) sum() uint64 { return h.h.Sum64() }

@@ -14,11 +14,11 @@ func TestOptimizeBlocksRespectsBoundaries(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		c.RX(0.2+0.1*float64(i), 0)
 	}
-	whole, _, _ := OptimizeBlocks(c, nil)
+	whole, _, _, _ := OptimizeBlocks(c, nil)
 	if len(whole.Ops) != 1 {
 		t.Fatalf("unbounded run fused to %d gates, want 1", len(whole.Ops))
 	}
-	split, spans, st := OptimizeBlocks(c, []int{3})
+	split, spans, st, _ := OptimizeBlocks(c, []int{3})
 	if len(split.Ops) != 2 {
 		t.Fatalf("boundary at 3 produced %d gates, want 2", len(split.Ops))
 	}
@@ -38,11 +38,11 @@ func TestOptimizeBlocksNeverCancelsAcrossBoundary(t *testing.T) {
 	// data layouts and must both survive.
 	c := circuit.New("hh", 1)
 	c.H(0).H(0)
-	free, _, _ := OptimizeBlocks(c, nil)
+	free, _, _, _ := OptimizeBlocks(c, nil)
 	if len(free.Ops) != 0 {
 		t.Fatalf("unbounded H·H left %d gates, want 0", len(free.Ops))
 	}
-	split, spans, _ := OptimizeBlocks(c, []int{1})
+	split, spans, _, _ := OptimizeBlocks(c, []int{1})
 	if len(split.Ops) != 2 {
 		t.Fatalf("boundary between the pair left %d gates, want 2", len(split.Ops))
 	}

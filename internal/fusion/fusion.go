@@ -45,7 +45,7 @@ func (s Span) Crosses(b int) bool { return !s.Synthetic() && s.First < b && b <=
 // Optimize returns a semantically identical circuit with single-qubit
 // runs fused and trivial pairs cancelled, plus the transformation stats.
 func Optimize(c *circuit.Circuit) (*circuit.Circuit, Stats) {
-	out, _, st := OptimizeBlocks(c, nil)
+	out, _, st, _ := OptimizeBlocks(c, nil)
 	return out, st
 }
 
@@ -54,79 +54,212 @@ func Optimize(c *circuit.Circuit) (*circuit.Circuit, Stats) {
 // output op may merge or cancel gates across such an index — the fused
 // stream must preserve the locality structure the planner derived. Each
 // output op carries a Span naming its source range. With nil boundaries
-// this is exactly Optimize.
-func OptimizeBlocks(c *circuit.Circuit, boundaries []int) (*circuit.Circuit, []Span, Stats) {
+// this is exactly Optimize. The Recipe re-binds other parameter values
+// into the output (see Recipe.Rebind).
+func OptimizeBlocks(c *circuit.Circuit, boundaries []int) (*circuit.Circuit, []Span, Stats, *Recipe) {
 	st := Stats{InputGates: c.NumGates()}
-	fused, spans := fuse1Q(c, boundaries, &st)
-	out, spans := cancelPairs(fused, spans, boundaries, &st)
+	out, spans, rec := fuse1Q(c, boundaries, &st)
+	var renum []int32
+	out.Ops, spans, renum = cancelPairs(out.Ops, spans, boundaries, &st)
+	if renum != nil {
+		// Cancelled pairs are parameter-free, so every site's op survives.
+		for i := range rec.Sites {
+			if s := &rec.Sites[i]; s.Out >= 0 {
+				s.Out = renum[s.Out]
+			}
+		}
+		if rec.GPhase >= 0 {
+			rec.GPhase = renum[rec.GPhase]
+		}
+	}
 	st.OutputGates = out.NumGates()
-	return out, spans, st
+	return out, spans, st, rec
+}
+
+// Recipe is what the pass knows about how its output depends on
+// parameter values, recorded while it fuses (the only place that sees
+// the runs that vanished): enough to write another binding of the same
+// circuit skeleton into a copy of the output without fusing again.
+//
+// A site is a flushed run holding at least one gate of a kind with
+// parameters; sites are listed in flush order, which is also the order
+// the pass adds up the global phase. Terms holds every contribution to
+// that sum in order — a site's slot is recomputed on Rebind, the slots
+// between belong to parameter-free runs and are replayed as recorded —
+// so the trailing gphase is re-summed exactly as a fresh pass would.
+type Recipe struct {
+	Sites   []Site
+	Members []int32   // source op indices of every site's run, back to back
+	Terms   []float64 // global-phase contributions in accumulation order
+	GPhase  int32     // output index of the trailing gphase, -1 when there is none
+}
+
+// Site is one parameter-dependent run and what became of it.
+type Site struct {
+	Lo, Hi int32 // the run is source ops Members[Lo:Hi], in circuit order
+	// Out is the output op the run became, -1 when it left none (a run
+	// that multiplied out to the identity, or a gphase absorbed into the
+	// trailing one). With Kind it is the run's outcome tag: a binding
+	// whose run lands on another tag has a differently shaped output.
+	Out  int32
+	Kind gate.Kind // kind of the output op (Out >= 0): the source's own for a run of one, else u3 or u1
+	Term int32     // the run's slot in Recipe.Terms, -1 when it adds no phase (a run of one)
+}
+
+// Rebind writes the binding src — a circuit with the skeleton of the one
+// the recipe was recorded from — into ops, a private copy of the recorded
+// output: per site it re-reads the angles, multiplies the run out and
+// decomposes it with the very code the pass uses, and stores the gate at
+// the site's output index. It reports false, with ops partly written,
+// when some run's outcome tag (or the presence of the trailing gphase)
+// differs from the recorded one: the output would have another shape and
+// the caller must run the pass. When it reports true, ops is bit for bit
+// what OptimizeBlocks(src, boundaries) returns.
+func (r *Recipe) Rebind(src *circuit.Circuit, ops []circuit.Op) bool {
+	var phase float64
+	t := int32(0)
+	for i := range r.Sites {
+		s := &r.Sites[i]
+		var alpha float64
+		if first := &src.Ops[r.Members[s.Lo]].G; s.Hi-s.Lo == 1 {
+			if s.Out >= 0 {
+				ops[s.Out].G = *first
+			} else {
+				alpha = first.Params[0] // an unconditioned gphase
+			}
+		} else {
+			var p pending
+			for _, m := range r.Members[s.Lo:s.Hi] {
+				p.mul(&src.Ops[m].G, int(m))
+			}
+			a, g, isID := decomposeU3(p.u, int(first.Qubits[0]))
+			if isID != (s.Out < 0) || (!isID && g.Kind != s.Kind) {
+				return false
+			}
+			if !isID {
+				ops[s.Out].G = g
+			}
+			alpha = a
+		}
+		if s.Term >= 0 {
+			for ; t < s.Term; t++ {
+				phase += r.Terms[t]
+			}
+			phase += alpha
+			t++
+		}
+	}
+	for ; int(t) < len(r.Terms); t++ {
+		phase += r.Terms[t]
+	}
+	if residual(phase) != (r.GPhase >= 0) {
+		return false
+	}
+	if r.GPhase >= 0 {
+		ops[r.GPhase].G = gate.NewGPhase(phase)
+	}
+	return true
+}
+
+// residual reports whether an accumulated global phase is worth a gate.
+func residual(phase float64) bool {
+	return math.Abs(math.Mod(phase, 2*math.Pi)) > 1e-12
 }
 
 // pending is an accumulated 1-qubit unitary awaiting flush.
 type pending struct {
-	active   bool
-	count    int       // source gates accumulated
-	first    gate.Gate // the original gate, emitted verbatim for runs of one
-	firstIdx int       // source index of the first accumulated gate
-	lastIdx  int       // source index of the last accumulated gate
-	u        [4]complex128
+	count      int       // source gates accumulated; zero means idle
+	first      gate.Gate // the original gate, emitted verbatim for runs of one
+	firstIdx   int       // source index of the first accumulated gate
+	lastIdx    int       // source index of the last accumulated gate
+	u          [4]complex128
+	parametric bool    // some accumulated gate takes parameters
+	members    []int32 // source indices accumulated (buffer kept across resets)
 }
 
 func (p *pending) reset() {
-	*p = pending{}
+	*p = pending{members: p.members[:0]}
 }
 
-func (p *pending) mul(g gate.Gate, u gate.Matrix, idx int) {
-	if !p.active {
-		p.active = true
-		p.first = g
-		p.firstIdx = idx
-		p.lastIdx = idx
-		p.u = [4]complex128{u.Data[0], u.Data[1], u.Data[2], u.Data[3]}
-		p.count = 1
-		return
-	}
-	a := p.u
-	p.u[0] = u.Data[0]*a[0] + u.Data[1]*a[2]
-	p.u[1] = u.Data[0]*a[1] + u.Data[1]*a[3]
-	p.u[2] = u.Data[2]*a[0] + u.Data[3]*a[2]
-	p.u[3] = u.Data[2]*a[1] + u.Data[3]*a[3]
+// mul accumulates source op idx. The product is only formed from the
+// second gate on: a run of one is emitted verbatim and needs no matrix.
+func (p *pending) mul(g *gate.Gate, idx int) {
 	p.lastIdx = idx
 	p.count++
+	if p.count == 1 {
+		p.first, p.firstIdx = *g, idx
+		return
+	}
+	if p.count == 2 {
+		gate.TargetUnitaryInto(&p.first, p.u[:])
+	}
+	var u [4]complex128
+	gate.TargetUnitaryInto(g, u[:])
+	a := p.u
+	p.u[0] = u[0]*a[0] + u[1]*a[2]
+	p.u[1] = u[0]*a[1] + u[1]*a[3]
+	p.u[2] = u[2]*a[0] + u[3]*a[2]
+	p.u[3] = u[2]*a[1] + u[3]*a[3]
 }
 
 // fuse1Q performs the run-fusion pass.
-func fuse1Q(c *circuit.Circuit, boundaries []int, st *Stats) (*circuit.Circuit, []Span) {
+func fuse1Q(c *circuit.Circuit, boundaries []int, st *Stats) (*circuit.Circuit, []Span, *Recipe) {
 	out := &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, NumClbits: c.NumClbits}
+	out.Ops = make([]circuit.Op, 0, len(c.Ops))
+	spans := make([]Span, 0, len(c.Ops))
 	pend := make([]pending, c.NumQubits)
-	var spans []Span
+	rec := &Recipe{GPhase: -1}
 	var phase float64
+
+	// site records a parameter-dependent run of source ops.
+	site := func(members []int32, s Site) {
+		s.Lo = int32(len(rec.Members))
+		rec.Members = append(rec.Members, members...)
+		s.Hi = int32(len(rec.Members))
+		rec.Sites = append(rec.Sites, s)
+	}
+	// term records one contribution to the global phase.
+	term := func(alpha float64) int32 {
+		phase += alpha
+		rec.Terms = append(rec.Terms, alpha)
+		return int32(len(rec.Terms) - 1)
+	}
+	emit := func(op circuit.Op, sp Span) int32 {
+		out.Ops = append(out.Ops, op)
+		spans = append(spans, sp)
+		return int32(len(out.Ops) - 1)
+	}
 
 	flush := func(q int) {
 		p := &pend[q]
-		if !p.active {
+		if p.count == 0 {
 			return
 		}
+		s := Site{Out: -1, Term: -1}
 		if p.count == 1 {
 			// A run of one keeps its original (specialized) gate.
-			out.Append(p.first)
-			spans = append(spans, Span{p.firstIdx, p.lastIdx})
-			p.reset()
-			return
-		}
-		alpha, g, isID := decomposeU3(p.u, q)
-		phase += alpha
-		if isID {
-			st.Identities++
+			s.Kind = p.first.Kind
+			s.Out = emit(circuit.Op{G: p.first}, Span{p.firstIdx, p.lastIdx})
 		} else {
-			if p.count > 1 {
+			alpha, g, isID := decomposeU3(p.u, q)
+			s.Term = term(alpha)
+			if isID {
+				st.Identities++
+			} else {
 				st.FusedRuns++
+				s.Kind = g.Kind
+				s.Out = emit(circuit.Op{G: g}, Span{p.firstIdx, p.lastIdx})
 			}
-			out.Append(g)
-			spans = append(spans, Span{p.firstIdx, p.lastIdx})
+		}
+		if p.parametric {
+			site(p.members, s)
 		}
 		p.reset()
+	}
+	flushAll := func() {
+		for q := range pend {
+			flush(q)
+		}
 	}
 
 	nextBoundary := 0
@@ -135,9 +268,7 @@ func fuse1Q(c *circuit.Circuit, boundaries []int, st *Stats) (*circuit.Circuit, 
 		// accumulated run may extend past it. Flush everything.
 		for nextBoundary < len(boundaries) && boundaries[nextBoundary] <= i {
 			if boundaries[nextBoundary] == i {
-				for q := 0; q < c.NumQubits; q++ {
-					flush(q)
-				}
+				flushAll()
 			}
 			nextBoundary++
 		}
@@ -149,40 +280,36 @@ func fuse1Q(c *circuit.Circuit, boundaries []int, st *Stats) (*circuit.Circuit, 
 		fusable := op.Cond == nil && g.Kind.Unitary() &&
 			g.Kind != gate.BARRIER && g.Kind != gate.GPHASE && g.NQ == 1
 		if fusable {
-			pend[g.Qubits[0]].mul(*g, gate.Unitary(*g), i)
+			p := &pend[g.Qubits[0]]
+			p.mul(g, i)
+			p.members = append(p.members, int32(i))
+			p.parametric = p.parametric || g.NP > 0
 			continue
 		}
 		if g.Kind == gate.GPHASE && op.Cond == nil {
-			phase += g.Params[0]
+			site([]int32{int32(i)}, Site{Out: -1, Term: term(g.Params[0])})
 			continue
 		}
 		// Flush every operand the op touches; a conditioned or
 		// non-unitary op flushes everything (measurement probabilities
 		// must see all prior gates applied).
 		if op.Cond != nil || !g.Kind.Unitary() {
-			for q := 0; q < c.NumQubits; q++ {
-				flush(q)
-			}
+			flushAll()
 		} else {
 			for _, q := range g.OperandQubits() {
 				flush(int(q))
 			}
 		}
-		if op.Cond != nil {
-			out.AppendCond(*g, *op.Cond)
-		} else {
-			out.Append(*g)
+		at := emit(*op, Span{i, i})
+		if g.NP > 0 {
+			site([]int32{int32(i)}, Site{Out: at, Kind: g.Kind, Term: -1})
 		}
-		spans = append(spans, Span{i, i})
 	}
-	for q := 0; q < c.NumQubits; q++ {
-		flush(q)
+	flushAll()
+	if residual(phase) {
+		rec.GPhase = emit(circuit.Op{G: gate.NewGPhase(phase)}, Span{-1, -1})
 	}
-	if math.Abs(math.Mod(phase, 2*math.Pi)) > 1e-12 {
-		out.Append(gate.NewGPhase(phase))
-		spans = append(spans, Span{-1, -1})
-	}
-	return out, spans
+	return out, spans, rec
 }
 
 // decomposeU3 factors a 2x2 unitary as e^{i alpha} * u3(theta, phi,
@@ -215,33 +342,49 @@ func decomposeU3(u [4]complex128, q int) (alpha float64, g gate.Gate, isID bool)
 }
 
 // cancelPairs removes adjacent identical self-inverse multi-qubit gates
-// (CX;CX, CZ;CZ, SWAP;SWAP, CCX;CCX, ...). "Adjacent" means no
-// intervening op touches any operand of the pair. With boundaries set,
-// a pair may only cancel when both ops live in the same sched block —
-// cancellation across a remap would change which gates each block
-// demands and invalidate the plan.
-func cancelPairs(c *circuit.Circuit, spans []Span, boundaries []int, st *Stats) (*circuit.Circuit, []Span) {
-	ops := append([]circuit.Op(nil), c.Ops...)
-	sps := append([]Span(nil), spans...)
+// (CX;CX, CZ;CZ, SWAP;SWAP, CCX;CCX, ...) from ops, compacting ops and
+// spans in place. "Adjacent" means no intervening op touches any operand
+// of the pair. With boundaries set, a pair may only cancel when both ops
+// live in the same sched block — cancellation across a remap would
+// change which gates each block demands and invalidate the plan. renum
+// maps every input index to its output index (-1 for a cancelled op);
+// it is nil when nothing cancelled.
+//
+// The pass runs rounds to a fixed point (a cancelled inner pair exposes
+// the pair around it). In a round every live cancellable op, in order,
+// looks for its blocker — the next live op it cannot commute past — and
+// cancels against it when the two match. An op whose blocker did not
+// match can only fare differently once that blocker is gone, so stop[i]
+// remembers the blocker and a later round skips i while it stands, and
+// otherwise resumes the search just past it: every round after the first
+// costs one pass over the flags plus the rescans cancellations caused.
+func cancelPairs(ops []circuit.Op, spans []Span, boundaries []int, st *Stats) (_ []circuit.Op, _ []Span, renum []int32) {
+	n, before := len(ops), st.Cancellations
 	// blockOf maps a source span to its sched block: the number of
 	// boundaries at or before its first source op.
 	blockOf := func(s Span) int {
 		return sort.SearchInts(boundaries, s.First+1)
 	}
-	changed := true
-	for changed {
+	dead := make([]bool, n)
+	// stop[i] is where op i's last search ended: i itself before the
+	// first, the unmatched blocker after one, n once it ran off the end.
+	stop := make([]int32, n)
+	for i := range stop {
+		stop[i] = int32(i)
+	}
+	for changed := true; changed; {
 		changed = false
-		alive := make([]bool, len(ops))
-		for i := range alive {
-			alive[i] = true
-		}
-		for i := 0; i < len(ops); i++ {
-			if !alive[i] || !cancellable(&ops[i]) {
+		for i := 0; i < n; i++ {
+			if dead[i] || !cancellable(&ops[i]) {
 				continue
 			}
-			// Find the next live op sharing operands.
-			for j := i + 1; j < len(ops); j++ {
-				if !alive[j] {
+			s := int(stop[i])
+			if s == n || (s != i && !dead[s]) {
+				continue
+			}
+			stop[i] = int32(n)
+			for j := s + 1; j < n; j++ {
+				if dead[j] {
 					continue
 				}
 				if !sharesOperand(&ops[i].G, &ops[j].G) && ops[j].Cond == nil &&
@@ -249,26 +392,32 @@ func cancelPairs(c *circuit.Circuit, spans []Span, boundaries []int, st *Stats) 
 					continue // independent; keep scanning
 				}
 				if sameSelfInverse(&ops[i], &ops[j]) &&
-					blockOf(sps[i]) == blockOf(sps[j]) {
-					alive[i], alive[j] = false, false
+					blockOf(spans[i]) == blockOf(spans[j]) {
+					dead[i], dead[j] = true, true
 					st.Cancellations++
 					changed = true
+				} else {
+					stop[i] = int32(j)
 				}
 				break
 			}
 		}
-		var next []circuit.Op
-		var nextSp []Span
-		for i, ok := range alive {
-			if ok {
-				next = append(next, ops[i])
-				nextSp = append(nextSp, sps[i])
-			}
-		}
-		ops, sps = next, nextSp
 	}
-	out := &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, NumClbits: c.NumClbits, Ops: ops}
-	return out, sps
+	if st.Cancellations == before {
+		return ops, spans, nil
+	}
+	renum = stop // every search is over; reuse the slice
+	k := 0
+	for i := 0; i < n; i++ {
+		if dead[i] {
+			renum[i] = -1
+			continue
+		}
+		ops[k], spans[k] = ops[i], spans[i]
+		renum[i] = int32(k)
+		k++
+	}
+	return ops[:k], spans[:k], renum
 }
 
 func cancellable(op *circuit.Op) bool {

@@ -1,6 +1,7 @@
 package gate
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -102,5 +103,46 @@ func TestClassifyControlTargetSplit(t *testing.T) {
 	cls := Classify(&sw)
 	if len(cls.Targets) != 2 || cls.U.N != 4 {
 		t.Fatalf("cswap classification: %v %d", cls.Targets, cls.U.N)
+	}
+}
+
+// TestTargetUnitaryIntoMatchesClassify: the in-place matrix is, bit for
+// bit, the one Classify allocates — for every unitary kind, generic and
+// degenerate angles alike — and the kinds with parameters allocate
+// nothing.
+func TestTargetUnitaryIntoMatchesClassify(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	angles := []float64{0, math.Pi, 2 * math.Pi, -math.Pi / 2}
+	for k := Kind(0); k < MEASURE; k++ {
+		if k == GPHASE {
+			continue
+		}
+		qs := rng.Perm(6)[:k.NumQubits()]
+		for trial := 0; trial < 8; trial++ {
+			ps := make([]float64, k.NumParams())
+			for i := range ps {
+				ps[i] = (rng.Float64()*2 - 1) * 2 * math.Pi
+				if trial >= 4 {
+					ps[i] = angles[(trial+i)%len(angles)]
+				}
+			}
+			g := New(k, qs, ps...)
+			want := Classify(&g).U
+			buf := make([]complex128, 256)
+			if n := TargetUnitaryInto(&g, buf); n != want.N {
+				t.Fatalf("%s: dimension %d, Classify has %d", g, n, want.N)
+			}
+			for i, w := range want.Data {
+				if math.Float64bits(real(buf[i])) != math.Float64bits(real(w)) ||
+					math.Float64bits(imag(buf[i])) != math.Float64bits(imag(w)) {
+					t.Fatalf("%s: element %d is %v, Classify has %v", g, i, buf[i], w)
+				}
+			}
+			if k.NumParams() > 0 {
+				if a := testing.AllocsPerRun(10, func() { TargetUnitaryInto(&g, buf) }); a != 0 {
+					t.Fatalf("%s: %v allocations per call", g, a)
+				}
+			}
+		}
 	}
 }

@@ -194,11 +194,6 @@ func (m Matrix) Apply(re, im []float64) {
 	copy(im, outI)
 }
 
-// mat2x2 builds a 1-qubit matrix from row-major entries.
-func mat2x2(a, b, c, d complex128) Matrix {
-	return Matrix{N: 2, Data: []complex128{a, b, c, d}}
-}
-
 // U3Matrix returns the generic 1-qubit unitary
 //
 //	[[cos(t/2),           -e^{i l} sin(t/2)],
@@ -206,58 +201,71 @@ func mat2x2(a, b, c, d complex128) Matrix {
 //
 // in the OpenQASM convention.
 func U3Matrix(theta, phi, lambda float64) Matrix {
-	c := complex(math.Cos(theta/2), 0)
-	s := complex(math.Sin(theta/2), 0)
-	return mat2x2(
-		c, -cmplx.Exp(complex(0, lambda))*s,
-		cmplx.Exp(complex(0, phi))*s, cmplx.Exp(complex(0, phi+lambda))*c,
-	)
+	return base1Matrix(U3, []float64{theta, phi, lambda})
 }
 
 const s2i = math.Sqrt2 / 2 // 1/sqrt(2), the paper's S2I constant
 
+// base1Matrix returns the 2x2 unitary of a 1-qubit kind.
 func base1Matrix(k Kind, p []float64) Matrix {
+	var m [4]complex128
+	base1Into(k, p, &m)
+	return Matrix{N: 2, Data: m[:]}
+}
+
+// base1Into writes the row-major 2x2 unitary of a 1-qubit kind into m:
+// the one place each kind's arithmetic lives, so a matrix computed into
+// a caller's buffer is bit-identical to an allocated one.
+func base1Into(k Kind, p []float64, m *[4]complex128) {
 	switch k {
-	case U3:
-		return U3Matrix(p[0], p[1], p[2])
-	case U2:
-		return U3Matrix(math.Pi/2, p[0], p[1])
+	case U3, U2:
+		theta, phi, lambda := math.Pi/2, p[0], p[1]
+		if k == U3 {
+			theta, phi, lambda = p[0], p[1], p[2]
+		}
+		c := complex(math.Cos(theta/2), 0)
+		s := complex(math.Sin(theta/2), 0)
+		*m = [4]complex128{
+			c, -cmplx.Exp(complex(0, lambda)) * s,
+			cmplx.Exp(complex(0, phi)) * s, cmplx.Exp(complex(0, phi+lambda)) * c,
+		}
 	case U1:
-		return mat2x2(1, 0, 0, cmplx.Exp(complex(0, p[0])))
+		*m = [4]complex128{1, 0, 0, cmplx.Exp(complex(0, p[0]))}
 	case ID:
-		return Identity(2)
+		*m = [4]complex128{1, 0, 0, 1}
 	case X:
-		return mat2x2(0, 1, 1, 0)
+		*m = [4]complex128{0, 1, 1, 0}
 	case Y:
-		return mat2x2(0, -1i, 1i, 0)
+		*m = [4]complex128{0, -1i, 1i, 0}
 	case Z:
-		return mat2x2(1, 0, 0, -1)
+		*m = [4]complex128{1, 0, 0, -1}
 	case H:
-		return mat2x2(complex(s2i, 0), complex(s2i, 0), complex(s2i, 0), complex(-s2i, 0))
+		*m = [4]complex128{complex(s2i, 0), complex(s2i, 0), complex(s2i, 0), complex(-s2i, 0)}
 	case S:
-		return mat2x2(1, 0, 0, 1i)
+		*m = [4]complex128{1, 0, 0, 1i}
 	case SDG:
-		return mat2x2(1, 0, 0, -1i)
+		*m = [4]complex128{1, 0, 0, -1i}
 	case T:
-		return mat2x2(1, 0, 0, complex(s2i, s2i))
+		*m = [4]complex128{1, 0, 0, complex(s2i, s2i)}
 	case TDG:
-		return mat2x2(1, 0, 0, complex(s2i, -s2i))
+		*m = [4]complex128{1, 0, 0, complex(s2i, -s2i)}
 	case RX:
 		c := complex(math.Cos(p[0]/2), 0)
 		s := complex(0, -math.Sin(p[0]/2))
-		return mat2x2(c, s, s, c)
+		*m = [4]complex128{c, s, s, c}
 	case RY:
 		c := complex(math.Cos(p[0]/2), 0)
 		s := complex(math.Sin(p[0]/2), 0)
-		return mat2x2(c, -s, s, c)
+		*m = [4]complex128{c, -s, s, c}
 	case RZ:
-		return mat2x2(cmplx.Exp(complex(0, -p[0]/2)), 0, 0, cmplx.Exp(complex(0, p[0]/2)))
+		*m = [4]complex128{cmplx.Exp(complex(0, -p[0]/2)), 0, 0, cmplx.Exp(complex(0, p[0]/2))}
 	case SX:
-		return mat2x2(complex(0.5, 0.5), complex(0.5, -0.5), complex(0.5, -0.5), complex(0.5, 0.5))
+		*m = [4]complex128{complex(0.5, 0.5), complex(0.5, -0.5), complex(0.5, -0.5), complex(0.5, 0.5)}
 	case SXDG:
-		return mat2x2(complex(0.5, -0.5), complex(0.5, 0.5), complex(0.5, 0.5), complex(0.5, -0.5))
+		*m = [4]complex128{complex(0.5, -0.5), complex(0.5, 0.5), complex(0.5, 0.5), complex(0.5, -0.5)}
+	default:
+		panic(fmt.Sprintf("base1Matrix: kind %s is not a 1-qubit unitary", k))
 	}
-	panic(fmt.Sprintf("base1Matrix: kind %s is not a 1-qubit unitary", k))
 }
 
 // swapMatrix is the 2-qubit SWAP in the local-bit convention.
@@ -271,31 +279,39 @@ func swapMatrix() Matrix {
 }
 
 func rxxMatrix(theta float64) Matrix {
+	m := NewMatrix(4)
+	rxxInto(theta, m.Data)
+	return m
+}
+
+func rxxInto(theta float64, m []complex128) {
 	c := complex(math.Cos(theta/2), 0)
 	s := complex(0, -math.Sin(theta/2))
-	m := NewMatrix(4)
-	m.Set(0, 0, c)
-	m.Set(0, 3, s)
-	m.Set(1, 1, c)
-	m.Set(1, 2, s)
-	m.Set(2, 1, s)
-	m.Set(2, 2, c)
-	m.Set(3, 0, s)
-	m.Set(3, 3, c)
-	return m
+	copy(m[:16], []complex128{
+		c, 0, 0, s,
+		0, c, s, 0,
+		0, s, c, 0,
+		s, 0, 0, c,
+	})
 }
 
 // rzzMatrix follows the qelib1 definition (cx; u1(theta); cx), i.e.
 // diag(1, e^{i t}, e^{i t}, 1), which equals exp(-i t ZZ / 2) up to a global
 // phase.
 func rzzMatrix(theta float64) Matrix {
-	e := cmplx.Exp(complex(0, theta))
 	m := NewMatrix(4)
-	m.Set(0, 0, 1)
-	m.Set(1, 1, e)
-	m.Set(2, 2, e)
-	m.Set(3, 3, 1)
+	rzzInto(theta, m.Data)
 	return m
+}
+
+func rzzInto(theta float64, m []complex128) {
+	e := cmplx.Exp(complex(0, theta))
+	copy(m[:16], []complex128{
+		1, 0, 0, 0,
+		0, e, 0, 0,
+		0, 0, e, 0,
+		0, 0, 0, 1,
+	})
 }
 
 // controlled embeds base acting on the last operands behind nc controls.
@@ -407,4 +423,28 @@ func Unitary(g Gate) Matrix {
 		return controlled(1, swapMatrix())
 	}
 	panic(fmt.Sprintf("Unitary: kind %s has no unitary", g.Kind))
+}
+
+// TargetUnitaryInto writes Classify(g).U — the gate's action on its
+// target operands once every control fires — into dst and returns its
+// dimension N (dst must hold N*N elements, 16 at most for a kind with
+// parameters). It shares the arithmetic of Unitary, so the result is
+// bit-identical to Classify's, but it allocates nothing for the kinds
+// whose matrix depends on a parameter: re-binding a compiled plan costs
+// one slab, not one matrix per gate.
+func TargetUnitaryInto(g *Gate, dst []complex128) int {
+	switch k := g.Kind.BaseKind(); k {
+	case U3, U2, U1, ID, X, Y, Z, H, S, SDG, T, TDG, RX, RY, RZ, SX, SXDG:
+		base1Into(k, g.Params[:], (*[4]complex128)(dst))
+		return 2
+	case RXX:
+		rxxInto(g.Params[0], dst)
+		return 4
+	case RZZ:
+		rzzInto(g.Params[0], dst)
+		return 4
+	}
+	u := Classify(g).U // parameter-free multi-target kinds
+	copy(dst[:u.N*u.N], u.Data)
+	return u.N
 }

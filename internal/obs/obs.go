@@ -74,10 +74,10 @@ const (
 	MetricCkptWriterNS = "ckpt_writer_ns"
 	// MetricCkptDeltaTiles counts tiles captured into delta shards.
 	MetricCkptDeltaTiles = "ckpt_delta_tiles"
-	// MetricPlanCacheHits counts verified compile plan-cache hits.
+	// MetricPlanCacheHits counts compile plan-cache hits (rebinds).
 	MetricPlanCacheHits = "plan_cache_hits"
 	// MetricPlanCacheMisses counts compile plan-cache misses (including
-	// lookups whose demand-signature verification failed).
+	// lookups whose binding did not fit the cached template).
 	MetricPlanCacheMisses = "plan_cache_misses"
 	// MetricCompileNS accumulates total wall time spent in the compile
 	// pipeline; the per-stage counters below break it down.
@@ -92,6 +92,10 @@ const (
 	// MetricCompileExchangeNS accumulates time precomputing remap
 	// all-to-all geometry.
 	MetricCompileExchangeNS = "compile_exchange_ns"
+	// MetricCompileBindNS accumulates time binding parameters into cached
+	// plan templates: all a plan-cache hit does (its stage counters above
+	// stay zero), plus the attempts that ended in a miss.
+	MetricCompileBindNS = "compile_bind_ns"
 	// MetricUptimeSeconds is a scrape-time gauge of process uptime.
 	MetricUptimeSeconds = "process_uptime_seconds"
 	// MetricHeapAllocBytes is a scrape-time gauge of live heap bytes.
