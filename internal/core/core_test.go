@@ -59,7 +59,7 @@ func TestBackendsAgreeOnRandomCircuits(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d := got.State.MaxAbsDiff(ref.State); d > 1e-10 {
+				if d := got.State.MaxAbsDiff(ref.State); d != 0 {
 					t.Fatalf("trial %d backend %s PEs=%d coalesced=%v deviates by %g",
 						trial, b.Name(), pes, coal, d)
 				}
@@ -91,7 +91,7 @@ func TestBackendsAgreeWithMeasurement(t *testing.T) {
 			if got.Cbits != ref.Cbits {
 				t.Fatalf("seed %d PEs %d: cbits %b vs %b", seed, pes, got.Cbits, ref.Cbits)
 			}
-			if d := got.State.MaxAbsDiff(ref.State); d > 1e-10 {
+			if d := got.State.MaxAbsDiff(ref.State); d != 0 {
 				t.Fatalf("seed %d PEs %d: state deviates by %g", seed, pes, d)
 			}
 		}
@@ -112,7 +112,7 @@ func TestResetAcrossBackends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := got.State.MaxAbsDiff(ref.State); d > 1e-10 {
+		if d := got.State.MaxAbsDiff(ref.State); d != 0 {
 			t.Fatalf("seed %d: reset deviates by %g", seed, d)
 		}
 		if p := got.State.ProbOne(4); p > 1e-12 {
@@ -316,7 +316,7 @@ func TestVectorizedStyleDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := a.State.MaxAbsDiff(b.State); d > 1e-10 {
+	if d := a.State.MaxAbsDiff(b.State); d != 0 {
 		t.Fatalf("styles disagree distributed by %g", d)
 	}
 }
@@ -402,7 +402,7 @@ func TestThreadedBackendMatchesSingle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := got.State.MaxAbsDiff(ref.State); d > 1e-10 {
+			if d := got.State.MaxAbsDiff(ref.State); d != 0 {
 				t.Fatalf("trial %d workers=%d: threaded deviates by %g", trial, workers, d)
 			}
 		}
@@ -425,7 +425,7 @@ func TestThreadedBackendWithFeedback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Cbits != ref.Cbits || got.State.MaxAbsDiff(ref.State) > 1e-10 {
+		if got.Cbits != ref.Cbits || got.State.MaxAbsDiff(ref.State) != 0 {
 			t.Fatalf("seed %d: threaded feedback mismatch", seed)
 		}
 	}

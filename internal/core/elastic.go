@@ -15,11 +15,16 @@ import (
 // The checkpoint's shards are materialized through their delta chains,
 // un-permuted into the geometry-free logical state vector, and the
 // residual executable stream (past the manifest's op cut) is re-planned
-// and executed on the new fleet. Because the warm start and the cut are
-// both expressed logically, the result is bit-identical to the original
-// fleet size for measurement-free circuits; runs with measurements stay
-// statistically identical (the replicated RNG stream replays exactly,
-// but cross-PE probability summation order changes with P).
+// and executed on the new fleet. The warm start and the cut are both
+// expressed logically and every gate runs the one kernel core, so a
+// measurement-free circuit ends bit-identical at any fleet size under
+// either plan. A measurement sums its probability as one balanced tree
+// over the physical index space, of which a partition is a subtree:
+// under the naive plan that tree is the same at every fleet size, so
+// measured runs are bit-identical too, outcomes and state. A lazy plan
+// re-planned for the new fleet measures a qubit at another physical
+// position and adds the same terms in another order: it replays the same
+// RNG stream but agrees with the original fleet only within rounding.
 
 // RunElastic resumes the checkpoint under resume (a ckpt-<step>
 // directory or a base directory) on newPEs processing elements. backend

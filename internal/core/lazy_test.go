@@ -24,7 +24,7 @@ func TestLazySchedMatchesNaiveOnRandomCircuits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := got.State.MaxAbsDiff(ref.State); d > 1e-10 {
+			if d := got.State.MaxAbsDiff(ref.State); d != 0 {
 				t.Fatalf("trial %d PEs=%d: lazy deviates by %g", trial, pes, d)
 			}
 		}
@@ -97,7 +97,7 @@ func TestLazySchedFewerBarriers(t *testing.T) {
 	if lazy.Comm.Barriers*4 > naive.Comm.Barriers {
 		t.Fatalf("lazy barriers %d not well below naive %d", lazy.Comm.Barriers, naive.Comm.Barriers)
 	}
-	if d := lazy.State.MaxAbsDiff(naive.State); d > 1e-10 {
+	if d := lazy.State.MaxAbsDiff(naive.State); d != 0 {
 		t.Fatalf("schedules disagree by %g", d)
 	}
 }
@@ -145,7 +145,7 @@ func TestLazyQFT15RemoteByteReduction(t *testing.T) {
 	if h, ok := lazySnap.Histograms[obs.MetricRemapBytes]; !ok || h.Count == 0 {
 		t.Fatal("remap exchange-bytes histogram not recorded")
 	}
-	if d := lazy.State.MaxAbsDiff(naive.State); d > 1e-10 {
+	if d := lazy.State.MaxAbsDiff(naive.State); d != 0 {
 		t.Fatalf("lazy and naive states deviate by %g", d)
 	}
 	t.Logf("qft_n15@8PE remote bytes: naive=%d lazy=%d (%.1fx reduction, %d remaps)",

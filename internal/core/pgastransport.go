@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"math/bits"
 	"time"
 
 	"svsim/internal/gate"
@@ -24,7 +24,7 @@ type oneSided struct {
 	*Grid
 	svRe, svIm *pgas.SymF64
 	stage      *pgas.SymF64 // 2S staging floats per PE; nil unless the plan exchanges
-	scratch    [][]float64  // per PE, 2S floats on first use: coalesced-get buffer or remap pack halves
+	scratch    [][]float64  // per PE, sized on first use: the naive plan's gather window or the lazy plan's 2S pack halves
 
 	// Barrier domains of the two-level exchange, nil on a flat run.
 	nodeGrp []*pgas.Group // per node: that node's PEs
@@ -83,145 +83,103 @@ func (t *oneSided) Counters(rank int) obs.SpanArgs {
 	}
 }
 
-// buf returns rank's 2S-float scratch, allocated on first use.
-func (t *oneSided) buf(rank int) []float64 {
-	if t.scratch[rank] == nil {
-		t.scratch[rank] = make([]float64, 2*t.S)
-	}
-	return t.scratch[rank]
-}
-
-func (t *oneSided) RemoteGate(pe *pgas.PE, r *Rank, cls *gate.Class, _ StepTrace) bool {
-	if len(cls.Targets) == 1 && t.Coalesced {
-		t.applyRemoteCoalesced(pe, r, cls)
+func (t *oneSided) RemoteGate(pe *pgas.PE, r *Rank, g *gate.Gate, _ StepTrace) bool {
+	if len(g.Targets()) == 1 && t.Coalesced {
+		t.applyRemoteCoalesced(pe, r, g)
 	} else {
-		t.applyRemoteGeneric(pe, r, cls)
+		t.applyRemoteGeneric(pe, r, g)
 	}
 	return false
 }
 
-// applyRemoteGeneric is the paper's fine-grained remote path: the work
-// index space is chunked evenly across PEs; each PE gathers the amplitudes
-// of its orbits one-sided, applies the small unitary, and scatters the
-// results back (Listing 5's nvshmem_double_g / nvshmem_double_p loop).
-func (t *oneSided) applyRemoteGeneric(pe *pgas.PE, r *Rank, cls *gate.Class) {
-	bits := append(append([]int(nil), cls.Ctrls...), cls.Targets...)
-	sort.Ints(bits)
-	nb := len(bits)
-	var cmask int
-	for _, c := range cls.Ctrls {
-		cmask |= 1 << uint(c)
-	}
-	k := len(cls.Targets)
-	sub := 1 << uint(k)
-	offsets := make([]int, sub)
-	for a := 0; a < sub; a++ {
-		o := 0
-		for j, tq := range cls.Targets {
-			if a>>uint(j)&1 == 1 {
-				o |= 1 << uint(tq)
-			}
-		}
-		offsets[a] = o
-	}
-	ampR := make([]float64, sub)
-	ampI := make([]float64, sub)
-	outR := make([]float64, sub)
-	outI := make([]float64, sub)
+// gatherAmps is the amplitude capacity of the fine-grained path's gather
+// window: 512 orbits of a 1-target gate, 16 KiB of scratch per PE.
+const gatherAmps = 1024
 
-	total := (t.S * t.P) >> uint(nb)
+// applyRemoteGeneric is the paper's fine-grained remote path: the orbit
+// index space is chunked evenly across PEs; each PE gathers the
+// amplitudes of its orbits one-sided, a batch at a time, applies the
+// gate's kernel, and scatters the results back (Listing 5's
+// nvshmem_double_g / nvshmem_double_p around the specialized gate body).
+// A batch is a window of its own: the orbit's index in the batch is the
+// low bits, the targets sit right above them, and the controls — pinned
+// to 1 by the orbit enumeration — sit above the window in its Base.
+func (t *oneSided) applyRemoteGeneric(pe *pgas.PE, r *Rank, g *gate.Gate) {
+	var tmask int
+	for _, q := range g.Targets() {
+		tmask |= 1 << uint(q)
+	}
+	cmask := int(g.ControlMask())
+	k, nc := bits.OnesCount(uint(tmask)), bits.OnesCount(uint(cmask))
+
+	total := (t.S * t.P) >> uint(k+nc)
 	chunk := (total + t.P - 1) / t.P
 	lo := pe.Rank * chunk
-	hi := lo + chunk
-	if hi > total {
-		hi = total
-	}
-	var touched int64
-	for i := lo; i < hi; i++ {
-		base := i
-		for _, b := range bits {
-			base = statevec.InsertZeroBit(base, b)
+	hi := min(lo+chunk, total)
+	// total and P are powers of two, so chunk is one and batches tile it.
+	lb := bits.Len(uint(min(chunk, gatherAmps>>uint(k)))) - 1
+	batch := 1 << uint(lb)
+
+	// Targets keep their order of position, so that counting through
+	// their settings counts through the window's rows.
+	wg := relabel(t.N, tmask, cmask, lb).PhysicalGate(g)
+	buf := scratch(&t.scratch[pe.Rank], 2*gatherAmps)
+	win := statevec.State{N: lb + k, Dim: batch << uint(k), Base: (1<<uint(nc) - 1) << uint(lb+k), Style: r.Local.Style}
+	win.Re, win.Im = buf[:win.Dim], buf[gatherAmps:][:win.Dim]
+
+	// move gathers (or scatters) the batch of orbits starting at orbit i.
+	move := func(i int, scatter bool) {
+		re, im, fixed := win.Re, win.Im, cmask|tmask
+		for m := fixed; m != 0; m &= m - 1 {
+			i = statevec.InsertZeroBit(i, bits.TrailingZeros(uint(m)))
 		}
-		base |= cmask // operand enumeration: targets stay 0, controls pin to 1
-		for a := 0; a < sub; a++ {
-			gidx := base | offsets[a]
-			ampR[a] = pe.GlobalGet(t.svRe, gidx)
-			ampI[a] = pe.GlobalGet(t.svIm, gidx)
-		}
-		for a := 0; a < sub; a++ {
-			var sr, si float64
-			row := cls.U.Data[a*sub : (a+1)*sub]
-			for b, v := range row {
-				vr, vi := real(v), imag(v)
-				sr += vr*ampR[b] - vi*ampI[b]
-				si += vr*ampI[b] + vi*ampR[b]
+		for j := 0; j < batch; j++ {
+			// Operand enumeration: controls pin to 1, targets run through
+			// their settings in numeric order.
+			sub := 0
+			for w := j; w < len(re); w += batch {
+				gidx := i | cmask | sub
+				if scatter {
+					pe.GlobalPut(t.svRe, gidx, re[w])
+					pe.GlobalPut(t.svIm, gidx, im[w])
+				} else {
+					re[w] = pe.GlobalGet(t.svRe, gidx)
+					im[w] = pe.GlobalGet(t.svIm, gidx)
+				}
+				sub = (sub - tmask) & tmask
 			}
-			outR[a], outI[a] = sr, si
+			i = ((i | fixed) + 1) &^ fixed // the carry skips the operand bits
 		}
-		for a := 0; a < sub; a++ {
-			gidx := base | offsets[a]
-			pe.GlobalPut(t.svRe, gidx, outR[a])
-			pe.GlobalPut(t.svIm, gidx, outI[a])
-		}
-		touched += int64(sub)
 	}
-	r.Extra.Gates++
-	r.Extra.AmpsTouched += touched
-	r.Extra.BytesTouched += touched * 16
-	r.Extra.FlopEst += touched * 4 * int64(sub)
+	var amps, flops int64
+	for i := lo; i < hi; i += batch {
+		move(i, false)
+		a, f := win.ApplyTile(&wg, 0, win.Dim)
+		amps, flops = amps+a, flops+f
+		move(i, true)
+	}
+	r.chargeRemote(amps, flops)
 }
 
 // applyRemoteCoalesced handles a 1-target gate on a global qubit by a bulk
 // block exchange: each PE fetches its partner's whole partition with one
 // coalesced get per array, then updates its own partition locally. This is
 // the warp-coalesced NVSHMEM access pattern the paper recommends.
-func (t *oneSided) applyRemoteCoalesced(pe *pgas.PE, r *Rank, cls *gate.Class) {
-	q := cls.Targets[0]
-	partner := pe.Rank ^ 1<<uint(q-t.LocalBits)
-	buf := t.buf(pe.Rank)
-	bufRe, bufIm := buf[:t.S], buf[t.S:]
-	pe.GetV(t.svRe, partner, 0, bufRe)
-	pe.GetV(t.svIm, partner, 0, bufIm)
-	// All reads must complete before anyone overwrites its partition.
-	pe.Barrier()
-
-	off := pe.Rank * t.S
-	ownIsOne := off>>uint(q)&1 == 1
-	var cmask int
-	for _, c := range cls.Ctrls {
-		cmask |= 1 << uint(c)
-	}
-	u := cls.U
-	u00r, u00i := real(u.At(0, 0)), imag(u.At(0, 0))
-	u01r, u01i := real(u.At(0, 1)), imag(u.At(0, 1))
-	u10r, u10i := real(u.At(1, 0)), imag(u.At(1, 0))
-	u11r, u11i := real(u.At(1, 1)), imag(u.At(1, 1))
-	re := r.Local.Re
-	im := r.Local.Im
-	var touched int64
-	for i := 0; i < t.S; i++ {
-		gidx := off + i
-		if gidx&cmask != cmask {
+func (t *oneSided) applyRemoteCoalesced(pe *pgas.PE, r *Rank, g *gate.Gate) {
+	gw := t.GroupWindow(r, g, &t.scratch[pe.Rank])
+	for slot, peer := range gw.Peers {
+		re, im := gw.Planes(slot)
+		if peer == pe.Rank {
+			copy(re, r.Local.Re)
+			copy(im, r.Local.Im)
 			continue
 		}
-		if ownIsOne {
-			// own amp = a1, partner amp = a0
-			r0, i0 := bufRe[i], bufIm[i]
-			r1, i1 := re[i], im[i]
-			re[i] = u10r*r0 - u10i*i0 + u11r*r1 - u11i*i1
-			im[i] = u10r*i0 + u10i*r0 + u11r*i1 + u11i*r1
-		} else {
-			r0, i0 := re[i], im[i]
-			r1, i1 := bufRe[i], bufIm[i]
-			re[i] = u00r*r0 - u00i*i0 + u01r*r1 - u01i*i1
-			im[i] = u00r*i0 + u00i*r0 + u01r*i1 + u01i*r1
-		}
-		touched++
+		pe.GetV(t.svRe, peer, 0, re)
+		pe.GetV(t.svIm, peer, 0, im)
 	}
-	r.Extra.Gates++
-	r.Extra.AmpsTouched += touched
-	r.Extra.BytesTouched += touched * 16
-	r.Extra.FlopEst += touched * 7
+	// All reads must complete before anyone overwrites its partition.
+	pe.Barrier()
+	gw.Apply(r)
 }
 
 // Remap runs the flat exchange, or under a topology the intra-node
@@ -303,7 +261,7 @@ func (t *oneSided) execRemap(pe *pgas.PE, r *Rank, ex *sched.Exchange, tr StepTr
 		if !ex.Compat[s][dst] {
 			continue
 		}
-		buf := t.buf(s)[:2*B]
+		buf := scratch(&t.scratch[s], 2*t.S)[:2*B]
 		p0 := time.Now()
 		t.packBlock(buf, r, ex, dst)
 		packed += time.Since(p0)
@@ -376,7 +334,7 @@ func (t *oneSided) execPhase(pe *pgas.PE, r *Rank, ex *sched.Exchange, intra boo
 		join()
 		tr.Span(sub+" wire", wStart, time.Now(), wireArgs(phWire, wc0, t.Comm.StatsOf(s)))
 	}
-	pack := t.buf(s)
+	pack := scratch(&t.scratch[s], 2*t.S)
 	half := 0
 	for dst := 0; dst < t.P; dst++ {
 		if !ex.Compat[s][dst] {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"svsim/internal/ckpt"
@@ -209,6 +210,58 @@ func TestElasticShrinkOnKill(t *testing.T) {
 				t.Fatalf("elastic recovery deviates by %g (want bit-identical)", d)
 			}
 		})
+	}
+}
+
+// TestElasticShrinkAcrossMeasurement is the same shrink under the naive
+// plan with measurements on both sides of the kill: a remote gate runs
+// the single-device kernels on gathered operands and a measurement's
+// probability is one summation tree of which each partition holds a
+// subtree, so neither the state nor the outcomes depend on the fleet
+// size — the half fleet finishes bit-identical to the uninterrupted
+// 4-PE run, and both to the single device.
+func TestElasticShrinkAcrossMeasurement(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	c := randomCircuit(rng, 8, 20)
+	c.NumClbits = 3
+	c.Measure(7, 0)
+	c.Measure(0, 1)
+	measured := c.NumGates()
+	c.Concat(randomCircuit(rng, 8, 40))
+	c.Measure(6, 2)
+	c.Concat(randomCircuit(rng, 8, 10))
+
+	single, err := NewSingleDevice(Config{Seed: 2}).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{PEs: 4, Seed: 2}
+	ref, err := NewScaleOut(base).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := fault.NewInjector(faultSeed(t))
+	in.KillAt(1, fault.Barrier, 50)
+	cfg := base
+	cfg.Fault = in
+	cfg.CheckpointEvery = 5
+	cfg.CheckpointDir = ckptTestDir(t)
+	cfg.MaxRestarts = 1
+	cfg.Elastic = true
+	got, err := NewScaleOut(cfg).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.PEs != 2 || got.Recoveries != 1 {
+		t.Fatalf("want one shrink to 2 PEs, got %d PEs after %d recoveries", got.PEs, got.Recoveries)
+	}
+	if _, m, ok, _ := ckpt.Latest(cfg.CheckpointDir); !ok || m.OpsDone < measured || m.OpsDone >= c.NumGates()-11 {
+		t.Fatalf("the shrink must cut between the measurements (ops %d..%d): %+v", measured, c.NumGates()-11, m)
+	}
+	for name, want := range map[string]*Result{"the 4-PE run": ref, "single": single} {
+		if d := got.State.MaxAbsDiff(want.State); d != 0 || got.Cbits != want.Cbits {
+			t.Errorf("shrunk run vs %s: state deviates by %g, cbits %b vs %b (want bit-identical)", name, d, got.Cbits, want.Cbits)
+		}
 	}
 }
 

@@ -52,12 +52,14 @@ type Transport interface {
 	// imaginaries, zeroed. The transport owns the memory (a symmetric
 	// heap, or plain per-rank slices).
 	Partition(rank int) (re, im []float64)
-	// RemoteGate applies a gate one of whose pairing targets sits at or
-	// above LocalBits; cls is the gate at its physical positions. The
-	// routine synchronizes whatever it needs mid-gate; the loop's grid
-	// sync closes the gate. It reports whether it recorded sub-spans of
-	// its own through tr, in which case the loop drops the parent span.
-	RemoteGate(pe *pgas.PE, r *Rank, cls *gate.Class, tr StepTrace) bool
+	// RemoteGate applies g, a gate at its physical positions one of whose
+	// pairing targets sits at or above LocalBits: it brings the operands
+	// into a scratch window where those targets are local, runs the kernel
+	// there (State.ApplyTile) and moves the results back, synchronizing
+	// whatever it needs mid-gate; the loop's grid sync closes the gate. It
+	// reports whether it recorded sub-spans of its own through tr, in
+	// which case the loop drops the parent span.
+	RemoteGate(pe *pgas.PE, r *Rank, g *gate.Gate, tr StepTrace) bool
 	// Remap moves every amplitude to where plan step si (a remap that
 	// is not folded) puts it, barriers included, charging r.IntraBytes
 	// and r.InterBytes under a topology. It returns the exchange phases
@@ -85,7 +87,7 @@ func (t local) Partition(int) (re, im []float64) {
 	return make([]float64, t.S), make([]float64, t.S)
 }
 
-func (local) RemoteGate(*pgas.PE, *Rank, *gate.Class, StepTrace) bool {
+func (local) RemoteGate(*pgas.PE, *Rank, *gate.Gate, StepTrace) bool {
 	panic("core: remote gate on a one-rank grid")
 }
 
@@ -612,7 +614,6 @@ func (rt *runtime) apply(pe *pgas.PE, r *Rank, g *gate.Gate, cls *gate.Class, tr
 		pg := r.perm.PhysicalGate(g)
 		g = &pg
 	}
-	nc := g.Kind.NumControls()
 	remote := false
 	if rt.P > 1 && cls != nil && !cls.Diag {
 		for _, t := range g.Targets() {
@@ -620,23 +621,15 @@ func (rt *runtime) apply(pe *pgas.PE, r *Rank, g *gate.Gate, cls *gate.Class, tr
 		}
 	}
 	if remote {
-		pc := gate.Class{U: cls.U}
-		for i, q := range g.OperandQubits() {
-			if i < nc {
-				pc.Ctrls = append(pc.Ctrls, int(q))
-			} else {
-				pc.Targets = append(pc.Targets, int(q))
-			}
-		}
 		r.markAll() // peers may write into this partition
-		return rt.t.RemoteGate(pe, r, &pc, tr)
+		return rt.t.RemoteGate(pe, r, g, tr)
 	}
 	if r.dirty != nil {
 		// Write tracking: only amplitudes satisfying every LOCAL control
 		// bit can change (global controls merely gate the whole
 		// partition, conservatively ignored).
 		var localMask int
-		for _, c := range g.Qubits[:nc] {
+		for _, c := range g.Qubits[:g.Kind.NumControls()] {
 			if int(c) < rt.LocalBits {
 				localMask |= 1 << uint(c)
 			}
@@ -655,7 +648,9 @@ func (rt *runtime) apply(pe *pgas.PE, r *Rank, g *gate.Gate, cls *gate.Class, tr
 // current physical position: the windows' probability shares are
 // combined with one all-reduce (a lone window's share is the
 // probability), every rank draws the same uniform number from its
-// replicated stream, and each collapses its partition.
+// replicated stream, and each collapses its partition. Share and
+// all-reduce are one balanced summation tree over the physical index
+// space, so the probability does not depend on how many ranks hold it.
 func (rt *runtime) measure(pe *pgas.PE, r *Rank, q int) int {
 	phys := r.perm[q]
 	r.markAll() // collapse renormalizes the whole partition

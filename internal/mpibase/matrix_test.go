@@ -55,12 +55,12 @@ func matrixCells() []cell {
 	}
 }
 
-// TestTransportPlanIdentityMatrix pins the one-runtime claim on the
-// medium suite's unitary circuits: a lazy plan keeps every pairing
-// target inside the partition window, so over either transport it
-// reproduces the single-device state exactly (MaxAbsDiff == 0, flat and
-// two-level); a naive plan runs its global-qubit gates through the
-// transport's own remote arithmetic and agrees within tolerance.
+// TestTransportPlanIdentityMatrix pins the one-arithmetic claim on the
+// medium suite's unitary circuits: every cell reproduces the
+// single-device state exactly (MaxAbsDiff == 0). A lazy plan keeps every
+// pairing target inside the partition window (flat and two-level); a
+// naive plan's remote-gate routines move the operands into a scratch
+// window and run the same kernels there.
 func TestTransportPlanIdentityMatrix(t *testing.T) {
 	circuits := []*circuit.Circuit{qasmbench.RQC(12, 16, 1)}
 	for _, e := range qasmbench.Medium() {
@@ -84,12 +84,8 @@ func TestTransportPlanIdentityMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s pes=%d ppn=%d on %s: %v", cl.name, pes, ppn, c.Name, err)
 					}
-					d := got.MaxAbsDiff(want.State)
-					if cl.lazy && d != 0 {
+					if d := got.MaxAbsDiff(want.State); d != 0 {
 						t.Errorf("%s pes=%d ppn=%d on %s: deviates from single by %g, want bit-identical", cl.name, pes, ppn, c.Name, d)
-					}
-					if d > 1e-10 {
-						t.Errorf("%s pes=%d ppn=%d on %s: deviates from single by %g", cl.name, pes, ppn, c.Name, d)
 					}
 				}
 			}
@@ -99,10 +95,14 @@ func TestTransportPlanIdentityMatrix(t *testing.T) {
 
 // TestStressAllCellsWithFeedback runs deep random programs mixing every
 // unitary kind with mid-circuit measurement, reset, and classical
-// control, and demands bit-identical classical results plus
-// near-identical states between the single-device engine and every
-// transport × plan cell at several fleet sizes: equal seeds collapse
-// identically everywhere.
+// control, and demands bit-identical classical results between the
+// single-device engine and every transport × plan cell at several fleet
+// sizes: equal seeds collapse identically everywhere. The naive cells
+// also reproduce the state exactly — a measurement's probability is one
+// balanced tree over the index space, of which each partition sums a
+// subtree. A lazy plan measures a qubit wherever its remaps left it, so
+// its tree adds the same terms in another order and the renormalized
+// state agrees within rounding only.
 func TestStressAllCellsWithFeedback(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	n := 8
@@ -127,7 +127,7 @@ func TestStressAllCellsWithFeedback(t *testing.T) {
 				if cb != ref.Cbits {
 					t.Fatalf("trial %d %s pes=%d: cbits %b vs %b", trial, cl.name, pes, cb, ref.Cbits)
 				}
-				if d := st.MaxAbsDiff(ref.State); d > 1e-9 {
+				if d := st.MaxAbsDiff(ref.State); d > 1e-9 || d != 0 && !cl.lazy {
 					t.Fatalf("trial %d %s pes=%d: state deviates by %g", trial, cl.name, pes, d)
 				}
 			}

@@ -52,7 +52,7 @@ func TestBaselineMatchesSVSim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := got.State.MaxAbsDiff(ref.State); d > 1e-10 {
+			if d := got.State.MaxAbsDiff(ref.State); d != 0 {
 				t.Fatalf("trial %d ranks %d: baseline deviates by %g", trial, ranks, d)
 			}
 		}
@@ -76,7 +76,7 @@ func TestBaselineMeasurementAgrees(t *testing.T) {
 		if got.Cbits != ref.Cbits {
 			t.Fatalf("seed %d: cbits %b vs %b", seed, got.Cbits, ref.Cbits)
 		}
-		if d := got.State.MaxAbsDiff(ref.State); d > 1e-10 {
+		if d := got.State.MaxAbsDiff(ref.State); d != 0 {
 			t.Fatalf("seed %d: state deviates by %g", seed, d)
 		}
 	}
@@ -143,7 +143,7 @@ func TestCoarseVsFineGrainedShape(t *testing.T) {
 	if mpi.MPI.PackBytes == 0 {
 		t.Fatal("baseline did not pay packing costs")
 	}
-	if d := mpi.State.MaxAbsDiff(fine.State); d > 1e-10 {
+	if d := mpi.State.MaxAbsDiff(fine.State); d != 0 {
 		t.Fatalf("baseline and PGAS disagree by %g", d)
 	}
 }
@@ -163,7 +163,7 @@ func TestGroupExchangeTwoGlobalTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := got.State.MaxAbsDiff(ref.State); d > 1e-10 {
+	if d := got.State.MaxAbsDiff(ref.State); d != 0 {
 		t.Fatalf("two-global-target exchange wrong by %g", d)
 	}
 }
@@ -233,7 +233,7 @@ func TestRemapSimulatorMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := got.State.MaxAbsDiff(ref.State); d > 1e-9 {
+			if d := got.State.MaxAbsDiff(ref.State); d != 0 {
 				t.Fatalf("trial %d ranks %d: remap deviates by %g (swaps %d)",
 					trial, ranks, d, got.BitSwaps)
 			}
@@ -266,7 +266,7 @@ func TestRemapExploitsLocality(t *testing.T) {
 		t.Fatalf("remap messages (%d) not below pack-exchange (%d)",
 			remap.MPI.Messages, packed.MPI.Messages)
 	}
-	if d := remap.State.MaxAbsDiff(packed.State); d > 1e-10 {
+	if d := remap.State.MaxAbsDiff(packed.State); d != 0 {
 		t.Fatalf("strategies disagree by %g", d)
 	}
 }

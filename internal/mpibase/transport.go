@@ -8,6 +8,7 @@ import (
 	"svsim/internal/obs"
 	"svsim/internal/pgas"
 	"svsim/internal/sched"
+	"svsim/internal/statevec"
 )
 
 // twoSided is the message-passing transport of the shared distributed
@@ -22,10 +23,11 @@ type twoSided struct {
 	*core.Grid
 	comm *Comm
 	pack [][]float64 // per rank: 2S pack buffer (re then im), on first use
+	win  [][]float64 // per rank: a remote gate's group window, on first use
 }
 
 func newTwoSided(g *core.Grid, m *obs.Metrics) *twoSided {
-	t := &twoSided{Grid: g, comm: NewComm(g.Comm), pack: make([][]float64, g.P)}
+	t := &twoSided{Grid: g, comm: NewComm(g.Comm), pack: make([][]float64, g.P), win: make([][]float64, g.P)}
 	t.comm.SetMetrics(m)
 	return t
 }
@@ -45,39 +47,38 @@ func (t *twoSided) Counters(rank int) obs.SpanArgs {
 // ids differ only in the gate's global target bits form a group; every
 // member packs its whole partition into one coarse message, sends it to
 // every other member, and then computes its own new partition from the
-// received snapshots. This is the "pack small messages into coarser
+// received snapshots, unpacked side by side into the group's window
+// (core.GroupWindow). This is the "pack small messages into coarser
 // transportation" pattern whose waiting and staging costs the paper
 // calls out (§1, §2.1). A traced run records pack / wire / compute
 // sub-spans in place of the parent gate span, so phase attribution sees
 // inside the exchange.
-func (t *twoSided) RemoteGate(pe *pgas.PE, r *core.Rank, cls *gate.Class, tr core.StepTrace) bool {
+func (t *twoSided) RemoteGate(pe *pgas.PE, r *core.Rank, g *gate.Gate, tr core.StepTrace) bool {
 	c0 := t.comm.StatsOf(pe.Rank)
 	p0 := time.Now()
 	pack := t.packPartition(pe.Rank, r)
 	p1 := time.Now()
 	tr.Span(" pack", p0, p1, obs.SpanArgs{Kind: "pack", Phase: obs.PhasePack, PackBytes: int64(2*t.S) * 8})
-	bufs := t.exchangeGroup(pe, pack, t.groupMask(cls))
+	gw := t.GroupWindow(r, g, &t.win[pe.Rank])
+	for slot, peer := range gw.Peers {
+		buf := pack
+		if peer != pe.Rank {
+			buf = t.comm.SendRecv(pe, peer, pack)
+			t.comm.notePack(pe.Rank, int64(2*t.S)*8) // unpack pass on arrival
+		}
+		re, im := gw.Planes(slot)
+		copy(re, buf[:t.S])
+		copy(im, buf[t.S:])
+	}
 	w1 := time.Now()
 	cw := t.comm.StatsOf(pe.Rank)
 	tr.Span(" wire", p1, w1, obs.SpanArgs{
 		Kind: "wire", Phase: obs.PhaseWire,
 		Msgs: cw.Messages - c0.Messages, MsgBytes: cw.MsgBytes - c0.MsgBytes,
 	})
-	t.computeExchanged(pe.Rank, r, cls, bufs)
+	gw.Apply(r)
 	tr.Span(" exchange compute", w1, time.Now(), obs.SpanArgs{Kind: "compute", Phase: obs.PhaseCompute})
 	return tr.On()
-}
-
-// groupMask returns the rank-space bits that vary across the exchange
-// group of a gate's global targets.
-func (t *twoSided) groupMask(cls *gate.Class) int {
-	var mask int
-	for _, q := range cls.Targets {
-		if q >= t.LocalBits {
-			mask |= 1 << uint(q-t.LocalBits)
-		}
-	}
-	return mask
 }
 
 // packPartition copies the rank's whole partition into its pack buffer:
@@ -93,85 +94,6 @@ func (t *twoSided) packPartition(rank int, r *core.Rank) []float64 {
 	copy(pack[t.S:], r.Local.Im)
 	t.comm.notePack(rank, int64(2*t.S)*8)
 	return pack
-}
-
-// exchangeGroup sends the packed partition to every group member and
-// collects their snapshots.
-func (t *twoSided) exchangeGroup(pe *pgas.PE, pack []float64, groupMask int) map[int][]float64 {
-	bufs := map[int][]float64{pe.Rank: pack}
-	for bits := 1; bits <= groupMask; bits++ {
-		if bits&^groupMask != 0 {
-			continue
-		}
-		peer := pe.Rank ^ bits
-		bufs[peer] = t.comm.SendRecv(pe, peer, pack)
-		t.comm.notePack(pe.Rank, int64(2*t.S)*8) // unpack pass on arrival
-	}
-	return bufs
-}
-
-// computeExchanged computes the rank's new partition from the group's
-// snapshots.
-func (t *twoSided) computeExchanged(rank int, r *core.Rank, cls *gate.Class, bufs map[int][]float64) {
-	re, im := r.Local.Re, r.Local.Im
-	off := rank * t.S
-	var cmask int
-	for _, c := range cls.Ctrls {
-		cmask |= 1 << uint(c)
-	}
-	sub := cls.U.N
-	// Per target j, the XOR that moves a global index to the orbit
-	// member with target bit j flipped.
-	tbits := make([]int, len(cls.Targets))
-	for j, q := range cls.Targets {
-		tbits[j] = 1 << uint(q)
-	}
-	var touched int64
-	newRe := make([]float64, t.S)
-	newIm := make([]float64, t.S)
-	copy(newRe, re)
-	copy(newIm, im)
-	for i := 0; i < t.S; i++ {
-		gidx := off + i
-		if gidx&cmask != cmask {
-			continue
-		}
-		a := 0
-		for j := range tbits {
-			if gidx&tbits[j] != 0 {
-				a |= 1 << uint(j)
-			}
-		}
-		var sr, si float64
-		row := cls.U.Data[a*sub : (a+1)*sub]
-		for b := 0; b < sub; b++ {
-			v := row[b]
-			if v == 0 {
-				continue
-			}
-			// Global index of orbit member b.
-			gb := gidx
-			for j := range tbits {
-				if (a^b)>>uint(j)&1 == 1 {
-					gb ^= tbits[j]
-				}
-			}
-			buf := bufs[gb>>uint(t.LocalBits)]
-			li := gb & (t.S - 1)
-			br, bi := buf[li], buf[t.S+li]
-			vr, vi := real(v), imag(v)
-			sr += vr*br - vi*bi
-			si += vr*bi + vi*br
-		}
-		newRe[i], newIm[i] = sr, si
-		touched++
-	}
-	copy(re, newRe)
-	copy(im, newIm)
-	r.Extra.Gates++
-	r.Extra.AmpsTouched += touched
-	r.Extra.BytesTouched += touched * 16
-	r.Extra.FlopEst += touched * 4 * int64(sub)
 }
 
 // Remap realizes a remap step's bit swaps as pairwise half-partition
@@ -234,18 +156,22 @@ func (t *twoSided) swapBits(pe *pgas.PE, r *core.Rank, gBit, lBit int, topo sche
 			r.InterBytes += half
 		}
 	}
-	// Pack elements whose local bit != rank bit.
-	re, im := r.Local.Re, r.Local.Im
-	buf := make([]float64, t.S) // S/2 re + S/2 im
-	p0 := time.Now()
-	k := 0
-	for i := 0; i < t.S; i++ {
-		if i>>uint(lBit)&1 != beta {
-			buf[k] = re[i]
-			buf[k+t.S/2] = im[i]
-			k++
+	// The half to trade is the subcube with the local bit pinned to the
+	// complement of the rank bit and every other local bit free.
+	pinned := (1 - beta) << uint(lBit)
+	free := make([]int, 0, t.LocalBits)
+	for q := 0; q < t.LocalBits; q++ {
+		if q != lBit {
+			free = append(free, q)
 		}
 	}
+	h := t.S / 2
+	// A fresh buffer per swap: the partner still reads it after this rank
+	// has moved on.
+	buf := make([]float64, t.S) // S/2 re + S/2 im
+	p0 := time.Now()
+	statevec.GatherBits(buf[:h], r.Local.Re, pinned, free)
+	statevec.GatherBits(buf[h:], r.Local.Im, pinned, free)
 	t.comm.notePack(pe.Rank, half)
 	p1 := time.Now()
 	tr.Span(" pack", p0, p1, obs.SpanArgs{Kind: "pack", Phase: phPack, PackBytes: half})
@@ -253,14 +179,8 @@ func (t *twoSided) swapBits(pe *pgas.PE, r *core.Rank, gBit, lBit int, topo sche
 	w1 := time.Now()
 	tr.Span(" wire", p1, w1, obs.SpanArgs{Kind: "wire", Phase: phWire, Msgs: 1, MsgBytes: half})
 	// Unpack into the vacated slots (same enumeration order).
-	k = 0
-	for i := 0; i < t.S; i++ {
-		if i>>uint(lBit)&1 != beta {
-			re[i] = in[k]
-			im[i] = in[k+t.S/2]
-			k++
-		}
-	}
+	statevec.ScatterBits(r.Local.Re, in[:h], pinned, free)
+	statevec.ScatterBits(r.Local.Im, in[h:], pinned, free)
 	t.comm.notePack(pe.Rank, half)
 	tr.Span(" unpack", w1, time.Now(), obs.SpanArgs{Kind: "unpack", Phase: obs.PhaseUnpack, PackBytes: half})
 }

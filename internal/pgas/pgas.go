@@ -280,7 +280,8 @@ func (b *barrier) await(rank int, deadline time.Duration) error {
 	}
 }
 
-// AllReduceSum returns the sum of v over all PEs (shmem collective).
+// AllReduceSum returns the sum of v over all PEs (shmem collective),
+// added as a balanced binary tree over the ranks.
 func (pe *PE) AllReduceSum(v float64) float64 {
 	c := pe.comm
 	buf := c.scratchF[pe.collSeq&1]
@@ -288,12 +289,21 @@ func (pe *PE) AllReduceSum(v float64) float64 {
 	pe.comm.pes[pe.Rank].stats.Collectives++
 	buf[pe.Rank] = v
 	pe.Barrier()
-	var s float64
-	for _, x := range buf {
-		s += x
-	}
+	s := treeSum(buf)
 	pe.Barrier()
 	return s
+}
+
+// treeSum adds each half of xs, then the two sums. Shares that are
+// themselves subtrees of one larger tree — statevec.ProbOne over the
+// windows tiling a register — thus reduce to the same bits at every
+// power-of-two fleet size, which a rank-order sum does not.
+func treeSum(xs []float64) float64 {
+	if len(xs) == 1 {
+		return xs[0]
+	}
+	h := len(xs) / 2
+	return treeSum(xs[:h]) + treeSum(xs[h:])
 }
 
 // AllReduceMax returns the maximum of v over all PEs.

@@ -147,6 +147,18 @@ func TestAllReduceSum(t *testing.T) {
 			}
 		}
 	})
+	// The sum is a balanced tree over the ranks: 1 followed by three
+	// half-ulps loses each of them in rank order, while the tree pairs
+	// two of them into a whole ulp first.
+	NewComm(4).Run(func(pe *PE) {
+		v := math.Ldexp(1, -53)
+		if pe.Rank == 0 {
+			v = 1
+		}
+		if got, want := pe.AllReduceSum(v), 1+math.Ldexp(1, -52); got != want {
+			t.Errorf("PE %d: sum = %v, want the tree sum %v", pe.Rank, got, want)
+		}
+	})
 }
 
 func TestAllReduceMax(t *testing.T) {

@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 )
@@ -14,26 +15,35 @@ import (
 // ProbOne returns this window's share of the probability of measuring
 // qubit q as 1: for a whole state, the probability itself. A qubit at or
 // above the window (q >= N) is one bit of Base, so the whole window
-// counts or none of it does; the shares of the windows that tile a
-// register sum to the register's probability.
+// counts or none of it does. The sum is the balanced binary tree over
+// the window's index space, an index whose bit q is 0 counting zero: a
+// window is a subtree of its register's tree, so combining the shares of
+// the windows that tile a register with the same tree (pgas.AllReduceSum)
+// yields the register's ProbOne bit for bit, however many windows there
+// are.
 func (s *State) ProbOne(q int) float64 {
-	var p float64
+	bit := 1 << uint(q)
 	if q >= s.N {
-		if s.Base>>uint(q)&1 == 0 {
+		if s.Base&bit == 0 {
 			return 0
 		}
-		for i := 0; i < s.Dim; i++ {
-			p += s.Re[i]*s.Re[i] + s.Im[i]*s.Im[i]
-		}
-		return p
+		bit = 0
 	}
-	bit := 1 << uint(q)
-	for i := bit; i < s.Dim; i += 1 {
-		if i&bit != 0 {
-			p += s.Re[i]*s.Re[i] + s.Im[i]*s.Im[i]
+	// sub[l] is the finished left subtree of 2^l leaves waiting for its
+	// right sibling; leaf i completes one subtree per trailing one of i.
+	var sub [bits.UintSize]float64
+	for i := 0; i < s.Dim; i++ {
+		var v float64
+		if i&bit == bit {
+			v = s.Re[i]*s.Re[i] + s.Im[i]*s.Im[i]
 		}
+		l := 0
+		for ; i>>uint(l)&1 == 1; l++ {
+			v = sub[l] + v
+		}
+		sub[l] = v
 	}
-	return p
+	return sub[s.N]
 }
 
 // MeasureQubit performs a projective measurement of qubit q using the

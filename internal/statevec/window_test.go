@@ -1,6 +1,7 @@
 package statevec
 
 import (
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"svsim/internal/baseline"
 	"svsim/internal/circuit"
 	"svsim/internal/gate"
+	"svsim/internal/pgas"
 )
 
 // windowKinds is every unitary kind, including the operand-less ones.
@@ -244,44 +246,45 @@ func TestStatsTileAccounting(t *testing.T) {
 	}
 }
 
-// TestWindowProbOneAndProject cuts a random state into 2/4/8 windows:
-// the windows' ProbOne shares sum to the full state's probability, and
-// projecting every window with the same p1 reproduces the projected
-// full state exactly — for qubits inside and above the windows.
+// TestWindowProbOneAndProject cuts random states into 1, 2, 4 ... 64
+// windows: the windows' ProbOne shares, combined by the fleet's
+// all-reduce, equal the full state's probability bit for bit whatever the
+// number of windows (each share is a subtree of the one summation tree),
+// and projecting every window with that p1 reproduces the projected full
+// state exactly — for qubits inside and above the windows.
 func TestWindowProbOneAndProject(t *testing.T) {
 	const n = 7
 	rng := rand.New(rand.NewSource(61))
-	full := randomState(rng, n, Vectorized)
-	for _, parts := range []int{2, 4, 8} {
-		size := full.Dim / parts
-		wbits := n
-		for 1<<uint(wbits) > size {
-			wbits--
-		}
-		for q := 0; q < n; q++ {
-			for outcome := 0; outcome < 2; outcome++ {
-				ref := full.Clone()
-				p1 := ref.ProbOne(q)
-				wins := make([]*State, parts)
-				var sum float64
-				for w := range wins {
-					wins[w] = &State{
-						N: wbits, Dim: size, Base: w * size,
-						Re: append([]float64(nil), full.Re[w*size:(w+1)*size]...),
-						Im: append([]float64(nil), full.Im[w*size:(w+1)*size]...),
+	for trial := 0; trial < 4; trial++ {
+		full := randomState(rng, n, Vectorized)
+		for parts := 1; parts <= 64; parts *= 2 {
+			size := full.Dim / parts
+			wbits := bits.Len(uint(size)) - 1
+			for q := 0; q < n; q++ {
+				for outcome := 0; outcome < 2; outcome++ {
+					ref := full.Clone()
+					p1 := ref.ProbOne(q)
+					wins := make([]*State, parts)
+					for w := range wins {
+						wins[w] = &State{
+							N: wbits, Dim: size, Base: w * size,
+							Re: append([]float64(nil), full.Re[w*size:(w+1)*size]...),
+							Im: append([]float64(nil), full.Im[w*size:(w+1)*size]...),
+						}
 					}
-					sum += wins[w].ProbOne(q)
-				}
-				if d := sum - p1; d > 1e-15 || d < -1e-15 {
-					t.Fatalf("parts=%d q=%d: window shares sum to %g, full state says %g", parts, q, sum, p1)
-				}
-				ref.Project(q, outcome, p1)
-				for w, win := range wins {
-					win.Project(q, outcome, p1)
-					for i := 0; i < size; i++ {
-						if win.Re[i] != ref.Re[w*size+i] || win.Im[i] != ref.Im[w*size+i] {
-							t.Fatalf("parts=%d q=%d outcome=%d: window %d differs from the projected full state at %d",
-								parts, q, outcome, w, i)
+					pgas.NewComm(parts).Run(func(pe *pgas.PE) {
+						if sum := pe.AllReduceSum(wins[pe.Rank].ProbOne(q)); sum != p1 {
+							t.Errorf("parts=%d q=%d: window shares reduce to %v on rank %d, full state says %v", parts, q, sum, pe.Rank, p1)
+						}
+					})
+					ref.Project(q, outcome, p1)
+					for w, win := range wins {
+						win.Project(q, outcome, p1)
+						for i := 0; i < size; i++ {
+							if win.Re[i] != ref.Re[w*size+i] || win.Im[i] != ref.Im[w*size+i] {
+								t.Fatalf("parts=%d q=%d outcome=%d: window %d differs from the projected full state at %d",
+									parts, q, outcome, w, i)
+							}
 						}
 					}
 				}
