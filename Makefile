@@ -71,7 +71,7 @@ metrics:
 		-metrics-out metrics.om -phase-report phase_report.json -flight flight.jsonl
 
 # Machine-readable measured bench records for perf-trajectory tracking
-# (svsim-bench/v5: includes the two-level remap's ppn/intra_bytes/
+# (svsim-bench/v6: includes the two-level remap's ppn/intra_bytes/
 # inter_bytes/exchange_phases fields). If the tag somehow resolves empty
 # (a broken git stub that exits 0 with no output), fall back to "dev" so
 # the target never writes a bare "BENCH_.json".
@@ -79,7 +79,7 @@ bench-json:
 	$(GO) run ./cmd/svbench -json BENCH_$(or $(BENCH_TAG),dev).json
 
 # Compare a fresh bench run against the committed baseline, with the
-# same v5 gates CI applies: tight bounds on the deterministic counters
+# same gates CI applies: tight bounds on the deterministic counters
 # (remote, inter-node and state-vector bytes); wall time is not gated
 # here — compare paired svperf runs (bench/README.md) for the clock.
 bench-diff: bench-json

@@ -7,11 +7,11 @@
 //	benchdiff -baseline BENCH_baseline.json -current BENCH_current.json
 //
 // Only deterministic counters are gated — remote, inter-node and
-// state-vector bytes, fused-gate and remap counts, plan-cache hits, the
-// checkpoint stall factor. Wall time (elapsed_ns, compile_ns) is noisy
-// on shared runners and tripped on untouched code: it stays a series on
-// the -html page, and the clock is gated by paired svperf runs instead
-// (CI's perf-pair job).
+// state-vector bytes, state-vector sweeps, fused-gate and remap counts,
+// plan-cache hits, the checkpoint stall factor. Wall time (elapsed_ns,
+// compile_ns) is noisy on shared runners and tripped on untouched code:
+// it stays a series on the -html page, and the clock is gated by paired
+// svperf runs instead (CI's perf-pair job).
 package main
 
 import (
@@ -40,6 +40,7 @@ type record struct {
 	CkptStallSec    float64 `json:"ckpt_stall_seconds,omitempty"`
 	ElapsedNS       int64   `json:"elapsed_ns"`
 	BytesTouched    int64   `json:"bytes_touched"`
+	Sweeps          int64   `json:"sweeps,omitempty"`
 	CommRemoteBytes int64   `json:"comm_remote_bytes"`
 	IntraBytes      int64   `json:"intra_bytes,omitempty"`
 	InterBytes      int64   `json:"inter_bytes,omitempty"`
@@ -120,6 +121,13 @@ func diff(baseline, current []record, byteTol, interTol float64) (regs []regress
 			regs = append(regs, regression{k, "bytes_touched", b.BytesTouched, c.BytesTouched, r})
 		} else if r < 1 {
 			notes = append(notes, fmt.Sprintf("improved %-55s bytes_touched %d -> %d", k, b.BytesTouched, c.BytesTouched))
+		}
+		// So are the passes over the state: more sweeps for the same
+		// workload means a diagonal run or a tiled group fell apart.
+		if r := ratio(c.Sweeps, b.Sweeps); r > 1+byteTol {
+			regs = append(regs, regression{k, "sweeps", b.Sweeps, c.Sweeps, r})
+		} else if r < 1 {
+			notes = append(notes, fmt.Sprintf("improved %-55s sweeps %d -> %d", k, b.Sweeps, c.Sweeps))
 		}
 		// Compile-pipeline trajectory. Fused gate and remap counts are
 		// deterministic for a fixed workload, so they get the tight byte

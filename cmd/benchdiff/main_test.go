@@ -88,6 +88,27 @@ func TestBytesTouchedRegressionFails(t *testing.T) {
 	}
 }
 
+func TestSweepsRegressionFails(t *testing.T) {
+	// The sweep-count gate: a workload that needs >15% more passes over
+	// the state (a diagonal run or a tiled group fell apart) fails even
+	// when its bytes stay level; fewer passes is an improvement note.
+	base := baseRecords()
+	for i := range base {
+		base[i].Sweeps = 54
+	}
+	cur := append([]record(nil), base...)
+	cur[0].Sweeps = 264
+	regs, _ := diff(base, cur, 0.15, 0.15)
+	if len(regs) != 1 || regs[0].Metric != "sweeps" {
+		t.Fatalf("sweeps regression not flagged: %v", regs)
+	}
+	cur = append([]record(nil), base...)
+	cur[0].Sweeps = 21
+	if regs, notes := diff(base, cur, 0.15, 0.15); len(regs) != 0 || len(notes) == 0 {
+		t.Fatalf("sweeps improvement: regressions %v, notes %v", regs, notes)
+	}
+}
+
 func TestInterBytesRegressionFails(t *testing.T) {
 	// The two-level trajectory gate: >15% growth in inter-node exchange
 	// bytes on a topology record fails; shrinkage is an improvement note.

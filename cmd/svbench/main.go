@@ -190,12 +190,17 @@ type benchRecord struct {
 	// the per-gate path, one per tiled group under -tile); GatesPerByte is
 	// kernel gates divided by bytes touched, the arithmetic-intensity
 	// figure cache-blocked execution raises.
-	Sweeps          int64   `json:"sweeps,omitempty"`
-	GatesPerByte    float64 `json:"gates_per_byte,omitempty"`
-	CommLocalBytes  int64   `json:"comm_local_bytes"`
-	CommRemoteBytes int64   `json:"comm_remote_bytes"`
-	CommRemoteMsgs  int64   `json:"comm_remote_msgs"`
-	Barriers        int64   `json:"barriers"`
+	Sweeps       int64   `json:"sweeps,omitempty"`
+	GatesPerByte float64 `json:"gates_per_byte,omitempty"`
+	// DiagRuns counts the stretches of consecutive diagonal gates the
+	// plan executes as one pass each, MergedGates the gates inside them
+	// (both per plan, not per PE).
+	DiagRuns        int   `json:"diag_runs,omitempty"`
+	MergedGates     int   `json:"merged_gates,omitempty"`
+	CommLocalBytes  int64 `json:"comm_local_bytes"`
+	CommRemoteBytes int64 `json:"comm_remote_bytes"`
+	CommRemoteMsgs  int64 `json:"comm_remote_msgs"`
+	Barriers        int64 `json:"barriers"`
 	// Two-level exchange trajectory (topology runs only): the measured
 	// intra-node and inter-node one-sided volume, the number of exchange
 	// phases executed, and the analytic inter-node volume the FLAT
@@ -239,10 +244,11 @@ type benchRecord struct {
 // tile, sweeps, and gates_per_byte; v4 added ppn, intra_bytes,
 // inter_bytes, exchange_phases, and flat_inter_bytes for the two-level
 // remap trajectory; v5 added ckpt_mode and ckpt_stall_seconds for the
-// sync-vs-async checkpoint stall trajectory).
+// sync-vs-async checkpoint stall trajectory; v6 added diag_runs and
+// merged_gates).
 const (
-	benchSchema        = "svsim-bench/v5"
-	benchSchemaVersion = 5
+	benchSchema        = "svsim-bench/v6"
+	benchSchemaVersion = 6
 )
 
 // buildCommit identifies the measured tree: the VCS revision the Go
@@ -489,6 +495,7 @@ func runBenchSpec(spec benchSpec, plans *compile.Cache, tracer *obs.Tracer, metr
 		rec.FusedGates = res.Compile.Fusion.OutputGates
 	}
 	rec.Remaps = int64(res.Compile.Remaps)
+	rec.DiagRuns, rec.MergedGates = res.Compile.DiagRuns, res.Compile.Merged
 	rec.CompileNS = res.Compile.TotalNS
 	rec.BindNS = res.Compile.BindNS
 	rec.PlanCacheHit = res.Compile.CacheHit

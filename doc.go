@@ -17,9 +17,10 @@
 //     (internal/sched) and emits an immutable CompiledPlan: the
 //     executable gate stream, per-gate classifications, the schedule's
 //     block/remap step list, precomputed all-to-all exchange geometry,
-//     the logical-to-physical permutation trace, and — for the tiled
-//     single-node path — a TilePlan of gate runs that fit cache-resident
-//     tiles of the amplitude arrays. Plans are memoized in an LRU
+//     the logical-to-physical permutation trace, the diagonal runs
+//     (stretches of consecutive diagonal gates that execute as one pass
+//     each) and — for the tiled single-node path — a TilePlan of gate
+//     runs that fit cache-resident tiles of the amplitude arrays. Plans are memoized in an LRU
 //     compile.Cache keyed on the parameter-free circuit skeleton, so
 //     variational sweeps compile once per ansatz shape; a cache hit
 //     only re-binds the parameter-dependent gates of the cached plan.
@@ -33,7 +34,10 @@
 //     All six are one runtime in internal/core — a plan walked by one
 //     step loop over a transport — differing only in the grid size, the
 //     transport (local, one-sided PGAS, two-sided messages) and the plan
-//     (naive vs lazy).
+//     (naive vs lazy). A stretch of consecutive diagonal gates is one
+//     step of that loop and one pass over the amplitudes it changes: a
+//     product of two table entries indexed by the stretch's logical
+//     qubits, so every backend, tile and layout rounds it identically.
 //     On a one-rank grid the loop additionally executes cache-blocked
 //     tile groups: every tile-compatible run of gates is applied to one
 //     cache-resident tile at a time, cutting memory traffic by a factor

@@ -129,6 +129,11 @@ type CompiledPlan struct {
 	// PermTrace records the logical-to-physical permutation after each
 	// remap, in remap order.
 	PermTrace []circuit.Permutation
+	// Runs marks the stretches of consecutive diagonal gates the runtime
+	// executes as one pass each (diagrun.go), in plan order. A property
+	// of the executable stream's skeleton, so a cache hit shares the
+	// template's.
+	Runs []DiagRun
 	// Tiles is the cache-blocking schedule for the tiled executors; nil
 	// unless the plan was compiled with Config.Tile.
 	Tiles *TilePlan
@@ -152,6 +157,8 @@ type Stats struct {
 	CacheHit   bool
 	Fusion     fusion.Stats
 	Remaps     int
+	DiagRuns   int // diagonal runs in the plan
+	Merged     int // gates executing inside them
 	FuseNS     int64
 	PlanNS     int64
 	ClassifyNS int64
@@ -213,6 +220,7 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 				st.CacheHit = true
 				st.Fusion = cp.Fusion
 				st.Remaps = cp.Plan.Remaps
+				st.DiagRuns, st.Merged = len(cp.Runs), mergedGates(cp.Runs)
 				st.TotalNS = time.Since(t0).Nanoseconds()
 				cfg.Cache.recordHit(e)
 				recordMetrics(cfg.Metrics, &st, true)
@@ -362,8 +370,21 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 		}
 	}
 	st.ExchangeNS = time.Since(te).Nanoseconds()
+	runs := DiagRuns(exec)
+	if len(plan.Steps) != len(exec.Ops) {
+		// Remap and alias steps shift the gate steps; a run's own steps
+		// stay consecutive.
+		ri := 0
+		for si := range plan.Steps {
+			if ri < len(runs) && plan.Steps[si].Kind == sched.StepGate && plan.Steps[si].Op == runs[ri].Op {
+				runs[ri].Step = si
+				ri++
+			}
+		}
+	}
 	st.Fusion = fstats
 	st.Remaps = plan.Remaps
+	st.DiagRuns, st.Merged = len(runs), mergedGates(runs)
 
 	cp := &CompiledPlan{
 		Source:     c,
@@ -376,6 +397,7 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 		Spans:      spans,
 		Boundaries: boundaries,
 		PermTrace:  permTrace,
+		Runs:       runs,
 		Fusion:     fstats,
 		SkeletonFP: skel,
 		PlanFP:     PlanFingerprint(plan, p),

@@ -33,6 +33,13 @@ const DefaultTileBits = 13
 // footprint that still plausibly fits a per-core cache.
 const MaxTileBits = 14
 
+// maxGroupRuns caps the diagonal runs of one tiled group. A memory bound:
+// every run of a group stays prepared while the tiles replay, at up to
+// 64 KiB of tables each, so a rank's run scratch stays under 8 MiB
+// whatever the circuit (the lowered qft_n15 holds 78 two-gate runs in one
+// group, a few hundred bytes each).
+const maxGroupRuns = 128
+
 // TileGroup is a contiguous run of plan steps [Start, End) that the
 // tiled executor treats as one unit: a Tiled group replays all of its
 // gates over each tile in a single pass; a non-tiled group executes
@@ -42,8 +49,9 @@ type TileGroup struct {
 	// Plan.Steps covered by this group.
 	Start, End int
 	// Tiled marks a group executed as one cache-blocked pass. Non-tiled
-	// groups hold exactly one step (a straddling or non-unitary gate, a
-	// remap, or a compatible run too short to profit from tiling).
+	// groups hold one member, executed as the plain step loop would (a
+	// straddling or non-unitary gate, a remap, or a compatible gate or
+	// diagonal run with no neighbour to share the pass with).
 	Tiled bool
 }
 
@@ -81,6 +89,7 @@ func BuildTilePlan(cp *CompiledPlan, tileBits int) *TilePlan {
 		tileBits = 1
 	}
 	tp := &TilePlan{TileBits: tileBits}
+	ri := 0 // first diagonal run not yet behind the walk
 	for i := 0; i < len(steps); {
 		if !tileCompatible(cp, steps, i, maxT, tileBits) {
 			if steps[i].Kind == sched.StepGate && stepUnitary(cp, &steps[i]) && maxT[i] >= tileBits {
@@ -90,13 +99,27 @@ func BuildTilePlan(cp *CompiledPlan, tileBits int) *TilePlan {
 			i++
 			continue
 		}
-		j := i
+		// A diagonal run is one member of the group; a run past the cap
+		// closes the group and opens the next.
+		j, members, groupRuns := i, 0, 0
 		for j < len(steps) && tileCompatible(cp, steps, j, maxT, tileBits) {
-			j++
+			for ri < len(cp.Runs) && cp.Runs[ri].Step < j {
+				ri++
+			}
+			if ri < len(cp.Runs) && cp.Runs[ri].Step == j {
+				if groupRuns == maxGroupRuns {
+					break
+				}
+				groupRuns++
+				j += cp.Runs[ri].Gates
+			} else {
+				j++
+			}
+			members++
 		}
-		// A lone compatible gate gains nothing from tile iteration:
-		// replaying one gate over every tile is exactly a full sweep.
-		tp.Groups = append(tp.Groups, TileGroup{Start: i, End: j, Tiled: j-i >= 2})
+		// A lone compatible gate (or run) gains nothing from tile
+		// iteration: replaying it over every tile is exactly a full sweep.
+		tp.Groups = append(tp.Groups, TileGroup{Start: i, End: j, Tiled: members >= 2})
 		i = j
 	}
 	return tp

@@ -37,6 +37,9 @@ func checkTileInvariants(t *testing.T, cp *CompiledPlan) {
 		if grp.Tiled && grp.End-grp.Start < 2 {
 			t.Fatalf("group %d is tiled with only %d step(s)", gi, grp.End-grp.Start)
 		}
+		if !grp.Tiled && grp.End-grp.Start > 1 && (len(cp.Runs) == 0 || !containsRun(cp.Runs, grp)) {
+			t.Fatalf("untiled group %d [%d,%d) is not a single step or run", gi, grp.Start, grp.End)
+		}
 		for si := grp.Start; si < grp.End; si++ {
 			isBoundary := steps[si].Kind == sched.StepRemap || steps[si].Kind == sched.StepAlias
 			if isBoundary && grp.End-grp.Start > 1 {
@@ -56,6 +59,30 @@ func checkTileInvariants(t *testing.T, cp *CompiledPlan) {
 	if pos != len(steps) {
 		t.Fatalf("groups cover %d of %d steps", pos, len(steps))
 	}
+	// A diagonal run is one member: no group edge falls inside it, and
+	// one group holds at most maxGroupRuns of them.
+	gi, held := 0, 0
+	for _, run := range cp.Runs {
+		for tp.Groups[gi].End <= run.Step {
+			gi, held = gi+1, 0
+		}
+		if grp := tp.Groups[gi]; run.Step+run.Gates > grp.End {
+			t.Fatalf("run %+v straddles the end of group [%d,%d)", run, grp.Start, grp.End)
+		}
+		if held++; held > maxGroupRuns {
+			t.Fatalf("group %d holds %d prepared runs, cap %d", gi, held, maxGroupRuns)
+		}
+	}
+}
+
+// containsRun reports whether grp is exactly one diagonal run.
+func containsRun(runs []DiagRun, grp TileGroup) bool {
+	for _, run := range runs {
+		if run.Step == grp.Start && run.Step+run.Gates == grp.End {
+			return true
+		}
+	}
+	return false
 }
 
 // randomMixedCircuit builds a circuit over all unitary kinds plus
@@ -261,5 +288,27 @@ func TestTilePlanOnCacheHit(t *testing.T) {
 	}
 	if cp3.Tiles != nil {
 		t.Fatal("Tile off: hit must not carry the previous run's tile plan")
+	}
+}
+
+// TestTileGroupRunCap: every gate of this circuit is tile-compatible, so
+// without a bound one group would keep all 600 of its diagonal runs
+// prepared at once; the cap cuts it into groups of maxGroupRuns, each
+// edge between two members.
+func TestTileGroupRunCap(t *testing.T) {
+	c := circuit.New("many_runs", 16)
+	for i := 0; i < 600; i++ {
+		c.H(0).T(1).T(2)
+	}
+	cp, _, err := Compile(c, Config{Tile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Runs) != 600 {
+		t.Fatalf("want 600 runs, got %d", len(cp.Runs))
+	}
+	checkTileInvariants(t, cp)
+	if n, want := len(cp.Tiles.Groups), (600+maxGroupRuns-1)/maxGroupRuns; n != want {
+		t.Fatalf("600 runs in %d group(s), want %d", n, want)
 	}
 }

@@ -157,12 +157,6 @@ func newCkptWriter(cfg Config, backend string, c *circuit.Circuit, p int, planFP
 // async reports whether this writer runs the background protocol.
 func (w *ckptWriter) async() bool { return w != nil && w.aw != nil }
 
-// due reports whether a checkpoint should be taken before schedule step
-// (i.e. with step positions [0, step) completed).
-func (w *ckptWriter) due(step int) bool {
-	return w != nil && step > 0 && step%w.every == 0
-}
-
 // finish drains the background writer (if any) and returns its latched
 // error. Must be called after the SPMD region ends — both on success
 // (queued checkpoints must land before the process may exit) and on

@@ -5,13 +5,17 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"svsim/internal/circuit"
 	"svsim/internal/ckpt"
+	"svsim/internal/compile"
 	"svsim/internal/fault"
+	"svsim/internal/qasmbench"
 	"svsim/internal/sched"
 )
 
@@ -280,5 +284,86 @@ func TestCorruptShardRejectedOnResume(t *testing.T) {
 	var se *ckpt.ShardError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *ckpt.ShardError, got %T: %v", err, err)
+	}
+}
+
+// TestCheckpointCadenceAcrossGroupedSteps: a tiled group and a diagonal
+// run are one step that may span a multiple of CheckpointEvery; the cut
+// then lands on the first boundary at or after the multiple instead of
+// being skipped. An untiled qft_n15 (540 steps, runs of at most 14) cuts
+// once per multiple; a tiled one cuts at the first group edge past each
+// multiple, i.e. once per interval of 16 that holds an edge past the
+// latest cut — far more than the edges that happen to be multiples. Every
+// checkpoint resumes to the uninterrupted state bit for bit.
+func TestCheckpointCadenceAcrossGroupedSteps(t *testing.T) {
+	e, err := qasmbench.ByName("qft_n15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := e.Build()
+	const every = 16
+	for _, tile := range []bool{false, true} {
+		base := Config{Tile: tile}
+		ref, err := NewSingleDevice(base).Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, _, err := compile.Compile(c, compile.Config{Tile: tile})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The step boundaries of the plan: every step that is not inside
+		// a tiled group or a run.
+		inside := make([]bool, len(cp.Plan.Steps)+1)
+		for _, run := range cp.Runs {
+			for si := run.Step + 1; si < run.Step+run.Gates; si++ {
+				inside[si] = true
+			}
+		}
+		if tile {
+			for _, g := range cp.Tiles.Groups {
+				for si := g.Start + 1; g.Tiled && si < g.End; si++ {
+					inside[si] = true
+				}
+			}
+		}
+		var want []int
+		last := 0
+		for si := 1; si < len(cp.Plan.Steps); si++ {
+			if !inside[si] && si/every > last/every {
+				want = append(want, si)
+				last = si
+			}
+		}
+		if !tile && len(want) != (len(cp.Plan.Steps)-1)/every {
+			t.Fatalf("untiled: %d cuts planned, want one per multiple of %d below %d steps", len(want), every, len(cp.Plan.Steps))
+		}
+
+		dir := ckptTestDir(t)
+		cfg := base
+		cfg.CheckpointEvery, cfg.CheckpointDir = every, dir
+		res, err := NewSingleDevice(cfg).Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ckpt.CompleteSteps(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Ints(got)
+		if !reflect.DeepEqual(got, want) || res.Ckpt.Count != int64(len(want)) {
+			t.Fatalf("tile=%v: checkpoints at steps %v (count %d), want %v", tile, got, res.Ckpt.Count, want)
+		}
+		for _, step := range got {
+			rcfg := base
+			rcfg.Resume = ckpt.StepDir(dir, step)
+			r, err := NewSingleDevice(rcfg).Run(c)
+			if err != nil {
+				t.Fatalf("tile=%v: resume from step %d: %v", tile, step, err)
+			}
+			if d := r.State.MaxAbsDiff(ref.State); d != 0 {
+				t.Fatalf("tile=%v: resume from step %d deviates by %g", tile, step, d)
+			}
+		}
 	}
 }

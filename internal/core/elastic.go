@@ -16,9 +16,11 @@ import (
 // un-permuted into the geometry-free logical state vector, and the
 // residual executable stream (past the manifest's op cut) is re-planned
 // and executed on the new fleet. The warm start and the cut are both
-// expressed logically and every gate runs the one kernel core, so a
-// measurement-free circuit ends bit-identical at any fleet size under
-// either plan. A measurement sums its probability as one balanced tree
+// expressed logically, every gate runs the one kernel core and the
+// residual stream's diagonal runs are the original's past the cut (a
+// checkpoint cuts at a step boundary, where compile.DiagRuns restarts),
+// so a measurement-free circuit ends bit-identical at any fleet size
+// under either plan. A measurement sums its probability as one balanced tree
 // over the physical index space, of which a partition is a subtree:
 // under the naive plan that tree is the same at every fleet size, so
 // measured runs are bit-identical too, outcomes and state. A lazy plan

@@ -59,6 +59,7 @@ func spanDelta(c0, c1 obs.SpanArgs) obs.SpanArgs {
 // metrics are off.
 type gateObs struct {
 	byKind [gate.NumKinds]*obs.Histogram
+	run    *obs.Histogram // a diagonal run executed as one step
 }
 
 func newGateObs(m *obs.Metrics) *gateObs {
@@ -70,6 +71,7 @@ func newGateObs(m *obs.Metrics) *gateObs {
 		name := obs.MetricGateKernelNS + "." + gate.Kind(k).String()
 		g.byKind[k] = m.Histogram(name, obs.LatencyBuckets())
 	}
+	g.run = m.Histogram(obs.MetricGateKernelNS+".diag_run", obs.LatencyBuckets())
 	return g
 }
 
@@ -78,6 +80,13 @@ func (g *gateObs) observe(k gate.Kind, d time.Duration) {
 		return
 	}
 	g.byKind[k].Observe(float64(d.Nanoseconds()))
+}
+
+func (g *gateObs) observeRun(d time.Duration) {
+	if g == nil {
+		return
+	}
+	g.run.Observe(float64(d.Nanoseconds()))
 }
 
 // gateLabel renders a span name like "cx q2,q14". Called only on the

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"svsim/internal/circuit"
 	"svsim/internal/ckpt"
+	"svsim/internal/compile"
 	"svsim/internal/fault"
 	"svsim/internal/qasmbench"
 	"svsim/internal/sched"
@@ -175,6 +177,74 @@ func TestElasticReshard(t *testing.T) {
 	}
 }
 
+// TestElasticReshardInsideDiagonalStretch cuts a checkpoint at every step
+// boundary of a circuit whose diagonal stretches are wider than the two
+// tables hold (6 qubits, 3 per table), so cuts land inside a stretch:
+// between two of its runs and next to its single-gate pieces. The shrunk
+// fleet recompiles the residual stream; it has to mark the runs the
+// uninterrupted run executed, or its products round differently.
+func TestElasticReshardInsideDiagonalStretch(t *testing.T) {
+	const n = 6
+	rng := rand.New(rand.NewSource(23))
+	c := circuit.New("wide_stretches", n)
+	for q := 0; q < n; q++ {
+		c.H(q)
+	}
+	for layer := 0; layer < 3; layer++ {
+		// A stretch whose suffix shares a qubit its whole does not.
+		c.CU1(0.3, 0, 1).CU1(0.5, 2, 3).CU1(0.7, 2, 4).H(5)
+		for i := 0; i < 12; i++ {
+			p := rng.Perm(n)
+			c.CU1(rng.Float64()*2-1, p[0], p[1]).RZ(rng.Float64()*2-1, p[2])
+		}
+		for q := 0; q < n; q++ {
+			c.H(q).CX(q, (q+1)%n)
+		}
+	}
+	for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
+		base := Config{PEs: 4, Seed: 5, Sched: pol}
+		ref, err := NewScaleOut(base).Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, _, err := compile.Compile(c, compile.Config{Sched: pol, PEs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := ckptTestDir(t)
+		cfg := base
+		cfg.CheckpointEvery, cfg.CheckpointDir = 1, dir
+		if _, err := NewScaleOut(cfg).Run(c); err != nil {
+			t.Fatal(err)
+		}
+		steps, err := ckpt.CompleteSteps(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inside := 0
+		for _, step := range steps {
+			_, m, err := ckpt.Resolve(ckpt.StepDir(dir, step))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ops := cp.Circuit.Ops; m.OpsDone > 0 && m.OpsDone < len(ops) &&
+				ops[m.OpsDone-1].G.Kind.Diagonal() && ops[m.OpsDone].G.Kind.Diagonal() {
+				inside++
+			}
+			got, err := RunElastic("scale-out", base, c, ckpt.StepDir(dir, step), 2, OneSided)
+			if err != nil {
+				t.Fatalf("%s: step %d: %v", pol, step, err)
+			}
+			if d := got.State.MaxAbsDiff(ref.State); d != 0 {
+				t.Fatalf("%s: shrink at step %d (op %d) deviates by %g (want bit-identical)", pol, step, m.OpsDone, d)
+			}
+		}
+		if inside < 3 {
+			t.Fatalf("%s: %d of %d cuts fell inside a diagonal stretch", pol, inside, len(steps))
+		}
+	}
+}
+
 // TestElasticShrinkOnKill is the self-healing path: with Config.Elastic
 // a killed PE does not force a same-size restart — the run reshards its
 // latest checkpoint onto half the fleet and finishes there,
@@ -189,7 +259,9 @@ func TestElasticShrinkOnKill(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := fault.NewInjector(faultSeed(t))
-			in.KillAt(1, fault.Barrier, 45)
+			// A rank passes 40 barriers under the lazy plan (QFT's CU1
+			// ladders are one step each): die after the first few cuts.
+			in.KillAt(1, fault.Barrier, 25)
 			cfg := base
 			cfg.Fault = in
 			cfg.CheckpointEvery = 5
@@ -312,7 +384,8 @@ func TestStopLatchDistributed(t *testing.T) {
 // for the ranks to agree on, so a triggered latch must still stop a
 // multi-rank run — any rank that reads it unwinds the fleet — and
 // polling it must not cost an uninterrupted run a single barrier
-// (qft_n15 at 8 PEs keeps its 4320 naive / 32 lazy).
+// (qft_n15 at 8 PEs keeps its 3592 naive — one per step, a diagonal run
+// being one step — / 32 lazy).
 func TestStopLatchNoCheckpoint(t *testing.T) {
 	c := measuredCircuit(46, 6, 60)
 	for _, pes := range []int{2, 4} {
@@ -330,7 +403,7 @@ func TestStopLatchNoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	qft := e.Build()
-	for pol, want := range map[sched.Policy]int64{sched.Naive: 4320, sched.Lazy: 32} {
+	for pol, want := range map[sched.Policy]int64{sched.Naive: 3592, sched.Lazy: 32} {
 		res, err := NewScaleOut(Config{PEs: 8, Sched: pol, Stop: &StopLatch{}}).Run(qft)
 		if err != nil {
 			t.Fatal(err)

@@ -127,7 +127,12 @@ type Rank struct {
 	cbits uint64
 	perm  circuit.Permutation
 	dirty *ckpt.Dirty // write tracking for delta checkpoints; nil unless async ckpt
-	_     [64]byte
+	// Diagonal-run scratch, sized on first use: the normal form of the
+	// run being prepared, and one prepared slot per run in flight (one,
+	// or as many as a tiled group holds).
+	terms  []gate.DiagTerm
+	tables []*statevec.DiagTables
+	_      [64]byte
 }
 
 // markAll feeds the delta-checkpoint write tracker; a no-op when
@@ -343,20 +348,32 @@ func (rt *runtime) run() (*Result, error) {
 	if rt.Compiled.Tiles != nil {
 		groups = rt.Compiled.Tiles.Groups
 	}
+	runs := rt.Compiled.Runs
 	err := rt.Comm.RunChecked(func(pe *pgas.PE) {
 		r := &rt.ranks[pe.Rank]
 		tr := StepTrace{trk: rt.trace.Track(pe.Rank), block: rt.blockAt(rt.start)}
-		gi := 0 // tile group holding (or following) the next step
+		gi, ri := 0, 0  // tile group and diagonal run holding (or following) the next step
+		cut := rt.start // step of the latest checkpoint cut (or the resume point)
 		for si := rt.start; si < len(steps); {
-			rt.cutPoint(pe, r, si, tr)
+			cut = rt.cutPoint(pe, r, si, cut, tr)
 			for gi < len(groups) && groups[gi].End <= si {
 				gi++
+			}
+			for ri < len(runs) && runs[ri].Step < si {
+				ri++
 			}
 			if gi < len(groups) && groups[gi].Tiled && groups[gi].Start == si {
 				// A resume that lands inside a tiled group misses its start
 				// and finishes the group per gate (same kernels).
-				rt.tileGroup(r, groups[gi], tr)
+				rt.tileGroup(r, groups[gi], runs[ri:], tr)
 				si = groups[gi].End
+				continue
+			}
+			if ri < len(runs) && runs[ri].Step == si {
+				// Likewise a resume inside a run (a checkpoint of a build
+				// that cut there) finishes the run per gate.
+				rt.runStep(pe, r, &runs[ri], tr)
+				si += runs[ri].Gates
 				continue
 			}
 			st := &steps[si]
@@ -474,14 +491,19 @@ func (rt *runtime) run() (*Result, error) {
 	return res, nil
 }
 
-// cutPoint is the protocol every rank runs before plan step si: cut a
-// checkpoint when one is due, and honour the stop latch. Several ranks
+// cutPoint is the protocol every rank runs before plan step si, a step
+// boundary (a tiled group and a diagonal run are one step each): cut a
+// checkpoint when one is due, and honour the stop latch. A checkpoint is
+// due at the first boundary at or after each multiple of the interval —
+// last is where the latest one was cut — so a step that spans a multiple
+// delays the cut to its end instead of skipping it. Several ranks
 // cutting a checkpoint must act on the latch identically, so they vote
 // at the cut; with no checkpoint to cut together, or nobody to agree
 // with, any rank that reads the latch set unwinds the fleet — a lone
-// rank after a final checkpoint of the progress it made.
-func (rt *runtime) cutPoint(pe *pgas.PE, r *Rank, si int, tr StepTrace) {
-	cut := si > rt.start && rt.ck.due(si)
+// rank after a final checkpoint of the progress it made. It returns the
+// step of the latest cut.
+func (rt *runtime) cutPoint(pe *pgas.PE, r *Rank, si, last int, tr StepTrace) int {
+	cut := rt.ck != nil && si/rt.ck.every > last/rt.ck.every
 	stopNow := false
 	if rt.ck == nil || rt.P == 1 {
 		stopNow = rt.stop.Triggered()
@@ -498,12 +520,14 @@ func (rt *runtime) cutPoint(pe *pgas.PE, r *Rank, si int, tr StepTrace) {
 		rt.ck.write(pe, r, si, rt.opsBefore(si), perm)
 		tr.label = "checkpoint"
 		tr.Span("", k0, time.Now(), obs.SpanArgs{Kind: "checkpoint", Phase: obs.PhaseCheckpoint})
+		last = si
 	}
 	if stopNow {
 		// Every rank unwinds with the interrupt; a checkpoint cut above
 		// is the final one.
 		pe.Fail(ErrInterrupted)
 	}
+	return last
 }
 
 // tileGroup executes one tiled group of the plan as a single homogeneous
@@ -512,23 +536,39 @@ func (rt *runtime) cutPoint(pe *pgas.PE, r *Rank, si int, tr StepTrace) {
 // memory sweep instead of one per gate. Conditions are evaluated once up
 // front — the planner never admits a MEASURE, so the classical register
 // cannot change mid-group — and gates apply as written (a tiled plan
-// never leaves the identity permutation). With a pool the tile index
-// space is split across the workers — parallelism over tiles, not over
-// one gate's index space. A tile is a window of the state and runs the
-// per-gate kernels, so the result is bit-identical to the per-gate path.
-func (rt *runtime) tileGroup(r *Rank, grp compile.TileGroup, tr StepTrace) {
-	ops := make([]int, 0, grp.End-grp.Start)
+// never leaves the identity permutation). A diagonal run inside the
+// group (runs holds the plan's runs from the group's start on) is
+// prepared once and replays over each tile as one call. With a pool the
+// tile index space is split across the workers — parallelism over tiles,
+// not over one gate's index space. A tile is a window of the state and
+// runs the step loop's kernels, so the result is bit-identical to the
+// untiled path.
+func (rt *runtime) tileGroup(r *Rank, grp compile.TileGroup, runs []compile.DiagRun, tr StepTrace) {
+	type member struct {
+		g   *gate.Gate           // a gate whose condition holds, or
+		run *statevec.DiagTables // a prepared diagonal run
+	}
+	members := make([]member, 0, grp.End-grp.Start)
 	var gates int64
+	slot := 0
 	for si := grp.Start; si < grp.End; si++ {
+		if len(runs) > 0 && runs[0].Step == si {
+			members = append(members, member{run: rt.prepare(r, slot, &runs[0])})
+			gates += int64(runs[0].Gates)
+			si += runs[0].Gates - 1
+			runs = runs[1:]
+			slot++
+			continue
+		}
 		op := &rt.c.Ops[rt.plan.Steps[si].Op]
 		if condSatisfied(op.Cond, r.cbits) {
-			ops = append(ops, rt.plan.Steps[si].Op)
+			members = append(members, member{g: &op.G})
 			if op.G.Kind != gate.BARRIER {
 				gates++
 			}
 		}
 	}
-	if len(ops) == 0 {
+	if len(members) == 0 {
 		return
 	}
 	r.markAll()
@@ -536,8 +576,13 @@ func (rt *runtime) tileGroup(r *Rank, grp compile.TileGroup, tr StepTrace) {
 	tb := uint(rt.Compiled.Tiles.TileBits)
 	tile := func(t int) (amps, flops int64) {
 		lo := t << tb
-		for _, oi := range ops {
-			a, f := st.ApplyTile(&rt.c.Ops[oi].G, lo, lo+1<<tb)
+		for _, m := range members {
+			var a, f int64
+			if m.run != nil {
+				a, f = st.ApplyRunTile(m.run, lo, lo+1<<tb)
+			} else {
+				a, f = st.ApplyTile(m.g, lo, lo+1<<tb)
+			}
 			amps += a
 			flops += f
 		}
@@ -559,11 +604,65 @@ func (rt *runtime) tileGroup(r *Rank, grp compile.TileGroup, tr StepTrace) {
 	// One span per group (gate latencies do not exist inside a
 	// homogeneous pass) and the per-block bytes counter.
 	if tr.On() {
-		tr.label = fmt.Sprintf("tile run (%d gates)", len(ops))
+		tr.label = fmt.Sprintf("tile run (%d gates)", gates)
 		tr.Span("", g0, time.Now(), obs.SpanArgs{Kind: "tile", Phase: obs.PhaseTile})
 	}
 	if rt.metrics != nil {
 		rt.metrics.Counter(obs.MetricBytesTouched + ".block" + strconv.Itoa(tr.block)).Add(int64(st.Dim) * 16)
+	}
+}
+
+// prepare loads diagonal run run into the rank's prepared slot: the
+// phases are read from the bound gates here, so a re-bound plan needs no
+// bind site for them, and the position→key arrays follow the rank's
+// current permutation.
+func (rt *runtime) prepare(r *Rank, slot int, run *compile.DiagRun) *statevec.DiagTables {
+	r.terms = run.Terms(rt.c.Ops, r.terms[:0])
+	for len(r.tables) <= slot {
+		r.tables = append(r.tables, new(statevec.DiagTables))
+	}
+	d := r.tables[slot]
+	d.Prepare(run.Gates, run.Pinned, run.Qubits, r.terms, run.Table, r.perm)
+	return d
+}
+
+// runStep executes one diagonal run as a single step: one kernel pass
+// over the amplitudes of the partition window some term of the run
+// changes, one write-tracker mark, one span and, under the naive plan on
+// several ranks, the one grid sync that closes the step.
+func (rt *runtime) runStep(pe *pgas.PE, r *Rank, run *compile.DiagRun, tr StepTrace) {
+	observed := tr.On() || rt.gm != nil
+	var g0 time.Time
+	if observed {
+		g0 = time.Now()
+	}
+	d := rt.prepare(r, 0, run)
+	if r.dirty != nil {
+		// Only amplitudes with every pinned qubit set can change; the
+		// pinned qubits held in the rank bits merely gate the partition.
+		var localMask int
+		for m := run.Pinned; m != 0; m &= m - 1 {
+			if pos := r.perm[bits.TrailingZeros64(m)]; pos < rt.LocalBits {
+				localMask |= 1 << uint(pos)
+			}
+		}
+		r.dirty.MarkCtrls(localMask)
+	}
+	if rt.pool != nil {
+		rt.pool.ApplyRunShared(r.Local, d)
+	} else {
+		r.Local.ApplyRun(d)
+	}
+	if observed {
+		g1 := time.Now()
+		rt.gm.observeRun(g1.Sub(g0))
+		if tr.On() {
+			tr.label = fmt.Sprintf("diag run (%d gates)", run.Gates)
+			tr.Span("", g0, g1, obs.SpanArgs{Kind: "diag"})
+		}
+	}
+	if rt.gateSync {
+		pe.Barrier()
 	}
 }
 

@@ -2,6 +2,7 @@ package gate
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -142,6 +143,40 @@ func TestTargetUnitaryIntoMatchesClassify(t *testing.T) {
 				if a := testing.AllocsPerRun(10, func() { TargetUnitaryInto(&g, buf) }); a != 0 {
 					t.Fatalf("%s: %v allocations per call", g, a)
 				}
+			}
+		}
+	}
+}
+
+// TestDiagTermsReproduceUnitary: for every statically diagonal kind with
+// operands, the product of the gate's normal-form terms over a basis
+// state is that state's diagonal element.
+func TestDiagTermsReproduceUnitary(t *testing.T) {
+	for k := Kind(0); k < numKinds; k++ {
+		if !k.Diagonal() || k.NumQubits() == 0 {
+			continue
+		}
+		qubits := []int{2, 0, 3}[:k.NumQubits()]
+		params := []float64{0.7, -1.3, 2.1}[:k.NumParams()]
+		g := New(k, qubits, params...)
+		terms := g.AppendDiagTerms(nil)
+		if len(terms) > MaxDiagTerms {
+			t.Fatalf("%s: %d terms", k, len(terms))
+		}
+		u := Unitary(g)
+		for sub := 0; sub < u.N; sub++ {
+			var x uint64 // the basis state whose operand bits spell sub
+			for j, q := range qubits {
+				x |= uint64(sub>>uint(j)&1) << uint(q)
+			}
+			f := complex(1, 0)
+			for _, term := range terms {
+				if x&term.Mask == term.Mask {
+					f *= complex(term.Re, term.Im)
+				}
+			}
+			if d := cmplx.Abs(f - u.At(sub, sub)); d > 1e-15 {
+				t.Errorf("%s: |%b> gets %v, unitary says %v", g, sub, f, u.At(sub, sub))
 			}
 		}
 	}

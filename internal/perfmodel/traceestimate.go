@@ -1,7 +1,10 @@
 package perfmodel
 
 import (
+	"math/bits"
+
 	"svsim/internal/circuit"
+	"svsim/internal/compile"
 	"svsim/internal/gate"
 )
 
@@ -9,11 +12,23 @@ import (
 // simulating it, mirroring the per-kind amplitude counts of the statevec
 // kernels. It makes paper-scale workloads (the 24-qubit multi-million-gate
 // VQE circuit of §5) analyzable: the figure harness validates it against
-// measured statistics on small circuits.
+// measured statistics on small circuits. A diagonal run (compile.DiagRuns,
+// the stretches the runtime merges) is priced as the runtime executes it:
+// all of its gates, one pass over the amplitudes it visits.
 func TraceEstimate(c *circuit.Circuit) Trace {
 	dim := int64(1) << uint(c.NumQubits)
 	tr := Trace{StateBytes: dim * 16}
-	for i := range c.Ops {
+	runs := compile.DiagRuns(c)
+	for i := 0; i < len(c.Ops); i++ {
+		if len(runs) > 0 && runs[0].Op == i {
+			amps := dim >> uint(bits.OnesCount64(runs[0].Pinned))
+			tr.Gates += int64(runs[0].Gates)
+			tr.Amps += amps
+			tr.Bytes += amps * 16
+			i += runs[0].Gates - 1
+			runs = runs[1:]
+			continue
+		}
 		g := &c.Ops[i].G
 		var amps int64
 		switch g.Kind {

@@ -195,6 +195,28 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			t.Errorf("ApplyTile(%s) over %d tiles: %g allocations per gate, want 0", k, s.Dim>>wbits, a)
 		}
 	}
+
+	// The diagonal-run kernel: a CU1 ladder on qubit 7 plus a CZ, split
+	// over two tables by hand. Tables and key arrays live in the
+	// DiagTables and are sized by the first Prepare, so preparing and
+	// applying the run again allocates nothing.
+	var terms []gate.DiagTerm
+	for _, g := range []gate.Gate{gate.NewCU1(0.3, 0, 7), gate.NewCU1(0.7, 3, 7), gate.NewCZ(5, 7), gate.NewCU1(-1.1, 6, 7)} {
+		terms = g.AppendDiagTerms(terms)
+	}
+	perm := rng.Perm(n)
+	var d DiagTables
+	run := func() {
+		d.Prepare(4, 1<<7, [2]uint64{1<<0 | 1<<3, 1<<5 | 1<<6}, terms, []uint8{0, 0, 1, 1}, perm)
+		s.ApplyRun(&d)
+		for lo := 0; lo < s.Dim; lo += 1 << wbits {
+			s.ApplyRunTile(&d, lo, lo+1<<wbits)
+		}
+	}
+	run()
+	if a := testing.AllocsPerRun(10, run); a != 0 {
+		t.Errorf("diagonal run: %g allocations per prepare + apply + tiled apply, want 0", a)
+	}
 }
 
 // TestPartitionWindow checks the State.Base contract the distributed
