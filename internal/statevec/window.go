@@ -97,18 +97,6 @@ func (it *iter) next() (p, end int) {
 	return p, p + span
 }
 
-// each calls body on every visited index and returns the count. The
-// kernels without a hand-inlined loop run through it.
-func (it iter) each(body func(p int)) int64 {
-	m := int64(it.left)
-	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
-			body(p)
-		}
-	}
-	return m
-}
-
 // apply executes one unitary gate on the window with its kind's kernel
 // and returns the amplitudes and flops visited. Pairing kernels pin the
 // target bit to 0 and reach the partner at p+d; element-wise kernels pin
@@ -183,11 +171,9 @@ func (w window) apply(g *gate.Gate) (amps, flops int64) {
 		a1, f1 := w.iter(a, b).rx(b-a, p[0])
 		return a0 + a1, f0 + f1
 	case gate.RCCX:
-		rccxOnce.Do(func() { rccxU = gate.Unitary(gate.NewRCCX(0, 1, 2)) })
-		return w.matrix(rccxU, g.OperandQubits())
+		return w.matrix(relPhaseToffoli(&rccxOnce, &rccxU, gate.NewRCCX(0, 1, 2)), g.OperandQubits())
 	case gate.RC3X:
-		rc3xOnce.Do(func() { rc3xU = gate.Unitary(gate.NewRC3X(0, 1, 2, 3)) })
-		return w.matrix(rc3xU, g.OperandQubits())
+		return w.matrix(relPhaseToffoli(&rc3xOnce, &rc3xU, gate.NewRC3X(0, 1, 2, 3)), g.OperandQubits())
 	}
 	panic(fmt.Sprintf("statevec: cannot apply kind %s", g.Kind))
 }
@@ -199,6 +185,12 @@ var (
 	rccxU, rc3xU       gate.Matrix
 )
 
+// relPhaseToffoli returns the unitary of g, computed on first use.
+func relPhaseToffoli(once *sync.Once, u *gate.Matrix, g gate.Gate) gate.Matrix {
+	once.Do(func() { *u = gate.Unitary(g) })
+	return *u
+}
+
 // diagonal applies a gate of a pairing kind whose target lies above the
 // window. That is only legal when this binding's unitary happens to be
 // diagonal (u3(0,phi,lambda), rx(0), ...): the schedulers, which classify
@@ -209,17 +201,21 @@ func (w window) diagonal(g *gate.Gate, ones int) (amps, flops int64) {
 	if !cls.Diag {
 		panic(fmt.Sprintf("statevec: %s couples amplitudes across the %d-amplitude window", g, len(w.re)))
 	}
-	re, im := w.re, w.im
-	m := w.iter(ones, 0).each(func(p int) {
-		sub := 0
-		for j, t := range cls.Targets {
-			sub |= (w.base + p) >> uint(t) & 1 << uint(j)
+	it := w.iter(ones, 0)
+	re, im := it.re, it.im
+	m := int64(it.left)
+	for it.left > 0 {
+		for p, end := it.next(); p < end; p += it.inc {
+			sub := 0
+			for j, t := range cls.Targets {
+				sub |= (w.base + p) >> uint(t) & 1 << uint(j)
+			}
+			f := cls.U.At(sub, sub)
+			fr, fi := real(f), imag(f)
+			r, i := re[p], im[p]
+			re[p] = fr*r - fi*i
+			im[p] = fi*r + fr*i
 		}
-		f := cls.U.At(sub, sub)
-		fr, fi := real(f), imag(f)
-		r, i := re[p], im[p]
-		re[p] = fr*r - fi*i
-		im[p] = fi*r + fr*i
-	})
+	}
 	return m, 6 * m
 }
