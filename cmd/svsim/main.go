@@ -457,9 +457,10 @@ func printCompile(cst compile.Stats, fuse bool) {
 	if cst.CacheHit {
 		source = "cache hit"
 	}
-	fmt.Printf("compile : fuse %d->%d gates (%d runs, %d cancelled), %s, %v\n",
+	fmt.Printf("compile : fuse %d->%d gates (%d runs, %d cancelled, %d gadgets of %d gates), %s, %v\n",
 		cst.Fusion.InputGates, cst.Fusion.OutputGates,
 		cst.Fusion.FusedRuns, cst.Fusion.Cancellations,
+		cst.Gadgets, cst.GadgetGates,
 		source, time.Duration(cst.TotalNS))
 }
 

@@ -81,24 +81,33 @@ func (c *Circuit) GateHistogram() map[gate.Kind]int {
 // and that conditions reference valid classical bits.
 func (c *Circuit) Validate() error {
 	for i := range c.Ops {
-		op := &c.Ops[i]
-		for _, q := range op.G.OperandQubits() {
-			if int(q) >= c.NumQubits {
-				return fmt.Errorf("circuit %q op %d (%s): qubit %d outside register of size %d",
-					c.Name, i, op.G.Kind, q, c.NumQubits)
-			}
+		if err := c.ValidateOp(i); err != nil {
+			return err
 		}
-		if op.G.Kind == gate.MEASURE {
-			if int(op.G.Cbit) < 0 || int(op.G.Cbit) >= c.NumClbits {
-				return fmt.Errorf("circuit %q op %d: classical bit %d outside register of size %d",
-					c.Name, i, op.G.Cbit, c.NumClbits)
-			}
+	}
+	return nil
+}
+
+// ValidateOp is Validate's check of op i alone, for a caller that walks
+// the ops anyway (the compile pipeline's skeleton hash).
+func (c *Circuit) ValidateOp(i int) error {
+	op := &c.Ops[i]
+	for _, q := range op.G.OperandQubits() {
+		if int(q) >= c.NumQubits {
+			return fmt.Errorf("circuit %q op %d (%s): qubit %d outside register of size %d",
+				c.Name, i, op.G.Kind, q, c.NumQubits)
 		}
-		if op.Cond != nil {
-			if op.Cond.Offset < 0 || op.Cond.Offset+op.Cond.Width > c.NumClbits {
-				return fmt.Errorf("circuit %q op %d: condition bits [%d,%d) outside classical register of size %d",
-					c.Name, i, op.Cond.Offset, op.Cond.Offset+op.Cond.Width, c.NumClbits)
-			}
+	}
+	if op.G.Kind == gate.MEASURE {
+		if int(op.G.Cbit) < 0 || int(op.G.Cbit) >= c.NumClbits {
+			return fmt.Errorf("circuit %q op %d: classical bit %d outside register of size %d",
+				c.Name, i, op.G.Cbit, c.NumClbits)
+		}
+	}
+	if op.Cond != nil {
+		if op.Cond.Offset < 0 || op.Cond.Offset+op.Cond.Width > c.NumClbits {
+			return fmt.Errorf("circuit %q op %d: condition bits [%d,%d) outside classical register of size %d",
+				c.Name, i, op.Cond.Offset, op.Cond.Offset+op.Cond.Width, c.NumClbits)
 		}
 	}
 	return nil

@@ -16,7 +16,8 @@ const DefaultCacheSize = 64
 // new binding's parameters go into it (see entry.bind).
 type entry struct {
 	// tmpl is the plan of the binding that missed, minus Source and Tiles
-	// (and minus Circuit when unfused: such a plan executes its source).
+	// (and minus Circuit when unfused or left verbatim by fusion: such a
+	// plan executes its source).
 	// Everything it points to is shared read-only with every hit.
 	tmpl   CompiledPlan
 	recipe *fusion.Recipe // how tmpl.Circuit depends on parameters; nil when unfused

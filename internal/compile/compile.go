@@ -129,11 +129,12 @@ type CompiledPlan struct {
 	// PermTrace records the logical-to-physical permutation after each
 	// remap, in remap order.
 	PermTrace []circuit.Permutation
-	// Runs marks the stretches of consecutive diagonal gates the runtime
-	// executes as one pass each (diagrun.go), in plan order. A property
-	// of the executable stream's skeleton, so a cache hit shares the
-	// template's.
-	Runs []DiagRun
+	// Runs marks the stretches the runtime executes as one pass each, in
+	// plan order: runs of consecutive diagonal gates (diagrun.go) and,
+	// when fused, Pauli gadgets whose steps are consecutive gate steps. A
+	// property of the executable stream's skeleton and the schedule, so a
+	// cache hit shares the template's.
+	Runs []Run
 	// Tiles is the cache-blocking schedule for the tiled executors; nil
 	// unless the plan was compiled with Config.Tile.
 	Tiles *TilePlan
@@ -165,6 +166,9 @@ type Stats struct {
 	ExchangeNS int64
 	BindNS     int64
 	TotalNS    int64
+
+	Gadgets     int // Pauli gadgets the plan executes as one pass each
+	GadgetGates int // gates inside them
 }
 
 // Compile runs the pipeline: (optionally) fuse, schedule, classify, and
@@ -194,7 +198,10 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 	blockAware := cfg.Fuse && pol == sched.Lazy && localBits < n
 
 	var st Stats
-	skel, check := skeletonHashes(c)
+	skel, check, err := skeletonHashes(c)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	key := cacheKey(skel, cfg.Fuse, pol, p, localBits, cfg.Topo.PEsPerNode)
 	owner := false
 	if cfg.Cache != nil {
@@ -220,7 +227,7 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 				st.CacheHit = true
 				st.Fusion = cp.Fusion
 				st.Remaps = cp.Plan.Remaps
-				st.DiagRuns, st.Merged = len(cp.Runs), mergedGates(cp.Runs)
+				st.DiagRuns, st.Merged, st.Gadgets, st.GadgetGates = countRuns(cp.Runs)
 				st.TotalNS = time.Since(t0).Nanoseconds()
 				cfg.Cache.recordHit(e)
 				recordMetrics(cfg.Metrics, &st, true)
@@ -279,7 +286,7 @@ func (e *entry) bind(c *circuit.Circuit, check uint64, blockAware bool) (*Compil
 	}
 	cp := e.tmpl
 	cp.Source, cp.Circuit = c, c
-	if e.recipe != nil {
+	if e.recipe != nil && !e.recipe.Verbatim {
 		ops := append([]circuit.Op(nil), e.tmpl.Circuit.Ops...)
 		if !e.recipe.Rebind(c, ops) {
 			return nil, false
@@ -328,6 +335,9 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 	if cfg.Fuse {
 		tf := time.Now()
 		exec, spans, fstats, e.recipe = fusion.OptimizeBlocks(c, boundaries)
+		if e.recipe.Verbatim {
+			exec = c // fusion changed nothing: the plan executes its source
+		}
 		st.FuseNS = time.Since(tf).Nanoseconds()
 	}
 
@@ -370,21 +380,37 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 		}
 	}
 	st.ExchangeNS = time.Since(te).Nanoseconds()
-	runs := DiagRuns(exec)
+	var gadgets []fusion.Gadget
+	if e.recipe != nil {
+		gadgets = e.recipe.Gadgets
+	}
+	runs := markRuns(exec, gadgets)
 	if len(plan.Steps) != len(exec.Ops) {
-		// Remap and alias steps shift the gate steps; a run's own steps
-		// stay consecutive.
-		ri := 0
+		// Remap and alias steps shift the gate steps. A diagonal run's own
+		// steps stay consecutive; a gadget a remap or alias falls into is
+		// dropped, and its members execute as the gates they are.
+		ri, kept := 0, runs[:0]
 		for si := range plan.Steps {
-			if ri < len(runs) && plan.Steps[si].Kind == sched.StepGate && plan.Steps[si].Op == runs[ri].Op {
-				runs[ri].Step = si
-				ri++
+			if ri == len(runs) {
+				break
 			}
+			if plan.Steps[si].Kind != sched.StepGate || plan.Steps[si].Op != runs[ri].Op {
+				continue
+			}
+			run := runs[ri]
+			ri++
+			run.Step = si
+			if last := si + run.Gates - 1; run.Pauli != nil &&
+				(last >= len(plan.Steps) || plan.Steps[last].Kind != sched.StepGate || plan.Steps[last].Op != run.Op+run.Gates-1) {
+				continue
+			}
+			kept = append(kept, run)
 		}
+		runs = kept
 	}
 	st.Fusion = fstats
 	st.Remaps = plan.Remaps
-	st.DiagRuns, st.Merged = len(runs), mergedGates(runs)
+	st.DiagRuns, st.Merged, st.Gadgets, st.GadgetGates = countRuns(runs)
 
 	cp := &CompiledPlan{
 		Source:     c,
@@ -411,10 +437,13 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 		return cp, nil, nil
 	}
 	// The template is this plan without what belongs to the binding or
-	// the caller: an unfused plan executes its own source, so there is no
-	// op stream to keep either.
+	// the caller: a plan fusion left verbatim, like an unfused one,
+	// executes its own source, so there is no op stream to keep either.
 	e.tmpl = *cp
 	e.tmpl.Source, e.tmpl.Tiles = nil, nil
+	if exec == c {
+		e.tmpl.Circuit = nil
+	}
 	if blockAware {
 		// What the provisional plan read of the parameters: which of the
 		// source gates whose diagonality can change with an angle were
@@ -432,7 +461,6 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 			}
 		}
 	} else {
-		e.tmpl.Circuit = nil
 		for i, cl := range classes {
 			if cl != nil && c.Ops[i].G.NP > 0 {
 				e.sites = append(e.sites, int32(i))
@@ -452,13 +480,31 @@ func classifiable(g *gate.Gate) bool {
 }
 
 // classifyOps precomputes gate classifications for every classifiable
-// op; other entries stay nil.
+// op; other entries stay nil. Equal parameter-free gates share one class
+// (read-only, like all of a plan): a stream that keeps its gadget members
+// verbatim repeats a handful of h, s, sdg and cx thousands of times.
 func classifyOps(c *circuit.Circuit) []*gate.Class {
+	type shape struct {
+		kind   gate.Kind
+		qubits [gate.MaxOperands]int32
+	}
 	cls := make([]*gate.Class, len(c.Ops))
+	seen := make(map[shape]*gate.Class)
 	for i := range c.Ops {
-		if g := &c.Ops[i].G; classifiable(g) {
+		g := &c.Ops[i].G
+		if !classifiable(g) {
+			continue
+		}
+		if g.NP > 0 {
 			cl := gate.Classify(g)
 			cls[i] = &cl
+			continue
+		}
+		sh := shape{kind: g.Kind}
+		copy(sh.qubits[:], g.OperandQubits())
+		if cls[i] = seen[sh]; cls[i] == nil {
+			cl := gate.Classify(g)
+			cls[i], seen[sh] = &cl, &cl
 		}
 	}
 	return cls
@@ -508,7 +554,7 @@ func recordMetrics(m *obs.Metrics, st *Stats, hit bool) {
 // and condition. Parameter values and the circuit name are excluded, so
 // all bindings of one ansatz shape share a fingerprint.
 func SkeletonFingerprint(c *circuit.Circuit) uint64 {
-	fp, _ := skeletonHashes(c)
+	fp, _, _ := skeletonHashes(c)
 	return fp
 }
 
@@ -520,11 +566,15 @@ func SkeletonFingerprint(c *circuit.Circuit) uint64 {
 // second hash of the same words (and the op count), built differently,
 // that entry.bind compares before it trusts a single recorded index — a
 // collision on the key alone then costs a miss, as it did when a hit
-// re-fused the caller's own ops.
-func skeletonHashes(c *circuit.Circuit) (fp, check uint64) {
+// re-fused the caller's own ops. The walk also is the circuit's
+// validation (circuit.Validate's tests on the words it reads anyway): err
+// is Validate's error for the first op it would reject.
+func skeletonHashes(c *circuit.Circuit) (fp, check uint64, err error) {
 	h, k := uint64(0), uint64(len(c.Ops))
 	h, k = mix(h, uint64(c.NumQubits)), mix2(k, uint64(c.NumQubits))
 	h, k = mix(h, uint64(c.NumClbits)), mix2(k, uint64(c.NumClbits))
+	nq, nc := c.NumQubits, c.NumClbits
+	bad := -1
 	for i := range c.Ops {
 		op := &c.Ops[i]
 		g := &op.G
@@ -533,20 +583,30 @@ func skeletonHashes(c *circuit.Circuit) (fp, check uint64) {
 			head |= 1 << 16
 		}
 		h, k = mix(h, head), mix2(k, head)
+		ok := g.Kind != gate.MEASURE || g.Cbit >= 0 && int(g.Cbit) < nc
 		for q := 0; q < int(g.NQ); q += 2 {
 			w := uint64(uint32(g.Qubits[q]))
+			ok = ok && int(g.Qubits[q]) < nq
 			if q+1 < int(g.NQ) {
 				w |= uint64(uint32(g.Qubits[q+1])) << 32
+				ok = ok && int(g.Qubits[q+1]) < nq
 			}
 			h, k = mix(h, w), mix2(k, w)
 		}
 		if cd := op.Cond; cd != nil {
+			ok = ok && cd.Offset >= 0 && cd.Offset+cd.Width <= nc
 			for _, w := range [...]uint64{uint64(cd.Offset), uint64(cd.Width), cd.Value} {
 				h, k = mix(h, w), mix2(k, w)
 			}
 		}
+		if !ok && bad < 0 {
+			bad = i
+		}
 	}
-	return h, k
+	if bad >= 0 {
+		return 0, 0, c.ValidateOp(bad)
+	}
+	return h, k, nil
 }
 
 // mix folds one word into an in-memory (never persisted) hash: xor, an

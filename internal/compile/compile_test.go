@@ -183,6 +183,9 @@ func requirePlansEqual(t *testing.T, tag string, got, want *CompiledPlan) {
 	if !reflect.DeepEqual(got.Spans, want.Spans) {
 		t.Fatalf("%s: spans differ", tag)
 	}
+	if !reflect.DeepEqual(got.Runs, want.Runs) {
+		t.Fatalf("%s: runs differ: %+v vs %+v", tag, got.Runs, want.Runs)
+	}
 	if got.Fusion != want.Fusion {
 		t.Fatalf("%s: fusion stats differ: %+v vs %+v", tag, got.Fusion, want.Fusion)
 	}
@@ -296,7 +299,10 @@ func TestCacheHitRebindBitIdentical(t *testing.T) {
 // template. It must be reported and counted as a miss, equal a fresh
 // compile, and the next generic binding of the skeleton must hit again —
 // whichever of the two the cache saw first. The odd binding's own plan is
-// kept beside the generic one, so seeing it again hits too.
+// kept beside the generic one, so seeing it again hits too. A degenerate
+// angle at the core of a Pauli gadget is no such binding: rz(0) and
+// rz(2 pi) inside a window are the same one pass (with cos = ±1, sin = 0),
+// so a UCCSD sweep through such a point keeps hitting.
 func TestDegenerateBindingIsCountedMiss(t *testing.T) {
 	// shape(a, b, c, d): q0 carries rx(a) alone, q1 the run rz(b)·rz(c),
 	// q2 the run h·ry(d)·h, q3 the run rz(b)·rx(a); the global phase the
@@ -318,28 +324,37 @@ func TestDegenerateBindingIsCountedMiss(t *testing.T) {
 	if residue.Kind != gate.GPHASE {
 		t.Fatal("the generic shape carries no global phase; the threshold case is vacuous")
 	}
+	// UCCSD(4): four singles (rz(±t)) and one double (rz(±t/4)).
+	uccsd4 := func(t0, t4 float64) *circuit.Circuit {
+		return qasmbench.BuildUCCSD(4, []float64{t0, 0.4, 0.9, 1.3, t4})
+	}
+	sweep := []*circuit.Circuit{uccsd4(0.3, 0.7), uccsd4(1.1, 0.2), uccsd4(0.6, 1.9)}
 	cases := []struct {
 		name        string
 		c           *circuit.Circuit
-		unfusedMiss bool // the binding also flips a gate's own diagonality
+		unfusedMiss bool               // the binding also flips a gate's own diagonality
+		generics    []*circuit.Circuit // the sweep the binding belongs to
+		fits        bool               // the binding is no miss at all
 	}{
-		{"rx(0)", shape(0, 0.7, 1.1, 0.4, 0.25), true},
-		{"rx(2pi)", shape(2*math.Pi, 0.7, 1.1, 0.4, 0.25), false},
-		{"rz(t)rz(-t)", shape(0.3, 0.7, -0.7, 0.4, 0.25), false},
-		{"h ry(0) h", shape(0.3, 0.7, 1.1, 0, 0.25), true},
-		{"phase sum under 1e-12", shape(0.3, 0.7, 1.1, 0.4, 0.25-residue.Params[0]), false},
+		{"rx(0)", shape(0, 0.7, 1.1, 0.4, 0.25), true, generics, false},
+		{"rx(2pi)", shape(2*math.Pi, 0.7, 1.1, 0.4, 0.25), false, generics, false},
+		{"rz(t)rz(-t)", shape(0.3, 0.7, -0.7, 0.4, 0.25), false, generics, false},
+		{"h ry(0) h", shape(0.3, 0.7, 1.1, 0, 0.25), true, generics, false},
+		{"phase sum under 1e-12", shape(0.3, 0.7, 1.1, 0.4, 0.25-residue.Params[0]), false, generics, false},
+		{"uccsd gadget core rz(0)", uccsd4(0, 0), false, sweep, true},
+		{"uccsd gadget core rz(2pi)", uccsd4(2*math.Pi, 8*math.Pi), false, sweep, true},
 	}
 	for _, cfg := range []Config{{Fuse: true}, {Fuse: true, Sched: sched.Lazy, PEs: 4}, {Fuse: false, Sched: sched.Lazy, PEs: 2}} {
 		for _, tc := range cases {
 			for _, degFirst := range []bool{false, true} {
 				cfg.Cache = NewCache(DefaultCacheSize)
 				tag := fmt.Sprintf("%s (degenerate first: %v, fuse %v, %d PEs)", tc.name, degFirst, cfg.Fuse, cfg.PEs)
-				order := []*circuit.Circuit{generics[0], tc.c, generics[1], generics[2], tc.c}
+				order := []*circuit.Circuit{tc.generics[0], tc.c, tc.generics[1], tc.generics[2], tc.c}
 				if degFirst {
 					order[0], order[1] = order[1], order[0]
 				}
 				wantHit := []bool{false, false, true, true, true}
-				if !cfg.Fuse && !tc.unfusedMiss {
+				if tc.fits || !cfg.Fuse && !tc.unfusedMiss {
 					wantHit[1] = true // unfused, only a gate's own diagonality matters
 				}
 				var hits, misses int64

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"svsim/internal/circuit"
+	"svsim/internal/fusion"
 	"svsim/internal/gate"
 )
 
@@ -21,12 +22,16 @@ import (
 // private cache next to the amplitudes streaming through.
 const maxTableBits = 11
 
-// DiagRun is one merged stretch: steps [Step, Step+Gates) of the plan,
-// executing ops [Op, Op+Gates) of the executable stream (the schedulers
-// emit nothing between two diagonal gates, so the stretch is contiguous
-// in both).
-type DiagRun struct {
+// Run is one stretch of the plan the runtime executes as a single step:
+// steps [Step, Step+Gates), executing ops [Op, Op+Gates) of the
+// executable stream. It is a diagonal run (the schedulers emit nothing
+// between two diagonal gates, so the stretch is contiguous in both) or,
+// with Pauli set, a Pauli gadget (gadget.go).
+type Run struct {
 	Step, Op, Gates int
+	// Pauli is the rotation a gadget multiplies out to; nil for a diagonal
+	// run, whose shape the fields below hold.
+	Pauli *fusion.Gadget
 	// Pinned is the intersection of every term's mask: the pass visits
 	// only amplitudes with all of these logical qubits set (QFT: the
 	// qubit a CU1 ladder shares, so half the state is never loaded).
@@ -42,7 +47,7 @@ type DiagRun struct {
 // Terms appends the run's normal form — its gates' terms in stream
 // order, phases read from the gates as bound in ops — to dst: what
 // statevec.DiagTables.Prepare takes beside Pinned, Qubits and Table.
-func (r *DiagRun) Terms(ops []circuit.Op, dst []gate.DiagTerm) []gate.DiagTerm {
+func (r *Run) Terms(ops []circuit.Op, dst []gate.DiagTerm) []gate.DiagTerm {
 	for i := r.Op; i < r.Op+r.Gates; i++ {
 		dst = ops[i].G.AppendDiagTerms(dst)
 	}
@@ -112,34 +117,61 @@ func (s *runShape) add(terms []gate.DiagTerm, width int) bool {
 // the runs of a stream cut at a step boundary are the runs behind the
 // cut: an elastic shrink that recompiles the residual circuit executes
 // the same passes as the uninterrupted run.
-func DiagRuns(c *circuit.Circuit) []DiagRun {
+func DiagRuns(c *circuit.Circuit) []Run {
+	return diagRuns(c, 0, len(c.Ops), nil)
+}
+
+// diagRuns appends the diagonal runs of ops [from, to) to runs.
+func diagRuns(c *circuit.Circuit, from, to int, runs []Run) []Run {
 	width := tableBits(c.NumQubits)
-	var runs []DiagRun
 	var buf [gate.MaxDiagTerms]gate.DiagTerm
-	for i := 0; i < len(c.Ops); {
+	for i := from; i < to; {
 		if !mergeable(&c.Ops[i]) {
 			i++
 			continue
 		}
 		start, shape := i, runShape{}
-		for ; i < len(c.Ops) && mergeable(&c.Ops[i]); i++ {
+		for ; i < to && mergeable(&c.Ops[i]); i++ {
 			// A lone gate always fits: two operands, width >= 2.
 			if !shape.add(c.Ops[i].G.AppendDiagTerms(buf[:0]), width) {
 				break
 			}
 		}
 		if i-start >= 2 {
-			runs = append(runs, DiagRun{Step: start, Op: start, Gates: i - start,
+			runs = append(runs, Run{Step: start, Op: start, Gates: i - start,
 				Pinned: shape.pinned, Qubits: shape.qubits, Table: shape.table})
 		}
 	}
 	return runs
 }
 
-func mergedGates(runs []DiagRun) int {
-	n := 0
-	for i := range runs {
-		n += runs[i].Gates
+// markRuns lists what the plan executes as one step each, in stream order
+// with Step == Op: the gadgets fusion marked, and the diagonal runs of
+// the stretches between them (a gadget's members stay the gates they
+// are, so a run never reaches into one).
+func markRuns(c *circuit.Circuit, gadgets []fusion.Gadget) []Run {
+	var runs []Run
+	from := 0
+	for i := range gadgets {
+		g := &gadgets[i]
+		runs = diagRuns(c, from, g.First, runs)
+		runs = append(runs, Run{Step: g.First, Op: g.First, Gates: g.Gates(), Pauli: g})
+		from = g.Last + 1
 	}
-	return n
+	return diagRuns(c, from, len(c.Ops), runs)
+}
+
+// countRuns splits runs by kind: the diagonal runs and the gates inside
+// them, the gadgets and the gates inside those.
+func countRuns(runs []Run) (diag, merged, gadgets, gadgetGates int) {
+	for i := range runs {
+		if runs[i].Pauli != nil {
+			gadgets++
+			gadgetGates += runs[i].Gates
+		} else {
+			diag++
+			merged += runs[i].Gates
+		}
+	}
+	return
 }

@@ -36,8 +36,8 @@ func phaseAnsatz(n int, theta []float64) *circuit.Circuit {
 }
 
 // shape strips the plan-dependent step index off the runs.
-func shape(runs []DiagRun) []DiagRun {
-	out := append([]DiagRun(nil), runs...)
+func shape(runs []Run) []Run {
+	out := append([]Run(nil), runs...)
 	for i := range out {
 		out[i].Step = 0
 	}
@@ -75,7 +75,7 @@ func TestDiagRunsDependOnCircuitOnly(t *testing.T) {
 					if !reflect.DeepEqual(shape(cp.Runs), shape(want)) {
 						t.Fatalf("%s %s pes=%d tile=%v: runs %+v, want %+v", c.Name, pol, pes, tile, cp.Runs, want)
 					}
-					if st.DiagRuns != len(want) || st.Merged != mergedGates(want) {
+					if _, merged, _, _ := countRuns(want); st.DiagRuns != len(want) || st.Merged != merged {
 						t.Fatalf("%s: stats report %d runs / %d gates", c.Name, st.DiagRuns, st.Merged)
 					}
 					for _, run := range cp.Runs {
@@ -119,15 +119,15 @@ func TestDiagRunShapes(t *testing.T) {
 	// QFT(22): every CU1 ladder of two or more gates is one run pinned on
 	// the ladder's target; 21 qubits split 11 + 10 over the two tables.
 	runs := DiagRuns(qasmbench.QFT(22))
-	if len(runs) != 20 || mergedGates(runs) != 230 {
-		t.Fatalf("QFT(22): %d runs of %d gates, want 20 of 230", len(runs), mergedGates(runs))
+	if _, merged, _, _ := countRuns(runs); len(runs) != 20 || merged != 230 {
+		t.Fatalf("QFT(22): %d runs of %d gates, want 20 of 230", len(runs), merged)
 	}
 	first := runs[0]
 	if first.Gates != 21 || first.Pinned != 1<<21 || bits.OnesCount64(first.Qubits[0]) != 11 || bits.OnesCount64(first.Qubits[1]) != 10 {
 		t.Fatalf("QFT(22) first run: %+v", first)
 	}
 
-	mark := func(n int, gs ...gate.Gate) []DiagRun {
+	mark := func(n int, gs ...gate.Gate) []Run {
 		c := circuit.New("t", n)
 		c.Append(gs...)
 		return DiagRuns(c)
@@ -214,7 +214,7 @@ func TestDiagRunsSurviveACut(t *testing.T) {
 			if cut > 0 && cut < len(c.Ops) && mergeable(&c.Ops[cut-1]) && mergeable(&c.Ops[cut]) {
 				inside++
 			}
-			var want []DiagRun
+			var want []Run
 			for _, run := range whole {
 				if run.Op >= cut {
 					run.Step, run.Op = run.Step-cut, run.Op-cut

@@ -50,8 +50,9 @@ type TileGroup struct {
 	Start, End int
 	// Tiled marks a group executed as one cache-blocked pass. Non-tiled
 	// groups hold one member, executed as the plain step loop would (a
-	// straddling or non-unitary gate, a remap, or a compatible gate or
-	// diagonal run with no neighbour to share the pass with).
+	// straddling or non-unitary gate, a remap, a Pauli gadget, or a
+	// compatible gate or diagonal run with no neighbour to share the pass
+	// with).
 	Tiled bool
 }
 
@@ -89,8 +90,25 @@ func BuildTilePlan(cp *CompiledPlan, tileBits int) *TilePlan {
 		tileBits = 1
 	}
 	tp := &TilePlan{TileBits: tileBits}
-	ri := 0 // first diagonal run not yet behind the walk
+	ri := 0 // first run not yet behind the walk
+	// gadgetAt reports the Pauli gadget starting at step i. A gadget is
+	// one pass over the whole state already, pairing amplitudes a tile
+	// apart: it closes the group before it and is a group of its own.
+	gadgetAt := func(i int) *Run {
+		for ri < len(cp.Runs) && cp.Runs[ri].Step < i {
+			ri++
+		}
+		if ri < len(cp.Runs) && cp.Runs[ri].Step == i && cp.Runs[ri].Pauli != nil {
+			return &cp.Runs[ri]
+		}
+		return nil
+	}
 	for i := 0; i < len(steps); {
+		if g := gadgetAt(i); g != nil {
+			tp.Groups = append(tp.Groups, TileGroup{Start: i, End: i + g.Gates})
+			i += g.Gates
+			continue
+		}
 		if !tileCompatible(cp, steps, i, maxT, tileBits) {
 			if steps[i].Kind == sched.StepGate && stepUnitary(cp, &steps[i]) && maxT[i] >= tileBits {
 				tp.Straddlers++
@@ -102,10 +120,7 @@ func BuildTilePlan(cp *CompiledPlan, tileBits int) *TilePlan {
 		// A diagonal run is one member of the group; a run past the cap
 		// closes the group and opens the next.
 		j, members, groupRuns := i, 0, 0
-		for j < len(steps) && tileCompatible(cp, steps, j, maxT, tileBits) {
-			for ri < len(cp.Runs) && cp.Runs[ri].Step < j {
-				ri++
-			}
+		for j < len(steps) && tileCompatible(cp, steps, j, maxT, tileBits) && gadgetAt(j) == nil {
 			if ri < len(cp.Runs) && cp.Runs[ri].Step == j {
 				if groupRuns == maxGroupRuns {
 					break

@@ -76,7 +76,7 @@ func checkTileInvariants(t *testing.T, cp *CompiledPlan) {
 }
 
 // containsRun reports whether grp is exactly one diagonal run.
-func containsRun(runs []DiagRun, grp TileGroup) bool {
+func containsRun(runs []Run, grp TileGroup) bool {
 	for _, run := range runs {
 		if run.Step == grp.Start && run.Step+run.Gates == grp.End {
 			return true

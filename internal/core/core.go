@@ -211,7 +211,9 @@ func setCbit(cbits uint64, idx int, v int) uint64 {
 	return cbits &^ (uint64(1) << uint(idx))
 }
 
-// checkCircuit validates common backend preconditions.
+// checkCircuit validates the register sizes a backend supports; operands,
+// classical bits and conditions are validated by the compile pipeline's
+// one walk of the ops (compile.Compile returns circuit.Validate's error).
 func checkCircuit(c *circuit.Circuit, maxCbits int) error {
 	if c.NumQubits < 1 {
 		return fmt.Errorf("core: circuit %q has no qubits", c.Name)
@@ -220,7 +222,7 @@ func checkCircuit(c *circuit.Circuit, maxCbits int) error {
 		return fmt.Errorf("core: circuit %q needs %d classical bits, backend supports %d",
 			c.Name, c.NumClbits, maxCbits)
 	}
-	return c.Validate()
+	return nil
 }
 
 // checkPEs validates the distributed partition geometry. It runs before

@@ -60,6 +60,7 @@ func spanDelta(c0, c1 obs.SpanArgs) obs.SpanArgs {
 type gateObs struct {
 	byKind [gate.NumKinds]*obs.Histogram
 	run    *obs.Histogram // a diagonal run executed as one step
+	pauli  *obs.Histogram // a Pauli gadget executed as one step
 }
 
 func newGateObs(m *obs.Metrics) *gateObs {
@@ -72,6 +73,7 @@ func newGateObs(m *obs.Metrics) *gateObs {
 		g.byKind[k] = m.Histogram(name, obs.LatencyBuckets())
 	}
 	g.run = m.Histogram(obs.MetricGateKernelNS+".diag_run", obs.LatencyBuckets())
+	g.pauli = m.Histogram(obs.MetricGateKernelNS+".pauli_rot", obs.LatencyBuckets())
 	return g
 }
 
@@ -82,11 +84,15 @@ func (g *gateObs) observe(k gate.Kind, d time.Duration) {
 	g.byKind[k].Observe(float64(d.Nanoseconds()))
 }
 
-func (g *gateObs) observeRun(d time.Duration) {
+func (g *gateObs) observeRun(gadget bool, d time.Duration) {
 	if g == nil {
 		return
 	}
-	g.run.Observe(float64(d.Nanoseconds()))
+	h := g.run
+	if gadget {
+		h = g.pauli
+	}
+	h.Observe(float64(d.Nanoseconds()))
 }
 
 // gateLabel renders a span name like "cx q2,q14". Called only on the

@@ -369,10 +369,10 @@ func (rt *runtime) run() (*Result, error) {
 				si = groups[gi].End
 				continue
 			}
-			if ri < len(runs) && runs[ri].Step == si {
+			if ri < len(runs) && runs[ri].Step == si && rt.runStep(pe, r, &runs[ri], tr) {
 				// Likewise a resume inside a run (a checkpoint of a build
-				// that cut there) finishes the run per gate.
-				rt.runStep(pe, r, &runs[ri], tr)
+				// that cut there) finishes the run per gate, and so does a
+				// gadget this rank's layout cannot pair locally.
 				si += runs[ri].Gates
 				continue
 			}
@@ -543,7 +543,7 @@ func (rt *runtime) cutPoint(pe *pgas.PE, r *Rank, si, last int, tr StepTrace) in
 // not over one gate's index space. A tile is a window of the state and
 // runs the step loop's kernels, so the result is bit-identical to the
 // untiled path.
-func (rt *runtime) tileGroup(r *Rank, grp compile.TileGroup, runs []compile.DiagRun, tr StepTrace) {
+func (rt *runtime) tileGroup(r *Rank, grp compile.TileGroup, runs []compile.Run, tr StepTrace) {
 	type member struct {
 		g   *gate.Gate           // a gate whose condition holds, or
 		run *statevec.DiagTables // a prepared diagonal run
@@ -616,7 +616,7 @@ func (rt *runtime) tileGroup(r *Rank, grp compile.TileGroup, runs []compile.Diag
 // phases are read from the bound gates here, so a re-bound plan needs no
 // bind site for them, and the position→key arrays follow the rank's
 // current permutation.
-func (rt *runtime) prepare(r *Rank, slot int, run *compile.DiagRun) *statevec.DiagTables {
+func (rt *runtime) prepare(r *Rank, slot int, run *compile.Run) *statevec.DiagTables {
 	r.terms = run.Terms(rt.c.Ops, r.terms[:0])
 	for len(r.tables) <= slot {
 		r.tables = append(r.tables, new(statevec.DiagTables))
@@ -626,44 +626,74 @@ func (rt *runtime) prepare(r *Rank, slot int, run *compile.DiagRun) *statevec.Di
 	return d
 }
 
-// runStep executes one diagonal run as a single step: one kernel pass
-// over the amplitudes of the partition window some term of the run
-// changes, one write-tracker mark, one span and, under the naive plan on
-// several ranks, the one grid sync that closes the step.
-func (rt *runtime) runStep(pe *pgas.PE, r *Rank, run *compile.DiagRun, tr StepTrace) {
+// runStep executes one run of the plan — a diagonal run or a Pauli gadget
+// — as a single step: one kernel pass over the partition window, one
+// write-tracker mark, one span and, under the naive plan on several ranks,
+// the one grid sync that closes the step. It reports false, having done
+// nothing, for a gadget whose rotation pairs amplitudes across partitions
+// (an X or Y qubit held in the rank bits; Z qubits there only sign the
+// window): its members then execute as the gates they are. Every rank
+// holds the same permutation, so all decide alike.
+func (rt *runtime) runStep(pe *pgas.PE, r *Rank, run *compile.Run, tr StepTrace) bool {
 	observed := tr.On() || rt.gm != nil
 	var g0 time.Time
 	if observed {
 		g0 = time.Now()
 	}
-	d := rt.prepare(r, 0, run)
-	if r.dirty != nil {
-		// Only amplitudes with every pinned qubit set can change; the
-		// pinned qubits held in the rank bits merely gate the partition.
-		var localMask int
-		for m := run.Pinned; m != 0; m &= m - 1 {
-			if pos := r.perm[bits.TrailingZeros64(m)]; pos < rt.LocalBits {
-				localMask |= 1 << uint(pos)
-			}
+	if p := run.Pauli; p != nil {
+		rot := statevec.PauliRot{
+			X: physMask(p.X, r.perm), Z: physMask(p.Z, r.perm), Neg: p.Neg,
+			Theta: rt.c.Ops[p.Core].G.Params[0], Gates: run.Gates,
 		}
-		r.dirty.MarkCtrls(localMask)
-	}
-	if rt.pool != nil {
-		rt.pool.ApplyRunShared(r.Local, d)
+		if rot.X >= rt.S {
+			return false
+		}
+		r.markAll()
+		if rt.pool != nil {
+			rt.pool.ApplyPauliRotShared(r.Local, &rot)
+		} else {
+			r.Local.ApplyPauliRot(&rot)
+		}
 	} else {
-		r.Local.ApplyRun(d)
+		d := rt.prepare(r, 0, run)
+		if r.dirty != nil {
+			// Only amplitudes with every pinned qubit set can change; the
+			// pinned qubits held in the rank bits merely gate the partition.
+			r.dirty.MarkCtrls(physMask(run.Pinned, r.perm) & (rt.S - 1))
+		}
+		if rt.pool != nil {
+			rt.pool.ApplyRunShared(r.Local, d)
+		} else {
+			r.Local.ApplyRun(d)
+		}
 	}
 	if observed {
 		g1 := time.Now()
-		rt.gm.observeRun(g1.Sub(g0))
+		rt.gm.observeRun(run.Pauli != nil, g1.Sub(g0))
 		if tr.On() {
+			args := obs.SpanArgs{Kind: "diag"}
 			tr.label = fmt.Sprintf("diag run (%d gates)", run.Gates)
-			tr.Span("", g0, g1, obs.SpanArgs{Kind: "diag"})
+			if p := run.Pauli; p != nil {
+				args.Kind = "pauli"
+				tr.label = fmt.Sprintf("pauli gadget (%d gates, %d qubits)", run.Gates, bits.OnesCount64(p.X|p.Z))
+			}
+			tr.Span("", g0, g1, args)
 		}
 	}
 	if rt.gateSync {
 		pe.Barrier()
 	}
+	return true
+}
+
+// physMask maps a mask of logical qubits to the physical index bits that
+// hold them under perm.
+func physMask(logical uint64, perm circuit.Permutation) int {
+	var m int
+	for ; logical != 0; logical &= logical - 1 {
+		m |= 1 << uint(perm[bits.TrailingZeros64(logical)])
+	}
+	return m
 }
 
 // gateStep executes one circuit op at its current physical positions

@@ -24,6 +24,8 @@ type Stats struct {
 	FusedRuns     int // 1q runs collapsed into a single gate
 	Identities    int // fused runs that vanished entirely
 	Cancellations int // adjacent self-inverse pairs removed
+	Gadgets       int // Pauli gadgets marked (gadget.go)
+	GadgetGates   int // gates kept verbatim inside them
 }
 
 // Span records which source ops an output op was produced from, as a
@@ -60,9 +62,11 @@ func OptimizeBlocks(c *circuit.Circuit, boundaries []int) (*circuit.Circuit, []S
 	st := Stats{InputGates: c.NumGates()}
 	out, spans, rec := fuse1Q(c, boundaries, &st)
 	var renum []int32
-	out.Ops, spans, renum = cancelPairs(out.Ops, spans, boundaries, &st)
+	out.Ops, spans, renum = cancelPairs(out.Ops, spans, boundaries, rec.Gadgets, &st)
 	if renum != nil {
-		// Cancelled pairs are parameter-free, so every site's op survives.
+		// Cancelled pairs are parameter-free, so every site's op survives;
+		// so does every member of a gadget, and nothing between two of them
+		// was there to cancel.
 		for i := range rec.Sites {
 			if s := &rec.Sites[i]; s.Out >= 0 {
 				s.Out = renum[s.Out]
@@ -71,15 +75,25 @@ func OptimizeBlocks(c *circuit.Circuit, boundaries []int) (*circuit.Circuit, []S
 		if rec.GPhase >= 0 {
 			rec.GPhase = renum[rec.GPhase]
 		}
+		for i := range rec.Gadgets {
+			g := &rec.Gadgets[i]
+			g.First, g.Last, g.Core = int(renum[g.First]), int(renum[g.Last]), int(renum[g.Core])
+		}
 	}
 	st.OutputGates = out.NumGates()
+	rec.Verbatim = len(out.Ops) == len(c.Ops)
+	for i := 0; rec.Verbatim && i < len(spans); i++ {
+		rec.Verbatim = spans[i] == Span{i, i}
+	}
 	return out, spans, st, rec
 }
 
-// Recipe is what the pass knows about how its output depends on
-// parameter values, recorded while it fuses (the only place that sees
-// the runs that vanished): enough to write another binding of the same
-// circuit skeleton into a copy of the output without fusing again.
+// Recipe is what the pass knows about its output beyond the ops, recorded
+// while it fuses. Gadgets are the marked Pauli-gadget windows, by output
+// index: a property of the skeleton. The rest is how the output depends
+// on parameter values (the pass is the only place that sees the runs that
+// vanished): enough to write another binding of the same circuit skeleton
+// into a copy of the output without fusing again.
 //
 // A site is a flushed run holding at least one gate of a kind with
 // parameters; sites are listed in flush order, which is also the order
@@ -88,6 +102,13 @@ func OptimizeBlocks(c *circuit.Circuit, boundaries []int) (*circuit.Circuit, []S
 // between belong to parameter-free runs and are replayed as recorded —
 // so the trailing gphase is re-summed exactly as a fresh pass would.
 type Recipe struct {
+	Gadgets []Gadget
+	// Verbatim reports that the output is the input op for op: nothing
+	// fused, cancelled, absorbed or emitted out of order (a circuit that
+	// is Pauli gadgets and lone gates, a UCCSD ansatz). Every binding of
+	// the skeleton is then its own output and needs no Rebind.
+	Verbatim bool
+
 	Sites   []Site
 	Members []int32   // source op indices of every site's run, back to back
 	Terms   []float64 // global-phase contributions in accumulation order
@@ -262,8 +283,9 @@ func fuse1Q(c *circuit.Circuit, boundaries []int, st *Stats) (*circuit.Circuit, 
 		}
 	}
 
+	windows := markGadgets(c, boundaries)
 	nextBoundary := 0
-	for i := range c.Ops {
+	for i := 0; i < len(c.Ops); i++ {
 		// A block boundary before op i: a remap happens here, so no
 		// accumulated run may extend past it. Flush everything.
 		for nextBoundary < len(boundaries) && boundaries[nextBoundary] <= i {
@@ -271,6 +293,28 @@ func fuse1Q(c *circuit.Circuit, boundaries []int, st *Stats) (*circuit.Circuit, 
 				flushAll()
 			}
 			nextBoundary++
+		}
+		if len(windows) > 0 && windows[0].First == i {
+			// A Pauli gadget: flush what its qubits hold, then emit every
+			// member as written. Only the rz takes a parameter.
+			w := windows[0]
+			windows = windows[1:]
+			for j := w.First; j <= w.Last; j++ {
+				for _, q := range c.Ops[j].G.OperandQubits() {
+					flush(int(q))
+				}
+			}
+			shift := len(out.Ops) - w.First
+			for j := w.First; j <= w.Last; j++ {
+				emit(c.Ops[j], Span{j, j})
+			}
+			site([]int32{int32(w.Core)}, Site{Out: int32(w.Core + shift), Kind: gate.RZ, Term: -1})
+			st.Gadgets++
+			st.GadgetGates += w.Gates()
+			w.First, w.Last, w.Core = w.First+shift, w.Last+shift, w.Core+shift
+			rec.Gadgets = append(rec.Gadgets, w)
+			i = w.Last - shift
+			continue
 		}
 		op := &c.Ops[i]
 		g := &op.G
@@ -348,7 +392,8 @@ func decomposeU3(u [4]complex128, q int) (alpha float64, g gate.Gate, isID bool)
 // live in the same sched block — cancellation across a remap would
 // change which gates each block demands and invalidate the plan. renum
 // maps every input index to its output index (-1 for a cancelled op);
-// it is nil when nothing cancelled.
+// it is nil when nothing cancelled. The members of gadgets are pinned:
+// they neither cancel nor are commuted past where they share an operand.
 //
 // The pass runs rounds to a fixed point (a cancelled inner pair exposes
 // the pair around it). In a round every live cancellable op, in order,
@@ -358,8 +403,14 @@ func decomposeU3(u [4]complex128, q int) (alpha float64, g gate.Gate, isID bool)
 // remembers the blocker and a later round skips i while it stands, and
 // otherwise resumes the search just past it: every round after the first
 // costs one pass over the flags plus the rescans cancellations caused.
-func cancelPairs(ops []circuit.Op, spans []Span, boundaries []int, st *Stats) (_ []circuit.Op, _ []Span, renum []int32) {
+func cancelPairs(ops []circuit.Op, spans []Span, boundaries []int, gadgets []Gadget, st *Stats) (_ []circuit.Op, _ []Span, renum []int32) {
 	n, before := len(ops), st.Cancellations
+	pinned := make([]bool, n)
+	for _, g := range gadgets {
+		for i := g.First; i <= g.Last; i++ {
+			pinned[i] = true
+		}
+	}
 	// blockOf maps a source span to its sched block: the number of
 	// boundaries at or before its first source op.
 	blockOf := func(s Span) int {
@@ -375,7 +426,7 @@ func cancelPairs(ops []circuit.Op, spans []Span, boundaries []int, st *Stats) (_
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < n; i++ {
-			if dead[i] || !cancellable(&ops[i]) {
+			if dead[i] || pinned[i] || !cancellable(&ops[i]) {
 				continue
 			}
 			s := int(stop[i])
@@ -391,7 +442,7 @@ func cancelPairs(ops []circuit.Op, spans []Span, boundaries []int, st *Stats) (_
 					ops[j].G.Kind.Unitary() {
 					continue // independent; keep scanning
 				}
-				if sameSelfInverse(&ops[i], &ops[j]) &&
+				if sameSelfInverse(&ops[i], &ops[j]) && !pinned[j] &&
 					blockOf(spans[i]) == blockOf(spans[j]) {
 					dead[i], dead[j] = true, true
 					st.Cancellations++

@@ -14,8 +14,15 @@ import (
 // cancelPairsRounds is the pass as first written — every round rebuilds
 // the live set and rescans every op — kept as the oracle cancelPairs must
 // agree with op for op: which copy of a repeated gate survives decides
-// its span, and spans decide what later cancels under boundaries.
-func cancelPairsRounds(ops []circuit.Op, sps []Span, boundaries []int) ([]circuit.Op, []Span, int) {
+// its span, and spans decide what later cancels under boundaries. The
+// members of gadgets are pinned: they never cancel.
+func cancelPairsRounds(ops []circuit.Op, sps []Span, boundaries []int, gadgets []Gadget) ([]circuit.Op, []Span, int) {
+	pinned := make([]bool, len(ops))
+	for _, g := range gadgets {
+		for i := g.First; i <= g.Last; i++ {
+			pinned[i] = true
+		}
+	}
 	blockOf := func(s Span) int {
 		lo := 0
 		for lo < len(boundaries) && boundaries[lo] <= s.First {
@@ -31,7 +38,7 @@ func cancelPairsRounds(ops []circuit.Op, sps []Span, boundaries []int) ([]circui
 			alive[i] = true
 		}
 		for i := 0; i < len(ops); i++ {
-			if !alive[i] || !cancellable(&ops[i]) {
+			if !alive[i] || !cancellable(&ops[i]) || pinned[i] {
 				continue
 			}
 			for j := i + 1; j < len(ops); j++ {
@@ -41,7 +48,7 @@ func cancelPairsRounds(ops []circuit.Op, sps []Span, boundaries []int) ([]circui
 				if !sharesOperand(&ops[i].G, &ops[j].G) && ops[j].Cond == nil && ops[j].G.Kind.Unitary() {
 					continue
 				}
-				if sameSelfInverse(&ops[i], &ops[j]) && blockOf(sps[i]) == blockOf(sps[j]) {
+				if sameSelfInverse(&ops[i], &ops[j]) && !pinned[j] && blockOf(sps[i]) == blockOf(sps[j]) {
 					alive[i], alive[j] = false, false
 					cancelled++
 					changed = true
@@ -51,13 +58,15 @@ func cancelPairsRounds(ops []circuit.Op, sps []Span, boundaries []int) ([]circui
 		}
 		var next []circuit.Op
 		var nextSp []Span
+		var nextPin []bool
 		for i, ok := range alive {
 			if ok {
 				next = append(next, ops[i])
 				nextSp = append(nextSp, sps[i])
+				nextPin = append(nextPin, pinned[i])
 			}
 		}
-		ops, sps = next, nextSp
+		ops, sps, pinned = next, nextSp, nextPin
 	}
 	return ops, sps, cancelled
 }
@@ -138,10 +147,10 @@ func TestCancelPairsMatchesRoundByRoundReference(t *testing.T) {
 	for _, c := range testCircuits(t) {
 		for _, bs := range [][]int{nil, someBoundaries(rng, c)} {
 			var st Stats
-			fused, spans, _ := fuse1Q(c, bs, &st)
-			wantOps, wantSpans, wantN := cancelPairsRounds(fused.Ops, spans, bs)
+			fused, spans, rec := fuse1Q(c, bs, &st)
+			wantOps, wantSpans, wantN := cancelPairsRounds(fused.Ops, spans, bs, rec.Gadgets)
 			var got Stats
-			gotOps, gotSpans, renum := cancelPairs(fused.Ops, spans, bs, &got)
+			gotOps, gotSpans, renum := cancelPairs(fused.Ops, spans, bs, rec.Gadgets, &got)
 			if got.Cancellations != wantN {
 				t.Fatalf("%s: %d cancellations, reference %d", c.Name, got.Cancellations, wantN)
 			}

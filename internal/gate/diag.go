@@ -10,7 +10,7 @@ import (
 // (an empty Mask is a global phase). Every diagonal kind is a product of
 // at most three such terms, and a stretch of diagonal gates is the
 // product of all of theirs — the form the runtime merges into one pass
-// (compile.DiagRun, statevec.DiagTables).
+// (compile.Run, statevec.DiagTables).
 type DiagTerm struct {
 	Mask   uint64
 	Re, Im float64

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"svsim/internal/circuit"
 	"svsim/internal/gate"
 )
 
@@ -177,7 +178,8 @@ func TestControlledR(t *testing.T) {
 }
 
 func TestExpIsPauliExponential(t *testing.T) {
-	// e^{i theta P} = cos(theta) I + i sin(theta) P, verified densely.
+	// e^{i theta P} = cos(theta) I + i sin(theta) P, verified densely and
+	// against the lowered window (circuit.ExpPauli) the verb used to run.
 	rng := rand.New(rand.NewSource(5))
 	cases := []struct {
 		paulis []Pauli
@@ -193,7 +195,18 @@ func TestExpIsPauliExponential(t *testing.T) {
 		s := NewSimulator(4, 0)
 		randomize(rng, s)
 		want := s.State().Clone()
+		lowered := want.Clone()
 		s.Exp(cse.paulis, theta, cse.qubits)
+		if st := s.State().Stats; st.Gates != want.Stats.Gates+1 || st.Sweeps != want.Stats.Sweeps+1 {
+			t.Fatalf("Exp(%v) is %d gates in %d sweeps, want one pass", cse.paulis, st.Gates-want.Stats.Gates, st.Sweeps-want.Stats.Sweeps)
+		}
+		window := circuit.New("exp", 4).ExpPauli(-2*theta, expTerms(cse.paulis, cse.qubits))
+		for i := range window.Ops {
+			lowered.Apply(&window.Ops[i].G)
+		}
+		if d := s.State().MaxAbsDiff(lowered); d > 1e-12 {
+			t.Fatalf("Exp(%v, %g) deviates from the lowered window by %g", cse.paulis, theta, d)
+		}
 
 		p := pauliDense(4, cse.paulis, cse.qubits)
 		dim := 1 << 4
@@ -208,7 +221,7 @@ func TestExpIsPauliExponential(t *testing.T) {
 			}
 		}
 		u.Apply(want.Re, want.Im)
-		if d := s.State().MaxAbsDiff(want); d > 1e-10 {
+		if d := s.State().MaxAbsDiff(want); d > 1e-12 {
 			t.Fatalf("Exp(%v, %g) deviates by %g", cse.paulis, theta, d)
 		}
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // A diagonal run is a stretch of consecutive diagonal gates executed as
-// one pass (compile.DiagRun marks them; the paper's §3.2.1 argument that
+// one pass (compile.DiagRuns marks them; the paper's §3.2.1 argument that
 // a diagonal gate should cost only the amplitudes it changes, applied to
 // the stretch instead of the gate). The stretch is a product of terms
 // "multiply by a phase where all bits of a logical-qubit mask are 1"

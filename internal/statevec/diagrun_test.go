@@ -76,7 +76,7 @@ func randomStretch(rng *rand.Rand, n int, common bool) *circuit.Circuit {
 }
 
 // prepareRun loads run of c into d under layout perm.
-func prepareRun(d *statevec.DiagTables, c *circuit.Circuit, run *compile.DiagRun, perm []int) {
+func prepareRun(d *statevec.DiagTables, c *circuit.Circuit, run *compile.Run, perm []int) {
 	d.Prepare(run.Gates, run.Pinned, run.Qubits, run.Terms(c.Ops, nil), run.Table, perm)
 }
 

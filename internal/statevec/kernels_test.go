@@ -129,7 +129,7 @@ func TestFlopsPerPair(t *testing.T) {
 func TestNoFuncValuesOnTheAmplitudePath(t *testing.T) {
 	hot := map[string]bool{"iter": true, "window": true, "DiagTables": true}
 	fset := token.NewFileSet()
-	for _, name := range []string{"kernels.go", "window.go", "diagrun.go"} {
+	for _, name := range []string{"kernels.go", "window.go", "diagrun.go", "paulirot.go"} {
 		file, err := parser.ParseFile(fset, name, nil, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -198,6 +198,54 @@ func BenchmarkBodies(b *testing.B) {
 				b.Run(fmt.Sprintf("%s_%s_n%d", k, at.name, n), func(b *testing.B) {
 					for range b.N {
 						s.Apply(&g)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Dim), "ns/amp")
+				})
+			}
+		}
+	}
+}
+
+// pauliString builds the rotation about a weight-w string on n qubits
+// whose pivot (highest X or Y) sits on qubit pivot: Z above it, X and Y
+// alternating below.
+func pauliString(w, pivot, n int) PauliRot {
+	r := PauliRot{X: 1 << uint(pivot), Theta: 0.7, Gates: 1}
+	for k, q := 1, pivot-1; k < w; k, q = k+1, q-1 {
+		if q < 0 {
+			q = n - 1 // out of room below the pivot: Z factors from the top down
+		}
+		switch {
+		case q > pivot:
+			r.Z |= 1 << uint(q)
+		case k%2 == 1:
+			r.X |= 1 << uint(q)
+			r.Z |= 1 << uint(q)
+		default:
+			r.X |= 1 << uint(q)
+		}
+	}
+	return r
+}
+
+// BenchmarkPauliRot is the gadget body's number: one pass whatever the
+// weight of the string (2, 4, 8), the pivot on qubit 0, in the middle and
+// on top, on the vqe_sweep state (n = 10, 16 KiB), an in-cache one
+// (n = 13) and a DRAM-sized one (n = 22). ns/amp is per amplitude of the
+// state, comparable with BenchmarkBodies: the lowered window costs ~4w+1
+// of those passes.
+func BenchmarkPauliRot(b *testing.B) {
+	for _, n := range []int{10, 13, 22} {
+		s := randomState(rand.New(rand.NewSource(1)), n, Vectorized)
+		for _, w := range []int{2, 4, 8} {
+			for _, at := range []struct {
+				name string
+				pos  int
+			}{{"lo", 0}, {"mid", n / 2}, {"hi", n - 1}} {
+				r := pauliString(w, at.pos, n)
+				b.Run(fmt.Sprintf("w%d_%s_n%d", w, at.name, n), func(b *testing.B) {
+					for range b.N {
+						s.ApplyPauliRot(&r)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Dim), "ns/amp")
 				})
