@@ -22,8 +22,11 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# asmdecl checks statevec's run_amd64.s; the arm64 pass keeps the
+# non-amd64 side of the AVX2 run bodies (run_other.go) compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/statevec
 
 # vet plus staticcheck's correctness analyzers (SA*), matching CI's lint
 # job. Requires staticcheck on PATH (CI installs it; the module itself

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"slices"
 	"time"
 
 	"svsim/internal/baseline"
@@ -99,15 +100,15 @@ func Fig14() *Table {
 	return t
 }
 
-// medianRunMs runs f reps times and returns the median duration in ms.
+// medianRunMs runs f reps times and returns the median duration in ms
+// (of an even number of reps, the upper of the two middle ones).
 func medianRunMs(reps int, f func()) float64 {
-	best := time.Duration(1 << 62)
-	for i := 0; i < reps; i++ {
+	ds := make([]time.Duration, reps)
+	for i := range ds {
 		start := time.Now()
 		f()
-		if d := time.Since(start); d < best {
-			best = d
-		}
+		ds[i] = time.Since(start)
 	}
-	return float64(best.Nanoseconds()) / 1e6
+	slices.Sort(ds)
+	return float64(ds[reps/2].Nanoseconds()) / 1e6
 }

@@ -54,8 +54,11 @@ type Options struct {
 	// StateQubitLimit caps the qubit count for which ReturnState jobs
 	// retain their final state vector. Defaults to 26 (1 GiB).
 	StateQubitLimit int
-	// KernelStyle selects the gate-kernel loop style for all fleets.
-	// Defaults to statevec.Vectorized.
+	// KernelStyle selects the gate-kernel loop style for all fleets. The
+	// zero value is statevec.Scalar — the strided Listing 3 loop, which
+	// never reaches the AVX2 run bodies — and that is what svserved runs:
+	// making Vectorized the default waits on a bounded result store
+	// (ROADMAP items 6(a) and 7(i)).
 	KernelStyle statevec.KernelStyle
 	// Metrics, when non-nil, receives service counters and gauges
 	// (per-tenant job counts, queue depth, plan-cache attribution).

@@ -18,6 +18,14 @@ import (
 // no function value is called per amplitude: a closure body measured
 // 1.3-3x the ns/amp of the same arithmetic inlined (kernels_test.go
 // keeps func literals out of this file).
+//
+// Listing 2 is the same loop with a wider step: when the runs are unit
+// stride and at least four long (iter.simd, asked once per call) a body
+// hands the 4-aligned part of each run to its AVX2 twin in run_amd64.s
+// and its own Go loop finishes the 0-3 amplitudes left — and takes every
+// strided or shorter run, the whole Scalar style, and every run on a CPU
+// without AVX2. The twin is the loop's arithmetic at four lanes, equal to
+// it to the bit, so a body still has exactly one Go loop and one result.
 
 const s2i = math.Sqrt2 / 2
 
@@ -26,8 +34,16 @@ const s2i = math.Sqrt2 / 2
 func (it iter) x(d int) (amps, flops int64) {
 	re, im := it.re, it.im
 	pairs := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r0, i0 := it.at(p, n)
+			r1, i1 := it.at(p+d, n)
+			xAVX2(r0, i0, r1, i1, n)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			re[p], re[p+d] = re[p+d], re[p]
 			im[p], im[p+d] = im[p+d], im[p]
 		}
@@ -39,8 +55,16 @@ func (it iter) x(d int) (amps, flops int64) {
 func (it iter) y(d int) (amps, flops int64) {
 	re, im := it.re, it.im
 	pairs := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r0, i0 := it.at(p, n)
+			r1, i1 := it.at(p+d, n)
+			yAVX2(r0, i0, r1, i1, n)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			r0, i0 := re[p], im[p]
 			r1, i1 := re[p+d], im[p+d]
 			re[p], im[p] = i1, -r1
@@ -54,8 +78,16 @@ func (it iter) y(d int) (amps, flops int64) {
 func (it iter) h(d int) (amps, flops int64) {
 	re, im := it.re, it.im
 	pairs := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r0, i0 := it.at(p, n)
+			r1, i1 := it.at(p+d, n)
+			hAVX2(r0, i0, r1, i1, n)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			r0, i0 := re[p], im[p]
 			r1, i1 := re[p+d], im[p+d]
 			re[p], im[p] = s2i*(r0+r1), s2i*(i0+i1)
@@ -76,8 +108,16 @@ func (it iter) sx(d int, dg bool) (amps, flops int64) {
 		o0, o1 = d, 0
 	}
 	pairs := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r0, i0 := it.at(p, n)
+			r1, i1 := it.at(p+d, n)
+			sxAVX2(r0, i0, r1, i1, n, dg)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			r0, i0 := re[p], im[p]
 			r1, i1 := re[p+d], im[p+d]
 			sr, si, dr, di := r0+r1, i0+i1, r0-r1, i0-i1
@@ -93,8 +133,16 @@ func (it iter) rx(d int, theta float64) (amps, flops int64) {
 	c, sn := math.Cos(theta/2), math.Sin(theta/2)
 	re, im := it.re, it.im
 	pairs := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r0, i0 := it.at(p, n)
+			r1, i1 := it.at(p+d, n)
+			rxAVX2(r0, i0, r1, i1, n, c, sn)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			r0, i0 := re[p], im[p]
 			r1, i1 := re[p+d], im[p+d]
 			re[p] = c*r0 + sn*i1
@@ -111,8 +159,16 @@ func (it iter) ry(d int, theta float64) (amps, flops int64) {
 	c, sn := math.Cos(theta/2), math.Sin(theta/2)
 	re, im := it.re, it.im
 	pairs := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r0, i0 := it.at(p, n)
+			r1, i1 := it.at(p+d, n)
+			ryAVX2(r0, i0, r1, i1, n, c, sn)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			r0, i0 := re[p], im[p]
 			r1, i1 := re[p+d], im[p+d]
 			re[p] = c*r0 - sn*r1
@@ -141,8 +197,16 @@ func (it iter) u2(d int, u [8]float64) (amps, flops int64) {
 	ar, ai, br, bi, cr, ci, dr, di := u[0], u[1], u[2], u[3], u[4], u[5], u[6], u[7]
 	re, im := it.re, it.im
 	pairs := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r0, i0 := it.at(p, n)
+			r1, i1 := it.at(p+d, n)
+			u2AVX2(r0, i0, r1, i1, n, &u)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			r0, i0 := re[p], im[p]
 			r1, i1 := re[p+d], im[p+d]
 			re[p] = ar*r0 - ai*i0 + br*r1 - bi*i1
@@ -158,8 +222,15 @@ func (it iter) u2(d int, u [8]float64) (amps, flops int64) {
 func (it iter) z() (amps, flops int64) {
 	re, im := it.re, it.im
 	m := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r, i := it.at(p, n)
+			zAVX2(r, i, n)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			re[p] = -re[p]
 			im[p] = -im[p]
 		}
@@ -171,8 +242,15 @@ func (it iter) z() (amps, flops int64) {
 func (it iter) s() (amps, flops int64) {
 	re, im := it.re, it.im
 	m := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r, i := it.at(p, n)
+			sAVX2(r, i, n)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			re[p], im[p] = -im[p], re[p]
 		}
 	}
@@ -183,8 +261,15 @@ func (it iter) s() (amps, flops int64) {
 func (it iter) sdg() (amps, flops int64) {
 	re, im := it.re, it.im
 	m := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r, i := it.at(p, n)
+			sdgAVX2(r, i, n)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			re[p], im[p] = im[p], -re[p]
 		}
 	}
@@ -192,12 +277,19 @@ func (it iter) sdg() (amps, flops int64) {
 }
 
 // t multiplies by (1+i)/sqrt(2): the exact kernel of the paper's Listing
-// 2/3, two fused multiply-adds on the |1> amplitude only.
+// 2/3, an add, a subtract and two multiplies on the |1> amplitude only.
 func (it iter) t() (amps, flops int64) {
 	re, im := it.re, it.im
 	m := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r, i := it.at(p, n)
+			tAVX2(r, i, n)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			r, i := re[p], im[p]
 			re[p] = s2i * (r - i)
 			im[p] = s2i * (r + i)
@@ -210,8 +302,15 @@ func (it iter) t() (amps, flops int64) {
 func (it iter) tdg() (amps, flops int64) {
 	re, im := it.re, it.im
 	m := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r, i := it.at(p, n)
+			tdgAVX2(r, i, n)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			r, i := re[p], im[p]
 			re[p] = s2i * (r + i)
 			im[p] = s2i * (i - r)
@@ -225,8 +324,15 @@ func (it iter) tdg() (amps, flops int64) {
 func (it iter) phase(c, sn float64) (amps, flops int64) {
 	re, im := it.re, it.im
 	m := int64(it.left)
+	simd := it.simd()
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 {
+			r, i := it.at(p, n)
+			phaseAVX2(r, i, n, c, sn)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			r, i := re[p], im[p]
 			re[p] = c*r - sn*i
 			im[p] = sn*r + c*i

@@ -129,7 +129,7 @@ func TestFlopsPerPair(t *testing.T) {
 func TestNoFuncValuesOnTheAmplitudePath(t *testing.T) {
 	hot := map[string]bool{"iter": true, "window": true, "DiagTables": true}
 	fset := token.NewFileSet()
-	for _, name := range []string{"kernels.go", "window.go", "diagrun.go", "paulirot.go"} {
+	for _, name := range []string{"kernels.go", "window.go", "diagrun.go", "paulirot.go", "run_amd64.go", "run_other.go"} {
 		file, err := parser.ParseFile(fset, name, nil, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -165,13 +165,13 @@ func TestNoFuncValuesOnTheAmplitudePath(t *testing.T) {
 	}
 }
 
-// benchOperands places kind k's last operand (the target of a controlled
-// or matrix kind) at qubit pos and the others on the next qubits up,
-// wrapping at n.
-func benchOperands(k gate.Kind, pos, n int) []int {
+// operandsAround places kind k's last operand (the target of a controlled
+// or matrix kind) on qubit t and the others on the next qubits in
+// direction dir (+1 up, -1 down), wrapping at the ends of the register.
+func operandsAround(k gate.Kind, t, dir, n int) []int {
 	ops := make([]int, k.NumQubits())
 	for i := range ops {
-		ops[len(ops)-1-i] = (pos + i) % n
+		ops[len(ops)-1-i] = ((t+dir*i)%n + n) % n
 	}
 	return ops
 }
@@ -179,8 +179,10 @@ func benchOperands(k gate.Kind, pos, n int) []int {
 // BenchmarkBodies is the per-body number behind "a specialized body
 // costs only its own arithmetic" (paper §3.2.1): every base kind, the
 // target on qubit 0, in the middle and on top, on an in-cache state
-// (n = 13, 128 KiB) and a DRAM-sized one (n = 22, 64 MiB). ns/amp is per
-// amplitude of the state, as the svperf kernel probes report it.
+// (n = 13, 128 KiB) and a DRAM-sized one (n = 22, 64 MiB), each on the
+// body's Go loop (/go) and on its AVX2 twin (/avx2, run_amd64.s; at "lo"
+// the runs are too short for the twin and both take the Go loop). ns/amp
+// is per amplitude of the state, as the svperf kernel probes report it.
 func BenchmarkBodies(b *testing.B) {
 	for _, n := range []int{13, 22} {
 		rng := rand.New(rand.NewSource(1))
@@ -194,12 +196,14 @@ func BenchmarkBodies(b *testing.B) {
 				name string
 				pos  int
 			}{{"lo", 0}, {"mid", n / 2}, {"hi", n - 1}} {
-				g := gate.New(k, benchOperands(k, at.pos, n), randAngles(rng, k.NumParams())...)
-				b.Run(fmt.Sprintf("%s_%s_n%d", k, at.name, n), func(b *testing.B) {
-					for range b.N {
-						s.Apply(&g)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Dim), "ns/amp")
+				g := gate.New(k, operandsAround(k, at.pos, 1, n), randAngles(rng, k.NumParams())...)
+				forEachBodyPath(func(path string) {
+					b.Run(fmt.Sprintf("%s_%s_n%d/%s", k, at.name, n, path), func(b *testing.B) {
+						for range b.N {
+							s.Apply(&g)
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Dim), "ns/amp")
+					})
 				})
 			}
 		}

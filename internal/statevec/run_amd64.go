@@ -1,0 +1,80 @@
+package statevec
+
+// The AVX2 run bodies (paper Listing 2): one twin in run_amd64.s for the
+// inner run of each body in kernels.go, four amplitudes per instruction.
+// A body hands a unit-stride run's 4-aligned length to its twin and
+// finishes the remainder in its own Go loop, so the contract is that a
+// twin computes what that loop computes, to the bit, on every lane: the
+// same multiplies, adds and subtracts in the same association order, no
+// fused multiply-add, negation as a sign-bit flip. n is a positive
+// multiple of 4 and the caller has bounds-checked n elements behind
+// every pointer (iter.at); the pointers need no alignment.
+
+// haveAVX2 routes unit-stride runs to the twins. It is read from the CPU
+// once, here; only tests write it, to compare the two paths.
+var haveAVX2 = detectAVX2()
+
+// detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers across context switches.
+func detectAVX2() bool {
+	const osxsave, avx, avx2 = 1 << 27, 1 << 28, 1 << 5
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state both enabled
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx2 != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// Pairing twins: a0 = (r0, i0) and a1 = (r1, i1) are the two halves of n
+// pairs, a1 lying d amplitudes from a0.
+
+//go:noescape
+func xAVX2(r0, i0, r1, i1 *float64, n int)
+
+//go:noescape
+func yAVX2(r0, i0, r1, i1 *float64, n int)
+
+//go:noescape
+func hAVX2(r0, i0, r1, i1 *float64, n int)
+
+//go:noescape
+func sxAVX2(r0, i0, r1, i1 *float64, n int, dg bool)
+
+//go:noescape
+func rxAVX2(r0, i0, r1, i1 *float64, n int, c, sn float64)
+
+//go:noescape
+func ryAVX2(r0, i0, r1, i1 *float64, n int, c, sn float64)
+
+//go:noescape
+func u2AVX2(r0, i0, r1, i1 *float64, n int, u *[8]float64)
+
+// Element-wise twins over n amplitudes (r, i).
+
+//go:noescape
+func zAVX2(r, i *float64, n int)
+
+//go:noescape
+func sAVX2(r, i *float64, n int)
+
+//go:noescape
+func sdgAVX2(r, i *float64, n int)
+
+//go:noescape
+func tAVX2(r, i *float64, n int)
+
+//go:noescape
+func tdgAVX2(r, i *float64, n int)
+
+//go:noescape
+func phaseAVX2(r, i *float64, n int, c, sn float64)

@@ -1,0 +1,146 @@
+package statevec
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"svsim/internal/gate"
+)
+
+// forEachBodyPath calls f once with the run bodies on their Go loops and,
+// where the CPU has AVX2, once on the assembly twins.
+func forEachBodyPath(f func(path string)) {
+	detected := haveAVX2
+	defer func() { haveAVX2 = detected }()
+	haveAVX2 = false
+	f("go")
+	if detected {
+		haveAVX2 = true
+		f("avx2")
+	}
+}
+
+// spice overwrites scattered components of s with the values whose bits
+// a sloppy twin gets wrong: both zeros, subnormals and both infinities
+// (an infinity makes the NaN lanes; the input itself holds none, because
+// which payload survives NaN op NaN depends on operand order).
+func spice(rng *rand.Rand, s *State) {
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -3e-309, math.Inf(1), math.Inf(-1)}
+	for i := rng.Intn(3); i < s.Dim; i += 1 + rng.Intn(5) {
+		if rng.Intn(2) == 0 {
+			s.Re[i] = special[rng.Intn(len(special))]
+		} else {
+			s.Im[i] = special[rng.Intn(len(special))]
+		}
+	}
+}
+
+// firstBitDiff returns the first index at which a and b differ in the
+// bits of a component (so -0 against +0 counts), or -1.
+func firstBitDiff(a, b *State) int {
+	for i := range a.Re {
+		if math.Float64bits(a.Re[i]) != math.Float64bits(b.Re[i]) || math.Float64bits(a.Im[i]) != math.Float64bits(b.Im[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestAsmBodiesMatchGo is the contract of run_amd64.s: an AVX2 twin
+// leaves the bits its body's Go loop leaves, and reports the same work.
+// Every unitary kind (each body bare and under controls) × the target on
+// every qubit × the other operands below and above it × the four ways a
+// body is reached — the full state, aligned tiles, partitions of a larger
+// register (Base != 0), and the shares of a 3-worker pool, which cut runs
+// mid-way so the twins start unaligned and leave 1-3 amplitude remainders
+// to the Go loop — on 3, 6 and 12 qubits.
+func TestAsmBodiesMatchGo(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this CPU")
+	}
+	defer func() { haveAVX2 = true }()
+	pool := NewPool(3)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(97))
+
+	// A window of 2^wbits amplitudes holds g's pairing targets; at least 8
+	// amplitudes, so a tile has runs the twins take.
+	windowBits := func(g *gate.Gate, n int) int {
+		wbits := 3
+		for !windowFits(g, wbits) {
+			wbits++
+		}
+		return min(wbits, n)
+	}
+	layouts := []struct {
+		name  string
+		apply func(s *State, g *gate.Gate)
+	}{
+		{"full", func(s *State, g *gate.Gate) { s.Apply(g) }},
+		{"tiles", func(s *State, g *gate.Gate) {
+			size := 1 << windowBits(g, s.N)
+			for lo := 0; lo < s.Dim; lo += size {
+				a, f := s.ApplyTile(g, lo, lo+size)
+				s.Stats.AddTileWork(1, a, f)
+			}
+		}},
+		{"partitions", func(s *State, g *gate.Gate) {
+			wbits := windowBits(g, s.N)
+			for base := 0; base < s.Dim; base += 1 << wbits {
+				pe := &State{N: wbits, Dim: 1 << wbits, Re: s.Re[base : base+1<<wbits], Im: s.Im[base : base+1<<wbits], Base: base, Style: Vectorized}
+				pe.Apply(g)
+				s.Stats.Add(pe.Stats)
+			}
+		}},
+		{"pool shares", func(s *State, g *gate.Gate) { pool.ApplyShared(s, g) }},
+	}
+
+	for _, n := range []int{3, 6, 12} {
+		for _, k := range windowKinds() {
+			if k.NumQubits() > n {
+				continue
+			}
+			for target := 0; target < n; target++ {
+				for _, dir := range []int{-1, 1} {
+					g := gate.New(k, operandsAround(k, target, dir, n), randAngles(rng, k.NumParams())...)
+					start := randomState(rng, n, Vectorized)
+					spice(rng, start)
+					for _, l := range layouts {
+						asm, plain := start.Clone(), start.Clone()
+						haveAVX2 = true
+						l.apply(asm, &g)
+						haveAVX2 = false
+						l.apply(plain, &g)
+						if i := firstBitDiff(asm, plain); i >= 0 {
+							t.Fatalf("n=%d %s, %s: amplitude %d is (%x, %x) from the twin, (%x, %x) from the Go loop", n, g, l.name, i,
+								math.Float64bits(asm.Re[i]), math.Float64bits(asm.Im[i]), math.Float64bits(plain.Re[i]), math.Float64bits(plain.Im[i]))
+						}
+						if asm.Stats != plain.Stats {
+							t.Fatalf("n=%d %s, %s: the twin reports %+v, the Go loop %+v", n, g, l.name, asm.Stats, plain.Stats)
+						}
+					}
+				}
+			}
+		}
+	}
+	haveAVX2 = true
+
+	// sx·sxdg and t·tdg restore the state on either path (each loses at
+	// most an ulp of an amplitude below 1), with the target below the
+	// twins' reach, in the middle and on top.
+	const n = 7
+	forEachBodyPath(func(path string) {
+		for _, q := range []int{0, n / 2, n - 1} {
+			for _, pair := range [][2]gate.Gate{{gate.NewSX(q), gate.NewSXDG(q)}, {gate.NewT(q), gate.NewTDG(q)}} {
+				s := randomState(rng, n, Vectorized)
+				want := s.Clone()
+				s.Apply(&pair[0])
+				s.Apply(&pair[1])
+				if d := s.MaxAbsDiff(want); d > 1e-15 {
+					t.Errorf("%s path: %s then %s moves the state by %g", path, pair[0], pair[1], d)
+				}
+			}
+		}
+	})
+}

@@ -17,16 +17,21 @@ import (
 )
 
 // KernelStyle selects between the two loop structures the paper implements:
-// the strided per-element loop of Listing 3 (scalar) and the blocked,
-// unit-stride inner loop of the AVX512 kernels in Listing 2 (vectorized).
-// Functional results are identical; the bench harness uses the pair for the
-// vectorization ablation (the paper's ~2x AVX-512 observation).
+// the strided per-element loop of Listing 3 (Scalar) and the blocked,
+// unit-stride inner loop of the AVX-512 kernels in Listing 2 (Vectorized),
+// whose runs execute four amplitudes per instruction on an amd64 CPU with
+// AVX2 (run_amd64.s) and as the same Go loop elsewhere. Results are
+// bit-identical; the bench harness uses the pair for the vectorization
+// ablation (the paper's ~2x AVX-512 observation). Scalar is the zero
+// value, so a Config that does not set Style runs Listing 3.
 type KernelStyle uint8
 
 const (
-	// Scalar uses the paper's Listing 3 strided index loop.
+	// Scalar uses the paper's Listing 3 strided index loop: runs of one
+	// amplitude, never vectorized.
 	Scalar KernelStyle = iota
-	// Vectorized uses blocked unit-stride inner loops (Listing 2 analogue).
+	// Vectorized uses blocked unit-stride runs (Listing 2): AVX2 where the
+	// CPU has it, for every run of at least four amplitudes.
 	Vectorized
 )
 

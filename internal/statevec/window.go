@@ -97,6 +97,22 @@ func (it *iter) next() (p, end int) {
 	return p, p + span
 }
 
+// simd reports whether the runs of it go to the AVX2 run bodies (run_amd64.s):
+// unit stride and runs long enough for one four-amplitude step. A pinned
+// bit 0, a target on qubit 0 or 1 and the whole Scalar style (runs of one)
+// stay in the bodies' Go loops. A body asks once per call.
+func (it *iter) simd() bool {
+	return haveAVX2 && it.inc == 1 && it.step >= 4
+}
+
+// at returns the addresses of amplitude p's two components after
+// bounds-checking the n amplitudes from p, which is all the checking an
+// AVX2 run body's operands get.
+func (it *iter) at(p, n int) (re, im *float64) {
+	_, _ = it.re[p+n-1], it.im[p+n-1]
+	return &it.re[p], &it.im[p]
+}
+
 // apply executes one unitary gate on the window with its kind's kernel
 // and returns the amplitudes and flops visited. Pairing kernels pin the
 // target bit to 0 and reach the partner at p+d; element-wise kernels pin

@@ -174,8 +174,10 @@ func TestDiagonalBindingAboveWindow(t *testing.T) {
 
 // TestKernelsDoNotAllocate pins the dispatch cost the small-state
 // workloads (thousands of gates on L1-sized states) pay per gate: no
-// kernel allocates, whether applied to the whole state or tile by tile —
-// the matrix kinds keep their scratch on the stack.
+// kernel allocates, whether applied to the whole state or tile by tile,
+// on the bodies' Go loops or their AVX2 twins (u2 hands its twin the
+// address of a stack array) — the matrix kinds keep their scratch on the
+// stack.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	const n, wbits = 8, 5
 	rng := rand.New(rand.NewSource(71))
@@ -183,17 +185,19 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	for _, k := range windowKinds() {
 		ops := rng.Perm(wbits)[:k.NumQubits()] // every operand below the tile boundary
 		g := gate.New(k, ops, randAngles(rng, k.NumParams())...)
-		if a := testing.AllocsPerRun(10, func() { s.Apply(&g) }); a != 0 {
-			t.Errorf("Apply(%s): %g allocations per gate, want 0", k, a)
-		}
 		tiled := func() {
 			for lo := 0; lo < s.Dim; lo += 1 << wbits {
 				s.ApplyTile(&g, lo, lo+1<<wbits)
 			}
 		}
-		if a := testing.AllocsPerRun(10, tiled); a != 0 {
-			t.Errorf("ApplyTile(%s) over %d tiles: %g allocations per gate, want 0", k, s.Dim>>wbits, a)
-		}
+		forEachBodyPath(func(path string) {
+			if a := testing.AllocsPerRun(10, func() { s.Apply(&g) }); a != 0 {
+				t.Errorf("Apply(%s), %s bodies: %g allocations per gate, want 0", k, path, a)
+			}
+			if a := testing.AllocsPerRun(10, tiled); a != 0 {
+				t.Errorf("ApplyTile(%s) over %d tiles, %s bodies: %g allocations per gate, want 0", k, s.Dim>>wbits, path, a)
+			}
+		})
 	}
 
 	// The diagonal-run kernel: a CU1 ladder on qubit 7 plus a CZ, split
