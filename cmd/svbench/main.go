@@ -119,6 +119,9 @@ func main() {
 		if err := (sched.Topology{PEsPerNode: *ppn}).Validate(); err != nil {
 			fatalf("%v", err)
 		}
+		if err := cliutil.ValidateCoalesced(*coalesced && *workload != "", *backendName); err != nil {
+			fatalf("%v", err)
+		}
 		ck := ckptOpts{every: *ckptEvery, dir: *ckptDir, async: *ckptAsync, fullEvery: *ckptFullEvery, stallPair: *ckptStall}
 		runBenchMode(*jsonFile, *workload, *backendName, *pes, *ppn, *coalesced, *fuse, *tile, policy, *traceFile, *metricsFile, *pprofAddr, ck)
 		return
@@ -515,23 +518,25 @@ func runBenchSpec(spec benchSpec, plans *compile.Cache, tracer *obs.Tracer, metr
 
 // flatInterBytes prices the FLAT realization of the spec's schedule
 // under its node grouping: the inter-node volume the run would have
-// moved had every remap stayed a single stop-the-world all-to-all. The
-// classification is analytic (exchange geometry + node ids), so the
-// baseline costs one compile, not a second run.
+// moved had every remap stayed a single fleet-wide all-to-all. The
+// classification is analytic (the geometry of each remap's whole swap
+// list + node ids) and reads the run's own plan — a topology never
+// changes the step list — so the baseline costs a cache hit, neither a
+// flat compile nor a second run.
 func flatInterBytes(c *circuit.Circuit, spec benchSpec, plans *compile.Cache) (int64, error) {
+	topo := sched.Topology{PEsPerNode: spec.ppn}
 	cp, _, err := compile.Compile(c, compile.Config{
-		Fuse: spec.fuse, Sched: spec.sched, PEs: spec.pes, Cache: plans,
+		Fuse: spec.fuse, Sched: spec.sched, PEs: spec.pes, Topo: topo, Cache: plans,
 	})
 	if err != nil {
 		return 0, err
 	}
-	topo := sched.Topology{PEsPerNode: spec.ppn}
 	var inter int64
-	for _, ex := range cp.Exchanges {
-		if ex == nil {
+	for _, st := range cp.Plan.Steps {
+		if st.Kind != sched.StepRemap {
 			continue
 		}
-		_, ib, _ := ex.NodeSplit(cp.PEs, topo)
+		_, ib, _ := sched.NewExchange(st.Swaps, cp.NumQubits, cp.LocalBits, cp.PEs).NodeSplit(cp.PEs, topo)
 		inter += ib
 	}
 	return inter, nil

@@ -17,6 +17,7 @@ type runOpts struct {
 	sched           string
 	seed            int64
 	fuse            bool
+	coalesced       bool
 	tile            bool
 	tileBits        int
 	checkpointEvery int
@@ -68,6 +69,9 @@ func (o *runOpts) validate() error {
 		if o.checkpointEvery <= 0 || o.maxRestarts <= 0 {
 			return fmt.Errorf("-elastic needs -checkpoint-every and -max-restarts: recovery reshards the latest checkpoint")
 		}
+	}
+	if err := cliutil.ValidateCoalesced(o.coalesced, o.backend); err != nil {
+		return err
 	}
 	if o.tile {
 		switch o.backend {

@@ -62,6 +62,15 @@ func TestFlagValidation(t *testing.T) {
 			o.checkpointDir = dir
 			o.ckptFullEvery = 4
 		}, "-checkpoint-async"},
+		{"coalesced on scale-out", func(o *runOpts) { o.coalesced = true }, ""},
+		{"coalesced on scale-up", func(o *runOpts) {
+			o.backend = "scale-up"
+			o.coalesced = true
+		}, "scale-out"},
+		{"coalesced on mpi", func(o *runOpts) {
+			o.backend = "mpi"
+			o.coalesced = true
+		}, "-coalesced"},
 		{"elastic on single", func(o *runOpts) {
 			o.backend = "single"
 			o.elastic = true

@@ -117,7 +117,7 @@ func main() {
 
 	opts := runOpts{
 		backend: *backendName, pes: *pes, sched: string(policy), seed: *seed, fuse: *fuse,
-		tile: *tile, tileBits: *tileBits,
+		coalesced: *coalesced, tile: *tile, tileBits: *tileBits,
 		checkpointEvery: *ckptEvery, checkpointDir: *ckptDir,
 		checkpointAsync: *ckptAsync, ckptFullEvery: *ckptFullEvery,
 		resume: *resume, resumePEs: *resumePEs, elastic: *elastic,

@@ -16,7 +16,7 @@
 //     fusion (internal/fusion) and communication-avoiding scheduling
 //     (internal/sched) and emits an immutable CompiledPlan: the
 //     executable gate stream, per-gate classifications, the schedule's
-//     block/remap step list, precomputed all-to-all exchange geometry,
+//     block/remap step list, each remap's precomputed exchange phases,
 //     the logical-to-physical permutation trace, the diagonal runs
 //     (stretches of consecutive diagonal gates that execute as one pass
 //     each) and — for the tiled single-node path — a TilePlan of gate

@@ -50,6 +50,15 @@ func ValidatePEs(pes int) error {
 	return nil
 }
 
+// ValidateCoalesced rejects -coalesced on a backend that would ignore it:
+// only scale-out has the bulk-transfer variant of its remote-gate path.
+func ValidateCoalesced(coalesced bool, backend string) error {
+	if coalesced && backend != "scale-out" {
+		return fmt.Errorf("-coalesced selects the bulk-transfer variant of one backend (scale-out); backend %q has no coalesced path", backend)
+	}
+	return nil
+}
+
 // ValidateCheckpointing checks the checkpoint flag combination for a
 // backend: intervals need a directory, the directory must be writable
 // (probed by creating it and touching a file), and the backend must

@@ -3,9 +3,10 @@
 // scheduling into one locality-aware pass and emits a single immutable
 // artifact — the CompiledPlan: the executable (possibly fused) gate
 // stream, the precomputed gate classifications, the sched step list, the
-// all-to-all exchange geometry of every remap, the logical-to-physical
-// permutation trace, and fingerprints of the circuit, its parameter-free
-// skeleton, and the schedule itself.
+// exchange phases of every remap (one fleet-wide all-to-all on a flat
+// fleet; an intra-node then an inter-node one under a node topology),
+// the logical-to-physical permutation trace, and fingerprints of the
+// circuit, its parameter-free skeleton, and the schedule itself.
 //
 // The pass is locality-aware in the direction ROADMAP calls out: under
 // the lazy policy the pipeline first plans the *source* stream, reads
@@ -81,11 +82,12 @@ type Config struct {
 	// it from the plan's target-qubit strides. Ignored unless Tile.
 	TileBits int
 	// Topo, when enabled, annotates the plan with the fleet's node
-	// structure: remap steps gain a hierarchical two-level realization
-	// (intra-node phase, then minimal inter-node phase) and provably
-	// data-free initial remaps are folded into the starting layout. The
-	// schedule itself is unchanged — same steps, same swaps, same plan
-	// fingerprint — so checkpoints interoperate with flat plans.
+	// structure: a remap step's phase list becomes the intra-node phase
+	// then the minimal inter-node phase instead of the one fleet-wide
+	// phase, and provably data-free initial remaps are folded into the
+	// starting layout. The schedule itself is unchanged — same steps,
+	// same swaps, same plan fingerprint — so checkpoints interoperate
+	// with flat plans.
 	Topo sched.Topology
 	// Cache, when non-nil, memoizes plans keyed on the circuit skeleton
 	// so parameter re-binds skip planning.
@@ -107,16 +109,12 @@ type CompiledPlan struct {
 	// GPHASE (the upload step of the paper's Listing 4/5).
 	Classes []*gate.Class
 	Plan    *sched.Plan
-	// Exchanges holds the coalesced all-to-all geometry per plan step,
-	// parallel to Plan.Steps; nil except at remap steps, and nil
-	// entirely for single-partition compiles.
-	Exchanges []*sched.Exchange
-	// TwoLevels holds the hierarchical two-level realization per plan
-	// step, parallel to Plan.Steps; nil except at remap steps of a
-	// multi-partition compile with Config.Topo enabled. Executors that
-	// find a non-nil entry run the intra phase then the inter phase in
-	// place of the flat exchange at the same step.
-	TwoLevels []*sched.TwoLevel
+	// Phases holds each remap's ordered exchange phases, parallel to
+	// Plan.Steps: one fleet-scope all-to-all on a flat compile, the
+	// node-scope then the rail-scope one with Config.Topo enabled. Nil
+	// except at remap steps, and nil entirely for single-partition
+	// compiles. Executors run a remap's phases in order.
+	Phases [][]sched.Phase
 	// Topo is the node topology the plan was compiled for (zero = flat).
 	Topo sched.Topology
 	// Spans maps each executable op to the source-op range it was fused
@@ -353,23 +351,16 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 	st.PlanNS += time.Since(tp).Nanoseconds()
 
 	te := time.Now()
-	var exchanges []*sched.Exchange
-	var twoLevels []*sched.TwoLevel
+	var phases [][]sched.Phase
 	var permTrace []circuit.Permutation
 	if p > 1 {
-		exchanges = make([]*sched.Exchange, len(plan.Steps))
-		if cfg.Topo.Enabled() {
-			twoLevels = make([]*sched.TwoLevel, len(plan.Steps))
-		}
+		phases = make([][]sched.Phase, len(plan.Steps))
 		perm := circuit.IdentityPermutation(n)
 		for si := range plan.Steps {
 			step := &plan.Steps[si]
 			switch step.Kind {
 			case sched.StepRemap:
-				exchanges[si] = sched.NewExchange(step.Swaps, n, localBits, p)
-				if twoLevels != nil {
-					twoLevels[si] = sched.SplitExchange(step.Swaps, n, localBits, p, cfg.Topo)
-				}
+				phases[si] = sched.SplitExchange(step.Swaps, n, localBits, p, cfg.Topo)
 				for _, sw := range step.Swaps {
 					perm.SwapPhysical(sw.Global, sw.Local)
 				}
@@ -417,8 +408,7 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 		Circuit:    exec,
 		Classes:    classes,
 		Plan:       plan,
-		Exchanges:  exchanges,
-		TwoLevels:  twoLevels,
+		Phases:     phases,
 		Topo:       cfg.Topo,
 		Spans:      spans,
 		Boundaries: boundaries,
@@ -652,7 +642,7 @@ func cacheKey(skeleton uint64, fuse bool, pol sched.Policy, pes, localBits, pesP
 	h := mix(skeleton, uint64(pes))
 	h = mix(h, uint64(localBits))
 	// Topology-annotated plans cache separately: the step list is shared
-	// in spirit, but the Folded marks and TwoLevels artifacts are not.
+	// in spirit, but the Folded marks and the Phases artifact are not.
 	h = mix(h, uint64(pesPerNode))
 	if fuse {
 		h = mix(h, 1)

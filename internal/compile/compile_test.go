@@ -198,16 +198,18 @@ func requirePlansEqual(t *testing.T, tag string, got, want *CompiledPlan) {
 	if !reflect.DeepEqual(got.PermTrace, want.PermTrace) {
 		t.Fatalf("%s: permutation traces differ", tag)
 	}
-	if len(got.Exchanges) != len(want.Exchanges) {
-		t.Fatalf("%s: exchange lists differ in length", tag)
+	if len(got.Phases) != len(want.Phases) {
+		t.Fatalf("%s: phase lists differ in length", tag)
 	}
-	for j := range got.Exchanges {
-		ge, we := got.Exchanges[j], want.Exchanges[j]
-		if (ge == nil) != (we == nil) {
-			t.Fatalf("%s step %d: exchange presence differs", tag, j)
+	for j := range got.Phases {
+		gp, wp := got.Phases[j], want.Phases[j]
+		if len(gp) != len(wp) {
+			t.Fatalf("%s step %d: %d exchange phases, want %d", tag, j, len(gp), len(wp))
 		}
-		if ge != nil && (ge.BlockLen != we.BlockLen || ge.RemoteElems != we.RemoteElems) {
-			t.Fatalf("%s step %d: exchange geometry differs", tag, j)
+		for k := range gp {
+			if gp[k].Scope != wp[k].Scope || gp[k].BlockLen != wp[k].BlockLen || gp[k].RemoteElems != wp[k].RemoteElems {
+				t.Fatalf("%s step %d phase %d: exchange geometry differs", tag, j, k)
+			}
 		}
 	}
 	if got.NumQubits != want.NumQubits || got.PEs != want.PEs || got.LocalBits != want.LocalBits ||

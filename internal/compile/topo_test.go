@@ -26,12 +26,13 @@ func globalFirstCircuit(n int) *circuit.Circuit {
 	return c
 }
 
-// TestCompileTopoArtifacts checks the topology-annotated compile: every
-// remap step of a multi-partition plan carries a TwoLevel realization,
-// initial remaps are folded, and — crucially for checkpoint interop —
-// the plan fingerprint is identical to the flat compile's, since the
-// topology changes how exchanges are realized, never what the schedule
-// does.
+// TestCompileTopoArtifacts checks the one per-remap artifact, flat and
+// topology-annotated: every remap step of a multi-partition plan carries
+// its phase list — one fleet-scope phase flat, node/rail-scope phases
+// under a topology — initial remaps are folded, and — crucially for
+// checkpoint interop — the plan fingerprint is identical to the flat
+// compile's, since the topology changes how exchanges are realized,
+// never what the schedule does.
 func TestCompileTopoArtifacts(t *testing.T) {
 	c := globalFirstCircuit(8)
 	topo := sched.Topology{PEsPerNode: 2}
@@ -51,40 +52,60 @@ func TestCompileTopoArtifacts(t *testing.T) {
 	if cp.Topo != topo {
 		t.Fatalf("plan topology %+v, want %+v", cp.Topo, topo)
 	}
-	if len(cp.TwoLevels) != len(cp.Plan.Steps) {
-		t.Fatalf("TwoLevels length %d, want one per step (%d)", len(cp.TwoLevels), len(cp.Plan.Steps))
-	}
 	if cp.Plan.Folded == 0 {
 		t.Fatal("circuit opens on a global qubit; expected a folded initial remap")
 	}
 	if cp.Plan.Folded == cp.Plan.Remaps {
 		t.Fatal("every remap folded; the fold rule must stop at the first gate")
 	}
-	remaps := 0
-	for si, st := range cp.Plan.Steps {
-		if st.Kind == sched.StepRemap {
+	for _, plan := range []*CompiledPlan{flat, cp} {
+		if len(plan.Phases) != len(plan.Plan.Steps) {
+			t.Fatalf("Phases length %d, want one entry per step (%d)", len(plan.Phases), len(plan.Plan.Steps))
+		}
+		remaps := 0
+		for si, st := range plan.Plan.Steps {
+			phases := plan.Phases[si]
+			if st.Kind != sched.StepRemap {
+				if phases != nil {
+					t.Fatalf("non-remap step %d carries exchange phases", si)
+				}
+				continue
+			}
 			remaps++
-			if cp.TwoLevels[si] == nil {
-				t.Fatalf("remap step %d has no two-level realization", si)
+			if len(phases) == 0 {
+				t.Fatalf("remap step %d has no exchange phase", si)
 			}
-			if cp.TwoLevels[si].Phases() == 0 {
-				t.Fatalf("remap step %d split into zero phases", si)
+			if plan == flat && (len(phases) != 1 || phases[0].Scope != sched.ScopeFleet) {
+				t.Fatalf("flat remap step %d: want one fleet-scope phase, got %d", si, len(phases))
 			}
-		} else if cp.TwoLevels[si] != nil {
-			t.Fatalf("non-remap step %d carries a two-level realization", si)
+			for _, ph := range phases {
+				if (ph.Scope == sched.ScopeFleet) != (plan == flat) || ph.Exchange == nil || len(ph.Swaps) == 0 {
+					t.Fatalf("remap step %d: malformed phase (scope %d, %d swaps)", si, ph.Scope, len(ph.Swaps))
+				}
+			}
+		}
+		if remaps == 0 {
+			t.Fatal("plan has no remaps; test circuit too local")
 		}
 	}
-	if remaps == 0 {
-		t.Fatal("plan has no remaps; test circuit too local")
+}
+
+// scoped counts the plan's node- and rail-scope exchange phases.
+func scoped(cp *CompiledPlan) int {
+	n := 0
+	for _, phases := range cp.Phases {
+		for _, ph := range phases {
+			if ph.Scope != sched.ScopeFleet {
+				n++
+			}
+		}
 	}
-	if flat.TwoLevels != nil {
-		t.Fatal("flat compile grew TwoLevels")
-	}
+	return n
 }
 
 // TestCompileTopoCacheSeparation checks that topology-annotated plans
 // occupy distinct cache slots: a flat hit must never hand back a plan
-// with Folded marks or TwoLevels, and vice versa.
+// with Folded marks or node/rail-scope phases, and vice versa.
 func TestCompileTopoCacheSeparation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	cache := NewCache(DefaultCacheSize)
@@ -105,10 +126,10 @@ func TestCompileTopoCacheSeparation(t *testing.T) {
 	if st2.CacheHit {
 		t.Fatal("topology compile hit the flat entry")
 	}
-	if topoCP.TwoLevels == nil {
-		t.Fatal("topology compile missing its TwoLevels artifact")
+	if scoped(topoCP) == 0 {
+		t.Fatal("topology compile has no node/rail-scope phase")
 	}
-	if flat.TwoLevels != nil {
+	if scoped(flat) != 0 {
 		t.Fatal("flat compile carries topology artifacts")
 	}
 	// Re-binding the same shapes hits the matching entries.
@@ -120,7 +141,7 @@ func TestCompileTopoCacheSeparation(t *testing.T) {
 	if !st3.CacheHit {
 		t.Fatal("same shape, same topology: expected a cache hit")
 	}
-	if again.TwoLevels == nil {
+	if scoped(again) != scoped(topoCP) {
 		t.Fatal("cache hit dropped the topology artifacts")
 	}
 	_, st4, err := Compile(c2, Config{Fuse: true, Sched: sched.Lazy, PEs: 8, Cache: cache})

@@ -182,8 +182,9 @@ type Result struct {
 	// node-crossing traffic. Both zero when no topology is configured.
 	IntraBytes int64
 	InterBytes int64
-	// ExchangePhases counts exchange phases executed by two-level remaps
-	// across the run (a flat or folded remap contributes none).
+	// ExchangePhases counts the node- and rail-scope exchange phases
+	// executed across the run (the fleet-scope phase of a flat remap and
+	// a folded remap contribute none).
 	ExchangePhases int64
 }
 

@@ -188,7 +188,10 @@ func TestLazySchedWithFusion(t *testing.T) {
 // TestLazyTracedRunMatchesUntraced guards the single exchange routine:
 // a tracer only records spans, so the state, the communication counters
 // and the two-level byte split of a traced run must equal the untraced
-// run's exactly — flat and under a topology, at every fleet size.
+// run's exactly — flat and under a topology, at every fleet size — and
+// every PE's timeline must show exactly the phases the run executed (one
+// unpack span each): one fleet-scope phase per remap on a flat run, the
+// counted node/rail-scope phases under a topology.
 func TestLazyTracedRunMatchesUntraced(t *testing.T) {
 	c := measuredCircuit(41, 8, 120)
 	for _, ppn := range []int{0, 2} {
@@ -219,8 +222,21 @@ func TestLazyTracedRunMatchesUntraced(t *testing.T) {
 				t.Fatalf("ppn %d PEs=%d: run exercised no exchange (remote bytes %d, phases %d)",
 					ppn, pes, plain.Comm.RemoteBytes, plain.ExchangePhases)
 			}
-			if cfg.Trace.TotalEvents() == 0 {
-				t.Fatalf("ppn %d PEs=%d: tracer recorded nothing", ppn, pes)
+			wantPhases := plain.ExchangePhases
+			if ppn == 0 {
+				wantPhases = int64(plain.Compile.Remaps)
+			}
+			for _, trk := range cfg.Trace.Tracks() {
+				var unpacks int64
+				for _, ev := range trk.Events() {
+					if ev.Args.Phase == obs.PhaseUnpack {
+						unpacks++
+					}
+				}
+				if unpacks != wantPhases {
+					t.Fatalf("ppn %d PEs=%d PE %d: timeline shows %d exchange phases, run executed %d",
+						ppn, pes, trk.PE(), unpacks, wantPhases)
+				}
 			}
 		}
 	}

@@ -15,18 +15,19 @@ import (
 // pointer-array access, Listing 4) and the scale-out backend (SHMEM
 // one-sided access, Listing 5): partitions live in the symmetric heap, a
 // gate that pairs amplitudes across partitions pays the paper's
-// fine-grained get/put traffic, and a remap is one coalesced all-to-all
-// of PutV blocks. In this reproduction both device classes are emulated
-// by goroutine PEs over the instrumented heap; the two backends differ
-// in which platform constants the performance model applies to the
-// measured traffic (NVLink/NVSwitch vs network SHMEM).
+// fine-grained get/put traffic, and each phase of a remap is one
+// coalesced all-to-all of PutV blocks. In this reproduction both device
+// classes are emulated by goroutine PEs over the instrumented heap; the
+// two backends differ in which platform constants the performance model
+// applies to the measured traffic (NVLink/NVSwitch vs network SHMEM).
 type oneSided struct {
 	*Grid
 	svRe, svIm *pgas.SymF64
 	stage      *pgas.SymF64 // 2S staging floats per PE; nil unless the plan exchanges
 	scratch    [][]float64  // per PE, sized on first use: the naive plan's gather window or the lazy plan's 2S pack halves
 
-	// Barrier domains of the two-level exchange, nil on a flat run.
+	// Barrier domains of the node- and rail-scope phases, nil on a flat
+	// run (the fleet scope's domain is the fleet barrier).
 	nodeGrp []*pgas.Group // per node: that node's PEs
 	railGrp []*pgas.Group // per within-node position: its ranks across nodes
 }
@@ -182,38 +183,6 @@ func (t *oneSided) applyRemoteCoalesced(pe *pgas.PE, r *Rank, g *gate.Gate) {
 	gw.Apply(r)
 }
 
-// Remap runs the flat exchange, or under a topology the intra-node
-// phase and then the minimal inter-node phase in its place.
-func (t *oneSided) Remap(pe *pgas.PE, r *Rank, si int, tr StepTrace) int {
-	var tl *sched.TwoLevel
-	if si < len(t.Compiled.TwoLevels) {
-		tl = t.Compiled.TwoLevels[si]
-	}
-	if tl == nil {
-		t.execRemap(pe, r, t.Compiled.Exchanges[si], tr)
-		return 0
-	}
-	if tl.Intra != nil {
-		t.execPhase(pe, r, tl.Intra, true, tr)
-	}
-	if tl.Inter != nil {
-		t.execPhase(pe, r, tl.Inter, false, tr)
-	}
-	return tl.Phases()
-}
-
-// wireArgs attributes the one-sided traffic between two stats samples of
-// one PE to a wire span.
-func wireArgs(phase string, c0, c1 pgas.Stats) obs.SpanArgs {
-	return obs.SpanArgs{
-		Kind: "wire", Phase: phase,
-		LocalBytes:  c1.LocalBytes - c0.LocalBytes,
-		RemoteBytes: c1.RemoteBytes - c0.RemoteBytes,
-		LocalMsgs:   (c1.LocalGets + c1.LocalPuts) - (c0.LocalGets + c0.LocalPuts),
-		RemoteMsgs:  c1.RemoteMessages() - c0.RemoteMessages(),
-	}
-}
-
 // packBlock gathers the block of this PE's partition headed to dst — the
 // affine subcube with the out-bits pinned to dst's rank bits — into buf,
 // re plane then im plane.
@@ -241,108 +210,84 @@ func (t *oneSided) unpackBlocks(rank int, r *Rank, ex *sched.Exchange) {
 	r.Extra.BytesTouched += 2 * int64(t.S) * 16
 }
 
-// execRemap performs one batched all-to-all qubit-remap exchange: each
-// PE packs one contiguous block per destination, puts it into the
-// destination's staging area with a single coalesced transfer, and after
-// a barrier unpacks its own staging into its partition. Its sub-spans
-// split the pack/put loop into a pack span (the accumulated buffer-fill
-// time, drawn contiguously from the loop start) and a wire span (the
-// remainder, covering the coalesced puts), then barrier, unpack and the
-// trailing barrier get spans of their own — in place of one remap span,
-// which would double-count them.
-func (t *oneSided) execRemap(pe *pgas.PE, r *Rank, ex *sched.Exchange, tr StepTrace) {
-	s := pe.Rank
-	B := ex.BlockLen
-	c0 := t.Comm.StatsOf(s)
-	loopStart := time.Now()
-	var packed time.Duration
-	var packBytes int64
-	for dst := 0; dst < t.P; dst++ {
-		if !ex.Compat[s][dst] {
-			continue
-		}
-		buf := scratch(&t.scratch[s], 2*t.S)[:2*B]
-		p0 := time.Now()
-		t.packBlock(buf, r, ex, dst)
-		packed += time.Since(p0)
-		packBytes += int64(2*B) * 8
-		pe.PutV(t.stage, dst, 2*ex.OffElems[s][dst], buf)
+// sync is one barrier over the domain an exchange phase's scope names:
+// the PE's node group, its rail — the ranks holding the same
+// within-node position across all nodes — or the whole fleet.
+func (t *oneSided) sync(pe *pgas.PE, scope sched.Scope) {
+	switch scope {
+	case sched.ScopeNode:
+		t.nodeGrp[t.Compiled.Topo.Node(pe.Rank)].Barrier(pe)
+	case sched.ScopeRail:
+		t.railGrp[pe.Rank%len(t.railGrp)].Barrier(pe)
+	default:
+		pe.Barrier()
 	}
-	loopEnd := time.Now()
-	packEnd := loopStart.Add(packed)
-	tr.Span(" pack", loopStart, packEnd, obs.SpanArgs{Kind: "pack", Phase: obs.PhasePack, PackBytes: packBytes})
-	tr.Span(" wire", packEnd, loopEnd, wireArgs(obs.PhaseWire, c0, t.Comm.StatsOf(s)))
-	// All blocks must land before anyone reads its staging.
-	pe.Barrier()
-	u0 := tr.Barrier("", loopEnd)
-	t.unpackBlocks(s, r, ex)
-	u1 := time.Now()
-	tr.Span(" unpack", u0, u1, obs.SpanArgs{Kind: "unpack", Phase: obs.PhaseUnpack, PackBytes: packBytes})
-	// All staging reads must finish before the next exchange overwrites it.
-	pe.Barrier()
-	tr.Barrier("", u1)
 }
 
-// execPhase runs one phase of a two-level remap over the barrier domain
-// it couples: the PE's node group for the intra phase, its rail — the
-// ranks holding the same within-node position across all nodes — for the
-// inter phase. A remap runs its intra phase (all compatible pairs share a
-// node) and then its minimal inter phase; the two realize disjoint
-// transpositions, so their composition lands every amplitude exactly
-// where the flat exchange would — bit-identically — while the fleet-wide
-// stop-the-world barriers of the flat path are replaced by per-phase
-// group synchronization.
+// Exchange runs one phase of a remap as a batched all-to-all over the
+// barrier domain its scope names: each PE packs one contiguous block
+// per destination, puts it into the destination's staging area with a
+// single coalesced transfer, and after the domain's barrier unpacks its
+// own staging into its partition. The flat remap is the one fleet-scope
+// phase; under a topology a remap runs its node phase (all compatible
+// pairs share a node) and then its minimal rail phase, which realize
+// disjoint transpositions, so their composition lands every amplitude
+// exactly where the fleet phase would — bit-identically — while each
+// phase stops only the ranks it couples.
 //
-// The per-phase protocol is: entry group barrier, pipelined pack+put,
-// mid group barrier (all of this phase's blocks have landed), unpack —
-// and no exit barrier, because the next phase's (or the next remap's)
-// entry barrier already orders every later write into this PE's staging
-// area after the unpack reads below. The entry barrier is what makes the
+// The per-phase protocol is: entry barrier, pipelined pack+put, mid
+// barrier (all of this phase's blocks have landed), unpack — and no
+// exit barrier, because the next phase's (or the next remap's) entry
+// barrier already orders every later write into this PE's staging area
+// after the unpack reads below. The entry barrier is what makes the
 // single staging buffer safe: a peer can only reach its puts after every
-// member of the group — in particular every PE it targets — has finished
-// reading its staging from the previous phase.
+// member of the domain — in particular every PE it targets — has
+// finished reading its staging from the previous phase.
 //
 // The pack/put loop is double-buffered: block k+1 is packed into the
 // half of the scratch buffer the in-flight put is not reading, then
 // put k is joined and put k+1 launched, so the pack of block k+1
-// overlaps the wire transfer of block k. Every phase exchange moves at
-// least one local bit out, so 2 blocks fit the 2S-float scratch.
+// overlaps the wire transfer of block k. Every phase moves at least one
+// local bit out, so 2 blocks fit the 2S-float scratch.
 //
 // Each destination block gets a pack span (the buffer fill) and a wire
-// span (put launch to join), labeled pack.intra/wire.intra or
-// pack.inter/wire.inter so attribution separates same-node from
-// node-crossing exchange time. The timeline exhibits the pipeline
-// directly: the pack span of block k+1 starts before the wire span of
-// block k ends. Wire span k is recorded at its join, just before pack
-// span k+1, which keeps the track's nondecreasing-start contract.
-func (t *oneSided) execPhase(pe *pgas.PE, r *Rank, ex *sched.Exchange, intra bool, tr StepTrace) {
+// span (put launch to join), labeled pack/wire on the fleet scope and
+// pack.intra/wire.intra or pack.inter/wire.inter on the node and rail
+// scopes so attribution separates same-node from node-crossing exchange
+// time. The timeline exhibits the pipeline directly: the pack span of
+// block k+1 starts before the wire span of block k ends. Wire span k is
+// recorded at its join, just before pack span k+1, which keeps the
+// track's nondecreasing-start contract.
+func (t *oneSided) Exchange(pe *pgas.PE, r *Rank, ph *sched.Phase, tr StepTrace) bool {
 	s := pe.Rank
-	B := ex.BlockLen
-	grp, moved := t.railGrp[s%len(t.railGrp)], &r.InterBytes
-	phPack, phWire, sub := obs.PhasePackInter, obs.PhaseWireInter, " inter"
-	if intra {
-		grp, moved = t.nodeGrp[t.Compiled.Topo.Node(s)], &r.IntraBytes
-		phPack, phWire, sub = obs.PhasePackIntra, obs.PhaseWireIntra, " intra"
-	}
+	B := ph.BlockLen
+	phPack, phWire, sub, moved := r.Bucket(ph.Scope)
 	b0 := time.Now()
-	grp.Barrier(pe)
+	t.sync(pe, ph.Scope)
 	tr.Barrier(sub, b0)
 	var join func()
 	var wStart time.Time
 	var wc0 pgas.Stats
-	finish := func() {
+	finish := func() { // join the put in flight and attribute its traffic to a wire span
 		join()
-		tr.Span(sub+" wire", wStart, time.Now(), wireArgs(phWire, wc0, t.Comm.StatsOf(s)))
+		c := t.Comm.StatsOf(s)
+		tr.Span(sub+" wire", wStart, time.Now(), obs.SpanArgs{
+			Kind: "wire", Phase: phWire,
+			LocalBytes:  c.LocalBytes - wc0.LocalBytes,
+			RemoteBytes: c.RemoteBytes - wc0.RemoteBytes,
+			LocalMsgs:   (c.LocalGets + c.LocalPuts) - (wc0.LocalGets + wc0.LocalPuts),
+			RemoteMsgs:  c.RemoteMessages() - wc0.RemoteMessages(),
+		})
 	}
 	pack := scratch(&t.scratch[s], 2*t.S)
 	half := 0
 	for dst := 0; dst < t.P; dst++ {
-		if !ex.Compat[s][dst] {
+		if !ph.Compat[s][dst] {
 			continue
 		}
 		buf := pack[half : half+2*B]
 		p0 := time.Now()
-		t.packBlock(buf, r, ex, dst)
+		t.packBlock(buf, r, ph.Exchange, dst)
 		p1 := time.Now()
 		if join != nil {
 			finish()
@@ -350,9 +295,9 @@ func (t *oneSided) execPhase(pe *pgas.PE, r *Rank, ex *sched.Exchange, intra boo
 		tr.Span(sub+" pack", p0, p1, obs.SpanArgs{Kind: "pack", Phase: phPack, PackBytes: int64(2*B) * 8})
 		wc0 = t.Comm.StatsOf(s)
 		wStart = time.Now()
-		join = t.asyncPut(pe, dst, 2*ex.OffElems[s][dst], buf)
+		join = t.asyncPut(pe, dst, 2*ph.OffElems[s][dst], buf)
 		half ^= 2 * B
-		if dst != s {
+		if dst != s && moved != nil {
 			*moved += int64(2*B) * 8
 		}
 	}
@@ -360,10 +305,12 @@ func (t *oneSided) execPhase(pe *pgas.PE, r *Rank, ex *sched.Exchange, intra boo
 		finish()
 	}
 	mb0 := time.Now()
-	grp.Barrier(pe)
+	t.sync(pe, ph.Scope)
 	u0 := tr.Barrier(sub, mb0)
-	t.unpackBlocks(s, r, ex)
-	tr.Span(sub+" unpack", u0, time.Now(), obs.SpanArgs{Kind: "unpack", Phase: obs.PhaseUnpack})
+	t.unpackBlocks(s, r, ph.Exchange)
+	// A remap is a permutation: the blocks unpacked are one partition's worth.
+	tr.Span(sub+" unpack", u0, time.Now(), obs.SpanArgs{Kind: "unpack", Phase: obs.PhaseUnpack, PackBytes: int64(2*t.S) * 8})
+	return false
 }
 
 // asyncPut issues pe.PutV from a helper goroutine so the caller can pack

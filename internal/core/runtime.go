@@ -30,11 +30,12 @@ import (
 // must cross partitions: the naive plan is one gate step per op under the
 // identity permutation, so a gate with a pairing target at or above
 // localBits = n - log2(P) crosses at that gate; the lazy plan keeps every
-// pairing target local and crosses only at its remap steps. The
-// transport decides HOW they cross — not at all on a one-rank grid
-// (local), one-sided get/put over the symmetric heap (pgastransport.go)
-// or two-sided pack–exchange (mpibase) — which is exactly the comparison
-// the paper isolates. Everything else (set-up, conditions, measurement,
+// pairing target local and crosses only at its remap steps, each an
+// ordered list of exchange phases (compile.CompiledPlan.Phases) the loop
+// walks. The transport decides HOW they cross — not at all on a one-rank
+// grid (local), one-sided get/put over the symmetric heap
+// (pgastransport.go) or two-sided pack–exchange (mpibase) — which is
+// exactly the comparison the paper isolates. Everything else (set-up, conditions, measurement,
 // tile groups, checkpoint cuts, stop polls, spans, recovery, tear-down)
 // exists once, here.
 //
@@ -60,12 +61,15 @@ type Transport interface {
 	// reports whether it recorded sub-spans of its own through tr, in
 	// which case the loop drops the parent span.
 	RemoteGate(pe *pgas.PE, r *Rank, g *gate.Gate, tr StepTrace) bool
-	// Remap moves every amplitude to where plan step si (a remap that
-	// is not folded) puts it, barriers included, charging r.IntraBytes
-	// and r.InterBytes under a topology. It returns the exchange phases
-	// it ran (non-zero for two-level exchanges only). The permutation
-	// bookkeeping is the loop's.
-	Remap(pe *pgas.PE, r *Rank, si int, tr StepTrace) int
+	// Exchange runs one phase of a remap step: it moves every amplitude
+	// to where ph.Swaps put it, synchronizing the ranks the phase's scope
+	// couples and charging r.IntraBytes or r.InterBytes for a node- or
+	// rail-scope phase. It reports whether the step still needs a grid
+	// sync to close it (pairwise exchanges synchronize only pairs), which
+	// the loop pays once after the step's last phase. Walking a remap's
+	// phase list, counting phases and the permutation bookkeeping are
+	// the loop's.
+	Exchange(pe *pgas.PE, r *Rank, ph *sched.Phase, tr StepTrace) (gridSync bool)
 	// Counters samples rank's cumulative traffic counters as span
 	// arguments; the loop attributes the difference of two samples to
 	// the span between them.
@@ -91,7 +95,7 @@ func (local) RemoteGate(*pgas.PE, *Rank, *gate.Gate, StepTrace) bool {
 	panic("core: remote gate on a one-rank grid")
 }
 
-func (local) Remap(*pgas.PE, *Rank, int, StepTrace) int {
+func (local) Exchange(*pgas.PE, *Rank, *sched.Phase, StepTrace) bool {
 	panic("core: remap on a one-rank grid")
 }
 
@@ -157,6 +161,20 @@ func (r *Rank) restore(cbits uint64, draws int64) {
 	r.draws = draws
 }
 
+// Bucket returns what an exchange phase of the given scope is accounted
+// under: the pack and wire phase labels of its spans, the infix of their
+// names, and the counter of r its traffic is charged to (nil on the
+// fleet scope, which splits nothing by node).
+func (r *Rank) Bucket(scope sched.Scope) (pack, wire, sub string, moved *int64) {
+	switch scope {
+	case sched.ScopeNode:
+		return obs.PhasePackIntra, obs.PhaseWireIntra, " intra", &r.IntraBytes
+	case sched.ScopeRail:
+		return obs.PhasePackInter, obs.PhaseWireInter, " inter", &r.InterBytes
+	}
+	return obs.PhasePack, obs.PhaseWire, "", nil
+}
+
 // runtime is one execution attempt in progress.
 type runtime struct {
 	Grid
@@ -170,7 +188,7 @@ type runtime struct {
 	ranks    []Rank
 
 	start     int   // first plan step to execute (non-zero on resume)
-	phasesRun int64 // two-level exchange phases executed (rank 0 only)
+	phasesRun int64 // node- and rail-scope exchange phases executed (rank 0 only)
 
 	ck   *ckptWriter // nil when checkpointing is off
 	stop *StopLatch  // graceful-shutdown latch, nil when unused
@@ -183,7 +201,7 @@ type runtime struct {
 	remapCount *obs.Counter
 	intraBytes *obs.Counter // node-local share of remap traffic
 	interBytes *obs.Counter // node-crossing share of remap traffic
-	exchPhases *obs.Counter // two-level exchange phases executed
+	exchPhases *obs.Counter // node- and rail-scope exchange phases executed
 }
 
 // newRuntime sets one attempt up: the fleet, the transport's partitions
@@ -424,7 +442,21 @@ func (rt *runtime) run() (*Result, error) {
 					r.markAll() // the exchange rewrites the whole partition
 					c0 := rt.t.Counters(pe.Rank)
 					i0, e0 := r.IntraBytes, r.InterBytes
-					phases := int64(rt.t.Remap(pe, r, si-1, tr))
+					var scoped int64 // node- and rail-scope phases run
+					gridSync := false
+					phases := rt.Compiled.Phases[si-1]
+					for pi := range phases {
+						ph := &phases[pi]
+						gridSync = rt.t.Exchange(pe, r, ph, tr)
+						if ph.Scope != sched.ScopeFleet {
+							scoped++
+						}
+					}
+					if gridSync {
+						b0 := time.Now()
+						pe.Barrier()
+						tr.Barrier("", b0)
+					}
 					d := spanDelta(c0, rt.t.Counters(pe.Rank))
 					moved = d.RemoteBytes + d.MsgBytes
 					rt.remapBytes.Observe(float64(moved))
@@ -432,8 +464,8 @@ func (rt *runtime) run() (*Result, error) {
 					rt.interBytes.Add(r.InterBytes - e0)
 					if pe.Rank == 0 {
 						rt.remapCount.Add(1)
-						rt.phasesRun += phases
-						rt.exchPhases.Add(phases)
+						rt.phasesRun += scoped
+						rt.exchPhases.Add(scoped)
 					}
 				}
 				for _, sw := range st.Swaps {

@@ -9,6 +9,7 @@ import (
 	"svsim/internal/compile"
 	"svsim/internal/fault"
 	"svsim/internal/obs"
+	"svsim/internal/pgas"
 	"svsim/internal/qasmbench"
 	"svsim/internal/sched"
 )
@@ -17,7 +18,11 @@ import (
 // SVSIM_TOPO_PPN are both set, only that geometry runs, so each matrix
 // cell exercises one node shape. Otherwise the full local sweep runs.
 // The CI workflow sweeps 8x8 (one node), 8x4 (two nodes), and 16x4
-// (four nodes) so scale-out equivalence holds on every node shape.
+// (four nodes) so scale-out equivalence holds on every node shape, plus
+// 8x0: the flat fleet, where the comparison is two runs of the one
+// fleet-scope phase and the job's value is the race detector over it
+// (the overlap, traced, interop and fault tests carry their own flat
+// rows in every cell).
 func topoCases() []struct{ pes, ppn int } {
 	if pes, err := strconv.Atoi(os.Getenv("SVSIM_TOPO_PES")); err == nil {
 		if ppn, err := strconv.Atoi(os.Getenv("SVSIM_TOPO_PPN")); err == nil {
@@ -92,8 +97,10 @@ func flatInterBytes(t *testing.T, name string, pes, ppn int) int64 {
 		if cp.Plan.Steps[i].Kind != sched.StepRemap {
 			continue
 		}
-		_, ib, _ := cp.Exchanges[i].NodeSplit(pes, topo)
-		inter += ib
+		for _, ph := range cp.Phases[i] { // one fleet-scope phase
+			_, ib, _ := ph.NodeSplit(pes, topo)
+			inter += ib
+		}
 	}
 	return inter
 }
@@ -190,42 +197,48 @@ func TestTwoLevelFoldsInitialRemap(t *testing.T) {
 }
 
 // TestTwoLevelOverlapPackWire asserts the double-buffered pipeline
-// structurally: in the span timeline of a two-level phase, the pack
-// span of block k+1 must start inside the wire span of block k — the
-// put of block k is joined only after block k+1 is packed, so this
-// holds deterministically, not probabilistically.
+// structurally: in the span timeline of an exchange phase — the one
+// fleet-scope phase of a flat remap as much as the node and rail phases
+// under a topology — the pack span of block k+1 must start inside the
+// wire span of block k: the put of block k is joined only after block
+// k+1 is packed, so this holds deterministically, not probabilistically.
 func TestTwoLevelOverlapPackWire(t *testing.T) {
 	e, err := qasmbench.ByName("qft_n15")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTracer()
-	res, err := NewScaleOut(Config{
-		PEs: 8, Sched: sched.Lazy, Trace: tr,
-		Topology: sched.Topology{PEsPerNode: 4},
-	}).Run(e.Build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExchangePhases == 0 {
-		t.Fatal("no two-level phases executed")
-	}
-	for _, trk := range tr.Tracks() {
-		overlaps := 0
-		var lastWire *obs.SpanEvent
-		for i := range trk.Events() {
-			ev := &trk.Events()[i]
-			switch ev.Args.Phase {
-			case obs.PhaseWireIntra, obs.PhaseWireInter:
-				lastWire = ev
-			case obs.PhasePackIntra, obs.PhasePackInter:
-				if lastWire != nil && ev.TS >= lastWire.TS && ev.TS <= lastWire.TS+lastWire.Dur {
-					overlaps++
+	for _, ppn := range []int{0, 4} {
+		tr := obs.NewTracer()
+		res, err := NewScaleOut(Config{
+			PEs: 8, Sched: sched.Lazy, Trace: tr,
+			Topology: sched.Topology{PEsPerNode: ppn},
+		}).Run(e.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (ppn > 0) != (res.ExchangePhases > 0) {
+			t.Fatalf("ppn %d: %d node/rail-scope phases executed", ppn, res.ExchangePhases)
+		}
+		for _, trk := range tr.Tracks() {
+			overlaps := 0
+			var lastWire *obs.SpanEvent
+			for i := range trk.Events() {
+				ev := &trk.Events()[i]
+				switch ev.Args.Phase {
+				case obs.PhaseWire, obs.PhaseWireIntra, obs.PhaseWireInter:
+					if (ev.Args.Phase == obs.PhaseWire) != (ppn == 0) {
+						t.Fatalf("ppn %d PE %d: wire span labeled %q", ppn, trk.PE(), ev.Args.Phase)
+					}
+					lastWire = ev
+				case obs.PhasePack, obs.PhasePackIntra, obs.PhasePackInter:
+					if lastWire != nil && ev.TS >= lastWire.TS && ev.TS <= lastWire.TS+lastWire.Dur {
+						overlaps++
+					}
 				}
 			}
-		}
-		if overlaps == 0 {
-			t.Fatalf("PE %d: no pack span starts inside a wire span (pipeline not overlapped)", trk.PE())
+			if overlaps == 0 {
+				t.Fatalf("ppn %d PE %d: no pack span starts inside a wire span (pipeline not overlapped)", ppn, trk.PE())
+			}
 		}
 	}
 }
@@ -277,40 +290,75 @@ func TestTwoLevelCheckpointInterop(t *testing.T) {
 	}
 }
 
-// TestTwoLevelFaultKillRecovers: a PE killed mid-run under a topology —
-// including inside a two-level exchange phase, whose group barriers are
-// fault-injection points like the global barrier — aborts the fleet
-// without hanging any group, restarts from the last checkpoint, and
-// finishes bit-identical to the clean run.
+// entryProbe is the PGAS transport recording, per exchange phase, how
+// many barriers rank had passed on entering it: the phase's entry
+// barrier is its next one, the mid barrier the one after.
+type entryProbe struct {
+	Transport
+	g       *Grid
+	rank    int
+	entries *[]int64
+}
+
+func (p entryProbe) Exchange(pe *pgas.PE, r *Rank, ph *sched.Phase, tr StepTrace) bool {
+	if pe.Rank == p.rank {
+		*p.entries = append(*p.entries, p.g.Comm.StatsOf(p.rank).Barriers)
+	}
+	return p.Transport.Exchange(pe, r, ph, tr)
+}
+
+// TestTwoLevelFaultKillRecovers: a PE killed mid-run — including inside
+// an exchange phase, whose entry and mid barriers (fleet barriers on a
+// flat run, group barriers under a topology) are fault-injection points
+// — aborts the fleet without hanging any barrier domain, restarts from
+// the last checkpoint, and finishes bit-identical to the clean run.
+// Every row is killed at a fixed barrier and at the entry and the mid
+// barrier of its last exchange phase.
 func TestTwoLevelFaultKillRecovers(t *testing.T) {
 	seed := faultSeed(t)
 	c := measuredCircuit(78, 8, 60)
-	for _, tc := range []struct{ pes, ppn int }{{8, 8}, {8, 4}, {16, 4}} {
+	for _, tc := range []struct{ pes, ppn int }{{8, 0}, {8, 8}, {8, 4}, {16, 4}} {
 		base := Config{Seed: 9, PEs: tc.pes, Sched: sched.Lazy,
 			Topology: sched.Topology{PEsPerNode: tc.ppn}}
 		ref, err := NewScaleOut(base).Run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := fault.NewInjector(seed)
-		in.KillAt(1, fault.Barrier, 25)
-		cfg := base
-		cfg.Fault = in
-		cfg.CheckpointEvery = 5
-		cfg.CheckpointDir = ckptTestDir(t)
-		cfg.MaxRestarts = 2
-		got, err := NewScaleOut(cfg).Run(c)
-		if err != nil {
+		ckptCfg := func() Config {
+			cfg := base
+			cfg.CheckpointEvery = 5
+			cfg.CheckpointDir = ckptTestDir(t)
+			cfg.MaxRestarts = 2
+			return cfg
+		}
+		var entries []int64
+		if _, err := Run("scale-out", ckptCfg(), c, func(g *Grid) Transport {
+			return entryProbe{OneSided(g), g, 1, &entries}
+		}); err != nil {
 			t.Fatal(err)
 		}
-		if got.Recoveries != 1 {
-			t.Fatalf("%dPE/ppn%d: want 1 recovery, got %d", tc.pes, tc.ppn, got.Recoveries)
+		if len(entries) == 0 {
+			t.Fatalf("%dPE/ppn%d: the run executed no exchange phase", tc.pes, tc.ppn)
 		}
-		if d := got.State.MaxAbsDiff(ref.State); d != 0 {
-			t.Fatalf("%dPE/ppn%d: recovered run deviates by %g", tc.pes, tc.ppn, d)
-		}
-		if got.Cbits != ref.Cbits {
-			t.Fatalf("%dPE/ppn%d: cbits %b vs %b", tc.pes, tc.ppn, got.Cbits, ref.Cbits)
+		entry := entries[len(entries)-1] + 1
+		for _, after := range []int64{25, entry, entry + 1} {
+			in := fault.NewInjector(seed)
+			in.KillAt(1, fault.Barrier, after)
+			cfg := ckptCfg()
+			cfg.Fault = in
+			got, err := NewScaleOut(cfg).Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Recoveries != 1 {
+				t.Fatalf("%dPE/ppn%d kill at barrier %d: want 1 recovery, got %d", tc.pes, tc.ppn, after, got.Recoveries)
+			}
+			if d := got.State.MaxAbsDiff(ref.State); d != 0 {
+				t.Fatalf("%dPE/ppn%d kill at barrier %d: recovered run deviates by %g", tc.pes, tc.ppn, after, d)
+			}
+			if got.Cbits != ref.Cbits {
+				t.Fatalf("%dPE/ppn%d kill at barrier %d: cbits %b vs %b", tc.pes, tc.ppn, after, got.Cbits, ref.Cbits)
+			}
 		}
 	}
 }

@@ -96,65 +96,34 @@ func (t *twoSided) packPartition(rank int, r *core.Rank) []float64 {
 	return pack
 }
 
-// Remap realizes a remap step's bit swaps as pairwise half-partition
-// exchanges, then one grid sync. Under a topology the disjoint (and
-// therefore commuting) swaps run intra-node first, so the node-crossing
-// links carry messages only for the swaps that genuinely cross.
-func (t *twoSided) Remap(pe *pgas.PE, r *core.Rank, si int, tr core.StepTrace) int {
-	topo := t.Compiled.Topo
-	for _, sw := range orderIntraFirst(t.Compiled.Plan.Steps[si].Swaps, t.LocalBits, topo) {
-		t.swapBits(pe, r, sw.Global, sw.Local, topo, tr)
+// Exchange realizes one phase of a remap as pairwise half-partition
+// exchanges, one per bit swap of the phase. Under a topology the phase
+// list puts the intra-node swaps first (disjoint transpositions
+// commute), so the node-crossing links carry messages only for the swaps
+// that genuinely cross. A pairwise exchange synchronizes only its pair:
+// the loop's grid sync closes the step.
+func (t *twoSided) Exchange(pe *pgas.PE, r *core.Rank, ph *sched.Phase, tr core.StepTrace) bool {
+	for _, sw := range ph.Swaps {
+		t.swapBits(pe, r, sw.Global, sw.Local, ph.Scope, tr)
 	}
-	b0 := time.Now()
-	pe.Barrier()
-	tr.Barrier("", b0)
-	return 0
-}
-
-// orderIntraFirst returns a remap's swaps with the intra-node ones
-// first. The scheduler emits disjoint transpositions, so they commute
-// and any order lands the amplitudes identically; the order only decides
-// which links the pairwise exchanges traverse when. With topology
-// disabled the swaps come back unchanged.
-func orderIntraFirst(swaps []sched.Swap, localBits int, topo sched.Topology) []sched.Swap {
-	if !topo.Enabled() {
-		return swaps
-	}
-	out := make([]sched.Swap, 0, len(swaps))
-	for _, sw := range swaps {
-		if !topo.InterBit(sw.Global, localBits) {
-			out = append(out, sw)
-		}
-	}
-	for _, sw := range swaps {
-		if topo.InterBit(sw.Global, localBits) {
-			out = append(out, sw)
-		}
-	}
-	return out
+	return true
 }
 
 // swapBits physically exchanges global bit gBit with local bit lBit: each
 // rank swaps the half of its partition where the local bit differs from
 // its rank bit with its partner rank. Its pack / wire / unpack sub-spans
-// carry the intra/inter sub-bucket of the swap's locality under a
-// topology, and the message volume (S floats sent, counted once per rank
-// like MsgBytes) lands in the matching bucket of the sending rank.
-func (t *twoSided) swapBits(pe *pgas.PE, r *core.Rank, gBit, lBit int, topo sched.Topology, tr core.StepTrace) {
+// carry the intra/inter sub-bucket of the phase's scope, and the message
+// volume (S floats sent, counted once per rank like MsgBytes) lands in
+// the matching bucket of the sending rank.
+func (t *twoSided) swapBits(pe *pgas.PE, r *core.Rank, gBit, lBit int, scope sched.Scope, tr core.StepTrace) {
 	b := gBit - t.LocalBits
 	beta := pe.Rank >> uint(b) & 1
 	partner := pe.Rank ^ 1<<uint(b)
 	half := int64(t.S) * 8
 
-	phPack, phWire := obs.PhasePack, obs.PhaseWire
-	if topo.Enabled() {
-		if topo.SameNode(pe.Rank, partner) {
-			phPack, phWire = obs.PhasePackIntra, obs.PhaseWireIntra
-			r.IntraBytes += half
-		} else {
-			phPack, phWire = obs.PhasePackInter, obs.PhaseWireInter
-			r.InterBytes += half
-		}
+	phPack, phWire, _, moved := r.Bucket(scope)
+	if moved != nil {
+		*moved += half
 	}
 	// The half to trade is the subcube with the local bit pinned to the
 	// complement of the rank bit and every other local bit free.

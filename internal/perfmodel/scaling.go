@@ -227,57 +227,37 @@ func estimateFromPlan(cp *compile.CompiledPlan, pesPerNode int) CommEstimate {
 	}
 	for i := range cp.Plan.Steps {
 		step := &cp.Plan.Steps[i]
-		if step.Kind != sched.StepRemap {
-			continue
-		}
 		// A folded remap (initial, acting on |0...0>) moves no data and
 		// synchronizes nothing; the executor skips it entirely.
-		if step.Folded {
+		if step.Kind != sched.StepRemap || step.Folded {
 			continue
 		}
-		// A plan compiled under a node topology realizes each remap as
-		// the two-level exchange: price each phase's all-to-all exactly
-		// as the executor runs it (more total bytes than the flat remap,
-		// but the inter-node share shrinks to the minimal residue).
-		if i < len(cp.TwoLevels) && cp.TwoLevels[i] != nil {
-			tl := cp.TwoLevels[i]
-			if tl.Intra != nil {
-				addExchange(&est, tl.Intra, p, pesPerNode)
-			}
-			if tl.Inter != nil {
-				addExchange(&est, tl.Inter, p, pesPerNode)
-			}
-			continue
+		// Price each phase's all-to-all exactly as the executor runs it:
+		// the one fleet-wide phase of a flat plan, or under a node topology
+		// the node phase then the rail phase (more total bytes than the
+		// flat remap, but the inter-node share shrinks to the minimal
+		// residue).
+		for _, ph := range cp.Phases[i] {
+			addExchange(&est, ph.Exchange, p, pesPerNode)
 		}
-		addExchange(&est, cp.Exchanges[i], p, pesPerNode)
 	}
 	return est
 }
 
 // addExchange prices one all-to-all realization: one coalesced put per
 // compatible remote (src, dst) pair, split by node when pesPerNode > 0,
-// plus the two synchronizations per PE the executor pays per exchange
-// (entry/mid group barriers for a two-level phase, the mid and exit
-// fleet barriers for a flat remap — 2p either way, so the model matches
-// the measured barrier counters exactly in both modes).
+// plus the two synchronizations per PE the executor pays per phase (the
+// entry and mid barriers over the phase's scope — 2p whatever the scope,
+// so the model matches the measured barrier counters exactly in both
+// modes).
 func addExchange(est *CommEstimate, ex *sched.Exchange, p, pesPerNode int) {
-	blockBytes := int64(ex.BlockLen) * 16
-	for s := 0; s < p; s++ {
-		for d := 0; d < p; d++ {
-			if s == d || !ex.Compat[s][d] {
-				continue
-			}
-			est.RemoteMsgs++
-			est.RemoteBytes += blockBytes
-			if pesPerNode > 0 {
-				if s/pesPerNode == d/pesPerNode {
-					est.IntraNodeBytes += blockBytes
-				} else {
-					est.InterNodeBytes += blockBytes
-					est.InterNodeMsgs++
-				}
-			}
-		}
+	est.RemoteMsgs += ex.RemoteElems / int64(ex.BlockLen)
+	est.RemoteBytes += ex.RemoteBytes()
+	if pesPerNode > 0 {
+		intra, inter, msgs := ex.NodeSplit(p, sched.Topology{PEsPerNode: pesPerNode})
+		est.IntraNodeBytes += intra
+		est.InterNodeBytes += inter
+		est.InterNodeMsgs += msgs
 	}
 	est.Barriers += int64(2 * p)
 }

@@ -9,11 +9,13 @@ import (
 	"svsim/internal/sched"
 )
 
-// TestEstimateTwoLevelIsExact prices a topology-annotated plan and holds
-// the prediction to the PGAS lazy executor's measured counters: total
-// one-sided volume, the intra-node phase volume, and the inter-node
-// phase volume must all match exactly (folded remaps priced at zero,
-// each surviving remap priced per phase).
+// TestEstimateTwoLevelIsExact prices a plan's phase lists through the
+// one pricing loop and holds the prediction to the PGAS lazy executor's
+// measured counters, flat and under every node shape: one-sided
+// messages, total volume, the intra-node and inter-node volume, and
+// barriers must all match exactly (folded remaps priced at zero, each
+// surviving remap priced per phase, two synchronizations per PE per
+// phase whatever its scope).
 func TestEstimateTwoLevelIsExact(t *testing.T) {
 	for _, name := range []string{"qft_n15", "bv_n14"} {
 		e, err := qasmbench.ByName(name)
@@ -21,7 +23,7 @@ func TestEstimateTwoLevelIsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := e.Build().StripNonUnitary()
-		for _, tc := range []struct{ pes, ppn int }{{8, 4}, {8, 2}, {16, 4}} {
+		for _, tc := range []struct{ pes, ppn int }{{8, 0}, {16, 0}, {8, 8}, {8, 4}, {8, 2}, {8, 1}, {16, 4}} {
 			topo := sched.Topology{PEsPerNode: tc.ppn}
 			res, err := core.NewScaleOut(core.Config{PEs: tc.pes, Sched: sched.Lazy, Topology: topo}).Run(c)
 			if err != nil {
@@ -31,21 +33,25 @@ func TestEstimateTwoLevelIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			est := EstimateCommPlanFabric(cp, tc.ppn)
-			if !est.Structured {
-				t.Fatal("fabric estimate not marked structured")
+			est := EstimateCommPlan(cp)
+			if tc.ppn > 0 {
+				if est = EstimateCommPlanFabric(cp, tc.ppn); !est.Structured {
+					t.Fatal("fabric estimate not marked structured")
+				}
 			}
-			if est.RemoteBytes != res.Comm.RemoteBytes {
-				t.Fatalf("%s @%dx%d: estimated %d remote bytes, measured %d",
-					name, tc.pes, tc.ppn, est.RemoteBytes, res.Comm.RemoteBytes)
-			}
-			if est.IntraNodeBytes != res.IntraBytes {
-				t.Fatalf("%s @%dx%d: estimated %d intra bytes, measured %d",
-					name, tc.pes, tc.ppn, est.IntraNodeBytes, res.IntraBytes)
-			}
-			if est.InterNodeBytes != res.InterBytes {
-				t.Fatalf("%s @%dx%d: estimated %d inter bytes, measured %d",
-					name, tc.pes, tc.ppn, est.InterNodeBytes, res.InterBytes)
+			for _, f := range []struct {
+				what           string
+				model, measure int64
+			}{
+				{"remote messages", est.RemoteMsgs, res.Comm.RemoteMessages()},
+				{"remote bytes", est.RemoteBytes, res.Comm.RemoteBytes},
+				{"intra bytes", est.IntraNodeBytes, res.IntraBytes},
+				{"inter bytes", est.InterNodeBytes, res.InterBytes},
+				{"barriers", est.Barriers, res.Comm.Barriers},
+			} {
+				if f.model != f.measure {
+					t.Fatalf("%s @%dx%d: estimated %d %s, measured %d", name, tc.pes, tc.ppn, f.model, f.what, f.measure)
+				}
 			}
 		}
 	}
@@ -81,16 +87,11 @@ func TestEstimateTwoLevelFoldedIsFree(t *testing.T) {
 	// TestEstimateCommLazyIsExact for flat). Here we pin the barrier
 	// accounting: each phase costs the same 2p barrier pair a flat
 	// exchange does, and the folded step costs none.
-	phases := int64(0)
-	for _, tl := range topoCP.TwoLevels {
-		if tl != nil {
-			phases += int64(tl.Phases())
-		}
-	}
-	foldedPhases := int64(0)
+	var phases, foldedPhases int64
 	for si, st := range topoCP.Plan.Steps {
-		if st.Kind == sched.StepRemap && st.Folded && topoCP.TwoLevels[si] != nil {
-			foldedPhases += int64(topoCP.TwoLevels[si].Phases())
+		phases += int64(len(topoCP.Phases[si]))
+		if st.Folded {
+			foldedPhases += int64(len(topoCP.Phases[si]))
 		}
 	}
 	wantBarriers := (phases - foldedPhases) * int64(2*pes)

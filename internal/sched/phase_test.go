@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"svsim/internal/circuit"
@@ -34,59 +35,56 @@ func TestSplitExchangePartitionAndEquivalence(t *testing.T) {
 		}
 		swaps := randomDisjointSwaps(rng, k, localBits, nSwaps)
 
-		tl := SplitExchange(swaps, n, localBits, p, topo)
-		if tl == nil {
-			t.Fatalf("trial %d: split returned nil for enabled topology", trial)
+		phases := SplitExchange(swaps, n, localBits, p, topo)
+		if len(phases) == 0 || len(phases) > 2 {
+			t.Fatalf("trial %d: split into %d phases, want 1 or 2", trial, len(phases))
 		}
-		if got := len(tl.IntraSwaps) + len(tl.InterSwaps); got != len(swaps) {
-			t.Fatalf("trial %d: partition lost swaps: %d+%d != %d",
-				trial, len(tl.IntraSwaps), len(tl.InterSwaps), len(swaps))
+		if len(phases) == 2 && (phases[0].Scope != ScopeNode || phases[1].Scope != ScopeRail) {
+			t.Fatalf("trial %d: phase order %d,%d, want node then rail", trial, phases[0].Scope, phases[1].Scope)
 		}
-		for _, sw := range tl.IntraSwaps {
-			if topo.InterBit(sw.Global, localBits) {
-				t.Fatalf("trial %d: node-bit swap %v classified intra", trial, sw)
+		nSplit := 0
+		for _, ph := range phases {
+			nSplit += len(ph.Swaps)
+			for _, sw := range ph.Swaps {
+				if topo.InterBit(sw.Global, localBits) != (ph.Scope == ScopeRail) {
+					t.Fatalf("trial %d: swap %v in a phase of scope %d", trial, sw, ph.Scope)
+				}
 			}
-		}
-		for _, sw := range tl.InterSwaps {
-			if !topo.InterBit(sw.Global, localBits) {
-				t.Fatalf("trial %d: within-node swap %v classified inter", trial, sw)
-			}
-		}
-		// The intra phase must never pair ranks on different nodes.
-		if tl.Intra != nil {
 			for s := 0; s < p; s++ {
 				for d := 0; d < p; d++ {
-					if tl.Intra.Compat[s][d] && !topo.SameNode(s, d) {
-						t.Fatalf("trial %d: intra phase pairs cross-node ranks %d,%d (ppn=%d)",
-							trial, s, d, ppn)
+					if !ph.Compat[s][d] {
+						continue
+					}
+					switch ph.Scope {
+					case ScopeNode:
+						// The node phase must never pair ranks on different nodes.
+						if !topo.SameNode(s, d) {
+							t.Fatalf("trial %d: node phase pairs cross-node ranks %d,%d (ppn=%d)", trial, s, d, ppn)
+						}
+					case ScopeRail:
+						// The rail phase pins every within-node rank bit:
+						// compatible pairs agree on rank mod PEsPerNode.
+						if s%ppn != d%ppn {
+							t.Fatalf("trial %d: rail phase pairs ranks %d,%d on different rails (ppn=%d)", trial, s, d, ppn)
+						}
+					default:
+						t.Fatalf("trial %d: fleet-scope phase under an enabled topology", trial)
 					}
 				}
 			}
 		}
-		// The inter phase pins every within-node rank bit: compatible
-		// pairs agree on rank mod PEsPerNode.
-		if tl.Inter != nil {
-			for s := 0; s < p; s++ {
-				for d := 0; d < p; d++ {
-					if tl.Inter.Compat[s][d] && s%ppn != d%ppn {
-						t.Fatalf("trial %d: inter phase pairs ranks %d,%d on different rails (ppn=%d)",
-							trial, s, d, ppn)
-					}
-				}
-			}
+		if nSplit != len(swaps) {
+			t.Fatalf("trial %d: partition lost swaps: %d of %d", trial, nSplit, len(swaps))
 		}
-		// Intra then inter must land every amplitude exactly where the
+		// The phases in order must land every amplitude exactly where the
 		// flat permutation does.
 		v := make([]float64, 1<<uint(n))
 		for i := range v {
 			v[i] = rng.Float64()
 		}
 		got := v
-		if tl.Intra != nil {
-			got = runExchange(tl.Intra, got, localBits, p)
-		}
-		if tl.Inter != nil {
-			got = runExchange(tl.Inter, got, localBits, p)
+		for _, ph := range phases {
+			got = runExchange(ph.Exchange, got, localBits, p)
 		}
 		want := applySwapsDirect(v, swaps)
 		for i := range want {
@@ -98,17 +96,45 @@ func TestSplitExchangePartitionAndEquivalence(t *testing.T) {
 	}
 }
 
-func TestSplitExchangeFallsBackToFlat(t *testing.T) {
-	swaps := []Swap{{Global: 5, Local: 0}}
-	if tl := SplitExchange(swaps, 7, 5, 4, Topology{}); tl != nil {
-		t.Fatal("disabled topology should not split")
-	}
-	if tl := SplitExchange(swaps, 7, 7, 1, Topology{PEsPerNode: 1}); tl != nil {
-		t.Fatal("single-PE fleet should not split")
-	}
+// TestSplitExchangeFlatIsOnePhase: without a topology — and for a swap
+// list that is not a product of disjoint transpositions, which may not
+// be reordered — a remap is the one-phase list: a single fleet-scope
+// phase over the whole swap list, whose exchange is NewExchange's.
+func TestSplitExchangeFlatIsOnePhase(t *testing.T) {
+	swaps := []Swap{{Global: 5, Local: 0}, {Global: 6, Local: 3}}
 	overlap := []Swap{{Global: 5, Local: 0}, {Global: 5, Local: 1}}
-	if tl := SplitExchange(overlap, 7, 5, 4, Topology{PEsPerNode: 2}); tl != nil {
-		t.Fatal("non-disjoint swaps should not split")
+	for _, tc := range []struct {
+		name  string
+		swaps []Swap
+		topo  Topology
+	}{
+		{"disabled topology", swaps, Topology{}},
+		{"one swap", swaps[:1], Topology{}},
+		{"non-disjoint swaps", overlap, Topology{PEsPerNode: 2}},
+	} {
+		phases := SplitExchange(tc.swaps, 7, 5, 4, tc.topo)
+		if len(phases) != 1 || phases[0].Scope != ScopeFleet {
+			t.Fatalf("%s: got %d phases, want one fleet-scope phase", tc.name, len(phases))
+		}
+		if !reflect.DeepEqual(phases[0].Swaps, tc.swaps) {
+			t.Fatalf("%s: phase swaps %v, want the whole list %v", tc.name, phases[0].Swaps, tc.swaps)
+		}
+		if want := NewExchange(tc.swaps, 7, 5, 4); !reflect.DeepEqual(phases[0].Exchange, want) {
+			t.Fatalf("%s: phase exchange differs from NewExchange of the whole swap list", tc.name)
+		}
+	}
+	// Under a topology a disjoint list never yields a fleet-scope phase
+	// and never an empty list.
+	for _, ppn := range []int{1, 2, 4} {
+		phases := SplitExchange(swaps, 7, 5, 4, Topology{PEsPerNode: ppn})
+		if len(phases) == 0 {
+			t.Fatalf("ppn %d: no phases for a remap with swaps", ppn)
+		}
+		for _, ph := range phases {
+			if ph.Scope == ScopeFleet {
+				t.Fatalf("ppn %d: fleet-scope phase under an enabled topology", ppn)
+			}
+		}
 	}
 }
 

@@ -57,9 +57,10 @@ const (
 	// StepGate executes one circuit operation at the current physical
 	// qubit positions.
 	StepGate StepKind = iota
-	// StepRemap physically exchanges global bits with local bits (one
-	// coalesced all-to-all on the PGAS backends, pairwise partition
-	// exchanges on the message-passing baseline).
+	// StepRemap physically exchanges global bits with local bits, as the
+	// ordered exchange phases of SplitExchange (each one coalesced
+	// all-to-all on the PGAS backends, pairwise partition exchanges on
+	// the message-passing baseline).
 	StepRemap
 	// StepAlias relabels two logical qubits in the permutation with no
 	// data movement (a SWAP gate absorbed by the scheduler).

@@ -248,3 +248,60 @@ func TestHTTPCancelQueued(t *testing.T) {
 		t.Fatalf("canceled job state %s", got.State)
 	}
 }
+
+// TestTerminalJobsDropTheirInput: the job table keeps terminal jobs, so
+// a job that is done or canceled must let go of the parsed circuit and
+// the inline QASM text it was submitted with — and GET /v1/jobs/{id}
+// must go on rendering the status it rendered while it held them.
+func TestTerminalJobsDropTheirInput(t *testing.T) {
+	s := newTestServer(t, Options{Fleets: []FleetDef{{Backend: "single", PEs: 1}}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const src = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\nmeasure q -> c;\n"
+	accepted := map[string]JobStatus{}
+	for i := 0; i < 6; i++ {
+		resp, st := postJob(t, ts, JobSpec{Tenant: "alice", Name: fmt.Sprintf("ghz%d.qasm", i), QASM: src, Seed: int64(i), Shots: 16})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: %d", i, resp.StatusCode)
+		}
+		if st.Circuit != fmt.Sprintf("ghz%d", i) {
+			t.Fatalf("submit %d: accepted as circuit %q", i, st.Circuit)
+		}
+		accepted[st.ID] = st
+	}
+	for id := range accepted {
+		if fin := httpWaitDone(t, ts, id); fin.State != StateDone {
+			t.Fatalf("%s: %s (%s)", id, fin.State, fin.Detail)
+		}
+	}
+	// One more that turns terminal without ever running.
+	s.setPaused(true)
+	_, queued := postJob(t, ts, JobSpec{Tenant: "alice", Name: "never.qasm", QASM: src})
+	if _, ok, err := s.Cancel(queued.ID); err != nil || !ok {
+		t.Fatalf("cancel %s: ok=%v err=%v", queued.ID, ok, err)
+	}
+	accepted[queued.ID] = queued
+
+	s.mu.Lock()
+	for id, j := range s.jobs {
+		if !j.terminal() {
+			t.Errorf("%s is %s, want terminal", id, j.state)
+		}
+		if j.circ != nil || j.spec.QASM != "" {
+			t.Errorf("%s (%s) still holds its input: circuit %v, %d bytes of QASM", id, j.state, j.circ != nil, len(j.spec.QASM))
+		}
+	}
+	s.mu.Unlock()
+
+	for id, was := range accepted {
+		now := httpWaitDone(t, ts, id)
+		if now.ID != was.ID || now.Tenant != was.Tenant || now.Circuit != was.Circuit ||
+			now.Estimate != was.Estimate || now.EnqueuedAt != was.EnqueuedAt || now.FinishedAt == "" {
+			t.Errorf("%s renders differently once terminal:\nqueued   %+v\nterminal %+v", id, was, now)
+		}
+		if now.State == StateDone && len(now.Counts) == 0 {
+			t.Errorf("%s: done without its shot counts", id)
+		}
+	}
+}

@@ -31,7 +31,8 @@ type job struct {
 	id   string
 	seq  int64 // admission order, the fair-share tiebreaker
 	spec JobSpec
-	circ *circuit.Circuit
+	name string           // the circuit's name, all status() needs of it
+	circ *circuit.Circuit // nil once the job is terminal
 	est  Estimate
 
 	state    JobState
@@ -89,7 +90,7 @@ func (j *job) status() JobStatus {
 	st := JobStatus{
 		ID:          j.id,
 		Tenant:      j.spec.Tenant,
-		Circuit:     j.circ.Name,
+		Circuit:     j.name,
 		State:       j.state,
 		Detail:      j.detail,
 		Priority:    j.spec.Priority,
@@ -115,6 +116,14 @@ func (j *job) status() JobStatus {
 		st.ElapsedNS = j.result.Elapsed.Nanoseconds()
 	}
 	return st
+}
+
+// finish turns the job terminal and lets go of its input — the parsed
+// circuit and the inline QASM text — which nothing reads again; the job
+// table keeps terminal jobs, so what they hold is the table's footprint.
+func (j *job) finish(state JobState, detail string) {
+	j.state, j.detail, j.finished = state, detail, time.Now()
+	j.circ, j.spec.QASM = nil, ""
 }
 
 // terminal reports whether the job can no longer change state.

@@ -278,6 +278,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		id:       fmt.Sprintf("job-%06d", s.nextSeq),
 		seq:      s.nextSeq,
 		spec:     spec,
+		name:     c.Name,
 		circ:     c,
 		est:      est,
 		state:    StateQueued,
@@ -620,22 +621,19 @@ func (s *Server) runJob(j *job, fs *fleetState, mode runMode) {
 	ten := s.tenants[tenant]
 	ten.running--
 	ten.resident -= FootprintBytes(circ.NumQubits, fs.distributed)
-	j.finished = time.Now()
 
 	switch {
 	case err == nil:
-		j.state = StateDone
+		j.finish(StateDone, "")
 		j.finalize(res, s.opts.StateQubitLimit)
 		s.countTenant(MetricJobsCompleted, tenant)
 		s.opts.Flight.Record(-1, EventJobDone, fmt.Sprintf("%s on %s", j.id, fs.label), res.Elapsed.Nanoseconds())
 	case isInterrupted(err) && j.cancelAsked:
-		j.state = StateCanceled
-		j.detail = "canceled while running"
+		j.finish(StateCanceled, "canceled while running")
 		s.countTenant(MetricJobsCanceled, tenant)
 	case isInterrupted(err):
 		// Preempted: requeue with whatever checkpoint the stop wrote.
 		j.state = StateQueued
-		j.finished = time.Time{}
 		j.started = time.Time{}
 		j.preemptions++
 		j.stop = nil
@@ -652,8 +650,7 @@ func (s *Server) runJob(j *job, fs *fleetState, mode runMode) {
 		ten.queued++
 		s.countTenant(MetricJobsPreempted, tenant)
 	default:
-		j.state = StateFailed
-		j.detail = err.Error()
+		j.finish(StateFailed, err.Error())
 		s.countTenant(MetricJobsFailed, tenant)
 		s.opts.Flight.Record(-1, EventJobFailed, fmt.Sprintf("%s: %v", j.id, err), 0)
 	}
@@ -690,9 +687,7 @@ func (s *Server) Cancel(id string) (JobStatus, bool, error) {
 	case StateQueued:
 		s.dequeueLocked(j)
 		s.tenants[j.spec.Tenant].queued--
-		j.state = StateCanceled
-		j.detail = "canceled while queued"
-		j.finished = time.Now()
+		j.finish(StateCanceled, "canceled while queued")
 		s.countTenant(MetricJobsCanceled, j.spec.Tenant)
 		s.cond.Broadcast()
 		return j.status(), true, nil
@@ -832,9 +827,7 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	for _, j := range s.queue {
-		j.state = StateCanceled
-		j.detail = "server shutting down"
-		j.finished = time.Now()
+		j.finish(StateCanceled, "server shutting down")
 		s.tenants[j.spec.Tenant].queued--
 	}
 	s.queue = nil
