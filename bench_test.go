@@ -21,9 +21,9 @@ import (
 	"svsim/internal/figures"
 	"svsim/internal/gate"
 	"svsim/internal/ham"
-	"svsim/internal/mpibase"
 	"svsim/internal/perfmodel"
 	"svsim/internal/qasmbench"
+	"svsim/internal/sched"
 	"svsim/internal/statevec"
 	"svsim/internal/vqa"
 )
@@ -294,7 +294,7 @@ func BenchmarkAblationPGASvsMPI(b *testing.B) {
 		}
 	})
 	b.Run("mpi", func(b *testing.B) {
-		backend := mpibase.New(mpibase.Config{Ranks: 4})
+		backend := core.NewMPI(core.Config{PEs: 4})
 		for i := 0; i < b.N; i++ {
 			if _, err := backend.Run(c); err != nil {
 				b.Fatal(err)
@@ -395,7 +395,7 @@ func BenchmarkAblationRemapVsPackExchange(b *testing.B) {
 		c.CX(13, 0)
 	}
 	b.Run("remap", func(b *testing.B) {
-		sim := mpibase.NewRemap(mpibase.Config{Ranks: 4})
+		sim := core.NewMPI(core.Config{PEs: 4, Sched: sched.Lazy})
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.Run(c); err != nil {
 				b.Fatal(err)
@@ -403,7 +403,7 @@ func BenchmarkAblationRemapVsPackExchange(b *testing.B) {
 		}
 	})
 	b.Run("pack-exchange", func(b *testing.B) {
-		sim := mpibase.New(mpibase.Config{Ranks: 4})
+		sim := core.NewMPI(core.Config{PEs: 4})
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.Run(c); err != nil {
 				b.Fatal(err)

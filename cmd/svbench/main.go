@@ -69,7 +69,7 @@ func main() {
 	format := flag.String("format", "text", "output format: text | csv")
 	jsonFile := flag.String("json", "", "run measured bench workloads and write BENCH records as JSON to FILE ('-' for stdout)")
 	workload := flag.String("workload", "", "bench a single named workload instead of the default suite")
-	backendName := flag.String("backend", "single", "backend for -workload: single | threaded | scale-up | scale-out")
+	backendName := flag.String("backend", "single", "backend for -workload: "+strings.Join(core.BackendNames(nil), " | "))
 	pes := flag.Int("pes", 1, "device/PE count for -workload on distributed backends")
 	ppn := flag.Int("ppn", 0, "PEs per node for -workload: group the fleet into nodes and run remaps as two-level exchanges (0 = flat)")
 	coalesced := flag.Bool("coalesced", false, "coalesced bulk transfers for -workload on the scale-out backend")
@@ -95,9 +95,9 @@ func main() {
 			fatalf("%v", err)
 		}
 		if *ckptEvery > 0 || *ckptDir != "" {
-			// The bench suite runs core backends only, all of which
-			// support checkpointing; validate the flag pairing and that
-			// the directory is writable before burning bench time.
+			// Every backend supports checkpointing; validate the flag
+			// pairing and that the directory is writable before burning
+			// bench time.
 			if err := cliutil.ValidateCheckpointing("scale-out", *ckptEvery, *ckptDir, "", 0); err != nil {
 				fatalf("%v", err)
 			}

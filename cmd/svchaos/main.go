@@ -51,7 +51,6 @@ import (
 	"svsim/internal/ckpt"
 	"svsim/internal/core"
 	"svsim/internal/fault"
-	"svsim/internal/mpibase"
 	"svsim/internal/obs"
 	"svsim/internal/sched"
 	"svsim/internal/statevec"
@@ -168,7 +167,7 @@ func buildScenario(seed int64, gateScale int, stallDeadline time.Duration) *scen
 		sc.async = rng.Intn(2) == 0
 		sc.measured = true
 	case "stall":
-		sc.backend = pick("scale-up", "scale-out")
+		sc.backend = pick("scale-up", "scale-out", "mpi")
 		sc.pes = 1 << uint(1+rng.Intn(3))
 		sc.lazy = rng.Intn(2) == 0
 		sc.ckptEvery = 3
@@ -214,8 +213,9 @@ func buildScenario(seed int64, gateScale int, stallDeadline time.Duration) *scen
 		if !kill {
 			benign++ // every wire scenario arms at least one fault
 		}
+		info, _ := core.LookupBackend(sc.backend)
 		for i := 0; i < benign; i++ {
-			if sc.backend == "mpi" {
+			if !info.OneSided {
 				// The two-sided transport's fault surface is its
 				// barriers; with no deadline armed a stall there is a
 				// delay the fleet must simply outlast.
@@ -340,47 +340,15 @@ func (sc *scenario) runCore(cfg core.Config) (*outcome, error) {
 	return &outcome{state: res.State, cbits: res.Cbits, recoveries: res.Recoveries, ckpts: res.Ckpt.Count}, nil
 }
 
-func (sc *scenario) runMPI(dir string, faults []fault.Fault, flight *obs.FlightRecorder) (*outcome, error) {
-	cfg := mpibase.Config{
-		Ranks:  sc.pes,
-		Seed:   sc.seed,
-		Flight: flight,
-		Fault:  sc.injector(faults),
-	}
-	cfg.Topology.PEsPerNode = sc.ppn
-	if dir != "" {
-		cfg.CheckpointEvery = sc.ckptEvery
-		cfg.CheckpointDir = dir
-		cfg.CheckpointAsync = sc.async
-		cfg.MaxRestarts = sc.maxRestarts
-		cfg.Elastic = sc.elastic
-	}
-	sim := mpibase.New(cfg)
-	if sc.lazy {
-		sim = mpibase.NewRemap(cfg)
-	}
-	res, err := sim.Run(sc.circ)
-	if err != nil {
-		return nil, err
-	}
-	return &outcome{state: res.State, cbits: res.Cbits, recoveries: res.Recoveries, ckpts: res.Ckpt.Count}, nil
-}
-
 // reference computes (once) the fault-free, checkpoint-free run the
 // chaos run must match bit-for-bit.
 func (sc *scenario) reference() error {
 	if sc.refState != nil {
 		return nil
 	}
-	var out *outcome
-	var err error
-	if sc.backend == "mpi" {
-		out, err = sc.runMPI("", nil, nil)
-	} else {
-		cfg := sc.coreConfig("", nil)
-		cfg.Timeouts.Barrier = 0 // the reference never times out
-		out, err = sc.runCore(cfg)
-	}
+	cfg := sc.coreConfig("", nil)
+	cfg.Timeouts.Barrier = 0 // the reference never times out
+	out, err := sc.runCore(cfg)
 	if err != nil {
 		return fmt.Errorf("reference run failed: %w", err)
 	}
@@ -402,9 +370,6 @@ func (sc *scenario) chaosOnce(faults []fault.Fault, flight *obs.FlightRecorder) 
 	case "disk":
 		return sc.diskCorruption(dir, flight)
 	default:
-		if sc.backend == "mpi" {
-			return sc.runMPI(dir, faults, flight)
-		}
 		cfg := sc.coreConfig(dir, flight)
 		cfg.Fault = sc.injector(faults)
 		return sc.runCore(cfg)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"svsim/internal/cliutil"
+	"svsim/internal/core"
 	"svsim/internal/fault"
 	"svsim/internal/pgas"
 )
@@ -60,11 +61,11 @@ func (o *runOpts) validate() error {
 	if o.ckptFullEvery > 0 && !o.checkpointAsync {
 		return fmt.Errorf("-checkpoint-full-every %d has no effect without -checkpoint-async (synchronous checkpoints are always full)", o.ckptFullEvery)
 	}
+	b, _ := core.LookupBackend(o.backend)
+	distributed := cliutil.Backends(func(b core.BackendInfo) bool { return b.Distributed })
 	if o.elastic {
-		switch o.backend {
-		case "scale-up", "scale-out", "mpi", "remap":
-		default:
-			return fmt.Errorf("-elastic needs a distributed backend (scale-up, scale-out, mpi, or remap); backend %q has no fleet to shrink", o.backend)
+		if !b.Distributed {
+			return fmt.Errorf("-elastic needs a distributed backend (%s); backend %q has no fleet to shrink", distributed, o.backend)
 		}
 		if o.checkpointEvery <= 0 || o.maxRestarts <= 0 {
 			return fmt.Errorf("-elastic needs -checkpoint-every and -max-restarts: recovery reshards the latest checkpoint")
@@ -73,12 +74,9 @@ func (o *runOpts) validate() error {
 	if err := cliutil.ValidateCoalesced(o.coalesced, o.backend); err != nil {
 		return err
 	}
-	if o.tile {
-		switch o.backend {
-		case "single", "threaded":
-		default:
-			return fmt.Errorf("-tile is a single-node execution mode (single, threaded); backend %q partitions the state instead", o.backend)
-		}
+	if o.tile && b.Distributed {
+		oneRank := cliutil.Backends(func(b core.BackendInfo) bool { return !b.Distributed })
+		return fmt.Errorf("-tile is a single-node execution mode (%s); backend %q partitions the state instead", oneRank, o.backend)
 	}
 	if o.tileBits != 0 && !o.tile {
 		return fmt.Errorf("-tile-bits %d has no effect without -tile", o.tileBits)
@@ -93,10 +91,8 @@ func (o *runOpts) validate() error {
 		return fmt.Errorf("-op-retries %d: retry budget cannot be negative", o.opRetries)
 	}
 	if o.faultSpec != "" {
-		switch o.backend {
-		case "scale-up", "scale-out", "mpi", "remap":
-		default:
-			return fmt.Errorf("-fault needs a communicating backend (scale-up, scale-out, mpi, or remap); backend %q has no fault surface", o.backend)
+		if !b.Distributed {
+			return fmt.Errorf("-fault needs a communicating backend (%s); backend %q has no fault surface", distributed, o.backend)
 		}
 		if _, err := fault.ParseSpec(o.faultSpec, o.seed); err != nil {
 			return fmt.Errorf("-fault %q: %v", o.faultSpec, err)

@@ -36,13 +36,13 @@ func TestFlagValidation(t *testing.T) {
 			o.checkpointDir = dir
 		}, "positive"},
 		{"restarts without dir", func(o *runOpts) { o.maxRestarts = 3 }, "-checkpoint-dir"},
-		{"checkpoint on remap", func(o *runOpts) {
-			o.backend = "remap"
+		{"checkpoint on remap", func(o *runOpts) { // the remap baseline: mpi under the lazy plan
+			o.backend, o.sched = "mpi", "lazy"
 			o.checkpointEvery = 10
 			o.checkpointDir = dir
 		}, ""},
 		{"fault and elastic on remap", func(o *runOpts) {
-			o.backend = "remap"
+			o.backend, o.sched = "mpi", "lazy"
 			o.faultSpec = "kill:rank=1:op=barrier:after=30"
 			o.elastic = true
 			o.checkpointEvery = 10

@@ -9,6 +9,7 @@
 //	svsim -circuit qft_n15 -backend scale-out -pes 8 -coalesced
 //	svsim -qasm bell.qasm -state
 //	svsim -circuit bv_n14 -backend mpi -pes 4
+//	svsim -circuit bv_n14 -backend mpi -pes 4 -sched lazy
 //	svsim -circuit qft_n15 -backend scale-out -pes 8 -sched lazy
 //	svsim -circuit qft_n15 -backend scale-out -pes 8 -trace trace.json -metrics m.json
 package main
@@ -22,13 +23,12 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"syscall"
 	"time"
 
-	"svsim/internal/circuit"
 	"svsim/internal/compile"
 	"svsim/internal/core"
-	"svsim/internal/mpibase"
 	"svsim/internal/obs"
 	"svsim/internal/qasmbench"
 	"svsim/internal/sched"
@@ -40,7 +40,7 @@ func main() {
 		circuitName = flag.String("circuit", "", "named workload from the QASMBench-style suite")
 		qasmFile    = flag.String("qasm", "", "OpenQASM 2.0 file to simulate")
 		listNames   = flag.Bool("list", false, "list available named workloads and exit")
-		backendName = flag.String("backend", "single", "backend: single | threaded | scale-up | scale-out | mpi | remap")
+		backendName = flag.String("backend", "single", "backend: "+strings.Join(core.BackendNames(nil), " | "))
 		pes         = flag.Int("pes", 1, "device/PE/rank count for distributed backends (power of two)")
 		ppn         = flag.Int("ppn", 0, "PEs per node (power of two): group the fleet into nodes and run remaps as hierarchical two-level exchanges (0 = flat; bit-identical either way)")
 		coalesced   = flag.Bool("coalesced", false, "use coalesced bulk transfers in the scale-out backend")
@@ -140,11 +140,6 @@ func main() {
 	defer telemetry.close()
 	latch := installStopHandler(telemetry.flight)
 
-	if *backendName == "mpi" || *backendName == "remap" {
-		runMPI(c, opts, ks, topo, *shots, *printState, telemetry, latch)
-		return
-	}
-
 	cfg := core.Config{
 		Style: ks, PEs: *pes, Coalesced: *coalesced, Topology: topo,
 		Trace: telemetry.tracer, Metrics: telemetry.metrics,
@@ -168,7 +163,7 @@ func main() {
 	telemetry.beginRun(*backendName, c.Name, *pes)
 	var res *core.Result
 	if opts.resumePEs > 0 {
-		res, err = core.RunElastic(*backendName, cfg, c, opts.resume, opts.resumePEs, core.OneSided)
+		res, err = core.RunElastic(*backendName, cfg, c, opts.resume, opts.resumePEs)
 	} else {
 		res, err = backend.Run(c)
 	}
@@ -183,6 +178,9 @@ func main() {
 		res.SV.Gates, res.SV.AmpsTouched, res.SV.BytesTouched, res.SV.Sweeps)
 	if res.PEs > 1 {
 		fmt.Printf("comm    : %s\n", res.Comm)
+	}
+	if res.MPI != (core.MPIStats{}) {
+		fmt.Printf("mpi     : %s\n", res.MPI)
 	}
 	if topo.Enabled() && res.PEs > 1 {
 		fmt.Printf("topology: %d PEs/node, %d exchange phase(s), intra=%dB inter=%dB\n",
@@ -368,53 +366,6 @@ func (t *telemetry) close() {
 		stop() //nolint:errcheck // shutting down on exit
 	}
 	t.stops = nil
-}
-
-// runMPI runs the two message-passing baselines: "mpi" walks the naive
-// plan (pack-exchange-compute per global-qubit gate), "remap" the lazy
-// plan (qubit remapping) over the same two-sided transport.
-func runMPI(c *circuit.Circuit, opts runOpts, ks statevec.KernelStyle, topo sched.Topology, shots int, printState bool, telemetry *telemetry, latch *core.StopLatch) {
-	cfg := mpibase.Config{
-		Ranks: opts.pes, Seed: opts.seed, Style: ks, Fuse: opts.fuse, Topology: topo,
-		Trace: telemetry.tracer, Metrics: telemetry.metrics, Flight: telemetry.flight,
-		CheckpointEvery: opts.checkpointEvery, CheckpointDir: opts.checkpointDir,
-		CheckpointAsync: opts.checkpointAsync,
-		Resume:          opts.resume, Elastic: opts.elastic, Stop: latch,
-		MaxRestarts: opts.maxRestarts, Fault: opts.injector(),
-	}
-	sim := mpibase.New(cfg)
-	if opts.backend == "remap" {
-		sim = mpibase.NewRemap(cfg)
-	}
-	telemetry.beginRun(opts.backend, c.Name, opts.pes)
-	var res *mpibase.Result
-	var err error
-	if opts.resumePEs > 0 {
-		res, err = sim.RunElastic(c, opts.resume, opts.resumePEs)
-	} else {
-		res, err = sim.Run(c)
-	}
-	if err != nil {
-		telemetry.fail(err)
-	}
-	fmt.Printf("circuit : %s\n", c.Summary())
-	if opts.backend == "remap" {
-		fmt.Printf("backend : remap (%d ranks, %d bit swaps)\n", res.Ranks, res.BitSwaps)
-	} else {
-		fmt.Printf("backend : mpi-baseline (%d ranks)\n", res.Ranks)
-	}
-	if topo.Enabled() {
-		fmt.Printf("topology: %d PEs/node, %d folded remap(s), intra=%dB inter=%dB\n",
-			topo.PEsPerNode, res.Folded, res.IntraBytes, res.InterBytes)
-	}
-	fmt.Printf("elapsed : %v\n", res.Elapsed)
-	printCompile(res.Compile, opts.fuse)
-	fmt.Printf("mpi     : %s\n", res.MPI)
-	if res.Ckpt.Count > 0 || res.Recoveries > 0 {
-		fmt.Printf("ckpt    : %d checkpoint(s), %d bytes, %d recoveries\n", res.Ckpt.Count, res.Ckpt.Bytes, res.Recoveries)
-	}
-	telemetry.finish(res.Elapsed.Nanoseconds(), res.Compile.TotalNS, res.Mem)
-	report(res.State, opts.seed, shots, printState)
 }
 
 func report(st *statevec.State, seed int64, shots int, printState bool) {

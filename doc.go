@@ -25,16 +25,17 @@
 //     variational sweeps compile once per ansatz shape; a cache hit
 //     only re-binds the parameter-dependent gates of the cached plan.
 //
-//   - Execute (internal/core and friends). Six backends consume the one
-//     CompiledPlan: single (one rank, specialized SoA kernels), threaded
-//     (one rank, a shared-state worker pool), scale-up (peer pointer
-//     array, the paper's Listing 4), scale-out (SHMEM one-sided,
-//     Listing 5, over internal/pgas), and the two traditional baselines
-//     in internal/mpibase (pack-exchange and JUQCS-style remapping).
-//     All six are one runtime in internal/core — a plan walked by one
-//     step loop over a transport — differing only in the grid size, the
-//     transport (local, one-sided PGAS, two-sided messages) and the plan
-//     (naive vs lazy). A stretch of consecutive diagonal gates is one
+//   - Execute (internal/core and friends). Five backends, the rows of
+//     one backend table, consume the one CompiledPlan: single (one rank,
+//     specialized SoA kernels), threaded (one rank, a shared-state worker
+//     pool), scale-up (peer pointer array, the paper's Listing 4),
+//     scale-out (SHMEM one-sided, Listing 5, over internal/pgas), and
+//     mpi, the traditional two-sided baseline (pack-exchange under the
+//     naive plan, JUQCS-style remapping under the lazy one). All five
+//     are one runtime in internal/core — a plan walked by one step loop
+//     over a transport — differing only in the grid size, the transport
+//     (local, one-sided PGAS, two-sided messages) and the plan (naive vs
+//     lazy). A stretch of consecutive diagonal gates is one
 //     step of that loop and one pass over the amplitudes it changes: a
 //     product of two table entries indexed by the stretch's logical
 //     qubits, so every backend, tile and layout rounds it identically.

@@ -56,8 +56,14 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("svsim scale-out output:\n%s", out)
 	}
 	out = runTool(t, svsim, "-circuit", "cc_n12", "-backend", "mpi", "-pes", "4")
-	if !strings.Contains(out, "mpi-baseline") {
+	if !strings.Contains(out, "backend : mpi (4 PE)") || !strings.Contains(out, "mpi     : msgs=") {
 		t.Fatalf("svsim mpi output:\n%s", out)
+	}
+	// The remap baseline is the mpi row under the lazy plan: -sched
+	// reaches it like every other backend.
+	out = runTool(t, svsim, "-circuit", "qft_n15", "-backend", "mpi", "-pes", "4", "-sched", "lazy")
+	if !strings.Contains(out, "mpi     : msgs=16 bytes=1048576 ") || !strings.Contains(out, " syncs=8") {
+		t.Fatalf("svsim mpi -sched lazy output:\n%s", out)
 	}
 	out = runTool(t, svsim, "-list")
 	if !strings.Contains(out, "qft_n15") {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"svsim/internal/core"
-	"svsim/internal/mpibase"
 	"svsim/internal/qasmbench"
 )
 
@@ -44,7 +43,7 @@ func main() {
 			res.State.MaxAbsDiff(ref.State))
 	}
 	for _, ranks := range []int{4, 16} {
-		res, err := mpibase.New(mpibase.Config{Ranks: ranks}).Run(c)
+		res, err := core.NewMPI(core.Config{PEs: ranks}).Run(c)
 		if err != nil {
 			panic(err)
 		}

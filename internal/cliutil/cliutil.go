@@ -12,30 +12,13 @@ import (
 	"strings"
 
 	"svsim/internal/ckpt"
+	"svsim/internal/core"
 )
 
-// ckptBackends are the backends with checkpoint/restore support.
-var ckptBackends = map[string]bool{
-	"single":    true,
-	"threaded":  true,
-	"scale-up":  true,
-	"scale-out": true,
-	"mpi":       true,
-	"remap":     true,
-}
-
-// manifestID returns the (backend, schedule) pair a backend's checkpoint
-// manifests record. The two message-passing baselines share one
-// transport and therefore one manifest backend, "mpi"; the backend name,
-// not -sched, picks their plan.
-func manifestID(backend, schedName string) (string, string) {
-	switch backend {
-	case "mpi":
-		return "mpi", "naive"
-	case "remap":
-		return "mpi", "lazy"
-	}
-	return backend, schedName
+// Backends lists, for an error message, the backends of core's table
+// that keep accepts (every backend when keep is nil).
+func Backends(keep func(core.BackendInfo) bool) string {
+	return strings.Join(core.BackendNames(keep), ", ")
 }
 
 // ValidatePEs rejects PE/rank counts the distributed backends cannot
@@ -51,10 +34,12 @@ func ValidatePEs(pes int) error {
 }
 
 // ValidateCoalesced rejects -coalesced on a backend that would ignore it:
-// only scale-out has the bulk-transfer variant of its remote-gate path.
+// only a backend the table marks Coalesced has the bulk-transfer variant
+// of its remote-gate path.
 func ValidateCoalesced(coalesced bool, backend string) error {
-	if coalesced && backend != "scale-out" {
-		return fmt.Errorf("-coalesced selects the bulk-transfer variant of one backend (scale-out); backend %q has no coalesced path", backend)
+	if b, _ := core.LookupBackend(backend); coalesced && !b.Coalesced {
+		return fmt.Errorf("-coalesced selects the bulk-transfer variant of the remote-gate path (%s); backend %q has no coalesced path",
+			Backends(func(b core.BackendInfo) bool { return b.Coalesced }), backend)
 	}
 	return nil
 }
@@ -67,8 +52,8 @@ func ValidateCheckpointing(backend string, every int, dir, resume string, maxRes
 	if every == 0 && dir == "" && resume == "" && maxRestarts == 0 {
 		return nil // checkpointing entirely off
 	}
-	if !ckptBackends[backend] {
-		return fmt.Errorf("backend %q does not support checkpoint/restore (supported: single, threaded, scale-up, scale-out, mpi, remap)", backend)
+	if _, ok := core.LookupBackend(backend); !ok {
+		return fmt.Errorf("backend %q does not support checkpoint/restore (supported: %s)", backend, Backends(nil))
 	}
 	if every < 0 {
 		return fmt.Errorf("-checkpoint-every %d: interval must be positive", every)
@@ -116,24 +101,20 @@ func ValidateResume(resume, backend string, pes int, schedName string) error {
 	if resume == "" {
 		return nil
 	}
-	if !ckptBackends[backend] {
-		return fmt.Errorf("backend %q does not support checkpoint/restore (supported: single, threaded, scale-up, scale-out, mpi, remap)", backend)
+	if _, ok := core.LookupBackend(backend); !ok {
+		return fmt.Errorf("backend %q does not support checkpoint/restore (supported: %s)", backend, Backends(nil))
 	}
 	_, m, err := ckpt.Resolve(resume)
 	if err != nil {
 		return fmt.Errorf("-resume %s: %v", resume, err)
 	}
-	wantBackend, wantSched := manifestID(backend, schedName)
-	if m.Backend != wantBackend {
+	if m.Backend != backend {
 		return fmt.Errorf("-resume checkpoint was taken by backend %q; rerun with -backend %s (got -backend %s)", m.Backend, m.Backend, backend)
 	}
 	if m.PEs != pes {
 		return fmt.Errorf("-resume checkpoint used %d PEs; rerun with -pes %d (got -pes %d)", m.PEs, m.PEs, pes)
 	}
-	if m.Sched != wantSched {
-		if m.Backend == "mpi" {
-			return fmt.Errorf("-resume checkpoint used the %q schedule; rerun with -backend mpi for naive or -backend remap for lazy (got -backend %s)", m.Sched, backend)
-		}
+	if m.Sched != schedName {
 		return fmt.Errorf("-resume checkpoint used the %q schedule; rerun with -sched %s (got -sched %s)", m.Sched, m.Sched, schedName)
 	}
 	return nil
@@ -146,20 +127,11 @@ type FleetSpec struct {
 	PEs     int
 }
 
-// fleetPoolBackends are the backend names a service fleet may use (the
-// in-process core backends; mpi ranks are not scheduled as fleets).
-var fleetPoolBackends = map[string]bool{
-	"single":    true,
-	"threaded":  true,
-	"scale-up":  true,
-	"scale-out": true,
-}
-
 // ParseFleetPool parses a -fleet-pool spec: comma-separated
 // "backend:pes" entries, e.g. "scale-out:4,scale-out:2,threaded:8".
-// Every backend must be a core backend and every PE count a power of
-// two, mirroring what core.NewFleet will accept, so a bad pool fails at
-// flag parsing instead of at daemon boot.
+// Every backend must be a row of core's backend table and every PE count
+// a power of two, mirroring what core.NewFleet will accept, so a bad pool
+// fails at flag parsing instead of at daemon boot.
 func ParseFleetPool(spec string) ([]FleetSpec, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("-fleet-pool is empty: need at least one backend:pes entry, e.g. scale-out:4,scale-out:2")
@@ -171,8 +143,8 @@ func ParseFleetPool(spec string) ([]FleetSpec, error) {
 		if !ok {
 			return nil, fmt.Errorf("-fleet-pool entry %q: want backend:pes (e.g. scale-out:4)", part)
 		}
-		if !fleetPoolBackends[backend] {
-			return nil, fmt.Errorf("-fleet-pool entry %q: backend %q is not a fleet backend (supported: single, threaded, scale-up, scale-out)", part, backend)
+		if _, ok := core.LookupBackend(backend); !ok {
+			return nil, fmt.Errorf("-fleet-pool entry %q: backend %q is not a fleet backend (supported: %s)", part, backend, Backends(nil))
 		}
 		pes, err := strconv.Atoi(pesStr)
 		if err != nil {
@@ -217,15 +189,6 @@ func ValidateServe(listen string, queueDepth int, tenantConfig, fleetPool string
 	return nil
 }
 
-// elasticBackends are the distributed backends whose checkpoints can be
-// resharded onto a different fleet size.
-var elasticBackends = map[string]bool{
-	"scale-up":  true,
-	"scale-out": true,
-	"mpi":       true,
-	"remap":     true,
-}
-
 // ValidateElasticResume cross-checks a -resume-pes elastic restore: the
 // target fleet size must be a power of two, the backend must be
 // distributed, and the checkpoint must carry the op-cut metadata elastic
@@ -240,14 +203,14 @@ func ValidateElasticResume(resume, backend string, resumePEs int) error {
 	if resumePEs < 1 || resumePEs&(resumePEs-1) != 0 {
 		return fmt.Errorf("-resume-pes %d: PE count must be a power of two", resumePEs)
 	}
-	if !elasticBackends[backend] {
-		return fmt.Errorf("backend %q does not support elastic restore (supported: scale-up, scale-out, mpi, remap)", backend)
+	if b, _ := core.LookupBackend(backend); !b.Distributed {
+		return fmt.Errorf("backend %q does not support elastic restore (supported: %s)", backend, Backends(func(b core.BackendInfo) bool { return b.Distributed }))
 	}
 	_, m, err := ckpt.Resolve(resume)
 	if err != nil {
 		return fmt.Errorf("-resume %s: %v", resume, err)
 	}
-	if want, _ := manifestID(backend, ""); m.Backend != want {
+	if m.Backend != backend {
 		return fmt.Errorf("-resume checkpoint was taken by backend %q; rerun with -backend %s (got -backend %s)", m.Backend, m.Backend, backend)
 	}
 	if err := ckpt.ElasticRestorable(m); err != nil {

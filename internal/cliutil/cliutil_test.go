@@ -9,7 +9,7 @@ import (
 	"svsim/internal/circuit"
 	"svsim/internal/ckpt"
 	"svsim/internal/core"
-	"svsim/internal/mpibase"
+	"svsim/internal/sched"
 )
 
 func TestValidatePEs(t *testing.T) {
@@ -53,7 +53,7 @@ func TestValidateCheckpointing(t *testing.T) {
 		{"interval without dir", "scale-out", 10, "", "", 0, "-checkpoint-dir"},
 		{"restarts without dir", "scale-out", 0, "", "", 3, "-checkpoint-dir"},
 		{"threaded on", "threaded", 10, dir, "", 0, ""},
-		{"remap on", "remap", 10, dir, "", 2, ""},
+		{"remap on", "mpi", 10, dir, "", 2, ""}, // the remap baseline is mpi under -sched lazy
 		{"unsupported backend", "nonesuch", 10, dir, "", 0, "does not support"},
 	}
 	for _, c := range cases {
@@ -150,9 +150,10 @@ func TestValidateResume(t *testing.T) {
 	}
 }
 
-// TestValidateResumeRemap pins the manifest identity of the two
-// message-passing baselines: both record backend "mpi", and the backend
-// name (not -sched) says which plan the checkpoint belongs to.
+// TestValidateResumeRemap pins the manifest identity of the remap
+// baseline: the mpi row under the lazy plan records backend "mpi" and
+// schedule "lazy", so -sched (not a backend alias) says which plan the
+// checkpoint belongs to, and the deleted "remap" alias is no backend.
 func TestValidateResumeRemap(t *testing.T) {
 	dir := t.TempDir()
 	c := circuit.New("probe", 6)
@@ -162,19 +163,22 @@ func TestValidateResumeRemap(t *testing.T) {
 	for q := 0; q < 5; q++ {
 		c.CX(q, q+1)
 	}
-	cfg := mpibase.Config{Ranks: 4, Seed: 1, CheckpointEvery: 3, CheckpointDir: dir}
-	if _, err := mpibase.NewRemap(cfg).Run(c); err != nil {
+	cfg := core.Config{PEs: 4, Seed: 1, Sched: sched.Lazy, CheckpointEvery: 3, CheckpointDir: dir}
+	if _, err := core.NewMPI(cfg).Run(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateResume(dir, "remap", 4, "naive"); err != nil {
+	if err := ValidateResume(dir, "mpi", 4, "lazy"); err != nil {
 		t.Fatalf("matching remap resume rejected: %v", err)
 	}
-	if err := ValidateElasticResume(dir, "remap", 2); err != nil {
+	if err := ValidateElasticResume(dir, "mpi", 2); err != nil {
 		t.Fatalf("elastic remap resume rejected: %v", err)
 	}
 	err := ValidateResume(dir, "mpi", 4, "naive")
-	if err == nil || !strings.Contains(err.Error(), "-backend remap") {
-		t.Fatalf("error %v, want a pointer to -backend remap", err)
+	if err == nil || !strings.Contains(err.Error(), "-sched lazy") {
+		t.Fatalf("error %v, want a pointer to -sched lazy", err)
+	}
+	if err := ValidateResume(dir, "remap", 4, "lazy"); err == nil || !strings.Contains(err.Error(), "does not support") {
+		t.Fatalf("error %v, want the remap alias rejected", err)
 	}
 }
 
@@ -204,7 +208,6 @@ func TestParseFleetPoolRejections(t *testing.T) {
 		{"blank pool", "   ", "-fleet-pool is empty"},
 		{"missing colon", "scale-out", "want backend:pes"},
 		{"unknown backend", "gpu:4", `backend "gpu" is not a fleet backend`},
-		{"mpi not poolable", "mpi:4", `backend "mpi" is not a fleet backend`},
 		{"non-numeric pes", "scale-out:four", `PE count "four" is not a number`},
 		{"zero pes", "scale-out:0", "PE count must be at least 1"},
 		{"negative pes", "threaded:-2", "PE count must be at least 1"},

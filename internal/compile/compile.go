@@ -156,6 +156,8 @@ type Stats struct {
 	CacheHit   bool
 	Fusion     fusion.Stats
 	Remaps     int
+	BitSwaps   int // pairwise bit exchanges across all remaps
+	Folded     int // remaps whose data movement is elided (topology runs)
 	DiagRuns   int // diagonal runs in the plan
 	Merged     int // gates executing inside them
 	FuseNS     int64
@@ -167,6 +169,11 @@ type Stats struct {
 
 	Gadgets     int // Pauli gadgets the plan executes as one pass each
 	GadgetGates int // gates inside them
+}
+
+// planStats copies the schedule's remap counters.
+func (st *Stats) planStats(p *sched.Plan) {
+	st.Remaps, st.BitSwaps, st.Folded = p.Remaps, p.BitSwaps, p.Folded
 }
 
 // Compile runs the pipeline: (optionally) fuse, schedule, classify, and
@@ -224,7 +231,7 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 				}
 				st.CacheHit = true
 				st.Fusion = cp.Fusion
-				st.Remaps = cp.Plan.Remaps
+				st.planStats(cp.Plan)
 				st.DiagRuns, st.Merged, st.Gadgets, st.GadgetGates = countRuns(cp.Runs)
 				st.TotalNS = time.Since(t0).Nanoseconds()
 				cfg.Cache.recordHit(e)
@@ -400,7 +407,7 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 		runs = kept
 	}
 	st.Fusion = fstats
-	st.Remaps = plan.Remaps
+	st.planStats(plan)
 	st.DiagRuns, st.Merged, st.Gadgets, st.GadgetGates = countRuns(runs)
 
 	cp := &CompiledPlan{

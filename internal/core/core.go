@@ -1,16 +1,17 @@
 // Package core implements the SV-Sim simulator itself: the execution
 // backends of §3.2 — single-device, threaded shared-memory (Listing 3),
 // single-node scale-up over a shared peer pointer array (Listing 4), and
-// multi-node scale-out over the SHMEM substrate (Listing 5).
+// multi-node scale-out over the SHMEM substrate (Listing 5) — and the
+// two-sided MPI baseline of §2.1 they are compared against.
 //
 // Every run goes through one runtime (runtime.go): a compiled plan
 // walked by one SPMD step loop over a Transport, with one checkpoint
 // writer, one stop latch and one recovery loop. The paper's backends are
 // one gate loop that differs only in how the state array is reached, and
-// so are these (backend.go): single and threaded are the one-rank grid
-// over the local transport, scale-up and scale-out the one-sided PGAS
-// transport (pgastransport.go); internal/mpibase supplies the two-sided
-// transport and is otherwise the same runtime. The paper's preloaded
+// so are these: one backend table (backend.go) whose rows single and
+// threaded are the one-rank grid over the local transport, scale-up and
+// scale-out the one-sided PGAS transport (pgastransport.go), and mpi the
+// two-sided transport (mpitransport.go). The paper's preloaded
 // function-pointer gate dispatch (Listing 1) is statevec's per-kind
 // kernel dispatch.
 package core
@@ -39,8 +40,9 @@ type Config struct {
 	// Style selects the kernel loop shape (scalar vs blocked/vectorized).
 	Style statevec.KernelStyle
 	// PEs is the number of devices (scale-up), SHMEM processing elements
-	// (scale-out) or pool workers (threaded). Must be a power of two on
-	// the partitioned backends. Ignored by the single-device backend.
+	// (scale-out), ranks (mpi) or pool workers (threaded). Must be a power
+	// of two on the partitioned backends. Ignored by the single-device
+	// backend.
 	PEs int
 	// Coalesced enables the bulk-transfer remote path in the scale-out
 	// backend (the paper's warp-coalesced NVSHMEM access); element-wise
@@ -163,6 +165,9 @@ type Result struct {
 	// Comm aggregates one-sided communication counters (zero for the
 	// single-device backend).
 	Comm pgas.Stats
+	// MPI aggregates the two-sided message counters of the mpi backend;
+	// zero on the other transports.
+	MPI MPIStats
 	// Elapsed is the wall-clock simulation time of the run loop.
 	Elapsed time.Duration
 	// PEs is the number of devices/PEs used.
@@ -188,8 +193,9 @@ type Result struct {
 	ExchangePhases int64
 }
 
-// Backend runs circuits. NewSingleDevice, NewThreaded, NewScaleUp,
-// NewScaleOut and NewBackend build the core ones.
+// Backend runs circuits. NewBackend builds one by its table name;
+// NewSingleDevice, NewThreaded, NewScaleUp, NewScaleOut and NewMPI name
+// the rows.
 type Backend interface {
 	Name() string
 	Run(c *circuit.Circuit) (*Result, error)

@@ -30,12 +30,20 @@ import (
 
 // RunElastic resumes the checkpoint under resume (a ckpt-<step>
 // directory or a base directory) on newPEs processing elements. backend
-// names the distributed backend the checkpoint was taken by
-// ("scale-out", "scale-up", "mpi") and nt builds its transport; c is the
+// names the distributed backend the checkpoint was taken by; c is the
 // SAME source circuit the original run executed. cfg supplies the run
 // settings for the residual execution; its PEs field is ignored in
 // favor of newPEs.
-func RunElastic(backend string, cfg Config, c *circuit.Circuit, resume string, newPEs int, nt NewTransport) (*Result, error) {
+func RunElastic(backend string, cfg Config, c *circuit.Circuit, resume string, newPEs int) (*Result, error) {
+	rw, err := lookup(backend)
+	if err != nil {
+		return nil, err
+	}
+	if !rw.Distributed {
+		return nil, fmt.Errorf("core: backend %q runs on one rank; elastic restore needs a distributed backend", backend)
+	}
+	cfg, done := rw.configure(cfg)
+	defer done()
 	if err := checkCircuit(c, 64); err != nil {
 		return nil, err
 	}
@@ -68,13 +76,13 @@ func RunElastic(backend string, cfg Config, c *circuit.Circuit, resume string, n
 	if m.PlanFingerprint != 0 && cp.PlanFP != 0 && m.PlanFingerprint != cp.PlanFP {
 		return nil, fmt.Errorf("core: checkpoint was taken under plan %016x, current compile produced %016x", m.PlanFingerprint, cp.PlanFP)
 	}
-	return runElastic(backend, cfg, cp, dir, m, newPEs, nt)
+	return runElastic(backend, cfg, cp, dir, m, newPEs, rw.nt)
 }
 
 // runElastic executes the residual of an already-validated checkpoint on
 // newPEs PEs. cp must be the compile of the original run (its Circuit is
 // the executable stream the manifest's OpsDone cut indexes).
-func runElastic(backend string, cfg Config, cp *compile.CompiledPlan, dir string, m *ckpt.Manifest, newPEs int, nt NewTransport) (*Result, error) {
+func runElastic(backend string, cfg Config, cp *compile.CompiledPlan, dir string, m *ckpt.Manifest, newPEs int, nt newTransport) (*Result, error) {
 	if err := checkPEs(newPEs, cp.Circuit.NumQubits); err != nil {
 		return nil, err
 	}
@@ -105,7 +113,7 @@ func runElastic(backend string, cfg Config, cp *compile.CompiledPlan, dir string
 	if cfg.CheckpointDir != "" {
 		ecfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, fmt.Sprintf("elastic-p%d", newPEs))
 	}
-	res, err := Run(backend, ecfg, residual, nt)
+	res, err := run(backend, ecfg, residual, nt)
 	if err != nil {
 		return nil, err
 	}

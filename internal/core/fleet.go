@@ -69,8 +69,9 @@ type JobConfig struct {
 // through JobConfig; job-shaped fields set on cfg (Seed, Resume,
 // checkpointing, Stop) are ignored.
 func NewFleet(backend string, cfg Config) (*Fleet, error) {
-	if backends[backend] == nil {
-		return nil, fmt.Errorf("core: unknown fleet backend %q (want single, threaded, scale-up, or scale-out)", backend)
+	rw, err := lookup(backend)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.PEs < 1 {
 		cfg.PEs = 1
@@ -79,7 +80,7 @@ func NewFleet(backend string, cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("core: fleet PE count %d is not a power of two", cfg.PEs)
 	}
 	f := &Fleet{backend: backend, base: cfg}
-	if backend == "threaded" {
+	if rw.pooled {
 		f.pool = statevec.NewPool(cfg.PEs)
 	}
 	return f, nil
@@ -156,7 +157,7 @@ func (f *Fleet) RunElastic(c *circuit.Circuit, job JobConfig, resume string) (*R
 	}
 	cfg := f.config(job)
 	cfg.Resume = ""
-	res, err := RunElastic(f.backend, cfg, c, resume, f.PEs(), OneSided)
+	res, err := RunElastic(f.backend, cfg, c, resume, f.PEs())
 	f.jobs++
 	return res, err
 }

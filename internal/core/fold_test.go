@@ -52,7 +52,7 @@ func TestOneRankGridMeasured(t *testing.T) {
 // footprint of every single-node run.
 func TestOneRankResultIsThePartition(t *testing.T) {
 	c := qftCircuit(8)
-	for name, nt := range map[string]NewTransport{"local": localTransport, "one-sided": OneSided} {
+	for name, nt := range map[string]newTransport{"local": localTransport, "one-sided": oneSidedTransport, "two-sided": twoSidedTransport} {
 		cp, _, err := compileCircuit(Config{}, c, 1)
 		if err != nil {
 			t.Fatal(err)

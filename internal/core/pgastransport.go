@@ -32,8 +32,8 @@ type oneSided struct {
 	railGrp []*pgas.Group // per within-node position: its ranks across nodes
 }
 
-// OneSided is the NewTransport of the PGAS backends.
-func OneSided(g *Grid) Transport {
+// oneSidedTransport is the transport of the PGAS backends.
+func oneSidedTransport(g *Grid) Transport {
 	t := &oneSided{Grid: g, scratch: make([][]float64, g.P)}
 	t.svRe = g.Comm.NewSymF64(g.S)
 	t.svIm = g.Comm.NewSymF64(g.S)

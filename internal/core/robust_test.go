@@ -162,7 +162,7 @@ func TestElasticReshard(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, newPEs := range []int{4, 8, 16} {
-				got, err := RunElastic("scale-out", base, c, dir, newPEs, OneSided)
+				got, err := RunElastic("scale-out", base, c, dir, newPEs)
 				if err != nil {
 					t.Fatalf("P'=%d: %v", newPEs, err)
 				}
@@ -231,7 +231,7 @@ func TestElasticReshardInsideDiagonalStretch(t *testing.T) {
 				ops[m.OpsDone-1].G.Kind.Diagonal() && ops[m.OpsDone].G.Kind.Diagonal() {
 				inside++
 			}
-			got, err := RunElastic("scale-out", base, c, ckpt.StepDir(dir, step), 2, OneSided)
+			got, err := RunElastic("scale-out", base, c, ckpt.StepDir(dir, step), 2)
 			if err != nil {
 				t.Fatalf("%s: step %d: %v", pol, step, err)
 			}

@@ -20,9 +20,9 @@ import (
 	"svsim/internal/statevec"
 )
 
-// The one runtime: every run — single, threaded, scale-up, scale-out,
-// and the message-passing baselines of internal/mpibase — is a compiled
-// plan walked by one SPMD step loop over a Transport.
+// The one runtime: every run — single, threaded, scale-up, scale-out and
+// the message-passing baseline mpi — is a compiled plan walked by one
+// SPMD step loop over a Transport.
 //
 // The state vector is partitioned in natural array order: rank r owns
 // physical amplitudes [r*S, (r+1)*S) with S = 2^n / P, a window of the
@@ -34,10 +34,11 @@ import (
 // ordered list of exchange phases (compile.CompiledPlan.Phases) the loop
 // walks. The transport decides HOW they cross — not at all on a one-rank
 // grid (local), one-sided get/put over the symmetric heap
-// (pgastransport.go) or two-sided pack–exchange (mpibase) — which is
-// exactly the comparison the paper isolates. Everything else (set-up, conditions, measurement,
-// tile groups, checkpoint cuts, stop polls, spans, recovery, tear-down)
-// exists once, here.
+// (pgastransport.go) or two-sided pack–exchange (mpitransport.go) —
+// which is exactly the comparison the paper isolates; the backend table
+// (backend.go) picks it. Everything else (set-up, conditions,
+// measurement, tile groups, checkpoint cuts, stop polls, spans,
+// recovery, tear-down) exists once, here.
 //
 // What a grid cannot need is derived from the grid, never configured:
 // one rank syncs with nobody (no grid sync, no all-reduce, no checkpoint
@@ -76,9 +77,9 @@ type Transport interface {
 	Counters(rank int) obs.SpanArgs
 }
 
-// NewTransport builds the transport of one execution attempt over its
+// newTransport builds the transport of one execution attempt over its
 // grid; a restart or an elastic shrink builds a fresh one.
-type NewTransport func(g *Grid) Transport
+type newTransport func(g *Grid) Transport
 
 // local is the transport of a one-rank grid: the partition is the whole
 // state in plain slices and no amplitude ever crosses, so the plan
@@ -111,6 +112,7 @@ type Grid struct {
 	S         int // amplitudes per rank
 	LocalBits int // n - log2 P
 	Coalesced bool
+	Metrics   *obs.Metrics // nil when no registry is attached
 }
 
 // Rank is the per-rank mutable state of a run. Each rank replays its own
@@ -207,7 +209,7 @@ type runtime struct {
 // newRuntime sets one attempt up: the fleet, the transport's partitions
 // holding |0...0> (or the warm start, or the resumed checkpoint), and
 // the per-rank classical state.
-func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt NewTransport) (*runtime, error) {
+func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt newTransport) (*runtime, error) {
 	c := cp.Circuit
 	p := cfg.PEs
 	if p < 1 {
@@ -229,7 +231,7 @@ func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt NewTranspo
 	rt.Grid = Grid{
 		Comm: pgas.NewComm(p), Compiled: cp,
 		N: n, P: p, S: (1 << uint(n)) / p, LocalBits: n - bits.Len(uint(p-1)),
-		Coalesced: cfg.Coalesced,
+		Coalesced: cfg.Coalesced, Metrics: cfg.Metrics,
 	}
 	rt.Comm.SetFault(cfg.Fault)
 	rt.Comm.SetTimeouts(cfg.Timeouts)
@@ -489,6 +491,9 @@ func (rt *runtime) run() (*Result, error) {
 		Elapsed:        time.Since(startT),
 		PEs:            rt.P,
 		ExchangePhases: rt.phasesRun,
+	}
+	if ts, ok := rt.t.(*twoSided); ok {
+		res.MPI = ts.comm.totalStats()
 	}
 	if rt.P == 1 && rt.plan.Final.IsIdentity() {
 		// One rank in natural order: the partition is the state.
@@ -833,7 +838,7 @@ func (rt *runtime) measure(pe *pgas.PE, r *Rank, q int) int {
 }
 
 // runOnce builds and executes one attempt of an already-compiled circuit.
-func runOnce(name string, cfg Config, cp *compile.CompiledPlan, nt NewTransport) (*Result, error) {
+func runOnce(name string, cfg Config, cp *compile.CompiledPlan, nt newTransport) (*Result, error) {
 	rt, err := newRuntime(name, cfg, cp, nt)
 	if err != nil {
 		return nil, err
@@ -841,16 +846,33 @@ func runOnce(name string, cfg Config, cp *compile.CompiledPlan, nt NewTransport)
 	return rt.run()
 }
 
-// Run compiles c and executes it on cfg.PEs ranks over the transport nt
-// builds — the one entry point behind every backend — driving the
-// graceful-degradation loop: a
-// recoverable rank failure (injected kill, stalled barrier, exhausted
-// retry budget) restarts the run from its latest complete checkpoint up
-// to cfg.MaxRestarts times — or, with cfg.Elastic, re-shards it onto
-// half the fleet; without a checkpoint to restart from, or past the
-// budget, the run reports a structured RunFailure. backend names the
-// run in results and checkpoint manifests.
-func Run(backend string, cfg Config, c *circuit.Circuit, nt NewTransport) (*Result, error) {
+// Run compiles c and executes it on the backend the table names — the
+// one entry point behind every backend: the row picks the transport and
+// the grid (cfg.PEs ranks, or one rank with cfg.PEs pool workers on
+// threaded), and backend names the run in results and checkpoint
+// manifests.
+func Run(backend string, cfg Config, c *circuit.Circuit) (*Result, error) {
+	rw, err := lookup(backend)
+	if err != nil {
+		return nil, err
+	}
+	cfg, done := rw.configure(cfg)
+	defer done()
+	res, err := run(backend, cfg, c, rw.nt)
+	if err == nil && cfg.Pool != nil {
+		res.PEs = cfg.Pool.Workers()
+	}
+	return res, err
+}
+
+// run executes c on cfg.PEs ranks over the transport nt builds, driving
+// the graceful-degradation loop: a recoverable rank failure (injected
+// kill, stalled barrier, exhausted retry budget) restarts the run from
+// its latest complete checkpoint up to cfg.MaxRestarts times — or, with
+// cfg.Elastic, re-shards it onto half the fleet; without a checkpoint to
+// restart from, or past the budget, the run reports a structured
+// RunFailure.
+func run(backend string, cfg Config, c *circuit.Circuit, nt newTransport) (*Result, error) {
 	if err := checkCircuit(c, 64); err != nil {
 		return nil, err
 	}

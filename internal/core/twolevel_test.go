@@ -332,8 +332,8 @@ func TestTwoLevelFaultKillRecovers(t *testing.T) {
 			return cfg
 		}
 		var entries []int64
-		if _, err := Run("scale-out", ckptCfg(), c, func(g *Grid) Transport {
-			return entryProbe{OneSided(g), g, 1, &entries}
+		if _, err := run("scale-out", ckptCfg(), c, func(g *Grid) Transport {
+			return entryProbe{oneSidedTransport(g), g, 1, &entries}
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,10 @@
 // Package fault implements deterministic fault injection for the
 // distributed runtimes. An Injector is armed with a set of faults, each
 // keyed on a (rank, operation class, event count) trigger point, and is
-// consulted by the communication substrates (internal/pgas, and the
-// barrier path of internal/mpibase) on every matching event. With no
-// injector attached the substrates pay a single nil check — the same
-// nil-means-off pattern the observability hooks use.
+// consulted by the communication substrate (internal/pgas, whose
+// barriers are also the mpi backend's fault surface) on every matching
+// event. With no injector attached the substrate pays a single nil
+// check — the same nil-means-off pattern the observability hooks use.
 //
 // Determinism: triggers fire on exact per-rank event counts, never on
 // wall-clock time or scheduler interleaving, so a given (circuit, seed,

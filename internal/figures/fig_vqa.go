@@ -4,9 +4,9 @@ import (
 	"math/rand"
 
 	"svsim/internal/core"
-	"svsim/internal/mpibase"
 	"svsim/internal/perfmodel"
 	"svsim/internal/qasmbench"
+	"svsim/internal/sched"
 	"svsim/internal/vqa"
 )
 
@@ -143,11 +143,11 @@ func CommComparison(pes int) *Table {
 		if err != nil {
 			panic(err)
 		}
-		mpi, err := mpibase.New(mpibase.Config{Ranks: pes}).Run(c)
+		mpi, err := core.NewMPI(core.Config{PEs: pes}).Run(c)
 		if err != nil {
 			panic(err)
 		}
-		remap, err := mpibase.NewRemap(mpibase.Config{Ranks: pes}).Run(c)
+		remap, err := core.NewMPI(core.Config{PEs: pes, Sched: sched.Lazy}).Run(c)
 		if err != nil {
 			panic(err)
 		}
@@ -156,7 +156,7 @@ func CommComparison(pes int) *Table {
 			float64(coal.Comm.RemoteMessages()), float64(coal.Comm.RemoteBytes) / 1e6,
 			float64(mpi.MPI.Messages), float64(mpi.MPI.MsgBytes) / 1e6,
 			float64(mpi.MPI.HostStagedBytes) / 1e6,
-			float64(remap.BitSwaps), float64(remap.MPI.MsgBytes) / 1e6,
+			float64(remap.Compile.BitSwaps), float64(remap.MPI.MsgBytes) / 1e6,
 		}})
 	}
 	return t

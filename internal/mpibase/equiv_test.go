@@ -86,14 +86,14 @@ func TestSchedulesEquivalentAcrossBackends(t *testing.T) {
 					{"scale-out/naive", coreVariant(core.Config{Seed: seed, PEs: 4, Fuse: fuse, Coalesced: true}, true)},
 					{"scale-out/lazy", coreVariant(core.Config{Seed: seed, PEs: 4, Fuse: fuse, Sched: sched.Lazy}, true)},
 					{"mpibase/naive", func() (*statevec.State, uint64, error) {
-						r, err := New(Config{Seed: seed, Ranks: 4, Fuse: fuse}).Run(c)
+						r, err := mpi(core.Config{Seed: seed, PEs: 4, Fuse: fuse}, c)
 						if err != nil {
 							return nil, 0, err
 						}
 						return r.State, r.Cbits, nil
 					}},
 					{"mpibase/lazy-remap", func() (*statevec.State, uint64, error) {
-						r, err := NewRemap(Config{Seed: seed, Ranks: 4, Fuse: fuse}).Run(c)
+						r, err := remap(core.Config{Seed: seed, PEs: 4, Fuse: fuse}, c)
 						if err != nil {
 							return nil, 0, err
 						}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"svsim/internal/ckpt"
+	"svsim/internal/core"
 	"svsim/internal/fault"
 	"svsim/internal/pgas"
 )
@@ -18,7 +19,7 @@ func TestKillAtBarrierAbortsFleet(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(5)), 6, 40)
 	in := fault.NewInjector(1)
 	in.KillAt(2, fault.Barrier, 10)
-	_, err := New(Config{Ranks: 4, Seed: 9, Fault: in}).Run(c)
+	_, err := mpi(core.Config{PEs: 4, Seed: 9, Fault: in}, c)
 	if err == nil {
 		t.Fatal("expected a failed run")
 	}
@@ -41,8 +42,8 @@ func TestKillWithoutCheckpointIsRunFailure(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(5)), 6, 40)
 	in := fault.NewInjector(1)
 	in.KillAt(0, fault.Barrier, 5)
-	_, err := New(Config{Ranks: 2, Seed: 9, Fault: in}).Run(c)
-	var rf *RunFailure
+	_, err := mpi(core.Config{PEs: 2, Seed: 9, Fault: in}, c)
+	var rf *core.RunFailure
 	if !errors.As(err, &rf) {
 		t.Fatalf("want *RunFailure, got %T: %v", err, err)
 	}
@@ -58,18 +59,18 @@ func TestCheckpointKillRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := randomCircuit(rng, 6, 60)
 	c.Measure(3, 0)
-	ref, err := New(Config{Ranks: 4, Seed: 7}).Run(c)
+	ref, err := mpi(core.Config{PEs: 4, Seed: 7}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := fault.NewInjector(1)
 	in.KillAt(1, fault.Barrier, 30)
-	got, err := New(Config{
-		Ranks: 4, Seed: 7, Fault: in,
+	got, err := mpi(core.Config{
+		PEs: 4, Seed: 7, Fault: in,
 		CheckpointEvery: 10,
 		CheckpointDir:   t.TempDir(),
 		MaxRestarts:     2,
-	}).Run(c)
+	}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +92,9 @@ func TestCheckpointKillRestore(t *testing.T) {
 func TestResumeRejectsMismatchedRun(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(3)), 6, 30)
 	dir := t.TempDir()
-	if _, err := New(Config{
-		Ranks: 4, Seed: 7, CheckpointEvery: 10, CheckpointDir: dir,
-	}).Run(c); err != nil {
+	if _, err := mpi(core.Config{
+		PEs: 4, Seed: 7, CheckpointEvery: 10, CheckpointDir: dir,
+	}, c); err != nil {
 		t.Fatal(err)
 	}
 	step, _, ok, err := ckpt.Latest(dir)
@@ -101,16 +102,16 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 		t.Fatalf("no checkpoint written: ok=%v err=%v", ok, err)
 	}
 	// Wrong rank count.
-	if _, err := New(Config{Ranks: 2, Seed: 7, Resume: step}).Run(c); err == nil {
+	if _, err := mpi(core.Config{PEs: 2, Seed: 7, Resume: step}, c); err == nil {
 		t.Fatal("resume with mismatched ranks should fail")
 	}
 	// Wrong circuit.
 	c2 := randomCircuit(rand.New(rand.NewSource(99)), 6, 30)
-	if _, err := New(Config{Ranks: 4, Seed: 7, Resume: step}).Run(c2); err == nil {
+	if _, err := mpi(core.Config{PEs: 4, Seed: 7, Resume: step}, c2); err == nil {
 		t.Fatal("resume with mismatched circuit should fail")
 	}
 	// Missing directory.
-	if _, err := New(Config{Ranks: 4, Seed: 7, Resume: filepath.Join(dir, "nope")}).Run(c); err == nil {
+	if _, err := mpi(core.Config{PEs: 4, Seed: 7, Resume: filepath.Join(dir, "nope")}, c); err == nil {
 		t.Fatal("resume from a missing directory should fail")
 	}
 }
@@ -120,17 +121,17 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(21)), 6, 50)
 	c.Measure(2, 0)
-	ref, err := New(Config{Ranks: 4, Seed: 13}).Run(c)
+	ref, err := mpi(core.Config{PEs: 4, Seed: 13}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := New(Config{
-		Ranks: 4, Seed: 13, CheckpointEvery: 20, CheckpointDir: dir,
-	}).Run(c); err != nil {
+	if _, err := mpi(core.Config{
+		PEs: 4, Seed: 13, CheckpointEvery: 20, CheckpointDir: dir,
+	}, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := New(Config{Ranks: 4, Seed: 13, Resume: dir}).Run(c)
+	got, err := mpi(core.Config{PEs: 4, Seed: 13, Resume: dir}, c)
 	if err != nil {
 		t.Fatal(err)
 	}

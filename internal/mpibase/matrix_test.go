@@ -19,16 +19,16 @@ type cell struct {
 	run  func(c *circuit.Circuit, seed int64, pes, ppn int) (*statevec.State, uint64, error)
 }
 
-// matrixCells lists the four cells; the PGAS naive cell appears twice,
-// once per remote-gate routine (element-wise and coalesced).
+// matrixCells lists the four cells, each a row of core's backend table
+// under one plan; the PGAS naive cell appears twice, once per remote-gate
+// routine (element-wise and coalesced).
 func matrixCells() []cell {
-	pgas := func(pol sched.Policy, coalesced bool) func(*circuit.Circuit, int64, int, int) (*statevec.State, uint64, error) {
+	row := func(backend string, pol sched.Policy, coalesced bool) func(*circuit.Circuit, int64, int, int) (*statevec.State, uint64, error) {
 		return func(c *circuit.Circuit, seed int64, pes, ppn int) (*statevec.State, uint64, error) {
-			cfg := core.Config{Seed: seed, PEs: pes, Sched: pol, Coalesced: coalesced,
-				Topology: sched.Topology{PEsPerNode: ppn}}
-			var b core.Backend = core.NewScaleUp(cfg)
-			if coalesced {
-				b = core.NewScaleOut(cfg)
+			b, err := core.NewBackend(backend, core.Config{Seed: seed, PEs: pes, Sched: pol, Coalesced: coalesced,
+				Topology: sched.Topology{PEsPerNode: ppn}})
+			if err != nil {
+				return nil, 0, err
 			}
 			r, err := b.Run(c)
 			if err != nil {
@@ -37,21 +37,12 @@ func matrixCells() []cell {
 			return r.State, r.Cbits, nil
 		}
 	}
-	twoSided := func(newSim func(Config) *Simulator) func(*circuit.Circuit, int64, int, int) (*statevec.State, uint64, error) {
-		return func(c *circuit.Circuit, seed int64, pes, ppn int) (*statevec.State, uint64, error) {
-			r, err := newSim(Config{Seed: seed, Ranks: pes, Topology: sched.Topology{PEsPerNode: ppn}}).Run(c)
-			if err != nil {
-				return nil, 0, err
-			}
-			return r.State, r.Cbits, nil
-		}
-	}
 	return []cell{
-		{"pgas/naive", false, pgas(sched.Naive, false)},
-		{"pgas/naive-coalesced", false, pgas(sched.Naive, true)},
-		{"pgas/lazy", true, pgas(sched.Lazy, false)},
-		{"two-sided/naive", false, twoSided(New)},
-		{"two-sided/lazy", true, twoSided(NewRemap)},
+		{"pgas/naive", false, row("scale-up", sched.Naive, false)},
+		{"pgas/naive-coalesced", false, row("scale-out", sched.Naive, true)},
+		{"pgas/lazy", true, row("scale-up", sched.Lazy, false)},
+		{"two-sided/naive", false, row("mpi", sched.Naive, false)},
+		{"two-sided/lazy", true, row("mpi", sched.Lazy, false)},
 	}
 }
 

@@ -1,7 +1,6 @@
 package mpibase
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,8 +8,20 @@ import (
 	"svsim/internal/circuit"
 	"svsim/internal/core"
 	"svsim/internal/gate"
-	"svsim/internal/pgas"
+	"svsim/internal/sched"
 )
+
+// The baseline's tests run the mpi row of core's backend table: mpi
+// under cfg's plan, remap under the lazy plan (JUQCS-style qubit
+// remapping).
+func mpi(cfg core.Config, c *circuit.Circuit) (*core.Result, error) {
+	return core.NewMPI(cfg).Run(c)
+}
+
+func remap(cfg core.Config, c *circuit.Circuit) (*core.Result, error) {
+	cfg.Sched = sched.Lazy
+	return mpi(cfg, c)
+}
 
 func unitaryKinds() []gate.Kind {
 	var ks []gate.Kind
@@ -48,7 +59,7 @@ func TestBaselineMatchesSVSim(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ranks := range []int{1, 2, 4, 8} {
-			got, err := New(Config{Ranks: ranks, Seed: 9}).Run(c)
+			got, err := mpi(core.Config{PEs: ranks, Seed: 9}, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +80,7 @@ func TestBaselineMeasurementAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := New(Config{Ranks: 4, Seed: seed}).Run(c)
+		got, err := mpi(core.Config{PEs: 4, Seed: seed}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +99,7 @@ func TestGlobalGateMessageShape(t *testing.T) {
 	n := 8
 	c := circuit.New("h7", n)
 	c.H(7)
-	res, err := New(Config{Ranks: 4}).Run(c)
+	res, err := mpi(core.Config{PEs: 4}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +122,7 @@ func TestGlobalGateMessageShape(t *testing.T) {
 func TestLocalCircuitNoMessages(t *testing.T) {
 	c := circuit.New("local", 8)
 	c.H(0).CX(0, 1).T(3).RZ(0.4, 7) // RZ on a global qubit is diagonal
-	res, err := New(Config{Ranks: 4}).Run(c)
+	res, err := mpi(core.Config{PEs: 4}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +139,7 @@ func TestCoarseVsFineGrainedShape(t *testing.T) {
 	n := 10
 	c := circuit.New("mix", n)
 	c.H(9).CX(9, 0).H(8).Swap(8, 9)
-	mpi, err := New(Config{Ranks: 4}).Run(c)
+	coarse, err := mpi(core.Config{PEs: 4}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +147,14 @@ func TestCoarseVsFineGrainedShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fine.Comm.RemoteMessages() <= mpi.MPI.Messages {
+	if fine.Comm.RemoteMessages() <= coarse.MPI.Messages {
 		t.Fatalf("expected fine-grained PGAS messages (%d) >> MPI messages (%d)",
-			fine.Comm.RemoteMessages(), mpi.MPI.Messages)
+			fine.Comm.RemoteMessages(), coarse.MPI.Messages)
 	}
-	if mpi.MPI.PackBytes == 0 {
+	if coarse.MPI.PackBytes == 0 {
 		t.Fatal("baseline did not pay packing costs")
 	}
-	if d := mpi.State.MaxAbsDiff(fine.State); d != 0 {
+	if d := coarse.State.MaxAbsDiff(fine.State); d != 0 {
 		t.Fatalf("baseline and PGAS disagree by %g", d)
 	}
 }
@@ -159,7 +170,7 @@ func TestGroupExchangeTwoGlobalTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := New(Config{Ranks: 8}).Run(c)
+	got, err := mpi(core.Config{PEs: 8}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,52 +182,11 @@ func TestGroupExchangeTwoGlobalTargets(t *testing.T) {
 func TestBaselineConfigValidation(t *testing.T) {
 	c := circuit.New("x", 3)
 	c.H(0)
-	if _, err := New(Config{Ranks: 3}).Run(c); err == nil {
+	if _, err := mpi(core.Config{PEs: 3}, c); err == nil {
 		t.Fatal("ranks=3 accepted")
 	}
-	if _, err := New(Config{Ranks: 16}).Run(c); err == nil {
+	if _, err := mpi(core.Config{PEs: 16}, c); err == nil {
 		t.Fatal("too many ranks accepted")
-	}
-}
-
-func TestCommPrimitives(t *testing.T) {
-	fleet := pgas.NewComm(4)
-	comm := NewComm(fleet)
-	fleet.Run(func(pe *pgas.PE) {
-		// Ring pass.
-		buf := []float64{float64(pe.Rank)}
-		next := (pe.Rank + 1) % 4
-		comm.Send(pe, next, buf)
-		got := comm.Recv(pe, (pe.Rank+3)%4)
-		if got[0] != float64((pe.Rank+3)%4) {
-			t.Errorf("rank %d: ring got %v", pe.Rank, got)
-		}
-		// Reduction (the fleet's, counted as the baseline's).
-		if s := pe.AllReduceSum(2); s != 8 {
-			t.Errorf("allreduce = %g", s)
-		}
-	})
-	st := comm.TotalStats()
-	if st.Messages != 4 || st.Reductions != 4 || st.Syncs != 8 {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
-// TestRecvUnwindsOnFleetAbort checks that a rank blocked in Recv on a
-// partner that died is released by the fleet's abort latch.
-func TestRecvUnwindsOnFleetAbort(t *testing.T) {
-	fleet := pgas.NewComm(2)
-	comm := NewComm(fleet)
-	boom := errors.New("boom")
-	err := fleet.RunChecked(func(pe *pgas.PE) {
-		if pe.Rank == 0 {
-			pe.Fail(boom)
-		}
-		comm.Recv(pe, 0)
-	})
-	var re *pgas.RunError
-	if !errors.As(err, &re) || len(re.Failures) != 2 || !errors.Is(err, boom) {
-		t.Fatalf("want both ranks failed with boom as root cause, got %v", err)
 	}
 }
 
@@ -229,13 +199,13 @@ func TestRemapSimulatorMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ranks := range []int{1, 2, 4, 8} {
-			got, err := NewRemap(Config{Ranks: ranks}).Run(c)
+			got, err := remap(core.Config{PEs: ranks}, c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d := got.State.MaxAbsDiff(ref.State); d != 0 {
 				t.Fatalf("trial %d ranks %d: remap deviates by %g (swaps %d)",
-					trial, ranks, d, got.BitSwaps)
+					trial, ranks, d, got.Compile.BitSwaps)
 			}
 		}
 	}
@@ -251,22 +221,22 @@ func TestRemapExploitsLocality(t *testing.T) {
 		c.H(9)
 		c.RX(0.3, 9)
 	}
-	remap, err := NewRemap(Config{Ranks: 4}).Run(c)
+	lazy, err := remap(core.Config{PEs: 4}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := New(Config{Ranks: 4}).Run(c)
+	packed, err := mpi(core.Config{PEs: 4}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remap.BitSwaps != 1 {
-		t.Fatalf("remap used %d swaps, want 1", remap.BitSwaps)
+	if lazy.Compile.BitSwaps != 1 {
+		t.Fatalf("remap used %d swaps, want 1", lazy.Compile.BitSwaps)
 	}
-	if remap.MPI.Messages >= packed.MPI.Messages {
+	if lazy.MPI.Messages >= packed.MPI.Messages {
 		t.Fatalf("remap messages (%d) not below pack-exchange (%d)",
-			remap.MPI.Messages, packed.MPI.Messages)
+			lazy.MPI.Messages, packed.MPI.Messages)
 	}
-	if d := remap.State.MaxAbsDiff(packed.State); d != 0 {
+	if d := lazy.State.MaxAbsDiff(packed.State); d != 0 {
 		t.Fatalf("strategies disagree by %g", d)
 	}
 }
@@ -275,12 +245,12 @@ func TestRemapDiagonalGatesNeedNoSwap(t *testing.T) {
 	c := circuit.New("diag", 8)
 	c.H(0)
 	c.RZ(0.4, 7).CU1(0.3, 6, 7).T(7)
-	res, err := NewRemap(Config{Ranks: 4}).Run(c)
+	res, err := remap(core.Config{PEs: 4}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BitSwaps != 0 || res.MPI.Messages != 0 {
-		t.Fatalf("diagonal circuit swapped: %d swaps, %d msgs", res.BitSwaps, res.MPI.Messages)
+	if res.Compile.BitSwaps != 0 || res.MPI.Messages != 0 {
+		t.Fatalf("diagonal circuit swapped: %d swaps, %d msgs", res.Compile.BitSwaps, res.MPI.Messages)
 	}
 }
 
@@ -298,7 +268,7 @@ func TestRemapMeasurementMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewRemap(Config{Ranks: 4, Seed: seed}).Run(c)
+		got, err := remap(core.Config{PEs: 4, Seed: seed}, c)
 		if err != nil {
 			t.Fatal(err)
 		}

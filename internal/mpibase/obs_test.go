@@ -3,6 +3,7 @@ package mpibase
 import (
 	"testing"
 
+	"svsim/internal/core"
 	"svsim/internal/obs"
 	"svsim/internal/qasmbench"
 )
@@ -17,13 +18,13 @@ func TestBaselineTracing(t *testing.T) {
 	c := e.Build()
 	const ranks = 4
 
-	plain, err := New(Config{Ranks: ranks, Seed: 5}).Run(c)
+	plain, err := mpi(core.Config{PEs: ranks, Seed: 5}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tracer := obs.NewTracer()
 	metrics := obs.NewMetrics()
-	traced, err := New(Config{Ranks: ranks, Seed: 5, Trace: tracer, Metrics: metrics}).Run(c)
+	traced, err := mpi(core.Config{PEs: ranks, Seed: 5, Trace: tracer, Metrics: metrics}, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"svsim/internal/ckpt"
 	"svsim/internal/core"
 	"svsim/internal/fault"
+	"svsim/internal/sched"
 )
 
 // mpiQFT is the textbook QFT; measurement-free, so the final state is
@@ -35,22 +36,22 @@ func mpiQFT(n int) *circuit.Circuit {
 func TestMpiAsyncCheckpointResume(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(21)), 6, 60)
 	c.Measure(3, 0)
-	ref, err := New(Config{Ranks: 4, Seed: 7}).Run(c)
+	ref, err := mpi(core.Config{PEs: 4, Seed: 7}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	mid, err := New(Config{
-		Ranks: 4, Seed: 7,
+	mid, err := mpi(core.Config{
+		PEs: 4, Seed: 7,
 		CheckpointEvery: 10, CheckpointDir: dir, CheckpointAsync: true,
-	}).Run(c)
+	}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mid.Ckpt.Count == 0 {
 		t.Fatal("expected async checkpoints to be written")
 	}
-	got, err := New(Config{Ranks: 4, Seed: 7, Resume: dir}).Run(c)
+	got, err := mpi(core.Config{PEs: 4, Seed: 7, Resume: dir}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +69,17 @@ func TestMpiAsyncCheckpointResume(t *testing.T) {
 func TestMpiAsyncCrashEquivalence(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(22)), 6, 60)
 	c.Measure(2, 0)
-	ref, err := New(Config{Ranks: 4, Seed: 7}).Run(c)
+	ref, err := mpi(core.Config{PEs: 4, Seed: 7}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := fault.NewInjector(1)
 	in.KillAt(1, fault.Barrier, 30)
-	got, err := New(Config{
-		Ranks: 4, Seed: 7, Fault: in,
+	got, err := mpi(core.Config{
+		PEs: 4, Seed: 7, Fault: in,
 		CheckpointEvery: 5, CheckpointDir: t.TempDir(), CheckpointAsync: true,
 		MaxRestarts: 2,
-	}).Run(c)
+	}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,23 +99,23 @@ func TestMpiAsyncCrashEquivalence(t *testing.T) {
 // uninterrupted 8-rank run.
 func TestMpiElasticReshard(t *testing.T) {
 	c := mpiQFT(10)
-	ref, err := New(Config{Ranks: 8, Seed: 5}).Run(c)
+	ref, err := mpi(core.Config{PEs: 8, Seed: 5}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := New(Config{
-		Ranks: 8, Seed: 5, CheckpointEvery: 10, CheckpointDir: dir,
-	}).Run(c); err != nil {
+	if _, err := mpi(core.Config{
+		PEs: 8, Seed: 5, CheckpointEvery: 10, CheckpointDir: dir,
+	}, c); err != nil {
 		t.Fatal(err)
 	}
 	for _, newRanks := range []int{4, 8, 16} {
-		got, err := New(Config{Ranks: 8, Seed: 5}).RunElastic(c, dir, newRanks)
+		got, err := core.RunElastic("mpi", core.Config{PEs: 8, Seed: 5}, c, dir, newRanks)
 		if err != nil {
 			t.Fatalf("P'=%d: %v", newRanks, err)
 		}
-		if got.Ranks != newRanks {
-			t.Fatalf("P'=%d: result reports %d ranks", newRanks, got.Ranks)
+		if got.PEs != newRanks {
+			t.Fatalf("P'=%d: result reports %d ranks", newRanks, got.PEs)
 		}
 		if d := got.State.MaxAbsDiff(ref.State); d != 0 {
 			t.Fatalf("P'=%d: elastic run deviates by %g (want bit-identical)", newRanks, d)
@@ -127,22 +128,22 @@ func TestMpiElasticReshard(t *testing.T) {
 // the fleet instead of restarting at full size.
 func TestMpiElasticShrinkOnKill(t *testing.T) {
 	c := mpiQFT(10)
-	ref, err := New(Config{Ranks: 8, Seed: 5}).Run(c)
+	ref, err := mpi(core.Config{PEs: 8, Seed: 5}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := fault.NewInjector(1)
 	in.KillAt(1, fault.Barrier, 45)
-	got, err := New(Config{
-		Ranks: 8, Seed: 5, Fault: in,
+	got, err := mpi(core.Config{
+		PEs: 8, Seed: 5, Fault: in,
 		CheckpointEvery: 5, CheckpointDir: t.TempDir(),
 		MaxRestarts: 1, Elastic: true,
-	}).Run(c)
+	}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Ranks != 4 {
-		t.Fatalf("want shrink to 4 ranks, got %d", got.Ranks)
+	if got.PEs != 4 {
+		t.Fatalf("want shrink to 4 ranks, got %d", got.PEs)
 	}
 	if got.Recoveries != 1 {
 		t.Fatalf("want 1 recovery, got %d", got.Recoveries)
@@ -159,12 +160,11 @@ func TestMpiStopWithoutCheckpoint(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(24)), 6, 60)
 	c.Measure(1, 0)
 	for _, ranks := range []int{2, 4} {
-		for name, mk := range map[string]func(Config) *Simulator{"mpi": New, "remap": NewRemap} {
+		for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
 			stop := &core.StopLatch{}
 			stop.Trigger()
-			sim := mk(Config{Ranks: ranks, Seed: 11, Stop: stop})
-			if _, err := sim.Run(c); !errors.Is(err, ErrInterrupted) {
-				t.Errorf("%s at %d ranks: want ErrInterrupted, got %v", name, ranks, err)
+			if _, err := mpi(core.Config{PEs: ranks, Seed: 11, Sched: pol, Stop: stop}, c); !errors.Is(err, core.ErrInterrupted) {
+				t.Errorf("%s at %d ranks: want ErrInterrupted, got %v", pol, ranks, err)
 			}
 		}
 	}
@@ -172,29 +172,29 @@ func TestMpiStopWithoutCheckpoint(t *testing.T) {
 
 // TestMpiStopWritesFinalCheckpoint checks graceful shutdown: a stop
 // request makes the fleet publish one final checkpoint and unwind with
-// ErrInterrupted; a later resume finishes bit-identical.
+// core.ErrInterrupted; a later resume finishes bit-identical.
 func TestMpiStopWritesFinalCheckpoint(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(23)), 6, 60)
 	c.Measure(1, 0)
-	ref, err := New(Config{Ranks: 4, Seed: 11}).Run(c)
+	ref, err := mpi(core.Config{PEs: 4, Seed: 11}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	stop := &core.StopLatch{}
 	stop.Trigger()
-	_, err = New(Config{
-		Ranks: 4, Seed: 11,
+	_, err = mpi(core.Config{
+		PEs: 4, Seed: 11,
 		CheckpointEvery: 5, CheckpointDir: dir,
 		Stop: stop,
-	}).Run(c)
-	if !errors.Is(err, ErrInterrupted) {
+	}, c)
+	if !errors.Is(err, core.ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
 	}
 	if _, _, ok, _ := ckpt.Latest(dir); !ok {
 		t.Fatal("interrupted run left no final checkpoint")
 	}
-	got, err := New(Config{Ranks: 4, Seed: 11, Resume: dir}).Run(c)
+	got, err := mpi(core.Config{PEs: 4, Seed: 11, Resume: dir}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestMpiStopWritesFinalCheckpoint(t *testing.T) {
 
 // TestRemapHonoursResilienceConfig pins what the remap baseline's Config
 // always offered and its private executor used to ignore: a barrier
-// kill is a structured RunFailure (not an ignored injector), with
+// kill is a structured core.RunFailure (not an ignored injector), with
 // checkpoints it restarts and finishes bit-identical, its manifests
 // record the lazy plan's identity, and a triggered stop publishes one
 // final checkpoint before unwinding.
@@ -216,11 +216,11 @@ func TestRemapHonoursResilienceConfig(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(31)), 7, 80)
 	c.Measure(6, 0)
 	c.Measure(2, 1)
-	ref, err := NewRemap(Config{Ranks: 4, Seed: 7}).Run(c)
+	ref, err := remap(core.Config{PEs: 4, Seed: 7}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Remaps == 0 {
+	if ref.Compile.Remaps == 0 {
 		t.Fatal("test circuit never remaps; pick one that does")
 	}
 	kill := func() *fault.Injector {
@@ -229,10 +229,10 @@ func TestRemapHonoursResilienceConfig(t *testing.T) {
 		return in
 	}
 
-	_, err = NewRemap(Config{Ranks: 4, Seed: 7, Fault: kill()}).Run(c)
-	var rf *RunFailure
+	_, err = remap(core.Config{PEs: 4, Seed: 7, Fault: kill()}, c)
+	var rf *core.RunFailure
 	if !errors.As(err, &rf) || rf.Attempts != 1 {
-		t.Fatalf("kill without checkpoints: want *RunFailure after 1 attempt, got %T: %v", err, err)
+		t.Fatalf("kill without checkpoints: want *core.RunFailure after 1 attempt, got %T: %v", err, err)
 	}
 	var ke *fault.KillError
 	if !errors.As(err, &ke) || ke.Rank != 1 {
@@ -241,10 +241,10 @@ func TestRemapHonoursResilienceConfig(t *testing.T) {
 
 	for _, async := range []bool{false, true} {
 		dir := t.TempDir()
-		got, err := NewRemap(Config{
-			Ranks: 4, Seed: 7, Fault: kill(),
+		got, err := remap(core.Config{
+			PEs: 4, Seed: 7, Fault: kill(),
 			CheckpointEvery: 4, CheckpointDir: dir, CheckpointAsync: async, MaxRestarts: 2,
-		}).Run(c)
+		}, c)
 		if err != nil {
 			t.Fatalf("async=%v: %v", async, err)
 		}
@@ -267,15 +267,15 @@ func TestRemapHonoursResilienceConfig(t *testing.T) {
 	dir := t.TempDir()
 	stop := &core.StopLatch{}
 	stop.Trigger()
-	_, err = NewRemap(Config{Ranks: 4, Seed: 7, CheckpointEvery: 4, CheckpointDir: dir, Stop: stop}).Run(c)
-	if !errors.Is(err, ErrInterrupted) {
+	_, err = remap(core.Config{PEs: 4, Seed: 7, CheckpointEvery: 4, CheckpointDir: dir, Stop: stop}, c)
+	if !errors.Is(err, core.ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
 	}
 	steps, err := ckpt.CompleteSteps(dir)
 	if err != nil || len(steps) != 1 {
 		t.Fatalf("interrupted run left checkpoints %v (err %v), want exactly one", steps, err)
 	}
-	got, err := NewRemap(Config{Ranks: 4, Seed: 7, Resume: dir}).Run(c)
+	got, err := remap(core.Config{PEs: 4, Seed: 7, Resume: dir}, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"svsim/internal/circuit"
+	"svsim/internal/core"
 	"svsim/internal/sched"
 )
 
@@ -19,14 +20,14 @@ func TestRemapTopologyEquivalence(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		c := randomMeasuredCircuit(rng, 8, 80)
 		for _, tc := range []struct{ ranks, ppn int }{{8, 8}, {8, 4}, {8, 2}, {8, 1}, {16, 4}} {
-			flat, err := NewRemap(Config{Seed: 5, Ranks: tc.ranks}).Run(c)
+			flat, err := remap(core.Config{Seed: 5, PEs: tc.ranks}, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			topo, err := NewRemap(Config{
-				Seed: 5, Ranks: tc.ranks,
+			topo, err := remap(core.Config{
+				Seed: 5, PEs: tc.ranks,
 				Topology: sched.Topology{PEsPerNode: tc.ppn},
-			}).Run(c)
+			}, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,11 +38,11 @@ func TestRemapTopologyEquivalence(t *testing.T) {
 			if topo.Cbits != flat.Cbits {
 				t.Fatalf("trial %d %dx%d: cbits %b, want %b", trial, tc.ranks, tc.ppn, topo.Cbits, flat.Cbits)
 			}
-			if flat.IntraBytes != 0 || flat.InterBytes != 0 || flat.Folded != 0 {
+			if flat.IntraBytes != 0 || flat.InterBytes != 0 || flat.Compile.Folded != 0 {
 				t.Fatalf("flat run reports topology counters: %+v", flat)
 			}
-			if topo.Folded > topo.Remaps {
-				t.Fatalf("trial %d %dx%d: folded %d of %d remaps", trial, tc.ranks, tc.ppn, topo.Folded, topo.Remaps)
+			if topo.Compile.Folded > topo.Compile.Remaps {
+				t.Fatalf("trial %d %dx%d: folded %d of %d remaps", trial, tc.ranks, tc.ppn, topo.Compile.Folded, topo.Compile.Remaps)
 			}
 			if tc.ppn == tc.ranks && topo.InterBytes != 0 {
 				t.Fatalf("one node: inter bytes %d, want 0", topo.InterBytes)
@@ -75,18 +76,18 @@ func TestRemapTopologyReducesInterBytes(t *testing.T) {
 	}
 	c.H(8)
 	topoCfg := sched.Topology{PEsPerNode: 4}
-	flat, err := NewRemap(Config{Seed: 3, Ranks: 8}).Run(c)
+	flat, err := remap(core.Config{Seed: 3, PEs: 8}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, err := NewRemap(Config{Seed: 3, Ranks: 8, Topology: topoCfg}).Run(c)
+	topo, err := remap(core.Config{Seed: 3, PEs: 8, Topology: topoCfg}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := topo.State.MaxAbsDiff(flat.State); d != 0 {
 		t.Fatalf("topology run deviates by %g", d)
 	}
-	if topo.Folded == 0 {
+	if topo.Compile.Folded == 0 {
 		t.Fatal("expected the initial remap to fold")
 	}
 	// Folding elides whole exchanges, so total two-sided volume strictly

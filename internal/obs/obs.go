@@ -30,7 +30,7 @@ const (
 	MetricGetBytes = "get_bytes"
 	// MetricBarrierWaitNS is the barrier wait-time distribution.
 	MetricBarrierWaitNS = "barrier_wait_ns"
-	// MetricMsgBytes is the two-sided message size distribution (mpibase).
+	// MetricMsgBytes is the two-sided message size distribution (mpi backend).
 	MetricMsgBytes = "msg_bytes"
 	// MetricRemapBytes is the per-PE remote byte volume of each lazy
 	// qubit-remap exchange (sched block boundary).

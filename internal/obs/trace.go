@@ -88,7 +88,7 @@ type SpanEvent struct {
 }
 
 // SpanArgs attributes communication work to a span. One-sided fields are
-// filled by the pgas backends, two-sided fields by the mpibase ones;
+// filled by the pgas backends, two-sided fields by the mpi backend;
 // zero fields are omitted from the serialized trace.
 type SpanArgs struct {
 	Kind        string // gate mnemonic

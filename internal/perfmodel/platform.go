@@ -9,10 +9,7 @@
 // inline with their provenance.
 package perfmodel
 
-import (
-	"svsim/internal/core"
-	"svsim/internal/mpibase"
-)
+import "svsim/internal/core"
 
 // Trace is the measured per-run quantity vector extracted from a backend
 // result.
@@ -25,11 +22,6 @@ type Trace struct {
 	RemoteBytes int64 // one-sided remote traffic (distributed runs)
 	RemoteMsgs  int64 // one-sided remote messages
 	Barriers    int64 // global synchronizations
-	// Baseline (MPI) extras:
-	MPIMessages int64
-	MPIBytes    int64
-	PackBytes   int64
-	StagedBytes int64
 }
 
 // TraceOf extracts a trace from an SV-Sim backend result.
@@ -49,20 +41,6 @@ func TraceOf(res *core.Result) Trace {
 		RemoteBytes: res.Comm.RemoteBytes,
 		RemoteMsgs:  res.Comm.RemoteMessages(),
 		Barriers:    res.Comm.Barriers,
-	}
-}
-
-// TraceOfMPI extracts a trace from an MPI-baseline result.
-func TraceOfMPI(res *mpibase.Result) Trace {
-	return Trace{
-		Gates:       res.SV.Gates,
-		Amps:        res.SV.AmpsTouched,
-		Bytes:       res.SV.BytesTouched,
-		StateBytes:  int64(res.State.Dim) * 16,
-		MPIMessages: res.MPI.Messages,
-		MPIBytes:    res.MPI.MsgBytes,
-		PackBytes:   res.MPI.PackBytes,
-		StagedBytes: res.MPI.HostStagedBytes,
 	}
 }
 

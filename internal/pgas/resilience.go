@@ -166,9 +166,9 @@ func (pe *PE) fail(err error) {
 func (pe *PE) Fail(err error) { pe.fail(err) }
 
 // Aborted is closed at the fleet's first PE failure. Blocking primitives
-// layered over the communicator (mpibase's two-sided Send and Recv)
-// select on it beside their own wait and then call Unwind, so a dead
-// partner never hangs them.
+// layered over the communicator (the mpi backend's two-sided send and
+// recv, core/mpicomm.go) select on it beside their own wait and then
+// call Unwind, so a dead partner never hangs them.
 func (pe *PE) Aborted() <-chan struct{} { return pe.comm.abortCh }
 
 // Unwind unwinds the calling PE as a peer of the failure that closed

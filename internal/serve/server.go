@@ -19,7 +19,7 @@ import (
 
 // FleetDef describes one fleet of the service's pool.
 type FleetDef struct {
-	Backend string // single | threaded | scale-up | scale-out
+	Backend string // a row of core's backend table
 	PEs     int    // power of two
 }
 
@@ -200,10 +200,11 @@ func New(opts Options) (*Server, error) {
 			}
 			return nil, fmt.Errorf("serve: fleet %d (%s:%d): %v", i, def.Backend, def.PEs, err)
 		}
+		b, _ := core.LookupBackend(def.Backend)
 		s.fleets = append(s.fleets, &fleetState{
 			label:       fmt.Sprintf("%s:%d#%d", def.Backend, f.PEs(), i),
 			fleet:       f,
-			distributed: def.Backend == "scale-up" || def.Backend == "scale-out",
+			distributed: b.Distributed,
 		})
 	}
 	s.loop.Add(1)

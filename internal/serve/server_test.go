@@ -303,6 +303,30 @@ func TestPreemptElasticResumeAcrossFleets(t *testing.T) {
 	}
 }
 
+// TestMPIFleetStateBitIdentical: mpi is a row of core's backend table,
+// so it pools like any other backend — a job on an mpi:4 fleet returns
+// the state a direct core.NewBackend("mpi") run computes, bit for bit,
+// under either plan.
+func TestMPIFleetStateBitIdentical(t *testing.T) {
+	s := newTestServer(t, Options{Fleets: []FleetDef{{Backend: "mpi", PEs: 4}}, CheckpointEvery: 100})
+	for _, pol := range []string{"naive", "lazy"} {
+		st, err := s.Submit(JobSpec{Circuit: "qft_n15", Backend: "mpi", Seed: 3, Sched: pol, ReturnState: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin := waitJob(t, s, st.ID); fin.State != StateDone || fin.PEs != 4 {
+			t.Fatalf("%s job: %s on %d PEs (%s)", pol, fin.State, fin.PEs, fin.Detail)
+		}
+		got, err := s.JobResultState(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := maxAbsDiff(got, directRun(t, "mpi", 4, "qft_n15", 3, pol)); d != 0 {
+			t.Fatalf("%s: mpi fleet state differs from direct run: MaxAbsDiff=%g", pol, d)
+		}
+	}
+}
+
 // directRun executes a workload through the core layer the way the CLI
 // does, bypassing the service entirely.
 func directRun(t *testing.T, backend string, pes int, circuitName string, seed int64, schedName string) *statevec.State {

@@ -38,8 +38,8 @@ type JobSpec struct {
 	Name string `json:"name,omitempty"`
 	// Compact runs the compound-gate form of a named workload.
 	Compact bool `json:"compact,omitempty"`
-	// Backend restricts which fleets may run the job (single, threaded,
-	// scale-up, scale-out). Empty lets the scheduler pick any fleet.
+	// Backend restricts which fleets may run the job (a row of core's
+	// backend table). Empty lets the scheduler pick any fleet.
 	Backend string `json:"backend,omitempty"`
 	// PEs restricts scheduling to fleets of exactly this PE count; 0
 	// lets the scheduler pick.
@@ -75,12 +75,9 @@ func (s *JobSpec) Validate() error {
 	case s.Circuit == "" && s.QASM == "":
 		return fmt.Errorf("job spec: nothing to run — set circuit (a suite name) or qasm (inline source)")
 	}
-	if s.Backend != "" {
-		switch s.Backend {
-		case "single", "threaded", "scale-up", "scale-out":
-		default:
-			return fmt.Errorf("job spec: unknown backend %q (want single, threaded, scale-up, or scale-out)", s.Backend)
-		}
+	b, known := core.LookupBackend(s.Backend)
+	if s.Backend != "" && !known {
+		return fmt.Errorf("job spec: unknown backend %q (want %s)", s.Backend, strings.Join(core.BackendNames(nil), ", "))
 	}
 	if s.PEs < 0 || (s.PEs > 0 && s.PEs&(s.PEs-1) != 0) {
 		return fmt.Errorf("job spec: pes %d must be a power of two", s.PEs)
@@ -88,7 +85,7 @@ func (s *JobSpec) Validate() error {
 	if _, err := s.Policy(); err != nil {
 		return err
 	}
-	if s.Tile && s.Backend != "" && s.Backend != "single" && s.Backend != "threaded" {
+	if s.Tile && b.Distributed {
 		return fmt.Errorf("job spec: tile is a single-node execution mode; backend %q partitions the state instead", s.Backend)
 	}
 	if s.TileBits < 0 {
