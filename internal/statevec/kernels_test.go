@@ -233,9 +233,11 @@ func pauliString(w, pivot, n int) PauliRot {
 }
 
 // BenchmarkPauliRot is the gadget body's number: one pass whatever the
-// weight of the string (2, 4, 8), the pivot on qubit 0, in the middle and
-// on top, on the vqe_sweep state (n = 10, 16 KiB), an in-cache one
-// (n = 13) and a DRAM-sized one (n = 22). ns/amp is per amplitude of the
+// weight of the string (2, 4, 8), the pivot on qubit 0, on qubit 2 (runs
+// of 4, the shortest the twin takes), in the middle and on top, on the
+// vqe_sweep state (n = 10, 16 KiB), an in-cache one (n = 13) and a
+// DRAM-sized one (n = 22), on the Go loop (/go) and on its AVX2 twin
+// (/avx2; at "lo" both take the Go loop). ns/amp is per amplitude of the
 // state, comparable with BenchmarkBodies: the lowered window costs ~4w+1
 // of those passes.
 func BenchmarkPauliRot(b *testing.B) {
@@ -245,13 +247,15 @@ func BenchmarkPauliRot(b *testing.B) {
 			for _, at := range []struct {
 				name string
 				pos  int
-			}{{"lo", 0}, {"mid", n / 2}, {"hi", n - 1}} {
+			}{{"lo", 0}, {"q2", 2}, {"mid", n / 2}, {"hi", n - 1}} {
 				r := pauliString(w, at.pos, n)
-				b.Run(fmt.Sprintf("w%d_%s_n%d", w, at.name, n), func(b *testing.B) {
-					for range b.N {
-						s.ApplyPauliRot(&r)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Dim), "ns/amp")
+				forEachBodyPath(func(path string) {
+					b.Run(fmt.Sprintf("w%d_%s_n%d/%s", w, at.name, n, path), func(b *testing.B) {
+						for range b.N {
+							s.ApplyPauliRot(&r)
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Dim), "ns/amp")
+					})
 				})
 			}
 		}

@@ -74,15 +74,44 @@ func (w window) pauliRot(r *PauliRot) (amps, flops int64) {
 // an amplitude is two products, not four: a real f scales the partner's
 // components in place, an imaginary one crosses them (ur, ui name the
 // arrays the real and imaginary results read).
+//
+// Like the bodies in kernels.go it hands the 4-aligned part of each run
+// to its AVX2 twin, with one more condition: the run must start on a
+// multiple of 4, so that its 4-chunks P pair with whole 4-chunks
+// Q = (P^x) &^ 3 — every X bit but the pivot lies below it. Every run
+// does but the first of a pool share, which stays on the Go loop.
 func (it iter) pauliRot(x, z, odd int, c float64, f [2]float64) {
 	re, im := it.re, it.im
+	cross := f[0] == 0
 	ur, ui, kr, ki := re, im, f[0], f[0]
-	if f[0] == 0 {
+	if cross {
 		ur, ui, kr, ki = im, re, -f[1], f[1]
 	}
 	tr, ti := [2]float64{kr, -kr}, [2]float64{ki, -ki}
+	simd := it.simd()
+	var lanes pauliLanes
+	var r0, i0 *float64
+	if simd {
+		for l := range 4 {
+			b := bits.OnesCount(uint(l&z)) & 1
+			a := b ^ odd
+			lanes.coef[0][l], lanes.coef[1][l], lanes.coef[2][l], lanes.coef[3][l] = tr[a], ti[a], tr[b], ti[b]
+			src := uint32(l ^ x&3)
+			lanes.perm[2*l], lanes.perm[2*l+1] = 2*src, 2*src+1
+		}
+		// The twin indexes the whole window, as partners lie anywhere in
+		// it: slicing im to re's length checks that without reading an
+		// amplitude, which another pool share may be writing (iter.at
+		// would read the last one).
+		r0, i0 = &re[0], &im[:len(re)][0]
+	}
 	for it.left > 0 {
-		for p, end := it.next(); p < end; p += it.inc {
+		p, end := it.next()
+		if n := (end - p) &^ 3; simd && n > 0 && p&3 == 0 {
+			pauliRotAVX2(r0, i0, p, n, x, z&^3, c, &lanes, cross)
+			p += n
+		}
+		for ; p < end; p += it.inc {
 			q := p ^ x
 			b := bits.OnesCount(uint(p&z)) & 1
 			a := b ^ odd
@@ -92,6 +121,16 @@ func (it iter) pauliRot(x, z, odd int, c float64, f [2]float64) {
 			re[q], im[q] = qr, qi
 		}
 	}
+}
+
+// pauliLanes is the per-call part of the AVX2 twin's operands. coef holds
+// tr[a], ti[a], tr[b], ti[b] for lane l of a 4-chunk, b being the Z parity
+// of l alone; the twin flips their signs by the parity of the chunk's own
+// bits. perm holds the VPERMD indices that bring partner lane l ^ (x&3)
+// to lane l.
+type pauliLanes struct {
+	coef [4][4]float64
+	perm [8]uint32
 }
 
 // addPauliRot charges one executed rotation: the gates it stands for, the

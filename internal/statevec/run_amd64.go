@@ -1,27 +1,30 @@
 package statevec
 
 // The AVX2 run bodies (paper Listing 2): one twin in run_amd64.s for the
-// inner run of each body in kernels.go, four amplitudes per instruction.
+// inner run of each body in kernels.go and of iter.pauliRot, four
+// amplitudes (pairs, for pauliRot) per instruction.
 // A body hands a unit-stride run's 4-aligned length to its twin and
 // finishes the remainder in its own Go loop, so the contract is that a
 // twin computes what that loop computes, to the bit, on every lane: the
 // same multiplies, adds and subtracts in the same association order, no
 // fused multiply-add, negation as a sign-bit flip. n is a positive
 // multiple of 4 and the caller has bounds-checked n elements behind
-// every pointer (iter.at); the pointers need no alignment.
+// every pointer (iter.at; the whole window for the Pauli rotation, whose
+// partners lie anywhere in it); the pointers need no alignment.
 
 // haveAVX2 routes unit-stride runs to the twins. It is read from the CPU
 // once, here; only tests write it, to compare the two paths.
 var haveAVX2 = detectAVX2()
 
-// detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers across context switches.
+// detectAVX2 reports whether the CPU has AVX2 and POPCNT (the Pauli
+// rotation twin counts a chunk's Z parity with it) and the OS saves the
+// YMM registers across context switches.
 func detectAVX2() bool {
-	const osxsave, avx, avx2 = 1 << 27, 1 << 28, 1 << 5
+	const popcnt, osxsave, avx, avx2 = 1 << 23, 1 << 27, 1 << 28, 1 << 5
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
-	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
+	if _, _, c, _ := cpuid(1, 0); c&popcnt == 0 || c&osxsave == 0 || c&avx == 0 {
 		return false
 	}
 	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state both enabled
@@ -58,6 +61,13 @@ func ryAVX2(r0, i0, r1, i1 *float64, n int, c, sn float64)
 
 //go:noescape
 func u2AVX2(r0, i0, r1, i1 *float64, n int, u *[8]float64)
+
+// The Pauli rotation's twin: re, im address the whole window, p is the
+// 4-aligned start of n pairs, x and z the string's masks (z without its
+// bits 0 and 1), cross says f is imaginary.
+//
+//go:noescape
+func pauliRotAVX2(re, im *float64, p, n, x, z int, c float64, k *pauliLanes, cross bool)
 
 // Element-wise twins over n amplitudes (r, i).
 

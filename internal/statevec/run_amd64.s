@@ -3,7 +3,8 @@
 // The AVX2 twins of the run bodies in kernels.go (see run_amd64.go for
 // the contract). Every loop is one shape: load the four (pairing) or two
 // (element-wise) YMM operands of a step, compute, store — all loads
-// before any store, four amplitudes a step, AX counting to n. The
+// before any store, four amplitudes a step, AX counting to n (from p to
+// p+n in pauliRotAVX2, which indexes the whole window). The
 // arithmetic of each twin is its Go body's expression written out one
 // operation per instruction; the comment on an instruction names the Go
 // subexpression it computes. Three-operand AVX reads right to left:
@@ -15,6 +16,13 @@ DATA sqrtHalf<>+0(SB)/8, $0x3FE6A09E667F3BCD // math.Sqrt2 / 2, kernels.go's s2i
 GLOBL sqrtHalf<>(SB), RODATA|NOPTR, $8
 DATA half<>+0(SB)/8, $0x3FE0000000000000 // 0.5
 GLOBL half<>(SB), RODATA|NOPTR, $8
+// Four lanes of 0, then four sign bits: the XOR mask of an even and of an
+// odd chunk parity in pauliRotAVX2.
+DATA chunkSign<>+32(SB)/8, $0x8000000000000000
+DATA chunkSign<>+40(SB)/8, $0x8000000000000000
+DATA chunkSign<>+48(SB)/8, $0x8000000000000000
+DATA chunkSign<>+56(SB)/8, $0x8000000000000000
+GLOBL chunkSign<>(SB), RODATA|NOPTR, $64
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -300,6 +308,116 @@ loop:
 	ADDQ    $4, AX
 	CMPQ    AX, CX
 	JLT     loop
+	VZEROUPPER
+	RET
+
+// func pauliRotAVX2(re, im *float64, p, n, x, z int, c float64, k *pauliLanes, cross bool)
+// AX walks the 4-chunks P of [p, p+n); BX is the partner chunk
+// Q = (P^x) &^ 3, whose lanes VPERMD by Y13 lines up with P's on the load
+// and puts back on the store (lane l <-> l ^ x&3 is its own inverse).
+// Y8..Y11 are tr[a] ti[a] tr[b] ti[b] for the lane bits; a chunk XORs the
+// sign of parity(P & z) into copies Y4..Y7 — into the coefficient, as Go
+// indexes tr/ti, never into a product. Y0..Y3 are re[p] im[p] re[q] im[q].
+// The real loop reads the partner's components in place (ur, ui = re,
+// im), the cross loop swapped (ur, ui = im, re).
+TEXT ·pauliRotAVX2(SB), NOSPLIT, $0-65
+	MOVQ re+0(FP), SI
+	MOVQ im+8(FP), DI
+	MOVQ p+16(FP), AX
+	MOVQ n+24(FP), CX
+	ADDQ AX, CX
+	MOVQ x+32(FP), R8
+	MOVQ z+40(FP), R9
+	VBROADCASTSD c+48(FP), Y12
+	MOVQ k+56(FP), DX
+	VMOVUPD 0(DX), Y8
+	VMOVUPD 32(DX), Y9
+	VMOVUPD 64(DX), Y10
+	VMOVUPD 96(DX), Y11
+	VMOVDQU 128(DX), Y13
+	LEAQ chunkSign<>(SB), R10
+	CMPB cross+64(FP), $0
+	JNE  crossed
+real:
+	MOVQ    AX, BX
+	XORQ    R8, BX
+	ANDQ    $-4, BX         // Q
+	MOVQ    AX, DX
+	ANDQ    R9, DX
+	POPCNTQ DX, DX
+	ANDQ    $1, DX
+	SHLQ    $5, DX
+	VMOVUPD (R10)(DX*1), Y14 // the chunk parity's sign
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (DI)(AX*8), Y1
+	VPERMD  (SI)(BX*8), Y13, Y2
+	VPERMD  (DI)(BX*8), Y13, Y3
+	VXORPD  Y14, Y8, Y4     // tr[a]
+	VXORPD  Y14, Y9, Y5     // ti[a]
+	VXORPD  Y14, Y10, Y6    // tr[b]
+	VXORPD  Y14, Y11, Y7    // ti[b]
+	VMULPD  Y12, Y0, Y15    // c*re[p]
+	VMULPD  Y2, Y4, Y4      // tr[a]*ur[q]
+	VADDPD  Y4, Y15, Y4     // pr
+	VMULPD  Y12, Y1, Y15    // c*im[p]
+	VMULPD  Y3, Y5, Y5      // ti[a]*ui[q]
+	VADDPD  Y5, Y15, Y5     // pi
+	VMULPD  Y12, Y2, Y15    // c*re[q]
+	VMULPD  Y0, Y6, Y6      // tr[b]*ur[p]
+	VADDPD  Y6, Y15, Y6     // qr
+	VMULPD  Y12, Y3, Y15    // c*im[q]
+	VMULPD  Y1, Y7, Y7      // ti[b]*ui[p]
+	VADDPD  Y7, Y15, Y7     // qi
+	VPERMD  Y6, Y13, Y6
+	VPERMD  Y7, Y13, Y7
+	VMOVUPD Y4, (SI)(AX*8)
+	VMOVUPD Y5, (DI)(AX*8)
+	VMOVUPD Y6, (SI)(BX*8)
+	VMOVUPD Y7, (DI)(BX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     real
+	VZEROUPPER
+	RET
+crossed:
+	MOVQ    AX, BX
+	XORQ    R8, BX
+	ANDQ    $-4, BX         // Q
+	MOVQ    AX, DX
+	ANDQ    R9, DX
+	POPCNTQ DX, DX
+	ANDQ    $1, DX
+	SHLQ    $5, DX
+	VMOVUPD (R10)(DX*1), Y14 // the chunk parity's sign
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (DI)(AX*8), Y1
+	VPERMD  (SI)(BX*8), Y13, Y2
+	VPERMD  (DI)(BX*8), Y13, Y3
+	VXORPD  Y14, Y8, Y4     // tr[a]
+	VXORPD  Y14, Y9, Y5     // ti[a]
+	VXORPD  Y14, Y10, Y6    // tr[b]
+	VXORPD  Y14, Y11, Y7    // ti[b]
+	VMULPD  Y12, Y0, Y15    // c*re[p]
+	VMULPD  Y3, Y4, Y4      // tr[a]*ur[q]
+	VADDPD  Y4, Y15, Y4     // pr
+	VMULPD  Y12, Y1, Y15    // c*im[p]
+	VMULPD  Y2, Y5, Y5      // ti[a]*ui[q]
+	VADDPD  Y5, Y15, Y5     // pi
+	VMULPD  Y12, Y2, Y15    // c*re[q]
+	VMULPD  Y1, Y6, Y6      // tr[b]*ur[p]
+	VADDPD  Y6, Y15, Y6     // qr
+	VMULPD  Y12, Y3, Y15    // c*im[q]
+	VMULPD  Y0, Y7, Y7      // ti[b]*ui[p]
+	VADDPD  Y7, Y15, Y7     // qi
+	VPERMD  Y6, Y13, Y6
+	VPERMD  Y7, Y13, Y7
+	VMOVUPD Y4, (SI)(AX*8)
+	VMOVUPD Y5, (DI)(AX*8)
+	VMOVUPD Y6, (SI)(BX*8)
+	VMOVUPD Y7, (DI)(BX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     crossed
 	VZEROUPPER
 	RET
 

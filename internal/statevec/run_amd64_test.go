@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -143,4 +144,98 @@ func TestAsmBodiesMatchGo(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAsmPauliRotMatchesGo is the same contract for iter.pauliRot's twin,
+// whose partner chunk is permuted and whose signs vary per lane and per
+// chunk: every lane pattern (x&3, z&3) × the pivot written as X and as Y
+// (#Y even and odd, which makes f imaginary and real) × the pivot on q2
+// (runs of 4, the shortest the twin takes) up to the top qubit, plus
+// all-Z strings (x = 0) × degenerate and generic angles × the full state,
+// partitions with Base != 0 and the shares of a 3-worker pool (whose
+// first runs start unaligned and stay on the Go loop), on 3, 6 and 12
+// qubits of spiced amplitudes. Qubits 2 and up other than the pivot draw
+// I, X, Y or Z below it and I or Z above it.
+func TestAsmPauliRotMatchesGo(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this CPU")
+	}
+	defer func() { haveAVX2 = true }()
+	pool := NewPool(3)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(101))
+
+	layouts := []struct {
+		name  string
+		apply func(s *State, r *PauliRot)
+	}{
+		{"full", func(s *State, r *PauliRot) { s.ApplyPauliRot(r) }},
+		{"partitions", func(s *State, r *PauliRot) {
+			size := max(8, 1<<bits.Len(uint(r.X)))
+			for base := 0; base < s.Dim; base += size {
+				pe := &State{N: bits.Len(uint(size)) - 1, Dim: size, Re: s.Re[base : base+size], Im: s.Im[base : base+size], Base: base, Style: Vectorized}
+				pe.ApplyPauliRot(r)
+				s.Stats.Add(pe.Stats)
+			}
+		}},
+		{"pool shares", func(s *State, r *PauliRot) { pool.ApplyPauliRotShared(s, r) }},
+	}
+
+	// upper draws the letters of qubits 2..n-1 other than the pivot.
+	upper := func(r *PauliRot, pivot, n int) {
+		for q := 2; q < n; q++ {
+			if q == pivot {
+				continue
+			}
+			letter := rng.Intn(4) // I, X, Y, Z
+			if q > pivot && letter != 0 {
+				letter = 3
+			}
+			if letter == 1 || letter == 2 {
+				r.X |= 1 << uint(q)
+			}
+			if letter >= 2 {
+				r.Z |= 1 << uint(q)
+			}
+		}
+	}
+	for _, n := range []int{3, 6, 12} {
+		var rots []PauliRot
+		for lanes := range 16 {
+			xl, zl := lanes&3, lanes>>2
+			for pivot := 2; pivot < n; pivot++ {
+				for _, y := range []int{0, 1} {
+					r := PauliRot{X: 1<<uint(pivot) | xl, Z: y<<uint(pivot) | zl, Neg: rng.Intn(2) == 1, Gates: 1}
+					upper(&r, pivot, n)
+					rots = append(rots, r)
+				}
+			}
+			if xl == 0 {
+				r := PauliRot{Z: zl, Neg: rng.Intn(2) == 1, Gates: 1}
+				upper(&r, -1, n)
+				rots = append(rots, r)
+			}
+		}
+		for _, r := range rots {
+			for _, theta := range []float64{0, 2 * math.Pi, 0.3, -0.3, -7} {
+				r.Theta = theta
+				start := randomState(rng, n, Vectorized)
+				spice(rng, start)
+				for _, l := range layouts {
+					asm, plain := start.Clone(), start.Clone()
+					haveAVX2 = true
+					l.apply(asm, &r)
+					haveAVX2 = false
+					l.apply(plain, &r)
+					if i := firstBitDiff(asm, plain); i >= 0 {
+						t.Fatalf("n=%d %+v, %s: amplitude %d is (%x, %x) from the twin, (%x, %x) from the Go loop", n, r, l.name, i,
+							math.Float64bits(asm.Re[i]), math.Float64bits(asm.Im[i]), math.Float64bits(plain.Re[i]), math.Float64bits(plain.Im[i]))
+					}
+					if asm.Stats != plain.Stats {
+						t.Fatalf("n=%d %+v, %s: the twin reports %+v, the Go loop %+v", n, r, l.name, asm.Stats, plain.Stats)
+					}
+				}
+			}
+		}
+	}
 }

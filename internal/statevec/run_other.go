@@ -21,3 +21,7 @@ func sdgAVX2(r, i *float64, n int)                         { panic(noTwin) }
 func tAVX2(r, i *float64, n int)                           { panic(noTwin) }
 func tdgAVX2(r, i *float64, n int)                         { panic(noTwin) }
 func phaseAVX2(r, i *float64, n int, c, sn float64)        { panic(noTwin) }
+
+func pauliRotAVX2(re, im *float64, p, n, x, z int, c float64, k *pauliLanes, cross bool) {
+	panic(noTwin)
+}
