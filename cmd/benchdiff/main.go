@@ -8,7 +8,7 @@
 //
 // Only deterministic counters are gated — remote, inter-node and
 // state-vector bytes, state-vector sweeps, fused-gate and remap counts,
-// plan-cache hits, the checkpoint stall factor. Wall time (elapsed_ns,
+// plan-cache hits. Wall time (elapsed_ns,
 // compile_ns) is noisy on shared runners and tripped on untouched code:
 // it stays a series on the -html page, and the clock is gated by paired
 // svperf runs instead (CI's perf-pair job).
@@ -19,38 +19,35 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 )
 
 // record mirrors the svbench benchRecord fields benchdiff cares about.
 // Unknown fields are ignored so the schema can grow compatibly.
 type record struct {
-	Schema          string  `json:"schema"`
-	GitCommit       string  `json:"git_commit,omitempty"`
-	UnixNS          int64   `json:"unix_ns,omitempty"`
-	Workload        string  `json:"workload"`
-	Backend         string  `json:"backend"`
-	PEs             int     `json:"pes"`
-	Coalesced       bool    `json:"coalesced,omitempty"`
-	Fuse            bool    `json:"fuse,omitempty"`
-	Sched           string  `json:"sched,omitempty"`
-	Tile            bool    `json:"tile,omitempty"`
-	PPN             int     `json:"ppn,omitempty"`
-	CkptMode        string  `json:"ckpt_mode,omitempty"`
-	CkptStallSec    float64 `json:"ckpt_stall_seconds,omitempty"`
-	ElapsedNS       int64   `json:"elapsed_ns"`
-	BytesTouched    int64   `json:"bytes_touched"`
-	Sweeps          int64   `json:"sweeps,omitempty"`
-	CommRemoteBytes int64   `json:"comm_remote_bytes"`
-	IntraBytes      int64   `json:"intra_bytes,omitempty"`
-	InterBytes      int64   `json:"inter_bytes,omitempty"`
-	Barriers        int64   `json:"barriers"`
-	FusedGates      int64   `json:"fused_gates,omitempty"`
-	Remaps          int64   `json:"remaps,omitempty"`
-	CompileNS       int64   `json:"compile_ns,omitempty"`
-	BindNS          int64   `json:"bind_ns,omitempty"`
-	PlanCacheHits   int64   `json:"plan_cache_hits,omitempty"`
-	PlanCacheMisses int64   `json:"plan_cache_misses,omitempty"`
+	Schema          string `json:"schema"`
+	GitCommit       string `json:"git_commit,omitempty"`
+	UnixNS          int64  `json:"unix_ns,omitempty"`
+	Workload        string `json:"workload"`
+	Backend         string `json:"backend"`
+	PEs             int    `json:"pes"`
+	Coalesced       bool   `json:"coalesced,omitempty"`
+	Fuse            bool   `json:"fuse,omitempty"`
+	Sched           string `json:"sched,omitempty"`
+	Tile            bool   `json:"tile,omitempty"`
+	PPN             int    `json:"ppn,omitempty"`
+	ElapsedNS       int64  `json:"elapsed_ns"`
+	BytesTouched    int64  `json:"bytes_touched"`
+	Sweeps          int64  `json:"sweeps,omitempty"`
+	CommRemoteBytes int64  `json:"comm_remote_bytes"`
+	IntraBytes      int64  `json:"intra_bytes,omitempty"`
+	InterBytes      int64  `json:"inter_bytes,omitempty"`
+	Barriers        int64  `json:"barriers"`
+	FusedGates      int64  `json:"fused_gates,omitempty"`
+	Remaps          int64  `json:"remaps,omitempty"`
+	CompileNS       int64  `json:"compile_ns,omitempty"`
+	BindNS          int64  `json:"bind_ns,omitempty"`
+	PlanCacheHits   int64  `json:"plan_cache_hits,omitempty"`
+	PlanCacheMisses int64  `json:"plan_cache_misses,omitempty"`
 }
 
 // key identifies a bench configuration across runs. The "/tile" and
@@ -68,9 +65,6 @@ func (r *record) key() string {
 	}
 	if r.PPN > 0 {
 		k += fmt.Sprintf("/ppn=%d", r.PPN)
-	}
-	if r.CkptMode != "" {
-		k += "/ckpt=" + r.CkptMode
 	}
 	return k
 }
@@ -171,47 +165,6 @@ func diff(baseline, current []record, byteTol, interTol float64) (regs []regress
 	return regs, notes
 }
 
-// ckptStallGate enforces the async checkpoint contract on the current
-// records: for every configuration measured under both checkpoint
-// modes, the asynchronous compute-path stall must be at least factor
-// times smaller than the synchronous one. Pairs come from one
-// `svbench -ckpt-stall` run, so the gate needs no baseline file.
-func ckptStallGate(current []record, factor float64) (regs []regression, notes []string, pairs int) {
-	sync := map[string]*record{}
-	for i := range current {
-		if current[i].CkptMode == "sync" {
-			k := current[i].key()
-			sync[strings.TrimSuffix(k, "/ckpt=sync")] = &current[i]
-		}
-	}
-	for i := range current {
-		c := &current[i]
-		if c.CkptMode != "async" {
-			continue
-		}
-		base := strings.TrimSuffix(c.key(), "/ckpt=async")
-		s, ok := sync[base]
-		if !ok {
-			notes = append(notes, fmt.Sprintf("ckpt-stall: %s has no sync twin, skipping", c.key()))
-			continue
-		}
-		pairs++
-		if c.CkptStallSec*factor > s.CkptStallSec {
-			regs = append(regs, regression{
-				Key:    base,
-				Metric: fmt.Sprintf("ckpt_stall (want async*%.0f <= sync)", factor),
-				Base:   int64(s.CkptStallSec * 1e9),
-				Cur:    int64(c.CkptStallSec * 1e9),
-				Ratio:  ratio(int64(c.CkptStallSec*1e9*factor), int64(s.CkptStallSec*1e9)),
-			})
-			continue
-		}
-		notes = append(notes, fmt.Sprintf("ckpt-stall: %-55s sync %.3fs -> async %.3fs (%.1fx reduction, gate %.0fx)",
-			base, s.CkptStallSec, c.CkptStallSec, s.CkptStallSec/max(c.CkptStallSec, 1e-9), factor))
-	}
-	return regs, notes, pairs
-}
-
 // ratio returns cur/base, treating a zero baseline as regressed only if
 // the current value became nonzero (0 -> N remote bytes is a real loss
 // of a communication-free property).
@@ -258,16 +211,14 @@ func load(path string) ([]record, error) {
 func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), `usage: benchdiff -baseline FILE -current FILE [flags]
-       benchdiff -ckpt-current FILE [flags]
        benchdiff -html FILE BENCH_old.json BENCH_new.json [...]
 
 Compares svbench -json record files and gates the perf trajectory.
 
 Exit codes:
   0  every compared configuration is within tolerance (pass)
-  1  at least one regression or checkpoint-stall violation
-  2  usage error: bad flags, unreadable/malformed record files, or a
-     -ckpt-current file holding no sync/async pair to compare
+  1  at least one regression
+  2  usage error: bad flags or unreadable/malformed record files
 
 Flags:
 `)
@@ -278,34 +229,7 @@ Flags:
 	byteTol := flag.Float64("byte-tol", 0.15, "allowed fractional growth in remote communication bytes")
 	interTol := flag.Float64("inter-tol", 0.15, "allowed fractional growth in inter-node exchange bytes on topology records")
 	htmlOut := flag.String("html", "", "trajectory mode: render the positional per-commit BENCH files (oldest first) as a self-contained HTML report to FILE")
-	ckptPath := flag.String("ckpt-current", "", "bench records from an `svbench -ckpt-stall` run: apply only the checkpoint stall gate (no baseline needed)")
-	ckptFactor := flag.Float64("ckpt-stall-factor", 5, "minimum sync/async compute-path stall reduction -ckpt-current must show")
 	flag.Parse()
-
-	if *ckptPath != "" {
-		recs, err := load(*ckptPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
-		regs, notes, pairs := ckptStallGate(recs, *ckptFactor)
-		for _, n := range notes {
-			fmt.Println(n)
-		}
-		if pairs == 0 {
-			fmt.Fprintf(os.Stderr, "benchdiff: %s holds no sync/async ckpt_mode pair — generate it with: svbench -workload ... -checkpoint-every N -checkpoint-dir DIR -ckpt-stall -json %s\n", *ckptPath, *ckptPath)
-			os.Exit(2)
-		}
-		if len(regs) > 0 {
-			for _, g := range regs {
-				fmt.Println(g)
-			}
-			fmt.Printf("benchdiff: %d checkpoint stall violation(s) (gate: async stall x%.0f <= sync stall)\n", len(regs), *ckptFactor)
-			os.Exit(1)
-		}
-		fmt.Printf("benchdiff: checkpoint stall gate passed on %d pair(s) (factor %.0fx)\n", pairs, *ckptFactor)
-		return
-	}
 
 	if *htmlOut != "" {
 		if flag.NArg() < 2 {

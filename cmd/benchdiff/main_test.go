@@ -218,9 +218,8 @@ func TestImprovementIsNoted(t *testing.T) {
 
 // TestCommandExitCodes runs the built binary end to end and pins the
 // documented exit-code contract: 0 when every configuration is within
-// tolerance, 1 on a regression (or checkpoint-stall violation), 2 for
-// usage errors — missing/malformed inputs or a -ckpt-current file with
-// no sync/async pair to gate.
+// tolerance, 1 on a regression, 2 for usage errors — missing or
+// malformed inputs.
 func TestCommandExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go-run subprocess test in -short mode")
@@ -242,18 +241,6 @@ func TestCommandExitCodes(t *testing.T) {
 	bad := baseRecords()
 	bad[1].CommRemoteBytes = bad[1].CommRemoteBytes * 120 / 100
 	badPath := write("bad.json", bad)
-	// A ckpt-stall file with both modes of one config: the sync stall is
-	// big, so the async record passes the default 5x gate (exit 0); with
-	// the async stall inflated it fails (exit 1); with only a sync record
-	// there is no pair at all (exit 2).
-	stallBase := record{Schema: "svsim-bench/v1", Workload: "qft_n15", Backend: "scale-out", PEs: 4,
-		CkptMode: "sync", CkptStallSec: 1.0, ElapsedNS: 1, CommRemoteBytes: 1}
-	stallGood, stallBad := stallBase, stallBase
-	stallGood.CkptMode, stallGood.CkptStallSec = "async", 0.05
-	stallBad.CkptMode, stallBad.CkptStallSec = "async", 0.9
-	stallGoodPath := write("stall_good.json", []record{stallBase, stallGood})
-	stallBadPath := write("stall_bad.json", []record{stallBase, stallBad})
-	stallNoPairPath := write("stall_nopair.json", []record{stallBase})
 
 	bin := filepath.Join(dir, "benchdiff")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -269,9 +256,6 @@ func TestCommandExitCodes(t *testing.T) {
 		{"regression", []string{"-baseline", basePath, "-current", badPath}, 1},
 		{"missing -current", []string{"-baseline", basePath}, 2},
 		{"unreadable current", []string{"-baseline", basePath, "-current", filepath.Join(dir, "absent.json")}, 2},
-		{"stall gate pass", []string{"-ckpt-current", stallGoodPath}, 0},
-		{"stall gate violation", []string{"-ckpt-current", stallBadPath}, 1},
-		{"stall gate no pairs", []string{"-ckpt-current", stallNoPairPath}, 2},
 		{"html too few files", []string{"-html", filepath.Join(dir, "out.html"), basePath}, 2},
 	}
 	for _, tc := range cases {

@@ -81,9 +81,7 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on ADDR while benching")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint the bench runs every N schedule steps, to measure checkpoint overhead (0 = off; needs -checkpoint-dir)")
 	ckptDir := flag.String("checkpoint-dir", "", "checkpoint base directory for -checkpoint-every")
-	ckptAsync := flag.Bool("checkpoint-async", false, "hand checkpoint serialization to the background writer instead of stalling the compute path")
-	ckptFullEvery := flag.Int("checkpoint-full-every", 0, "with -checkpoint-async, force every N-th checkpoint full (0 = all full)")
-	ckptStall := flag.Bool("ckpt-stall", false, "run the -workload spec twice — synchronous then asynchronous checkpoints — emitting paired ckpt_mode records for benchdiff's stall gate")
+	ckptFullEvery := flag.Int("checkpoint-full-every", 0, "force every N-th checkpoint full and write deltas in between (0 = all full)")
 	flag.Parse()
 
 	if *jsonFile != "" || *workload != "" {
@@ -94,27 +92,13 @@ func main() {
 		if err := cliutil.ValidatePEs(*pes); err != nil {
 			fatalf("%v", err)
 		}
-		if *ckptEvery > 0 || *ckptDir != "" {
-			// Every backend supports checkpointing; validate the flag
-			// pairing and that the directory is writable before burning
-			// bench time.
-			if err := cliutil.ValidateCheckpointing("scale-out", *ckptEvery, *ckptDir, "", 0); err != nil {
-				fatalf("%v", err)
-			}
+		// Validate the flag pairing and that the directory is writable
+		// before burning bench time.
+		if err := cliutil.ValidateCheckpointing(*ckptEvery, *ckptDir, "", 0); err != nil {
+			fatalf("%v", err)
 		}
-		if *ckptAsync && *ckptEvery <= 0 {
-			fatalf("-checkpoint-async needs -checkpoint-every")
-		}
-		if *ckptFullEvery > 0 && !*ckptAsync && !*ckptStall {
-			fatalf("-checkpoint-full-every has no effect without -checkpoint-async (synchronous checkpoints are always full)")
-		}
-		if *ckptStall {
-			if *workload == "" || *ckptEvery <= 0 {
-				fatalf("-ckpt-stall needs -workload and -checkpoint-every: it benches one spec under both checkpoint modes")
-			}
-			if *ckptAsync {
-				fatalf("-ckpt-stall already runs both modes; drop -checkpoint-async")
-			}
+		if *ckptFullEvery > 0 && *ckptEvery <= 0 {
+			fatalf("-checkpoint-full-every needs -checkpoint-every")
 		}
 		if err := (sched.Topology{PEsPerNode: *ppn}).Validate(); err != nil {
 			fatalf("%v", err)
@@ -122,7 +106,7 @@ func main() {
 		if err := cliutil.ValidateCoalesced(*coalesced && *workload != "", *backendName); err != nil {
 			fatalf("%v", err)
 		}
-		ck := ckptOpts{every: *ckptEvery, dir: *ckptDir, async: *ckptAsync, fullEvery: *ckptFullEvery, stallPair: *ckptStall}
+		ck := ckptOpts{every: *ckptEvery, dir: *ckptDir, fullEvery: *ckptFullEvery}
 		runBenchMode(*jsonFile, *workload, *backendName, *pes, *ppn, *coalesced, *fuse, *tile, policy, *traceFile, *metricsFile, *pprofAddr, ck)
 		return
 	}
@@ -216,17 +200,11 @@ type benchRecord struct {
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes,omitempty"`
 	// Checkpoint activity, present only when -checkpoint-every is on, so
 	// baseline files written without checkpointing are unaffected.
-	// CkptMode distinguishes paired overhead records: "sync" serializes
-	// shards on the compute path, "async" hands copy-on-write payloads
-	// to the background writer. CkptStallSeconds is the compute-path
-	// stall attributable to checkpointing — full serialization time in
-	// sync mode, quiesce + payload capture in async mode (background
-	// writer time excluded); benchdiff gates the async/sync stall ratio.
-	CkptMode         string  `json:"ckpt_mode,omitempty"`
-	CkptCount        int64   `json:"ckpt_count,omitempty"`
-	CkptBytes        int64   `json:"ckpt_bytes,omitempty"`
-	CkptSeconds      float64 `json:"ckpt_seconds,omitempty"`
-	CkptStallSeconds float64 `json:"ckpt_stall_seconds,omitempty"`
+	// CkptSeconds is the compute-path stall (core.Result.Ckpt.NS); the
+	// background writer's time is not in it.
+	CkptCount   int64   `json:"ckpt_count,omitempty"`
+	CkptBytes   int64   `json:"ckpt_bytes,omitempty"`
+	CkptSeconds float64 `json:"ckpt_seconds,omitempty"`
 	// Compile-pipeline activity: fusion results, schedule remap count,
 	// compile latency, and plan-cache outcome. FusedGates and Remaps are
 	// deterministic for a fixed workload; CompileNS is wall time and
@@ -246,9 +224,10 @@ type benchRecord struct {
 // compatible revisions (v2 added schema_version and git_commit; v3 added
 // tile, sweeps, and gates_per_byte; v4 added ppn, intra_bytes,
 // inter_bytes, exchange_phases, and flat_inter_bytes for the two-level
-// remap trajectory; v5 added ckpt_mode and ckpt_stall_seconds for the
-// sync-vs-async checkpoint stall trajectory; v6 added diag_runs and
-// merged_gates).
+// remap trajectory; v5 added ckpt_mode and ckpt_stall_seconds for a
+// sync-vs-async checkpoint stall pair, dropped with the synchronous
+// protocol — no default-suite record ever carried them; v6 added
+// diag_runs and merged_gates).
 const (
 	benchSchema        = "svsim-bench/v6"
 	benchSchemaVersion = 6
@@ -327,11 +306,7 @@ var defaultBenchSuite = []benchSpec{
 type ckptOpts struct {
 	every     int
 	dir       string
-	async     bool
 	fullEvery int
-	// stallPair runs every spec twice — sync then async checkpoints —
-	// emitting paired ckpt_mode records for benchdiff's stall gate.
-	stallPair bool
 }
 
 func runBenchMode(jsonFile, workload, backend string, pes, ppn int, coalesced, fuse, tile bool, policy sched.Policy, traceFile, metricsFile, pprofAddr string, ck ckptOpts) {
@@ -363,30 +338,19 @@ func runBenchMode(jsonFile, workload, backend string, pes, ppn int, coalesced, f
 	plans := compile.NewCache(compile.DefaultCacheSize)
 	records := make([]benchRecord, 0, len(suite)+1)
 	for i, spec := range suite {
-		modes := []bool{ck.async}
-		if ck.stallPair {
-			modes = []bool{false, true} // sync first, then async
+		run := ck
+		if run.every > 0 {
+			// One subdirectory per suite entry so checkpoints of different
+			// configurations never collide.
+			run.dir = filepath.Join(ck.dir, fmt.Sprintf("%02d-%s-%s", i, spec.workload, spec.backend))
 		}
-		for _, async := range modes {
-			run := ck
-			run.async = async
-			if run.every > 0 {
-				// One subdirectory per suite entry and mode so
-				// checkpoints of different configurations never collide.
-				mode := "sync"
-				if async {
-					mode = "async"
-				}
-				run.dir = filepath.Join(ck.dir, fmt.Sprintf("%02d-%s-%s-%s", i, spec.workload, spec.backend, mode))
-			}
-			rec, err := runBenchSpec(spec, plans, tracer, metrics, run)
-			if err != nil {
-				fatalf("%s on %s: %v", spec.workload, spec.backend, err)
-			}
-			records = append(records, *rec)
-			fmt.Fprintf(os.Stderr, "svbench: %-12s %-9s pes=%-2d %12d ns  remote=%dB\n",
-				rec.Workload, rec.Backend, rec.PEs, rec.ElapsedNS, rec.CommRemoteBytes)
+		rec, err := runBenchSpec(spec, plans, tracer, metrics, run)
+		if err != nil {
+			fatalf("%s on %s: %v", spec.workload, spec.backend, err)
 		}
+		records = append(records, *rec)
+		fmt.Fprintf(os.Stderr, "svbench: %-12s %-9s pes=%-2d %12d ns  remote=%dB\n",
+			rec.Workload, rec.Backend, rec.PEs, rec.ElapsedNS, rec.CommRemoteBytes)
 	}
 	if workload == "" {
 		// The plan-cache trajectory workload: a VQE parameter sweep over a
@@ -441,8 +405,7 @@ func runBenchSpec(spec benchSpec, plans *compile.Cache, tracer *obs.Tracer, metr
 		Coalesced: spec.coalesced, Fuse: spec.fuse, Sched: spec.sched,
 		Tile: spec.tile, Topology: sched.Topology{PEsPerNode: spec.ppn},
 		Plans: plans, Trace: tracer, Metrics: metrics,
-		CheckpointEvery: ck.every, CheckpointDir: ck.dir,
-		CheckpointAsync: ck.async, CheckpointFullEvery: ck.fullEvery,
+		CheckpointEvery: ck.every, CheckpointDir: ck.dir, CheckpointFullEvery: ck.fullEvery,
 	}
 	backend, err := core.NewBackend(spec.backend, cfg)
 	if err != nil {
@@ -483,16 +446,6 @@ func runBenchSpec(spec benchSpec, plans *compile.Cache, tracer *obs.Tracer, metr
 	rec.CkptCount = res.Ckpt.Count
 	rec.CkptBytes = res.Ckpt.Bytes
 	rec.CkptSeconds = float64(res.Ckpt.NS) / 1e9
-	if ck.every > 0 {
-		rec.CkptMode = "sync"
-		if ck.async {
-			rec.CkptMode = "async"
-		}
-		// Ckpt.NS is compute-path time in both modes: full shard
-		// serialization in sync mode, quiesce + copy-on-write capture in
-		// async mode (the background writer's time is off-path).
-		rec.CkptStallSeconds = rec.CkptSeconds
-	}
 	rec.Fuse = spec.fuse
 	if spec.fuse {
 		rec.FusedGates = res.Compile.Fusion.OutputGates

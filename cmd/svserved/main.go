@@ -47,7 +47,6 @@ func main() {
 		workDir      = flag.String("workdir", "", "directory for per-job preemption checkpoints (default: a temp dir)")
 		maxBytes     = flag.Int64("max-bytes", 0, "global footprint budget in bytes; a job predicted over it is rejected with 413 (0 = unlimited)")
 		ckptEvery    = flag.Int("checkpoint-every", 16, "preemption granularity: running jobs checkpoint (and vote on stop requests) every N schedule steps")
-		ckptSync     = flag.Bool("checkpoint-sync", false, "write preemption checkpoints synchronously instead of through the async background writer")
 		stateQubits  = flag.Int("state-qubit-limit", 26, "largest qubit count for which return_state jobs retain their final state vector")
 	)
 	flag.Parse()
@@ -78,7 +77,6 @@ func main() {
 		MaxBytes:        *maxBytes,
 		WorkDir:         *workDir,
 		CheckpointEvery: *ckptEvery,
-		CheckpointAsync: !*ckptSync,
 		StateQubitLimit: *stateQubits,
 		Metrics:         obs.NewMetrics(),
 		Flight:          obs.NewFlightRecorder(obs.DefaultFlightCap),

@@ -23,7 +23,6 @@ type runOpts struct {
 	tileBits        int
 	checkpointEvery int
 	checkpointDir   string
-	checkpointAsync bool
 	ckptFullEvery   int
 	resume          string
 	resumePEs       int
@@ -36,10 +35,13 @@ type runOpts struct {
 
 // validate cross-checks the flag combination.
 func (o *runOpts) validate() error {
+	if _, err := core.NewBackend(o.backend, core.Config{}); err != nil {
+		return err // a name outside the table, whatever else is set
+	}
 	if err := cliutil.ValidatePEs(o.pes); err != nil {
 		return err
 	}
-	if err := cliutil.ValidateCheckpointing(o.backend, o.checkpointEvery, o.checkpointDir, o.resume, o.maxRestarts); err != nil {
+	if err := cliutil.ValidateCheckpointing(o.checkpointEvery, o.checkpointDir, o.resume, o.maxRestarts); err != nil {
 		return err
 	}
 	if o.resumePEs > 0 {
@@ -52,14 +54,11 @@ func (o *runOpts) validate() error {
 	} else if err := cliutil.ValidateResume(o.resume, o.backend, o.pes, o.sched); err != nil {
 		return err
 	}
-	if o.checkpointAsync && o.checkpointEvery <= 0 {
-		return fmt.Errorf("-checkpoint-async needs -checkpoint-every to schedule checkpoints")
-	}
 	if o.ckptFullEvery < 0 {
 		return fmt.Errorf("-checkpoint-full-every %d: compaction cadence cannot be negative", o.ckptFullEvery)
 	}
-	if o.ckptFullEvery > 0 && !o.checkpointAsync {
-		return fmt.Errorf("-checkpoint-full-every %d has no effect without -checkpoint-async (synchronous checkpoints are always full)", o.ckptFullEvery)
+	if o.ckptFullEvery > 0 && o.checkpointEvery <= 0 {
+		return fmt.Errorf("-checkpoint-full-every %d needs -checkpoint-every to schedule checkpoints", o.ckptFullEvery)
 	}
 	b, _ := core.LookupBackend(o.backend)
 	distributed := cliutil.Backends(func(b core.BackendInfo) bool { return b.Distributed })

@@ -66,8 +66,7 @@ func main() {
 
 		ckptEvery     = flag.Int("checkpoint-every", 0, "write a coordinated checkpoint every N schedule steps (0 = off; needs -checkpoint-dir)")
 		ckptDir       = flag.String("checkpoint-dir", "", "checkpoint base directory (one ckpt-<step> subdirectory per checkpoint)")
-		ckptAsync     = flag.Bool("checkpoint-async", false, "hand checkpoint serialization to a background writer: compute resumes after a copy-on-write capture instead of stalling for the disk")
-		ckptFullEvery = flag.Int("checkpoint-full-every", 0, "with -checkpoint-async, write a full (self-contained) checkpoint every N checkpoints and incremental deltas in between (0 = every checkpoint full)")
+		ckptFullEvery = flag.Int("checkpoint-full-every", 0, "write a full (self-contained) checkpoint every N checkpoints and incremental deltas in between (0 = every checkpoint full)")
 		resume        = flag.String("resume", "", "restore from a checkpoint: a ckpt-<step> directory or a base directory (latest complete checkpoint)")
 		resumePEs     = flag.Int("resume-pes", 0, "elastic restore: reshard the -resume checkpoint onto N PEs (power of two) regardless of the fleet size it was taken at")
 		elastic       = flag.Bool("elastic", false, "on a PE failure, reshard the latest checkpoint onto half the fleet instead of restarting at full size")
@@ -118,8 +117,7 @@ func main() {
 	opts := runOpts{
 		backend: *backendName, pes: *pes, sched: string(policy), seed: *seed, fuse: *fuse,
 		coalesced: *coalesced, tile: *tile, tileBits: *tileBits,
-		checkpointEvery: *ckptEvery, checkpointDir: *ckptDir,
-		checkpointAsync: *ckptAsync, ckptFullEvery: *ckptFullEvery,
+		checkpointEvery: *ckptEvery, checkpointDir: *ckptDir, ckptFullEvery: *ckptFullEvery,
 		resume: *resume, resumePEs: *resumePEs, elastic: *elastic,
 		maxRestarts: *maxRestarts, faultSpec: *faultSpec,
 		barrierTimeout: *barrierTmo, opRetries: *opRetries,
@@ -144,8 +142,7 @@ func main() {
 		Style: ks, PEs: *pes, Coalesced: *coalesced, Topology: topo,
 		Trace: telemetry.tracer, Metrics: telemetry.metrics,
 		Flight:          telemetry.flight,
-		CheckpointEvery: opts.checkpointEvery, CheckpointDir: opts.checkpointDir,
-		CheckpointAsync: opts.checkpointAsync, CheckpointFullEvery: opts.ckptFullEvery,
+		CheckpointEvery: opts.checkpointEvery, CheckpointDir: opts.checkpointDir, CheckpointFullEvery: opts.ckptFullEvery,
 		Resume: opts.resume, Elastic: opts.elastic, Stop: latch,
 		MaxRestarts: opts.maxRestarts,
 		Fault:       opts.injector(), Timeouts: opts.timeouts(),

@@ -58,7 +58,7 @@ func TestGracefulShutdownE2E(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-qasm", qasm, "-backend", "scale-out", "-pes", "2",
 		"-checkpoint-every", "25", "-checkpoint-dir", dir,
-		"-checkpoint-async", "-checkpoint-full-every", "4",
+		"-checkpoint-full-every", "4",
 		"-flight", flight)
 	var out strings.Builder
 	cmd.Stdout, cmd.Stderr = &out, &out

@@ -8,20 +8,21 @@ import (
 )
 
 // AsyncWriter serializes checkpoints on a background goroutine so the
-// compute fleet resumes immediately after capturing copy-on-write
-// payloads. Jobs are queued on a small bounded channel: a fleet that
-// checkpoints faster than the disk drains is throttled at Submit rather
-// than accumulating unbounded snapshot memory.
+// compute fleet resumes as soon as its snapshots are captured. One job is
+// in flight at a time: callers reuse their payloads from one checkpoint
+// to the next, so they Wait for the previous job to release them before
+// capturing again, and a fleet that checkpoints faster than the disk
+// drains stalls there instead of accumulating snapshot memory.
 //
-// Failure model: the first write error latches (sticky) and every
-// subsequent Submit returns it — a run cannot silently keep computing
-// while its durability story has stopped. Close drains the queue and
-// reports the latched error; callers must Close before reading any
-// checkpoint the writer produced (manifest-written-last holds per job,
-// but queued jobs may not have started).
+// Failure model: the first write error latches (sticky) and Wait and
+// every subsequent Submit return it — a run cannot silently keep
+// computing while its durability story has stopped. Close drains the
+// job in flight and reports the latched error; callers must Close before
+// reading any checkpoint the writer produced.
 type AsyncWriter struct {
 	jobs chan *writeJob
 	done chan struct{}
+	busy sync.WaitGroup // the job in flight
 
 	mu  sync.Mutex
 	err error
@@ -34,8 +35,8 @@ type AsyncWriter struct {
 	OnJob func(step int, bytes int64, ns int64, err error)
 }
 
-// writeJob is one queued checkpoint: the target directory, the manifest
-// to publish last, and one captured payload per rank.
+// writeJob is one checkpoint: the target directory, the manifest to
+// publish last, and one captured payload per rank.
 type writeJob struct {
 	dir      string
 	manifest *Manifest
@@ -43,8 +44,8 @@ type writeJob struct {
 }
 
 // AsyncQueueDepth is how many checkpoints may be in flight (queued or
-// being written) before Submit blocks.
-const AsyncQueueDepth = 2
+// being written) at once.
+const AsyncQueueDepth = 1
 
 // NewAsyncWriter starts the background writer goroutine.
 func NewAsyncWriter() *AsyncWriter {
@@ -56,11 +57,10 @@ func NewAsyncWriter() *AsyncWriter {
 	return w
 }
 
-// Submit queues one checkpoint for background writing: m.Shards is
-// filled in by the writer; payloads[r] is rank r's captured snapshot.
-// Blocks when AsyncQueueDepth checkpoints are already in flight. If a
-// previous job failed, the latched error is returned and the job is
-// dropped.
+// Submit hands one checkpoint to the writer: m.Shards is filled in by
+// the writer; payloads[r] is rank r's captured snapshot, which the writer
+// holds until Wait returns. If a previous job failed, the latched error
+// is returned and the job is dropped.
 func (w *AsyncWriter) Submit(dir string, m *Manifest, payloads []*Payload) error {
 	if err := w.Err(); err != nil {
 		return err
@@ -68,8 +68,16 @@ func (w *AsyncWriter) Submit(dir string, m *Manifest, payloads []*Payload) error
 	if len(payloads) != m.PEs {
 		return fmt.Errorf("ckpt: async submit: %d payloads for %d PEs", len(payloads), m.PEs)
 	}
+	w.busy.Add(1)
 	w.jobs <- &writeJob{dir: dir, manifest: m, payloads: payloads}
 	return nil
+}
+
+// Wait blocks until the job in flight, if any, has landed (its payloads
+// are free for the next capture) and returns the latched error.
+func (w *AsyncWriter) Wait() error {
+	w.busy.Wait()
+	return w.Err()
 }
 
 // Err returns the latched write error, if any.
@@ -79,7 +87,7 @@ func (w *AsyncWriter) Err() error {
 	return w.err
 }
 
-// Close drains all queued checkpoints, stops the writer goroutine, and
+// Close drains the job in flight, stops the writer goroutine, and
 // returns the latched error. The writer is unusable afterwards.
 func (w *AsyncWriter) Close() error {
 	close(w.jobs)
@@ -90,30 +98,32 @@ func (w *AsyncWriter) Close() error {
 func (w *AsyncWriter) loop() {
 	defer close(w.done)
 	for job := range w.jobs {
-		if w.Err() != nil {
-			continue // latched: drain without writing
-		}
-		start := time.Now()
-		bytes, err := w.write(job)
-		ns := time.Since(start).Nanoseconds()
-		if err != nil {
-			w.mu.Lock()
-			w.err = err
-			w.mu.Unlock()
-		}
-		if w.OnJob != nil {
-			w.OnJob(job.manifest.Step, bytes, ns, err)
-		}
+		w.run(job)
+		w.busy.Done()
+	}
+}
+
+// run writes one job unless an earlier one failed, latching its error.
+func (w *AsyncWriter) run(job *writeJob) {
+	if w.Err() != nil {
+		return // latched: drain without writing
+	}
+	start := time.Now()
+	bytes, err := w.write(job)
+	ns := time.Since(start).Nanoseconds()
+	if err != nil {
+		w.mu.Lock()
+		w.err = err
+		w.mu.Unlock()
+	}
+	if w.OnJob != nil {
+		w.OnJob(job.manifest.Step, bytes, ns, err)
 	}
 }
 
 // write lands one checkpoint on disk: shards first, manifest last, all
-// crash-atomic, exactly like the synchronous path. Shards are written
-// concurrently (one goroutine each) so their fsyncs overlap in the
-// kernel — the synchronous protocol gets the same overlap for free from
-// the PE goroutines, and a writer that drains jobs slower than the
-// fleet produces them would turn the bounded queue into a steady-state
-// stall at Submit.
+// crash-atomic. Shards are written concurrently (one goroutine each) so
+// their fsyncs overlap in the kernel.
 func (w *AsyncWriter) write(job *writeJob) (int64, error) {
 	if err := os.MkdirAll(job.dir, 0o755); err != nil {
 		return 0, fmt.Errorf("ckpt: async mkdir: %w", err)

@@ -109,7 +109,11 @@ type Manifest struct {
 type Stats struct {
 	Count int64 // checkpoints written
 	Bytes int64 // total shard bytes
-	NS    int64 // wall time spent checkpointing
+	// NS is the compute-path stall: from the quiesce to the hand-off to
+	// the background writer, including the wait for the previous write to
+	// release the snapshots. The writer's own time is the
+	// ckpt_writer_ns metric.
+	NS int64
 }
 
 // Add merges o into s.
@@ -190,16 +194,10 @@ func ShardFile(rank int) string {
 // manifest entry (size and CRC32-IEEE of the file contents). The write
 // is crash-atomic: the bytes land in a temp file which is fsynced and
 // renamed into place, so a crash mid-write leaves no partial shard
-// under the final name.
+// under the final name. It is WritePayloadShard over a full payload that
+// views st's amplitudes without copying them.
 func WriteShard(dir string, rank int, st *statevec.State) (Shard, error) {
-	name := ShardFile(rank)
-	n, crc, err := atomicWrite(dir, name, func(w io.Writer) (int64, error) {
-		return st.WriteTo(w)
-	})
-	if err != nil {
-		return Shard{}, fmt.Errorf("ckpt: writing shard %d: %w", rank, err)
-	}
-	return Shard{Rank: rank, File: name, Bytes: n, CRC32: crc}, nil
+	return WritePayloadShard(dir, rank, &Payload{Qubits: st.N, Re: st.Re, Im: st.Im})
 }
 
 // atomicWrite streams write's output into dir/name crash-atomically

@@ -132,17 +132,11 @@ func (d *Dirty) Clear() {
 }
 
 // Tiles returns the dirty tile indices in ascending order.
-func (d *Dirty) Tiles() []int {
-	if d.all {
-		out := make([]int, d.numTiles)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	var out []int
+func (d *Dirty) Tiles() []int { return d.appendTiles(nil) }
+
+func (d *Dirty) appendTiles(out []int) []int {
 	for t := 0; t < d.numTiles; t++ {
-		if d.bits[t/64]>>uint(t%64)&1 == 1 {
+		if d.all || d.bits[t/64]>>uint(t%64)&1 == 1 {
 			out = append(out, t)
 		}
 	}
@@ -163,41 +157,48 @@ func (d *Dirty) Count() int {
 	return n
 }
 
-// Payload is the copy-on-write snapshot one PE hands to the background
-// checkpoint writer: either the whole partition (Tiles nil — a full
-// shard) or the packed dirty tiles (a delta shard). Capturing a payload
-// is pure memcpy; serialization happens later, off the compute path.
+// Payload is the snapshot one PE hands to the background checkpoint
+// writer: either the whole partition (Tiles nil — a full shard) or the
+// packed dirty tiles (a delta shard). Capturing one is pure memcpy;
+// serialization happens later, off the compute path. A payload is reused
+// from one checkpoint to the next: a capture overwrites its buffers, so
+// the previous write must have finished with them.
 type Payload struct {
 	Qubits   int   // partition qubit count (localBits)
 	TileBits int   // tile size exponent; meaningless when Tiles is nil
 	Tiles    []int // dirty tile indices; nil => full partition snapshot
 	Re, Im   []float64
+
+	tiles []int // index storage the delta captures reuse
 }
 
-// CaptureFull copies st into a full-shard payload.
-func CaptureFull(st *statevec.State) *Payload {
-	return &Payload{
-		Qubits: st.N,
-		Re:     append([]float64(nil), st.Re...),
-		Im:     append([]float64(nil), st.Im...),
+// CaptureFull copies st into a new full-shard payload.
+func CaptureFull(st *statevec.State) *Payload { return new(Payload).Capture(st) }
+
+// Capture copies st's whole partition into p, a full-shard payload, and
+// returns p. The buffers are allocated on p's first capture and reused.
+func (p *Payload) Capture(st *statevec.State) *Payload {
+	p.Qubits, p.TileBits, p.Tiles = st.N, 0, nil
+	p.Re, p.Im = resize(p.Re, st.Dim), resize(p.Im, st.Dim)
+	copy(p.Re, st.Re)
+	copy(p.Im, st.Im)
+	return p
+}
+
+// CaptureTiles packs the dirty tiles of st into the prefix of p's
+// buffers, a delta payload, clears the tracker and returns p. A
+// fully-dirty tracker still captures a delta (every tile, with index
+// overhead) — the full/delta decision is the caller's, made
+// fleet-uniformly.
+func (p *Payload) CaptureTiles(st *statevec.State, d *Dirty) *Payload {
+	if p.tiles == nil {
+		p.tiles = make([]int, 0, d.numTiles)
 	}
-}
-
-// CaptureDelta copies the dirty tiles of st into a delta payload and
-// clears the tracker. A fully-dirty tracker still captures a delta
-// (every tile, with index overhead) — the full/delta decision is the
-// caller's, made fleet-uniformly.
-func CaptureDelta(st *statevec.State, d *Dirty) *Payload {
-	tiles := d.Tiles()
+	p.tiles = d.appendTiles(p.tiles[:0])
 	tdim := 1 << uint(d.tileBits)
-	p := &Payload{
-		Qubits:   st.N,
-		TileBits: d.tileBits,
-		Tiles:    tiles,
-		Re:       make([]float64, len(tiles)*tdim),
-		Im:       make([]float64, len(tiles)*tdim),
-	}
-	for i, t := range tiles {
+	p.Qubits, p.TileBits, p.Tiles = st.N, d.tileBits, p.tiles
+	p.Re, p.Im = resize(p.Re, len(p.Tiles)*tdim), resize(p.Im, len(p.Tiles)*tdim)
+	for i, t := range p.Tiles {
 		lo := t << uint(d.tileBits)
 		copy(p.Re[i*tdim:(i+1)*tdim], st.Re[lo:lo+tdim])
 		copy(p.Im[i*tdim:(i+1)*tdim], st.Im[lo:lo+tdim])
@@ -206,17 +207,23 @@ func CaptureDelta(st *statevec.State, d *Dirty) *Payload {
 	return p
 }
 
+// resize returns b at length n, reallocating only when it is too short.
+func resize(b []float64, n int) []float64 {
+	if cap(b) < n {
+		return make([]float64, n)
+	}
+	return b[:n]
+}
+
 // WritePayloadShard serializes a captured payload into dir as rank's
 // shard (full statevec format when p.Tiles is nil, delta format
 // otherwise), crash-atomically, and returns its manifest entry.
 func WritePayloadShard(dir string, rank int, p *Payload) (Shard, error) {
 	name := ShardFile(rank)
-	var write func(io.Writer) (int64, error)
+	write := func(w io.Writer) (int64, error) { return writeDelta(w, p) }
 	if p.Tiles == nil {
 		st := &statevec.State{N: p.Qubits, Dim: len(p.Re), Re: p.Re, Im: p.Im}
-		write = func(w io.Writer) (int64, error) { return st.WriteTo(w) }
-	} else {
-		write = func(w io.Writer) (int64, error) { return writeDelta(w, p) }
+		write = st.WriteTo
 	}
 	n, crc, err := atomicWrite(dir, name, write)
 	if err != nil {
@@ -228,39 +235,18 @@ func WritePayloadShard(dir string, rank int, p *Payload) (Shard, error) {
 // writeDelta serializes a delta payload: magic, qubit count, tile size
 // exponent, tile count, then per tile the index and its re/im data.
 func writeDelta(w io.Writer, p *Payload) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	put := func(v any) error {
-		err := binary.Write(bw, binary.LittleEndian, v)
-		n += int64(binary.Size(v))
-		return err
-	}
-	if err := put(deltaMagic); err != nil {
-		return n, err
-	}
-	if err := put(uint32(p.Qubits)); err != nil {
-		return n, err
-	}
-	if err := put(uint32(p.TileBits)); err != nil {
-		return n, err
-	}
-	if err := put(uint32(len(p.Tiles))); err != nil {
-		return n, err
-	}
+	c := statevec.NewChunkWriter(w)
+	c.Bytes(deltaMagic[:])
+	c.U32(uint32(p.Qubits))
+	c.U32(uint32(p.TileBits))
+	c.U32(uint32(len(p.Tiles)))
 	tdim := 1 << uint(p.TileBits)
 	for i, t := range p.Tiles {
-		if err := put(uint64(t)); err != nil {
-			return n, err
-		}
-		for _, part := range [][]float64{p.Re[i*tdim : (i+1)*tdim], p.Im[i*tdim : (i+1)*tdim]} {
-			for _, v := range part {
-				if err := put(math.Float64bits(v)); err != nil {
-					return n, err
-				}
-			}
-		}
+		c.U64(uint64(t))
+		c.Floats(p.Re[i*tdim : (i+1)*tdim])
+		c.Floats(p.Im[i*tdim : (i+1)*tdim])
 	}
-	return n, bw.Flush()
+	return c.Close()
 }
 
 // ApplyDeltaShard loads one delta shard, validates it against its

@@ -63,7 +63,7 @@ func TestDeltaShardRoundTrip(t *testing.T) {
 	d.MarkTile(3 >> 4)
 	d.MarkTile(50 >> 4)
 
-	p := CaptureDelta(mod, d)
+	p := new(Payload).CaptureTiles(mod, d)
 	if len(p.Tiles) != 2 {
 		t.Fatalf("captured %d tiles, want 2", len(p.Tiles))
 	}
@@ -123,6 +123,59 @@ func TestCaptureFullPayloadShard(t *testing.T) {
 	}
 }
 
+// TestPayloadReuse: one payload carries a full capture, then a delta
+// packed into its buffers' prefix, then a full capture again, without
+// reallocating them, and each shard it writes restores what was
+// captured. A delta of a clean tracker is an empty delta shard, not a
+// full shard of no amplitudes.
+func TestPayloadReuse(t *testing.T) {
+	dir := t.TempDir()
+	st := mkState(t, 6, 4)
+	d := NewDirty(st.Dim, 4)
+	p := new(Payload).Capture(st)
+	re, im := &p.Re[0], &p.Im[0]
+	d.Clear()
+
+	base := st.Clone()
+	st.Re[40] = 40
+	d.MarkTile(40 >> 4)
+	p.CaptureTiles(st, d)
+	if len(p.Tiles) != 1 || len(p.Re) != 16 || &p.Re[0] != re || &p.Im[0] != im {
+		t.Fatalf("delta capture: %d tiles, %d amplitudes, reused=%v", len(p.Tiles), len(p.Re), &p.Re[0] == re)
+	}
+	sh, err := WritePayloadShard(dir, 0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := base.Clone()
+	if err := ApplyDeltaShard(dir, sh, got); err != nil || got.MaxAbsDiff(st) != 0 {
+		t.Fatalf("delta from a reused payload: err=%v", err)
+	}
+
+	p.CaptureTiles(st, d) // nothing dirtied since
+	if p.Tiles == nil || len(p.Tiles) != 0 {
+		t.Fatalf("clean tracker captured tiles %v, want an empty delta", p.Tiles)
+	}
+	if sh, err = WritePayloadShard(dir, 1, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := ApplyDeltaShard(dir, sh, got); err != nil || got.MaxAbsDiff(st) != 0 {
+		t.Fatalf("empty delta: err=%v", err)
+	}
+
+	st.Im[3] = -3
+	p.Capture(st)
+	if p.Tiles != nil || len(p.Re) != st.Dim || &p.Re[0] != re || &p.Im[0] != im {
+		t.Fatalf("full capture after a delta: tiles=%v, %d amplitudes, reused=%v", p.Tiles, len(p.Re), &p.Re[0] == re)
+	}
+	if sh, err = WritePayloadShard(dir, 2, p); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadShard(dir, sh, 6); err != nil || got.MaxAbsDiff(st) != 0 {
+		t.Fatalf("full shard from a reused payload: err=%v", err)
+	}
+}
+
 // writeChainCkpt writes one single-PE checkpoint (full or delta) with a
 // manifest, returning the payload it captured.
 func writeChainCkpt(t *testing.T, base string, step int, kind string, parent int, st *statevec.State, d *Dirty) {
@@ -135,7 +188,7 @@ func writeChainCkpt(t *testing.T, base string, step int, kind string, parent int
 	if kind == KindFull {
 		p = CaptureFull(st)
 	} else {
-		p = CaptureDelta(st, d)
+		p = new(Payload).CaptureTiles(st, d)
 	}
 	sh, err := WritePayloadShard(dir, 0, p)
 	if err != nil {
@@ -204,6 +257,9 @@ func chainSteps(links []ChainLink) []int {
 	return out
 }
 
+// TestAsyncWriter drives the writer the way the runtime does: one
+// payload, recaptured after Wait reports the previous job landed. Every
+// checkpoint holds the state of its own capture.
 func TestAsyncWriter(t *testing.T) {
 	base := t.TempDir()
 	st := mkState(t, 4, 5)
@@ -214,12 +270,19 @@ func TestAsyncWriter(t *testing.T) {
 			jobs++
 		}
 	}
+	snap := new(Payload)
+	want := map[int]*statevec.State{}
 	for _, step := range []int{2, 4} {
+		if err := w.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		st.Re[step] = float64(step) // the state moves on between cuts
+		want[step] = st.Clone()
 		m := &Manifest{
 			Backend: "single", Circuit: "async", NumQubits: 4, PEs: 1,
 			Sched: "lazy", Step: step, Kind: KindFull, OpsDone: step,
 		}
-		if err := w.Submit(StepDir(base, step), m, []*Payload{CaptureFull(st)}); err != nil {
+		if err := w.Submit(StepDir(base, step), m, []*Payload{snap.Capture(st)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,16 +292,19 @@ func TestAsyncWriter(t *testing.T) {
 	if jobs != 2 {
 		t.Fatalf("OnJob saw %d successful jobs, want 2", jobs)
 	}
-	dir, m, ok, err := Latest(base)
-	if err != nil || !ok || m.Step != 4 {
-		t.Fatalf("Latest after async: dir=%s ok=%v err=%v", dir, ok, err)
-	}
-	got, err := ReadShard(dir, m.Shards[0], 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MaxAbsDiff(st) != 0 {
-		t.Fatal("async-written shard differs from captured state")
+	for step, st := range want {
+		dir := StepDir(base, step)
+		m, err := ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadShard(dir, m.Shards[0], 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.MaxAbsDiff(st) != 0 {
+			t.Fatalf("step %d: written shard differs from its capture", step)
+		}
 	}
 }
 
@@ -257,6 +323,12 @@ func TestAsyncWriterStickyError(t *testing.T) {
 	}
 	if err := w.Submit(bad, m(1), []*Payload{CaptureFull(st)}); err != nil {
 		t.Fatal(err)
+	}
+	if err := w.Wait(); err == nil {
+		t.Fatal("Wait swallowed the write failure")
+	}
+	if err := w.Submit(filepath.Join(base, "ckpt-2"), m(2), []*Payload{CaptureFull(st)}); err == nil {
+		t.Fatal("Submit after a failed write was accepted")
 	}
 	if err := w.Close(); err == nil {
 		t.Fatal("writer swallowed the write failure")

@@ -44,16 +44,12 @@ func ValidateCoalesced(coalesced bool, backend string) error {
 	return nil
 }
 
-// ValidateCheckpointing checks the checkpoint flag combination for a
-// backend: intervals need a directory, the directory must be writable
-// (probed by creating it and touching a file), and the backend must
-// support checkpoint/restore at all.
-func ValidateCheckpointing(backend string, every int, dir, resume string, maxRestarts int) error {
+// ValidateCheckpointing checks the checkpoint flag combination (every
+// backend checkpoints): intervals need a directory, and the directory
+// must be writable (probed by creating it and touching a file).
+func ValidateCheckpointing(every int, dir, resume string, maxRestarts int) error {
 	if every == 0 && dir == "" && resume == "" && maxRestarts == 0 {
 		return nil // checkpointing entirely off
-	}
-	if _, ok := core.LookupBackend(backend); !ok {
-		return fmt.Errorf("backend %q does not support checkpoint/restore (supported: %s)", backend, Backends(nil))
 	}
 	if every < 0 {
 		return fmt.Errorf("-checkpoint-every %d: interval must be positive", every)
@@ -100,9 +96,6 @@ func EnsureWritableDir(dir string) error {
 func ValidateResume(resume, backend string, pes int, schedName string) error {
 	if resume == "" {
 		return nil
-	}
-	if _, ok := core.LookupBackend(backend); !ok {
-		return fmt.Errorf("backend %q does not support checkpoint/restore (supported: %s)", backend, Backends(nil))
 	}
 	_, m, err := ckpt.Resolve(resume)
 	if err != nil {

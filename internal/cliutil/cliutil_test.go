@@ -39,26 +39,22 @@ func TestValidateCheckpointing(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
 		name        string
-		backend     string
 		every       int
 		dir, resume string
 		maxRestarts int
 		want        string // empty = valid
 	}{
-		{"all off", "threaded", 0, "", "", 0, ""},
-		{"basic on", "scale-out", 10, dir, "", 2, ""},
-		{"dir only", "single", 0, dir, "", 0, ""},
-		{"negative interval", "scale-out", -5, dir, "", 0, "must be positive"},
-		{"negative restarts", "scale-out", 10, dir, "", -1, "cannot be negative"},
-		{"interval without dir", "scale-out", 10, "", "", 0, "-checkpoint-dir"},
-		{"restarts without dir", "scale-out", 0, "", "", 3, "-checkpoint-dir"},
-		{"threaded on", "threaded", 10, dir, "", 0, ""},
-		{"remap on", "mpi", 10, dir, "", 2, ""}, // the remap baseline is mpi under -sched lazy
-		{"unsupported backend", "nonesuch", 10, dir, "", 0, "does not support"},
+		{"all off", 0, "", "", 0, ""},
+		{"basic on", 10, dir, "", 2, ""},
+		{"dir only", 0, dir, "", 0, ""},
+		{"negative interval", -5, dir, "", 0, "must be positive"},
+		{"negative restarts", 10, dir, "", -1, "cannot be negative"},
+		{"interval without dir", 10, "", "", 0, "-checkpoint-dir"},
+		{"restarts without dir", 0, "", "", 3, "-checkpoint-dir"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := ValidateCheckpointing(c.backend, c.every, c.dir, c.resume, c.maxRestarts)
+			err := ValidateCheckpointing(c.every, c.dir, c.resume, c.maxRestarts)
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected %v", err)
@@ -153,7 +149,8 @@ func TestValidateResume(t *testing.T) {
 // TestValidateResumeRemap pins the manifest identity of the remap
 // baseline: the mpi row under the lazy plan records backend "mpi" and
 // schedule "lazy", so -sched (not a backend alias) says which plan the
-// checkpoint belongs to, and the deleted "remap" alias is no backend.
+// checkpoint belongs to, and a resume under the deleted "remap" alias
+// is pointed at -backend mpi.
 func TestValidateResumeRemap(t *testing.T) {
 	dir := t.TempDir()
 	c := circuit.New("probe", 6)
@@ -177,8 +174,8 @@ func TestValidateResumeRemap(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-sched lazy") {
 		t.Fatalf("error %v, want a pointer to -sched lazy", err)
 	}
-	if err := ValidateResume(dir, "remap", 4, "lazy"); err == nil || !strings.Contains(err.Error(), "does not support") {
-		t.Fatalf("error %v, want the remap alias rejected", err)
+	if err := ValidateResume(dir, "remap", 4, "lazy"); err == nil || !strings.Contains(err.Error(), "-backend mpi") {
+		t.Fatalf("error %v, want the remap alias pointed at -backend mpi", err)
 	}
 }
 

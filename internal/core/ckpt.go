@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"svsim/internal/circuit"
@@ -12,21 +11,24 @@ import (
 	"svsim/internal/obs"
 	"svsim/internal/pgas"
 	"svsim/internal/sched"
-	"svsim/internal/statevec"
 )
 
 // Coordinated checkpoint/restore of the runtime (runtime.go: every
 // transport, plan and grid size — on one rank the protocol's barriers
 // have nobody to wait for and are skipped).
 //
-// Two write protocols exist. The synchronous one stops the fleet while
-// every PE serializes its full shard. The asynchronous one
-// (Config.CheckpointAsync) quiesces only long enough to CAPTURE
-// copy-on-write payloads — the whole partition for a full checkpoint,
-// the dirtied tiles for a delta — then hands them to a background
-// ckpt.AsyncWriter and resumes compute immediately; deltas chain to
-// their parent checkpoint and a full checkpoint is forced every
-// Config.CheckpointFullEvery-th write to bound restore chains.
+// One write protocol: the fleet quiesces, every rank CAPTURES its
+// partition into its one reused snapshot — the whole partition for a
+// full checkpoint, the dirtied tiles packed into the snapshot's prefix
+// for a delta — and rank 0 hands the job to a background
+// ckpt.AsyncWriter while compute resumes. A capture first waits for the
+// previous write to release the snapshots, so at most one checkpoint is
+// in flight, peak memory is the state plus one partition copy per rank,
+// and the stall is whatever of the write the compute since the last cut
+// did not hide. Deltas chain to their parent checkpoint and every
+// Config.CheckpointFullEvery-th write is full, bounding restore chains.
+// Nothing is built before the first cut: the writer goroutine, the
+// snapshots and — only when deltas are possible — the dirty trackers.
 
 // RunFailure is the structured terminal error of a distributed run that
 // could not be completed: the PE failure (or other root cause) survives
@@ -60,38 +62,36 @@ func recoverable(err error) bool {
 // region. One instance is shared by all PEs of a run; the cross-PE slots
 // are synchronized by the protocol's barriers.
 type ckptWriter struct {
-	every int
-	dir   string
-	man   ckpt.Manifest // immutable template fields (backend, circuit, ...)
+	every     int
+	fullEvery int
+	dir       string
+	man       ckpt.Manifest // immutable template fields (backend, circuit, ...)
 
-	// Async-mode state. aw is nil in synchronous mode. sinceFull and
+	// Built at the attempt's first cut by rank 0: the background writer
+	// and one snapshot per rank, reused by every later cut. sinceFull and
 	// lastStep are rank-0-only bookkeeping for the delta chain.
 	aw        *ckpt.AsyncWriter
-	fullEvery int
+	snaps     []*ckpt.Payload
 	sinceFull int
 	lastStep  int
 
-	// Per-attempt cross-PE scratch.
-	stepDir  string
-	mkdirErr error
-	subErr   error  // async: sticky writer error observed at the quiesce
-	kind     string // async: rank 0's full/delta decision for this write
-	parent   int
-	shards   []ckpt.Shard
-	errs     []error
-	payloads []*ckpt.Payload
-	t0       time.Time
+	// Per-cut cross-PE scratch, published by the protocol's barriers.
+	err    error  // the previous write's latched error, seen at the quiesce
+	kind   string // rank 0's full/delta decision for this cut
+	parent int
+	t0     time.Time
 
 	stats ckpt.Stats
 
-	// Optional metrics, flight recorder, and async-writer trace lane;
-	// all nil-safe.
+	// Optional metrics, flight recorder, tracer (for the writer's trace
+	// lane); all nil-safe.
 	mCount      *obs.Counter
 	mBytes      *obs.Counter
 	mNS         *obs.Counter
 	mWriterNS   *obs.Counter
 	mDeltaTiles *obs.Counter
 	rec         *obs.FlightRecorder
+	trace       *obs.Tracer
 	wtrk        *obs.Track
 }
 
@@ -104,8 +104,9 @@ func newCkptWriter(cfg Config, backend string, c *circuit.Circuit, p int, planFP
 		return nil
 	}
 	w := &ckptWriter{
-		every: cfg.CheckpointEvery,
-		dir:   cfg.CheckpointDir,
+		every:     cfg.CheckpointEvery,
+		fullEvery: cfg.CheckpointFullEvery,
+		dir:       cfg.CheckpointDir,
 		man: ckpt.Manifest{
 			Backend:         backend,
 			Circuit:         c.Name,
@@ -116,8 +117,8 @@ func newCkptWriter(cfg Config, backend string, c *circuit.Circuit, p int, planFP
 			Sched:           schedName(cfg.Sched),
 			Seed:            cfg.Seed,
 		},
-		shards: make([]ckpt.Shard, p),
-		errs:   make([]error, p),
+		rec:   cfg.Flight,
+		trace: cfg.Trace,
 	}
 	if cfg.Metrics != nil {
 		w.mCount = cfg.Metrics.Counter(obs.MetricCkptCount)
@@ -126,59 +127,62 @@ func newCkptWriter(cfg Config, backend string, c *circuit.Circuit, p int, planFP
 		w.mWriterNS = cfg.Metrics.Counter(obs.MetricCkptWriterNS)
 		w.mDeltaTiles = cfg.Metrics.Counter(obs.MetricCkptDeltaTiles)
 	}
-	w.rec = cfg.Flight
-	if cfg.CheckpointAsync {
-		w.fullEvery = cfg.CheckpointFullEvery
-		w.payloads = make([]*ckpt.Payload, p)
-		w.wtrk = cfg.Trace.Track(p) // writer lane after the PE tracks
-		w.aw = ckpt.NewAsyncWriter()
-		w.aw.OnJob = func(step int, bytes int64, ns int64, err error) {
-			// Runs on the writer goroutine; readers of stats wait for
-			// finish(), whose Close() orders these writes before them.
-			w.stats.Bytes += bytes
-			w.mBytes.Add(bytes)
-			w.mWriterNS.Add(ns)
-			if err != nil {
-				w.rec.Record(-1, obs.EventRunFailed, "async checkpoint: "+err.Error(), int64(step))
-				return
-			}
-			end := time.Now()
-			if w.wtrk != nil {
-				w.wtrk.SpanAt(fmt.Sprintf("ckpt write step %d", step),
-					end.Add(-time.Duration(ns)), end,
-					obs.SpanArgs{Kind: "ckpt_write", Phase: obs.PhaseCkptWrite})
-			}
-			w.rec.Record(-1, obs.EventCheckpoint, fmt.Sprintf("step %d (async)", step), bytes)
-		}
-	}
 	return w
 }
 
-// async reports whether this writer runs the background protocol.
-func (w *ckptWriter) async() bool { return w != nil && w.aw != nil }
+// start builds what checkpoints need at the attempt's first cut: one
+// empty snapshot per rank (its buffers are allocated by the first
+// capture), the writer's trace lane after the PE tracks, and the writer.
+// Rank 0 only.
+func (w *ckptWriter) start() {
+	w.snaps = make([]*ckpt.Payload, w.man.PEs)
+	for r := range w.snaps {
+		w.snaps[r] = new(ckpt.Payload)
+	}
+	w.wtrk = w.trace.Track(w.man.PEs)
+	w.aw = ckpt.NewAsyncWriter()
+	w.aw.OnJob = w.written
+}
 
-// finish drains the background writer (if any) and returns its latched
-// error. Must be called after the SPMD region ends — both on success
-// (queued checkpoints must land before the process may exit) and on
-// failure (the writer goroutine must stop). Safe on nil and sync-mode
-// writers.
+// written accounts one landed (or failed) write. It runs on the writer
+// goroutine; readers of stats wait for finish(), whose Close() orders
+// these writes before them.
+func (w *ckptWriter) written(step int, bytes int64, ns int64, err error) {
+	w.stats.Bytes += bytes
+	w.mBytes.Add(bytes)
+	w.mWriterNS.Add(ns)
+	if err != nil {
+		w.rec.Record(-1, obs.EventRunFailed, "checkpoint write: "+err.Error(), int64(step))
+		return
+	}
+	end := time.Now()
+	if w.wtrk != nil {
+		w.wtrk.SpanAt(fmt.Sprintf("ckpt write step %d", step),
+			end.Add(-time.Duration(ns)), end,
+			obs.SpanArgs{Kind: "ckpt_write", Phase: obs.PhaseCkptWrite})
+	}
+	w.rec.Record(-1, obs.EventCheckpoint, fmt.Sprintf("step %d", step), bytes)
+}
+
+// finish drains the background writer, if a cut started one, and returns
+// its latched error. Must be called after the SPMD region ends — both on
+// success (the last checkpoint must land before the run returns) and on
+// failure (the writer goroutine must stop). Safe on a nil writer.
 func (w *ckptWriter) finish() error {
-	if !w.async() {
+	if w == nil || w.aw == nil {
 		return nil
 	}
-	err := w.aw.Close()
-	w.aw = nil
-	if err != nil {
-		return fmt.Errorf("core: async checkpoint writer: %w", err)
+	if err := w.aw.Close(); err != nil {
+		return fmt.Errorf("core: checkpoint writer: %w", err)
 	}
 	return nil
 }
 
-// decideKind picks full or delta for the next async checkpoint. Rank 0
-// only. A nil dirty tracker (backend without write tracking) forces
-// full, as does a chain at its fullEvery bound.
-func (w *ckptWriter) decideKind(dirty *ckpt.Dirty) {
-	if dirty == nil || w.fullEvery <= 1 || w.sinceFull == 0 || w.sinceFull >= w.fullEvery {
+// decideKind picks full or delta for the next checkpoint. Rank 0 only.
+// A cut is full when deltas are off, at the attempt's first cut, and
+// when the chain has reached its fullEvery bound.
+func (w *ckptWriter) decideKind() {
+	if w.fullEvery <= 1 || w.sinceFull == 0 || w.sinceFull >= w.fullEvery {
 		w.kind = ckpt.KindFull
 		return
 	}
@@ -214,111 +218,58 @@ func (w *ckptWriter) fillManifest(step, ops int, cbits uint64, draws int64, perm
 	return &m
 }
 
-// capture snapshots this PE's payload for an async checkpoint according
-// to rank 0's kind decision, clearing the dirty tracker either way (a
-// full capture also resets the delta baseline).
-func (w *ckptWriter) capture(rank int, local *statevec.State, dirty *ckpt.Dirty) {
+// capture takes this rank's snapshot according to rank 0's kind
+// decision. A full capture is the new delta baseline: when deltas are
+// possible it clears the rank's dirty tracker, built here at the first.
+func (w *ckptWriter) capture(rank int, r *Rank) {
+	snap := w.snaps[rank]
 	if w.kind == ckpt.KindDelta {
-		p := ckpt.CaptureDelta(local, dirty)
-		w.payloads[rank] = p
-		w.mDeltaTiles.Add(int64(len(p.Tiles)))
+		snap.CaptureTiles(r.Local, r.dirty)
+		w.mDeltaTiles.Add(int64(len(snap.Tiles)))
 		return
 	}
-	w.payloads[rank] = ckpt.CaptureFull(local)
-	if dirty != nil {
-		dirty.Clear()
+	snap.Capture(r.Local)
+	if w.fullEvery > 1 {
+		if r.dirty == nil {
+			r.dirty = ckpt.NewDirty(r.Local.Dim, 0)
+		}
+		r.dirty.Clear()
 	}
 }
 
 // write runs the coordinated checkpoint protocol; every PE must call it
 // at the same schedule position with ops executable-stream ops
-// completed. In synchronous mode the region quiesces at a barrier, each
-// PE writes its shard, and rank 0 publishes the manifest only after
-// every shard has landed. In asynchronous mode the quiesce covers only
-// payload capture: rank 0 submits the job to the background writer and
-// compute proceeds while the shards serialize. Any I/O error aborts the
-// run as a terminal (non-recoverable) failure.
+// completed. The region quiesces at a barrier; rank 0 waits for the
+// previous write to release the snapshots and decides full or delta for
+// the fleet; every rank captures; rank 0 hands the job to the background
+// writer and compute proceeds while the shards serialize. A latched
+// writer error surfaces here (and at finish) as a terminal
+// (non-recoverable) failure.
 func (w *ckptWriter) write(pe *pgas.PE, r *Rank, step, ops int, perm circuit.Permutation) {
-	if w.async() {
-		w.writeAsync(pe, r, step, ops, perm)
-		return
-	}
 	gridSync(pe) // quiesce: all in-flight one-sided writes are visible
 	if pe.Rank == 0 {
 		w.t0 = time.Now()
-		w.stepDir = ckpt.StepDir(w.dir, step)
-		w.mkdirErr = os.MkdirAll(w.stepDir, 0o755)
-	}
-	gridSync(pe)
-	if w.mkdirErr != nil {
-		if pe.Rank == 0 {
-			pe.Fail(fmt.Errorf("core: checkpoint at step %d: %w", step, w.mkdirErr))
+		if w.aw == nil {
+			w.start()
 		}
-		return // peers unwind at their next barrier
-	}
-	w.shards[pe.Rank], w.errs[pe.Rank] = ckpt.WriteShard(w.stepDir, pe.Rank, r.Local)
-	if r.dirty != nil {
-		r.dirty.Clear() // the full shard is the new delta baseline
-	}
-	gridSync(pe)
-	if pe.Rank != 0 {
-		gridSync(pe) // matches rank 0's post-manifest barrier below
-		return
-	}
-	for r, err := range w.errs {
-		if err != nil {
-			pe.Fail(fmt.Errorf("core: checkpoint at step %d (rank %d): %w", step, r, err))
-		}
-	}
-	w.kind = ckpt.KindFull
-	m := w.fillManifest(step, ops, r.cbits, r.draws, perm)
-	m.Shards = append([]ckpt.Shard(nil), w.shards...)
-	if err := ckpt.WriteManifest(w.stepDir, m); err != nil {
-		pe.Fail(fmt.Errorf("core: checkpoint at step %d: %w", step, err))
-	}
-	var bytes int64
-	for _, sh := range w.shards {
-		bytes += sh.Bytes
-	}
-	ns := time.Since(w.t0).Nanoseconds()
-	w.stats.Count++
-	w.stats.Bytes += bytes
-	w.stats.NS += ns
-	w.mCount.Add(1)
-	w.mBytes.Add(bytes)
-	w.mNS.Add(ns)
-	w.rec.Record(pe.Rank, obs.EventCheckpoint, fmt.Sprintf("step %d", step), bytes)
-	gridSync(pe) // nobody proceeds until the checkpoint is published
-}
-
-// writeAsync is the asynchronous protocol: quiesce, decide full/delta
-// fleet-uniformly, capture copy-on-write payloads, and hand the job to
-// the background writer. Only rank 0 talks to the writer; a latched
-// writer error surfaces here (and at finish) as a terminal failure.
-func (w *ckptWriter) writeAsync(pe *pgas.PE, r *Rank, step, ops int, perm circuit.Permutation) {
-	gridSync(pe) // quiesce: all in-flight one-sided writes are visible
-	if pe.Rank == 0 {
-		w.t0 = time.Now()
-		w.subErr = w.aw.Err()
-		if w.subErr == nil {
-			w.stepDir = ckpt.StepDir(w.dir, step)
-			w.decideKind(r.dirty)
+		if w.err = w.aw.Wait(); w.err == nil {
+			w.decideKind()
 		}
 	}
 	gridSync(pe) // publishes the kind decision (or the latched error)
-	if w.subErr != nil {
+	if w.err != nil {
 		if pe.Rank == 0 {
-			pe.Fail(fmt.Errorf("core: checkpoint at step %d: %w", step, w.subErr))
+			pe.Fail(fmt.Errorf("core: checkpoint at step %d: %w", step, w.err))
 		}
 		return // peers unwind at their next barrier
 	}
-	w.capture(pe.Rank, r.Local, r.dirty)
-	gridSync(pe) // all payloads captured; compute may dirty state again
+	w.capture(pe.Rank, r)
+	gridSync(pe) // all snapshots taken; compute may dirty state again
 	if pe.Rank != 0 {
 		return // durability is the writer's job from here
 	}
 	m := w.fillManifest(step, ops, r.cbits, r.draws, perm)
-	if err := w.aw.Submit(w.stepDir, m, append([]*ckpt.Payload(nil), w.payloads...)); err != nil {
+	if err := w.aw.Submit(ckpt.StepDir(w.dir, step), m, w.snaps); err != nil {
 		pe.Fail(fmt.Errorf("core: checkpoint at step %d: %w", step, err))
 	}
 	w.noteSubmitted(step)

@@ -96,22 +96,18 @@ type Config struct {
 	// CheckpointEvery, when > 0 together with CheckpointDir, writes a
 	// coordinated checkpoint every that many plan steps (gates on one
 	// rank and under the naive plan; gates, aliases and remaps under the
-	// lazy plan), at tile-group edges in a tiled run.
+	// lazy plan), at tile-group edges in a tiled run. The fleet stalls
+	// only to capture each rank's partition into one reused snapshot; a
+	// background writer publishes the checkpoint while compute proceeds.
 	CheckpointEvery int
 	// CheckpointDir is the checkpoint base directory; each checkpoint
 	// becomes a ckpt-<step> subdirectory holding per-PE shards and a
 	// manifest.
 	CheckpointDir string
-	// CheckpointAsync moves shard serialization off the compute path: at
-	// a due step the fleet quiesces only to capture copy-on-write
-	// payloads, a background writer publishes the checkpoint, and compute
-	// proceeds immediately. The runtime tracks writes and captures only
-	// dirtied tiles as delta checkpoints chained to their parent full
-	// checkpoint.
-	CheckpointAsync bool
-	// CheckpointFullEvery bounds delta chains in async mode: every N-th
-	// checkpoint is forced full (compacting the chain). <= 1 makes every
-	// checkpoint full.
+	// CheckpointFullEvery, when > 1, makes every N-th checkpoint full and
+	// the ones between deltas: the runtime tracks writes and captures only
+	// the dirtied tiles, chained to their parent checkpoint. <= 1 makes
+	// every checkpoint full and tracks nothing.
 	CheckpointFullEvery int
 	// Resume, when non-empty, restores the run from a checkpoint before
 	// executing: either a specific ckpt-<step> directory or a base
@@ -175,7 +171,9 @@ type Result struct {
 	// Mem is a post-run runtime memory snapshot, captured only when the
 	// run had tracing or metrics attached (nil otherwise).
 	Mem *obs.MemSnapshot
-	// Ckpt counts the checkpoints this run wrote.
+	// Ckpt counts the checkpoints this run wrote. Its NS is the
+	// compute-path stall; the background writer's time is the
+	// ckpt_writer_ns metric.
 	Ckpt ckpt.Stats
 	// Recoveries counts restarts from a checkpoint after PE failures.
 	Recoveries int

@@ -48,8 +48,6 @@ type JobConfig struct {
 	// for this job (the service's preemption mechanism rides on them).
 	CheckpointEvery int
 	CheckpointDir   string
-	// CheckpointAsync hands shard serialization to a background writer.
-	CheckpointAsync bool
 	// Resume restores the job from a checkpoint taken at this fleet's
 	// geometry before executing.
 	Resume string
@@ -119,7 +117,6 @@ func (f *Fleet) config(job JobConfig) Config {
 	}
 	cfg.CheckpointEvery = job.CheckpointEvery
 	cfg.CheckpointDir = job.CheckpointDir
-	cfg.CheckpointAsync = job.CheckpointAsync
 	cfg.Resume = job.Resume
 	cfg.Stop = job.Stop
 	cfg.MaxRestarts = job.MaxRestarts

@@ -47,9 +47,10 @@ func TestMPILazySchedIsHonoured(t *testing.T) {
 	}
 }
 
-// TestMPIAsyncCheckpointDeltaChain: CheckpointFullEvery compacts
-// the mpi backend's async chain every N-th checkpoint, with deltas in
-// between, and resuming from the latest replays the chain bit-identical.
+// TestMPIAsyncCheckpointDeltaChain: CheckpointFullEvery compacts the
+// mpi backend's chain — written, like every chain, by the background
+// writer — every N-th checkpoint, with deltas in between, and resuming
+// from the latest replays the chain bit-identical.
 func TestMPIAsyncCheckpointDeltaChain(t *testing.T) {
 	c := measuredCircuit(41, 7, 70)
 	for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
@@ -62,7 +63,7 @@ func TestMPIAsyncCheckpointDeltaChain(t *testing.T) {
 			dir := ckptTestDir(t)
 			cfg := base
 			cfg.CheckpointEvery, cfg.CheckpointDir = 5, dir
-			cfg.CheckpointAsync, cfg.CheckpointFullEvery = true, 4
+			cfg.CheckpointFullEvery = 4
 			if _, err := runMPI(t, cfg, c); err != nil {
 				t.Fatal(err)
 			}

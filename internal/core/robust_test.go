@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"svsim/internal/circuit"
@@ -32,12 +33,10 @@ func readKinds(t *testing.T, base string) []string {
 }
 
 // TestAsyncCheckpointDeltaChainResume is the incremental-checkpoint
-// round trip: an async run with a short full cadence emits delta
-// manifests chained onto fulls, and resuming from the latest (delta)
-// checkpoint replays the chain into a state bit-identical to an
-// uninterrupted run — on both distributed backends and both schedules
-// (only the lazy executor tracks dirty tiles; naive runs degrade to
-// full checkpoints and must still round-trip).
+// round trip: a run with a short full cadence emits delta manifests
+// chained onto fulls, and resuming from the latest (delta) checkpoint
+// replays the chain into a state bit-identical to an uninterrupted run —
+// on both distributed backends and both schedules.
 func TestAsyncCheckpointDeltaChainResume(t *testing.T) {
 	c := measuredCircuit(41, 7, 70)
 	backends := []struct {
@@ -59,14 +58,13 @@ func TestAsyncCheckpointDeltaChainResume(t *testing.T) {
 				cfg := base
 				cfg.CheckpointEvery = 5
 				cfg.CheckpointDir = dir
-				cfg.CheckpointAsync = true
 				cfg.CheckpointFullEvery = 3
 				mid, err := b.run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if mid.Ckpt.Count == 0 {
-					t.Fatal("expected async checkpoints to be written")
+					t.Fatal("expected checkpoints to be written")
 				}
 				kinds := readKinds(t, dir)
 				if len(kinds) == 0 {
@@ -80,7 +78,7 @@ func TestAsyncCheckpointDeltaChainResume(t *testing.T) {
 						}
 					}
 					if deltas == 0 {
-						t.Fatalf("lazy async run wrote no delta checkpoints (kinds %v)", kinds)
+						t.Fatalf("lazy run wrote no delta checkpoints (kinds %v)", kinds)
 					}
 				}
 				rcfg := base
@@ -100,10 +98,10 @@ func TestAsyncCheckpointDeltaChainResume(t *testing.T) {
 	}
 }
 
-// TestAsyncCrashEquivalence is TestCrashEquivalence with the background
-// writer in the loop: a kill mid-run (possibly with checkpoint jobs
-// still in flight — the writer drains before recovery) auto-restarts
-// from the latest complete checkpoint and finishes bit-identical.
+// TestAsyncCrashEquivalence is TestCrashEquivalence over a delta chain:
+// a kill mid-run (possibly with a checkpoint write still in flight — the
+// writer drains before recovery) auto-restarts from the latest complete
+// checkpoint, replaying its chain, and finishes bit-identical.
 func TestAsyncCrashEquivalence(t *testing.T) {
 	seed := faultSeed(t)
 	c := measuredCircuit(42, 6, 60)
@@ -120,7 +118,6 @@ func TestAsyncCrashEquivalence(t *testing.T) {
 			cfg.Fault = in
 			cfg.CheckpointEvery = 5
 			cfg.CheckpointDir = ckptTestDir(t)
-			cfg.CheckpointAsync = true
 			cfg.CheckpointFullEvery = 2
 			cfg.MaxRestarts = 2
 			got, err := NewScaleOut(cfg).Run(c)
@@ -468,7 +465,6 @@ func TestThreadedCheckpointResume(t *testing.T) {
 			cfg := base
 			cfg.CheckpointEvery = 13
 			cfg.CheckpointDir = dir
-			cfg.CheckpointAsync = true
 			mid, err := NewThreaded(cfg).Run(c)
 			if err != nil {
 				t.Fatal(err)
@@ -499,9 +495,9 @@ func TestThreadedCheckpointResume(t *testing.T) {
 }
 
 // TestTiledAsyncCheckpointInterop extends the tile/checkpoint interop
-// property to the async writer: checkpoints written by a tiled async
-// run (quantized to group boundaries) resume correctly on both the
-// tiled and per-gate single-device paths.
+// property to delta chains: checkpoints written by a tiled run
+// (quantized to group boundaries, every other one a delta) resume
+// correctly on both the tiled and per-gate single-device paths.
 func TestTiledAsyncCheckpointInterop(t *testing.T) {
 	c := qftCircuit(8)
 	ref, err := NewSingleDevice(Config{Seed: 3}).Run(c)
@@ -511,13 +507,16 @@ func TestTiledAsyncCheckpointInterop(t *testing.T) {
 	dir := ckptTestDir(t)
 	tiled, err := NewSingleDevice(Config{
 		Seed: 3, Tile: true, TileBits: 3,
-		CheckpointEvery: 7, CheckpointDir: dir, CheckpointAsync: true,
+		CheckpointEvery: 7, CheckpointDir: dir, CheckpointFullEvery: 2,
 	}).Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tiled.Ckpt.Count == 0 {
-		t.Fatal("expected async checkpoints to be written")
+		t.Fatal("expected checkpoints to be written")
+	}
+	if kinds := readKinds(t, dir); !slices.Contains(kinds, ckpt.KindDelta) {
+		t.Fatalf("tiled run wrote no delta checkpoints (kinds %v)", kinds)
 	}
 	steps, err := ckpt.CompleteSteps(dir)
 	if err != nil {

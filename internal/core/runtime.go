@@ -132,7 +132,7 @@ type Rank struct {
 	draws int64 // uniform variates consumed, for checkpointed RNG replay
 	cbits uint64
 	perm  circuit.Permutation
-	dirty *ckpt.Dirty // write tracking for delta checkpoints; nil unless async ckpt
+	dirty *ckpt.Dirty // write tracking for delta checkpoints; nil until a full one makes deltas possible
 	// Diagonal-run scratch, sized on first use: the normal form of the
 	// run being prepared, and one prepared slot per run in flight (one,
 	// or as many as a tiled group holds).
@@ -259,9 +259,6 @@ func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt newTranspo
 			Local: &statevec.State{N: rt.LocalBits, Dim: rt.S, Re: re, Im: im, Base: r * rt.S, Style: cfg.Style},
 			rng:   newRNG(cfg.Seed),
 			perm:  circuit.IdentityPermutation(n),
-		}
-		if rt.ck.async() {
-			rt.ranks[r].dirty = ckpt.NewDirty(rt.S, 0)
 		}
 	}
 	rt.ranks[0].Local.Re[0] = 1 // |0...0>

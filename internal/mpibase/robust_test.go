@@ -29,10 +29,10 @@ func mpiQFT(n int) *circuit.Circuit {
 	return c
 }
 
-// TestMpiAsyncCheckpointResume round-trips the baseline's async
-// checkpoints: a run handing serialization to the background writer
-// leaves complete manifests, and resuming from them matches an
-// uninterrupted run bit-for-bit.
+// TestMpiAsyncCheckpointResume round-trips the baseline's delta chain
+// (TestResumeMatchesUninterrupted is its all-full twin): the background
+// writer leaves complete manifests, and resuming from the latest
+// matches an uninterrupted run bit-for-bit.
 func TestMpiAsyncCheckpointResume(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(21)), 6, 60)
 	c.Measure(3, 0)
@@ -43,13 +43,13 @@ func TestMpiAsyncCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	mid, err := mpi(core.Config{
 		PEs: 4, Seed: 7,
-		CheckpointEvery: 10, CheckpointDir: dir, CheckpointAsync: true,
+		CheckpointEvery: 10, CheckpointDir: dir, CheckpointFullEvery: 2,
 	}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mid.Ckpt.Count == 0 {
-		t.Fatal("expected async checkpoints to be written")
+		t.Fatal("expected checkpoints to be written")
 	}
 	got, err := mpi(core.Config{PEs: 4, Seed: 7, Resume: dir}, c)
 	if err != nil {
@@ -63,9 +63,10 @@ func TestMpiAsyncCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestMpiAsyncCrashEquivalence kills a rank with async checkpointing on:
-// the writer drains before recovery, so the restart resumes from a
-// complete checkpoint and finishes bit-identical.
+// TestMpiAsyncCrashEquivalence kills a rank of a run writing a delta
+// chain (TestCheckpointKillRestore is its all-full twin): the writer
+// drains before recovery, so the restart resumes from a complete
+// checkpoint and finishes bit-identical.
 func TestMpiAsyncCrashEquivalence(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(22)), 6, 60)
 	c.Measure(2, 0)
@@ -77,7 +78,7 @@ func TestMpiAsyncCrashEquivalence(t *testing.T) {
 	in.KillAt(1, fault.Barrier, 30)
 	got, err := mpi(core.Config{
 		PEs: 4, Seed: 7, Fault: in,
-		CheckpointEvery: 5, CheckpointDir: t.TempDir(), CheckpointAsync: true,
+		CheckpointEvery: 5, CheckpointDir: t.TempDir(), CheckpointFullEvery: 2,
 		MaxRestarts: 2,
 	}, c)
 	if err != nil {
@@ -239,28 +240,28 @@ func TestRemapHonoursResilienceConfig(t *testing.T) {
 		t.Fatalf("root cause should be rank 1's kill, got %v", err)
 	}
 
-	for _, async := range []bool{false, true} {
+	for _, fullEvery := range []int{0, 2} {
 		dir := t.TempDir()
 		got, err := remap(core.Config{
 			PEs: 4, Seed: 7, Fault: kill(),
-			CheckpointEvery: 4, CheckpointDir: dir, CheckpointAsync: async, MaxRestarts: 2,
+			CheckpointEvery: 4, CheckpointDir: dir, CheckpointFullEvery: fullEvery, MaxRestarts: 2,
 		}, c)
 		if err != nil {
-			t.Fatalf("async=%v: %v", async, err)
+			t.Fatalf("full-every=%d: %v", fullEvery, err)
 		}
 		if got.Recoveries != 1 || got.Ckpt.Count == 0 {
-			t.Fatalf("async=%v: recoveries=%d checkpoints=%d, want 1 and > 0", async, got.Recoveries, got.Ckpt.Count)
+			t.Fatalf("full-every=%d: recoveries=%d checkpoints=%d, want 1 and > 0", fullEvery, got.Recoveries, got.Ckpt.Count)
 		}
 		if d := got.State.MaxAbsDiff(ref.State); d != 0 || got.Cbits != ref.Cbits {
-			t.Fatalf("async=%v: recovered run deviates by %g, cbits %b vs %b", async, d, got.Cbits, ref.Cbits)
+			t.Fatalf("full-every=%d: recovered run deviates by %g, cbits %b vs %b", fullEvery, d, got.Cbits, ref.Cbits)
 		}
 		_, m, ok, err := ckpt.Latest(dir)
 		if err != nil || !ok {
-			t.Fatalf("async=%v: no checkpoint on disk: ok=%v err=%v", async, ok, err)
+			t.Fatalf("full-every=%d: no checkpoint on disk: ok=%v err=%v", fullEvery, ok, err)
 		}
 		if m.Backend != "mpi" || m.Sched != "lazy" || len(m.Perm) != c.NumQubits {
-			t.Fatalf("async=%v: manifest backend=%q sched=%q perm=%v, want mpi/lazy and a %d-qubit permutation",
-				async, m.Backend, m.Sched, m.Perm, c.NumQubits)
+			t.Fatalf("full-every=%d: manifest backend=%q sched=%q perm=%v, want mpi/lazy and a %d-qubit permutation",
+				fullEvery, m.Backend, m.Sched, m.Perm, c.NumQubits)
 		}
 	}
 

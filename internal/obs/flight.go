@@ -46,7 +46,7 @@ const (
 	EventRestart        = "restart"         // recovery loop relaunches (N = attempt)
 	EventRemap          = "remap"           // lazy/remap exchange executed (N = bytes moved by this PE)
 	EventCheckpoint     = "checkpoint"      // checkpoint shard committed (N = bytes)
-	EventCkptQueued     = "ckpt_queued"     // async checkpoint captured and handed to the writer (N = step)
+	EventCkptQueued     = "ckpt_queued"     // checkpoint captured and handed to the writer (N = step)
 	EventRestore        = "restore"         // state restored from a checkpoint (N = step)
 	EventElastic        = "elastic"         // elastic re-shard to a new fleet size (N = new PEs)
 	EventInterrupted    = "interrupted"     // graceful shutdown requested (Detail = signal)

@@ -65,12 +65,12 @@ const (
 	// MetricCkptBytes accumulates checkpoint shard bytes written.
 	MetricCkptBytes = "ckpt_bytes"
 	// MetricCkptNS accumulates wall time the compute fleet stalls on
-	// checkpoints: the whole write for the synchronous protocol, only the
-	// quiesce+capture+submit window for the asynchronous one.
+	// checkpoints: the quiesce, the wait for the previous write to release
+	// the snapshots, the capture and the hand-off to the writer.
 	MetricCkptNS = "ckpt_ns"
-	// MetricCkptWriterNS accumulates wall time the background async
-	// checkpoint writer spends serializing shards and manifests — time
-	// hidden behind compute, the counterpart of MetricCkptNS.
+	// MetricCkptWriterNS accumulates wall time the background checkpoint
+	// writer spends serializing shards and manifests — time hidden behind
+	// compute, the counterpart of MetricCkptNS.
 	MetricCkptWriterNS = "ckpt_writer_ns"
 	// MetricCkptDeltaTiles counts tiles captured into delta shards.
 	MetricCkptDeltaTiles = "ckpt_delta_tiles"

@@ -39,10 +39,10 @@ const (
 	PhaseWireInter  = "wire.inter"
 	PhaseBarrier    = "barrier"
 	PhaseCheckpoint = "checkpoint"
-	// PhaseCkptWrite is background checkpoint serialization: the async
+	// PhaseCkptWrite is background checkpoint serialization: the
 	// writer's shard+manifest I/O, recorded on its own track. Foreground
-	// capture stalls stay in PhaseCheckpoint, so the sync-vs-async
-	// comparison reads directly off these two buckets.
+	// stalls stay in PhaseCheckpoint, so how much of the write compute
+	// hid reads directly off these two buckets.
 	PhaseCkptWrite = "ckpt.write"
 	PhaseOther     = "other"
 )

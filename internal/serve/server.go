@@ -45,9 +45,6 @@ type Options struct {
 	// a coordinated checkpoint every N schedule steps, and the stop
 	// vote rides those boundaries. Defaults to 16.
 	CheckpointEvery int
-	// CheckpointAsync hands preemption checkpoints to the background
-	// writer so compute resumes after a copy-on-write capture.
-	CheckpointAsync bool
 	// PlanCacheSize caps the shared cross-tenant plan cache (skeleton
 	// fingerprints -> compiled plans). Defaults to 128.
 	PlanCacheSize int
@@ -58,7 +55,7 @@ type Options struct {
 	// zero value is statevec.Scalar — the strided Listing 3 loop, which
 	// never reaches the AVX2 run bodies — and that is what svserved runs:
 	// making Vectorized the default waits on a bounded result store
-	// (ROADMAP items 6(a) and 7(i)).
+	// (ROADMAP items 8(a) and 9(i)).
 	KernelStyle statevec.KernelStyle
 	// Metrics, when non-nil, receives service counters and gauges
 	// (per-tenant job counts, queue depth, plan-cache attribution).
@@ -600,7 +597,6 @@ func (s *Server) runJob(j *job, fs *fleetState, mode runMode) {
 	jc.Plans = s.plans.View(tenant)
 	jc.Stop = stop
 	jc.CheckpointEvery = s.opts.CheckpointEvery
-	jc.CheckpointAsync = s.opts.CheckpointAsync
 	ckdir := filepath.Join(s.opts.WorkDir, j.id, fmt.Sprintf("attempt-%d", attempt))
 	jc.CheckpointDir = ckdir
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // State serialization: a small checkpoint format so long simulations (the
@@ -34,27 +35,93 @@ var (
 // the stream actually delivered, not the 2^n the header promised.
 const readChunkFloats = 32768
 
+// writeChunk is how many encoded bytes a ChunkWriter hands its writer at
+// a time.
+const writeChunk = 64 << 10
+
+// chunks recycles ChunkWriter buffers, so a steady stream of shard writes
+// allocates nothing.
+var chunks = sync.Pool{New: func() any { return new([writeChunk]byte) }}
+
+// ChunkWriter encodes little-endian words into one pooled 64 KiB chunk
+// and writes the chunk each time it fills: one Write per chunk instead of
+// one binary.Write (a reflective encode and an allocation) per word. The
+// first write error latches and turns every later call into a no-op;
+// Close reports it with the byte count written.
+type ChunkWriter struct {
+	w   io.Writer
+	buf *[writeChunk]byte
+	off int
+	n   int64
+	err error
+}
+
+// NewChunkWriter starts encoding into w; the caller must Close it.
+func NewChunkWriter(w io.Writer) *ChunkWriter {
+	return &ChunkWriter{w: w, buf: chunks.Get().(*[writeChunk]byte)}
+}
+
+// next reserves k bytes of the chunk, writing the chunk out first when
+// they do not fit.
+func (c *ChunkWriter) next(k int) []byte {
+	if c.off+k > writeChunk {
+		c.flush()
+	}
+	c.off += k
+	return c.buf[c.off-k : c.off]
+}
+
+func (c *ChunkWriter) flush() {
+	if c.err == nil && c.off > 0 {
+		var m int
+		m, c.err = c.w.Write(c.buf[:c.off])
+		c.n += int64(m)
+	}
+	c.off = 0
+}
+
+// Bytes encodes b verbatim (a header field no longer than a chunk).
+func (c *ChunkWriter) Bytes(b []byte) { copy(c.next(len(b)), b) }
+
+// U32 encodes v.
+func (c *ChunkWriter) U32(v uint32) { binary.LittleEndian.PutUint32(c.next(4), v) }
+
+// U64 encodes v.
+func (c *ChunkWriter) U64(v uint64) { binary.LittleEndian.PutUint64(c.next(8), v) }
+
+// Floats encodes the IEEE-754 bits of every value of vals.
+func (c *ChunkWriter) Floats(vals []float64) {
+	for len(vals) > 0 {
+		k := min(len(vals), (writeChunk-c.off)/8)
+		if k == 0 {
+			c.flush()
+			continue
+		}
+		b := c.next(8 * k)
+		for i, v := range vals[:k] {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		vals = vals[k:]
+	}
+}
+
+// Close writes what the chunk holds, returns the chunk to the pool and
+// reports the bytes written and the first error.
+func (c *ChunkWriter) Close() (int64, error) {
+	c.flush()
+	chunks.Put(c.buf)
+	c.buf = nil
+	return c.n, c.err
+}
+
 // WriteTo serializes the state. It returns the byte count written.
 func (s *State) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	if err := binary.Write(bw, binary.LittleEndian, stateMagic); err != nil {
-		return n, err
-	}
-	n += 8
-	if err := binary.Write(bw, binary.LittleEndian, uint32(s.N)); err != nil {
-		return n, err
-	}
-	n += 4
-	for _, part := range [][]float64{s.Re, s.Im} {
-		for _, v := range part {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-				return n, err
-			}
-			n += 8
-		}
-	}
-	return n, bw.Flush()
+	c := NewChunkWriter(w)
+	c.Bytes(stateMagic[:])
+	c.U32(uint32(s.N))
+	c.Floats(s.Re)
+	c.Floats(s.Im)
+	return c.Close()
 }
 
 // ReadState deserializes a state written by WriteTo. Failures are typed:

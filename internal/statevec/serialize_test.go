@@ -2,7 +2,9 @@ package statevec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -33,6 +35,32 @@ func TestStateSerializationRoundTrip(t *testing.T) {
 		}
 		if d := s.MaxAbsDiff(back); d != 0 {
 			t.Fatalf("n=%d: roundtrip changed state by %g", n, d)
+		}
+	}
+}
+
+// TestWriteToBytesAndAllocs pins the encoding to the format's reference,
+// binary.Write of each field, across chunk boundaries — n = 13 fills a
+// part of exactly one chunk, behind the 12-byte header — and checks a
+// write allocates nothing per amplitude.
+func TestWriteToBytesAndAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{1, 12, 13, 14} {
+		s := randomState(rng, n, Scalar)
+		var want bytes.Buffer
+		binary.Write(&want, binary.LittleEndian, stateMagic)  //nolint:errcheck
+		binary.Write(&want, binary.LittleEndian, uint32(s.N)) //nolint:errcheck
+		binary.Write(&want, binary.LittleEndian, s.Re)        //nolint:errcheck
+		binary.Write(&want, binary.LittleEndian, s.Im)        //nolint:errcheck
+		var got bytes.Buffer
+		if _, err := s.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d: WriteTo bytes differ from the reference encoding", n)
+		}
+		if a := testing.AllocsPerRun(5, func() { s.WriteTo(io.Discard) }); a > 1 { //nolint:errcheck
+			t.Fatalf("n=%d: %.0f allocations per write, want at most 1", n, a)
 		}
 	}
 }
