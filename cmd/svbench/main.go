@@ -94,11 +94,8 @@ func main() {
 		}
 		// Validate the flag pairing and that the directory is writable
 		// before burning bench time.
-		if err := cliutil.ValidateCheckpointing(*ckptEvery, *ckptDir, "", 0); err != nil {
+		if err := cliutil.ValidateCheckpointing(*ckptEvery, *ckptFullEvery, *ckptDir, "", 0); err != nil {
 			fatalf("%v", err)
-		}
-		if *ckptFullEvery > 0 && *ckptEvery <= 0 {
-			fatalf("-checkpoint-full-every needs -checkpoint-every")
 		}
 		if err := (sched.Topology{PEsPerNode: *ppn}).Validate(); err != nil {
 			fatalf("%v", err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"svsim/internal/ckpt"
 	"svsim/internal/cliutil"
 	"svsim/internal/core"
 	"svsim/internal/fault"
@@ -25,7 +26,6 @@ type runOpts struct {
 	checkpointDir   string
 	ckptFullEvery   int
 	resume          string
-	resumePEs       int
 	elastic         bool
 	maxRestarts     int
 	faultSpec       string
@@ -41,24 +41,11 @@ func (o *runOpts) validate() error {
 	if err := cliutil.ValidatePEs(o.pes); err != nil {
 		return err
 	}
-	if err := cliutil.ValidateCheckpointing(o.checkpointEvery, o.checkpointDir, o.resume, o.maxRestarts); err != nil {
+	if err := cliutil.ValidateCheckpointing(o.checkpointEvery, o.ckptFullEvery, o.checkpointDir, o.resume, o.maxRestarts); err != nil {
 		return err
 	}
-	if o.resumePEs > 0 {
-		// Elastic restore: the checkpoint's fleet size intentionally
-		// differs from the target, so the same-size resume check is
-		// replaced by the elastic one.
-		if err := cliutil.ValidateElasticResume(o.resume, o.backend, o.resumePEs); err != nil {
-			return err
-		}
-	} else if err := cliutil.ValidateResume(o.resume, o.backend, o.pes, o.sched); err != nil {
+	if err := cliutil.ValidateResume(o.resume, o.backend, o.pes, o.sched); err != nil {
 		return err
-	}
-	if o.ckptFullEvery < 0 {
-		return fmt.Errorf("-checkpoint-full-every %d: compaction cadence cannot be negative", o.ckptFullEvery)
-	}
-	if o.ckptFullEvery > 0 && o.checkpointEvery <= 0 {
-		return fmt.Errorf("-checkpoint-full-every %d needs -checkpoint-every to schedule checkpoints", o.ckptFullEvery)
 	}
 	b, _ := core.LookupBackend(o.backend)
 	distributed := cliutil.Backends(func(b core.BackendInfo) bool { return b.Distributed })
@@ -98,6 +85,19 @@ func (o *runOpts) validate() error {
 		}
 	}
 	return nil
+}
+
+// defaultPEs is -pes when it is not given: on a distributed backend the
+// PE count a -resume checkpoint was taken on — forgetting -pes continues
+// it in place rather than resharding it onto one PE — and one otherwise.
+// An unreadable checkpoint is validate's to report.
+func defaultPEs(resume, backend string) int {
+	if b, _ := core.LookupBackend(backend); b.Distributed && resume != "" {
+		if _, m, err := ckpt.Resolve(resume); err == nil {
+			return m.PEs
+		}
+	}
+	return 1
 }
 
 // injector builds the fault injector, nil when no spec was given.

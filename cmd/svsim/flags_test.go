@@ -15,6 +15,12 @@ func validOpts() runOpts {
 
 func TestFlagValidation(t *testing.T) {
 	dir := t.TempDir()
+	// A threaded checkpoint records its one rank, whatever -pes workers
+	// wrote it.
+	threaded := t.TempDir()
+	if _, err := core.NewThreaded(core.Config{PEs: 4, CheckpointEvery: 4, CheckpointDir: threaded}).Run(probeCircuit()); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		mutate func(*runOpts)
@@ -83,15 +89,10 @@ func TestFlagValidation(t *testing.T) {
 			o.checkpointEvery = 10
 			o.checkpointDir = dir
 		}, "-max-restarts"},
-		{"resume-pes without resume", func(o *runOpts) {
-			o.backend = "scale-out"
-			o.resumePEs = 4
-		}, "-resume"},
-		{"resume-pes not power of two", func(o *runOpts) {
-			o.backend = "scale-out"
-			o.resume = dir
-			o.resumePEs = 3
-		}, "power of two"},
+		{"resume threaded x4 on -pes 4", func(o *runOpts) {
+			o.backend = "threaded"
+			o.resume = threaded
+		}, ""},
 		{"fault on single", func(o *runOpts) {
 			o.backend = "single"
 			o.faultSpec = "kill:rank=0:op=barrier:after=1"
@@ -119,16 +120,23 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// TestResumeSchedMismatchRejected writes a real checkpoint and checks
-// the flag-level cross-validation catches a schedule mismatch.
-func TestResumeSchedMismatchRejected(t *testing.T) {
-	dir := t.TempDir()
+// probeCircuit is a small 5-qubit circuit that crosses partitions.
+func probeCircuit() *circuit.Circuit {
 	c := circuit.New("probe", 5)
 	c.H(0)
 	for q := 1; q < 5; q++ {
 		c.CX(0, q)
 	}
 	c.H(1).H(2).CX(1, 3).CX(2, 4).H(0)
+	return c
+}
+
+// TestResumeSchedMismatchRejected writes a real checkpoint and checks
+// the flag-level cross-validation catches a schedule mismatch, while
+// another -pes reshards it to the uninterrupted run's state.
+func TestResumeSchedMismatchRejected(t *testing.T) {
+	dir := t.TempDir()
+	c := probeCircuit()
 	cfg := core.Config{PEs: 4, Seed: 1, CheckpointEvery: 4, CheckpointDir: dir}
 	if _, err := core.NewScaleOut(cfg).Run(c); err != nil {
 		t.Fatal(err)
@@ -146,8 +154,18 @@ func TestResumeSchedMismatchRejected(t *testing.T) {
 	o = validOpts()
 	o.resume = dir
 	o.pes = 8
-	err = o.validate()
-	if err == nil || !strings.Contains(err.Error(), "-pes") {
-		t.Fatalf("error %v, want mention of -pes", err)
+	if err := o.validate(); err != nil {
+		t.Fatalf("reshard onto -pes 8 rejected: %v", err)
+	}
+	ref, err := core.NewScaleOut(core.Config{PEs: 4, Seed: 1}).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.NewScaleOut(core.Config{PEs: 8, Seed: 1, Resume: dir}).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := got.State.MaxAbsDiff(ref.State); d != 0 {
+		t.Fatalf("resharded onto 8 PEs: state deviates by %g", d)
 	}
 }

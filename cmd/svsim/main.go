@@ -41,7 +41,7 @@ func main() {
 		qasmFile    = flag.String("qasm", "", "OpenQASM 2.0 file to simulate")
 		listNames   = flag.Bool("list", false, "list available named workloads and exit")
 		backendName = flag.String("backend", "single", "backend: "+strings.Join(core.BackendNames(nil), " | "))
-		pes         = flag.Int("pes", 1, "device/PE/rank count for distributed backends (power of two)")
+		pes         = flag.Int("pes", 1, "device/PE/rank count for distributed backends (power of two; a -resume checkpoint's when not given)")
 		ppn         = flag.Int("ppn", 0, "PEs per node (power of two): group the fleet into nodes and run remaps as hierarchical two-level exchanges (0 = flat; bit-identical either way)")
 		coalesced   = flag.Bool("coalesced", false, "use coalesced bulk transfers in the scale-out backend")
 		schedName   = flag.String("sched", "naive", "gate schedule for distributed backends: naive | lazy (communication-avoiding remap)")
@@ -67,8 +67,7 @@ func main() {
 		ckptEvery     = flag.Int("checkpoint-every", 0, "write a coordinated checkpoint every N schedule steps (0 = off; needs -checkpoint-dir)")
 		ckptDir       = flag.String("checkpoint-dir", "", "checkpoint base directory (one ckpt-<step> subdirectory per checkpoint)")
 		ckptFullEvery = flag.Int("checkpoint-full-every", 0, "write a full (self-contained) checkpoint every N checkpoints and incremental deltas in between (0 = every checkpoint full)")
-		resume        = flag.String("resume", "", "restore from a checkpoint: a ckpt-<step> directory or a base directory (latest complete checkpoint)")
-		resumePEs     = flag.Int("resume-pes", 0, "elastic restore: reshard the -resume checkpoint onto N PEs (power of two) regardless of the fleet size it was taken at")
+		resume        = flag.String("resume", "", "restore from a checkpoint: a ckpt-<step> directory or a base directory (latest complete checkpoint); a -pes other than the checkpoint's reshards it")
 		elastic       = flag.Bool("elastic", false, "on a PE failure, reshard the latest checkpoint onto half the fleet instead of restarting at full size")
 		maxRestarts   = flag.Int("max-restarts", 0, "restart from the latest checkpoint up to N times after an injected PE failure")
 		faultSpec     = flag.String("fault", "", "deterministic fault spec, e.g. 'kill:rank=1:op=barrier:after=30' or 'drop:rank=0:op=put:after=5:count=2' (semicolon-separated)")
@@ -113,12 +112,17 @@ func main() {
 	if err := topo.Validate(); err != nil {
 		fatal(err)
 	}
+	pesGiven := false
+	flag.Visit(func(f *flag.Flag) { pesGiven = pesGiven || f.Name == "pes" })
+	if !pesGiven {
+		*pes = defaultPEs(*resume, *backendName)
+	}
 
 	opts := runOpts{
 		backend: *backendName, pes: *pes, sched: string(policy), seed: *seed, fuse: *fuse,
 		coalesced: *coalesced, tile: *tile, tileBits: *tileBits,
 		checkpointEvery: *ckptEvery, checkpointDir: *ckptDir, ckptFullEvery: *ckptFullEvery,
-		resume: *resume, resumePEs: *resumePEs, elastic: *elastic,
+		resume: *resume, elastic: *elastic,
 		maxRestarts: *maxRestarts, faultSpec: *faultSpec,
 		barrierTimeout: *barrierTmo, opRetries: *opRetries,
 	}
@@ -148,22 +152,13 @@ func main() {
 		Fault:       opts.injector(), Timeouts: opts.timeouts(),
 	}
 	spec.ApplyCore(&cfg) // seed, fusion, schedule, tiling — the spec's slice of the config
-	if opts.resumePEs > 0 {
-		cfg.Resume = "" // RunElastic takes the checkpoint explicitly
-		cfg.PEs = opts.resumePEs
-	}
 	backend, err := core.NewBackend(*backendName, cfg)
 	if err != nil {
 		fatal(err)
 	}
 
 	telemetry.beginRun(*backendName, c.Name, *pes)
-	var res *core.Result
-	if opts.resumePEs > 0 {
-		res, err = core.RunElastic(*backendName, cfg, c, opts.resume, opts.resumePEs)
-	} else {
-		res, err = backend.Run(c)
-	}
+	res, err := backend.Run(c)
 	if err != nil {
 		telemetry.fail(err)
 	}

@@ -45,14 +45,21 @@ func ValidateCoalesced(coalesced bool, backend string) error {
 }
 
 // ValidateCheckpointing checks the checkpoint flag combination (every
-// backend checkpoints): intervals need a directory, and the directory
-// must be writable (probed by creating it and touching a file).
-func ValidateCheckpointing(every int, dir, resume string, maxRestarts int) error {
-	if every == 0 && dir == "" && resume == "" && maxRestarts == 0 {
+// backend checkpoints): intervals need a directory, a full-checkpoint
+// cadence needs an interval, and the directory must be writable (probed
+// by creating it and touching a file).
+func ValidateCheckpointing(every, fullEvery int, dir, resume string, maxRestarts int) error {
+	if every == 0 && fullEvery == 0 && dir == "" && resume == "" && maxRestarts == 0 {
 		return nil // checkpointing entirely off
 	}
 	if every < 0 {
 		return fmt.Errorf("-checkpoint-every %d: interval must be positive", every)
+	}
+	if fullEvery < 0 {
+		return fmt.Errorf("-checkpoint-full-every %d: compaction cadence cannot be negative", fullEvery)
+	}
+	if fullEvery > 0 && every <= 0 {
+		return fmt.Errorf("-checkpoint-full-every %d needs -checkpoint-every to schedule checkpoints", fullEvery)
 	}
 	if maxRestarts < 0 {
 		return fmt.Errorf("-max-restarts %d: restart budget cannot be negative", maxRestarts)
@@ -89,10 +96,13 @@ func EnsureWritableDir(dir string) error {
 }
 
 // ValidateResume cross-checks a -resume target against the run flags
-// before any state is allocated: the checkpoint's backend, PE count, and
-// schedule must match what the command line asks for. The backends
-// re-validate (including the circuit fingerprint), but here the error
-// can name the flag to change.
+// before any state is allocated: the checkpoint's backend and schedule
+// must match what the command line asks for. Its PE count need not: on
+// a distributed backend another -pes reshards the checkpoint, which
+// needs the op cut a v1 checkpoint never recorded, and a one-rank
+// backend's checkpoint records its one rank whatever -pes counts. The
+// backends re-validate (including the circuit fingerprint), but here the
+// error can name the flag to change.
 func ValidateResume(resume, backend string, pes int, schedName string) error {
 	if resume == "" {
 		return nil
@@ -104,11 +114,13 @@ func ValidateResume(resume, backend string, pes int, schedName string) error {
 	if m.Backend != backend {
 		return fmt.Errorf("-resume checkpoint was taken by backend %q; rerun with -backend %s (got -backend %s)", m.Backend, m.Backend, backend)
 	}
-	if m.PEs != pes {
-		return fmt.Errorf("-resume checkpoint used %d PEs; rerun with -pes %d (got -pes %d)", m.PEs, m.PEs, pes)
-	}
 	if m.Sched != schedName {
 		return fmt.Errorf("-resume checkpoint used the %q schedule; rerun with -sched %s (got -sched %s)", m.Sched, m.Sched, schedName)
+	}
+	if b, _ := core.LookupBackend(backend); b.Distributed && m.PEs != pes {
+		if err := ckpt.ElasticRestorable(m); err != nil {
+			return fmt.Errorf("-resume checkpoint used %d PEs and cannot be resharded onto -pes %d; rerun with -pes %d: %v", m.PEs, pes, m.PEs, err)
+		}
 	}
 	return nil
 }
@@ -178,36 +190,6 @@ func ValidateServe(listen string, queueDepth int, tenantConfig, fleetPool string
 	}
 	if _, err := ParseFleetPool(fleetPool); err != nil {
 		return err
-	}
-	return nil
-}
-
-// ValidateElasticResume cross-checks a -resume-pes elastic restore: the
-// target fleet size must be a power of two, the backend must be
-// distributed, and the checkpoint must carry the op-cut metadata elastic
-// restore needs (v2 manifests).
-func ValidateElasticResume(resume, backend string, resumePEs int) error {
-	if resumePEs == 0 {
-		return nil
-	}
-	if resume == "" {
-		return fmt.Errorf("-resume-pes %d needs -resume to name the checkpoint to reshard", resumePEs)
-	}
-	if resumePEs < 1 || resumePEs&(resumePEs-1) != 0 {
-		return fmt.Errorf("-resume-pes %d: PE count must be a power of two", resumePEs)
-	}
-	if b, _ := core.LookupBackend(backend); !b.Distributed {
-		return fmt.Errorf("backend %q does not support elastic restore (supported: %s)", backend, Backends(func(b core.BackendInfo) bool { return b.Distributed }))
-	}
-	_, m, err := ckpt.Resolve(resume)
-	if err != nil {
-		return fmt.Errorf("-resume %s: %v", resume, err)
-	}
-	if m.Backend != backend {
-		return fmt.Errorf("-resume checkpoint was taken by backend %q; rerun with -backend %s (got -backend %s)", m.Backend, m.Backend, backend)
-	}
-	if err := ckpt.ElasticRestorable(m); err != nil {
-		return fmt.Errorf("-resume %s: %v", resume, err)
 	}
 	return nil
 }

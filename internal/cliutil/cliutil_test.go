@@ -38,23 +38,27 @@ func TestValidatePEs(t *testing.T) {
 func TestValidateCheckpointing(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
-		name        string
-		every       int
-		dir, resume string
-		maxRestarts int
-		want        string // empty = valid
+		name             string
+		every, fullEvery int
+		dir, resume      string
+		maxRestarts      int
+		want             string // empty = valid
 	}{
-		{"all off", 0, "", "", 0, ""},
-		{"basic on", 10, dir, "", 2, ""},
-		{"dir only", 0, dir, "", 0, ""},
-		{"negative interval", -5, dir, "", 0, "must be positive"},
-		{"negative restarts", 10, dir, "", -1, "cannot be negative"},
-		{"interval without dir", 10, "", "", 0, "-checkpoint-dir"},
-		{"restarts without dir", 0, "", "", 3, "-checkpoint-dir"},
+		{"all off", 0, 0, "", "", 0, ""},
+		{"basic on", 10, 0, dir, "", 2, ""},
+		{"dir only", 0, 0, dir, "", 0, ""},
+		{"deltas on", 10, 4, dir, "", 0, ""},
+		{"negative interval", -5, 0, dir, "", 0, "must be positive"},
+		{"negative restarts", 10, 0, dir, "", -1, "cannot be negative"},
+		{"interval without dir", 10, 0, "", "", 0, "-checkpoint-dir"},
+		{"restarts without dir", 0, 0, "", "", 3, "-checkpoint-dir"},
+		{"negative full-every alone", 0, -3, "", "", 0, "-checkpoint-full-every -3"},
+		{"negative full-every", 10, -3, dir, "", 0, "cannot be negative"},
+		{"full-every without interval", 0, 4, dir, "", 0, "-checkpoint-every"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := ValidateCheckpointing(c.every, c.dir, c.resume, c.maxRestarts)
+			err := ValidateCheckpointing(c.every, c.fullEvery, c.dir, c.resume, c.maxRestarts)
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected %v", err)
@@ -113,26 +117,50 @@ func TestValidateResume(t *testing.T) {
 	if _, err := core.NewScaleOut(cfg).Run(c); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ckpt.Resolve(dir); err != nil {
+	step, _, err := ckpt.Resolve(dir)
+	if err != nil {
 		t.Fatalf("no checkpoint to validate against: %v", err)
 	}
 	if err := ValidateResume(dir, "scale-out", 4, "naive"); err != nil {
 		t.Fatalf("matching resume rejected: %v", err)
 	}
+	// The same checkpoint under a v1 manifest, which never recorded the
+	// op cut a reshard needs.
+	v1 := filepath.Join(t.TempDir(), "ckpt-1")
+	man, err := os.ReadFile(filepath.Join(step, "MANIFEST.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man = []byte(strings.Replace(string(man), ckpt.Schema, ckpt.SchemaV1, 1))
+	if err := os.Mkdir(v1, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(v1, "MANIFEST.json"), man, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
+		resume  string
 		backend string
 		pes     int
 		sched   string
-		want    string
+		want    string // empty = valid
 	}{
-		{"backend mismatch", "scale-up", 4, "naive", "-backend"},
-		{"pes mismatch", "scale-out", 8, "naive", "-pes"},
-		{"sched mismatch", "scale-out", 4, "lazy", "-sched"},
+		{"backend mismatch", dir, "scale-up", 4, "naive", "-backend"},
+		{"sched mismatch", dir, "scale-out", 4, "lazy", "-sched"},
+		{"pes reshards", dir, "scale-out", 8, "naive", ""},
+		{"v1 on its pes", v1, "scale-out", 4, "naive", ""},
+		{"v1 on other pes", v1, "scale-out", 2, "naive", ckpt.SchemaV1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateResume(dir, tc.backend, tc.pes, tc.sched)
+			err := ValidateResume(tc.resume, tc.backend, tc.pes, tc.sched)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("unexpected %v", err)
+				}
+				return
+			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want mention of %q", err, tc.want)
 			}
@@ -167,8 +195,8 @@ func TestValidateResumeRemap(t *testing.T) {
 	if err := ValidateResume(dir, "mpi", 4, "lazy"); err != nil {
 		t.Fatalf("matching remap resume rejected: %v", err)
 	}
-	if err := ValidateElasticResume(dir, "mpi", 2); err != nil {
-		t.Fatalf("elastic remap resume rejected: %v", err)
+	if err := ValidateResume(dir, "mpi", 2, "lazy"); err != nil {
+		t.Fatalf("resharding remap resume rejected: %v", err)
 	}
 	err := ValidateResume(dir, "mpi", 4, "naive")
 	if err == nil || !strings.Contains(err.Error(), "-sched lazy") {

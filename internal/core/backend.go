@@ -39,8 +39,8 @@ type row struct {
 // table is the one backend table. The paper's backends (Listings 3–5)
 // and its MPI baseline (§2.1) are one gate loop that differs only in how
 // the state array is reached, and so are these: every row is the step
-// loop of runtime.go over its transport. NewBackend, Run, RunElastic and
-// NewFleet dispatch through it, and every other surface reads it, so the
+// loop of runtime.go over its transport. NewBackend, Run and NewFleet
+// dispatch through it, and every other surface reads it, so the
 // CLI, the benchmarks, the chaos harness and the service cannot drift.
 var table = []row{
 	// §3.2.1: the whole circuit runs as one homogeneous loop over the

@@ -298,23 +298,15 @@ func schedName(p sched.Policy) string {
 	return string(p)
 }
 
-// resolveResume accepts either a specific ckpt-<step> directory or a
-// checkpoint base directory (whose latest complete checkpoint is used)
-// and returns the manifest.
-func resolveResume(dir string) (string, *ckpt.Manifest, error) {
-	return ckpt.Resolve(dir)
-}
-
 // validateManifest rejects a resume against a run configuration that
-// does not match the checkpointed one. planFP is the current run's
-// compiled-plan fingerprint; manifests from older builds carry zero and
-// skip that check.
-func validateManifest(m *ckpt.Manifest, backend string, c *circuit.Circuit, p int, pol sched.Policy, planFP uint64) error {
+// does not match the checkpointed one — in everything but the grid size,
+// which decides how the checkpoint continues (run). c is the executable
+// stream compiled at the checkpoint's grid size and planFP that
+// compile's fingerprint; manifests from older builds carry zero and skip
+// that check.
+func validateManifest(m *ckpt.Manifest, backend string, c *circuit.Circuit, pol sched.Policy, planFP uint64) error {
 	if m.Backend != backend {
 		return fmt.Errorf("core: checkpoint was taken by backend %q, resuming on %q", m.Backend, backend)
-	}
-	if m.PEs != p {
-		return fmt.Errorf("core: checkpoint used %d PEs, run has %d", m.PEs, p)
 	}
 	if m.Sched != schedName(pol) {
 		return fmt.Errorf("core: checkpoint used sched %q, run has %q", m.Sched, schedName(pol))

@@ -225,10 +225,28 @@ func TestResumeValidationRejectsMismatch(t *testing.T) {
 		run  func() error
 		want string
 	}{
-		{"wrong pes", func() error {
-			_, err := NewScaleOut(Config{PEs: 2, Seed: 7, Resume: dir}).Run(c)
+		{"v1 checkpoint on other pes", func() error {
+			// A reshard needs the op cut v1 manifests never recorded.
+			v1 := ckptTestDir(t)
+			if _, err := NewScaleOut(Config{PEs: 4, Seed: 7, CheckpointEvery: 10, CheckpointDir: v1}).Run(c); err != nil {
+				return err
+			}
+			step, _, _, err := ckpt.Latest(v1)
+			if err != nil {
+				return err
+			}
+			man := filepath.Join(step, "MANIFEST.json")
+			data, err := os.ReadFile(man)
+			if err != nil {
+				return err
+			}
+			data = []byte(strings.Replace(string(data), strconv.Quote(ckpt.Schema), strconv.Quote(ckpt.SchemaV1), 1))
+			if err := os.WriteFile(man, data, 0o644); err != nil {
+				return err
+			}
+			_, err = NewScaleOut(Config{PEs: 2, Seed: 7, Resume: step}).Run(c)
 			return err
-		}, "PEs"},
+		}, ckpt.SchemaV1},
 		{"wrong sched", func() error {
 			_, err := NewScaleOut(Config{PEs: 4, Seed: 7, Sched: sched.Lazy, Resume: dir}).Run(c)
 			return err
@@ -257,6 +275,62 @@ func TestResumeValidationRejectsMismatch(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+	// Another PE count is no mismatch: the checkpoint is resharded onto
+	// it and ends where the uninterrupted run does (naive plan, so
+	// measurements included).
+	t.Run("other pes reshards", func(t *testing.T) {
+		ref, err := NewScaleOut(Config{PEs: 4, Seed: 7}).Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewScaleOut(Config{PEs: 2, Seed: 7, Resume: dir}).Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := got.State.MaxAbsDiff(ref.State); d != 0 || got.Cbits != ref.Cbits || got.PEs != 2 {
+			t.Fatalf("resharded onto %d PEs: state deviates by %g, cbits %b vs %b", got.PEs, d, got.Cbits, ref.Cbits)
+		}
+	})
+}
+
+// TestReshardFallsBackPastCorruptCheckpoint: a resume onto another fleet
+// size whose newest checkpoint is torn falls back to the next older one
+// under CheckpointDir, as an in-place resume does, and still finishes
+// bit-identical to the uninterrupted run.
+func TestReshardFallsBackPastCorruptCheckpoint(t *testing.T) {
+	c := measuredCircuit(47, 6, 40)
+	ref, err := NewScaleOut(Config{PEs: 4, Seed: 7}).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := ckptTestDir(t)
+	if _, err := NewScaleOut(Config{PEs: 4, Seed: 7, CheckpointEvery: 15, CheckpointDir: base}).Run(c); err != nil {
+		t.Fatal(err)
+	}
+	steps, err := ckpt.CompleteSteps(base)
+	if err != nil || len(steps) < 2 {
+		t.Fatalf("need two checkpoints, have %v (err %v)", steps, err)
+	}
+	newest, m, err := ckpt.Resolve(ckpt.StepDir(base, steps[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Join(newest, m.Shards[1].File)
+	data, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(shard, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run("scale-out", Config{PEs: 2, Seed: 7, Resume: base, CheckpointDir: base}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := got.State.MaxAbsDiff(ref.State); d != 0 || got.Cbits != ref.Cbits {
+		t.Fatalf("reshard past a torn checkpoint: state deviates by %g, cbits %b vs %b", d, got.Cbits, ref.Cbits)
 	}
 }
 
@@ -390,7 +464,7 @@ func TestCheckpointingStartsNothingBeforeItsFirstCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := newRuntime("scale-out", cfg, cp, oneSidedTransport)
+		rt, err := newRuntime("scale-out", cfg, cp, oneSidedTransport, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

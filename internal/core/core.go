@@ -109,15 +109,16 @@ type Config struct {
 	// the dirtied tiles, chained to their parent checkpoint. <= 1 makes
 	// every checkpoint full and tracks nothing.
 	CheckpointFullEvery int
-	// Resume, when non-empty, restores the run from a checkpoint before
-	// executing: either a specific ckpt-<step> directory or a base
-	// directory whose latest complete checkpoint is used.
+	// Resume, when non-empty, continues the run from a checkpoint: either
+	// a specific ckpt-<step> directory or a base directory whose latest
+	// complete checkpoint is used. The checkpoint may have been taken on
+	// any grid size: on this run's it restores shard by shard in place, on
+	// another it is resharded onto this one (elastic.go).
 	Resume string
-	// Init, when non-nil, warm-starts the run from a full logical state
-	// (elastic restore onto a new fleet size) instead of |0...0>. Applied
-	// before Resume, so checkpoints taken DURING a warm-started run still
-	// recover normally.
-	Init *ckpt.WarmStart
+	// warm, when non-nil, starts the run from a full logical state (a
+	// reshard's) instead of |0...0>; a checkpoint the run itself writes
+	// and recovers from takes precedence.
+	warm *ckpt.WarmStart
 	// Elastic lets the distributed recovery loop shrink the fleet after a
 	// PE failure when full-size restarts keep dying: the latest
 	// checkpoint is re-sharded onto half the PEs and the residual circuit

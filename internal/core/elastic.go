@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"svsim/internal/circuit"
 	"svsim/internal/ckpt"
 	"svsim/internal/compile"
 	"svsim/internal/obs"
@@ -27,63 +26,17 @@ import (
 // re-planned for the new fleet measures a qubit at another physical
 // position and adds the same terms in another order: it replays the same
 // RNG stream but agrees with the original fleet only within rounding.
+//
+// There is no entry point of its own: run takes this route for a
+// Config.Resume checkpoint of another grid size, and its recovery loop
+// for the Config.Elastic shrink.
 
-// RunElastic resumes the checkpoint under resume (a ckpt-<step>
-// directory or a base directory) on newPEs processing elements. backend
-// names the distributed backend the checkpoint was taken by; c is the
-// SAME source circuit the original run executed. cfg supplies the run
-// settings for the residual execution; its PEs field is ignored in
-// favor of newPEs.
-func RunElastic(backend string, cfg Config, c *circuit.Circuit, resume string, newPEs int) (*Result, error) {
-	rw, err := lookup(backend)
-	if err != nil {
-		return nil, err
-	}
-	if !rw.Distributed {
-		return nil, fmt.Errorf("core: backend %q runs on one rank; elastic restore needs a distributed backend", backend)
-	}
-	cfg, done := rw.configure(cfg)
-	defer done()
-	if err := checkCircuit(c, 64); err != nil {
-		return nil, err
-	}
-	dir, m, err := resolveResume(resume)
-	if err != nil {
-		return nil, err
-	}
-	if m.Backend != backend {
-		return nil, fmt.Errorf("core: checkpoint was taken by backend %q, elastic restore requested for %q", m.Backend, backend)
-	}
-	if m.NumQubits != c.NumQubits {
-		return nil, fmt.Errorf("core: checkpoint holds %d qubits, circuit has %d", m.NumQubits, c.NumQubits)
-	}
-	if m.Sched != schedName(cfg.Sched) {
-		return nil, fmt.Errorf("core: checkpoint used sched %q, run has %q", m.Sched, schedName(cfg.Sched))
-	}
-	if err := checkPEs(m.PEs, c.NumQubits); err != nil {
-		return nil, fmt.Errorf("core: checkpoint fleet size: %w", err)
-	}
-	// Re-derive the executable stream the checkpointed run compiled (same
-	// circuit, same fusion settings, at the ORIGINAL fleet size) so the
-	// manifest's op cut indexes into the right stream.
-	cp, _, err := compileCircuit(cfg, c, m.PEs)
-	if err != nil {
-		return nil, err
-	}
-	if got := ckpt.Fingerprint(cp.Circuit); got != m.CircuitHash {
-		return nil, fmt.Errorf("core: checkpoint was taken for executable stream %016x, current compile produced %016x", m.CircuitHash, got)
-	}
-	if m.PlanFingerprint != 0 && cp.PlanFP != 0 && m.PlanFingerprint != cp.PlanFP {
-		return nil, fmt.Errorf("core: checkpoint was taken under plan %016x, current compile produced %016x", m.PlanFingerprint, cp.PlanFP)
-	}
-	return runElastic(backend, cfg, cp, dir, m, newPEs, rw.nt)
-}
-
-// runElastic executes the residual of an already-validated checkpoint on
-// newPEs PEs. cp must be the compile of the original run (its Circuit is
-// the executable stream the manifest's OpsDone cut indexes).
+// runElastic continues checkpoint m (in dir) on newPEs PEs. cp must be
+// the compile at m.PEs: its Circuit is the executable stream the
+// manifest's OpsDone cut indexes. Resharding needs that cut, which a v1
+// manifest never recorded (ckpt.ElasticRestorable).
 func runElastic(backend string, cfg Config, cp *compile.CompiledPlan, dir string, m *ckpt.Manifest, newPEs int, nt newTransport) (*Result, error) {
-	if err := checkPEs(newPEs, cp.Circuit.NumQubits); err != nil {
+	if err := validateManifest(m, backend, cp.Circuit, cfg.Sched, cp.PlanFP); err != nil {
 		return nil, err
 	}
 	ws, err := ckpt.ReshardLogical(dir, m)
@@ -108,7 +61,7 @@ func runElastic(backend string, cfg Config, cp *compile.CompiledPlan, dir string
 	ecfg.Topology = sched.Topology{}
 	ecfg.Plans = nil
 	ecfg.Resume = ""
-	ecfg.Init = ws
+	ecfg.warm = ws
 	ecfg.Elastic = false // one shrink per failure; the rerun recovers normally
 	if cfg.CheckpointDir != "" {
 		ecfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, fmt.Sprintf("elastic-p%d", newPEs))

@@ -48,8 +48,9 @@ type JobConfig struct {
 	// for this job (the service's preemption mechanism rides on them).
 	CheckpointEvery int
 	CheckpointDir   string
-	// Resume restores the job from a checkpoint taken at this fleet's
-	// geometry before executing.
+	// Resume continues the job from a checkpoint this fleet's backend
+	// took on a fleet of any size (Config.Resume): shards load in place
+	// at this fleet's PE count and are resharded from another.
 	Resume string
 	// Stop, when non-nil, is this job's preemption latch: triggering it
 	// makes the run write a final checkpoint at the next boundary and
@@ -138,23 +139,6 @@ func (f *Fleet) Run(c *circuit.Circuit, job JobConfig) (*Result, error) {
 		return nil, err
 	}
 	res, err := backend.Run(c)
-	f.jobs++
-	return res, err
-}
-
-// RunElastic resumes the checkpoint under resume — taken on a fleet of
-// a DIFFERENT PE count — onto this fleet: the shards are resharded into
-// the logical state and the residual circuit executed here. The
-// checkpoint must have been taken by the same backend kind.
-func (f *Fleet) RunElastic(c *circuit.Circuit, job JobConfig, resume string) (*Result, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil, fmt.Errorf("core: fleet %s/%d is closed", f.backend, f.PEs())
-	}
-	cfg := f.config(job)
-	cfg.Resume = ""
-	res, err := RunElastic(f.backend, cfg, c, resume, f.PEs())
 	f.jobs++
 	return res, err
 }

@@ -101,9 +101,10 @@ func TestFleetPreemptElasticResumeBitIdentical(t *testing.T) {
 		t.Fatalf("preempted run: err = %v, want ErrInterrupted", err)
 	}
 
-	// Resume the checkpoint on the differently-sized fleet B.
-	rjob := JobConfig{Seed: 3, Sched: sched.Lazy}
-	got, err := fleetB.RunElastic(e.Build(), rjob, ckdir)
+	// Resume the checkpoint on the differently-sized fleet B: Run
+	// reshards it.
+	rjob := JobConfig{Seed: 3, Sched: sched.Lazy, Resume: ckdir}
+	got, err := fleetB.Run(e.Build(), rjob)
 	if err != nil {
 		t.Fatalf("elastic resume on fleet B: %v", err)
 	}

@@ -57,7 +57,7 @@ func TestOneRankResultIsThePartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := newRuntime(name, Config{PEs: 1}, cp, nt)
+		rt, err := newRuntime(name, Config{PEs: 1}, cp, nt, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -138,10 +138,10 @@ func TestAsyncCrashEquivalence(t *testing.T) {
 }
 
 // TestElasticReshard is the fleet-size-change property: a checkpoint
-// taken at P=8 restores onto P' in {4, 8, 16} and the residual circuit
-// finishes bit-identical to the uninterrupted P=8 run. The circuit is
-// measurement-free (QFT) so the answer is P-independent down to the
-// last bit.
+// taken at P=8 resumes on P' in {4, 8, 16} — resharded, or in place at
+// P'=8 — and the residual circuit finishes bit-identical to the
+// uninterrupted P=8 run. The circuit is measurement-free (QFT) so the
+// answer is P-independent down to the last bit.
 func TestElasticReshard(t *testing.T) {
 	c := qftCircuit(10)
 	for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
@@ -159,7 +159,9 @@ func TestElasticReshard(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, newPEs := range []int{4, 8, 16} {
-				got, err := RunElastic("scale-out", base, c, dir, newPEs)
+				rcfg := base
+				rcfg.PEs, rcfg.Resume = newPEs, dir
+				got, err := Run("scale-out", rcfg, c)
 				if err != nil {
 					t.Fatalf("P'=%d: %v", newPEs, err)
 				}
@@ -228,7 +230,9 @@ func TestElasticReshardInsideDiagonalStretch(t *testing.T) {
 				ops[m.OpsDone-1].G.Kind.Diagonal() && ops[m.OpsDone].G.Kind.Diagonal() {
 				inside++
 			}
-			got, err := RunElastic("scale-out", base, c, ckpt.StepDir(dir, step), 2)
+			rcfg := base
+			rcfg.PEs, rcfg.Resume = 2, ckpt.StepDir(dir, step)
+			got, err := Run("scale-out", rcfg, c)
 			if err != nil {
 				t.Fatalf("%s: step %d: %v", pol, step, err)
 			}

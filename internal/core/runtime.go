@@ -207,9 +207,9 @@ type runtime struct {
 }
 
 // newRuntime sets one attempt up: the fleet, the transport's partitions
-// holding |0...0> (or the warm start, or the resumed checkpoint), and
-// the per-rank classical state.
-func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt newTransport) (*runtime, error) {
+// holding |0...0> (or the warm start, or checkpoint m in dir — taken on
+// this grid size), and the per-rank classical state.
+func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt newTransport, dir string, m *ckpt.Manifest) (*runtime, error) {
 	c := cp.Circuit
 	p := cfg.PEs
 	if p < 1 {
@@ -263,7 +263,7 @@ func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt newTranspo
 	}
 	rt.ranks[0].Local.Re[0] = 1 // |0...0>
 
-	if ws := cfg.Init; ws != nil {
+	if ws := cfg.warm; ws != nil && m == nil {
 		// Elastic warm start: scatter the full logical state across this
 		// fleet's partitions in place of |0...0>. The permutation starts
 		// as the identity, so logical index == physical index here.
@@ -277,12 +277,8 @@ func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt newTranspo
 			run.restore(ws.Cbits, ws.Draws)
 		}
 	}
-	if cfg.Resume != "" {
-		dir, m, err := resolveResume(cfg.Resume)
-		if err != nil {
-			return nil, err
-		}
-		if err := validateManifest(m, name, c, p, cfg.Sched, cp.PlanFP); err != nil {
+	if m != nil {
+		if err := validateManifest(m, name, c, cfg.Sched, cp.PlanFP); err != nil {
 			return nil, err
 		}
 		// The manifest records where every qubit sat at the cut; a plan
@@ -834,9 +830,10 @@ func (rt *runtime) measure(pe *pgas.PE, r *Rank, q int) int {
 	return outcome
 }
 
-// runOnce builds and executes one attempt of an already-compiled circuit.
-func runOnce(name string, cfg Config, cp *compile.CompiledPlan, nt newTransport) (*Result, error) {
-	rt, err := newRuntime(name, cfg, cp, nt)
+// runOnce builds and executes one attempt of an already-compiled circuit,
+// from |0...0> or the warm start when m is nil.
+func runOnce(name string, cfg Config, cp *compile.CompiledPlan, nt newTransport, dir string, m *ckpt.Manifest) (*Result, error) {
+	rt, err := newRuntime(name, cfg, cp, nt, dir, m)
 	if err != nil {
 		return nil, err
 	}
@@ -862,10 +859,17 @@ func Run(backend string, cfg Config, c *circuit.Circuit) (*Result, error) {
 	return res, err
 }
 
-// run executes c on cfg.PEs ranks over the transport nt builds, driving
-// the graceful-degradation loop: a recoverable rank failure (injected
-// kill, stalled barrier, exhausted retry budget) restarts the run from
-// its latest complete checkpoint up to cfg.MaxRestarts times — or, with
+// run executes c on cfg.PEs ranks over the transport nt builds. A
+// cfg.Resume checkpoint continues on this grid whatever grid it was
+// taken on, and this is the one place that decides how: taken on as
+// many ranks, each rank restores its shard in place; taken on another
+// count, it is resharded (runElastic). Either way the circuit is
+// compiled at the checkpoint's grid size, whose stream its op cut
+// indexes. Then the graceful-degradation loop: a torn or corrupt
+// checkpoint to continue from falls back to the next older one under
+// cfg.CheckpointDir, and a recoverable rank failure (injected kill,
+// stalled barrier, exhausted retry budget) restarts the run from its
+// latest complete checkpoint up to cfg.MaxRestarts times — or, with
 // cfg.Elastic, re-shards it onto half the fleet; without a checkpoint to
 // restart from, or past the budget, the run reports a structured
 // RunFailure.
@@ -876,51 +880,73 @@ func run(backend string, cfg Config, c *circuit.Circuit, nt newTransport) (*Resu
 	if err := checkPEs(cfg.PEs, c.NumQubits); err != nil {
 		return nil, err
 	}
-	// Compile once, outside the recovery loop: restarts re-execute the
-	// same immutable plan.
-	cp, cst, err := compileCircuit(cfg, c, cfg.PEs)
-	if err != nil {
-		return nil, err
+	p := max(cfg.PEs, 1)
+	var dir string       // the checkpoint the next attempt continues,
+	var m *ckpt.Manifest // nil for |0...0> (or the warm start)
+	if cfg.Resume != "" {
+		var err error
+		if dir, m, err = ckpt.Resolve(cfg.Resume); err != nil {
+			return nil, err
+		}
 	}
 	var mFailures, mRecoveries *obs.Counter
 	if cfg.Metrics != nil {
 		mFailures = cfg.Metrics.Counter(obs.MetricPEFailures)
 		mRecoveries = cfg.Metrics.Counter(obs.MetricRecoveries)
 	}
+	var cp *compile.CompiledPlan
+	var cst compile.Stats
 	attempts, recovered := 0, 0
-	resumeStep := -1 // step of the checkpoint the current cfg.Resume names
-	if cfg.Resume != "" {
-		if _, m, rerr := resolveResume(cfg.Resume); rerr == nil {
-			resumeStep = m.Step
-		}
-	}
 	for {
+		// Compile at the grid size of the checkpoint the attempt continues,
+		// once: restarts re-execute the same immutable plan.
+		at := p
+		if m != nil {
+			at = m.PEs
+		}
+		if cp == nil || cp.PEs != at {
+			if err := checkPEs(at, c.NumQubits); err != nil {
+				return nil, fmt.Errorf("core: checkpoint fleet size: %w", err)
+			}
+			var err error
+			if cp, cst, err = compileCircuit(cfg, c, at); err != nil {
+				return nil, err
+			}
+		}
 		attempts++
 		cfg.Flight.Record(-1, obs.EventRunStart, backend, int64(attempts))
-		res, err := runOnce(backend, cfg, cp, nt)
-		if err == nil {
+		reshard := at != p
+		var res *Result
+		var err error
+		if reshard {
+			// The residual is a run of its own, whose recoveries and
+			// compile the result reports.
+			if res, err = runElastic(backend, cfg, cp, dir, m, p, nt); err == nil {
+				return res, nil
+			}
+		} else if res, err = runOnce(backend, cfg, cp, nt, dir, m); err == nil {
 			res.Recoveries = recovered
 			res.Compile = cst
 			return res, nil
 		}
 		var se *ckpt.ShardError
-		if errors.As(err, &se) && cfg.Resume != "" && cfg.CheckpointDir != "" {
-			// The checkpoint we tried to resume from is torn or corrupt:
+		if errors.As(err, &se) && m != nil && cfg.CheckpointDir != "" {
+			// The checkpoint we tried to continue from is torn or corrupt:
 			// fall back to the next older complete one. Steps strictly
 			// decrease, so this loop terminates without a restart budget.
 			cfg.Flight.Record(-1, obs.EventRunFailed, "corrupt checkpoint: "+err.Error(), int64(attempts))
-			dir, step, ok := olderCheckpoint(cfg.CheckpointDir, resumeStep)
+			odir, om, ok := olderCheckpoint(cfg.CheckpointDir, m.Step)
 			if !ok {
 				return nil, &RunFailure{Backend: backend, Attempts: attempts, Cause: err}
 			}
-			cfg.Resume = dir
-			resumeStep = step
-			cfg.Flight.Record(-1, obs.EventRestart, "fallback to "+dir, int64(step))
+			dir, m = odir, om
+			cfg.Flight.Record(-1, obs.EventRestart, "fallback to "+dir, int64(m.Step))
 			continue
 		}
-		if !recoverable(err) {
+		if reshard || !recoverable(err) {
 			// Setup/validation problems, interrupts, and checkpoint I/O
-			// errors are terminal; restarting cannot help.
+			// errors are terminal; restarting cannot help. A reshard ran
+			// its own recovery loop.
 			return nil, err
 		}
 		cfg.Flight.Record(-1, obs.EventRunFailed, err.Error(), int64(attempts))
@@ -928,16 +954,16 @@ func run(backend string, cfg Config, c *circuit.Circuit, nt newTransport) (*Resu
 		if cfg.CheckpointDir == "" || recovered >= cfg.MaxRestarts {
 			return nil, &RunFailure{Backend: backend, Attempts: attempts, Cause: err}
 		}
-		dir, m, ok, lerr := ckpt.Latest(cfg.CheckpointDir)
+		ldir, lm, ok, lerr := ckpt.Latest(cfg.CheckpointDir)
 		if lerr != nil || !ok {
 			return nil, &RunFailure{Backend: backend, Attempts: attempts, Cause: err}
 		}
 		var ke *fault.KillError
-		if cfg.Elastic && cfg.PEs > 1 && errors.As(err, &ke) && ckpt.ElasticRestorable(m) == nil {
+		if cfg.Elastic && p > 1 && errors.As(err, &ke) && ckpt.ElasticRestorable(lm) == nil {
 			// Elastic shrink: instead of restarting the dead rank's fleet
 			// at full size, re-shard the checkpoint onto half the ranks
 			// and run the residual circuit there.
-			res, eerr := runElastic(backend, cfg, cp, dir, m, cfg.PEs/2, nt)
+			res, eerr := runElastic(backend, cfg, cp, ldir, lm, p/2, nt)
 			if eerr != nil {
 				return nil, &RunFailure{Backend: backend, Attempts: attempts + 1, Cause: eerr}
 			}
@@ -946,25 +972,26 @@ func run(backend string, cfg Config, c *circuit.Circuit, nt newTransport) (*Resu
 			mRecoveries.Add(1)
 			return res, nil
 		}
-		cfg.Resume = dir
-		resumeStep = m.Step
+		dir, m = ldir, lm
 		recovered++
 		mRecoveries.Add(1)
 		cfg.Flight.Record(-1, obs.EventRestart, "resume from "+dir, int64(recovered))
 	}
 }
 
-// olderCheckpoint returns the newest complete checkpoint strictly older
-// than step; a negative step accepts any.
-func olderCheckpoint(base string, step int) (string, int, bool) {
+// olderCheckpoint returns the newest complete checkpoint under base
+// strictly older than step.
+func olderCheckpoint(base string, step int) (string, *ckpt.Manifest, bool) {
 	steps, err := ckpt.CompleteSteps(base)
 	if err != nil {
-		return "", 0, false
+		return "", nil, false
 	}
 	for _, s := range steps { // newest first
-		if step < 0 || s < step {
-			return ckpt.StepDir(base, s), s, true
+		if s < step {
+			dir := ckpt.StepDir(base, s)
+			m, err := ckpt.ReadManifest(dir)
+			return dir, m, err == nil
 		}
 	}
-	return "", 0, false
+	return "", nil, false
 }

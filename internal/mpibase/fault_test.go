@@ -88,9 +88,14 @@ func TestCheckpointKillRestore(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatchedRun checks manifest validation on resume.
+// TestResumeRejectsMismatchedRun checks manifest validation on resume;
+// another rank count is no mismatch but a reshard.
 func TestResumeRejectsMismatchedRun(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(3)), 6, 30)
+	ref, err := mpi(core.Config{PEs: 4, Seed: 7}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	if _, err := mpi(core.Config{
 		PEs: 4, Seed: 7, CheckpointEvery: 10, CheckpointDir: dir,
@@ -101,9 +106,13 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("no checkpoint written: ok=%v err=%v", ok, err)
 	}
-	// Wrong rank count.
-	if _, err := mpi(core.Config{PEs: 2, Seed: 7, Resume: step}, c); err == nil {
-		t.Fatal("resume with mismatched ranks should fail")
+	// Another rank count: resharded, ending where the uninterrupted run does.
+	got, err := mpi(core.Config{PEs: 2, Seed: 7, Resume: step}, c)
+	if err != nil {
+		t.Fatalf("resume onto 2 ranks: %v", err)
+	}
+	if d := got.State.MaxAbsDiff(ref.State); d != 0 || got.PEs != 2 {
+		t.Fatalf("resharded onto %d ranks: state deviates by %g", got.PEs, d)
 	}
 	// Wrong circuit.
 	c2 := randomCircuit(rand.New(rand.NewSource(99)), 6, 30)

@@ -95,8 +95,8 @@ func TestMpiAsyncCrashEquivalence(t *testing.T) {
 	}
 }
 
-// TestMpiElasticReshard restores a checkpoint taken at 8 ranks onto 4,
-// 8, and 16 ranks; the residual finishes bit-identical to the
+// TestMpiElasticReshard resumes a checkpoint taken at 8 ranks on 4, 8,
+// and 16 ranks; the residual finishes bit-identical to the
 // uninterrupted 8-rank run.
 func TestMpiElasticReshard(t *testing.T) {
 	c := mpiQFT(10)
@@ -111,7 +111,7 @@ func TestMpiElasticReshard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, newRanks := range []int{4, 8, 16} {
-		got, err := core.RunElastic("mpi", core.Config{PEs: 8, Seed: 5}, c, dir, newRanks)
+		got, err := mpi(core.Config{PEs: newRanks, Seed: 5, Resume: dir}, c)
 		if err != nil {
 			t.Fatalf("P'=%d: %v", newRanks, err)
 		}

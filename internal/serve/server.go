@@ -388,7 +388,7 @@ func (s *Server) tryDispatchLocked() bool {
 		order := s.dispatchOrderLocked()
 		started := false
 		for rank, j := range order {
-			fs, mode := s.placeLocked(j)
+			fs := s.placeLocked(j)
 			if fs == nil {
 				// The head of the line gets one shot at making room.
 				if rank == 0 && !preemptTried {
@@ -397,7 +397,7 @@ func (s *Server) tryDispatchLocked() bool {
 				}
 				continue
 			}
-			s.startJobLocked(j, fs, mode)
+			s.startJobLocked(j, fs)
 			progressed, started = true, true
 			break // queue changed; recompute the order
 		}
@@ -445,30 +445,11 @@ func (s *Server) runnableLocked(j *job) bool {
 	return true
 }
 
-// runMode is how a dispatch continues a job's prior work.
-type runMode int
-
-const (
-	modeFresh   runMode = iota // run from the start
-	modeResume                 // restore the checkpoint at same geometry
-	modeElastic                // reshard the checkpoint onto this fleet
-)
-
-// placeLocked picks an idle compatible fleet for the job and decides
-// how the job continues there. Preference: exact checkpoint resume,
-// then elastic resume, then the smallest-footprint fresh placement.
-func (s *Server) placeLocked(j *job) (*fleetState, runMode) {
+// placeLocked picks an idle compatible fleet for the job: the one that
+// continues its checkpoint most cheaply (resumeCost), then the smallest.
+func (s *Server) placeLocked(j *job) *fleetState {
 	var best *fleetState
-	bestMode := modeFresh
-	rank := func(fs *fleetState, mode runMode) int {
-		switch mode {
-		case modeResume:
-			return 2
-		case modeElastic:
-			return 1
-		}
-		return 0
-	}
+	bestCost := 0
 	for _, fs := range s.fleets {
 		if fs.busy != nil || !fleetCompatible(fs, &j.spec, j.circ.NumQubits) {
 			continue
@@ -481,26 +462,26 @@ func (s *Server) placeLocked(j *job) (*fleetState, runMode) {
 		if s.opts.MaxBytes > 0 && s.residentBytesLocked()+bytes > s.opts.MaxBytes {
 			continue
 		}
-		mode := s.continueMode(j, fs)
-		switch {
-		case best == nil,
-			rank(fs, mode) > rank(best, bestMode),
-			rank(fs, mode) == rank(best, bestMode) && fs.fleet.PEs() < best.fleet.PEs():
-			best, bestMode = fs, mode
+		if c := resumeCost(j, fs); best == nil || c < bestCost || c == bestCost && fs.fleet.PEs() < best.fleet.PEs() {
+			best, bestCost = fs, c
 		}
 	}
-	return best, bestMode
+	return best
 }
 
-// continueMode decides how j's checkpoint (if any) maps onto fleet fs.
-func (s *Server) continueMode(j *job, fs *fleetState) runMode {
-	if j.ckptDir == "" || j.ckptBackend != fs.fleet.Backend() {
-		return modeFresh
+// resumeCost ranks what j's prior work is worth on fleet fs. A checkpoint
+// continues on any fleet of the backend that wrote it — core decides how
+// — but loading shards in place on a fleet of the checkpoint's size is
+// cheaper than resharding them onto another; on another backend the job
+// starts over.
+func resumeCost(j *job, fs *fleetState) int {
+	switch {
+	case j.ckptBackend != fs.fleet.Backend():
+		return 2
+	case fs.distributed && fs.fleet.PEs() != j.ckptPEs:
+		return 1
 	}
-	if fs.distributed && fs.fleet.PEs() != j.ckptPEs {
-		return modeElastic
-	}
-	return modeResume
+	return 0
 }
 
 // residentBytesLocked sums the predicted footprints of running jobs.
@@ -542,7 +523,7 @@ func (s *Server) maybePreemptForLocked(j *job) {
 
 // startJobLocked moves a queued job onto a fleet and launches its run
 // goroutine.
-func (s *Server) startJobLocked(j *job, fs *fleetState, mode runMode) {
+func (s *Server) startJobLocked(j *job, fs *fleetState) {
 	ten := s.tenants[j.spec.Tenant]
 	s.dequeueLocked(j)
 	ten.queued--
@@ -561,10 +542,10 @@ func (s *Server) startJobLocked(j *job, fs *fleetState, mode runMode) {
 	j.preempting = false
 	fs.busy = j
 	s.opts.Flight.Record(-1, EventJobDispatch,
-		fmt.Sprintf("%s -> %s (mode=%d attempt=%d)", j.id, fs.label, mode, j.preemptions), 0)
+		fmt.Sprintf("%s -> %s (attempt=%d)", j.id, fs.label, j.preemptions), 0)
 
 	s.running.Add(1)
-	go s.runJob(j, fs, mode)
+	go s.runJob(j, fs)
 }
 
 // dequeueLocked removes j from the waiting queue.
@@ -580,7 +561,7 @@ func (s *Server) dequeueLocked(j *job) {
 // runJob executes one dispatched job on its fleet and folds the
 // outcome back into the job table. Runs on its own goroutine; the
 // fleet itself serializes executions.
-func (s *Server) runJob(j *job, fs *fleetState, mode runMode) {
+func (s *Server) runJob(j *job, fs *fleetState) {
 	defer s.running.Done()
 
 	// Snapshot inputs before running (the job record is shared).
@@ -588,7 +569,10 @@ func (s *Server) runJob(j *job, fs *fleetState, mode runMode) {
 	spec := j.spec
 	circ := j.circ
 	attempt := j.preemptions
-	resume := j.ckptDir
+	var resume string
+	if j.ckptBackend == fs.fleet.Backend() {
+		resume = j.ckptDir // on this fleet's size or resharded, core's call
+	}
 	stop := j.stop
 	tenant := spec.Tenant
 	s.mu.Unlock()
@@ -599,18 +583,9 @@ func (s *Server) runJob(j *job, fs *fleetState, mode runMode) {
 	jc.CheckpointEvery = s.opts.CheckpointEvery
 	ckdir := filepath.Join(s.opts.WorkDir, j.id, fmt.Sprintf("attempt-%d", attempt))
 	jc.CheckpointDir = ckdir
+	jc.Resume = resume
 
-	var res *core.Result
-	var err error
-	switch mode {
-	case modeElastic:
-		res, err = fs.fleet.RunElastic(circ, jc, resume)
-	case modeResume:
-		jc.Resume = resume
-		res, err = fs.fleet.Run(circ, jc)
-	default:
-		res, err = fs.fleet.Run(circ, jc)
-	}
+	res, err := fs.fleet.Run(circ, jc)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
