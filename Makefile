@@ -12,7 +12,7 @@ GO ?= go
 # Short commit hash, or "dev" when not in a git checkout.
 BENCH_TAG := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build vet test perf-check race bench bench-json bench-diff bench-html trace metrics evaluate examples fuzz lint doccheck serve loadtest clean
+.PHONY: all build vet test perf-check race bench bench-json bench-diff bench-html obs evaluate examples fuzz lint doccheck serve loadtest clean
 
 # Service address shared by the serve and loadtest targets.
 SERVE_ADDR ?= localhost:9470
@@ -58,20 +58,15 @@ bench:
 evaluate:
 	$(GO) run ./cmd/svbench -exp all
 
-# Produce a per-gate timeline + metrics for a distributed run; open
-# trace.json in Perfetto (ui.perfetto.dev) or chrome://tracing.
-trace:
-	$(GO) run ./cmd/svsim -circuit qft_n15 -backend scale-out -pes 8 \
-		-trace trace.json -metrics metrics.json
-
-# Full service-telemetry artifact set from one distributed run: an
-# OpenMetrics dump (metrics.om), a phase-attribution report
-# (phase_report.json, summary printed to the terminal), and the flight
-# recorder trail (flight.jsonl). Add -metrics-listen ADDR to scrape
-# /metrics live instead.
-metrics:
+# The observability artifact set of one distributed run, in obs/: a
+# per-gate timeline (trace.json; open it in Perfetto, ui.perfetto.dev, or
+# chrome://tracing), an OpenMetrics dump (metrics.om), a phase-attribution
+# report (phases.json, summary printed to the terminal) and the flight
+# recorder trail (flight.jsonl). Add -obs-listen ADDR to scrape /metrics
+# live as well.
+obs:
 	$(GO) run ./cmd/svsim -circuit qft_n15 -backend scale-out -pes 8 -sched lazy \
-		-metrics-out metrics.om -phase-report phase_report.json -flight flight.jsonl
+		-obs-dir obs
 
 # Machine-readable measured bench records for perf-trajectory tracking
 # (svsim-bench/v6: includes the two-level remap's ppn/intra_bytes/

@@ -10,7 +10,7 @@
 // tracked across commits:
 //
 //	svbench -json BENCH_baseline.json
-//	svbench -workload qft_n15 -backend scale-out -pes 8 -json - -trace trace.json
+//	svbench -workload qft_n15 -backend scale-out -pes 8 -json - -obs-dir obs
 package main
 
 import (
@@ -76,9 +76,8 @@ func main() {
 	fuse := flag.Bool("fuse", false, "apply the compile pipeline's gate-fusion pass for -workload")
 	tile := flag.Bool("tile", false, "cache-blocked tiled execution for -workload on the single-node backends")
 	schedName := flag.String("sched", "naive", "gate schedule for -workload on distributed backends: naive | lazy")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event timeline of the bench runs to FILE")
-	metricsFile := flag.String("metrics", "", "write the bench runs' metrics registry as JSON to FILE")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on ADDR while benching")
+	obsDir := flag.String("obs-dir", "", "write the bench runs' observability artifacts (trace.json, metrics.om, phases.json, flight.jsonl) into DIR")
+	obsListen := flag.String("obs-listen", "", "serve /metrics, /debug/flight and /debug/pprof on ADDR while benching")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint the bench runs every N schedule steps, to measure checkpoint overhead (0 = off; needs -checkpoint-dir)")
 	ckptDir := flag.String("checkpoint-dir", "", "checkpoint base directory for -checkpoint-every")
 	ckptFullEvery := flag.Int("checkpoint-full-every", 0, "force every N-th checkpoint full and write deltas in between (0 = all full)")
@@ -92,10 +91,15 @@ func main() {
 		if err := cliutil.ValidatePEs(*pes); err != nil {
 			fatalf("%v", err)
 		}
-		// Validate the flag pairing and that the directory is writable
+		// Validate the flag pairing and that the directories are writable
 		// before burning bench time.
 		if err := cliutil.ValidateCheckpointing(*ckptEvery, *ckptFullEvery, *ckptDir, "", 0); err != nil {
 			fatalf("%v", err)
+		}
+		if *obsDir != "" {
+			if err := cliutil.EnsureWritableDir("-obs-dir", *obsDir); err != nil {
+				fatalf("%v", err)
+			}
 		}
 		if err := (sched.Topology{PEsPerNode: *ppn}).Validate(); err != nil {
 			fatalf("%v", err)
@@ -104,7 +108,7 @@ func main() {
 			fatalf("%v", err)
 		}
 		ck := ckptOpts{every: *ckptEvery, dir: *ckptDir, fullEvery: *ckptFullEvery}
-		runBenchMode(*jsonFile, *workload, *backendName, *pes, *ppn, *coalesced, *fuse, *tile, policy, *traceFile, *metricsFile, *pprofAddr, ck)
+		runBenchMode(*jsonFile, *workload, *backendName, *pes, *ppn, *coalesced, *fuse, *tile, policy, *obsDir, *obsListen, ck)
 		return
 	}
 
@@ -306,27 +310,23 @@ type ckptOpts struct {
 	fullEvery int
 }
 
-func runBenchMode(jsonFile, workload, backend string, pes, ppn int, coalesced, fuse, tile bool, policy sched.Policy, traceFile, metricsFile, pprofAddr string, ck ckptOpts) {
-	var tracer *obs.Tracer
-	var metrics *obs.Metrics
-	if traceFile != "" {
-		tracer = obs.NewTracer()
+func runBenchMode(jsonFile, workload, backend string, pes, ppn int, coalesced, fuse, tile bool, policy sched.Policy, obsDir, obsListen string, ck ckptOpts) {
+	sinks, err := obs.Open(obsDir, obsListen)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	if metricsFile != "" {
-		metrics = obs.NewMetrics()
-	}
-	if pprofAddr != "" {
-		addr, stop, err := obs.StartPprof(pprofAddr)
-		if err != nil {
-			fatalf("pprof: %v", err)
-		}
-		defer stop() //nolint:errcheck
-		fmt.Fprintf(os.Stderr, "svbench: pprof serving http://%s/debug/pprof/\n", addr)
+	defer sinks.Close() //nolint:errcheck
+	if sinks.Addr != "" {
+		fmt.Fprintf(os.Stderr, "svbench: obs serving http://%s/metrics, /debug/flight, /debug/pprof/\n", sinks.Addr)
 	}
 
 	suite := defaultBenchSuite
+	// The phase report splits the summed run loops of the traced suite
+	// entries (the VQE sweep below runs untraced).
+	phases := obs.PhaseReportOpts{Backend: "suite"}
 	if workload != "" {
 		suite = []benchSpec{{workload, backend, pes, coalesced, fuse, policy, tile, ppn}}
+		phases = obs.PhaseReportOpts{Backend: backend, Workload: workload}
 	}
 	// One plan cache for the whole bench run, as a long-lived driver
 	// would hold it; suite entries all differ in shape or config, so the
@@ -341,10 +341,19 @@ func runBenchMode(jsonFile, workload, backend string, pes, ppn int, coalesced, f
 			// configurations never collide.
 			run.dir = filepath.Join(ck.dir, fmt.Sprintf("%02d-%s-%s", i, spec.workload, spec.backend))
 		}
-		rec, err := runBenchSpec(spec, plans, tracer, metrics, run)
+		start := time.Now()
+		rec, err := runBenchSpec(spec, plans, sinks, run)
 		if err != nil {
+			phases.WallNS += time.Since(start).Nanoseconds()
+			sinks.Flight.Record(-1, obs.EventRunFailed, err.Error(), 0)
+			if ferr := sinks.Flush(os.Stderr, phases); ferr != nil {
+				fmt.Fprintln(os.Stderr, "svbench: obs:", ferr)
+			}
 			fatalf("%s on %s: %v", spec.workload, spec.backend, err)
 		}
+		phases.PEs = max(phases.PEs, rec.PEs)
+		phases.WallNS += rec.ElapsedNS
+		phases.CompileNS += rec.CompileNS
 		records = append(records, *rec)
 		fmt.Fprintf(os.Stderr, "svbench: %-12s %-9s pes=%-2d %12d ns  remote=%dB\n",
 			rec.Workload, rec.Backend, rec.PEs, rec.ElapsedNS, rec.CommRemoteBytes)
@@ -379,19 +388,12 @@ func runBenchMode(jsonFile, workload, backend string, pes, ppn int, coalesced, f
 			fatalf("write %s: %v", jsonFile, err)
 		}
 	}
-	if tracer != nil {
-		if err := tracer.WriteFile(traceFile); err != nil {
-			fatalf("write %s: %v", traceFile, err)
-		}
-	}
-	if metrics != nil {
-		if err := metrics.WriteFile(metricsFile); err != nil {
-			fatalf("write %s: %v", metricsFile, err)
-		}
+	if err := sinks.Flush(os.Stderr, phases); err != nil {
+		fatalf("%v", err)
 	}
 }
 
-func runBenchSpec(spec benchSpec, plans *compile.Cache, tracer *obs.Tracer, metrics *obs.Metrics, ck ckptOpts) (*benchRecord, error) {
+func runBenchSpec(spec benchSpec, plans *compile.Cache, sinks *obs.Sinks, ck ckptOpts) (*benchRecord, error) {
 	e, err := qasmbench.ByName(spec.workload)
 	if err != nil {
 		return nil, err
@@ -401,7 +403,7 @@ func runBenchSpec(spec benchSpec, plans *compile.Cache, tracer *obs.Tracer, metr
 		Seed: 1, Style: statevec.Vectorized, PEs: spec.pes,
 		Coalesced: spec.coalesced, Fuse: spec.fuse, Sched: spec.sched,
 		Tile: spec.tile, Topology: sched.Topology{PEsPerNode: spec.ppn},
-		Plans: plans, Trace: tracer, Metrics: metrics,
+		Plans: plans, Trace: sinks.Tracer, Metrics: sinks.Metrics, Flight: sinks.Flight,
 		CheckpointEvery: ck.every, CheckpointDir: ck.dir, CheckpointFullEvery: ck.fullEvery,
 	}
 	backend, err := core.NewBackend(spec.backend, cfg)

@@ -508,8 +508,8 @@ func runSeed(seed int64, gateScale int, stallDeadline, wall time.Duration, outDi
 		if err := os.MkdirAll(outDir, 0o755); err == nil {
 			repro := fmt.Sprintf("scenario: %s\nviolation: %s\nminimized -fault spec: %s\nrepro: svchaos -seed0 %d -seeds 1 -gates %d\n",
 				sc, reason, v.spec, seed, gateScale)
-			os.WriteFile(filepath.Join(outDir, fmt.Sprintf("seed-%d.repro.txt", seed)), []byte(repro), 0o644) //nolint:errcheck
-			flight.WriteFile(filepath.Join(outDir, fmt.Sprintf("seed-%d.flight.jsonl", seed)))                //nolint:errcheck
+			os.WriteFile(filepath.Join(outDir, fmt.Sprintf("seed-%d.repro.txt", seed)), []byte(repro), 0o644)  //nolint:errcheck
+			obs.WriteFile(filepath.Join(outDir, fmt.Sprintf("seed-%d.flight.jsonl", seed)), flight.WriteJSONL) //nolint:errcheck
 		}
 	}
 	return v

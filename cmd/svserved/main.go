@@ -66,7 +66,7 @@ func main() {
 		}
 	}
 	if *workDir != "" {
-		if err := cliutil.EnsureWritableDir(*workDir); err != nil {
+		if err := cliutil.EnsureWritableDir("-workdir", *workDir); err != nil {
 			fatal(err)
 		}
 	}

@@ -31,6 +31,7 @@ type runOpts struct {
 	faultSpec       string
 	barrierTimeout  time.Duration
 	opRetries       int
+	obsDir          string
 }
 
 // validate cross-checks the flag combination.
@@ -75,6 +76,11 @@ func (o *runOpts) validate() error {
 	}
 	if o.opRetries < 0 {
 		return fmt.Errorf("-op-retries %d: retry budget cannot be negative", o.opRetries)
+	}
+	if o.obsDir != "" {
+		if err := cliutil.EnsureWritableDir("-obs-dir", o.obsDir); err != nil {
+			return err
+		}
 	}
 	if o.faultSpec != "" {
 		if !b.Distributed {

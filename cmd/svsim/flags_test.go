@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +17,10 @@ func validOpts() runOpts {
 
 func TestFlagValidation(t *testing.T) {
 	dir := t.TempDir()
+	regular := filepath.Join(dir, "regular")
+	if err := os.WriteFile(regular, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	// A threaded checkpoint records its one rank, whatever -pes workers
 	// wrote it.
 	threaded := t.TempDir()
@@ -101,6 +107,8 @@ func TestFlagValidation(t *testing.T) {
 		{"negative barrier timeout", func(o *runOpts) { o.barrierTimeout = -time.Second }, "negative"},
 		{"negative retries", func(o *runOpts) { o.opRetries = -1 }, "negative"},
 		{"resume from nowhere", func(o *runOpts) { o.resume = dir + "/absent" }, "-resume"},
+		{"obs-dir fresh path", func(o *runOpts) { o.obsDir = filepath.Join(dir, "obs", "run1") }, ""},
+		{"obs-dir is a file", func(o *runOpts) { o.obsDir = regular }, "-obs-dir " + regular},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

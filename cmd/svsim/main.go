@@ -11,14 +11,13 @@
 //	svsim -circuit bv_n14 -backend mpi -pes 4
 //	svsim -circuit bv_n14 -backend mpi -pes 4 -sched lazy
 //	svsim -circuit qft_n15 -backend scale-out -pes 8 -sched lazy
-//	svsim -circuit qft_n15 -backend scale-out -pes 8 -trace trace.json -metrics m.json
+//	svsim -circuit qft_n15 -backend scale-out -pes 8 -obs-dir obs
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -56,13 +55,8 @@ func main() {
 		submitURL   = flag.String("submit", "", "submit the job to a running svserved instance at URL (e.g. localhost:9470) instead of executing locally; the report uses the exact binary state fetched back")
 		tenantName  = flag.String("tenant", "", "tenant name for -submit (empty = the anonymous default tenant)")
 		priority    = flag.Int("priority", 0, "scheduling priority for -submit; higher dispatches first and may preempt lower-priority jobs")
-		traceFile   = flag.String("trace", "", "write a Chrome trace-event timeline (one track per PE) to FILE; view in Perfetto or chrome://tracing")
-		metricsFile = flag.String("metrics", "", "write the metrics registry (gate latency, put/get size, barrier wait histograms) as JSON to FILE")
-		metricsOut  = flag.String("metrics-out", "", "write the metrics registry as OpenMetrics text exposition to FILE at run end (also on abort)")
-		metricsAddr = flag.String("metrics-listen", "", "serve OpenMetrics on ADDR/metrics for the duration of the run (shares a mux with /debug/flight and /debug/pprof)")
-		phaseFile   = flag.String("phase-report", "", "write a phase-attribution report (per-PE wall-time split) as JSON to FILE and print the summary table")
-		flightFile  = flag.String("flight", "", "write the flight recorder's event ring as JSONL to FILE at run end (also on abort)")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on ADDR (e.g. localhost:6060) for the duration of the run")
+		obsDir      = flag.String("obs-dir", "", "write the run's observability artifacts into DIR at exit, clean or aborted: trace.json (Chrome trace, one track per PE), metrics.om (OpenMetrics), phases.json (per-PE wall-time split, summary printed) and flight.jsonl (event ring)")
+		obsListen   = flag.String("obs-listen", "", "serve /metrics (OpenMetrics), /debug/flight and /debug/pprof on ADDR (e.g. localhost:9464) for the duration of the run")
 
 		ckptEvery     = flag.Int("checkpoint-every", 0, "write a coordinated checkpoint every N schedule steps (0 = off; needs -checkpoint-dir)")
 		ckptDir       = flag.String("checkpoint-dir", "", "checkpoint base directory (one ckpt-<step> subdirectory per checkpoint)")
@@ -124,7 +118,7 @@ func main() {
 		checkpointEvery: *ckptEvery, checkpointDir: *ckptDir, ckptFullEvery: *ckptFullEvery,
 		resume: *resume, elastic: *elastic,
 		maxRestarts: *maxRestarts, faultSpec: *faultSpec,
-		barrierTimeout: *barrierTmo, opRetries: *opRetries,
+		barrierTimeout: *barrierTmo, opRetries: *opRetries, obsDir: *obsDir,
 	}
 	if err := opts.validate(); err != nil {
 		fatal(err)
@@ -135,17 +129,20 @@ func main() {
 		ks = statevec.Scalar
 	}
 
-	telemetry := newTelemetry(telemetryOpts{
-		trace: *traceFile, metrics: *metricsFile, metricsOut: *metricsOut,
-		listen: *metricsAddr, phase: *phaseFile, flight: *flightFile, pprof: *pprofAddr,
-	})
-	defer telemetry.close()
-	latch := installStopHandler(telemetry.flight)
+	sinks, err := obs.Open(*obsDir, *obsListen)
+	if err != nil {
+		fatal(err)
+	}
+	defer sinks.Close() //nolint:errcheck // shutting down on exit
+	if sinks.Addr != "" {
+		fmt.Printf("obs     : serving http://%s/metrics, /debug/flight, /debug/pprof/\n", sinks.Addr)
+	}
+	latch := installStopHandler(sinks.Flight)
 
 	cfg := core.Config{
 		Style: ks, PEs: *pes, Coalesced: *coalesced, Topology: topo,
-		Trace: telemetry.tracer, Metrics: telemetry.metrics,
-		Flight:          telemetry.flight,
+		Trace: sinks.Tracer, Metrics: sinks.Metrics,
+		Flight:          sinks.Flight,
 		CheckpointEvery: opts.checkpointEvery, CheckpointDir: opts.checkpointDir, CheckpointFullEvery: opts.ckptFullEvery,
 		Resume: opts.resume, Elastic: opts.elastic, Stop: latch,
 		MaxRestarts: opts.maxRestarts,
@@ -157,10 +154,12 @@ func main() {
 		fatal(err)
 	}
 
-	telemetry.beginRun(*backendName, c.Name, *pes)
+	phases := obs.PhaseReportOpts{Backend: *backendName, Workload: c.Name, PEs: *pes}
+	start := time.Now()
 	res, err := backend.Run(c)
 	if err != nil {
-		telemetry.fail(err)
+		phases.WallNS = time.Since(start).Nanoseconds()
+		abort(sinks, phases, err)
 	}
 	fmt.Printf("circuit : %s\n", c.Summary())
 	fmt.Printf("backend : %s (%d PE)\n", res.Backend, res.PEs)
@@ -184,180 +183,33 @@ func main() {
 	if c.NumClbits > 0 {
 		fmt.Printf("cbits   : %0*b\n", c.NumClbits, res.Cbits)
 	}
-	telemetry.finish(res.Elapsed.Nanoseconds(), res.Compile.TotalNS, res.Mem)
+	phases.WallNS, phases.CompileNS = res.Elapsed.Nanoseconds(), res.Compile.TotalNS
+	if err := sinks.Flush(os.Stdout, phases); err != nil {
+		fatal(err)
+	}
+	if res.Mem != nil {
+		fmt.Printf("mem     : %s\n", res.Mem)
+	}
 	report(res.State, *seed, *shots, *printState)
 }
 
-// telemetryOpts is the flag surface that selects observability sinks.
-type telemetryOpts struct {
-	trace      string // Chrome trace file
-	metrics    string // metrics registry as JSON
-	metricsOut string // metrics registry as OpenMetrics text
-	listen     string // OpenMetrics + flight + pprof HTTP listener
-	phase      string // phase-attribution report (JSON)
-	flight     string // flight recorder dump (JSONL)
-	pprof      string // standalone pprof listener
-}
-
-// telemetry bundles the optional observability sinks selected by flags
-// and knows how to drain all of them on both the clean and abort exits.
-type telemetry struct {
-	tracer  *obs.Tracer
-	metrics *obs.Metrics
-	flight  *obs.FlightRecorder
-	opts    telemetryOpts
-
-	// Run identity captured by beginRun so an abort can still stamp a
-	// phase report when the backend never returned a Result.
-	backend  string
-	workload string
-	pes      int
-	runStart time.Time
-
-	stops []func() error
-}
-
-func newTelemetry(o telemetryOpts) *telemetry {
-	t := &telemetry{opts: o}
-	if o.trace != "" || o.phase != "" {
-		t.tracer = obs.NewTracer()
-	}
-	if o.metrics != "" || o.metricsOut != "" || o.listen != "" {
-		t.metrics = obs.NewMetrics()
-	}
-	if o.flight != "" || o.listen != "" {
-		t.flight = obs.NewFlightRecorder(obs.DefaultFlightCap)
-	}
-	if o.listen != "" {
-		addr, stop, err := obs.StartServer(o.listen, obs.ServeOpts{
-			Metrics: t.metrics, Flight: t.flight, Pprof: true,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		t.stops = append(t.stops, stop)
-		fmt.Printf("metrics : serving http://%s/metrics\n", addr)
-	}
-	if o.pprof != "" {
-		addr, stop, err := obs.StartPprof(o.pprof)
-		if err != nil {
-			fatal(err)
-		}
-		t.stops = append(t.stops, stop)
-		fmt.Printf("pprof   : serving http://%s/debug/pprof/\n", addr)
-	}
-	return t
-}
-
-// beginRun records the run identity used to stamp phase reports; the
-// abort path measures wall time from here when no Result exists.
-func (t *telemetry) beginRun(backend, workload string, pes int) {
-	t.backend, t.workload, t.pes, t.runStart = backend, workload, pes, time.Now()
-}
-
-// finish drains every sink after a successful run and reports the
-// post-run memory snapshot. Sink write failures are fatal, matching the
-// rest of the CLI's error handling.
-func (t *telemetry) finish(wallNS, compileNS int64, mem *obs.MemSnapshot) {
-	t.phaseReport(wallNS, compileNS, os.Stdout)
-	if err := t.writeSinks(os.Stdout); err != nil {
-		fatal(err)
-	}
-	if mem != nil {
-		fmt.Printf("mem     : %s\n", mem)
-	}
-}
-
-// fail drains every sink before exiting: the abort path is exactly when
-// the trace, metrics, and flight recorder matter most, so a failed run
-// must not lose them. Sink write errors are reported but do not mask
-// the run failure. A graceful interruption (ErrInterrupted) flushes the
-// same sinks but exits 130, the conventional fatal-signal status.
-func (t *telemetry) fail(err error) {
+// abort flushes the sinks before exiting: the abort path is exactly when
+// the trace, metrics and flight trail matter most, so a failed run must
+// not lose them. A flush error is reported but does not mask the run's.
+// A graceful interruption (ErrInterrupted) exits 130, the conventional
+// fatal-signal status; any other failure exits 1.
+func abort(sinks *obs.Sinks, phases obs.PhaseReportOpts, err error) {
+	kind, code := obs.EventRunFailed, 1
 	if errors.Is(err, core.ErrInterrupted) {
-		t.flight.Record(-1, obs.EventInterrupted, err.Error(), 0)
-		t.phaseReport(time.Since(t.runStart).Nanoseconds(), 0, os.Stderr)
-		if werr := t.writeSinks(os.Stderr); werr != nil {
-			fmt.Fprintln(os.Stderr, "svsim: telemetry:", werr)
-		}
-		t.close()
-		fmt.Fprintln(os.Stderr, "svsim:", err)
-		os.Exit(130)
+		kind, code = obs.EventInterrupted, 130
 	}
-	t.flight.Record(-1, obs.EventRunFailed, err.Error(), 0)
-	t.phaseReport(time.Since(t.runStart).Nanoseconds(), 0, os.Stderr)
-	if werr := t.writeSinks(os.Stderr); werr != nil {
-		fmt.Fprintln(os.Stderr, "svsim: telemetry:", werr)
+	sinks.Flight.Record(-1, kind, err.Error(), 0)
+	if ferr := sinks.Flush(os.Stderr, phases); ferr != nil {
+		fmt.Fprintln(os.Stderr, "svsim: obs:", ferr)
 	}
-	t.close()
-	fatal(err)
-}
-
-// phaseReport builds the phase-attribution report when requested,
-// writes the JSON artifact, and prints the summary table to w.
-func (t *telemetry) phaseReport(wallNS, compileNS int64, w io.Writer) {
-	if t.opts.phase == "" {
-		return
-	}
-	rep := obs.BuildPhaseReport(t.tracer, obs.PhaseReportOpts{
-		Backend: t.backend, Workload: t.workload, PEs: t.pes,
-		WallNS: wallNS, CompileNS: compileNS,
-	})
-	if err := rep.WriteFile(t.opts.phase); err != nil {
-		fmt.Fprintln(os.Stderr, "svsim: telemetry:", err)
-		return
-	}
-	fmt.Fprint(w, rep.Summary())
-	fmt.Fprintf(w, "phases  : wrote %s\n", t.opts.phase)
-}
-
-// writeSinks drains the file-backed sinks, announcing each artifact on
-// w; it keeps going past failures and returns the first error.
-func (t *telemetry) writeSinks(w io.Writer) error {
-	var firstErr error
-	keep := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if t.tracer != nil && t.opts.trace != "" {
-		if err := t.tracer.WriteFile(t.opts.trace); err != nil {
-			keep(err)
-		} else {
-			fmt.Fprintf(w, "trace   : wrote %s (%d spans, %d tracks)\n",
-				t.opts.trace, t.tracer.TotalEvents(), len(t.tracer.Tracks()))
-		}
-	}
-	if t.metrics != nil && t.opts.metrics != "" {
-		if err := t.metrics.WriteFile(t.opts.metrics); err != nil {
-			keep(err)
-		} else {
-			fmt.Fprintf(w, "metrics : wrote %s\n", t.opts.metrics)
-		}
-	}
-	if t.metrics != nil && t.opts.metricsOut != "" {
-		if err := t.metrics.WriteOpenMetricsFile(t.opts.metricsOut); err != nil {
-			keep(err)
-		} else {
-			fmt.Fprintf(w, "openmet : wrote %s\n", t.opts.metricsOut)
-		}
-	}
-	if t.flight != nil && t.opts.flight != "" {
-		if err := t.flight.WriteFile(t.opts.flight); err != nil {
-			keep(err)
-		} else {
-			fmt.Fprintf(w, "flight  : wrote %s (%d events, %d dropped)\n",
-				t.opts.flight, t.flight.Len(), t.flight.Dropped())
-		}
-	}
-	return firstErr
-}
-
-func (t *telemetry) close() {
-	for _, stop := range t.stops {
-		stop() //nolint:errcheck // shutting down on exit
-	}
-	t.stops = nil
+	sinks.Close() //nolint:errcheck // exiting
+	fmt.Fprintln(os.Stderr, "svsim:", err)
+	os.Exit(code)
 }
 
 func report(st *statevec.State, seed int64, shots int, printState bool) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"svsim/internal/ckpt"
+	"svsim/internal/obs"
 )
 
 // buildSvsim compiles the CLI once per test into a temp dir.
@@ -43,9 +44,9 @@ func deepQASM(t *testing.T, gates int) string {
 }
 
 // TestGracefulShutdownE2E is the end-to-end signal contract: SIGTERM
-// mid-run makes the process write a final checkpoint, flush its
-// observability sinks, and exit 130; a follow-up -resume run completes
-// from that checkpoint.
+// mid-run makes the process write a final checkpoint, flush every
+// observability artifact into -obs-dir, and exit 130; a follow-up
+// -resume run completes from that checkpoint.
 func TestGracefulShutdownE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and signals a child process")
@@ -53,13 +54,13 @@ func TestGracefulShutdownE2E(t *testing.T) {
 	bin := buildSvsim(t)
 	qasm := deepQASM(t, 4000)
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	flight := filepath.Join(t.TempDir(), "flight.jsonl")
+	obsDir := filepath.Join(t.TempDir(), "obs")
 
 	cmd := exec.Command(bin,
 		"-qasm", qasm, "-backend", "scale-out", "-pes", "2",
 		"-checkpoint-every", "25", "-checkpoint-dir", dir,
 		"-checkpoint-full-every", "4",
-		"-flight", flight)
+		"-obs-dir", obsDir)
 	var out strings.Builder
 	cmd.Stdout, cmd.Stderr = &out, &out
 	if err := cmd.Start(); err != nil {
@@ -82,8 +83,17 @@ func TestGracefulShutdownE2E(t *testing.T) {
 	if _, _, ok, _ := ckpt.Latest(dir); !ok {
 		t.Fatalf("interrupted run left no complete checkpoint; output:\n%s", out.String())
 	}
-	if fi, err := os.Stat(flight); err != nil || fi.Size() == 0 {
-		t.Fatalf("flight sink not flushed on interrupt (err=%v); output:\n%s", err, out.String())
+	for _, f := range []string{obs.TraceFile, obs.MetricsFile, obs.PhasesFile, obs.FlightFile} {
+		if fi, err := os.Stat(filepath.Join(obsDir, f)); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s not flushed on interrupt (err=%v); output:\n%s", f, err, out.String())
+		}
+	}
+	if ents, err := os.ReadDir(obsDir); err != nil || len(ents) != 4 {
+		t.Fatalf("-obs-dir holds %d entries (err=%v), want the 4 artifacts", len(ents), err)
+	}
+	flight, err := os.ReadFile(filepath.Join(obsDir, obs.FlightFile))
+	if err != nil || !strings.Contains(string(flight), `"kind":"`+obs.EventInterrupted+`"`) {
+		t.Fatalf("flight trail does not record the interrupt (err=%v):\n%s", err, flight)
 	}
 
 	resume := exec.Command(bin,

@@ -48,8 +48,10 @@
 //   - Observe (internal/obs). Per-gate Chrome-trace timelines, a metrics
 //     registry with OpenMetrics export, phase-attribution reports,
 //     a flight recorder for post-mortem debugging, and checkpoint/fault
-//     counters — all zero-cost when off (hot loops see one nil check),
-//     and all flushed on both clean and aborted exits.
+//     counters — all zero-cost when off (hot loops see one nil check).
+//     The commands reach them through two flags, -obs-dir DIR (four
+//     artifact files, written on clean, failed and interrupted exits
+//     alike) and -obs-listen ADDR (/metrics, /debug/flight, /debug/pprof).
 //
 // Around that spine sit the frontends (internal/qasm, internal/qir,
 // internal/circuit), the workload suite (internal/qasmbench), fault

@@ -105,11 +105,11 @@ func TestCLIEndToEnd(t *testing.T) {
 }
 
 // TestTelemetryArtifacts drives the full telemetry surface end to end,
-// on both exits. A clean run must leave a trace, an OpenMetrics dump,
-// a flight JSONL, and a phase report; a run aborted by an injected kill
-// must leave the same artifacts rather than losing them — with the
-// flight trail naming the fault and the phase report's per-PE rows
-// summing to the wall time they split.
+// on both exits. A clean run must leave exactly the -obs-dir artifact
+// set — a trace, an OpenMetrics dump, a phase report and a flight
+// JSONL; a run aborted by an injected kill must leave the same set
+// rather than losing it — with the flight trail naming the fault and
+// the phase report's per-PE rows summing to the wall time they split.
 func TestTelemetryArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e skipped in -short mode")
@@ -117,27 +117,19 @@ func TestTelemetryArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	svsim := buildTool(t, dir, "svsim/cmd/svsim")
 
-	paths := func(prefix string) (flight, phase, om, trace string) {
-		return filepath.Join(dir, prefix+"-flight.jsonl"),
-			filepath.Join(dir, prefix+"-phase.json"),
-			filepath.Join(dir, prefix+"-metrics.om"),
-			filepath.Join(dir, prefix+"-trace.json")
-	}
-
 	// Clean exit.
-	flight, phase, om, trace := paths("clean")
+	clean := filepath.Join(dir, "clean")
 	out := runTool(t, svsim, "-circuit", "qft_n15", "-backend", "scale-out", "-pes", "4",
-		"-sched", "lazy", "-flight", flight, "-phase-report", phase, "-metrics-out", om, "-trace", trace)
+		"-sched", "lazy", "-obs-dir", clean)
 	if !strings.Contains(out, "phase attribution") || !strings.Contains(out, "critical path") {
 		t.Fatalf("no phase summary in output:\n%s", out)
 	}
-	checkTelemetryArtifacts(t, flight, phase, om, trace)
+	checkTelemetryArtifacts(t, clean)
 
 	// Abort exit: an injected kill must still flush every sink.
-	flight, phase, om, trace = paths("fault")
+	fault := filepath.Join(dir, "fault")
 	cmd := exec.Command(svsim, "-circuit", "qft_n15", "-backend", "scale-out", "-pes", "4",
-		"-fault", "kill:rank=1:op=barrier:after=30",
-		"-flight", flight, "-phase-report", phase, "-metrics-out", om, "-trace", trace)
+		"-fault", "kill:rank=1:op=barrier:after=30", "-obs-dir", fault)
 	outB, err := cmd.CombinedOutput()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 1 {
@@ -146,7 +138,7 @@ func TestTelemetryArtifacts(t *testing.T) {
 	if !strings.Contains(string(outB), "injected kill") {
 		t.Fatalf("fault run output does not name the fault:\n%s", outB)
 	}
-	events := checkTelemetryArtifacts(t, flight, phase, om, trace)
+	events := checkTelemetryArtifacts(t, fault)
 	for _, kind := range []string{"fault_injected", "pe_failure", "run_failed"} {
 		if !strings.Contains(events, `"kind":"`+kind+`"`) {
 			t.Errorf("flight trail missing %s event:\n%s", kind, events)
@@ -154,12 +146,26 @@ func TestTelemetryArtifacts(t *testing.T) {
 	}
 }
 
-// checkTelemetryArtifacts validates the four artifact files and returns
-// the flight dump for event-level assertions.
-func checkTelemetryArtifacts(t *testing.T, flight, phase, om, trace string) string {
+// checkTelemetryArtifacts validates that dir holds exactly the four
+// artifact files, checks each, and returns the flight dump for
+// event-level assertions.
+func checkTelemetryArtifacts(t *testing.T, dir string) string {
 	t.Helper()
 
-	raw, err := os.ReadFile(flight)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	// ReadDir sorts by name.
+	if got, want := strings.Join(names, " "), "flight.jsonl metrics.om phases.json trace.json"; got != want {
+		t.Fatalf("-obs-dir holds %q, want %q", got, want)
+	}
+
+	raw, err := os.ReadFile(filepath.Join(dir, obs.FlightFile))
 	if err != nil {
 		t.Fatalf("flight dump: %v", err)
 	}
@@ -183,7 +189,7 @@ func checkTelemetryArtifacts(t *testing.T, flight, phase, om, trace string) stri
 			PhasesNS map[string]int64 `json:"phases_ns"`
 		} `json:"per_pe"`
 	}
-	rawRep, err := os.ReadFile(phase)
+	rawRep, err := os.ReadFile(filepath.Join(dir, obs.PhasesFile))
 	if err != nil {
 		t.Fatalf("phase report: %v", err)
 	}
@@ -204,7 +210,7 @@ func checkTelemetryArtifacts(t *testing.T, flight, phase, om, trace string) stri
 		}
 	}
 
-	rawOM, err := os.ReadFile(om)
+	rawOM, err := os.ReadFile(filepath.Join(dir, obs.MetricsFile))
 	if err != nil {
 		t.Fatalf("openmetrics dump: %v", err)
 	}
@@ -212,7 +218,7 @@ func checkTelemetryArtifacts(t *testing.T, flight, phase, om, trace string) stri
 		t.Fatalf("openmetrics dump rejected: %v", err)
 	}
 
-	rawTrace, err := os.ReadFile(trace)
+	rawTrace, err := os.ReadFile(filepath.Join(dir, obs.TraceFile))
 	if err != nil {
 		t.Fatalf("trace: %v", err)
 	}

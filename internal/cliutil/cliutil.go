@@ -71,7 +71,7 @@ func ValidateCheckpointing(every, fullEvery int, dir, resume string, maxRestarts
 		return fmt.Errorf("-max-restarts %d needs -checkpoint-dir: recovery restarts from the latest checkpoint there", maxRestarts)
 	}
 	if dir != "" {
-		if err := EnsureWritableDir(dir); err != nil {
+		if err := EnsureWritableDir("-checkpoint-dir", dir); err != nil {
 			return err
 		}
 	}
@@ -79,15 +79,17 @@ func ValidateCheckpointing(every, fullEvery int, dir, resume string, maxRestarts
 }
 
 // EnsureWritableDir creates dir if needed and probes that a file can be
-// created in it, so an unwritable checkpoint target fails before the
-// run instead of at the first checkpoint.
-func EnsureWritableDir(dir string) error {
+// created in it, so an unwritable output directory fails before the run
+// instead of at its first write (a checkpoint) or after it (the obs
+// artifacts). Errors name the directory by flag, the flag the caller
+// read dir from ("-checkpoint-dir", "-obs-dir", "-workdir").
+func EnsureWritableDir(flag, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("checkpoint dir %s: %v", dir, err)
+		return fmt.Errorf("%s %s: %v", flag, dir, err)
 	}
 	f, err := os.CreateTemp(dir, ".writable-*")
 	if err != nil {
-		return fmt.Errorf("checkpoint dir %s is not writable: %v", dir, err)
+		return fmt.Errorf("%s %s is not writable: %v", flag, dir, err)
 	}
 	name := f.Name()
 	f.Close()

@@ -37,6 +37,10 @@ func TestValidatePEs(t *testing.T) {
 
 func TestValidateCheckpointing(t *testing.T) {
 	dir := t.TempDir()
+	file := filepath.Join(dir, "regular")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name             string
 		every, fullEvery int
@@ -55,6 +59,7 @@ func TestValidateCheckpointing(t *testing.T) {
 		{"negative full-every alone", 0, -3, "", "", 0, "-checkpoint-full-every -3"},
 		{"negative full-every", 10, -3, dir, "", 0, "cannot be negative"},
 		{"full-every without interval", 0, 4, dir, "", 0, "-checkpoint-every"},
+		{"dir is a file", 10, 0, file, "", 0, "-checkpoint-dir " + file},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -74,7 +79,7 @@ func TestValidateCheckpointing(t *testing.T) {
 
 func TestEnsureWritableDirCreatesAndProbes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "a", "b")
-	if err := EnsureWritableDir(dir); err != nil {
+	if err := EnsureWritableDir("-obs-dir", dir); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
@@ -98,8 +103,8 @@ func TestEnsureWritableDirRejectsReadOnly(t *testing.T) {
 	if err := os.Mkdir(ro, 0o555); err != nil {
 		t.Fatal(err)
 	}
-	if err := EnsureWritableDir(ro); err == nil {
-		t.Fatal("expected a writability error")
+	if err := EnsureWritableDir("-workdir", ro); err == nil || !strings.Contains(err.Error(), "-workdir "+ro) {
+		t.Fatalf("error %v, want a writability error naming -workdir", err)
 	}
 }
 

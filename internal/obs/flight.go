@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
-	"os"
 	"sync"
 	"time"
 )
@@ -134,22 +132,4 @@ func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteFile dumps the retained events as JSONL to path.
-func (f *FlightRecorder) WriteFile(path string) error {
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(out)
-	if err := f.WriteJSONL(bw); err != nil {
-		out.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

@@ -1,11 +1,7 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
-	"io"
 	"math"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -201,19 +197,20 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// HistogramSnapshot is the exported form of one histogram.
+// HistogramSnapshot is the point-in-time form of one histogram.
 type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"` // len(bounds)+1, last is overflow
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
+	Bounds []float64
+	Counts []int64 // len(Bounds)+1, last is overflow
+	Count  int64
+	Sum    float64
 }
 
-// Snapshot is the exported form of the whole registry.
+// Snapshot is the point-in-time form of the whole registry, read by the
+// OpenMetrics rendering and by tests.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
+	Counters   map[string]int64
+	Gauges     map[string]float64
+	Histograms map[string]HistogramSnapshot
 }
 
 // Snapshot captures the registry's current values.
@@ -243,29 +240,4 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// WriteJSON serializes a snapshot of the registry.
-func (m *Metrics) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m.Snapshot())
-}
-
-// WriteFile writes the registry snapshot as JSON to path.
-func (m *Metrics) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := m.WriteJSON(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

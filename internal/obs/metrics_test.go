@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 func TestHistogramBucketBoundaries(t *testing.T) {
 	m := NewMetrics()
@@ -94,38 +90,5 @@ func TestNilRegistrySafe(t *testing.T) {
 	snap := m.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
-	}
-}
-
-func TestMetricsJSONRoundTrip(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("gates").Add(42)
-	h := m.Histogram(MetricBarrierWaitNS, LatencyBuckets())
-	h.Observe(150)
-	h.Observe(1e12) // overflow
-
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("metrics output is not valid JSON: %v", err)
-	}
-	if snap.Counters["gates"] != 42 {
-		t.Fatalf("counter round-trip = %d, want 42", snap.Counters["gates"])
-	}
-	hs, ok := snap.Histograms[MetricBarrierWaitNS]
-	if !ok {
-		t.Fatal("histogram missing from snapshot")
-	}
-	if hs.Count != 2 {
-		t.Fatalf("histogram count = %d, want 2", hs.Count)
-	}
-	if len(hs.Counts) != len(hs.Bounds)+1 {
-		t.Fatalf("counts len %d, want bounds+1 = %d", len(hs.Counts), len(hs.Bounds)+1)
-	}
-	if hs.Counts[len(hs.Counts)-1] != 1 {
-		t.Fatal("overflow observation not in the trailing bucket")
 	}
 }

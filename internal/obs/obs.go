@@ -1,12 +1,18 @@
 // Package obs is the observability layer of the simulator: a low-overhead
 // per-gate tracer (Chrome trace-event JSON, one track per PE, loadable in
 // Perfetto or chrome://tracing), a metrics registry of counters, gauges,
-// and fixed-bucket histograms with JSON and OpenMetrics export (scrapable
-// from the shared HTTP listener, see server.go), phase-attribution
-// reports that split per-PE wall time into compile/compute/pack/wire/
-// unpack/barrier/checkpoint (phases.go), a bounded flight recorder of
-// structured runtime events dumped as JSONL on aborts (flight.go), and
-// profiling hooks (net/http/pprof on the same listener).
+// and fixed-bucket histograms whose one export format is the OpenMetrics
+// text exposition (openmetrics.go), phase-attribution reports that split
+// per-PE wall time into compile/compute/pack/wire/unpack/barrier/
+// checkpoint (phases.go), and a bounded flight recorder of structured
+// runtime events (flight.go).
+//
+// A command reaches all of it through one Sinks (sinks.go), opened from
+// a directory and a listen address: the directory receives trace.json,
+// metrics.om, phases.json and flight.jsonl when the run ends, on the
+// clean and the abort exits alike, all written by the one WriteFile; the
+// listener serves Mux (server.go) — /metrics, /debug/flight, and
+// net/http/pprof under /debug/pprof/, which every listener serves.
 //
 // The design contract with the execution backends is "nil means off": a
 // nil *Tracer, *Metrics, *Track, *Counter, *Gauge, *Histogram, or

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -148,19 +147,6 @@ func (m *Metrics) WriteOpenMetrics(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// WriteOpenMetricsFile dumps the exposition to path.
-func (m *Metrics) WriteOpenMetricsFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteOpenMetrics(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // ParseOpenMetrics validates a text exposition: every sample must belong

@@ -9,11 +9,10 @@ import (
 )
 
 // ServeOpts selects what the observability HTTP listener exposes. Nil
-// fields disable their endpoint; Pprof is on whenever the listener is.
+// fields disable their endpoint; /debug/pprof/* is always served.
 type ServeOpts struct {
 	Metrics *Metrics        // GET /metrics: OpenMetrics exposition
 	Flight  *FlightRecorder // GET /debug/flight: JSONL event dump
-	Pprof   bool            // /debug/pprof/* (always registered today)
 }
 
 // Mux builds the observability endpoints on a fresh private mux:

@@ -39,7 +39,7 @@ func TestServerScrape(t *testing.T) {
 	f := NewFlightRecorder(64)
 	f.Record(-1, EventRunStart, "scrape-test", 1)
 
-	addr, stop, err := StartServer("127.0.0.1:0", ServeOpts{Metrics: m, Flight: f, Pprof: true})
+	addr, stop, err := StartServer("127.0.0.1:0", ServeOpts{Metrics: m, Flight: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,27 +128,4 @@ func TestServerConcurrentScrape(t *testing.T) {
 	}
 	close(done)
 	writers.Wait()
-}
-
-// TestStartPprofStillServes pins the backward-compatible wrapper: the
-// pprof-only listener from before the shared server must keep working.
-func TestStartPprofStillServes(t *testing.T) {
-	addr, stop, err := StartPprof("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop() //nolint:errcheck
-	body, _ := get(t, "http://"+addr+"/debug/pprof/cmdline")
-	if body == "" {
-		t.Fatal("pprof returned nothing")
-	}
-	// No metrics registry attached: /metrics must 404, not crash.
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/metrics without registry: status %d, want 404", resp.StatusCode)
-	}
 }

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
-	"os"
 	"sync"
 	"time"
 )
@@ -224,22 +222,4 @@ func itoa(n int) string {
 		buf[i] = '-'
 	}
 	return string(buf[i:])
-}
-
-// WriteFile writes the trace-event JSON to path.
-func (t *Tracer) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := t.WriteJSON(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
