@@ -25,6 +25,11 @@ import (
 // a tile's base) only decides which array slot that amplitude is, which
 // enters through the position→key arrays Prepare builds. Hence a run
 // rounds identically on every backend, window shape and layout.
+//
+// Listing 2: on an AVX2 CPU a Vectorized window hands the bulk of every
+// block to an assembly twin (run_amd64.s) that computes the lookup loop's
+// arithmetic four amplitudes a step, to the bit, so the twin changes the
+// speed of a run and nothing else.
 
 // diagLoBits is how many low physical index bits resolve their key bits
 // through a lookup array; higher bits are gathered once per block of
@@ -43,8 +48,10 @@ type DiagTables struct {
 	tab    [2][][2]float64 // tab[t][key] = (re, im); tab[1] is empty for a one-table run
 	b      uint            // low physical bits resolved through lo
 	lo     [2][]uint16     // key bits contributed by the low b bits of a physical index
+	loOr   [2]int          // OR of lo[t]: with high bits k, no key of a block exceeds k|loOr[t]
 	hi     [2][]keyBit     // table qubits at physical positions >= b
 	visit  []uint16        // the low-b-bit values with every low pinned bit set, ascending
+	span   int             // visit is aligned stretches of span consecutive values (2^b: no pinned bit below b)
 }
 
 // keyBit says that physical index bit pos is bit of a table key.
@@ -63,10 +70,15 @@ func (d *DiagTables) Prepare(gates int, pinned uint64, qubits [2]uint64, terms [
 	}
 	d.b = uint(min(diagLoBits, len(perm)))
 	d.visit = d.visit[:0]
-	for x, low := 0, d.pinned&(1<<d.b-1); x < 1<<d.b; x++ {
-		if x&low == low {
+	inBlock := d.pinned & (1<<d.b - 1)
+	for x := 0; x < 1<<d.b; x++ {
+		if x&inBlock == inBlock {
 			d.visit = append(d.visit, uint16(x))
 		}
+	}
+	d.span = 1 << d.b
+	if inBlock != 0 {
+		d.span = inBlock & -inBlock
 	}
 	for t, qs := range qubits {
 		if t == 1 && qs == 0 {
@@ -114,10 +126,12 @@ func (d *DiagTables) Prepare(gates int, pinned uint64, qubits [2]uint64, terms [
 			bit++
 		}
 		lo[0] = 0
+		d.loOr[t] = 0
 		for p := uint(0); p < d.b; p++ {
 			for i := 0; i < 1<<p; i++ {
 				lo[1<<p|i] = lo[i] | low[p]
 			}
+			d.loOr[t] |= int(low[p])
 		}
 	}
 }
@@ -150,11 +164,15 @@ func (d *DiagTables) hiKeys(g int) (k0, k1 int) {
 // The enumerator supplies the window's share of the compressed space; the
 // walk through it is by blocks of 2^b physical indices — the key bits
 // above b are gathered once per block, the ones below come from the
-// lookup arrays — in both loop styles: a run has one loop shape.
+// lookup arrays — in both loop styles, with the same Go loops. Only a
+// Vectorized window on an AVX2 CPU (decided here, once per call) also
+// hands each block's four-amplitude steps to the twins in run_amd64.s, so
+// Scalar stays Listing 3.
 func (w window) diagRun(d *DiagTables) (amps, flops int64) {
 	it := w.iter(d.pinned, 0)
 	m := int64(it.left)
 	bm := 1<<d.b - 1
+	simd := haveAVX2 && w.style == Vectorized
 	// The share may start inside a block: at the visited offset whose
 	// rank its free low bits spell. Every later block starts at rank 0.
 	r := compressBits(uint64(w.base+(it.cur|it.val)), uint64(bm&^d.pinned))
@@ -162,7 +180,7 @@ func (w window) diagRun(d *DiagTables) (amps, flops int64) {
 		g := w.base + (it.cur | it.val)
 		visit := d.visit[r:min(len(d.visit), r+it.left)]
 		k0, k1 := d.hiKeys(g)
-		d.block(it.re, it.im, g&^bm-w.base, visit, k0, k1)
+		d.block(it.re, it.im, g&^bm-w.base, visit, k0, k1, simd)
 		it.left -= len(visit)
 		it.cur = ((it.cur | it.fixed | bm) + 1) &^ it.fixed
 		r = 0
@@ -177,12 +195,26 @@ func (w window) diagRun(d *DiagTables) (amps, flops int64) {
 // visit (off may be negative when the window starts inside a block; off+v
 // is not). k0 and k1 are the block's high key bits. It is the run's hot
 // loop, a function of its own so that its few live values stay in
-// registers; with no pinned bit inside the block the values are
-// consecutive and the loop walks slices instead of looking them up.
-func (d *DiagTables) block(re, im []float64, off int, visit []uint16, k0, k1 int) {
+// registers. With simd, when the visited values come in stretches of at
+// least four (no pinned bit inside the block, or the lowest one q2 or
+// higher), every fourth value from the first multiple of 4 on starts four
+// consecutive amplitudes: one twin call takes those steps, and the 0-3
+// values before and after them are looked up here. Otherwise, with no
+// pinned bit inside the block the values are consecutive and the loop
+// walks slices; else they are looked up one by one.
+func (d *DiagTables) block(re, im []float64, off int, visit []uint16, k0, k1 int, simd bool) {
+	if simd && d.span >= 4 {
+		h := min(-int(visit[0])&3, len(visit)) // values below the first multiple of 4
+		if n := (len(visit) - h) &^ 3; n > 0 {
+			d.lookup(re, im, off, visit[:h], k0, k1)
+			d.steps(re, im, off, visit[h:h+n], k0, k1)
+			d.lookup(re, im, off, visit[h+n:], k0, k1)
+			return
+		}
+	}
 	t0, lo0 := d.tab[0], d.lo[0]
 	t1, lo1 := d.tab[1], d.lo[1]
-	if len(d.visit) == len(lo0) {
+	if d.span == len(lo0) {
 		v := int(visit[0])
 		re, im = re[off+v:off+v+len(visit)], im[off+v:off+v+len(visit)]
 		lo0 = lo0[v : v+len(visit)]
@@ -201,6 +233,14 @@ func (d *DiagTables) block(re, im []float64, off int, visit []uint16, k0, k1 int
 		}
 		return
 	}
+	d.lookup(re, im, off, visit, k0, k1)
+}
+
+// lookup multiplies the amplitudes at off+v for the values v in visit one
+// by one.
+func (d *DiagTables) lookup(re, im []float64, off int, visit []uint16, k0, k1 int) {
+	t0, lo0 := d.tab[0], d.lo[0]
+	t1, lo1 := d.tab[1], d.lo[1]
 	if len(t1) == 0 {
 		for _, v := range visit {
 			p, a := off+int(v), &t0[k0|int(lo0[v])]
@@ -213,6 +253,25 @@ func (d *DiagTables) block(re, im []float64, off int, visit []uint16, k0, k1 int
 		fr, fi := mulAmp(a[0], a[1], b[0], b[1])
 		re[p], im[p] = mulAmp(re[p], im[p], fr, fi)
 	}
+}
+
+// steps hands visit, a positive multiple of 4 values of which every
+// fourth starts four consecutive amplitudes, to a twin after making the
+// bounds checks the assembly does not: the amplitudes and keys it reads
+// lie between those of visit's first and last value, and every table key
+// of the block is a bit-subset of k|loOr.
+func (d *DiagTables) steps(re, im []float64, off int, visit []uint16, k0, k1 int) {
+	first, last := int(visit[0]), int(visit[len(visit)-1])
+	_, _, _ = re[off+first], re[off+last], im[off+last]
+	t0, lo0 := d.tab[0], d.lo[0]
+	_, _ = t0[k0|d.loOr[0]], lo0[last]
+	t1, lo1 := d.tab[1], d.lo[1]
+	if len(t1) == 0 {
+		diagBlock1AVX2(&re[0], &im[0], off, &visit[0], len(visit), &lo0[0], &t0[0], k0)
+		return
+	}
+	_, _ = t1[k1|d.loOr[1]], lo1[last]
+	diagBlock2AVX2(&re[0], &im[0], off, &visit[0], len(visit), &lo0[0], &lo1[0], &t0[0], &t1[0], k0, k1)
 }
 
 // mulAmp multiplies the complex number (r, i) by (fr, fi): the run's one

@@ -230,15 +230,29 @@ func TestDiagRunKernel(t *testing.T) {
 	}
 }
 
-// BenchmarkDiagRun measures the run kernel on the two shapes the svperf
-// workloads execute — the 21-CU1 ladder behind QFT(22)'s first Hadamard
-// (one pinned qubit, two tables) and a CZ layer of RQC(20) (no pinned
-// qubit) — and on the shape that gains least, two disjoint CZ (the pass
-// visits the whole state to change 7/16 of it), under the identity layout
-// and a shuffled one, next to the same gates applied one by one. ns/amp
-// is per amplitude of the state, as the svperf kernel probes report it.
+// BenchmarkDiagRun measures the run kernel on the shapes the svperf
+// workloads execute — QFT(22)'s CU1 ladders onto q21 (21 gates, two
+// tables) and q11 (11 gates, one table), whose pinned qubit lies above
+// the 256-index block so each block is one stretch, its ladder onto q5 (5
+// gates, pinned inside the block: the stretches of 32 below it), and a CZ
+// layer of RQC(20) (no pinned qubit) — and on the shape that gains least,
+// two disjoint CZ (the pass visits the whole state to change 7/16 of it),
+// under the identity layout and a shuffled one, next to the same gates
+// applied one by one, each on the Go loops (/go) and on the AVX2 twins
+// (/avx2). ns/amp is per amplitude of the state, as the svperf kernel
+// probes report it.
 func BenchmarkDiagRun(b *testing.B) {
 	qft := qasmbench.QFT(22)
+	// QFT's ladder onto q_i is its run of i gates.
+	ladder := func(i int) compile.Run {
+		for _, r := range compile.DiagRuns(qft) {
+			if r.Gates == i {
+				return r
+			}
+		}
+		b.Fatalf("QFT(22) has no run of %d gates", i)
+		return compile.Run{}
+	}
 	rqc := circuit.New("cz_layer", 20)
 	for q := 0; q+1 < 20; q += 2 {
 		rqc.CZ(q, q+1)
@@ -248,34 +262,42 @@ func BenchmarkDiagRun(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		c    *circuit.Circuit
-	}{{"qft22_cu1x21", qft}, {"rqc20_czx10", rqc}, {"n22_czx2", pair}} {
-		n := bc.c.NumQubits
-		run := compile.DiagRuns(bc.c)[0]
-		b.Run(bc.name+"/per_gate", func(b *testing.B) {
-			s := randomDense(rand.New(rand.NewSource(1)), n, statevec.Vectorized)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := run.Op; j < run.Op+run.Gates; j++ {
-					s.Apply(&bc.c.Ops[j].G)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Dim), "ns/amp")
-		})
-		for _, layout := range []string{"identity", "permuted"} {
-			perm := circuit.IdentityPermutation(n)
-			if layout == "permuted" {
-				perm = rand.New(rand.NewSource(7)).Perm(n)
-			}
-			b.Run(fmt.Sprintf("%s/%s", bc.name, layout), func(b *testing.B) {
+		run  compile.Run
+	}{
+		{"qft22_cu1x21", qft, ladder(21)},
+		{"qft22_cu1x11", qft, ladder(11)},
+		{"qft22_cu1x5", qft, ladder(5)},
+		{"rqc20_czx10", rqc, compile.DiagRuns(rqc)[0]},
+		{"n22_czx2", pair, compile.DiagRuns(pair)[0]},
+	} {
+		n, run := bc.c.NumQubits, bc.run
+		statevec.ForEachBodyPath(func(path string) {
+			b.Run(bc.name+"/per_gate/"+path, func(b *testing.B) {
 				s := randomDense(rand.New(rand.NewSource(1)), n, statevec.Vectorized)
-				var d statevec.DiagTables
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					prepareRun(&d, bc.c, &run, perm)
-					s.ApplyRun(&d)
+					for j := run.Op; j < run.Op+run.Gates; j++ {
+						s.Apply(&bc.c.Ops[j].G)
+					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Dim), "ns/amp")
 			})
-		}
+			for _, layout := range []string{"identity", "permuted"} {
+				perm := circuit.IdentityPermutation(n)
+				if layout == "permuted" {
+					perm = rand.New(rand.NewSource(7)).Perm(n)
+				}
+				b.Run(fmt.Sprintf("%s/%s/%s", bc.name, layout, path), func(b *testing.B) {
+					s := randomDense(rand.New(rand.NewSource(1)), n, statevec.Vectorized)
+					var d statevec.DiagTables
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						prepareRun(&d, bc.c, &run, perm)
+						s.ApplyRun(&d)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Dim), "ns/amp")
+				})
+			}
+		})
 	}
 }

@@ -26,6 +26,8 @@ import (
 // strided or shorter run, the whole Scalar style, and every run on a CPU
 // without AVX2. The twin is the loop's arithmetic at four lanes, equal to
 // it to the bit, so a body still has exactly one Go loop and one result.
+// The diagonal-run pass (diagrun.go) and the Pauli rotation (paulirot.go)
+// hand off to their twins the same way.
 
 const s2i = math.Sqrt2 / 2
 

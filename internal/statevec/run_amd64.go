@@ -1,8 +1,9 @@
 package statevec
 
 // The AVX2 run bodies (paper Listing 2): one twin in run_amd64.s for the
-// inner run of each body in kernels.go and of iter.pauliRot, four
-// amplitudes (pairs, for pauliRot) per instruction.
+// inner run of each body in kernels.go, of iter.pauliRot and of a
+// diagonal run's block (one table and two), four amplitudes (pairs, for
+// pauliRot) per instruction.
 // A body hands a unit-stride run's 4-aligned length to its twin and
 // finishes the remainder in its own Go loop, so the contract is that a
 // twin computes what that loop computes, to the bit, on every lane: the
@@ -10,7 +11,9 @@ package statevec
 // fused multiply-add, negation as a sign-bit flip. n is a positive
 // multiple of 4 and the caller has bounds-checked n elements behind
 // every pointer (iter.at; the whole window for the Pauli rotation, whose
-// partners lie anywhere in it); the pointers need no alignment.
+// partners lie anywhere in it; for a diagonal run, the first and last
+// visited amplitude and the largest key of each table, DiagTables.steps);
+// the pointers need no alignment.
 
 // haveAVX2 routes unit-stride runs to the twins. It is read from the CPU
 // once, here; only tests write it, to compare the two paths.
@@ -88,3 +91,15 @@ func tdgAVX2(r, i *float64, n int)
 
 //go:noescape
 func phaseAVX2(r, i *float64, n int, c, sn float64)
+
+// The diagonal run's twins, over the n/4 steps of visit: a step's first
+// value v names the four amplitudes (r, i) at off+v .. off+v+3, and the
+// one at off+v+l is multiplied by t0[k0|lo0[v+l]], or for two tables by
+// mulAmp(t0[k0|lo0[v+l]], t1[k1|lo1[v+l]]) — DiagTables.lookup's Go loop.
+// DiagTables.steps has checked every address the steps form.
+
+//go:noescape
+func diagBlock1AVX2(r, i *float64, off int, visit *uint16, n int, lo0 *uint16, t0 *[2]float64, k0 int)
+
+//go:noescape
+func diagBlock2AVX2(r, i *float64, off int, visit *uint16, n int, lo0, lo1 *uint16, t0, t1 *[2]float64, k0, k1 int)

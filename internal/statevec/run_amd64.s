@@ -1,10 +1,13 @@
 #include "textflag.h"
 
-// The AVX2 twins of the run bodies in kernels.go (see run_amd64.go for
-// the contract). Every loop is one shape: load the four (pairing) or two
-// (element-wise) YMM operands of a step, compute, store — all loads
+// The AVX2 twins of the run bodies in kernels.go, of the Pauli rotation
+// and of a diagonal run's block (see run_amd64.go for the contract).
+// Every loop is one shape: load the four (pairing) or two (element-wise,
+// diagonal run) YMM operands of a step, compute, store — all loads
 // before any store, four amplitudes a step, AX counting to n (from p to
-// p+n in pauliRotAVX2, which indexes the whole window). The
+// p+n in pauliRotAVX2, which indexes the whole window; in the diagonal
+// runs BX walks the step starts of the visit list, and TABLE4 gathers the
+// step's factors from the tables by key). The
 // arithmetic of each twin is its Go body's expression written out one
 // operation per instruction; the comment on an instruction names the Go
 // subexpression it computes. Three-operand AVX reads right to left:
@@ -545,5 +548,112 @@ loop:
 	ADDQ    $4, AX
 	CMPQ    AX, CX
 	JLT     loop
+	VZEROUPPER
+	RET
+
+// TABLE4(lo, t, k, fr, fi) gathers the table entries t[k|lo[v+l]] of the
+// four lanes l of a diagonal-run step, v in AX, into their real parts fr
+// and imaginary parts fi. Each (re, im) entry is one 16-byte load at the
+// scalar key in DX: lanes 0 and 2 fill the halves of Y14, lanes 1 and 3
+// those of Y15, so one unpack pair splits them without a cross-lane
+// permute.
+#define TABLE4(lo, t, k, fr, fi) \
+	MOVWQZX     0(lo)(AX*2), DX; \
+	ORQ         k, DX; \
+	SHLQ        $4, DX; \
+	VMOVUPD     (t)(DX*1), X14; \
+	MOVWQZX     4(lo)(AX*2), DX; \
+	ORQ         k, DX; \
+	SHLQ        $4, DX; \
+	VINSERTF128 $1, (t)(DX*1), Y14, Y14; \
+	MOVWQZX     2(lo)(AX*2), DX; \
+	ORQ         k, DX; \
+	SHLQ        $4, DX; \
+	VMOVUPD     (t)(DX*1), X15; \
+	MOVWQZX     6(lo)(AX*2), DX; \
+	ORQ         k, DX; \
+	SHLQ        $4, DX; \
+	VINSERTF128 $1, (t)(DX*1), Y15, Y15; \
+	VUNPCKLPD   Y15, Y14, fr; \
+	VUNPCKHPD   Y15, Y14, fi
+
+// func diagBlock1AVX2(r, i *float64, off int, visit *uint16, n int, lo0 *uint16, t0 *[2]float64, k0 int)
+// BX walks every fourth value of visit up to CX; SI and DI address the
+// block (r, i minus off, never dereferenced below the window), so a
+// step's amplitudes are at v in AX. mulAmp(r, i, fr, fi) = (fr*r - fi*i,
+// fi*r + fr*i) with (fr, fi) the entry.
+TEXT ·diagBlock1AVX2(SB), NOSPLIT, $0-64
+	MOVQ r+0(FP), SI
+	MOVQ i+8(FP), DI
+	MOVQ off+16(FP), DX
+	LEAQ (SI)(DX*8), SI
+	LEAQ (DI)(DX*8), DI
+	MOVQ visit+24(FP), BX
+	MOVQ n+32(FP), CX
+	LEAQ (BX)(CX*2), CX
+	MOVQ lo0+40(FP), R8
+	MOVQ t0+48(FP), R10
+	MOVQ k0+56(FP), R12
+loop:
+	MOVWQZX (BX), AX        // v
+	TABLE4(R8, R10, R12, Y2, Y3) // fr, fi = t0[k0|lo0[v+l]]
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (DI)(AX*8), Y1
+	VMULPD  Y2, Y0, Y4      // fr*r
+	VMULPD  Y3, Y1, Y5      // fi*i
+	VSUBPD  Y5, Y4, Y4      // fr*r - fi*i
+	VMULPD  Y3, Y0, Y5      // fi*r
+	VMULPD  Y2, Y1, Y6      // fr*i
+	VADDPD  Y6, Y5, Y5      // fi*r + fr*i
+	VMOVUPD Y4, (SI)(AX*8)
+	VMOVUPD Y5, (DI)(AX*8)
+	ADDQ    $8, BX
+	CMPQ    BX, CX
+	JNE     loop
+	VZEROUPPER
+	RET
+
+// func diagBlock2AVX2(r, i *float64, off int, visit *uint16, n int, lo0, lo1 *uint16, t0, t1 *[2]float64, k0, k1 int)
+// The walk of diagBlock1AVX2 and two mulAmps: the factor (fr, fi) =
+// mulAmp(a[0], a[1], b[0], b[1]) of the entries a = t0[k0|lo0[v+l]] and
+// b = t1[k1|lo1[v+l]], then the amplitude.
+TEXT ·diagBlock2AVX2(SB), NOSPLIT, $0-88
+	MOVQ r+0(FP), SI
+	MOVQ i+8(FP), DI
+	MOVQ off+16(FP), DX
+	LEAQ (SI)(DX*8), SI
+	LEAQ (DI)(DX*8), DI
+	MOVQ visit+24(FP), BX
+	MOVQ n+32(FP), CX
+	LEAQ (BX)(CX*2), CX
+	MOVQ lo0+40(FP), R8
+	MOVQ lo1+48(FP), R9
+	MOVQ t0+56(FP), R10
+	MOVQ t1+64(FP), R11
+	MOVQ k0+72(FP), R12
+	MOVQ k1+80(FP), R13
+loop:
+	MOVWQZX (BX), AX        // v
+	TABLE4(R8, R10, R12, Y2, Y3) // a[0], a[1]
+	TABLE4(R9, R11, R13, Y4, Y5) // b[0], b[1]
+	VMULPD  Y4, Y2, Y6      // b0*a0
+	VMULPD  Y5, Y3, Y7      // b1*a1
+	VSUBPD  Y7, Y6, Y6      // fr = b0*a0 - b1*a1
+	VMULPD  Y5, Y2, Y7      // b1*a0
+	VMULPD  Y4, Y3, Y8      // b0*a1
+	VADDPD  Y8, Y7, Y7      // fi = b1*a0 + b0*a1
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (DI)(AX*8), Y1
+	VMULPD  Y6, Y0, Y2      // fr*r
+	VMULPD  Y7, Y1, Y3      // fi*i
+	VSUBPD  Y3, Y2, Y2      // fr*r - fi*i
+	VMULPD  Y7, Y0, Y3      // fi*r
+	VMULPD  Y6, Y1, Y4      // fr*i
+	VADDPD  Y4, Y3, Y3      // fi*r + fr*i
+	VMOVUPD Y2, (SI)(AX*8)
+	VMOVUPD Y3, (DI)(AX*8)
+	ADDQ    $8, BX
+	CMPQ    BX, CX
+	JNE     loop
 	VZEROUPPER
 	RET

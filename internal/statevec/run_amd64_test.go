@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"svsim/internal/gate"
@@ -233,6 +234,138 @@ func TestAsmPauliRotMatchesGo(t *testing.T) {
 					}
 					if asm.Stats != plain.Stats {
 						t.Fatalf("n=%d %+v, %s: the twin reports %+v, the Go loop %+v", n, r, l.name, asm.Stats, plain.Stats)
+					}
+				}
+			}
+		}
+	}
+}
+
+// randomRun draws 1-40 terms of a diagonal run in the normal form Prepare
+// takes. Every term requires the pinned qubits and a random subset of one
+// table's qubits. The other qubits are dealt to the tables, each table
+// getting one first, and now and then left to none. Phases are random
+// angles, or the exact ±1 and ±i of z, s and sdg.
+func randomRun(rng *rand.Rand, n int, pinned uint64, tables int) (qubits [2]uint64, terms []gate.DiagTerm, table []uint8) {
+	i := 0
+	for _, q := range rng.Perm(n) {
+		if pinned>>uint(q)&1 == 1 {
+			continue
+		}
+		t := rng.Intn(tables)
+		switch {
+		case i < tables:
+			t = i
+		case rng.Intn(5) == 0:
+			continue
+		}
+		qubits[t] |= 1 << uint(q)
+		i++
+	}
+	exact := [][2]float64{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
+	for k := 1 + rng.Intn(40); k > 0; k-- {
+		t := rng.Intn(tables)
+		if qubits[1] == 0 {
+			t = 0
+		}
+		mask := pinned
+		for m := qubits[t]; m != 0; m &= m - 1 {
+			if rng.Intn(2) == 0 {
+				mask |= m & -m
+			}
+		}
+		term := gate.DiagTerm{Mask: mask}
+		if rng.Intn(4) == 0 {
+			e := exact[rng.Intn(len(exact))]
+			term.Re, term.Im = e[0], e[1]
+		} else {
+			a := (rng.Float64()*2 - 1) * 2 * math.Pi
+			term.Re, term.Im = math.Cos(a), math.Sin(a)
+		}
+		terms = append(terms, term)
+		table = append(table, uint8(t))
+	}
+	return qubits, terms, table
+}
+
+// TestAsmDiagRunMatchesGo is the same contract for the diagonal run's
+// twins, which gather their factors from the tables by key: random runs
+// with one table and two × nothing pinned or the pinned physical qubits
+// {q0}, {q1} (which stay on the Go loop), {q2}, {q3}, {q7} (the top of
+// the 256-index block), {q2, q5}, {q8} and {q11} (above the block, which
+// is then one stretch) × three draws under the identity layout and three
+// under a random one × the full
+// state, aligned tiles, partitions with Base != 0 and the shares of a
+// 3-worker pool (which start mid-block and unaligned), on 3, 6, 9 and 12
+// qubits of spiced amplitudes.
+func TestAsmDiagRunMatchesGo(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this CPU")
+	}
+	defer func() { haveAVX2 = true }()
+	pool := NewPool(3)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(103))
+
+	// wbits is the size of a tile or partition, drawn per case.
+	layouts := []struct {
+		name  string
+		apply func(s *State, d *DiagTables, wbits int)
+	}{
+		{"full", func(s *State, d *DiagTables, _ int) { s.ApplyRun(d) }},
+		{"tiles", func(s *State, d *DiagTables, wbits int) {
+			for lo := 0; lo < s.Dim; lo += 1 << wbits {
+				a, f := s.ApplyRunTile(d, lo, lo+1<<wbits)
+				s.Stats.AddTileWork(1, a, f)
+			}
+		}},
+		{"partitions", func(s *State, d *DiagTables, wbits int) {
+			for base := 0; base < s.Dim; base += 1 << wbits {
+				pe := &State{N: wbits, Dim: 1 << wbits, Re: s.Re[base : base+1<<wbits], Im: s.Im[base : base+1<<wbits], Base: base, Style: Vectorized}
+				pe.ApplyRun(d)
+				s.Stats.Add(pe.Stats)
+			}
+		}},
+		{"pool shares", func(s *State, d *DiagTables, _ int) { pool.ApplyRunShared(s, d) }},
+	}
+
+	for _, n := range []int{3, 6, 9, 12} {
+		for _, at := range [][]int{nil, {0}, {1}, {2}, {3}, {7}, {2, 5}, {8}, {11}} {
+			if len(at) > 0 && at[len(at)-1] >= n {
+				continue
+			}
+			for tables := 1; tables <= 2; tables++ {
+				for trial := range 6 {
+					perm := rng.Perm(n)
+					if trial%2 == 0 {
+						for q := range perm {
+							perm[q] = q
+						}
+					}
+					var pinned uint64
+					for _, p := range at {
+						pinned |= 1 << uint(slices.Index(perm, p))
+					}
+					qubits, terms, table := randomRun(rng, n, pinned, tables)
+					var d DiagTables
+					d.Prepare(len(terms), pinned, qubits, terms, table, perm)
+					wbits := 2 + rng.Intn(n-1)
+					start := randomState(rng, n, Vectorized)
+					spice(rng, start)
+					for _, l := range layouts {
+						asm, plain := start.Clone(), start.Clone()
+						haveAVX2 = true
+						l.apply(asm, &d, wbits)
+						haveAVX2 = false
+						l.apply(plain, &d, wbits)
+						if i := firstBitDiff(asm, plain); i >= 0 {
+							t.Fatalf("n=%d pinned at %v, %d tables %b, layout %v, %s 2^%d: amplitude %d is (%x, %x) from the twin, (%x, %x) from the Go loop",
+								n, at, tables, qubits, perm, l.name, wbits, i,
+								math.Float64bits(asm.Re[i]), math.Float64bits(asm.Im[i]), math.Float64bits(plain.Re[i]), math.Float64bits(plain.Im[i]))
+						}
+						if asm.Stats != plain.Stats {
+							t.Fatalf("n=%d pinned at %v, %d tables, layout %v, %s: the twin reports %+v, the Go loop %+v", n, at, tables, perm, l.name, asm.Stats, plain.Stats)
+						}
 					}
 				}
 			}

@@ -25,3 +25,11 @@ func phaseAVX2(r, i *float64, n int, c, sn float64)        { panic(noTwin) }
 func pauliRotAVX2(re, im *float64, p, n, x, z int, c float64, k *pauliLanes, cross bool) {
 	panic(noTwin)
 }
+
+func diagBlock1AVX2(r, i *float64, off int, visit *uint16, n int, lo0 *uint16, t0 *[2]float64, k0 int) {
+	panic(noTwin)
+}
+
+func diagBlock2AVX2(r, i *float64, off int, visit *uint16, n int, lo0, lo1 *uint16, t0, t1 *[2]float64, k0, k1 int) {
+	panic(noTwin)
+}

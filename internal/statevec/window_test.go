@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"svsim/internal/baseline"
@@ -201,25 +203,30 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	}
 
 	// The diagonal-run kernel: a CU1 ladder on qubit 7 plus a CZ, split
-	// over two tables by hand. Tables and key arrays live in the
+	// over two tables by hand, under a shuffled layout and the identity
+	// (qubit 7 pinned at the top of the 256-index block: the twins take
+	// the stretches below it). Tables and key arrays live in the
 	// DiagTables and are sized by the first Prepare, so preparing and
 	// applying the run again allocates nothing.
 	var terms []gate.DiagTerm
 	for _, g := range []gate.Gate{gate.NewCU1(0.3, 0, 7), gate.NewCU1(0.7, 3, 7), gate.NewCZ(5, 7), gate.NewCU1(-1.1, 6, 7)} {
 		terms = g.AppendDiagTerms(terms)
 	}
-	perm := rng.Perm(n)
 	var d DiagTables
-	run := func() {
-		d.Prepare(4, 1<<7, [2]uint64{1<<0 | 1<<3, 1<<5 | 1<<6}, terms, []uint8{0, 0, 1, 1}, perm)
-		s.ApplyRun(&d)
-		for lo := 0; lo < s.Dim; lo += 1 << wbits {
-			s.ApplyRunTile(&d, lo, lo+1<<wbits)
+	for _, perm := range [][]int{rng.Perm(n), {0, 1, 2, 3, 4, 5, 6, 7}} {
+		run := func() {
+			d.Prepare(4, 1<<7, [2]uint64{1<<0 | 1<<3, 1<<5 | 1<<6}, terms, []uint8{0, 0, 1, 1}, perm)
+			s.ApplyRun(&d)
+			for lo := 0; lo < s.Dim; lo += 1 << wbits {
+				s.ApplyRunTile(&d, lo, lo+1<<wbits)
+			}
 		}
-	}
-	run()
-	if a := testing.AllocsPerRun(10, run); a != 0 {
-		t.Errorf("diagonal run: %g allocations per prepare + apply + tiled apply, want 0", a)
+		forEachBodyPath(func(path string) {
+			run()
+			if a := testing.AllocsPerRun(10, run); a != 0 {
+				t.Errorf("diagonal run, layout %v, %s path: %g allocations per prepare + apply + tiled apply, want 0", perm, path, a)
+			}
+		})
 	}
 
 	// The Pauli-rotation kernel keeps no state between calls: a pairing
@@ -230,6 +237,38 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 				t.Errorf("ApplyPauliRot(x=%b z=%b), %s body: %g allocations per pass, want 0", rot.X, rot.Z, path, a)
 			}
 		})
+	}
+}
+
+// TestDiagRunTableReadsAreChecked truncates a prepared table by its last
+// entry, the one keyed by all of its qubits: applying the run must stop
+// on Go's bounds check on either path, never read past the table. The
+// twins index the tables unchecked, so DiagTables.block checks the
+// largest key a block can form before it hands the block over. Qubit 7
+// is pinned inside the block (the stretches below it) and, swapped with
+// qubit 8, above it (the block as one stretch).
+func TestDiagRunTableReadsAreChecked(t *testing.T) {
+	const n = 9
+	rng := rand.New(rand.NewSource(79))
+	var terms []gate.DiagTerm
+	for _, g := range []gate.Gate{gate.NewCU1(0.3, 0, 7), gate.NewCU1(0.7, 3, 7), gate.NewCZ(5, 7), gate.NewCU1(-1.1, 6, 7)} {
+		terms = g.AppendDiagTerms(terms)
+	}
+	for _, perm := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8}, {0, 1, 2, 3, 4, 5, 6, 8, 7}} {
+		for short := range 2 {
+			forEachBodyPath(func(path string) {
+				var d DiagTables
+				d.Prepare(4, 1<<7, [2]uint64{1<<0 | 1<<3, 1<<5 | 1<<6}, terms, []uint8{0, 0, 1, 1}, perm)
+				d.tab[short] = d.tab[short][:len(d.tab[short])-1]
+				s := randomState(rng, n, Vectorized)
+				defer func() {
+					if err, ok := recover().(runtime.Error); !ok || !strings.Contains(err.Error(), "index out of range") {
+						t.Errorf("layout %v, table %d one entry short, %s path: want an index-out-of-range panic, got %v", perm, short, path, err)
+					}
+				}()
+				s.ApplyRun(&d)
+			})
+		}
 	}
 }
 
