@@ -69,8 +69,9 @@ obs:
 		-obs-dir obs
 
 # Machine-readable measured bench records for perf-trajectory tracking
-# (svsim-bench/v6: includes the two-level remap's ppn/intra_bytes/
-# inter_bytes/exchange_phases fields). If the tag somehow resolves empty
+# (svsim-bench/v6: adds the diagonal-run diag_runs/merged_gates fields;
+# the two-level remap's ppn/intra_bytes/inter_bytes/exchange_phases/
+# flat_inter_bytes are gone). If the tag somehow resolves empty
 # (a broken git stub that exits 0 with no output), fall back to "dev" so
 # the target never writes a bare "BENCH_.json".
 bench-json:
@@ -78,10 +79,10 @@ bench-json:
 
 # Compare a fresh bench run against the committed baseline, with the
 # same gates CI applies: tight bounds on the deterministic counters
-# (remote, inter-node and state-vector bytes); wall time is not gated
+# (remote and state-vector bytes); wall time is not gated
 # here — compare paired svperf runs (bench/README.md) for the clock.
 bench-diff: bench-json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_$(or $(BENCH_TAG),dev).json -inter-tol 0.15
+	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_$(or $(BENCH_TAG),dev).json
 
 # Self-contained perf-trajectory page from the baseline plus a fresh run.
 bench-html: bench-json

@@ -6,9 +6,9 @@
 //	svbench -json BENCH_current.json
 //	benchdiff -baseline BENCH_baseline.json -current BENCH_current.json
 //
-// Only deterministic counters are gated — remote, inter-node and
-// state-vector bytes, state-vector sweeps, fused-gate and remap counts,
-// plan-cache hits. Wall time (elapsed_ns,
+// Only deterministic counters are gated — remote and state-vector
+// bytes, state-vector sweeps, fused-gate and remap counts, plan-cache
+// hits. Wall time (elapsed_ns,
 // compile_ns) is noisy on shared runners and tripped on untouched code:
 // it stays a series on the -html page, and the clock is gated by paired
 // svperf runs instead (CI's perf-pair job).
@@ -34,13 +34,10 @@ type record struct {
 	Fuse            bool   `json:"fuse,omitempty"`
 	Sched           string `json:"sched,omitempty"`
 	Tile            bool   `json:"tile,omitempty"`
-	PPN             int    `json:"ppn,omitempty"`
 	ElapsedNS       int64  `json:"elapsed_ns"`
 	BytesTouched    int64  `json:"bytes_touched"`
 	Sweeps          int64  `json:"sweeps,omitempty"`
 	CommRemoteBytes int64  `json:"comm_remote_bytes"`
-	IntraBytes      int64  `json:"intra_bytes,omitempty"`
-	InterBytes      int64  `json:"inter_bytes,omitempty"`
 	Barriers        int64  `json:"barriers"`
 	FusedGates      int64  `json:"fused_gates,omitempty"`
 	Remaps          int64  `json:"remaps,omitempty"`
@@ -50,9 +47,9 @@ type record struct {
 	PlanCacheMisses int64  `json:"plan_cache_misses,omitempty"`
 }
 
-// key identifies a bench configuration across runs. The "/tile" and
-// "/ppn=N" suffixes appear only on tiled and topology records, so keys
-// in older baseline files are unchanged.
+// key identifies a bench configuration across runs. The "/tile" suffix
+// appears only on tiled records, so keys in older baseline files are
+// unchanged.
 func (r *record) key() string {
 	sched := r.Sched
 	if sched == "" {
@@ -62,9 +59,6 @@ func (r *record) key() string {
 		r.Workload, r.Backend, r.PEs, r.Coalesced, r.Fuse, sched)
 	if r.Tile {
 		k += "/tile"
-	}
-	if r.PPN > 0 {
-		k += fmt.Sprintf("/ppn=%d", r.PPN)
 	}
 	return k
 }
@@ -88,7 +82,7 @@ func (g regression) String() string {
 // silently blind the trajectory); extra current configurations are
 // reported but allowed, so new workloads can land with their baseline
 // refresh in the same change.
-func diff(baseline, current []record, byteTol, interTol float64) (regs []regression, notes []string) {
+func diff(baseline, current []record, byteTol float64) (regs []regression, notes []string) {
 	cur := make(map[string]*record, len(current))
 	for i := range current {
 		cur[current[i].key()] = &current[i]
@@ -135,20 +129,6 @@ func diff(baseline, current []record, byteTol, interTol float64) (regs []regress
 			regs = append(regs, regression{k, "remaps", b.Remaps, c.Remaps, r})
 		} else if r < 1 {
 			notes = append(notes, fmt.Sprintf("improved %-55s remaps %d -> %d", k, b.Remaps, c.Remaps))
-		}
-		// The two-level exchange split is deterministic for a fixed
-		// workload and topology; inter-node bytes are the expensive wire,
-		// so they get their own (tight) tolerance, while intra-node bytes
-		// share the byte tolerance.
-		if r := ratio(c.InterBytes, b.InterBytes); r > 1+interTol {
-			regs = append(regs, regression{k, "inter_bytes", b.InterBytes, c.InterBytes, r})
-		} else if r < 1 {
-			notes = append(notes, fmt.Sprintf("improved %-55s inter_bytes %d -> %d", k, b.InterBytes, c.InterBytes))
-		}
-		if r := ratio(c.IntraBytes, b.IntraBytes); r > 1+byteTol {
-			regs = append(regs, regression{k, "intra_bytes", b.IntraBytes, c.IntraBytes, r})
-		} else if r < 1 {
-			notes = append(notes, fmt.Sprintf("improved %-55s intra_bytes %d -> %d", k, b.IntraBytes, c.IntraBytes))
 		}
 		// Plan-cache hits regress downward: fewer hits than the baseline
 		// means re-binding stopped working for a shape that used to cache.
@@ -227,7 +207,6 @@ Flags:
 	basePath := flag.String("baseline", "BENCH_baseline.json", "committed baseline bench records")
 	curPath := flag.String("current", "", "bench records from the current build (required)")
 	byteTol := flag.Float64("byte-tol", 0.15, "allowed fractional growth in remote communication bytes")
-	interTol := flag.Float64("inter-tol", 0.15, "allowed fractional growth in inter-node exchange bytes on topology records")
 	htmlOut := flag.String("html", "", "trajectory mode: render the positional per-commit BENCH files (oldest first) as a self-contained HTML report to FILE")
 	flag.Parse()
 
@@ -259,7 +238,7 @@ Flags:
 		os.Exit(2)
 	}
 
-	regs, notes := diff(baseline, current, *byteTol, *interTol)
+	regs, notes := diff(baseline, current, *byteTol)
 	for _, n := range notes {
 		fmt.Println(n)
 	}
@@ -267,8 +246,8 @@ Flags:
 		for _, g := range regs {
 			fmt.Println(g)
 		}
-		fmt.Printf("benchdiff: %d regression(s) vs %s (byte-tol %.0f%%, inter-tol %.0f%%)\n",
-			len(regs), *basePath, 100**byteTol, 100**interTol)
+		fmt.Printf("benchdiff: %d regression(s) vs %s (byte-tol %.0f%%)\n",
+			len(regs), *basePath, 100**byteTol)
 		os.Exit(1)
 	}
 	fmt.Printf("benchdiff: %d configs within tolerance of %s\n", len(baseline), *basePath)

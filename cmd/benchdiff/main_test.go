@@ -25,7 +25,7 @@ func TestNoRegressionWithinTolerance(t *testing.T) {
 	cur := baseRecords()
 	cur[0].ElapsedNS = 110_000_000   // wall time is not gated
 	cur[1].CommRemoteBytes = 917_504 // unchanged
-	regs, _ := diff(base, cur, 0.15, 0.15)
+	regs, _ := diff(base, cur, 0.15)
 	if len(regs) != 0 {
 		t.Fatalf("unexpected regressions: %v", regs)
 	}
@@ -37,7 +37,7 @@ func TestSynthetic20PercentRegressionFails(t *testing.T) {
 	base := baseRecords()
 	cur := baseRecords()
 	cur[1].CommRemoteBytes = cur[1].CommRemoteBytes * 120 / 100
-	regs, _ := diff(base, cur, 0.15, 0.15)
+	regs, _ := diff(base, cur, 0.15)
 	if len(regs) != 1 {
 		t.Fatalf("want exactly 1 regression, got %v", regs)
 	}
@@ -49,7 +49,7 @@ func TestSynthetic20PercentRegressionFails(t *testing.T) {
 	cur = baseRecords()
 	cur[0].ElapsedNS *= 10
 	cur[0].CompileNS = 1 << 40
-	if regs, _ = diff(base, cur, 0.15, 0.15); len(regs) != 0 {
+	if regs, _ = diff(base, cur, 0.15); len(regs) != 0 {
 		t.Fatalf("wall time gated: %v", regs)
 	}
 }
@@ -58,7 +58,7 @@ func TestZeroBaselineGainingTrafficFails(t *testing.T) {
 	base := baseRecords()
 	cur := baseRecords()
 	cur[2].CommRemoteBytes = 4096 // communication-free run started communicating
-	regs, _ := diff(base, cur, 0.15, 0.15)
+	regs, _ := diff(base, cur, 0.15)
 	if len(regs) != 1 || regs[0].Metric != "remote_bytes" {
 		t.Fatalf("zero-baseline growth not flagged: %v", regs)
 	}
@@ -73,13 +73,13 @@ func TestBytesTouchedRegressionFails(t *testing.T) {
 	}
 	cur := append([]record(nil), base...)
 	cur[0].BytesTouched = 1_200_000 // +20%
-	regs, _ := diff(base, cur, 0.15, 0.15)
+	regs, _ := diff(base, cur, 0.15)
 	if len(regs) != 1 || regs[0].Metric != "bytes_touched" {
 		t.Fatalf("bytes_touched regression not flagged: %v", regs)
 	}
 	cur = append([]record(nil), base...)
 	cur[0].BytesTouched = 250_000 // the tile win
-	regs, notes := diff(base, cur, 0.15, 0.15)
+	regs, notes := diff(base, cur, 0.15)
 	if len(regs) != 0 {
 		t.Fatalf("bytes_touched improvement flagged as regression: %v", regs)
 	}
@@ -98,69 +98,14 @@ func TestSweepsRegressionFails(t *testing.T) {
 	}
 	cur := append([]record(nil), base...)
 	cur[0].Sweeps = 264
-	regs, _ := diff(base, cur, 0.15, 0.15)
+	regs, _ := diff(base, cur, 0.15)
 	if len(regs) != 1 || regs[0].Metric != "sweeps" {
 		t.Fatalf("sweeps regression not flagged: %v", regs)
 	}
 	cur = append([]record(nil), base...)
 	cur[0].Sweeps = 21
-	if regs, notes := diff(base, cur, 0.15, 0.15); len(regs) != 0 || len(notes) == 0 {
+	if regs, notes := diff(base, cur, 0.15); len(regs) != 0 || len(notes) == 0 {
 		t.Fatalf("sweeps improvement: regressions %v, notes %v", regs, notes)
-	}
-}
-
-func TestInterBytesRegressionFails(t *testing.T) {
-	// The two-level trajectory gate: >15% growth in inter-node exchange
-	// bytes on a topology record fails; shrinkage is an improvement note.
-	base := baseRecords()
-	base[1].PPN = 4
-	base[1].IntraBytes = 393_216
-	base[1].InterBytes = 262_144
-	cur := append([]record(nil), base...)
-	cur[1].InterBytes = cur[1].InterBytes * 120 / 100 // +20%
-	regs, _ := diff(base, cur, 0.15, 0.15)
-	if len(regs) != 1 || regs[0].Metric != "inter_bytes" {
-		t.Fatalf("inter_bytes regression not flagged: %v", regs)
-	}
-	// A tighter -inter-tol catches smaller drifts.
-	cur = append([]record(nil), base...)
-	cur[1].InterBytes = cur[1].InterBytes * 110 / 100 // +10%
-	regs, _ = diff(base, cur, 0.15, 0.05)
-	if len(regs) != 1 || regs[0].Metric != "inter_bytes" {
-		t.Fatalf("inter_bytes drift not flagged at 5%% tolerance: %v", regs)
-	}
-	cur = append([]record(nil), base...)
-	cur[1].InterBytes /= 2
-	regs, notes := diff(base, cur, 0.15, 0.15)
-	if len(regs) != 0 {
-		t.Fatalf("inter_bytes improvement flagged as regression: %v", regs)
-	}
-	if len(notes) == 0 {
-		t.Fatal("inter_bytes improvement not noted")
-	}
-	cur = append([]record(nil), base...)
-	cur[1].IntraBytes = cur[1].IntraBytes * 130 / 100 // +30%
-	regs, _ = diff(base, cur, 0.15, 0.15)
-	if len(regs) != 1 || regs[0].Metric != "intra_bytes" {
-		t.Fatalf("intra_bytes regression not flagged: %v", regs)
-	}
-}
-
-func TestPPNKeySuffix(t *testing.T) {
-	// Topology records get their own key so flat and two-level runs of
-	// the same configuration track separately; flat keys are unchanged
-	// from pre-topology baseline files.
-	flat := record{Workload: "qft_n15", Backend: "scale-out", PEs: 8, Sched: "lazy"}
-	topo := flat
-	topo.PPN = 4
-	if flat.key() == topo.key() {
-		t.Fatal("flat and topology records share a key")
-	}
-	if strings.Contains(flat.key(), "ppn") {
-		t.Fatalf("flat key mentions ppn: %s", flat.key())
-	}
-	if !strings.HasSuffix(topo.key(), "/ppn=4") {
-		t.Fatalf("topology key missing /ppn=4 suffix: %s", topo.key())
 	}
 }
 
@@ -185,7 +130,7 @@ func TestTileKeySuffix(t *testing.T) {
 func TestMissingConfigFails(t *testing.T) {
 	base := baseRecords()
 	cur := baseRecords()[:2]
-	regs, _ := diff(base, cur, 0.15, 0.15)
+	regs, _ := diff(base, cur, 0.15)
 	if len(regs) != 1 || regs[0].Metric != "missing" {
 		t.Fatalf("dropped config not flagged: %v", regs)
 	}
@@ -194,7 +139,7 @@ func TestMissingConfigFails(t *testing.T) {
 func TestNewConfigIsNoteOnly(t *testing.T) {
 	base := baseRecords()
 	cur := append(baseRecords(), record{Workload: "new_thing", Backend: "single", PEs: 1, ElapsedNS: 1})
-	regs, notes := diff(base, cur, 0.15, 0.15)
+	regs, notes := diff(base, cur, 0.15)
 	if len(regs) != 0 {
 		t.Fatalf("new config treated as regression: %v", regs)
 	}
@@ -207,7 +152,7 @@ func TestImprovementIsNoted(t *testing.T) {
 	base := baseRecords()
 	cur := baseRecords()
 	cur[0].CommRemoteBytes /= 2
-	regs, notes := diff(base, cur, 0.15, 0.15)
+	regs, notes := diff(base, cur, 0.15)
 	if len(regs) != 0 {
 		t.Fatalf("improvement flagged as regression: %v", regs)
 	}

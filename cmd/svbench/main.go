@@ -71,7 +71,6 @@ func main() {
 	workload := flag.String("workload", "", "bench a single named workload instead of the default suite")
 	backendName := flag.String("backend", "single", "backend for -workload: "+strings.Join(core.BackendNames(nil), " | "))
 	pes := flag.Int("pes", 1, "device/PE count for -workload on distributed backends")
-	ppn := flag.Int("ppn", 0, "PEs per node for -workload: group the fleet into nodes and run remaps as two-level exchanges (0 = flat)")
 	coalesced := flag.Bool("coalesced", false, "coalesced bulk transfers for -workload on the scale-out backend")
 	fuse := flag.Bool("fuse", false, "apply the compile pipeline's gate-fusion pass for -workload")
 	tile := flag.Bool("tile", false, "cache-blocked tiled execution for -workload on the single-node backends")
@@ -101,14 +100,11 @@ func main() {
 				fatalf("%v", err)
 			}
 		}
-		if err := (sched.Topology{PEsPerNode: *ppn}).Validate(); err != nil {
-			fatalf("%v", err)
-		}
 		if err := cliutil.ValidateCoalesced(*coalesced && *workload != "", *backendName); err != nil {
 			fatalf("%v", err)
 		}
 		ck := ckptOpts{every: *ckptEvery, dir: *ckptDir, fullEvery: *ckptFullEvery}
-		runBenchMode(*jsonFile, *workload, *backendName, *pes, *ppn, *coalesced, *fuse, *tile, policy, *obsDir, *obsListen, ck)
+		runBenchMode(*jsonFile, *workload, *backendName, *pes, *coalesced, *fuse, *tile, policy, *obsDir, *obsListen, ck)
 		return
 	}
 
@@ -166,14 +162,12 @@ type benchRecord struct {
 	Coalesced     bool   `json:"coalesced,omitempty"`
 	Sched         string `json:"sched,omitempty"`
 	Tile          bool   `json:"tile,omitempty"`
-	// PPN is the configured PEs-per-node topology (0 = flat fleet).
-	PPN          int   `json:"ppn,omitempty"`
-	Qubits       int   `json:"qubits"`
-	Gates        int   `json:"gates"`
-	ElapsedNS    int64 `json:"elapsed_ns"`
-	KernelGates  int64 `json:"kernel_gates"`
-	AmpsTouched  int64 `json:"amps_touched"`
-	BytesTouched int64 `json:"bytes_touched"`
+	Qubits        int    `json:"qubits"`
+	Gates         int    `json:"gates"`
+	ElapsedNS     int64  `json:"elapsed_ns"`
+	KernelGates   int64  `json:"kernel_gates"`
+	AmpsTouched   int64  `json:"amps_touched"`
+	BytesTouched  int64  `json:"bytes_touched"`
 	// Sweeps counts full passes over the state vector (one per gate on
 	// the per-gate path, one per tiled group under -tile); GatesPerByte is
 	// kernel gates divided by bytes touched, the arithmetic-intensity
@@ -183,22 +177,13 @@ type benchRecord struct {
 	// DiagRuns counts the stretches of consecutive diagonal gates the
 	// plan executes as one pass each, MergedGates the gates inside them
 	// (both per plan, not per PE).
-	DiagRuns        int   `json:"diag_runs,omitempty"`
-	MergedGates     int   `json:"merged_gates,omitempty"`
-	CommLocalBytes  int64 `json:"comm_local_bytes"`
-	CommRemoteBytes int64 `json:"comm_remote_bytes"`
-	CommRemoteMsgs  int64 `json:"comm_remote_msgs"`
-	Barriers        int64 `json:"barriers"`
-	// Two-level exchange trajectory (topology runs only): the measured
-	// intra-node and inter-node one-sided volume, the number of exchange
-	// phases executed, and the analytic inter-node volume the FLAT
-	// realization would have moved under the same node grouping — the
-	// denominator of the hierarchical remap's headline reduction.
-	IntraBytes     int64  `json:"intra_bytes,omitempty"`
-	InterBytes     int64  `json:"inter_bytes,omitempty"`
-	ExchangePhases int64  `json:"exchange_phases,omitempty"`
-	FlatInterBytes int64  `json:"flat_inter_bytes,omitempty"`
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes,omitempty"`
+	DiagRuns        int    `json:"diag_runs,omitempty"`
+	MergedGates     int    `json:"merged_gates,omitempty"`
+	CommLocalBytes  int64  `json:"comm_local_bytes"`
+	CommRemoteBytes int64  `json:"comm_remote_bytes"`
+	CommRemoteMsgs  int64  `json:"comm_remote_msgs"`
+	Barriers        int64  `json:"barriers"`
+	HeapAllocBytes  uint64 `json:"heap_alloc_bytes,omitempty"`
 	// Checkpoint activity, present only when -checkpoint-every is on, so
 	// baseline files written without checkpointing are unaffected.
 	// CkptSeconds is the compute-path stall (core.Result.Ckpt.NS); the
@@ -225,10 +210,11 @@ type benchRecord struct {
 // compatible revisions (v2 added schema_version and git_commit; v3 added
 // tile, sweeps, and gates_per_byte; v4 added ppn, intra_bytes,
 // inter_bytes, exchange_phases, and flat_inter_bytes for the two-level
-// remap trajectory; v5 added ckpt_mode and ckpt_stall_seconds for a
-// sync-vs-async checkpoint stall pair, dropped with the synchronous
-// protocol — no default-suite record ever carried them; v6 added
-// diag_runs and merged_gates).
+// remap trajectory, dropped with the node split; v5 added ckpt_mode and
+// ckpt_stall_seconds for a sync-vs-async checkpoint stall pair, dropped
+// with the synchronous protocol; v6 added diag_runs and merged_gates).
+// Dropping fields needs no new version: benchdiff ignores fields it does
+// not know.
 const (
 	benchSchema        = "svsim-bench/v6"
 	benchSchemaVersion = 6
@@ -272,9 +258,6 @@ type benchSpec struct {
 	fuse              bool
 	sched             sched.Policy
 	tile              bool
-	// ppn groups the fleet into nodes of ppn PEs and runs the remaps as
-	// hierarchical two-level exchanges (0 = flat).
-	ppn int
 }
 
 // defaultBenchSuite is the standing perf-trajectory suite: one
@@ -283,24 +266,20 @@ type benchSpec struct {
 // variants whose fused-gate/remap counts CI also guards), small enough
 // to run in CI.
 var defaultBenchSuite = []benchSpec{
-	{"qft_n15", "single", 1, false, false, sched.Naive, false, 0},
-	{"qft_n15", "single", 1, false, true, sched.Naive, false, 0},
-	{"qft_n15", "single", 1, false, false, sched.Naive, true, 0},
-	{"qft_n15", "single", 1, false, true, sched.Naive, true, 0},
-	{"qft_n15", "threaded", 4, false, false, sched.Naive, false, 0},
-	{"qft_n15", "threaded", 4, false, false, sched.Naive, true, 0},
-	{"qft_n15", "scale-up", 4, false, false, sched.Naive, false, 0},
-	{"qft_n15", "scale-out", 8, true, false, sched.Naive, false, 0},
-	{"qft_n15", "scale-out", 8, false, false, sched.Lazy, false, 0},
-	{"qft_n15", "scale-out", 8, false, true, sched.Lazy, false, 0},
-	// The two-level remap trajectory: same lazy scale-out workloads on a
-	// 2-node (ppn=4) fleet, whose inter_bytes CI guards against regression.
-	{"qft_n15", "scale-out", 8, false, false, sched.Lazy, false, 4},
-	{"bv_n14", "scale-out", 4, true, false, sched.Naive, false, 0},
-	{"bv_n14", "scale-out", 4, false, false, sched.Lazy, false, 0},
-	{"bv_n14", "scale-out", 4, false, true, sched.Lazy, false, 0},
-	{"bv_n14", "scale-out", 4, false, false, sched.Lazy, false, 2},
-	{"ghz_state", "single", 1, false, false, sched.Naive, false, 0},
+	{"qft_n15", "single", 1, false, false, sched.Naive, false},
+	{"qft_n15", "single", 1, false, true, sched.Naive, false},
+	{"qft_n15", "single", 1, false, false, sched.Naive, true},
+	{"qft_n15", "single", 1, false, true, sched.Naive, true},
+	{"qft_n15", "threaded", 4, false, false, sched.Naive, false},
+	{"qft_n15", "threaded", 4, false, false, sched.Naive, true},
+	{"qft_n15", "scale-up", 4, false, false, sched.Naive, false},
+	{"qft_n15", "scale-out", 8, true, false, sched.Naive, false},
+	{"qft_n15", "scale-out", 8, false, false, sched.Lazy, false},
+	{"qft_n15", "scale-out", 8, false, true, sched.Lazy, false},
+	{"bv_n14", "scale-out", 4, true, false, sched.Naive, false},
+	{"bv_n14", "scale-out", 4, false, false, sched.Lazy, false},
+	{"bv_n14", "scale-out", 4, false, true, sched.Lazy, false},
+	{"ghz_state", "single", 1, false, false, sched.Naive, false},
 }
 
 // ckptOpts bundles the checkpoint configuration of a bench invocation.
@@ -310,7 +289,7 @@ type ckptOpts struct {
 	fullEvery int
 }
 
-func runBenchMode(jsonFile, workload, backend string, pes, ppn int, coalesced, fuse, tile bool, policy sched.Policy, obsDir, obsListen string, ck ckptOpts) {
+func runBenchMode(jsonFile, workload, backend string, pes int, coalesced, fuse, tile bool, policy sched.Policy, obsDir, obsListen string, ck ckptOpts) {
 	sinks, err := obs.Open(obsDir, obsListen)
 	if err != nil {
 		fatalf("%v", err)
@@ -325,7 +304,7 @@ func runBenchMode(jsonFile, workload, backend string, pes, ppn int, coalesced, f
 	// entries (the VQE sweep below runs untraced).
 	phases := obs.PhaseReportOpts{Backend: "suite"}
 	if workload != "" {
-		suite = []benchSpec{{workload, backend, pes, coalesced, fuse, policy, tile, ppn}}
+		suite = []benchSpec{{workload, backend, pes, coalesced, fuse, policy, tile}}
 		phases = obs.PhaseReportOpts{Backend: backend, Workload: workload}
 	}
 	// One plan cache for the whole bench run, as a long-lived driver
@@ -402,7 +381,7 @@ func runBenchSpec(spec benchSpec, plans *compile.Cache, sinks *obs.Sinks, ck ckp
 	cfg := core.Config{
 		Seed: 1, Style: statevec.Vectorized, PEs: spec.pes,
 		Coalesced: spec.coalesced, Fuse: spec.fuse, Sched: spec.sched,
-		Tile: spec.tile, Topology: sched.Topology{PEsPerNode: spec.ppn},
+		Tile:  spec.tile,
 		Plans: plans, Trace: sinks.Tracer, Metrics: sinks.Metrics, Flight: sinks.Flight,
 		CheckpointEvery: ck.every, CheckpointDir: ck.dir, CheckpointFullEvery: ck.fullEvery,
 	}
@@ -454,46 +433,7 @@ func runBenchSpec(spec benchSpec, plans *compile.Cache, sinks *obs.Sinks, ck ckp
 	rec.CompileNS = res.Compile.TotalNS
 	rec.BindNS = res.Compile.BindNS
 	rec.PlanCacheHit = res.Compile.CacheHit
-	if spec.ppn > 0 {
-		rec.PPN = spec.ppn
-		rec.IntraBytes = res.IntraBytes
-		rec.InterBytes = res.InterBytes
-		rec.ExchangePhases = res.ExchangePhases
-		fib, err := flatInterBytes(c, spec, plans)
-		if err != nil {
-			return nil, err
-		}
-		rec.FlatInterBytes = fib
-	}
 	return rec, nil
-}
-
-// flatInterBytes prices the FLAT realization of the spec's schedule
-// under its node grouping: the inter-node volume the run would have
-// moved had every remap it executes stayed a single fleet-wide
-// all-to-all. A fresh run folds the remaps of the classical prefix,
-// flat or not, so only the steps past Plan.Prefix count. The
-// classification is analytic (the geometry of each remap's whole swap
-// list + node ids) and reads the run's own plan — a topology never
-// changes the step list — so the baseline costs a cache hit, neither a
-// flat compile nor a second run.
-func flatInterBytes(c *circuit.Circuit, spec benchSpec, plans *compile.Cache) (int64, error) {
-	topo := sched.Topology{PEsPerNode: spec.ppn}
-	cp, _, err := compile.Compile(c, compile.Config{
-		Fuse: spec.fuse, Sched: spec.sched, PEs: spec.pes, Topo: topo, Cache: plans,
-	})
-	if err != nil {
-		return 0, err
-	}
-	var inter int64
-	for _, st := range cp.Plan.Steps[cp.Plan.Prefix:] {
-		if st.Kind != sched.StepRemap {
-			continue
-		}
-		_, ib, _ := sched.NewExchange(st.Swaps, cp.NumQubits, cp.LocalBits, cp.PEs).NodeSplit(cp.PEs, topo)
-		inter += ib
-	}
-	return inter, nil
 }
 
 // vqeSweepPoints sizes the plan-cache trajectory workload; with one

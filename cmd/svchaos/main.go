@@ -11,8 +11,8 @@
 //  3. bounded restarts — recoveries never exceed the restart budget.
 //
 // Each seed deterministically derives one scenario from the grid
-// backend × schedule × topology × tile × delta cadence, then arms a
-// fault plan. Four scenario kinds cover the fault taxonomy:
+// backend × schedule × tile × delta cadence, then arms a fault plan.
+// Four scenario kinds cover the fault taxonomy:
 //
 //   - wire: kill/delay/drop faults injected into the communication
 //     substrate via internal/fault, with checkpoint/restart (and
@@ -63,7 +63,6 @@ type scenario struct {
 	backend  string // scale-up | scale-out | mpi | single | threaded
 	pes      int
 	lazy     bool
-	ppn      int // PEs per node, 0 = flat
 	tile     bool
 	tileBits int
 
@@ -195,9 +194,6 @@ func buildScenario(seed int64, gateScale int, stallDeadline time.Duration) *scen
 		sc.backend = pick("scale-up", "scale-out", "mpi")
 		sc.pes = 1 << uint(1+rng.Intn(3))
 		sc.lazy = rng.Intn(2) == 0
-		if sc.lazy && sc.pes >= 4 && rng.Intn(2) == 0 {
-			sc.ppn = sc.pes / 2
-		}
 		sc.ckptEvery = 3 + 2*rng.Intn(2)
 		sc.measured = true
 
@@ -271,9 +267,6 @@ func (sc *scenario) String() string {
 	if sc.lazy {
 		b.WriteString(" sched=lazy")
 	}
-	if sc.ppn > 0 {
-		fmt.Fprintf(&b, " ppn=%d", sc.ppn)
-	}
 	if sc.tile {
 		fmt.Fprintf(&b, " tile=on tile-bits=%d", sc.tileBits)
 	}
@@ -322,9 +315,6 @@ func (sc *scenario) coreConfig(dir string, flight *obs.FlightRecorder) core.Conf
 	}
 	if sc.lazy {
 		cfg.Sched = sched.Lazy
-	}
-	if sc.ppn > 0 {
-		cfg.Topology.PEsPerNode = sc.ppn
 	}
 	if dir != "" {
 		cfg.CheckpointEvery = sc.ckptEvery

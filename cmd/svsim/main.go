@@ -41,7 +41,6 @@ func main() {
 		listNames   = flag.Bool("list", false, "list available named workloads and exit")
 		backendName = flag.String("backend", "single", "backend: "+strings.Join(core.BackendNames(nil), " | "))
 		pes         = flag.Int("pes", 1, "device/PE/rank count for distributed backends (power of two; a -resume checkpoint's when not given)")
-		ppn         = flag.Int("ppn", 0, "PEs per node (power of two): group the fleet into nodes and run remaps as hierarchical two-level exchanges (0 = flat; bit-identical either way)")
 		coalesced   = flag.Bool("coalesced", false, "use coalesced bulk transfers in the scale-out backend")
 		schedName   = flag.String("sched", "naive", "gate schedule for distributed backends: naive | lazy (communication-avoiding remap)")
 		style       = flag.String("style", "vector", "kernel loop style: scalar | vector")
@@ -102,10 +101,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	topo := sched.Topology{PEsPerNode: *ppn}
-	if err := topo.Validate(); err != nil {
-		fatal(err)
-	}
 	pesGiven := false
 	flag.Visit(func(f *flag.Flag) { pesGiven = pesGiven || f.Name == "pes" })
 	if !pesGiven {
@@ -140,7 +135,7 @@ func main() {
 	latch := installStopHandler(sinks.Flight)
 
 	cfg := core.Config{
-		Style: ks, PEs: *pes, Coalesced: *coalesced, Topology: topo,
+		Style: ks, PEs: *pes, Coalesced: *coalesced,
 		Trace: sinks.Tracer, Metrics: sinks.Metrics,
 		Flight:          sinks.Flight,
 		CheckpointEvery: opts.checkpointEvery, CheckpointDir: opts.checkpointDir, CheckpointFullEvery: opts.ckptFullEvery,
@@ -174,10 +169,6 @@ func main() {
 	}
 	if res.MPI != (core.MPIStats{}) {
 		fmt.Printf("mpi     : %s\n", res.MPI)
-	}
-	if topo.Enabled() && res.PEs > 1 {
-		fmt.Printf("topology: %d PEs/node, %d exchange phase(s), intra=%dB inter=%dB\n",
-			topo.PEsPerNode, res.ExchangePhases, res.IntraBytes, res.InterBytes)
 	}
 	if res.Ckpt.Count > 0 || res.Recoveries > 0 {
 		fmt.Printf("ckpt    : %d checkpoint(s), %d bytes, %d recoveries\n", res.Ckpt.Count, res.Ckpt.Bytes, res.Recoveries)

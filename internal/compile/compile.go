@@ -3,10 +3,9 @@
 // scheduling into one locality-aware pass and emits a single immutable
 // artifact — the CompiledPlan: the executable (possibly fused) gate
 // stream, the precomputed gate classifications, the sched step list, the
-// exchange phases of every remap (one fleet-wide all-to-all on a flat
-// fleet; an intra-node then an inter-node one under a node topology),
-// the logical-to-physical permutation trace, and fingerprints of the
-// circuit, its parameter-free skeleton, and the schedule itself.
+// coalesced all-to-all of every remap, the logical-to-physical
+// permutation trace, and fingerprints of the circuit, its parameter-free
+// skeleton, and the schedule itself.
 //
 // The pass is locality-aware in the direction ROADMAP calls out: under
 // the lazy policy the pipeline first plans the *source* stream, reads
@@ -81,13 +80,6 @@ type Config struct {
 	// TileBits overrides the tile size exponent when > 0; zero derives
 	// it from the plan's target-qubit strides. Ignored unless Tile.
 	TileBits int
-	// Topo, when enabled, annotates the plan with the fleet's node
-	// structure: a remap step's phase list becomes the intra-node phase
-	// then the minimal inter-node phase instead of the one fleet-wide
-	// phase. The schedule itself is unchanged — same steps, same swaps,
-	// same prefix, same plan fingerprint — so checkpoints interoperate
-	// with flat plans.
-	Topo sched.Topology
 	// Cache, when non-nil, memoizes plans keyed on the circuit skeleton
 	// so parameter re-binds skip planning.
 	Cache *Cache
@@ -108,14 +100,10 @@ type CompiledPlan struct {
 	// GPHASE (the upload step of the paper's Listing 4/5).
 	Classes []*gate.Class
 	Plan    *sched.Plan
-	// Phases holds each remap's ordered exchange phases, parallel to
-	// Plan.Steps: one fleet-scope all-to-all on a flat compile, the
-	// node-scope then the rail-scope one with Config.Topo enabled. Nil
-	// except at remap steps, and nil entirely for single-partition
-	// compiles. Executors run a remap's phases in order.
-	Phases [][]sched.Phase
-	// Topo is the node topology the plan was compiled for (zero = flat).
-	Topo sched.Topology
+	// Exchanges holds each remap's coalesced all-to-all geometry,
+	// parallel to Plan.Steps: nil except at remap steps, and nil
+	// entirely for single-partition compiles.
+	Exchanges []*sched.Exchange
 	// Spans maps each executable op to the source-op range it was fused
 	// from; nil when fusion is off.
 	Spans []fusion.Span
@@ -207,9 +195,6 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 	if localBits < 0 {
 		return nil, Stats{}, fmt.Errorf("compile: %d PEs need at least %d qubits (have %d)", p, bits.Len(uint(p-1)), n)
 	}
-	if err := cfg.Topo.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
 	// Block-aware fusion only matters when remaps can actually occur.
 	blockAware := cfg.Fuse && pol == sched.Lazy && localBits < n
 
@@ -218,7 +203,7 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	key := cacheKey(skel, cfg.Fuse, pol, p, localBits, cfg.Topo.PEsPerNode)
+	key := cacheKey(skel, cfg.Fuse, pol, p, localBits)
 	owner := false
 	if cfg.Cache != nil {
 		// Single-flight lookup loop: a hit returns immediately; a cold key
@@ -362,23 +347,23 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 	st.ClassifyNS = time.Since(tc).Nanoseconds()
 
 	tp := time.Now()
-	plan, err := sched.BuildTopo(exec, localBits, pol, cfg.Topo)
+	plan, err := sched.Build(exec, localBits, pol)
 	if err != nil {
 		return nil, nil, err
 	}
 	st.PlanNS += time.Since(tp).Nanoseconds()
 
 	te := time.Now()
-	var phases [][]sched.Phase
+	var exchanges []*sched.Exchange
 	var permTrace []circuit.Permutation
 	if p > 1 {
-		phases = make([][]sched.Phase, len(plan.Steps))
+		exchanges = make([]*sched.Exchange, len(plan.Steps))
 		perm := circuit.IdentityPermutation(n)
 		for si := range plan.Steps {
 			step := &plan.Steps[si]
 			switch step.Kind {
 			case sched.StepRemap:
-				phases[si] = sched.SplitExchange(step.Swaps, n, localBits, p, cfg.Topo)
+				exchanges[si] = sched.NewExchange(step.Swaps, n, localBits, p)
 				for _, sw := range step.Swaps {
 					perm.SwapPhysical(sw.Global, sw.Local)
 				}
@@ -432,8 +417,7 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 		Circuit:    exec,
 		Classes:    classes,
 		Plan:       plan,
-		Phases:     phases,
-		Topo:       cfg.Topo,
+		Exchanges:  exchanges,
 		Spans:      spans,
 		Boundaries: boundaries,
 		PermTrace:  permTrace,
@@ -662,12 +646,9 @@ func PlanFingerprint(p *sched.Plan, pes int) uint64 {
 	return uint64(h)
 }
 
-func cacheKey(skeleton uint64, fuse bool, pol sched.Policy, pes, localBits, pesPerNode int) uint64 {
+func cacheKey(skeleton uint64, fuse bool, pol sched.Policy, pes, localBits int) uint64 {
 	h := mix(skeleton, uint64(pes))
 	h = mix(h, uint64(localBits))
-	// Topology-annotated plans cache separately: the step list is shared,
-	// but the Phases artifact is not.
-	h = mix(h, uint64(pesPerNode))
 	if fuse {
 		h = mix(h, 1)
 	}

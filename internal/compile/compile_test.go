@@ -198,22 +198,11 @@ func requirePlansEqual(t *testing.T, tag string, got, want *CompiledPlan) {
 	if !reflect.DeepEqual(got.PermTrace, want.PermTrace) {
 		t.Fatalf("%s: permutation traces differ", tag)
 	}
-	if len(got.Phases) != len(want.Phases) {
-		t.Fatalf("%s: phase lists differ in length", tag)
-	}
-	for j := range got.Phases {
-		gp, wp := got.Phases[j], want.Phases[j]
-		if len(gp) != len(wp) {
-			t.Fatalf("%s step %d: %d exchange phases, want %d", tag, j, len(gp), len(wp))
-		}
-		for k := range gp {
-			if gp[k].Scope != wp[k].Scope || gp[k].BlockLen != wp[k].BlockLen || gp[k].RemoteElems != wp[k].RemoteElems {
-				t.Fatalf("%s step %d phase %d: exchange geometry differs", tag, j, k)
-			}
-		}
+	if !reflect.DeepEqual(got.Exchanges, want.Exchanges) {
+		t.Fatalf("%s: exchange geometry differs", tag)
 	}
 	if got.NumQubits != want.NumQubits || got.PEs != want.PEs || got.LocalBits != want.LocalBits ||
-		got.Policy != want.Policy || got.Fused != want.Fused || got.Topo != want.Topo {
+		got.Policy != want.Policy || got.Fused != want.Fused {
 		t.Fatalf("%s: plan geometry differs", tag)
 	}
 }
@@ -270,7 +259,6 @@ func TestCacheHitRebindBitIdentical(t *testing.T) {
 	cfgs := []Config{
 		{Fuse: true},
 		{Fuse: true, Sched: sched.Lazy, PEs: 4},
-		{Fuse: true, Sched: sched.Lazy, PEs: 4, Topo: sched.Topology{PEsPerNode: 2}},
 		{Fuse: false, Sched: sched.Lazy, PEs: 4},
 	}
 	const bindings = 6

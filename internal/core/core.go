@@ -138,13 +138,6 @@ type Config struct {
 	// MaxRestarts bounds how many times a run is restarted from its last
 	// checkpoint after a PE failure before giving up with a RunFailure.
 	MaxRestarts int
-	// Topology describes how PEs map onto nodes (PEs-per-node). When
-	// enabled, the PGAS transport runs each remap as a hierarchical
-	// two-level exchange — an intra-node phase first, then a minimal
-	// inter-node phase. The schedule, plan fingerprint, and final state are identical to
-	// the flat exchange; only the realization of the data movement (and
-	// its intra/inter accounting) changes. The zero value is flat.
-	Topology sched.Topology
 }
 
 // Result carries the outcome of one simulation run.
@@ -180,15 +173,6 @@ type Result struct {
 	// Compile reports what the circuit-preparation pipeline did for this
 	// run: fusion stats, remap count, plan-cache hit, per-stage times.
 	Compile compile.Stats
-	// IntraBytes and InterBytes split Comm.RemoteBytes by node locality
-	// under Config.Topology: traffic between PEs of the same node vs
-	// node-crossing traffic. Both zero when no topology is configured.
-	IntraBytes int64
-	InterBytes int64
-	// ExchangePhases counts the node- and rail-scope exchange phases
-	// executed across the run (the fleet-scope phase of a flat remap and
-	// a remap of the classical prefix a fresh run folds contribute none).
-	ExchangePhases int64
 }
 
 // Backend runs circuits. NewBackend builds one by its table name;
@@ -257,7 +241,6 @@ func compileCircuit(cfg Config, c *circuit.Circuit, pes int) (*compile.CompiledP
 		TileBits: cfg.TileBits,
 		Cache:    cfg.Plans,
 		Metrics:  cfg.Metrics,
-		Topo:     cfg.Topology,
 	})
 }
 

@@ -7,7 +7,6 @@ import (
 	"svsim/internal/ckpt"
 	"svsim/internal/compile"
 	"svsim/internal/obs"
-	"svsim/internal/sched"
 )
 
 // Elastic restore: continue a checkpointed run on a DIFFERENT fleet size.
@@ -51,14 +50,13 @@ func runElastic(backend string, cfg Config, cp *compile.CompiledPlan, dir string
 		fmt.Sprintf("re-shard %s: %d -> %d PEs at op %d", dir, m.PEs, newPEs, m.OpsDone), int64(newPEs))
 	// The residual is the already-fused executable stream: re-fusing
 	// would merge across the cut and change the stream the new plan
-	// describes, so fusion is off. Topology and the plan cache describe
-	// the ORIGINAL fleet; both reset. Checkpoints of the elastic run
-	// land in their own subdirectory so its manifests (new fleet size,
-	// new stream) never mix with the original chain.
+	// describes, so fusion is off. The plan cache describes the ORIGINAL
+	// fleet; it resets. Checkpoints of the elastic run land in their own
+	// subdirectory so its manifests (new fleet size, new stream) never
+	// mix with the original chain.
 	ecfg := cfg
 	ecfg.PEs = newPEs
 	ecfg.Fuse = false
-	ecfg.Topology = sched.Topology{}
 	ecfg.Plans = nil
 	ecfg.Resume = ""
 	ecfg.warm = ws

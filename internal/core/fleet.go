@@ -11,7 +11,7 @@ import (
 )
 
 // Fleet is a reusable, re-entrant execution resource: one backend at one
-// fixed geometry (PE count, kernel style, topology, telemetry hooks),
+// fixed geometry (PE count, kernel style, telemetry hooks),
 // constructed once and handed many jobs. It is the unit the multi-tenant
 // service schedules onto — the long-lived counterpart of the one-shot
 // Backend.Run path, which rebuilds worker pools and configuration per
@@ -63,7 +63,7 @@ type JobConfig struct {
 
 // NewFleet validates the geometry and constructs the fleet's persistent
 // resources (the threaded backend's worker pool). cfg carries the
-// fleet-lifetime settings: PEs, Style, Coalesced, Topology, telemetry
+// fleet-lifetime settings: PEs, Style, Coalesced, telemetry
 // sinks, fault injection, and timeouts. Per-job settings arrive later
 // through JobConfig; job-shaped fields set on cfg (Seed, Resume,
 // checkpointing, Stop) are ignored.

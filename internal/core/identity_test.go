@@ -17,8 +17,8 @@ import (
 // PE's partition are windows of the state running the same arithmetic,
 // so the one-rank grid (single and threaded, per-gate and tiled, any
 // worker count, fused or not) reproduces a plain State.ApplyAll replay
-// of its executable stream, and the lazy scale-out backend (flat and
-// two-level) the single-device state, exactly — MaxAbsDiff == 0, not a
+// of its executable stream, and the lazy scale-out backend the
+// single-device state, exactly — MaxAbsDiff == 0, not a
 // tolerance — on every unitary-only medium-suite circuit and a random
 // quantum circuit. The reference is replayPlan: the compiled stream — a
 // diagonal run is part of it, one pass with logically indexed tables — on
@@ -59,13 +59,11 @@ func TestBackendsBitIdenticalToSingle(t *testing.T) {
 		}
 	}
 	for _, pes := range []int{2, 4, 8} {
-		for _, ppn := range []int{0, 2} {
-			cfg := Config{PEs: pes, Sched: sched.Lazy, Topology: sched.Topology{PEsPerNode: ppn}}
-			variants = append(variants, variant{
-				fmt.Sprintf("scale-out pes=%d lazy ppn=%d", pes, ppn),
-				func(c *circuit.Circuit) (*Result, error) { return NewScaleOut(cfg).Run(c) },
-			})
-		}
+		cfg := Config{PEs: pes, Sched: sched.Lazy}
+		variants = append(variants, variant{
+			fmt.Sprintf("scale-out pes=%d lazy", pes),
+			func(c *circuit.Circuit) (*Result, error) { return NewScaleOut(cfg).Run(c) },
+		})
 	}
 	// replay executes a compiled plan's stream — its gates one by one,
 	// its diagonal runs as one pass each — on a plain State with no

@@ -2,11 +2,15 @@ package core
 
 import (
 	"math/rand"
+	"os"
+	"strconv"
 	"testing"
 
 	"svsim/internal/circuit"
+	"svsim/internal/fault"
 	"svsim/internal/gate"
 	"svsim/internal/obs"
+	"svsim/internal/pgas"
 	"svsim/internal/qasmbench"
 	"svsim/internal/sched"
 )
@@ -185,58 +189,160 @@ func TestLazySchedWithFusion(t *testing.T) {
 	}
 }
 
+// remapPEs honours the CI remap job: when SVSIM_REMAP_PES is set, only
+// that fleet size runs, so each matrix cell exercises one (under -race);
+// otherwise the test's own sizes run.
+func remapPEs(sizes ...int) []int {
+	if pes, err := strconv.Atoi(os.Getenv("SVSIM_REMAP_PES")); err == nil {
+		return []int{pes}
+	}
+	return sizes
+}
+
 // TestLazyTracedRunMatchesUntraced guards the single exchange routine:
-// a tracer only records spans, so the state, the communication counters
-// and the two-level byte split of a traced run must equal the untraced
-// run's exactly — flat and under a topology, at every fleet size — and
-// every PE's timeline must show exactly the phases the run executed (one
-// unpack span each): one fleet-scope phase per remap on a flat run, the
-// counted node/rail-scope phases under a topology.
+// a tracer only records spans, so the state and the communication
+// counters of a traced run must equal the untraced run's exactly, at
+// every fleet size, and every PE's timeline must show one unpack span
+// per remap the run executed.
 func TestLazyTracedRunMatchesUntraced(t *testing.T) {
 	c := measuredCircuit(41, 8, 120)
-	for _, ppn := range []int{0, 2} {
-		for _, pes := range []int{2, 4, 8} {
-			cfg := Config{Seed: 9, PEs: pes, Sched: sched.Lazy, Topology: sched.Topology{PEsPerNode: ppn}}
-			plain, err := NewScaleOut(cfg).Run(c)
-			if err != nil {
-				t.Fatal(err)
+	for _, pes := range remapPEs(2, 4, 8) {
+		cfg := Config{Seed: 9, PEs: pes, Sched: sched.Lazy}
+		plain, err := NewScaleOut(cfg).Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Trace = obs.NewTracer()
+		traced, err := NewScaleOut(cfg).Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := traced.State.MaxAbsDiff(plain.State); d != 0 || traced.Cbits != plain.Cbits {
+			t.Fatalf("PEs=%d: traced run deviates by %g (cbits %b vs %b)", pes, d, traced.Cbits, plain.Cbits)
+		}
+		if traced.Comm != plain.Comm {
+			t.Fatalf("PEs=%d: comm counters differ\ntraced %+v\nplain  %+v", pes, traced.Comm, plain.Comm)
+		}
+		if plain.Comm.RemoteBytes == 0 {
+			t.Fatalf("PEs=%d: run exercised no exchange", pes)
+		}
+		for _, trk := range cfg.Trace.Tracks() {
+			var unpacks int64
+			for _, ev := range trk.Events() {
+				if ev.Args.Phase == obs.PhaseUnpack {
+					unpacks++
+				}
 			}
-			cfg.Trace = obs.NewTracer()
-			traced, err := NewScaleOut(cfg).Run(c)
-			if err != nil {
-				t.Fatal(err)
+			if unpacks != int64(plain.Compile.Remaps) {
+				t.Fatalf("PEs=%d PE %d: timeline shows %d exchanges, run executed %d",
+					pes, trk.PE(), unpacks, plain.Compile.Remaps)
 			}
-			if d := traced.State.MaxAbsDiff(plain.State); d != 0 || traced.Cbits != plain.Cbits {
-				t.Fatalf("ppn %d PEs=%d: traced run deviates by %g (cbits %b vs %b)", ppn, pes, d, traced.Cbits, plain.Cbits)
-			}
-			if traced.Comm != plain.Comm {
-				t.Fatalf("ppn %d PEs=%d: comm counters differ\ntraced %+v\nplain  %+v", ppn, pes, traced.Comm, plain.Comm)
-			}
-			if traced.IntraBytes != plain.IntraBytes || traced.InterBytes != plain.InterBytes ||
-				traced.ExchangePhases != plain.ExchangePhases {
-				t.Fatalf("ppn %d PEs=%d: two-level split differs: intra %d/%d inter %d/%d phases %d/%d", ppn, pes,
-					traced.IntraBytes, plain.IntraBytes, traced.InterBytes, plain.InterBytes,
-					traced.ExchangePhases, plain.ExchangePhases)
-			}
-			if plain.Comm.RemoteBytes == 0 || (ppn > 0) != (plain.ExchangePhases > 0) {
-				t.Fatalf("ppn %d PEs=%d: run exercised no exchange (remote bytes %d, phases %d)",
-					ppn, pes, plain.Comm.RemoteBytes, plain.ExchangePhases)
-			}
-			wantPhases := plain.ExchangePhases
-			if ppn == 0 {
-				wantPhases = int64(plain.Compile.Remaps)
-			}
-			for _, trk := range cfg.Trace.Tracks() {
-				var unpacks int64
-				for _, ev := range trk.Events() {
-					if ev.Args.Phase == obs.PhaseUnpack {
-						unpacks++
+		}
+	}
+}
+
+// TestRemapOverlapPackWire asserts the double-buffered pipeline
+// structurally: in the span timeline of a remap exchange, the pack span
+// of block k+1 must start inside the wire span of block k: the put of
+// block k is joined only after block k+1 is packed, so this holds
+// deterministically, not probabilistically.
+func TestRemapOverlapPackWire(t *testing.T) {
+	e, err := qasmbench.ByName("qft_n15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pes := range remapPEs(8) {
+		tr := obs.NewTracer()
+		if _, err := NewScaleOut(Config{PEs: pes, Sched: sched.Lazy, Trace: tr}).Run(e.Build()); err != nil {
+			t.Fatal(err)
+		}
+		for _, trk := range tr.Tracks() {
+			overlaps := 0
+			var lastWire *obs.SpanEvent
+			for i := range trk.Events() {
+				ev := &trk.Events()[i]
+				switch ev.Args.Phase {
+				case obs.PhaseWire:
+					lastWire = ev
+				case obs.PhasePack:
+					if lastWire != nil && ev.TS >= lastWire.TS && ev.TS <= lastWire.TS+lastWire.Dur {
+						overlaps++
 					}
 				}
-				if unpacks != wantPhases {
-					t.Fatalf("ppn %d PEs=%d PE %d: timeline shows %d exchange phases, run executed %d",
-						ppn, pes, trk.PE(), unpacks, wantPhases)
-				}
+			}
+			if overlaps == 0 {
+				t.Fatalf("PEs=%d PE %d: no pack span starts inside a wire span (pipeline not overlapped)", pes, trk.PE())
+			}
+		}
+	}
+}
+
+// entryProbe is the PGAS transport recording, per remap exchange, how
+// many barriers rank had passed on entering it: the exchange's entry
+// barrier is its next one, the mid barrier the one after.
+type entryProbe struct {
+	Transport
+	g       *Grid
+	rank    int
+	entries *[]int64
+}
+
+func (p entryProbe) Exchange(pe *pgas.PE, r *Rank, swaps []sched.Swap, ex *sched.Exchange, tr StepTrace) bool {
+	if pe.Rank == p.rank {
+		*p.entries = append(*p.entries, p.g.Comm.StatsOf(p.rank).Barriers)
+	}
+	return p.Transport.Exchange(pe, r, swaps, ex, tr)
+}
+
+// TestRemapFaultKillRecovers: a PE killed mid-run — including inside a
+// remap exchange, whose entry and mid barriers are fault-injection
+// points — aborts the fleet without hanging any barrier, restarts from
+// the last checkpoint, and finishes bit-identical to the clean run.
+// Every fleet size is killed at a fixed barrier and at the entry and
+// the mid barrier of its last exchange.
+func TestRemapFaultKillRecovers(t *testing.T) {
+	seed := faultSeed(t)
+	c := measuredCircuit(78, 8, 60)
+	for _, pes := range remapPEs(8, 16) {
+		base := Config{Seed: 9, PEs: pes, Sched: sched.Lazy}
+		ref, err := NewScaleOut(base).Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckptCfg := func() Config {
+			cfg := base
+			cfg.CheckpointEvery = 5
+			cfg.CheckpointDir = ckptTestDir(t)
+			cfg.MaxRestarts = 2
+			return cfg
+		}
+		var entries []int64
+		if _, err := run("scale-out", ckptCfg(), c, func(g *Grid) Transport {
+			return entryProbe{oneSidedTransport(g), g, 1, &entries}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) == 0 {
+			t.Fatalf("%dPE: the run executed no exchange", pes)
+		}
+		entry := entries[len(entries)-1] + 1
+		for _, after := range []int64{25, entry, entry + 1} {
+			in := fault.NewInjector(seed)
+			in.KillAt(1, fault.Barrier, after)
+			cfg := ckptCfg()
+			cfg.Fault = in
+			got, err := NewScaleOut(cfg).Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Recoveries != 1 {
+				t.Fatalf("%dPE kill at barrier %d: want 1 recovery, got %d", pes, after, got.Recoveries)
+			}
+			if d := got.State.MaxAbsDiff(ref.State); d != 0 {
+				t.Fatalf("%dPE kill at barrier %d: recovered run deviates by %g", pes, after, d)
+			}
+			if got.Cbits != ref.Cbits {
+				t.Fatalf("%dPE kill at barrier %d: cbits %b vs %b", pes, after, got.Cbits, ref.Cbits)
 			}
 		}
 	}

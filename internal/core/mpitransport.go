@@ -93,35 +93,25 @@ func (t *twoSided) packPartition(rank int, r *Rank) []float64 {
 	return pack
 }
 
-// Exchange realizes one phase of a remap as pairwise half-partition
-// exchanges, one per bit swap of the phase. Under a topology the phase
-// list puts the intra-node swaps first (disjoint transpositions
-// commute), so the node-crossing links carry messages only for the swaps
-// that genuinely cross. A pairwise exchange synchronizes only its pair:
-// the loop's grid sync closes the step.
-func (t *twoSided) Exchange(pe *pgas.PE, r *Rank, ph *sched.Phase, tr StepTrace) bool {
-	for _, sw := range ph.Swaps {
-		t.swapBits(pe, r, sw.Global, sw.Local, ph.Scope, tr)
+// Exchange realizes a remap as pairwise half-partition exchanges, one
+// per bit swap of the step. A pairwise exchange synchronizes only its
+// pair: the loop's grid sync closes the step.
+func (t *twoSided) Exchange(pe *pgas.PE, r *Rank, swaps []sched.Swap, _ *sched.Exchange, tr StepTrace) bool {
+	for _, sw := range swaps {
+		t.swapBits(pe, r, sw.Global, sw.Local, tr)
 	}
 	return true
 }
 
 // swapBits physically exchanges global bit gBit with local bit lBit: each
 // rank swaps the half of its partition where the local bit differs from
-// its rank bit with its partner rank. Its pack / wire / unpack sub-spans
-// carry the intra/inter sub-bucket of the phase's scope, and the message
-// volume (S floats sent, counted once per rank like MsgBytes) lands in
-// the matching bucket of the sending rank.
-func (t *twoSided) swapBits(pe *pgas.PE, r *Rank, gBit, lBit int, scope sched.Scope, tr StepTrace) {
+// its rank bit with its partner rank.
+func (t *twoSided) swapBits(pe *pgas.PE, r *Rank, gBit, lBit int, tr StepTrace) {
 	b := gBit - t.LocalBits
 	beta := pe.Rank >> uint(b) & 1
 	partner := pe.Rank ^ 1<<uint(b)
 	half := int64(t.S) * 8
 
-	phPack, phWire, _, moved := r.Bucket(scope)
-	if moved != nil {
-		*moved += half
-	}
 	// The half to trade is the subcube with the local bit pinned to the
 	// complement of the rank bit and every other local bit free.
 	pinned := (1 - beta) << uint(lBit)
@@ -140,10 +130,10 @@ func (t *twoSided) swapBits(pe *pgas.PE, r *Rank, gBit, lBit int, scope sched.Sc
 	statevec.GatherBits(buf[h:], r.Local.Im, pinned, free)
 	t.comm.notePack(pe.Rank, half)
 	p1 := time.Now()
-	tr.Span(" pack", p0, p1, obs.SpanArgs{Kind: "pack", Phase: phPack, PackBytes: half})
+	tr.Span(" pack", p0, p1, obs.SpanArgs{Kind: "pack", Phase: obs.PhasePack, PackBytes: half})
 	in := t.comm.sendRecv(pe, partner, buf)
 	w1 := time.Now()
-	tr.Span(" wire", p1, w1, obs.SpanArgs{Kind: "wire", Phase: phWire, Msgs: 1, MsgBytes: half})
+	tr.Span(" wire", p1, w1, obs.SpanArgs{Kind: "wire", Phase: obs.PhaseWire, Msgs: 1, MsgBytes: half})
 	// Unpack into the vacated slots (same enumeration order).
 	statevec.ScatterBits(r.Local.Re, in[:h], pinned, free)
 	statevec.ScatterBits(r.Local.Im, in[h:], pinned, free)

@@ -15,21 +15,16 @@ import (
 // pointer-array access, Listing 4) and the scale-out backend (SHMEM
 // one-sided access, Listing 5): partitions live in the symmetric heap, a
 // gate that pairs amplitudes across partitions pays the paper's
-// fine-grained get/put traffic, and each phase of a remap is one
-// coalesced all-to-all of PutV blocks. In this reproduction both device
-// classes are emulated by goroutine PEs over the instrumented heap; the
-// two backends differ in which platform constants the performance model
-// applies to the measured traffic (NVLink/NVSwitch vs network SHMEM).
+// fine-grained get/put traffic, and a remap is one coalesced all-to-all
+// of PutV blocks. In this reproduction both device classes are emulated
+// by goroutine PEs over the instrumented heap; the two backends differ
+// in which platform constants the performance model applies to the
+// measured traffic (NVLink/NVSwitch vs network SHMEM).
 type oneSided struct {
 	*Grid
 	svRe, svIm *pgas.SymF64
 	stage      *pgas.SymF64 // 2S staging floats per PE; nil unless the attempt exchanges
 	scratch    [][]float64  // per PE, sized on first use: the naive plan's gather window or the lazy plan's 2S pack halves
-
-	// Barrier domains of the node- and rail-scope phases, nil on a flat
-	// run (the fleet scope's domain is the fleet barrier).
-	nodeGrp []*pgas.Group // per node: that node's PEs
-	railGrp []*pgas.Group // per within-node position: its ranks across nodes
 }
 
 // oneSidedTransport is the transport of the PGAS backends.
@@ -41,32 +36,6 @@ func oneSidedTransport(g *Grid) Transport {
 		if st.Kind == sched.StepRemap {
 			t.stage = g.Comm.NewSymF64(2 * g.S)
 			break
-		}
-	}
-	if topo := g.Compiled.Topo; topo.Enabled() && g.P > 1 {
-		// One group per node (its consecutive ranks) and one per
-		// within-node position (its "rail" of ranks across nodes): each
-		// exchange phase synchronizes only the ranks it couples instead
-		// of stopping the whole fleet.
-		ppn := topo.PEsPerNode
-		if ppn > g.P {
-			ppn = g.P
-		}
-		t.nodeGrp = make([]*pgas.Group, topo.Nodes(g.P))
-		for nd := range t.nodeGrp {
-			ranks := make([]int, ppn)
-			for i := range ranks {
-				ranks[i] = nd*ppn + i
-			}
-			t.nodeGrp[nd] = g.Comm.Group(ranks)
-		}
-		t.railGrp = make([]*pgas.Group, ppn)
-		for w := range t.railGrp {
-			var ranks []int
-			for r := w; r < g.P; r += ppn {
-				ranks = append(ranks, r)
-			}
-			t.railGrp[w] = g.Comm.Group(ranks)
 		}
 	}
 	return t
@@ -213,69 +182,44 @@ func (t *oneSided) unpackBlocks(rank int, r *Rank, ex *sched.Exchange) {
 	r.Extra.BytesTouched += 2 * int64(t.S) * 16
 }
 
-// sync is one barrier over the domain an exchange phase's scope names:
-// the PE's node group, its rail — the ranks holding the same
-// within-node position across all nodes — or the whole fleet.
-func (t *oneSided) sync(pe *pgas.PE, scope sched.Scope) {
-	switch scope {
-	case sched.ScopeNode:
-		t.nodeGrp[t.Compiled.Topo.Node(pe.Rank)].Barrier(pe)
-	case sched.ScopeRail:
-		t.railGrp[pe.Rank%len(t.railGrp)].Barrier(pe)
-	default:
-		pe.Barrier()
-	}
-}
-
-// Exchange runs one phase of a remap as a batched all-to-all over the
-// barrier domain its scope names: each PE packs one contiguous block
-// per destination, puts it into the destination's staging area with a
-// single coalesced transfer, and after the domain's barrier unpacks its
-// own staging into its partition. The flat remap is the one fleet-scope
-// phase; under a topology a remap runs its node phase (all compatible
-// pairs share a node) and then its minimal rail phase, which realize
-// disjoint transpositions, so their composition lands every amplitude
-// exactly where the fleet phase would — bit-identically — while each
-// phase stops only the ranks it couples.
+// Exchange runs a remap as one batched all-to-all over the fleet: each
+// PE packs one contiguous block per destination, puts it into the
+// destination's staging area with a single coalesced transfer, and after
+// the fleet barrier unpacks its own staging into its partition.
 //
-// The per-phase protocol is: entry barrier, pipelined pack+put, mid
-// barrier (all of this phase's blocks have landed), unpack — and no
-// exit barrier, because the next phase's (or the next remap's) entry
-// barrier already orders every later write into this PE's staging area
-// after the unpack reads below. The entry barrier is what makes the
-// single staging buffer safe: a peer can only reach its puts after every
-// member of the domain — in particular every PE it targets — has
-// finished reading its staging from the previous phase.
+// The protocol is: entry barrier, pipelined pack+put, mid barrier (all
+// blocks have landed), unpack — and no exit barrier, because the next
+// remap's entry barrier already orders every later write into this PE's
+// staging area after the unpack reads below. The entry barrier is what
+// makes the single staging buffer safe: a peer can only reach its puts
+// after every PE — in particular every PE it targets — has finished
+// reading its staging from the previous remap.
 //
 // The pack/put loop is double-buffered: block k+1 is packed into the
 // half of the scratch buffer the in-flight put is not reading, then
 // put k is joined and put k+1 launched, so the pack of block k+1
-// overlaps the wire transfer of block k. Every phase moves at least one
+// overlaps the wire transfer of block k. Every remap moves at least one
 // local bit out, so 2 blocks fit the 2S-float scratch.
 //
 // Each destination block gets a pack span (the buffer fill) and a wire
-// span (put launch to join), labeled pack/wire on the fleet scope and
-// pack.intra/wire.intra or pack.inter/wire.inter on the node and rail
-// scopes so attribution separates same-node from node-crossing exchange
-// time. The timeline exhibits the pipeline directly: the pack span of
-// block k+1 starts before the wire span of block k ends. Wire span k is
-// recorded at its join, just before pack span k+1, which keeps the
-// track's nondecreasing-start contract.
-func (t *oneSided) Exchange(pe *pgas.PE, r *Rank, ph *sched.Phase, tr StepTrace) bool {
+// span (put launch to join). The timeline exhibits the pipeline
+// directly: the pack span of block k+1 starts before the wire span of
+// block k ends. Wire span k is recorded at its join, just before pack
+// span k+1, which keeps the track's nondecreasing-start contract.
+func (t *oneSided) Exchange(pe *pgas.PE, r *Rank, _ []sched.Swap, ex *sched.Exchange, tr StepTrace) bool {
 	s := pe.Rank
-	B := ph.BlockLen
-	phPack, phWire, sub, moved := r.Bucket(ph.Scope)
+	B := ex.BlockLen
 	b0 := time.Now()
-	t.sync(pe, ph.Scope)
-	tr.Barrier(sub, b0)
+	pe.Barrier()
+	tr.Barrier("", b0)
 	var join func()
 	var wStart time.Time
 	var wc0 pgas.Stats
 	finish := func() { // join the put in flight and attribute its traffic to a wire span
 		join()
 		c := t.Comm.StatsOf(s)
-		tr.Span(sub+" wire", wStart, time.Now(), obs.SpanArgs{
-			Kind: "wire", Phase: phWire,
+		tr.Span(" wire", wStart, time.Now(), obs.SpanArgs{
+			Kind: "wire", Phase: obs.PhaseWire,
 			LocalBytes:  c.LocalBytes - wc0.LocalBytes,
 			RemoteBytes: c.RemoteBytes - wc0.RemoteBytes,
 			LocalMsgs:   (c.LocalGets + c.LocalPuts) - (wc0.LocalGets + wc0.LocalPuts),
@@ -285,34 +229,31 @@ func (t *oneSided) Exchange(pe *pgas.PE, r *Rank, ph *sched.Phase, tr StepTrace)
 	pack := scratch(&t.scratch[s], 2*t.S)
 	half := 0
 	for dst := 0; dst < t.P; dst++ {
-		if !ph.Compat[s][dst] {
+		if !ex.Compat[s][dst] {
 			continue
 		}
 		buf := pack[half : half+2*B]
 		p0 := time.Now()
-		t.packBlock(buf, r, ph.Exchange, dst)
+		t.packBlock(buf, r, ex, dst)
 		p1 := time.Now()
 		if join != nil {
 			finish()
 		}
-		tr.Span(sub+" pack", p0, p1, obs.SpanArgs{Kind: "pack", Phase: phPack, PackBytes: int64(2*B) * 8})
+		tr.Span(" pack", p0, p1, obs.SpanArgs{Kind: "pack", Phase: obs.PhasePack, PackBytes: int64(2*B) * 8})
 		wc0 = t.Comm.StatsOf(s)
 		wStart = time.Now()
-		join = t.asyncPut(pe, dst, 2*ph.OffElems[s][dst], buf)
+		join = t.asyncPut(pe, dst, 2*ex.OffElems[s][dst], buf)
 		half ^= 2 * B
-		if dst != s && moved != nil {
-			*moved += int64(2*B) * 8
-		}
 	}
 	if join != nil {
 		finish()
 	}
 	mb0 := time.Now()
-	t.sync(pe, ph.Scope)
-	u0 := tr.Barrier(sub, mb0)
-	t.unpackBlocks(s, r, ph.Exchange)
+	pe.Barrier()
+	u0 := tr.Barrier("", mb0)
+	t.unpackBlocks(s, r, ex)
 	// A remap is a permutation: the blocks unpacked are one partition's worth.
-	tr.Span(sub+" unpack", u0, time.Now(), obs.SpanArgs{Kind: "unpack", Phase: obs.PhaseUnpack, PackBytes: int64(2*t.S) * 8})
+	tr.Span(" unpack", u0, time.Now(), obs.SpanArgs{Kind: "unpack", Phase: obs.PhaseUnpack, PackBytes: int64(2*t.S) * 8})
 	return false
 }
 

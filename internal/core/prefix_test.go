@@ -55,8 +55,8 @@ func perGate(c *circuit.Circuit) *circuit.Circuit {
 }
 
 // prefixCells is every backend cell: the one-rank grids per gate, tiled
-// and pooled, the one-sided fleets naive, lazy and under a node topology,
-// and the two-sided fleet under both plans.
+// and pooled, the one-sided fleets naive, coalesced and lazy, and the
+// two-sided fleet under both plans.
 var prefixCells = []struct {
 	name    string
 	backend string
@@ -70,7 +70,6 @@ var prefixCells = []struct {
 	{"scale-out x4 naive", "scale-out", Config{PEs: 4}},
 	{"scale-out x4 coalesced", "scale-out", Config{PEs: 4, Coalesced: true}},
 	{"scale-out x4 lazy", "scale-out", Config{PEs: 4, Sched: sched.Lazy}},
-	{"scale-out x4 lazy ppn2", "scale-out", Config{PEs: 4, Sched: sched.Lazy, Topology: sched.Topology{PEsPerNode: 2}}},
 	{"mpi x4", "mpi", Config{PEs: 4}},
 	{"mpi x4 lazy", "mpi", Config{PEs: 4, Sched: sched.Lazy}},
 }

@@ -30,15 +30,15 @@ import (
 // must cross partitions: the naive plan is one gate step per op under the
 // identity permutation, so a gate with a pairing target at or above
 // localBits = n - log2(P) crosses at that gate; the lazy plan keeps every
-// pairing target local and crosses only at its remap steps, each an
-// ordered list of exchange phases (compile.CompiledPlan.Phases) the loop
-// walks. The transport decides HOW they cross — not at all on a one-rank
-// grid (local), one-sided get/put over the symmetric heap
-// (pgastransport.go) or two-sided pack–exchange (mpitransport.go) —
-// which is exactly the comparison the paper isolates; the backend table
-// (backend.go) picks it. Everything else (set-up, conditions,
-// measurement, tile groups, checkpoint cuts, stop polls, spans,
-// recovery, tear-down) exists once, here.
+// pairing target local and crosses only at its remap steps, each one
+// coalesced all-to-all (compile.CompiledPlan.Exchanges). The transport
+// decides HOW they cross — not at all on a one-rank grid (local),
+// one-sided get/put over the symmetric heap (pgastransport.go) or
+// two-sided pack–exchange (mpitransport.go) — which is exactly the
+// comparison the paper isolates; the backend table (backend.go) picks
+// it. Everything else (set-up, conditions, measurement, tile groups,
+// checkpoint cuts, stop polls, spans, recovery, tear-down) exists once,
+// here.
 //
 // What a grid cannot need is derived from the grid, never configured:
 // one rank syncs with nobody (no grid sync, no all-reduce, no checkpoint
@@ -62,15 +62,12 @@ type Transport interface {
 	// reports whether it recorded sub-spans of its own through tr, in
 	// which case the loop drops the parent span.
 	RemoteGate(pe *pgas.PE, r *Rank, g *gate.Gate, tr StepTrace) bool
-	// Exchange runs one phase of a remap step: it moves every amplitude
-	// to where ph.Swaps put it, synchronizing the ranks the phase's scope
-	// couples and charging r.IntraBytes or r.InterBytes for a node- or
-	// rail-scope phase. It reports whether the step still needs a grid
-	// sync to close it (pairwise exchanges synchronize only pairs), which
-	// the loop pays once after the step's last phase. Walking a remap's
-	// phase list, counting phases and the permutation bookkeeping are
-	// the loop's.
-	Exchange(pe *pgas.PE, r *Rank, ph *sched.Phase, tr StepTrace) (gridSync bool)
+	// Exchange runs a remap step: it moves every amplitude to where swaps
+	// put it, ex being the swaps' all-to-all geometry. It reports whether
+	// the step still needs a grid sync to close it (pairwise exchanges
+	// synchronize only pairs), which the loop then pays. The permutation
+	// bookkeeping is the loop's.
+	Exchange(pe *pgas.PE, r *Rank, swaps []sched.Swap, ex *sched.Exchange, tr StepTrace) (gridSync bool)
 	// Counters samples rank's cumulative traffic counters as span
 	// arguments; the loop attributes the difference of two samples to
 	// the span between them.
@@ -96,7 +93,7 @@ func (local) RemoteGate(*pgas.PE, *Rank, *gate.Gate, StepTrace) bool {
 	panic("core: remote gate on a one-rank grid")
 }
 
-func (local) Exchange(*pgas.PE, *Rank, *sched.Phase, StepTrace) bool {
+func (local) Exchange(*pgas.PE, *Rank, []sched.Swap, *sched.Exchange, StepTrace) bool {
 	panic("core: remap on a one-rank grid")
 }
 
@@ -124,10 +121,6 @@ type Rank struct {
 	Local *statevec.State
 	// Extra counts state-vector work done outside Local's kernels.
 	Extra statevec.Stats
-	// IntraBytes and InterBytes split this rank's remap traffic by node
-	// locality under the run's topology; zero on a flat run.
-	IntraBytes int64
-	InterBytes int64
 
 	rng   *rand.Rand
 	draws int64 // uniform variates consumed, for checkpointed RNG replay
@@ -164,20 +157,6 @@ func (r *Rank) restore(cbits uint64, draws int64) {
 	r.draws = draws
 }
 
-// Bucket returns what an exchange phase of the given scope is accounted
-// under: the pack and wire phase labels of its spans, the infix of their
-// names, and the counter of r its traffic is charged to (nil on the
-// fleet scope, which splits nothing by node).
-func (r *Rank) Bucket(scope sched.Scope) (pack, wire, sub string, moved *int64) {
-	switch scope {
-	case sched.ScopeNode:
-		return obs.PhasePackIntra, obs.PhaseWireIntra, " intra", &r.IntraBytes
-	case sched.ScopeRail:
-		return obs.PhasePackInter, obs.PhaseWireInter, " inter", &r.InterBytes
-	}
-	return obs.PhasePack, obs.PhaseWire, "", nil
-}
-
 // runtime is one execution attempt in progress.
 type runtime struct {
 	Grid
@@ -190,8 +169,7 @@ type runtime struct {
 	t        Transport
 	ranks    []Rank
 
-	prefix    int   // plan steps of the classical prefix a fresh start folded
-	phasesRun int64 // node- and rail-scope exchange phases executed (rank 0 only)
+	prefix int // plan steps of the classical prefix a fresh start folded
 
 	ck   *ckptWriter // nil when checkpointing is off
 	stop *StopLatch  // graceful-shutdown latch, nil when unused
@@ -202,9 +180,6 @@ type runtime struct {
 	flight     *obs.FlightRecorder
 	remapBytes *obs.Histogram // per-rank bytes moved by each remap
 	remapCount *obs.Counter
-	intraBytes *obs.Counter // node-local share of remap traffic
-	interBytes *obs.Counter // node-crossing share of remap traffic
-	exchPhases *obs.Counter // node- and rail-scope exchange phases executed
 }
 
 // newRuntime sets one attempt up: the fleet, the transport's partitions
@@ -266,11 +241,6 @@ func newRuntime(name string, cfg Config, cp *compile.CompiledPlan, nt newTranspo
 		if cp.Plan.Remaps > 0 {
 			rt.remapBytes = m.Histogram(obs.MetricRemapBytes, obs.SizeBuckets())
 			rt.remapCount = m.Counter(obs.MetricRemapCount)
-		}
-		if cp.Topo.Enabled() {
-			rt.intraBytes = m.Counter(obs.MetricRemoteBytesIntra)
-			rt.interBytes = m.Counter(obs.MetricRemoteBytesInter)
-			rt.exchPhases = m.Counter(obs.MetricExchangePhases)
 		}
 	}
 	rt.t = nt(&rt.Grid)
@@ -457,18 +427,7 @@ func (rt *runtime) run() (*Result, error) {
 				tr.label = remapLabel(st.Swaps)
 				r.markAll() // the exchange rewrites the whole partition
 				c0 := rt.t.Counters(pe.Rank)
-				i0, e0 := r.IntraBytes, r.InterBytes
-				var scoped int64 // node- and rail-scope phases run
-				gridSync := false
-				phases := rt.Compiled.Phases[si-1]
-				for pi := range phases {
-					ph := &phases[pi]
-					gridSync = rt.t.Exchange(pe, r, ph, tr)
-					if ph.Scope != sched.ScopeFleet {
-						scoped++
-					}
-				}
-				if gridSync {
+				if rt.t.Exchange(pe, r, st.Swaps, rt.Compiled.Exchanges[si-1], tr) {
 					b0 := time.Now()
 					pe.Barrier()
 					tr.Barrier("", b0)
@@ -476,12 +435,8 @@ func (rt *runtime) run() (*Result, error) {
 				d := spanDelta(c0, rt.t.Counters(pe.Rank))
 				moved := d.RemoteBytes + d.MsgBytes
 				rt.remapBytes.Observe(float64(moved))
-				rt.intraBytes.Add(r.IntraBytes - i0)
-				rt.interBytes.Add(r.InterBytes - e0)
 				if pe.Rank == 0 {
 					rt.remapCount.Add(1)
-					rt.phasesRun += scoped
-					rt.exchPhases.Add(scoped)
 				}
 				for _, sw := range st.Swaps {
 					r.perm.SwapPhysical(sw.Global, sw.Local)
@@ -498,12 +453,11 @@ func (rt *runtime) run() (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Backend:        rt.name,
-		Cbits:          rt.ranks[0].cbits,
-		Comm:           rt.Comm.TotalStats(),
-		Elapsed:        time.Since(startT),
-		PEs:            rt.P,
-		ExchangePhases: rt.phasesRun,
+		Backend: rt.name,
+		Cbits:   rt.ranks[0].cbits,
+		Comm:    rt.Comm.TotalStats(),
+		Elapsed: time.Since(startT),
+		PEs:     rt.P,
 	}
 	if ts, ok := rt.t.(*twoSided); ok {
 		res.MPI = ts.comm.totalStats()
@@ -525,8 +479,6 @@ func (rt *runtime) run() (*Result, error) {
 		}
 		res.SV.Add(run.Local.Stats)
 		res.SV.Add(run.Extra)
-		res.IntraBytes += run.IntraBytes
-		res.InterBytes += run.InterBytes
 	}
 	if rt.ck != nil {
 		res.Ckpt = rt.ck.stats

@@ -16,17 +16,16 @@ import (
 type cell struct {
 	name string
 	lazy bool
-	run  func(c *circuit.Circuit, seed int64, pes, ppn int) (*statevec.State, uint64, error)
+	run  func(c *circuit.Circuit, seed int64, pes int) (*statevec.State, uint64, error)
 }
 
 // matrixCells lists the four cells, each a row of core's backend table
 // under one plan; the PGAS naive cell appears twice, once per remote-gate
 // routine (element-wise and coalesced).
 func matrixCells() []cell {
-	row := func(backend string, pol sched.Policy, coalesced bool) func(*circuit.Circuit, int64, int, int) (*statevec.State, uint64, error) {
-		return func(c *circuit.Circuit, seed int64, pes, ppn int) (*statevec.State, uint64, error) {
-			b, err := core.NewBackend(backend, core.Config{Seed: seed, PEs: pes, Sched: pol, Coalesced: coalesced,
-				Topology: sched.Topology{PEsPerNode: ppn}})
+	row := func(backend string, pol sched.Policy, coalesced bool) func(*circuit.Circuit, int64, int) (*statevec.State, uint64, error) {
+		return func(c *circuit.Circuit, seed int64, pes int) (*statevec.State, uint64, error) {
+			b, err := core.NewBackend(backend, core.Config{Seed: seed, PEs: pes, Sched: pol, Coalesced: coalesced})
 			if err != nil {
 				return nil, 0, err
 			}
@@ -49,9 +48,9 @@ func matrixCells() []cell {
 // TestTransportPlanIdentityMatrix pins the one-arithmetic claim on the
 // medium suite's unitary circuits: every cell reproduces the
 // single-device state exactly (MaxAbsDiff == 0). A lazy plan keeps every
-// pairing target inside the partition window (flat and two-level); a
-// naive plan's remote-gate routines move the operands into a scratch
-// window and run the same kernels there.
+// pairing target inside the partition window; a naive plan's remote-gate
+// routines move the operands into a scratch window and run the same
+// kernels there.
 func TestTransportPlanIdentityMatrix(t *testing.T) {
 	circuits := []*circuit.Circuit{qasmbench.RQC(12, 16, 1)}
 	for _, e := range qasmbench.Medium() {
@@ -66,18 +65,12 @@ func TestTransportPlanIdentityMatrix(t *testing.T) {
 		}
 		for _, cl := range matrixCells() {
 			for _, pes := range []int{2, 4, 8} {
-				ppns := []int{0}
-				if cl.lazy {
-					ppns = []int{0, 2}
+				got, _, err := cl.run(c, 0, pes)
+				if err != nil {
+					t.Fatalf("%s pes=%d on %s: %v", cl.name, pes, c.Name, err)
 				}
-				for _, ppn := range ppns {
-					got, _, err := cl.run(c, 0, pes, ppn)
-					if err != nil {
-						t.Fatalf("%s pes=%d ppn=%d on %s: %v", cl.name, pes, ppn, c.Name, err)
-					}
-					if d := got.MaxAbsDiff(want.State); d != 0 {
-						t.Errorf("%s pes=%d ppn=%d on %s: deviates from single by %g, want bit-identical", cl.name, pes, ppn, c.Name, d)
-					}
+				if d := got.MaxAbsDiff(want.State); d != 0 {
+					t.Errorf("%s pes=%d on %s: deviates from single by %g, want bit-identical", cl.name, pes, c.Name, d)
 				}
 			}
 		}
@@ -111,7 +104,7 @@ func TestStressAllCellsWithFeedback(t *testing.T) {
 					// targets, which a lazy plan must keep local.
 					pes = 16
 				}
-				st, cb, err := cl.run(c, 42, pes, 0)
+				st, cb, err := cl.run(c, 42, pes)
 				if err != nil {
 					t.Fatalf("trial %d %s pes=%d: %v", trial, cl.name, pes, err)
 				}

@@ -47,18 +47,6 @@ const (
 	MetricRemoteBytes = "pgas_remote_bytes"
 	// MetricLocalBytes accumulates one-sided local traffic volume (pgas).
 	MetricLocalBytes = "pgas_local_bytes"
-	// MetricRemoteBytesIntra accumulates the share of one-sided remote
-	// traffic between PEs on the same node under a configured topology
-	// (the OpenMetrics exposition renders the dotted suffix as a
-	// kind="intra" label on the pgas_remote_bytes family).
-	MetricRemoteBytesIntra = "pgas_remote_bytes.intra"
-	// MetricRemoteBytesInter accumulates the node-crossing share of
-	// one-sided remote traffic under a configured topology.
-	MetricRemoteBytesInter = "pgas_remote_bytes.inter"
-	// MetricExchangePhases counts exchange phases executed by two-level
-	// remaps (a flat remap counts 0; a remap of a folded classical prefix
-	// moves no data).
-	MetricExchangePhases = "remap_exchange_phases"
 	// MetricOpRetries counts one-sided operations re-issued after a
 	// transient completion failure (fault injection).
 	MetricOpRetries = "pgas_op_retries"

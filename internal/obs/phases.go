@@ -27,10 +27,9 @@ const (
 	PhasePack   = "pack"
 	PhaseWire   = "wire"
 	PhaseUnpack = "unpack"
-	// Per-exchange-phase sub-buckets of pack and wire, emitted by the
-	// hierarchical two-level remap: the intra-node phase and the minimal
-	// inter-node phase are attributed separately so a report shows where
-	// the exchange time actually goes on a node-structured fleet.
+	// Intra- and inter-node sub-buckets of pack and wire. No span
+	// carries them and Phases does not list them; bench/perf still sums
+	// them into its pack and wire shares, where a missing bucket reads 0.
 	PhasePackIntra  = "pack.intra"
 	PhasePackInter  = "pack.inter"
 	PhaseWireIntra  = "wire.intra"
@@ -48,8 +47,7 @@ const (
 // Phases lists the attribution buckets in canonical display order.
 func Phases() []string {
 	return []string{PhaseCompile, PhaseCompute, PhaseTile, PhasePack,
-		PhaseWire, PhasePackIntra, PhaseWireIntra, PhasePackInter,
-		PhaseWireInter, PhaseUnpack, PhaseBarrier, PhaseCheckpoint,
+		PhaseWire, PhaseUnpack, PhaseBarrier, PhaseCheckpoint,
 		PhaseCkptWrite, PhaseOther}
 }
 

@@ -34,52 +34,23 @@ func TestEstimateCommPlanMatchesLazy(t *testing.T) {
 	if fromPlan != direct {
 		t.Fatalf("plan-based estimate %+v, direct %+v", fromPlan, direct)
 	}
-	if fromPlan.Structured {
-		t.Fatal("EstimateCommPlan must not claim a node-structured split")
-	}
-}
-
-func TestEstimateCommPlanFabricSplitsByNode(t *testing.T) {
-	cp := compiledLazy(t, "qft_n15", 8)
-	flat := EstimateCommPlan(cp)
-	if flat.RemoteBytes == 0 || flat.RemoteMsgs == 0 {
-		t.Fatal("qft_n15 @8 PEs produced no remap traffic; test is vacuous")
-	}
-	// Two nodes of four PEs: the split must be exhaustive and exact.
-	split := EstimateCommPlanFabric(cp, 4)
-	if !split.Structured {
-		t.Fatal("fabric estimate not marked Structured")
-	}
-	if split.IntraNodeBytes+split.InterNodeBytes != flat.RemoteBytes {
-		t.Fatalf("node split %d + %d does not partition remote bytes %d",
-			split.IntraNodeBytes, split.InterNodeBytes, flat.RemoteBytes)
-	}
-	if split.InterNodeMsgs > split.RemoteMsgs {
-		t.Fatalf("inter-node messages %d exceed total %d", split.InterNodeMsgs, split.RemoteMsgs)
-	}
-	if split.InterNodeBytes == 0 {
-		t.Fatal("two-node placement priced all traffic intra-node")
-	}
-	// All eight PEs on one node: nothing crosses the network.
-	oneNode := EstimateCommPlanFabric(cp, 8)
-	if oneNode.InterNodeBytes != 0 || oneNode.InterNodeMsgs != 0 {
-		t.Fatalf("single-node placement still prices inter-node traffic: %+v", oneNode)
-	}
-	if oneNode.IntraNodeBytes != flat.RemoteBytes {
-		t.Fatalf("single-node intra bytes %d, want %d", oneNode.IntraNodeBytes, flat.RemoteBytes)
-	}
 }
 
 func TestScaleOutSecondsUsesInjectionCap(t *testing.T) {
-	// With a vanishing message rate the structured model must be bound by
-	// injection latency, not bandwidth: dropping MsgRateGps by 100x must
-	// grow the predicted time for a message-heavy remap schedule.
-	cp := compiledLazy(t, "qft_n15", 64)
-	est := EstimateCommPlanFabric(cp, SummitCPU.PEsPerNode)
-	if est.InterNodeMsgs == 0 {
-		t.Fatal("no inter-node messages at 64 PEs; test is vacuous")
+	// With a vanishing message rate the model must be bound by injection
+	// latency, not bandwidth: dropping MsgRateGps by 100x must grow the
+	// predicted time of the figures' message-heavy fine-grained traffic
+	// once it crosses nodes.
+	e, err := qasmbench.ByName("qft_n15")
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := TraceEstimate(cp.Source)
+	c := e.Build().StripNonUnitary()
+	est := EstimateComm(c, 64)
+	if est.RemoteMsgs == 0 {
+		t.Fatal("no remote messages at 64 PEs; test is vacuous")
+	}
+	tr := TraceEstimate(c)
 	fast := ScaleOutSeconds(tr, est, SummitCPU, 64)
 	slowFab := SummitCPU
 	slowFab.MsgRateGps = SummitCPU.MsgRateGps / 100

@@ -13,14 +13,16 @@ import (
 
 func TestEstimateCommLazyIsExact(t *testing.T) {
 	// The lazy-schedule traffic model is plan-derived, so it must equal
-	// the PGAS lazy executor's measured remote bytes exactly.
+	// the PGAS lazy executor's measured one-sided messages, remote bytes
+	// and barriers exactly (remaps in the classical prefix priced at
+	// zero, two synchronizations per PE per remap past it).
 	for _, name := range []string{"qft_n15", "bv_n14", "multiplier"} {
 		e, err := qasmbench.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := e.Build().StripNonUnitary()
-		for _, pes := range []int{4, 8} {
+		for _, pes := range []int{4, 8, 16} {
 			res, err := core.NewScaleOut(core.Config{PEs: pes, Sched: sched.Lazy}).Run(c)
 			if err != nil {
 				t.Fatal(err)
@@ -29,9 +31,17 @@ func TestEstimateCommLazyIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if est.RemoteBytes != res.Comm.RemoteBytes {
-				t.Fatalf("%s @%d PEs: estimated %d remote bytes, measured %d",
-					name, pes, est.RemoteBytes, res.Comm.RemoteBytes)
+			for _, f := range []struct {
+				what           string
+				model, measure int64
+			}{
+				{"remote messages", est.RemoteMsgs, res.Comm.RemoteMessages()},
+				{"remote bytes", est.RemoteBytes, res.Comm.RemoteBytes},
+				{"barriers", est.Barriers, res.Comm.Barriers},
+			} {
+				if f.model != f.measure {
+					t.Fatalf("%s @%d PEs: estimated %d %s, measured %d", name, pes, f.model, f.what, f.measure)
+				}
 			}
 		}
 	}

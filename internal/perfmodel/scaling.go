@@ -122,16 +122,6 @@ type CommEstimate struct {
 	RemoteBytes int64
 	RemoteMsgs  int64
 	Barriers    int64
-
-	// Node-structured split, filled by EstimateCommPlanFabric from the
-	// exchange geometry: every compatible (src, dst) block is priced
-	// intra- or inter-node by the ranks' node ids, so the split is exact
-	// rather than the uniform-peer heuristic ScaleOutSeconds otherwise
-	// applies. Structured marks these fields as populated.
-	IntraNodeBytes int64
-	InterNodeBytes int64
-	InterNodeMsgs  int64
-	Structured     bool
 }
 
 // EstimateComm predicts the one-sided traffic of running c on p PEs.
@@ -201,25 +191,6 @@ func EstimateCommLazy(c *circuit.Circuit, p int) (CommEstimate, error) {
 // put count (one per compatible remote (src, dst) pair) and byte volume
 // directly, with no re-planning.
 func EstimateCommPlan(cp *compile.CompiledPlan) CommEstimate {
-	return estimateFromPlan(cp, 0)
-}
-
-// EstimateCommPlanFabric is EstimateCommPlan with the fabric's node
-// grouping applied: ranks s and d share a node iff s/pesPerNode ==
-// d/pesPerNode (the natural high-order-bit placement), so every block of
-// the all-to-all is priced on the link it actually crosses. The returned
-// estimate has Structured set and ScaleOutSeconds uses the exact split
-// instead of its uniform-peer approximation.
-func EstimateCommPlanFabric(cp *compile.CompiledPlan, pesPerNode int) CommEstimate {
-	if pesPerNode < 1 {
-		pesPerNode = 1
-	}
-	est := estimateFromPlan(cp, pesPerNode)
-	est.Structured = true
-	return est
-}
-
-func estimateFromPlan(cp *compile.CompiledPlan, pesPerNode int) CommEstimate {
 	var est CommEstimate
 	p := cp.PEs
 	if p <= 1 || cp.Plan == nil {
@@ -232,34 +203,14 @@ func estimateFromPlan(cp *compile.CompiledPlan, pesPerNode int) CommEstimate {
 		if step.Kind != sched.StepRemap || i < cp.Plan.Prefix {
 			continue
 		}
-		// Price each phase's all-to-all exactly as the executor runs it:
-		// the one fleet-wide phase of a flat plan, or under a node topology
-		// the node phase then the rail phase (more total bytes than the
-		// flat remap, but the inter-node share shrinks to the minimal
-		// residue).
-		for _, ph := range cp.Phases[i] {
-			addExchange(&est, ph.Exchange, p, pesPerNode)
-		}
+		// One coalesced put per compatible remote (src, dst) pair, plus
+		// the entry and mid barriers every PE pays per exchange.
+		ex := cp.Exchanges[i]
+		est.RemoteMsgs += ex.RemoteElems / int64(ex.BlockLen)
+		est.RemoteBytes += ex.RemoteBytes()
+		est.Barriers += int64(2 * p)
 	}
 	return est
-}
-
-// addExchange prices one all-to-all realization: one coalesced put per
-// compatible remote (src, dst) pair, split by node when pesPerNode > 0,
-// plus the two synchronizations per PE the executor pays per phase (the
-// entry and mid barriers over the phase's scope — 2p whatever the scope,
-// so the model matches the measured barrier counters exactly in both
-// modes).
-func addExchange(est *CommEstimate, ex *sched.Exchange, p, pesPerNode int) {
-	est.RemoteMsgs += ex.RemoteElems / int64(ex.BlockLen)
-	est.RemoteBytes += ex.RemoteBytes()
-	if pesPerNode > 0 {
-		intra, inter, msgs := ex.NodeSplit(p, sched.Topology{PEsPerNode: pesPerNode})
-		est.IntraNodeBytes += intra
-		est.InterNodeBytes += inter
-		est.InterNodeMsgs += msgs
-	}
-	est.Barriers += int64(2 * p)
 }
 
 // NetFabric models an inter-node network for the scale-out figures.
@@ -311,20 +262,7 @@ func ScaleOutSeconds(tr Trace, est CommEstimate, f NetFabric, pes int) float64 {
 	compute := float64(tr.Amps) * f.ComputeNsPerAmp / float64(pes)
 
 	var commNs float64
-	switch {
-	case pes > 1 && est.Structured:
-		// Exact node split from the exchange geometry: every coalesced
-		// put is priced on the link it crosses, and the inter-node puts
-		// pay the per-node injection-rate cap directly (the remap's
-		// latency floor when blocks are small).
-		intraNs := float64(est.IntraNodeBytes) / (float64(nodes) * f.IntraGBps)
-		aggNet := f.NodeGBps * math.Pow(float64(nodes), f.BisectionExp)
-		interNs := float64(est.InterNodeBytes) / aggNet
-		if injNs := float64(est.InterNodeMsgs) / (float64(nodes) * f.MsgRateGps); injNs > interNs {
-			interNs = injNs
-		}
-		commNs = intraNs + interNs
-	case pes > 1:
+	if pes > 1 {
 		// Fraction of remote traffic that stays inside a node: with the
 		// state split by high-order bits, a peer differing in a low
 		// rank bit shares the node.

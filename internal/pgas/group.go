@@ -8,15 +8,15 @@ import (
 	"svsim/internal/obs"
 )
 
-// Sub-communicator barriers for hierarchical collectives: a Group is a
-// barrier domain over a subset of ranks (a node's PEs, or one "rail" of
-// same-position PEs across nodes), so a two-level remap can synchronize
-// each phase with only the ranks that phase actually couples instead of
-// stopping the whole fleet. Group barriers carry the full resilience
-// contract of the global barrier: fault injection sees them as barrier
-// events, deadlines fire with stalled-rank attribution in fleet rank
-// numbers, and any PE failure anywhere aborts every group barrier along
-// with the global one, so a dead PE never leaves a sub-group hung.
+// Sub-communicator barriers: a Group is a barrier domain over a subset
+// of ranks, which synchronizes only those ranks instead of stopping the
+// whole fleet. No simulator path uses one; bench/perf's
+// pgas.group_barrier_us probe measures it. Group barriers carry the full
+// resilience contract of the global barrier: fault injection sees them
+// as barrier events, deadlines fire with stalled-rank attribution in
+// fleet rank numbers, and any PE failure anywhere aborts every group
+// barrier along with the global one, so a dead PE never leaves a
+// sub-group hung.
 
 // Group is a barrier domain over a fixed subset of the communicator's
 // ranks. Construct with Comm.Group before entering the SPMD region;

@@ -57,10 +57,9 @@ const (
 	// StepGate executes one circuit operation at the current physical
 	// qubit positions.
 	StepGate StepKind = iota
-	// StepRemap physically exchanges global bits with local bits, as the
-	// ordered exchange phases of SplitExchange (each one coalesced
-	// all-to-all on the PGAS backends, pairwise partition exchanges on
-	// the message-passing baseline).
+	// StepRemap physically exchanges global bits with local bits: one
+	// coalesced all-to-all (NewExchange) on the PGAS backends, pairwise
+	// partition exchanges on the message-passing baseline.
 	StepRemap
 	// StepAlias relabels two logical qubits in the permutation with no
 	// data movement (a SWAP gate absorbed by the scheduler).
@@ -95,9 +94,6 @@ type Plan struct {
 	BitSwaps  int // pairwise bit exchanges across all remaps
 	Aliases   int // SWAP gates absorbed as relabelings
 	Final     circuit.Permutation
-	// Topo is the node topology the plan was annotated for; the zero
-	// value means flat (no hierarchical remap planning was applied).
-	Topo Topology
 	// Prefix is the length of the plan's classical prefix: the leading
 	// steps that map a basis state to a basis state with no arithmetic —
 	// unconditioned X- and SWAP-family gates (x cx ccx c3x c4x swap
