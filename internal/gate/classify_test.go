@@ -148,12 +148,12 @@ func TestTargetUnitaryIntoMatchesClassify(t *testing.T) {
 	}
 }
 
-// TestDiagTermsReproduceUnitary: for every statically diagonal kind with
-// operands, the product of the gate's normal-form terms over a basis
-// state is that state's diagonal element.
+// TestDiagTermsReproduceUnitary: for every statically diagonal unitary
+// kind, gphase included, the product of the gate's normal-form terms over
+// a basis state is that state's diagonal element.
 func TestDiagTermsReproduceUnitary(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
-		if !k.Diagonal() || k.NumQubits() == 0 {
+		if !k.Diagonal() || !k.Unitary() {
 			continue
 		}
 		qubits := []int{2, 0, 3}[:k.NumQubits()]

@@ -23,8 +23,8 @@ const MaxDiagTerms = 3
 // kinds put their controls into every mask, rz is a global phase times
 // u1, and the qelib1 rzz diag(1, e^{it}, e^{it}, 1) is u1(t) on each
 // qubit times cu1(-2t). The masks depend on the kind and operands only,
-// the phases on the bound angles. It panics unless g's kind is
-// Diagonal() with at least one operand.
+// the phases on the bound angles; gphase is one term with an empty
+// mask. It panics unless g's kind is Diagonal() and unitary.
 func (g *Gate) AppendDiagTerms(dst []DiagTerm) []DiagTerm {
 	var all uint64
 	for _, q := range g.Qubits[:g.NQ] {
@@ -46,7 +46,7 @@ func (g *Gate) AppendDiagTerms(dst []DiagTerm) []DiagTerm {
 		return append(dst, DiagTerm{all, s2i, s2i})
 	case TDG:
 		return append(dst, DiagTerm{all, s2i, -s2i})
-	case U1:
+	case U1, GPHASE:
 		return append(dst, unit(all, g.Params[0]))
 	case RZ:
 		return append(dst, unit(g.ControlMask(), -g.Params[0]/2), unit(all, g.Params[0]))

@@ -7,17 +7,16 @@ import (
 )
 
 // The gate arithmetic (paper §3.2.1, "specialized gate implementation"):
-// one body per base kind, each exploiting its own matrix structure.
-// Diagonal gates touch only the amplitudes they change ("we only need the
-// calculation for the last element 1+i, saving more than half of the
-// computation and memory access"), permutation gates move data without
-// arithmetic, and only the generic 2x2 pays the full complex cost. Every
-// body runs over an iter and returns the amplitudes and flops it visited;
-// pairing bodies reach the partner amplitude at p+d. Every body inlines
-// the one run loop (for it.left > 0 { for p, end := it.next(); ... }), so
-// no function value is called per amplitude: a closure body measured
-// 1.3-3x the ns/amp of the same arithmetic inlined (kernels_test.go
-// keeps func literals out of this file).
+// one body per pairing kind, each exploiting its own matrix structure —
+// permutation gates move data without arithmetic, and only the generic
+// 2x2 pays the full complex cost — and one body, phase, that every
+// diagonal kind shares and that touches only the amplitudes the gate
+// changes. Every body runs over an iter and returns the amplitudes and
+// flops it visited; pairing bodies reach the partner amplitude at p+d.
+// Every body inlines the one run loop (for it.left > 0 { for p, end :=
+// it.next(); ... }), so no function value is called per amplitude: a
+// closure body measured 1.3-3x the ns/amp of the same arithmetic inlined
+// (kernels_test.go keeps func literals out of this file).
 //
 // Listing 2 is the same loop with a wider step: when the runs are unit
 // stride and at least four long (iter.simd, asked once per call) a body
@@ -220,109 +219,17 @@ func (it iter) u2(d int, u [8]float64) (amps, flops int64) {
 	return 2 * pairs, 28 * pairs
 }
 
-// z negates each visited amplitude.
-func (it iter) z() (amps, flops int64) {
-	re, im := it.re, it.im
-	m := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r, i := it.at(p, n)
-			zAVX2(r, i, n)
-			p += n
-		}
-		for ; p < end; p += it.inc {
-			re[p] = -re[p]
-			im[p] = -im[p]
-		}
-	}
-	return m, 2 * m
-}
-
-// s multiplies by i.
-func (it iter) s() (amps, flops int64) {
-	re, im := it.re, it.im
-	m := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r, i := it.at(p, n)
-			sAVX2(r, i, n)
-			p += n
-		}
-		for ; p < end; p += it.inc {
-			re[p], im[p] = -im[p], re[p]
-		}
-	}
-	return m, m
-}
-
-// sdg multiplies by -i.
-func (it iter) sdg() (amps, flops int64) {
-	re, im := it.re, it.im
-	m := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r, i := it.at(p, n)
-			sdgAVX2(r, i, n)
-			p += n
-		}
-		for ; p < end; p += it.inc {
-			re[p], im[p] = im[p], -re[p]
-		}
-	}
-	return m, m
-}
-
-// t multiplies by (1+i)/sqrt(2): the exact kernel of the paper's Listing
-// 2/3, an add, a subtract and two multiplies on the |1> amplitude only.
-func (it iter) t() (amps, flops int64) {
-	re, im := it.re, it.im
-	m := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r, i := it.at(p, n)
-			tAVX2(r, i, n)
-			p += n
-		}
-		for ; p < end; p += it.inc {
-			r, i := re[p], im[p]
-			re[p] = s2i * (r - i)
-			im[p] = s2i * (r + i)
-		}
-	}
-	return m, 4 * m
-}
-
-// tdg multiplies by (1-i)/sqrt(2).
-func (it iter) tdg() (amps, flops int64) {
-	re, im := it.re, it.im
-	m := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r, i := it.at(p, n)
-			tdgAVX2(r, i, n)
-			p += n
-		}
-		for ; p < end; p += it.inc {
-			r, i := re[p], im[p]
-			re[p] = s2i * (r + i)
-			im[p] = s2i * (i - r)
-		}
-	}
-	return m, 4 * m
-}
-
-// phase multiplies by c + i sn: u1, cu1, gphase, and the two halves of
-// rz and rzz.
+// phase multiplies each visited amplitude by c + i sn: every kind whose
+// normal form (gate.AppendDiagTerms) is one term — z, s, sdg, t, tdg, u1,
+// gphase and their controlled forms — with that term as the factor, and
+// the two halves of rz and rzz. The enumerator pins the operand bits, so
+// only the amplitudes the gate changes are loaded ("we only need the
+// calculation for the last element 1+i, saving more than half of the
+// computation and memory access"). The expression is mulAmp's: a lone
+// diagonal gate rounds exactly like a one-gate diagonal run. Per-kind
+// shortcuts (a sign flip for z, a swap for s) are not kept: a lone
+// diagonal gate is a small share of any workload's passes, and no
+// workload measured slower without them (DESIGN.md §14).
 func (it iter) phase(c, sn float64) (amps, flops int64) {
 	re, im := it.re, it.im
 	m := int64(it.left)

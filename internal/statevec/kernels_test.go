@@ -5,20 +5,21 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"math/rand"
 	"testing"
 
 	"svsim/internal/gate"
 )
 
-// TestRunLoopBodies checks the bodies that were closures until PR 21 —
-// y, sx/sxdg, rx, ry, z, s, sdg, tdg and one controlled form of each —
-// against gate.Unitary embedded in the full space, which shares no code
-// with the kernels, at every placement that changes the loop's shape:
-// the target at bit 0, in the middle and on top, a control below the
-// target (bit 0 pinned, so the run stride is 2) and above it. Scalar and
-// Vectorized must agree exactly, and so must a 3-worker Pool, whose
-// shares cut runs at points no window boundary does.
+// TestRunLoopBodies checks the bodies y, sx/sxdg, rx, ry and phase —
+// the latter under the factors of z, s, sdg and tdg — and one controlled
+// form of each against gate.Unitary embedded in the full space, which
+// shares no code with the kernels, at every placement that changes the
+// loop's shape: the target at bit 0, in the middle and on top, a control
+// below the target (bit 0 pinned, so the run stride is 2) and above it.
+// Scalar and Vectorized must agree exactly, and so must a 3-worker Pool,
+// whose shares cut runs at points no window boundary does.
 func TestRunLoopBodies(t *testing.T) {
 	const n = 7
 	const mid, top = n / 2, n - 1
@@ -92,9 +93,9 @@ func TestFlopsPerPair(t *testing.T) {
 		gate.SX: 12, gate.SXDG: 12, // 4 + 4 add, 4 mul
 		gate.RX: 12, gate.RY: 12, gate.RXX: 12, // 4 x (2 mul + 1 add)
 		gate.U3: 28, gate.U2: 28, // 4 x (4 mul + 3 add)
-		gate.Z: 4, gate.S: 2, gate.SDG: 2, // negations per amplitude: 2, 1, 1
-		gate.T: 8, gate.TDG: 8, // 2 add + 2 mul per amplitude
-		gate.U1: 12, gate.RZ: 12, gate.RZZ: 12, gate.GPHASE: 12, // 4 mul + 2 add per amplitude
+		// Every diagonal kind runs phase: 4 mul + 2 add per amplitude.
+		gate.Z: 12, gate.S: 12, gate.SDG: 12, gate.T: 12, gate.TDG: 12,
+		gate.U1: 12, gate.RZ: 12, gate.RZZ: 12, gate.GPHASE: 12,
 		gate.RCCX: 2 * 8 * 8, gate.RC3X: 2 * 8 * 16, // 8 flops per matrix element per orbit
 	}
 	rng := rand.New(rand.NewSource(89))
@@ -116,6 +117,110 @@ func TestFlopsPerPair(t *testing.T) {
 		}
 		if 2*s.Stats.FlopEst != want*s.Stats.AmpsTouched {
 			t.Errorf("%s: %d flops over %d amplitudes, want %d per pair", g, s.Stats.FlopEst, s.Stats.AmpsTouched, want)
+		}
+	}
+}
+
+// spice overwrites scattered components of s with the values whose bits
+// a sloppy twin gets wrong: both zeros, subnormals and both infinities
+// (an infinity makes the NaN lanes; the input itself holds none, because
+// which payload survives NaN op NaN depends on operand order).
+func spice(rng *rand.Rand, s *State) {
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -3e-309, math.Inf(1), math.Inf(-1)}
+	for i := rng.Intn(3); i < s.Dim; i += 1 + rng.Intn(5) {
+		if rng.Intn(2) == 0 {
+			s.Re[i] = special[rng.Intn(len(special))]
+		} else {
+			s.Im[i] = special[rng.Intn(len(special))]
+		}
+	}
+}
+
+// firstBitDiff returns the first index at which a and b differ in the
+// bits of a component (so -0 against +0 counts), or -1.
+func firstBitDiff(a, b *State) int {
+	for i := range a.Re {
+		if math.Float64bits(a.Re[i]) != math.Float64bits(b.Re[i]) || math.Float64bits(a.Im[i]) != math.Float64bits(b.Im[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestLoneDiagonalIsOneGateRun: a lone gate whose diagonal normal form
+// is one term (z, s, sdg, t, tdg, u1, bare and controlled) runs on phase
+// with that term as its factor, so it leaves the bits of the same gate
+// executed as a one-gate diagonal run — under both loop styles, on both
+// body paths, on the full state, partitions of a larger register
+// (Base != 0), aligned tiles and the shares of a 3-worker pool, with the
+// operands at every position, over spiced amplitudes. A compiler-fused
+// multiply-add in phase or in mulAmp breaks it.
+func TestLoneDiagonalIsOneGateRun(t *testing.T) {
+	const n, tileBits, partBits = 8, 3, 5
+	pool := NewPool(3)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(101))
+	identity := make([]int, n)
+	for q := range identity {
+		identity[q] = q
+	}
+	layouts := []struct {
+		name  string
+		apply func(s *State, g *gate.Gate)
+	}{
+		{"full", func(s *State, g *gate.Gate) { s.Apply(g) }},
+		{"tiles", func(s *State, g *gate.Gate) {
+			for lo := 0; lo < s.Dim; lo += 1 << tileBits {
+				s.ApplyTile(g, lo, lo+1<<tileBits)
+			}
+		}},
+		{"partitions", func(s *State, g *gate.Gate) {
+			for base := 0; base < s.Dim; base += 1 << partBits {
+				pe := &State{N: partBits, Dim: 1 << partBits, Re: s.Re[base : base+1<<partBits], Im: s.Im[base : base+1<<partBits], Base: base, Style: s.Style}
+				pe.Apply(g)
+			}
+		}},
+		{"pool shares", func(s *State, g *gate.Gate) { pool.ApplyShared(s, g) }},
+	}
+
+	var kinds []gate.Kind
+	for i := 0; i < gate.NumKinds; i++ {
+		k := gate.Kind(i)
+		if k.Diagonal() && k.Unitary() && k.NumQubits() > 0 {
+			g := gate.New(k, operandsAround(k, 0, 1, n), randAngles(rng, k.NumParams())...)
+			if len(g.AppendDiagTerms(nil)) == 1 {
+				kinds = append(kinds, k)
+			}
+		}
+	}
+	if len(kinds) != 12 {
+		t.Fatalf("one-term diagonal kinds %v, want z s sdg t tdg u1 and their controlled forms", kinds)
+	}
+	for _, k := range kinds {
+		for target := 0; target < n; target++ {
+			for _, dir := range []int{-1, 1} {
+				g := gate.New(k, operandsAround(k, target, dir, n), randAngles(rng, k.NumParams())...)
+				start := randomState(rng, n, Vectorized)
+				spice(rng, start)
+				terms := g.AppendDiagTerms(nil)
+				var d DiagTables
+				d.Prepare(1, terms[0].Mask, [2]uint64{}, terms, []uint8{0}, identity)
+				run := start.Clone()
+				run.ApplyRun(&d)
+				forEachBodyPath(func(path string) {
+					for _, style := range []KernelStyle{Scalar, Vectorized} {
+						for _, l := range layouts {
+							lone := start.Clone()
+							lone.Style = style
+							l.apply(lone, &g)
+							if i := firstBitDiff(lone, run); i >= 0 {
+								t.Fatalf("%s, %s path, style=%d, %s: amplitude %d is (%x, %x) from the lone gate, (%x, %x) from the one-gate run", g, path, style, l.name, i,
+									math.Float64bits(lone.Re[i]), math.Float64bits(lone.Im[i]), math.Float64bits(run.Re[i]), math.Float64bits(run.Im[i]))
+							}
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -72,22 +72,7 @@ func u2AVX2(r0, i0, r1, i1 *float64, n int, u *[8]float64)
 //go:noescape
 func pauliRotAVX2(re, im *float64, p, n, x, z int, c float64, k *pauliLanes, cross bool)
 
-// Element-wise twins over n amplitudes (r, i).
-
-//go:noescape
-func zAVX2(r, i *float64, n int)
-
-//go:noescape
-func sAVX2(r, i *float64, n int)
-
-//go:noescape
-func sdgAVX2(r, i *float64, n int)
-
-//go:noescape
-func tAVX2(r, i *float64, n int)
-
-//go:noescape
-func tdgAVX2(r, i *float64, n int)
+// The element-wise twin over n amplitudes (r, i).
 
 //go:noescape
 func phaseAVX2(r, i *float64, n int, c, sn float64)

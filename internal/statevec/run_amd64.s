@@ -424,108 +424,6 @@ crossed:
 	VZEROUPPER
 	RET
 
-// func zAVX2(r, i *float64, n int)
-TEXT ·zAVX2(SB), NOSPLIT, $0-24
-	MOVQ r+0(FP), SI
-	MOVQ i+8(FP), DI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD signBit<>(SB), Y14
-	XORQ AX, AX
-loop:
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD (DI)(AX*8), Y1
-	VXORPD  Y14, Y0, Y0
-	VXORPD  Y14, Y1, Y1
-	VMOVUPD Y0, (SI)(AX*8)
-	VMOVUPD Y1, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLT     loop
-	VZEROUPPER
-	RET
-
-// func sAVX2(r, i *float64, n int)
-TEXT ·sAVX2(SB), NOSPLIT, $0-24
-	MOVQ r+0(FP), SI
-	MOVQ i+8(FP), DI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD signBit<>(SB), Y14
-	XORQ AX, AX
-loop:
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD (DI)(AX*8), Y1
-	VXORPD  Y14, Y1, Y1     // -im[p]
-	VMOVUPD Y1, (SI)(AX*8)
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLT     loop
-	VZEROUPPER
-	RET
-
-// func sdgAVX2(r, i *float64, n int)
-TEXT ·sdgAVX2(SB), NOSPLIT, $0-24
-	MOVQ r+0(FP), SI
-	MOVQ i+8(FP), DI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD signBit<>(SB), Y14
-	XORQ AX, AX
-loop:
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD (DI)(AX*8), Y1
-	VXORPD  Y14, Y0, Y0     // -re[p]
-	VMOVUPD Y1, (SI)(AX*8)
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLT     loop
-	VZEROUPPER
-	RET
-
-// func tAVX2(r, i *float64, n int)
-TEXT ·tAVX2(SB), NOSPLIT, $0-24
-	MOVQ r+0(FP), SI
-	MOVQ i+8(FP), DI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD sqrtHalf<>(SB), Y14
-	XORQ AX, AX
-loop:
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD (DI)(AX*8), Y1
-	VSUBPD  Y1, Y0, Y2      // r-i
-	VADDPD  Y1, Y0, Y3      // r+i
-	VMULPD  Y14, Y2, Y2
-	VMULPD  Y14, Y3, Y3
-	VMOVUPD Y2, (SI)(AX*8)
-	VMOVUPD Y3, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLT     loop
-	VZEROUPPER
-	RET
-
-// func tdgAVX2(r, i *float64, n int)
-TEXT ·tdgAVX2(SB), NOSPLIT, $0-24
-	MOVQ r+0(FP), SI
-	MOVQ i+8(FP), DI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD sqrtHalf<>(SB), Y14
-	XORQ AX, AX
-loop:
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD (DI)(AX*8), Y1
-	VADDPD  Y1, Y0, Y2      // r+i
-	VSUBPD  Y0, Y1, Y3      // i-r
-	VMULPD  Y14, Y2, Y2
-	VMULPD  Y14, Y3, Y3
-	VMOVUPD Y2, (SI)(AX*8)
-	VMOVUPD Y3, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLT     loop
-	VZEROUPPER
-	RET
-
 // func phaseAVX2(r, i *float64, n int, c, sn float64)
 TEXT ·phaseAVX2(SB), NOSPLIT, $0-40
 	MOVQ r+0(FP), SI

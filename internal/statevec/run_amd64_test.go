@@ -23,32 +23,6 @@ func forEachBodyPath(f func(path string)) {
 	}
 }
 
-// spice overwrites scattered components of s with the values whose bits
-// a sloppy twin gets wrong: both zeros, subnormals and both infinities
-// (an infinity makes the NaN lanes; the input itself holds none, because
-// which payload survives NaN op NaN depends on operand order).
-func spice(rng *rand.Rand, s *State) {
-	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -3e-309, math.Inf(1), math.Inf(-1)}
-	for i := rng.Intn(3); i < s.Dim; i += 1 + rng.Intn(5) {
-		if rng.Intn(2) == 0 {
-			s.Re[i] = special[rng.Intn(len(special))]
-		} else {
-			s.Im[i] = special[rng.Intn(len(special))]
-		}
-	}
-}
-
-// firstBitDiff returns the first index at which a and b differ in the
-// bits of a component (so -0 against +0 counts), or -1.
-func firstBitDiff(a, b *State) int {
-	for i := range a.Re {
-		if math.Float64bits(a.Re[i]) != math.Float64bits(b.Re[i]) || math.Float64bits(a.Im[i]) != math.Float64bits(b.Im[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
 // TestAsmBodiesMatchGo is the contract of run_amd64.s: an AVX2 twin
 // leaves the bits its body's Go loop leaves, and reports the same work.
 // Every unitary kind (each body bare and under controls) × the target on

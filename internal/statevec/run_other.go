@@ -15,11 +15,6 @@ func sxAVX2(r0, i0, r1, i1 *float64, n int, dg bool)       { panic(noTwin) }
 func rxAVX2(r0, i0, r1, i1 *float64, n int, c, sn float64) { panic(noTwin) }
 func ryAVX2(r0, i0, r1, i1 *float64, n int, c, sn float64) { panic(noTwin) }
 func u2AVX2(r0, i0, r1, i1 *float64, n int, u *[8]float64) { panic(noTwin) }
-func zAVX2(r, i *float64, n int)                           { panic(noTwin) }
-func sAVX2(r, i *float64, n int)                           { panic(noTwin) }
-func sdgAVX2(r, i *float64, n int)                         { panic(noTwin) }
-func tAVX2(r, i *float64, n int)                           { panic(noTwin) }
-func tdgAVX2(r, i *float64, n int)                         { panic(noTwin) }
 func phaseAVX2(r, i *float64, n int, c, sn float64)        { panic(noTwin) }
 
 func pauliRotAVX2(re, im *float64, p, n, x, z int, c float64, k *pauliLanes, cross bool) {

@@ -157,18 +157,12 @@ func (w window) apply(g *gate.Gate) (amps, flops int64) {
 		return w.iter(ones, a).u2(a, u3Coeffs(p[0], p[1], p[2]))
 	case gate.U2:
 		return w.iter(ones, a).u2(a, u3Coeffs(math.Pi/2, p[0], p[1]))
-	case gate.Z:
-		return w.iter(ones|a, 0).z()
-	case gate.S:
-		return w.iter(ones|a, 0).s()
-	case gate.SDG:
-		return w.iter(ones|a, 0).sdg()
-	case gate.T:
-		return w.iter(ones|a, 0).t()
-	case gate.TDG:
-		return w.iter(ones|a, 0).tdg()
-	case gate.U1, gate.GPHASE:
-		return w.iter(ones|a, 0).phase(math.Cos(p[0]), math.Sin(p[0]))
+	case gate.Z, gate.S, gate.SDG, gate.T, gate.TDG, gate.U1, gate.GPHASE:
+		// One normal-form term on the amplitudes with every operand bit
+		// set: the factor a one-gate diagonal run multiplies them by.
+		var buf [gate.MaxDiagTerms]gate.DiagTerm
+		f := g.AppendDiagTerms(buf[:0])[0]
+		return w.iter(ones|a, 0).phase(f.Re, f.Im)
 	case gate.RZ:
 		// e^{-i t/2} where the target bit is 0, e^{i t/2} where it is 1.
 		c, sn := math.Cos(p[0]/2), math.Sin(p[0]/2)
