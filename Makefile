@@ -46,7 +46,7 @@ perf-check:
 # Documentation gate: every exported identifier in the packages the
 # design docs lean on must carry a godoc comment (runs in CI's lint job).
 doccheck:
-	$(GO) run ./cmd/doccheck internal/compile internal/sched internal/statevec internal/obs
+	$(GO) run ./cmd/doccheck internal/compile internal/sched internal/statevec internal/obs internal/ham
 
 race:
 	$(GO) test -race -short ./...

@@ -3,7 +3,7 @@
 // gate run by `make doccheck` and CI's lint job over the packages whose
 // API the design docs lean on:
 //
-//	go run ./cmd/doccheck internal/compile internal/sched internal/statevec internal/obs
+//	go run ./cmd/doccheck internal/compile internal/sched internal/statevec internal/obs internal/ham
 //
 // A GenDecl's group comment covers all of its specs (the standard Go
 // idiom for const blocks); test files are skipped.

@@ -126,6 +126,28 @@ func TestParsePauliString(t *testing.T) {
 	}
 }
 
+func TestPauliMasks(t *testing.T) {
+	ts, _ := ParsePauliString("IXZY")
+	x, z, err := PauliMasks(ts)
+	if err != nil || x != 0b1010 || z != 0b1100 {
+		t.Fatalf("IXZY: x=%b z=%b err=%v, want x=1010 z=1100", x, z, err)
+	}
+	if x, z, err := PauliMasks(nil); err != nil || x|z != 0 {
+		t.Fatalf("empty string: x=%b z=%b err=%v", x, z, err)
+	}
+	for _, bad := range [][]PauliTerm{
+		{{PauliX, 0}, {PauliZ, 0}},
+		{{PauliY, 3}, {PauliY, 3}},
+		{{PauliZ, 64}},
+		{{PauliX, -1}},
+		{{PauliI, 2}},
+	} {
+		if _, _, err := PauliMasks(bad); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
+	}
+}
+
 func TestExpPauliGateCountMatchesEmission(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	letters := []Pauli{PauliX, PauliY, PauliZ}

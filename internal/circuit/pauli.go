@@ -39,6 +39,35 @@ func ParsePauliString(s string) ([]PauliTerm, error) {
 	return terms, nil
 }
 
+// PauliMasks returns a Pauli string's index-bit masks in
+// statevec.PauliRot's convention: bit q of x is set where the string has
+// X or Y on qubit q, bit q of z where it has Z or Y. A term naming a
+// qubit twice, a qubit outside 0..63 or an operator other than X, Y, Z
+// is an error: the masks could not say which operator was meant.
+func PauliMasks(terms []PauliTerm) (x, z uint64, err error) {
+	for _, t := range terms {
+		if t.Q < 0 || t.Q > 63 {
+			return 0, 0, fmt.Errorf("circuit: Pauli term on qubit %d", t.Q)
+		}
+		bit := uint64(1) << uint(t.Q)
+		if (x|z)&bit != 0 {
+			return 0, 0, fmt.Errorf("circuit: Pauli string names qubit %d twice", t.Q)
+		}
+		switch t.P {
+		case PauliX:
+			x |= bit
+		case PauliY:
+			x |= bit
+			z |= bit
+		case PauliZ:
+			z |= bit
+		default:
+			return 0, 0, fmt.Errorf("circuit: bad Pauli operator %q on qubit %d", string(t.P), t.Q)
+		}
+	}
+	return x, z, nil
+}
+
 // ExpPauli appends the Pauli-string exponential exp(-i theta P / 2) as a
 // basis-change + CX-ladder + RZ + inverse sequence, the standard compiled
 // form used by UCCSD ansatz synthesis and by the QIR runtime's Exp verb.

@@ -16,7 +16,7 @@ import (
 // kernel core and the one step loop: a pool worker's share, a tile and a
 // PE's partition are windows of the state running the same arithmetic,
 // so the one-rank grid (single and threaded, per-gate and tiled, any
-// worker count, fused or not) reproduces a plain State.ApplyAll replay
+// worker count, fused or not) reproduces a plain per-gate State.Apply replay
 // of its executable stream, and the lazy scale-out backend the
 // single-device state, exactly — MaxAbsDiff == 0, not a
 // tolerance — on every unitary-only medium-suite circuit and a random

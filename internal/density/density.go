@@ -14,6 +14,7 @@ package density
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"svsim/internal/circuit"
 	"svsim/internal/gate"
@@ -176,23 +177,13 @@ func (d *Density) ExpZMask(mask uint64) float64 {
 	var e float64
 	for i := 0; i < 1<<uint(d.N); i++ {
 		p := d.Probability(i)
-		if parityEven(uint64(i) & mask) {
+		if bits.OnesCount64(uint64(i)&mask)&1 == 0 {
 			e += p
 		} else {
 			e -= p
 		}
 	}
 	return e
-}
-
-func parityEven(x uint64) bool {
-	x ^= x >> 32
-	x ^= x >> 16
-	x ^= x >> 8
-	x ^= x >> 4
-	x ^= x >> 2
-	x ^= x >> 1
-	return x&1 == 0
 }
 
 // ExpPauli returns tr(rho P) for a Pauli string (basis-rotating a clone).

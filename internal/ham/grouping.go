@@ -1,23 +1,20 @@
 package ham
 
-import (
-	"svsim/internal/circuit"
-	"svsim/internal/statevec"
-)
+import "svsim/internal/circuit"
 
-// Measurement grouping: VQE measures every Hamiltonian term, and on real
-// devices (or expensive simulations) each group of qubit-wise commuting
-// (QWC) terms can share a single basis rotation and one set of shots.
-// Two Pauli strings qubit-wise commute when, on every qubit, their
-// operators are equal or one is the identity. Greedy QWC grouping is the
-// standard measurement-count reduction in variational stacks; here it
-// also cuts the number of state clones Expectation needs.
+// Measurement grouping for shots: on real devices (or expensive
+// simulations) each group of qubit-wise commuting (QWC) terms can share a
+// single basis rotation and one set of shots. Two Pauli strings
+// qubit-wise commute when, on every qubit, their operators are equal or
+// one is the identity. Greedy QWC grouping is the standard
+// measurement-count reduction in variational stacks; SampleExpectation
+// draws one set of shots per group.
 
 // qwcCompatible reports whether a term fits a group's per-qubit basis
 // assignment.
-func qwcCompatible(basis map[int]circuit.Pauli, t Term) bool {
+func qwcCompatible(basis []circuit.Pauli, t Term) bool {
 	for _, p := range t.Paulis {
-		if b, ok := basis[p.Q]; ok && b != p.P {
+		if b := basis[p.Q]; b != circuit.PauliI && b != p.P {
 			return false
 		}
 	}
@@ -27,71 +24,38 @@ func qwcCompatible(basis map[int]circuit.Pauli, t Term) bool {
 // TermGroup is one qubit-wise commuting set with its shared basis.
 type TermGroup struct {
 	Terms []Term
-	Basis map[int]circuit.Pauli // measurement basis per qubit
+	// Basis is the measurement basis per qubit, indexed by qubit:
+	// PauliI where no term of the group acts.
+	Basis []circuit.Pauli
 }
 
 // GroupCommuting partitions the Hamiltonian's terms into qubit-wise
 // commuting groups with a greedy first-fit pass (identity terms form no
 // group; their coefficients are returned separately as the constant).
+// A term naming a qubit twice or acting outside the Hamiltonian's qubits
+// panics with its index.
 func (h *Hamiltonian) GroupCommuting() (groups []TermGroup, constant float64) {
-	for _, t := range h.Terms {
+	for i, t := range h.Terms {
 		if len(t.Paulis) == 0 {
 			constant += t.Coeff
 			continue
 		}
-		placed := false
-		for gi := range groups {
-			if qwcCompatible(groups[gi].Basis, t) {
-				groups[gi].Terms = append(groups[gi].Terms, t)
-				for _, p := range t.Paulis {
-					groups[gi].Basis[p.Q] = p.P
-				}
-				placed = true
-				break
-			}
+		h.masks(i) // a repeated qubit would leave the basis ambiguous
+		gi := 0
+		for gi < len(groups) && !qwcCompatible(groups[gi].Basis, t) {
+			gi++
 		}
-		if !placed {
-			g := TermGroup{Basis: map[int]circuit.Pauli{}}
-			g.Terms = append(g.Terms, t)
-			for _, p := range t.Paulis {
-				g.Basis[p.Q] = p.P
+		if gi == len(groups) {
+			basis := make([]circuit.Pauli, h.N)
+			for q := range basis {
+				basis[q] = circuit.PauliI
 			}
-			groups = append(groups, g)
+			groups = append(groups, TermGroup{Basis: basis})
+		}
+		groups[gi].Terms = append(groups[gi].Terms, t)
+		for _, p := range t.Paulis {
+			groups[gi].Basis[p.Q] = p.P
 		}
 	}
 	return groups, constant
-}
-
-// ExpectationGrouped computes <H> with one basis-rotated state clone per
-// QWC group instead of one per term. It equals Expectation exactly while
-// doing far less work on term-heavy Hamiltonians.
-func (h *Hamiltonian) ExpectationGrouped(s *statevec.State) float64 {
-	groups, e := h.GroupCommuting()
-	for _, g := range groups {
-		work := s.Clone()
-		// One shared basis change for the whole group.
-		for q, p := range g.Basis {
-			switch p {
-			case circuit.PauliX:
-				work.ApplyH(q)
-			case circuit.PauliY:
-				work.ApplySDG(q)
-				work.ApplyH(q)
-			}
-		}
-		for _, t := range g.Terms {
-			var mask uint64
-			for _, p := range t.Paulis {
-				mask |= uint64(1) << uint(p.Q)
-			}
-			e += t.Coeff * work.ExpZMask(mask)
-		}
-	}
-	return e
-}
-
-// NumGroups reports the QWC group count (versus the raw term count).
-func (h *Hamiltonian) NumGroups() int {
-	groups, _ := h.GroupCommuting()
-	return len(groups)
 }

@@ -1,7 +1,14 @@
 // Package ham implements Pauli-string Hamiltonians and expectation-value
 // measurement for the paper's VQE case study (§5, Fig. 16): term storage,
-// basis-change measurement against a state vector, a dense form for
-// verification, and the 4-qubit Jordan-Wigner H2/STO-3G Hamiltonian.
+// exact and shot-based measurement against a state vector, a dense form
+// for verification, and the 4-qubit Jordan-Wigner H2/STO-3G Hamiltonian.
+//
+// Two groupings serve two paths. Expectation, the exact energy, groups
+// terms by X mask: the terms sharing one are read in one read-only pass
+// (statevec.ExpPauliGroup), with no clone and no basis rotation.
+// SampleExpectation groups terms into qubit-wise commuting sets
+// (GroupCommuting): shots need one shared measurement basis per group,
+// so it rotates a clone into that basis and samples it.
 package ham
 
 import (
@@ -37,43 +44,66 @@ func (h *Hamiltonian) Add(coeff float64, label string) {
 	h.Terms = append(h.Terms, Term{Coeff: coeff, Paulis: terms})
 }
 
-// Expectation computes <s|H|s> by measuring each term: the state is
-// basis-rotated so the term becomes a Z string, then the diagonal
-// expectation is read off. The input state is not modified.
+// Expectation computes <s|H|s> exactly: one statevec.ExpPauliGroup pass
+// per distinct X mask, the groups in order of first appearance, then the
+// terms' c_k <P_k> summed in Terms order. The input state is not modified
+// and not copied.
 func (h *Hamiltonian) Expectation(s *statevec.State) float64 {
 	if s.N != h.N {
 		panic("ham: state size mismatch")
 	}
+	type group struct {
+		x     uint64
+		zs    []uint64
+		terms []int
+	}
+	var groups []group
+	byX := map[uint64]int{}
+	for i, t := range h.Terms {
+		if len(t.Paulis) == 0 {
+			continue
+		}
+		x, z := h.masks(i)
+		g, ok := byX[x]
+		if !ok {
+			g = len(groups)
+			byX[x] = g
+			groups = append(groups, group{x: x})
+		}
+		groups[g].zs = append(groups[g].zs, z)
+		groups[g].terms = append(groups[g].terms, i)
+	}
+	vals := make([]float64, len(h.Terms))
+	out := make([]float64, len(h.Terms))
+	for _, g := range groups {
+		s.ExpPauliGroup(g.x, g.zs, out)
+		for j, i := range g.terms {
+			vals[i] = out[j]
+		}
+	}
 	var e float64
-	for _, t := range h.Terms {
+	for i, t := range h.Terms {
 		if len(t.Paulis) == 0 {
 			e += t.Coeff
 			continue
 		}
-		e += t.Coeff * TermExpectation(s, t.Paulis)
+		e += t.Coeff * vals[i]
 	}
 	return e
 }
 
-// TermExpectation measures one Pauli string on (a clone of) the state.
-func TermExpectation(s *statevec.State, paulis []circuit.PauliTerm) float64 {
-	work := s.Clone()
-	var mask uint64
-	for _, p := range paulis {
-		switch p.P {
-		case circuit.PauliX:
-			work.ApplyH(p.Q)
-		case circuit.PauliY:
-			work.ApplySDG(p.Q)
-			work.ApplyH(p.Q)
-		case circuit.PauliZ:
-			// diagonal already
-		default:
-			panic("ham: identity operator inside a Pauli term")
-		}
-		mask |= uint64(1) << uint(p.Q)
+// masks returns term i's X and Z masks (circuit.PauliMasks), panicking
+// with the term's index on a term that names a qubit twice or acts
+// outside the Hamiltonian's qubits.
+func (h *Hamiltonian) masks(i int) (x, z uint64) {
+	x, z, err := circuit.PauliMasks(h.Terms[i].Paulis)
+	if err == nil && (x|z)>>uint(h.N) != 0 {
+		err = fmt.Errorf("acts outside %d qubits", h.N)
 	}
-	return work.ExpZMask(mask)
+	if err != nil {
+		panic(fmt.Sprintf("ham: term %d: %v", i, err))
+	}
+	return x, z
 }
 
 // Dense materializes the Hamiltonian as a dense 2^N x 2^N matrix (tests

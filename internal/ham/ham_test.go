@@ -1,8 +1,12 @@
 package ham
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"svsim/internal/circuit"
@@ -142,35 +146,179 @@ func TestAddValidatesLabels(t *testing.T) {
 	}
 }
 
-func TestTermExpectationMaskOnly(t *testing.T) {
-	// <ZZ> on a Bell pair is 1; <XX> is also 1; <ZI> is 0.
+func TestOneTermExpectationBellPair(t *testing.T) {
+	// On a Bell pair <ZZ> = <XX> = 1, <YY> = -1 and <ZI> = 0.
 	s := statevec.New(2)
 	s.ApplyH(0)
 	s.ApplyCX(0, 1)
-	zz, _ := circuit.ParsePauliString("ZZ")
-	xx, _ := circuit.ParsePauliString("XX")
-	zi, _ := circuit.ParsePauliString("ZI")
-	if e := TermExpectation(s, zz); math.Abs(e-1) > 1e-12 {
-		t.Fatalf("<ZZ> = %g", e)
-	}
-	if e := TermExpectation(s, xx); math.Abs(e-1) > 1e-12 {
-		t.Fatalf("<XX> = %g", e)
-	}
-	if e := TermExpectation(s, zi); math.Abs(e) > 1e-12 {
-		t.Fatalf("<ZI> = %g", e)
+	for _, c := range []struct {
+		label string
+		want  float64
+	}{{"ZZ", 1}, {"XX", 1}, {"YY", -1}, {"ZI", 0}} {
+		h := &Hamiltonian{N: 2}
+		h.Add(1, c.label)
+		if e := h.Expectation(s); math.Abs(e-c.want) > 1e-12 {
+			t.Fatalf("<%s> = %g, want %g", c.label, e, c.want)
+		}
 	}
 }
 
-func TestGroupedExpectationMatchesPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	h := H2()
-	for trial := 0; trial < 10; trial++ {
-		s := randomState(rng, 4)
-		plain := h.Expectation(s)
-		grouped := h.ExpectationGrouped(s)
-		if math.Abs(plain-grouped) > 1e-10 {
-			t.Fatalf("trial %d: plain %g vs grouped %g", trial, plain, grouped)
+// randomHamiltonian draws a seeded n-qubit Hamiltonian covering the
+// shapes the one expectation pass must get right: all-X, all-Y and all-Z
+// strings, odd and even Y counts, weight-n and single-qubit terms, and
+// several terms per X mask (each random string also appears with X and Y
+// swapped on one qubit, which keeps its X mask and flips its Y parity).
+func randomHamiltonian(rng *rand.Rand, n int) *Hamiltonian {
+	h := &Hamiltonian{N: n}
+	label := func(f func(q int) byte) string {
+		b := make([]byte, n)
+		for q := range b {
+			b[q] = f(q)
 		}
+		return string(b)
+	}
+	h.Add(rng.NormFloat64(), label(func(int) byte { return 'I' }))
+	for _, op := range []byte("XYZ") {
+		h.Add(rng.NormFloat64(), label(func(int) byte { return op }))
+		single := rng.Intn(n)
+		h.Add(rng.NormFloat64(), label(func(q int) byte {
+			if q == single {
+				return op
+			}
+			return 'I'
+		}))
+	}
+	for k := 0; k < 3*n; k++ {
+		ops := []byte(label(func(int) byte { return "IXYZ"[rng.Intn(4)] }))
+		h.Add(rng.NormFloat64(), string(ops))
+		for q, o := range ops {
+			if o == 'X' || o == 'Y' {
+				ops[q] = 'X' + 'Y' - o
+				h.Add(rng.NormFloat64(), string(ops))
+				break
+			}
+		}
+	}
+	return h
+}
+
+func TestExpPauliGroupMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for n := 1; n <= 8; n++ {
+		h := randomHamiltonian(rng, n)
+		for trial := 0; trial < 3; trial++ {
+			s := randomState(rng, n)
+			if got, want := h.Expectation(s), denseExpectation(h, s); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("n=%d trial %d: <H> = %.17g, dense says %.17g", n, trial, got, want)
+			}
+			// And term by term, straight through the statevec body.
+			for i, term := range h.Terms {
+				x, z := h.masks(i)
+				var got [1]float64
+				s.ExpPauliGroup(x, []uint64{z}, got[:])
+				one := &Hamiltonian{N: n, Terms: []Term{{Coeff: 1, Paulis: term.Paulis}}}
+				if want := denseExpectation(one, s); math.Abs(got[0]-want) > 1e-12 {
+					t.Fatalf("n=%d term %d %v: %.17g, dense says %.17g", n, i, term.Paulis, got[0], want)
+				}
+			}
+		}
+	}
+}
+
+// heisenberg is the open n-qubit Heisenberg chain, XX + YY + ZZ on every
+// bond: 3(n-1) terms over n distinct X masks (one per bond, and all-Z).
+func heisenberg(n int) *Hamiltonian {
+	h := &Hamiltonian{N: n}
+	for q := 0; q+1 < n; q++ {
+		for _, op := range []string{"XX", "YY", "ZZ"} {
+			label := []byte(strings.Repeat("I", n))
+			copy(label[q:], op)
+			h.Add(1, string(label))
+		}
+	}
+	return h
+}
+
+func TestExpectationAllocatesNoState(t *testing.T) {
+	const n = 16
+	h := heisenberg(n)
+	s := randomState(rand.New(rand.NewSource(16)), n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.Expectation(s)
+	runtime.ReadMemStats(&after)
+	if d, state := after.TotalAlloc-before.TotalAlloc, uint64(16)<<n; d >= state {
+		t.Fatalf("Expectation allocated %d bytes, a state is %d", d, state)
+	}
+}
+
+func TestExpectationDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	h := H2()
+	s := randomState(rng, 4)
+	want := math.Float64bits(h.Expectation(s))
+	for i := 0; i < 1000; i++ {
+		if got := math.Float64bits(h.Expectation(s)); got != want {
+			t.Fatalf("call %d: %v, first call %v", i, math.Float64frombits(got), math.Float64frombits(want))
+		}
+	}
+}
+
+func TestZHamiltonianExpectationBits(t *testing.T) {
+	// An all-Z Hamiltonian is one x == 0 pass, summed c_k <Z_k> in Terms
+	// order: bit-equal to reading each term with the index-order loop.
+	rng := rand.New(rand.NewSource(43))
+	h := &Hamiltonian{N: 6}
+	h.Add(0.25, "IIIIII")
+	for k := 0; k < 20; k++ {
+		b := make([]byte, 6)
+		for q := range b {
+			b[q] = "IZ"[rng.Intn(2)]
+		}
+		h.Add(rng.NormFloat64(), string(b))
+	}
+	s := randomState(rng, 6)
+	var want float64
+	for i, term := range h.Terms {
+		if len(term.Paulis) == 0 {
+			want += term.Coeff
+			continue
+		}
+		_, mask := h.masks(i)
+		var z float64
+		for j := 0; j < s.Dim; j++ {
+			p := s.Re[j]*s.Re[j] + s.Im[j]*s.Im[j]
+			if bits.OnesCount64(uint64(j)&mask)&1 == 0 {
+				z += p
+			} else {
+				z -= p
+			}
+		}
+		want += term.Coeff * z
+	}
+	if got := h.Expectation(s); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("all-Z <H> = %v, per-term loop %v", got, want)
+	}
+}
+
+func TestTermNamingAQubitTwicePanics(t *testing.T) {
+	h := &Hamiltonian{N: 2, Terms: []Term{
+		{Coeff: 1, Paulis: []circuit.PauliTerm{{P: circuit.PauliZ, Q: 1}}},
+		{Coeff: 1, Paulis: []circuit.PauliTerm{{P: circuit.PauliX, Q: 0}, {P: circuit.PauliX, Q: 0}}},
+	}}
+	for name, f := range map[string]func(){
+		"Expectation":    func() { h.Expectation(statevec.New(2)) },
+		"GroupCommuting": func() { h.GroupCommuting() },
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), "term 1") {
+					t.Errorf("%s: recovered %v, want a panic naming term 1", name, r)
+				}
+			}()
+			f()
+		}()
 	}
 }
 
@@ -195,9 +343,6 @@ func TestGroupingReducesH2Measurements(t *testing.T) {
 	}
 	if total != 14 {
 		t.Fatalf("grouped %d terms, want 14", total)
-	}
-	if h.NumGroups() != len(groups) {
-		t.Fatal("NumGroups mismatch")
 	}
 }
 
@@ -225,6 +370,41 @@ func TestGroupingQWCInvariant(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+func TestGroupingBasisIsPerQubit(t *testing.T) {
+	h := H2()
+	groups, _ := h.GroupCommuting()
+	for gi, g := range groups {
+		if len(g.Basis) != h.N {
+			t.Fatalf("group %d: basis over %d qubits", gi, len(g.Basis))
+		}
+		want := make([]circuit.Pauli, h.N)
+		for q := range want {
+			want[q] = circuit.PauliI
+		}
+		for _, term := range g.Terms {
+			for _, p := range term.Paulis {
+				want[p.Q] = p.P
+			}
+		}
+		for q := range want {
+			if g.Basis[q] != want[q] {
+				t.Fatalf("group %d qubit %d: basis %c, terms need %c", gi, q, g.Basis[q], want[q])
+			}
+		}
+	}
+}
+
+func TestSampleExpectationDeterministic(t *testing.T) {
+	// Rotations run in qubit order, so one seed gives one estimate.
+	s := statevecNewHF()
+	want := H2().SampleExpectation(s, 64, rand.New(rand.NewSource(9)))
+	for i := 0; i < 50; i++ {
+		if got := H2().SampleExpectation(s, 64, rand.New(rand.NewSource(9))); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: %v, first call %v", i, got, want)
 		}
 	}
 }
@@ -266,4 +446,23 @@ func statevecNewHF() *statevec.State {
 	s.ApplyRY(0.3, 2) // mix in some excitation so X/Y terms contribute
 	s.ApplyCX(2, 3)
 	return s
+}
+
+var energySink float64
+
+// BenchmarkExpectation is the exact energy on H2 and on the Heisenberg
+// chain at n = 16 and 20 (3(n-1) terms, n X masks), per call.
+func BenchmarkExpectation(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		h    *Hamiltonian
+	}{{"h2", H2()}, {"heisenberg16", heisenberg(16)}, {"heisenberg20", heisenberg(20)}} {
+		s := randomState(rand.New(rand.NewSource(1)), c.h.N)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				energySink = c.h.Expectation(s)
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package ham
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"svsim/internal/circuit"
@@ -17,6 +18,8 @@ import (
 
 // SampleExpectation estimates <H> using the given number of shots per
 // QWC measurement group. The estimator is unbiased with variance O(1/shots).
+// Each group's rotations run in ascending qubit order, so a fixed state
+// and rng give one estimate.
 func (h *Hamiltonian) SampleExpectation(s *statevec.State, shotsPerGroup int, rng *rand.Rand) float64 {
 	groups, e := h.GroupCommuting()
 	for _, g := range groups {
@@ -32,13 +35,12 @@ func (h *Hamiltonian) SampleExpectation(s *statevec.State, shotsPerGroup int, rn
 		}
 		samples := work.Sample(rng, shotsPerGroup)
 		for _, t := range g.Terms {
-			var mask uint64
-			for _, p := range t.Paulis {
-				mask |= uint64(1) << uint(p.Q)
-			}
+			// In the rotated basis the term reads Z on its whole support.
+			// GroupCommuting has validated it.
+			x, z, _ := circuit.PauliMasks(t.Paulis)
 			var acc float64
 			for _, idx := range samples {
-				if parityEven(uint64(idx) & mask) {
+				if bits.OnesCount64(uint64(idx)&(x|z))&1 == 0 {
 					acc++
 				} else {
 					acc--
@@ -48,14 +50,4 @@ func (h *Hamiltonian) SampleExpectation(s *statevec.State, shotsPerGroup int, rn
 		}
 	}
 	return e
-}
-
-func parityEven(x uint64) bool {
-	x ^= x >> 32
-	x ^= x >> 16
-	x ^= x >> 8
-	x ^= x >> 4
-	x ^= x >> 2
-	x ^= x >> 1
-	return x&1 == 0
 }

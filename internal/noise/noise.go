@@ -68,13 +68,15 @@ func (m Model) Trajectory(c *circuit.Circuit, rng *rand.Rand) *circuit.Circuit {
 func (m Model) Expectation(b core.Backend, c *circuit.Circuit, mask uint64, trajectories int, seed int64) (float64, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var sum float64
+	zs, e := []uint64{mask}, []float64{0}
 	for t := 0; t < trajectories; t++ {
 		noisy := m.Trajectory(c, rng)
 		res, err := b.Run(noisy)
 		if err != nil {
 			return 0, err
 		}
-		sum += res.State.ExpZMask(mask)
+		res.State.ExpPauliGroup(0, zs, e)
+		sum += e[0]
 	}
 	return sum / float64(trajectories), nil
 }

@@ -418,7 +418,9 @@ swap q[1],q[2];
 		gate.NewH(3),
 		gate.NewSWAP(0, 3), gate.NewSWAP(1, 2),
 	}
-	b.ApplyAll(gs)
+	for i := range gs {
+		b.Apply(&gs[i])
+	}
 	if d := a.MaxAbsDiff(b); d > 1e-13 {
 		t.Fatalf("parsed QFT deviates by %g", d)
 	}

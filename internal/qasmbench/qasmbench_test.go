@@ -426,9 +426,14 @@ func TestUCCSDConservesParticleNumber(t *testing.T) {
 		}
 		c := BuildUCCSD(n, thetas)
 		s := runCircuit(t, c, n)
+		zs, z := make([]uint64, n), make([]float64, n)
+		for q := range zs {
+			zs[q] = 1 << uint(q)
+		}
+		s.ExpPauliGroup(0, zs, z)
 		var num float64
-		for q := 0; q < n; q++ {
-			num += (1 - s.ExpZ(q)) / 2
+		for _, v := range z {
+			num += (1 - v) / 2
 		}
 		if math.Abs(num-float64(n/2)) > 1e-8 {
 			t.Fatalf("particle number drifted to %g (thetas %v)", num, thetas)

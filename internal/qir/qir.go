@@ -170,19 +170,11 @@ func (s *Simulator) Exp(paulis []Pauli, theta float64, qubits []int) {
 	// e^{i theta P} is exp(-i alpha P / 2) at alpha = -2 theta: one pass of
 	// the Pauli-rotation kernel instead of the ~4k+1 gates of the lowered
 	// window (circuit.ExpPauli).
-	rot := statevec.PauliRot{Theta: -2 * theta, Gates: 1}
-	for _, t := range terms {
-		if (rot.X|rot.Z)>>uint(t.Q)&1 == 1 {
-			panic(fmt.Sprintf("qir: Exp names qubit %d twice", t.Q))
-		}
-		if t.P != circuit.PauliZ {
-			rot.X |= 1 << uint(t.Q)
-		}
-		if t.P != circuit.PauliX {
-			rot.Z |= 1 << uint(t.Q)
-		}
+	x, z, err := circuit.PauliMasks(terms)
+	if err != nil {
+		panic(fmt.Sprintf("qir: Exp: %v", err))
 	}
-	s.st.ApplyPauliRot(&rot)
+	s.st.ApplyPauliRot(&statevec.PauliRot{X: int(x), Z: int(z), Theta: -2 * theta, Gates: 1})
 }
 
 // ControlledExp applies the controlled Pauli exponential: basis changes

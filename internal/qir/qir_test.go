@@ -310,6 +310,15 @@ func TestExpAllIdentityIsGlobalPhase(t *testing.T) {
 	}
 }
 
+func TestExpRejectsARepeatedQubit(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Exp naming qubit 1 twice was accepted")
+		}
+	}()
+	NewSimulator(2, 0).Exp([]Pauli{PauliX, PauliZ}, 0.3, []int{1, 1})
+}
+
 func TestMeasurementAndReset(t *testing.T) {
 	ones := 0
 	const trials = 4000

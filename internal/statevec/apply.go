@@ -14,13 +14,6 @@ func (s *State) Apply(g *gate.Gate) {
 	s.Stats.add(s.window(0, s.Dim).apply(g))
 }
 
-// ApplyAll executes a gate sequence in order.
-func (s *State) ApplyAll(gs []gate.Gate) {
-	for i := range gs {
-		s.Apply(&gs[i])
-	}
-}
-
 // ApplyTile applies one unitary gate to the aligned amplitude tile
 // [lo, hi) — the same kernel as Apply on a smaller window, so a run of
 // gates can replay over a cache-resident tile before the executor moves

@@ -139,64 +139,53 @@ func (s *State) Counts(rng *rand.Rand, shots int) map[int]int {
 	return counts
 }
 
-// ExpZ returns <Z_q>, the expectation of Pauli-Z on qubit q.
-func (s *State) ExpZ(q int) float64 {
-	bit := 1 << uint(q)
-	var e float64
-	for i := 0; i < s.Dim; i++ {
-		p := s.Re[i]*s.Re[i] + s.Im[i]*s.Im[i]
-		if i&bit == 0 {
-			e += p
-		} else {
-			e -= p
-		}
+// ExpPauliGroup writes to out[k] (len(out) >= len(zs)) the expectation
+// <P_k> of every Pauli string P_k = (x, zs[k]) that shares the X mask x,
+// in one read-only pass over the whole state. The masks follow PauliRot's convention: bit q of
+// x is set where P_k has X or Y on qubit q, bit q of zs[k] where it has Z
+// or Y, so P_k|j> = i^{#Y} (-1)^{popcount(j & zs[k])} |j ^ x> with #Y =
+// popcount(x & zs[k]). The walk is pauliRot's without the write: p has
+// the pivot (x's highest bit) clear, q = p ^ x is its partner, and the
+// pair adds
+//
+//	i^{#Y} (s_q w + s_p conj(w)),  w = conj(a[p]) a[q],  s_j = (-1)^{popcount(j & zs[k])}
+//
+// which is ±2 Re w for even #Y and ±2 Im w for odd #Y (s_q = ±s_p), so
+// the result is real by construction and w is computed once per pair for
+// every k. With x == 0 every index is its own partner and out[k] sums
+// ±|a[j]|^2 in index order. Every bit of x must lie inside the state;
+// Z bits above it are ignored. Stats are not charged.
+func (s *State) ExpPauliGroup(x uint64, zs []uint64, out []float64) {
+	if x >= uint64(s.Dim) {
+		panic("statevec: Pauli expectation pairs amplitudes outside the state")
 	}
-	return e
-}
-
-// ExpZMask returns the expectation of the product of Z operators over every
-// qubit set in mask (the diagonal part of a Pauli-string measurement).
-func (s *State) ExpZMask(mask uint64) float64 {
-	var e float64
-	for i := 0; i < s.Dim; i++ {
-		p := s.Re[i]*s.Re[i] + s.Im[i]*s.Im[i]
-		if popcountEven(uint64(i) & mask) {
-			e += p
-		} else {
-			e -= p
-		}
+	out = out[:len(zs)]
+	clear(out)
+	pivot := 0
+	if x != 0 {
+		pivot = 1 << uint(bits.Len64(x)-1)
 	}
-	return e
-}
-
-func popcountEven(x uint64) bool {
-	x ^= x >> 32
-	x ^= x >> 16
-	x ^= x >> 8
-	x ^= x >> 4
-	x ^= x >> 2
-	x ^= x >> 1
-	return x&1 == 0
-}
-
-// MarginalProbs returns the probability distribution over the given
-// subset of qubits (bit i of the returned index corresponds to qubits[i]),
-// marginalizing everything else — the register-readout view used when a
-// circuit measures only part of the system.
-func (s *State) MarginalProbs(qubits []int) []float64 {
-	out := make([]float64, 1<<uint(len(qubits)))
-	for i := 0; i < s.Dim; i++ {
-		p := s.Re[i]*s.Re[i] + s.Im[i]*s.Im[i]
-		if p == 0 {
-			continue
-		}
-		v := 0
-		for bi, q := range qubits {
-			if i>>uint(q)&1 == 1 {
-				v |= 1 << uint(bi)
+	it := s.window(0, s.Dim).iter(0, pivot)
+	re, im := it.re, it.im
+	for it.left > 0 {
+		p, end := it.next()
+		for ; p < end; p += it.inc {
+			q := p ^ int(x)
+			w := [2]float64{re[p]*re[q] + im[p]*im[q], re[p]*im[q] - im[p]*re[q]}
+			for k, z := range zs {
+				v := w[bits.OnesCount64(x&z)&1]
+				if bits.OnesCount64(uint64(p)&z)&1 == 0 {
+					out[k] += v
+				} else {
+					out[k] -= v
+				}
 			}
 		}
-		out[v] += p
 	}
-	return out
+	if x == 0 {
+		return
+	}
+	for k, z := range zs {
+		out[k] *= [4]float64{2, 2, -2, -2}[bits.OnesCount64(x&z)&3]
+	}
 }

@@ -165,28 +165,3 @@ func TestPoolMatchesSerialOnAllKinds(t *testing.T) {
 		}
 	}
 }
-
-func TestMarginalProbs(t *testing.T) {
-	s := New(3)
-	s.ApplyH(0)
-	s.ApplyCX(0, 2) // q0 and q2 correlated, q1 = |0>
-	m := s.MarginalProbs([]int{0, 2})
-	if len(m) != 4 {
-		t.Fatalf("marginal size %d", len(m))
-	}
-	if m[0b00] < 0.499 || m[0b11] < 0.499 || m[0b01] > 1e-12 || m[0b10] > 1e-12 {
-		t.Fatalf("marginal over correlated pair: %v", m)
-	}
-	single := s.MarginalProbs([]int{1})
-	if single[0] < 0.999 {
-		t.Fatalf("q1 marginal: %v", single)
-	}
-	// Marginals must sum to 1.
-	var sum float64
-	for _, p := range s.MarginalProbs([]int{2, 1, 0}) {
-		sum += p
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("full marginal sums to %g", sum)
-	}
-}

@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -115,8 +116,10 @@ func TestStylesProduceIdenticalStates(t *testing.T) {
 	a.Style = Scalar
 	b := New(n)
 	b.Style = Vectorized
-	a.ApplyAll(gates)
-	b.ApplyAll(gates)
+	for i := range gates {
+		a.Apply(&gates[i])
+		b.Apply(&gates[i])
+	}
 	if d := a.MaxAbsDiff(b); d > 1e-10 {
 		t.Fatalf("scalar and vectorized styles diverge by %g", d)
 	}
@@ -251,25 +254,33 @@ func TestSampleDistribution(t *testing.T) {
 	}
 }
 
+// expZ reads <Z_mask> through the one expectation pass.
+func expZ(s *State, mask uint64) float64 {
+	var e [1]float64
+	s.ExpPauliGroup(0, []uint64{mask}, e[:])
+	return e[0]
+}
+
 func TestExpZ(t *testing.T) {
 	s := New(2)
-	if e := s.ExpZ(0); math.Abs(e-1) > 1e-12 {
+	if e := expZ(s, 1<<0); math.Abs(e-1) > 1e-12 {
 		t.Fatalf("<Z> on |0> = %g", e)
 	}
 	x := gate.NewX(0)
 	s.Apply(&x)
-	if e := s.ExpZ(0); math.Abs(e+1) > 1e-12 {
+	if e := expZ(s, 1<<0); math.Abs(e+1) > 1e-12 {
 		t.Fatalf("<Z> on |1> = %g", e)
 	}
 	h := gate.NewH(1)
 	s.Apply(&h)
-	if e := s.ExpZ(1); math.Abs(e) > 1e-12 {
+	if e := expZ(s, 1<<1); math.Abs(e) > 1e-12 {
 		t.Fatalf("<Z> on |+> = %g", e)
 	}
 }
 
 func TestExpZMask(t *testing.T) {
-	// GHZ on 3 qubits: <ZZZ> = 0, <ZZ on qubits 0,1> = +1.
+	// GHZ on 3 qubits: <ZZZ> = 0, <ZZ on qubits 0,1> = +1, both read in
+	// one pass.
 	s := New(3)
 	h := gate.NewH(0)
 	s.Apply(&h)
@@ -277,11 +288,73 @@ func TestExpZMask(t *testing.T) {
 		cx := gate.NewCX(q-1, q)
 		s.Apply(&cx)
 	}
-	if e := s.ExpZMask(0b111); math.Abs(e) > 1e-12 {
-		t.Fatalf("<ZZZ> on GHZ = %g", e)
+	out := make([]float64, 2)
+	s.ExpPauliGroup(0, []uint64{0b111, 0b011}, out)
+	if math.Abs(out[0]) > 1e-12 {
+		t.Fatalf("<ZZZ> on GHZ = %g", out[0])
 	}
-	if e := s.ExpZMask(0b011); math.Abs(e-1) > 1e-12 {
-		t.Fatalf("<ZZ_01> on GHZ = %g", e)
+	if math.Abs(out[1]-1) > 1e-12 {
+		t.Fatalf("<ZZ_01> on GHZ = %g", out[1])
+	}
+}
+
+// refExpZMask is the Z-string expectation loop ExpPauliGroup's x == 0
+// case must reproduce bit for bit: ±|a[i]|^2 summed in index order.
+func refExpZMask(s *State, mask uint64) float64 {
+	var e float64
+	for i := 0; i < s.Dim; i++ {
+		p := s.Re[i]*s.Re[i] + s.Im[i]*s.Im[i]
+		if bits.OnesCount64(uint64(i)&mask)&1 == 0 {
+			e += p
+		} else {
+			e -= p
+		}
+	}
+	return e
+}
+
+func TestExpPauliGroupZIsExpZMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, style := range []KernelStyle{Scalar, Vectorized} {
+		for n := 1; n <= 9; n++ {
+			s := randomState(rng, n, style)
+			zs := make([]uint64, 12)
+			for k := range zs {
+				zs[k] = rng.Uint64() & (1<<uint(n) - 1)
+			}
+			// A Z bit above the state names no qubit of it.
+			zs[0] |= 1 << uint(n)
+			out := make([]float64, len(zs))
+			s.ExpPauliGroup(0, zs, out)
+			for k, z := range zs {
+				if want := refExpZMask(s, z); math.Float64bits(out[k]) != math.Float64bits(want) {
+					t.Fatalf("style %d n=%d z=%b: %v, want %v", style, n, z, out[k], want)
+				}
+			}
+		}
+	}
+}
+
+func TestExpPauliGroupRejectsXOutsideState(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an X bit above the state was accepted")
+		}
+	}()
+	New(3).ExpPauliGroup(1<<3, []uint64{0}, make([]float64, 1))
+}
+
+func TestExpPauliGroupIsReadOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	s := randomState(rng, 6, Vectorized)
+	c := s.Clone()
+	stats := s.Stats
+	s.ExpPauliGroup(0b101100, []uint64{0b100, 0b001001, 0}, make([]float64, 3))
+	if d := s.MaxAbsDiff(c); d != 0 {
+		t.Fatalf("the pass wrote the state (%g)", d)
+	}
+	if s.Stats != stats {
+		t.Fatal("the pass charged Stats")
 	}
 }
 

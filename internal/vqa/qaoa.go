@@ -110,6 +110,11 @@ func RunQAOA(g Graph, p int, backend core.Backend, iters int, seed int64) QAOARe
 		iters = 150
 	}
 	trials := 0
+	edges := make([]uint64, len(g.Edges))
+	for i, ed := range g.Edges {
+		edges[i] = uint64(1)<<uint(ed[0]) | uint64(1)<<uint(ed[1])
+	}
+	zz := make([]float64, len(edges))
 	expectedCut := func(x []float64) float64 {
 		gammas, betas := x[:p], x[p:]
 		res, err := backend.Run(QAOACircuit(g, gammas, betas))
@@ -117,11 +122,12 @@ func RunQAOA(g Graph, p int, backend core.Backend, iters int, seed int64) QAOARe
 			panic(err)
 		}
 		trials++
-		// <C> = sum over edges (1 - <Z_i Z_j>) / 2.
+		// <C> = sum over edges (1 - <Z_i Z_j>) / 2: every edge's ZZ is
+		// one all-Z string, read in one pass.
+		res.State.ExpPauliGroup(0, edges, zz)
 		var e float64
-		for _, ed := range g.Edges {
-			mask := uint64(1)<<uint(ed[0]) | uint64(1)<<uint(ed[1])
-			e += (1 - res.State.ExpZMask(mask)) / 2
+		for _, v := range zz {
+			e += (1 - v) / 2
 		}
 		return e
 	}

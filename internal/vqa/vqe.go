@@ -58,9 +58,7 @@ func RunVQE(h *ham.Hamiltonian, build func([]float64) *circuit.Circuit, theta0 [
 		}
 		trials++
 		totalTime += res.Elapsed
-		// Qubit-wise-commuting measurement grouping: one basis-rotated
-		// clone per group instead of one per Hamiltonian term.
-		return h.ExpectationGrouped(res.State)
+		return h.Expectation(res.State)
 	}
 	opt := NelderMead(energy, theta0, NelderMeadOpts{MaxIters: cfg.Iters, InitialStep: cfg.Step})
 	avg := time.Duration(0)
