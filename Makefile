@@ -1,18 +1,8 @@
 # svsim — Go reproduction of SV-Sim (SC '21). Stdlib-only; offline.
-#
-# bench-json names its output after the current git commit
-# (BENCH_<sha>.json). Outside a git checkout — an exported source
-# tarball, a docker build context without .git — `git rev-parse` fails,
-# so the tag falls back to "dev" and the records land in BENCH_dev.json.
-# A perf PR records its run before it has a commit of its own:
-# `make bench-diff BENCH_TAG=pr<N>` writes the BENCH_pr<N>.json it commits.
 
 GO ?= go
 
-# Short commit hash, or "dev" when not in a git checkout.
-BENCH_TAG := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
-
-.PHONY: all build vet test perf-check race bench bench-json bench-diff bench-html obs evaluate examples fuzz lint doccheck serve loadtest clean
+.PHONY: all build vet test perf-check race bench obs evaluate examples fuzz lint doccheck serve loadtest clean
 
 # Service address shared by the serve and loadtest targets.
 SERVE_ADDR ?= localhost:9470
@@ -67,26 +57,6 @@ evaluate:
 obs:
 	$(GO) run ./cmd/svsim -circuit qft_n15 -backend scale-out -pes 8 -sched lazy \
 		-obs-dir obs
-
-# Machine-readable measured bench records for perf-trajectory tracking
-# (svsim-bench/v6: adds the diagonal-run diag_runs/merged_gates fields;
-# the two-level remap's ppn/intra_bytes/inter_bytes/exchange_phases/
-# flat_inter_bytes are gone). If the tag somehow resolves empty
-# (a broken git stub that exits 0 with no output), fall back to "dev" so
-# the target never writes a bare "BENCH_.json".
-bench-json:
-	$(GO) run ./cmd/svbench -json BENCH_$(or $(BENCH_TAG),dev).json
-
-# Compare a fresh bench run against the committed baseline, with the
-# same gates CI applies: tight bounds on the deterministic counters
-# (remote and state-vector bytes); wall time is not gated
-# here — compare paired svperf runs (bench/README.md) for the clock.
-bench-diff: bench-json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_$(or $(BENCH_TAG),dev).json
-
-# Self-contained perf-trajectory page from the baseline plus a fresh run.
-bench-html: bench-json
-	$(GO) run ./cmd/benchdiff -html bench_trajectory.html BENCH_baseline.json BENCH_$(or $(BENCH_TAG),dev).json
 
 # Boot the multi-tenant service with the example quota table and a
 # two-fleet pool. Drive it from another terminal with `make loadtest`,

@@ -4,10 +4,9 @@
 // retries honored, and the shared plan cache's cross-tenant hit count
 // scraped from /metrics.
 //
-// Exit codes mirror benchdiff's convention: 0 when the burst completed
-// and every -require-* assertion held, 1 when an assertion failed
-// (failed jobs, missing cross-tenant cache hits), 2 for usage errors or
-// an unreachable server.
+// Exit codes: 0 when the burst completed and every -require-* assertion
+// held, 1 when an assertion failed (failed jobs, missing cross-tenant
+// cache hits), 2 for usage errors or an unreachable server.
 //
 // Example:
 //

@@ -63,7 +63,7 @@
 //
 // The public surface lives in the subpackages under internal/ (this is a
 // research reproduction, versioned as a single module); cmd/svsim,
-// cmd/svbench, cmd/qasmdump, cmd/benchdiff, and cmd/doccheck are the
-// executables, and examples/ holds runnable walkthroughs. See README.md,
-// DESIGN.md, and EXPERIMENTS.md.
+// cmd/svbench, cmd/svserved, cmd/svload, cmd/svchaos, cmd/qasmdump, and
+// cmd/doccheck are the executables, and examples/ holds runnable
+// walkthroughs. See README.md, DESIGN.md, and EXPERIMENTS.md.
 package svsim

@@ -1,5 +1,5 @@
 // Package cliutil validates flag combinations shared by the svsim and
-// svbench command lines, so misconfigurations fail fast with messages
+// svserved command lines, so misconfigurations fail fast with messages
 // that name the offending flag instead of surfacing later as a
 // mid-run backend error (or worse, after minutes of simulation).
 package cliutil

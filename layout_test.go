@@ -59,8 +59,7 @@ func TestOnlyBenchImportsMpibase(t *testing.T) {
 // TestNoBackendNameComparisons: the backend table is the one list. No
 // non-test file in internal/ or cmd/ compares a value against a backend
 // name (== / != / a switch case) — it asks core.LookupBackend what it
-// needs. Names as data (svbench's suite rows, svchaos's pick lists) are
-// not comparisons.
+// needs. Names as data (svchaos's pick lists) are not comparisons.
 func TestNoBackendNameComparisons(t *testing.T) {
 	names := map[string]bool{"remap": true}
 	for _, n := range core.BackendNames(nil) {
