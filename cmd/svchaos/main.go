@@ -11,7 +11,7 @@
 //  3. bounded restarts — recoveries never exceed the restart budget.
 //
 // Each seed deterministically derives one scenario from the grid
-// backend × schedule × tile × delta cadence, then arms a fault plan.
+// backend × schedule × tile × checkpoint interval, then arms a fault plan.
 // Four scenario kinds cover the fault taxonomy:
 //
 //   - wire: kill/delay/drop faults injected into the communication
@@ -27,7 +27,7 @@
 //     internal/pgas — so corruption is exercised where detection is
 //     the contract);
 //   - tile: checkpoint/resume round-trips through the cache-blocked
-//     one-rank grid (single, threaded), delta chains included.
+//     one-rank grid (single, threaded).
 //
 // On violation the harness greedily minimizes the fault plan to the
 // smallest subset that still reproduces, prints it in the -fault
@@ -71,7 +71,6 @@ type scenario struct {
 	measured bool
 
 	ckptEvery   int
-	fullEvery   int
 	elastic     bool
 	maxRestarts int
 	barrier     time.Duration // barrier deadline (stall scenarios)
@@ -169,9 +168,9 @@ func buildScenario(seed int64, gateScale int, stallDeadline time.Duration) *scen
 			sc.tileBits = 3
 		}
 		sc.ckptEvery = 5 + 2*rng.Intn(2)
-		if rng.Intn(2) == 0 {
-			sc.fullEvery = 2
-		}
+		// Discarded: the draw that once picked a delta-checkpoint
+		// cadence. Consuming it keeps every seed's scenario unchanged.
+		rng.Intn(2)
 		sc.measured = true
 	case "disk":
 		sc.backend = pick("scale-up", "scale-out")
@@ -246,11 +245,13 @@ func buildScenario(seed int64, gateScale int, stallDeadline time.Duration) *scen
 				})
 			}
 		}
-		// Drawn after the fault plan: this order keeps an mpi lazy kill,
-		// restarted and shrunk, in CI's 16 seeds
+		// Discarded: the one or two draws that once picked a
+		// delta-checkpoint cadence, after the fault plan. Consuming them
+		// keeps every seed's scenario unchanged, an mpi lazy kill,
+		// restarted and shrunk, among them in CI's 16 seeds
 		// (TestCICampaignCoversTwoSidedLazy).
 		if rng.Intn(2) == 0 {
-			sc.fullEvery = 2 + rng.Intn(2)
+			rng.Intn(2)
 		}
 	}
 
@@ -270,8 +271,8 @@ func (sc *scenario) String() string {
 	if sc.tile {
 		fmt.Fprintf(&b, " tile=on tile-bits=%d", sc.tileBits)
 	}
-	fmt.Fprintf(&b, " ckpt-every=%d full-every=%d elastic=%v circuit=%s/%dq/%dg",
-		sc.ckptEvery, sc.fullEvery, sc.elastic,
+	fmt.Fprintf(&b, " ckpt-every=%d elastic=%v circuit=%s/%dq/%dg",
+		sc.ckptEvery, sc.elastic,
 		sc.circ.Name, sc.circ.NumQubits, sc.circ.NumGates())
 	return b.String()
 }
@@ -319,7 +320,6 @@ func (sc *scenario) coreConfig(dir string, flight *obs.FlightRecorder) core.Conf
 	if dir != "" {
 		cfg.CheckpointEvery = sc.ckptEvery
 		cfg.CheckpointDir = dir
-		cfg.CheckpointFullEvery = sc.fullEvery
 		cfg.MaxRestarts = sc.maxRestarts
 		cfg.Elastic = sc.elastic
 	}

@@ -24,7 +24,6 @@ type runOpts struct {
 	tileBits        int
 	checkpointEvery int
 	checkpointDir   string
-	ckptFullEvery   int
 	resume          string
 	elastic         bool
 	maxRestarts     int
@@ -42,7 +41,7 @@ func (o *runOpts) validate() error {
 	if err := cliutil.ValidatePEs(o.pes); err != nil {
 		return err
 	}
-	if err := cliutil.ValidateCheckpointing(o.checkpointEvery, o.ckptFullEvery, o.checkpointDir, o.resume, o.maxRestarts); err != nil {
+	if err := cliutil.ValidateCheckpointing(o.checkpointEvery, o.checkpointDir, o.resume, o.maxRestarts); err != nil {
 		return err
 	}
 	if err := cliutil.ValidateResume(o.resume, o.backend, o.pes, o.sched); err != nil {

@@ -67,12 +67,6 @@ func TestFlagValidation(t *testing.T) {
 			o.checkpointDir = dir
 		}, `unknown backend "nonesuch" (want single, threaded`},
 		{"unknown backend", func(o *runOpts) { o.backend = "nonesuch" }, `unknown backend "nonesuch"`},
-		{"full-every on", func(o *runOpts) {
-			o.checkpointEvery = 10
-			o.checkpointDir = dir
-			o.ckptFullEvery = 4
-		}, ""},
-		{"full-every without interval", func(o *runOpts) { o.ckptFullEvery = 4 }, "-checkpoint-every"},
 		{"coalesced on scale-out", func(o *runOpts) { o.coalesced = true }, ""},
 		{"coalesced on scale-up", func(o *runOpts) {
 			o.backend = "scale-up"

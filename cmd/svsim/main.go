@@ -57,15 +57,14 @@ func main() {
 		obsDir      = flag.String("obs-dir", "", "write the run's observability artifacts into DIR at exit, clean or aborted: trace.json (Chrome trace, one track per PE), metrics.om (OpenMetrics), phases.json (per-PE wall-time split, summary printed) and flight.jsonl (event ring)")
 		obsListen   = flag.String("obs-listen", "", "serve /metrics (OpenMetrics), /debug/flight and /debug/pprof on ADDR (e.g. localhost:9464) for the duration of the run")
 
-		ckptEvery     = flag.Int("checkpoint-every", 0, "write a coordinated checkpoint every N schedule steps (0 = off; needs -checkpoint-dir)")
-		ckptDir       = flag.String("checkpoint-dir", "", "checkpoint base directory (one ckpt-<step> subdirectory per checkpoint)")
-		ckptFullEvery = flag.Int("checkpoint-full-every", 0, "write a full (self-contained) checkpoint every N checkpoints and incremental deltas in between (0 = every checkpoint full)")
-		resume        = flag.String("resume", "", "restore from a checkpoint: a ckpt-<step> directory or a base directory (latest complete checkpoint); a -pes other than the checkpoint's reshards it")
-		elastic       = flag.Bool("elastic", false, "on a PE failure, reshard the latest checkpoint onto half the fleet instead of restarting at full size")
-		maxRestarts   = flag.Int("max-restarts", 0, "restart from the latest checkpoint up to N times after an injected PE failure")
-		faultSpec     = flag.String("fault", "", "deterministic fault spec, e.g. 'kill:rank=1:op=barrier:after=30' or 'drop:rank=0:op=put:after=5:count=2' (semicolon-separated)")
-		barrierTmo    = flag.Duration("barrier-timeout", 0, "fail a barrier wait after this long, naming the stalled ranks (0 = wait forever)")
-		opRetries     = flag.Int("op-retries", 8, "retry budget for transiently failing one-sided operations")
+		ckptEvery   = flag.Int("checkpoint-every", 0, "write a coordinated checkpoint every N schedule steps (0 = off; needs -checkpoint-dir)")
+		ckptDir     = flag.String("checkpoint-dir", "", "checkpoint base directory (one ckpt-<step> subdirectory per checkpoint)")
+		resume      = flag.String("resume", "", "restore from a checkpoint: a ckpt-<step> directory or a base directory (latest complete checkpoint); a -pes other than the checkpoint's reshards it")
+		elastic     = flag.Bool("elastic", false, "on a PE failure, reshard the latest checkpoint onto half the fleet instead of restarting at full size")
+		maxRestarts = flag.Int("max-restarts", 0, "restart from the latest checkpoint up to N times after an injected PE failure")
+		faultSpec   = flag.String("fault", "", "deterministic fault spec, e.g. 'kill:rank=1:op=barrier:after=30' or 'drop:rank=0:op=put:after=5:count=2' (semicolon-separated)")
+		barrierTmo  = flag.Duration("barrier-timeout", 0, "fail a barrier wait after this long, naming the stalled ranks (0 = wait forever)")
+		opRetries   = flag.Int("op-retries", 8, "retry budget for transiently failing one-sided operations")
 	)
 	flag.Parse()
 
@@ -110,7 +109,7 @@ func main() {
 	opts := runOpts{
 		backend: *backendName, pes: *pes, sched: string(policy), seed: *seed, fuse: *fuse,
 		coalesced: *coalesced, tile: *tile, tileBits: *tileBits,
-		checkpointEvery: *ckptEvery, checkpointDir: *ckptDir, ckptFullEvery: *ckptFullEvery,
+		checkpointEvery: *ckptEvery, checkpointDir: *ckptDir,
 		resume: *resume, elastic: *elastic,
 		maxRestarts: *maxRestarts, faultSpec: *faultSpec,
 		barrierTimeout: *barrierTmo, opRetries: *opRetries, obsDir: *obsDir,
@@ -138,7 +137,7 @@ func main() {
 		Style: ks, PEs: *pes, Coalesced: *coalesced,
 		Trace: sinks.Tracer, Metrics: sinks.Metrics,
 		Flight:          sinks.Flight,
-		CheckpointEvery: opts.checkpointEvery, CheckpointDir: opts.checkpointDir, CheckpointFullEvery: opts.ckptFullEvery,
+		CheckpointEvery: opts.checkpointEvery, CheckpointDir: opts.checkpointDir,
 		Resume: opts.resume, Elastic: opts.elastic, Stop: latch,
 		MaxRestarts: opts.maxRestarts,
 		Fault:       opts.injector(), Timeouts: opts.timeouts(),

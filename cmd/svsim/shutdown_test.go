@@ -59,7 +59,6 @@ func TestGracefulShutdownE2E(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-qasm", qasm, "-backend", "scale-out", "-pes", "2",
 		"-checkpoint-every", "25", "-checkpoint-dir", dir,
-		"-checkpoint-full-every", "4",
 		"-obs-dir", obsDir)
 	var out strings.Builder
 	cmd.Stdout, cmd.Stderr = &out, &out

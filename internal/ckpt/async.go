@@ -5,7 +5,53 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"svsim/internal/statevec"
 )
+
+// Payload is the snapshot one PE hands to the background checkpoint
+// writer: a copy of its whole partition. Capturing one is pure memcpy;
+// serialization happens later, off the compute path. A payload is reused
+// from one checkpoint to the next: a capture overwrites its buffers, so
+// the previous write must have finished with them.
+type Payload struct {
+	Qubits int // partition qubit count (localBits)
+	Re, Im []float64
+}
+
+// CaptureFull copies st into a new payload.
+func CaptureFull(st *statevec.State) *Payload { return new(Payload).Capture(st) }
+
+// Capture copies st's whole partition into p and returns p. The buffers
+// are allocated on p's first capture and reused.
+func (p *Payload) Capture(st *statevec.State) *Payload {
+	p.Qubits = st.N
+	p.Re, p.Im = resize(p.Re, st.Dim), resize(p.Im, st.Dim)
+	copy(p.Re, st.Re)
+	copy(p.Im, st.Im)
+	return p
+}
+
+// resize returns b at length n, reallocating only when it is too short.
+func resize(b []float64, n int) []float64 {
+	if cap(b) < n {
+		return make([]float64, n)
+	}
+	return b[:n]
+}
+
+// WritePayloadShard serializes a captured payload into dir as rank's
+// shard in the statevec format, crash-atomically, and returns its
+// manifest entry.
+func WritePayloadShard(dir string, rank int, p *Payload) (Shard, error) {
+	name := ShardFile(rank)
+	st := &statevec.State{N: p.Qubits, Dim: len(p.Re), Re: p.Re, Im: p.Im}
+	n, crc, err := atomicWrite(dir, name, st.WriteTo)
+	if err != nil {
+		return Shard{}, fmt.Errorf("ckpt: writing shard %d: %w", rank, err)
+	}
+	return Shard{Rank: rank, File: name, Bytes: n, CRC32: crc}, nil
+}
 
 // AsyncWriter serializes checkpoints on a background goroutine so the
 // compute fleet resumes as soon as its snapshots are captured. One job is

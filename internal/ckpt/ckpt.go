@@ -32,24 +32,17 @@ import (
 	"svsim/internal/statevec"
 )
 
-// Schema identifies the manifest format. Version 2 adds incremental
-// (delta) checkpoints: Kind, Parent, and OpsDone. Version 1 manifests
-// are still read (as full checkpoints with unknown OpsDone).
+// Schema identifies the manifest format. Version 2 added Kind and
+// OpsDone; ReadManifest restores only KindFull. Version 1 manifests are
+// still read (as full checkpoints with unknown OpsDone).
 const Schema = "svsim-ckpt/v2"
 
-// SchemaV1 is the pre-delta manifest format, accepted on read.
+// SchemaV1 is the pre-v2 manifest format, accepted on read.
 const SchemaV1 = "svsim-ckpt/v1"
 
-// Checkpoint kinds carried in Manifest.Kind.
-const (
-	// KindFull marks a self-contained checkpoint: every shard holds the
-	// PE's whole partition.
-	KindFull = "full"
-	// KindDelta marks an incremental checkpoint: every shard holds only
-	// the tiles dirtied since the parent checkpoint, and restore walks
-	// the Parent chain back to the nearest full checkpoint.
-	KindDelta = "delta"
-)
+// KindFull, the one checkpoint kind, marks a self-contained checkpoint:
+// every shard holds the PE's whole partition.
+const KindFull = "full"
 
 const manifestName = "MANIFEST.json"
 
@@ -81,12 +74,8 @@ type Manifest struct {
 	// loop at this index.
 	Step int   `json:"step"`
 	Seed int64 `json:"seed"`
-	// Kind is KindFull or KindDelta; empty (v1 manifests) means full.
+	// Kind is KindFull; empty (v1 manifests) means full.
 	Kind string `json:"kind,omitempty"`
-	// Parent is the schedule step of the checkpoint this delta chains
-	// from (a sibling ckpt-<Parent> directory under the same base).
-	// Meaningless for full checkpoints.
-	Parent int `json:"parent,omitempty"`
 	// OpsDone counts executable-stream ops completed at the quiesced
 	// boundary. Unlike Step (whose numbering depends on the schedule and
 	// fleet size), an op count is geometry-independent, which is what
@@ -320,10 +309,7 @@ func (c *countReader) Read(p []byte) (int, error) {
 // WriteManifest atomically publishes the manifest into dir (temp file,
 // fsync, rename, directory fsync), marking the checkpoint complete.
 func WriteManifest(dir string, m *Manifest) error {
-	m.Schema = Schema
-	if m.Kind == "" {
-		m.Kind = KindFull
-	}
+	m.Schema, m.Kind = Schema, KindFull
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
@@ -337,6 +323,20 @@ func WriteManifest(dir string, m *Manifest) error {
 		return fmt.Errorf("ckpt: publishing manifest: %w", err)
 	}
 	return nil
+}
+
+// ManifestError reports a manifest of a kind this build cannot restore:
+// the incremental ("delta") checkpoints of older builds, or any kind
+// other than KindFull.
+type ManifestError struct {
+	Dir    string
+	Schema string
+	Kind   string
+}
+
+func (e *ManifestError) Error() string {
+	return fmt.Sprintf("ckpt: manifest in %s is %s kind %q; only %q checkpoints can be restored",
+		e.Dir, e.Schema, e.Kind, KindFull)
 }
 
 // ReadManifest loads and sanity-checks the manifest of one checkpoint
@@ -363,11 +363,16 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if m.Kind == "" {
 		m.Kind = KindFull
 	}
-	if m.Kind != KindFull && m.Kind != KindDelta {
-		return nil, fmt.Errorf("ckpt: manifest in %s has unknown kind %q", dir, m.Kind)
+	if m.Kind != KindFull {
+		return nil, &ManifestError{Dir: dir, Schema: m.Schema, Kind: m.Kind}
 	}
 	if len(m.Shards) != m.PEs {
 		return nil, fmt.Errorf("ckpt: manifest in %s lists %d shards for %d PEs", dir, len(m.Shards), m.PEs)
+	}
+	for r, sh := range m.Shards {
+		if sh.Rank != r {
+			return nil, fmt.Errorf("ckpt: manifest in %s lists rank %d's shard at position %d", dir, sh.Rank, r)
+		}
 	}
 	return &m, nil
 }

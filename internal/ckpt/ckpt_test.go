@@ -3,6 +3,7 @@ package ckpt
 import (
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -168,6 +169,40 @@ func TestReadManifestRejectsBadContents(t *testing.T) {
 	if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Fatalf("shard-count error = %v", err)
 	}
+	write(`{"schema":"svsim-ckpt/v2","pes":2,"shards":[{"rank":1},{"rank":0}]}`)
+	if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "rank 1's shard at position 0") {
+		t.Fatalf("shard-order error = %v", err)
+	}
+}
+
+// TestReadManifestRejectsDeltaKind: an incremental ("delta") checkpoint
+// written by an older build is refused with a typed error naming its
+// schema and kind, never restored as if it were full.
+func TestReadManifestRejectsDeltaKind(t *testing.T) {
+	base := t.TempDir()
+	dir := StepDir(base, 8)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	delta := `{"schema":"svsim-ckpt/v2","backend":"single","num_qubits":2,"pes":1,"step":8,` +
+		`"kind":"delta","parent":4,"ops_done":8,"shards":[{"rank":0,"file":"shard-0.svs","bytes":52,"crc32":1}]}`
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), []byte(delta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []func() error{
+		func() error { _, err := ReadManifest(dir); return err },
+		func() error { _, _, err := Resolve(dir); return err },
+		func() error { _, _, err := Resolve(base); return err },
+	} {
+		err := read()
+		var me *ManifestError
+		if !errors.As(err, &me) || me.Schema != Schema || me.Kind != "delta" || me.Dir != dir {
+			t.Fatalf("delta manifest error = %#v (%v), want *ManifestError{%s, %s, delta}", me, err, dir, Schema)
+		}
+		if !strings.Contains(err.Error(), Schema) || !strings.Contains(err.Error(), `"delta"`) {
+			t.Fatalf("error %q does not name the schema and the kind", err)
+		}
+	}
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
@@ -212,4 +247,80 @@ func TestFingerprintGolden(t *testing.T) {
 	if got, want := Fingerprint(e.Build()), uint64(0x830354418b3c0190); got != want {
 		t.Fatalf("Fingerprint(qft_n15) = %#016x, want %#016x", got, want)
 	}
+}
+
+// TestTornManifestFallsBack re-execs the test binary with the
+// SVSIM_CKPT_CRASHPOINT failpoint armed so the child process dies
+// between writing the step-20 manifest's temp file and renaming it into
+// place — a real mid-checkpoint kill. Restore must fall back to the
+// previous complete checkpoint.
+func TestTornManifestFallsBack(t *testing.T) {
+	base := t.TempDir()
+	if os.Getenv("SVSIM_TORN_HELPER") == "1" {
+		st := statevec.New(2)
+		helperCkpt(base, 10, st) // completes: crashpoint arms only in the child
+		return
+	}
+
+	// Parent: first write a complete checkpoint at step 10 ourselves,
+	// then have the child die mid-manifest at step 20.
+	st := mkState(t, 2, 9)
+	dir10 := StepDir(base, 10)
+	os.MkdirAll(dir10, 0o755)
+	sh, err := WriteShard(dir10, 0, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteManifest(dir10, &Manifest{Backend: "single", Circuit: "t",
+		NumQubits: 2, PEs: 1, Sched: "lazy", Step: 10, Shards: []Shard{sh}}); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(os.Args[0], "-test.run", "TestTornManifestFallsBack")
+	cmd.Env = append(os.Environ(),
+		"SVSIM_TORN_HELPER=1",
+		"SVSIM_TORN_BASE="+base,
+		"SVSIM_CKPT_CRASHPOINT="+manifestName)
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 42 {
+		t.Fatalf("helper did not die at the crashpoint: err=%v out=%s", err, out)
+	}
+
+	// The torn step-20 checkpoint must be invisible: temp manifest on
+	// disk, no real one, Latest falls back to step 10.
+	dir20 := StepDir(base, 20)
+	if _, err := os.Stat(filepath.Join(dir20, manifestName)); !os.IsNotExist(err) {
+		t.Fatalf("torn checkpoint has a real manifest (stat err=%v)", err)
+	}
+	dir, m, ok, err := Latest(base)
+	if err != nil || !ok {
+		t.Fatalf("Latest after torn write: ok=%v err=%v", ok, err)
+	}
+	if m.Step != 10 || dir != dir10 {
+		t.Fatalf("fell back to step %d, want 10", m.Step)
+	}
+	got, err := ReadShard(dir, m.Shards[0], 2)
+	if err != nil || got.MaxAbsDiff(st) != 0 {
+		t.Fatalf("fallback checkpoint unreadable: %v", err)
+	}
+}
+
+// helperCkpt runs in the torn-write child: it writes a step-20
+// checkpoint whose manifest rename is interrupted by the crashpoint.
+func helperCkpt(parentBase string, step int, st *statevec.State) {
+	base := os.Getenv("SVSIM_TORN_BASE")
+	if base == "" {
+		base = parentBase
+	}
+	dir := StepDir(base, 20)
+	os.MkdirAll(dir, 0o755)
+	sh, err := WriteShard(dir, 0, st)
+	if err != nil {
+		os.Exit(3)
+	}
+	// The crashpoint fires inside WriteManifest, before the rename.
+	WriteManifest(dir, &Manifest{Backend: "single", Circuit: "t",
+		NumQubits: 2, PEs: 1, Sched: "lazy", Step: 20, Shards: []Shard{sh}})
+	os.Exit(0) // unreachable when the crashpoint is armed
 }

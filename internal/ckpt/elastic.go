@@ -39,17 +39,12 @@ func ElasticRestorable(m *Manifest) error {
 }
 
 // ReshardLogical rebuilds the full logical state vector from a
-// checkpoint directory: every rank's shard is materialized through its
-// delta chain and un-permuted, straight into its place in the logical
-// array, through the manifest's logical-to-physical permutation
-// (identity for the naive schedules). The result is geometry-free —
-// ready to re-shard onto any PE count.
+// checkpoint directory: every rank's shard is read and un-permuted,
+// straight into its place in the logical array, through the manifest's
+// logical-to-physical permutation (identity for the naive schedules).
+// The result is geometry-free — ready to re-shard onto any PE count.
 func ReshardLogical(dir string, m *Manifest) (*WarmStart, error) {
 	if err := ElasticRestorable(m); err != nil {
-		return nil, err
-	}
-	links, err := Chain(dir, m)
-	if err != nil {
 		return nil, err
 	}
 	n := m.NumQubits
@@ -76,7 +71,7 @@ func ReshardLogical(dir string, m *Manifest) (*WarmStart, error) {
 	// shards overwrite all of New's |0...0>.
 	logical := statevec.New(n)
 	for r := 0; r < m.PEs; r++ {
-		st, err := RestoreShardChain(links, r, localBits)
+		st, err := ReadShard(dir, m.Shards[r], localBits)
 		if err != nil {
 			return nil, err
 		}

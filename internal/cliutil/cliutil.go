@@ -45,21 +45,14 @@ func ValidateCoalesced(coalesced bool, backend string) error {
 }
 
 // ValidateCheckpointing checks the checkpoint flag combination (every
-// backend checkpoints): intervals need a directory, a full-checkpoint
-// cadence needs an interval, and the directory must be writable (probed
-// by creating it and touching a file).
-func ValidateCheckpointing(every, fullEvery int, dir, resume string, maxRestarts int) error {
-	if every == 0 && fullEvery == 0 && dir == "" && resume == "" && maxRestarts == 0 {
+// backend checkpoints): intervals need a directory, and the directory
+// must be writable (probed by creating it and touching a file).
+func ValidateCheckpointing(every int, dir, resume string, maxRestarts int) error {
+	if every == 0 && dir == "" && resume == "" && maxRestarts == 0 {
 		return nil // checkpointing entirely off
 	}
 	if every < 0 {
 		return fmt.Errorf("-checkpoint-every %d: interval must be positive", every)
-	}
-	if fullEvery < 0 {
-		return fmt.Errorf("-checkpoint-full-every %d: compaction cadence cannot be negative", fullEvery)
-	}
-	if fullEvery > 0 && every <= 0 {
-		return fmt.Errorf("-checkpoint-full-every %d needs -checkpoint-every to schedule checkpoints", fullEvery)
 	}
 	if maxRestarts < 0 {
 		return fmt.Errorf("-max-restarts %d: restart budget cannot be negative", maxRestarts)

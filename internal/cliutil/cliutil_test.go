@@ -42,28 +42,24 @@ func TestValidateCheckpointing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name             string
-		every, fullEvery int
-		dir, resume      string
-		maxRestarts      int
-		want             string // empty = valid
+		name        string
+		every       int
+		dir, resume string
+		maxRestarts int
+		want        string // empty = valid
 	}{
-		{"all off", 0, 0, "", "", 0, ""},
-		{"basic on", 10, 0, dir, "", 2, ""},
-		{"dir only", 0, 0, dir, "", 0, ""},
-		{"deltas on", 10, 4, dir, "", 0, ""},
-		{"negative interval", -5, 0, dir, "", 0, "must be positive"},
-		{"negative restarts", 10, 0, dir, "", -1, "cannot be negative"},
-		{"interval without dir", 10, 0, "", "", 0, "-checkpoint-dir"},
-		{"restarts without dir", 0, 0, "", "", 3, "-checkpoint-dir"},
-		{"negative full-every alone", 0, -3, "", "", 0, "-checkpoint-full-every -3"},
-		{"negative full-every", 10, -3, dir, "", 0, "cannot be negative"},
-		{"full-every without interval", 0, 4, dir, "", 0, "-checkpoint-every"},
-		{"dir is a file", 10, 0, file, "", 0, "-checkpoint-dir " + file},
+		{"all off", 0, "", "", 0, ""},
+		{"basic on", 10, dir, "", 2, ""},
+		{"dir only", 0, dir, "", 0, ""},
+		{"negative interval", -5, dir, "", 0, "must be positive"},
+		{"negative restarts", 10, dir, "", -1, "cannot be negative"},
+		{"interval without dir", 10, "", "", 0, "-checkpoint-dir"},
+		{"restarts without dir", 0, "", "", 3, "-checkpoint-dir"},
+		{"dir is a file", 10, file, "", 0, "-checkpoint-dir " + file},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := ValidateCheckpointing(c.every, c.fullEvery, c.dir, c.resume, c.maxRestarts)
+			err := ValidateCheckpointing(c.every, c.dir, c.resume, c.maxRestarts)
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected %v", err)

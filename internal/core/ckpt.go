@@ -17,18 +17,16 @@ import (
 // transport, plan and grid size — on one rank the protocol's barriers
 // have nobody to wait for and are skipped).
 //
-// One write protocol: the fleet quiesces, every rank CAPTURES its
-// partition into its one reused snapshot — the whole partition for a
-// full checkpoint, the dirtied tiles packed into the snapshot's prefix
-// for a delta — and rank 0 hands the job to a background
-// ckpt.AsyncWriter while compute resumes. A capture first waits for the
-// previous write to release the snapshots, so at most one checkpoint is
-// in flight, peak memory is the state plus one partition copy per rank,
-// and the stall is whatever of the write the compute since the last cut
-// did not hide. Deltas chain to their parent checkpoint and every
-// Config.CheckpointFullEvery-th write is full, bounding restore chains.
-// Nothing is built before the first cut: the writer goroutine, the
-// snapshots and — only when deltas are possible — the dirty trackers.
+// One write protocol: the fleet quiesces, every rank CAPTURES its whole
+// partition into its one reused snapshot, and rank 0 hands the job to a
+// background ckpt.AsyncWriter while compute resumes. A capture first
+// waits for the previous write to release the snapshots, so at most one
+// checkpoint is in flight, peak memory is the state plus one partition
+// copy per rank, and the stall is whatever of the write the compute
+// since the last cut did not hide. Every checkpoint is full and restores
+// on its own: a gate sweeps the whole partition, so an incremental one
+// would carry nearly every tile anyway. Nothing is built before the
+// first cut: the writer goroutine and the snapshots.
 
 // RunFailure is the structured terminal error of a distributed run that
 // could not be completed: the PE failure (or other root cause) survives
@@ -62,37 +60,30 @@ func recoverable(err error) bool {
 // region. One instance is shared by all PEs of a run; the cross-PE slots
 // are synchronized by the protocol's barriers.
 type ckptWriter struct {
-	every     int
-	fullEvery int
-	dir       string
-	man       ckpt.Manifest // immutable template fields (backend, circuit, ...)
+	every int
+	dir   string
+	man   ckpt.Manifest // immutable template fields (backend, circuit, ...)
 
 	// Built at the attempt's first cut by rank 0: the background writer
-	// and one snapshot per rank, reused by every later cut. sinceFull and
-	// lastStep are rank-0-only bookkeeping for the delta chain.
-	aw        *ckpt.AsyncWriter
-	snaps     []*ckpt.Payload
-	sinceFull int
-	lastStep  int
+	// and one snapshot per rank, reused by every later cut.
+	aw    *ckpt.AsyncWriter
+	snaps []*ckpt.Payload
 
 	// Per-cut cross-PE scratch, published by the protocol's barriers.
-	err    error  // the previous write's latched error, seen at the quiesce
-	kind   string // rank 0's full/delta decision for this cut
-	parent int
-	t0     time.Time
+	err error // the previous write's latched error, seen at the quiesce
+	t0  time.Time
 
 	stats ckpt.Stats
 
 	// Optional metrics, flight recorder, tracer (for the writer's trace
 	// lane); all nil-safe.
-	mCount      *obs.Counter
-	mBytes      *obs.Counter
-	mNS         *obs.Counter
-	mWriterNS   *obs.Counter
-	mDeltaTiles *obs.Counter
-	rec         *obs.FlightRecorder
-	trace       *obs.Tracer
-	wtrk        *obs.Track
+	mCount    *obs.Counter
+	mBytes    *obs.Counter
+	mNS       *obs.Counter
+	mWriterNS *obs.Counter
+	rec       *obs.FlightRecorder
+	trace     *obs.Tracer
+	wtrk      *obs.Track
 }
 
 // newCkptWriter returns nil when checkpointing is off. The manifest
@@ -104,9 +95,8 @@ func newCkptWriter(cfg Config, backend string, c *circuit.Circuit, p int, planFP
 		return nil
 	}
 	w := &ckptWriter{
-		every:     cfg.CheckpointEvery,
-		fullEvery: cfg.CheckpointFullEvery,
-		dir:       cfg.CheckpointDir,
+		every: cfg.CheckpointEvery,
+		dir:   cfg.CheckpointDir,
 		man: ckpt.Manifest{
 			Backend:         backend,
 			Circuit:         c.Name,
@@ -125,7 +115,6 @@ func newCkptWriter(cfg Config, backend string, c *circuit.Circuit, p int, planFP
 		w.mBytes = cfg.Metrics.Counter(obs.MetricCkptBytes)
 		w.mNS = cfg.Metrics.Counter(obs.MetricCkptNS)
 		w.mWriterNS = cfg.Metrics.Counter(obs.MetricCkptWriterNS)
-		w.mDeltaTiles = cfg.Metrics.Counter(obs.MetricCkptDeltaTiles)
 	}
 	return w
 }
@@ -178,29 +167,6 @@ func (w *ckptWriter) finish() error {
 	return nil
 }
 
-// decideKind picks full or delta for the next checkpoint. Rank 0 only.
-// A cut is full when deltas are off, at the attempt's first cut, and
-// when the chain has reached its fullEvery bound.
-func (w *ckptWriter) decideKind() {
-	if w.fullEvery <= 1 || w.sinceFull == 0 || w.sinceFull >= w.fullEvery {
-		w.kind = ckpt.KindFull
-		return
-	}
-	w.kind = ckpt.KindDelta
-	w.parent = w.lastStep
-}
-
-// noteSubmitted advances the rank-0 chain bookkeeping after a
-// successful submit of step.
-func (w *ckptWriter) noteSubmitted(step int) {
-	if w.kind == ckpt.KindFull {
-		w.sinceFull = 1
-	} else {
-		w.sinceFull++
-	}
-	w.lastStep = step
-}
-
 // fillManifest copies the template and stamps the per-checkpoint fields.
 func (w *ckptWriter) fillManifest(step, ops int, cbits uint64, draws int64, perm circuit.Permutation) *ckpt.Manifest {
 	m := w.man
@@ -211,40 +177,16 @@ func (w *ckptWriter) fillManifest(step, ops int, cbits uint64, draws int64, perm
 	if perm != nil {
 		m.Perm = append([]int(nil), perm...)
 	}
-	m.Kind = w.kind
-	if m.Kind == ckpt.KindDelta {
-		m.Parent = w.parent
-	}
 	return &m
-}
-
-// capture takes this rank's snapshot according to rank 0's kind
-// decision. A full capture is the new delta baseline: when deltas are
-// possible it clears the rank's dirty tracker, built here at the first.
-func (w *ckptWriter) capture(rank int, r *Rank) {
-	snap := w.snaps[rank]
-	if w.kind == ckpt.KindDelta {
-		snap.CaptureTiles(r.Local, r.dirty)
-		w.mDeltaTiles.Add(int64(len(snap.Tiles)))
-		return
-	}
-	snap.Capture(r.Local)
-	if w.fullEvery > 1 {
-		if r.dirty == nil {
-			r.dirty = ckpt.NewDirty(r.Local.Dim, 0)
-		}
-		r.dirty.Clear()
-	}
 }
 
 // write runs the coordinated checkpoint protocol; every PE must call it
 // at the same schedule position with ops executable-stream ops
 // completed. The region quiesces at a barrier; rank 0 waits for the
-// previous write to release the snapshots and decides full or delta for
-// the fleet; every rank captures; rank 0 hands the job to the background
-// writer and compute proceeds while the shards serialize. A latched
-// writer error surfaces here (and at finish) as a terminal
-// (non-recoverable) failure.
+// previous write to release the snapshots; every rank captures; rank 0
+// hands the job to the background writer and compute proceeds while the
+// shards serialize. A latched writer error surfaces here (and at finish)
+// as a terminal (non-recoverable) failure.
 func (w *ckptWriter) write(pe *pgas.PE, r *Rank, step, ops int, perm circuit.Permutation) {
 	gridSync(pe) // quiesce: all in-flight one-sided writes are visible
 	if pe.Rank == 0 {
@@ -252,18 +194,16 @@ func (w *ckptWriter) write(pe *pgas.PE, r *Rank, step, ops int, perm circuit.Per
 		if w.aw == nil {
 			w.start()
 		}
-		if w.err = w.aw.Wait(); w.err == nil {
-			w.decideKind()
-		}
+		w.err = w.aw.Wait()
 	}
-	gridSync(pe) // publishes the kind decision (or the latched error)
+	gridSync(pe) // publishes the latched error, if any
 	if w.err != nil {
 		if pe.Rank == 0 {
 			pe.Fail(fmt.Errorf("core: checkpoint at step %d: %w", step, w.err))
 		}
 		return // peers unwind at their next barrier
 	}
-	w.capture(pe.Rank, r)
+	w.snaps[pe.Rank].Capture(r.Local)
 	gridSync(pe) // all snapshots taken; compute may dirty state again
 	if pe.Rank != 0 {
 		return // durability is the writer's job from here
@@ -272,13 +212,12 @@ func (w *ckptWriter) write(pe *pgas.PE, r *Rank, step, ops int, perm circuit.Per
 	if err := w.aw.Submit(ckpt.StepDir(w.dir, step), m, w.snaps); err != nil {
 		pe.Fail(fmt.Errorf("core: checkpoint at step %d: %w", step, err))
 	}
-	w.noteSubmitted(step)
 	ns := time.Since(w.t0).Nanoseconds()
 	w.stats.Count++
 	w.stats.NS += ns
 	w.mCount.Add(1)
 	w.mNS.Add(ns)
-	w.rec.Record(pe.Rank, obs.EventCkptQueued, fmt.Sprintf("step %d %s", step, w.kind), int64(step))
+	w.rec.Record(pe.Rank, obs.EventCkptQueued, fmt.Sprintf("step %d", step), int64(step))
 }
 
 // gridSync is the protocol's fleet barrier; a one-rank grid has nobody
@@ -325,15 +264,10 @@ func validateManifest(m *ckpt.Manifest, backend string, c *circuit.Circuit, pol 
 	return nil
 }
 
-// restoreShards loads every rank's partition — materialized through its
-// delta chain when the checkpoint is incremental.
+// restoreShards loads every rank's partition from its shard.
 func restoreShards(dir string, m *ckpt.Manifest, ranks []Rank) error {
-	links, err := ckpt.Chain(dir, m)
-	if err != nil {
-		return err
-	}
 	for r := range ranks {
-		st, err := ckpt.RestoreShardChain(links, r, ranks[r].Local.N)
+		st, err := ckpt.ReadShard(dir, m.Shards[r], ranks[r].Local.N)
 		if err != nil {
 			return err
 		}

@@ -445,21 +445,18 @@ func TestCheckpointCadenceAcrossGroupedSteps(t *testing.T) {
 }
 
 // TestCheckpointingStartsNothingBeforeItsFirstCut: a run whose interval
-// is never reached starts no background writer, takes no snapshot and
-// builds no dirty tracker, whatever its delta cadence; a run that cuts
-// builds a tracker only when deltas are possible.
+// is never reached starts no background writer and takes no snapshot; a
+// run that cuts starts both.
 func TestCheckpointingStartsNothingBeforeItsFirstCut(t *testing.T) {
 	c := measuredCircuit(38, 6, 40)
 	for _, tc := range []struct {
-		every, fullEvery int
-		cuts, tracked    bool
+		every int
+		cuts  bool
 	}{
-		{1 << 30, 0, false, false},
-		{1 << 30, 2, false, false},
-		{10, 0, true, false},
-		{10, 2, true, true},
+		{1 << 30, false},
+		{10, true},
 	} {
-		cfg := Config{PEs: 2, Seed: 3, CheckpointEvery: tc.every, CheckpointDir: t.TempDir(), CheckpointFullEvery: tc.fullEvery}
+		cfg := Config{PEs: 2, Seed: 3, CheckpointEvery: tc.every, CheckpointDir: t.TempDir()}
 		cp, _, err := compileCircuit(cfg, c, cfg.PEs)
 		if err != nil {
 			t.Fatal(err)
@@ -469,57 +466,49 @@ func TestCheckpointingStartsNothingBeforeItsFirstCut(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rt.ck.aw != nil || rt.ck.snaps != nil {
-			t.Fatalf("every=%d full-every=%d: the writer started before the run", tc.every, tc.fullEvery)
+			t.Fatalf("every=%d: the writer started before the run", tc.every)
 		}
 		res, err := rt.run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if started := rt.ck.aw != nil && rt.ck.snaps != nil; started != tc.cuts || (res.Ckpt.Count > 0) != tc.cuts {
-			t.Errorf("every=%d full-every=%d: writer started=%v after %d checkpoints, want %v",
-				tc.every, tc.fullEvery, started, res.Ckpt.Count, tc.cuts)
-		}
-		for r := range rt.ranks {
-			if tracked := rt.ranks[r].dirty != nil; tracked != tc.tracked {
-				t.Errorf("every=%d full-every=%d: rank %d built a dirty tracker: %v, want %v",
-					tc.every, tc.fullEvery, r, tracked, tc.tracked)
-			}
+			t.Errorf("every=%d: writer started=%v after %d checkpoints, want %v",
+				tc.every, started, res.Ckpt.Count, tc.cuts)
 		}
 	}
 }
 
 // TestCheckpointSnapshotAllocatedOnce: each rank copies its partition
-// into one snapshot that every checkpoint of the run reuses, full or
-// delta, and the encoder allocates nothing per amplitude — so eight
-// checkpoints allocate no more than one does, give or take their
-// manifests and (under the race detector, which drops pooled items) a
-// few encoding chunks.
+// into one snapshot that every checkpoint of the run reuses, and the
+// encoder allocates nothing per amplitude — so eight checkpoints
+// allocate no more than one does, give or take their manifests and
+// (under the race detector, which drops pooled items) a few encoding
+// chunks.
 func TestCheckpointSnapshotAllocatedOnce(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // pooled chunks survive
 	const n = 16
 	c := randomCircuit(rand.New(rand.NewSource(39)), n, 180)
 	stateBytes := uint64(16) << n
-	for _, fullEvery := range []int{0, 2} {
-		allocs := func(every int) (uint64, int64) {
-			var m0, m1 goruntime.MemStats
-			goruntime.ReadMemStats(&m0)
-			res, err := NewScaleOut(Config{PEs: 2, CheckpointEvery: every, CheckpointDir: t.TempDir(), CheckpointFullEvery: fullEvery}).Run(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			goruntime.ReadMemStats(&m1)
-			return m1.TotalAlloc - m0.TotalAlloc, res.Ckpt.Count
+	allocs := func(every int) (uint64, int64) {
+		var m0, m1 goruntime.MemStats
+		goruntime.ReadMemStats(&m0)
+		res, err := NewScaleOut(Config{PEs: 2, CheckpointEvery: every, CheckpointDir: t.TempDir()}).Run(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		allocs(90) // warm the encoder's chunk pool
-		one, n1 := allocs(150)
-		many, n8 := allocs(20)
-		if n1 != 1 || n8 < 4 {
-			t.Fatalf("full-every=%d: %d and %d checkpoints, want 1 and >= 4", fullEvery, n1, n8)
-		}
-		t.Logf("full-every=%d: %d checkpoints allocated %d bytes, one %d (state %d)", fullEvery, n8, many, one, stateBytes)
-		if many > one+stateBytes {
-			t.Errorf("full-every=%d: %d checkpoints allocated %d bytes, one allocated %d: more than a state (%d bytes) apart",
-				fullEvery, n8, many, one, stateBytes)
-		}
+		goruntime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc, res.Ckpt.Count
+	}
+	allocs(90) // warm the encoder's chunk pool
+	one, n1 := allocs(150)
+	many, n8 := allocs(20)
+	if n1 != 1 || n8 < 4 {
+		t.Fatalf("%d and %d checkpoints, want 1 and >= 4", n1, n8)
+	}
+	t.Logf("%d checkpoints allocated %d bytes, one %d (state %d)", n8, many, one, stateBytes)
+	if many > one+stateBytes {
+		t.Errorf("%d checkpoints allocated %d bytes, one allocated %d: more than a state (%d bytes) apart",
+			n8, many, one, stateBytes)
 	}
 }

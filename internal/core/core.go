@@ -104,11 +104,6 @@ type Config struct {
 	// becomes a ckpt-<step> subdirectory holding per-PE shards and a
 	// manifest.
 	CheckpointDir string
-	// CheckpointFullEvery, when > 1, makes every N-th checkpoint full and
-	// the ones between deltas: the runtime tracks writes and captures only
-	// the dirtied tiles, chained to their parent checkpoint. <= 1 makes
-	// every checkpoint full and tracks nothing.
-	CheckpointFullEvery int
 	// Resume, when non-empty, continues the run from a checkpoint: either
 	// a specific ckpt-<step> directory or a base directory whose latest
 	// complete checkpoint is used. The checkpoint may have been taken on

@@ -10,10 +10,10 @@ import (
 )
 
 // Elastic restore: continue a checkpointed run on a DIFFERENT fleet size.
-// The checkpoint's shards are materialized through their delta chains,
-// un-permuted into the geometry-free logical state vector, and the
-// residual executable stream (past the manifest's op cut) is re-planned
-// and executed on the new fleet. The warm start and the cut are both
+// The checkpoint's shards are read and un-permuted into the
+// geometry-free logical state vector, and the residual executable stream
+// (past the manifest's op cut) is re-planned and executed on the new
+// fleet. The warm start and the cut are both
 // expressed logically, every gate runs the one kernel core and the
 // residual stream's diagonal runs are the original's past the cut (a
 // checkpoint cuts at a step boundary, where compile.DiagRuns restarts),
@@ -53,7 +53,7 @@ func runElastic(backend string, cfg Config, cp *compile.CompiledPlan, dir string
 	// describes, so fusion is off. The plan cache describes the ORIGINAL
 	// fleet; it resets. Checkpoints of the elastic run land in their own
 	// subdirectory so its manifests (new fleet size, new stream) never
-	// mix with the original chain.
+	// mix with the original run's.
 	ecfg := cfg
 	ecfg.PEs = newPEs
 	ecfg.Fuse = false

@@ -80,27 +80,24 @@ func TestOneRankResultIsThePartition(t *testing.T) {
 // plan step equal to the op cut, and no permutation, under either
 // policy (a one-rank plan never leaves the identity). Read: such a
 // manifest — any written before the fold included — resumes as the
-// identity, from an all-full chain or a delta chain, per-gate or tiled
-// with the cut landing inside a tile group, to the uninterrupted result
-// exactly.
+// identity, written and resumed per-gate or tiled with the cut landing
+// inside a tile group, to the uninterrupted result exactly.
 func TestOneRankCheckpointInterop(t *testing.T) {
 	c := mixedCircuit(rand.New(rand.NewSource(22)), 7, 120)
 	for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
-		for _, fullEvery := range []int{0, 2} {
+		for _, wtile := range []bool{false, true} {
 			base := Config{Seed: 3, Sched: pol}
 			for name, mk := range oneRankCells {
 				ref, err := mk(base).Run(c)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Delta cells chain off a tiled run, so the write tracker
-				// sees tile groups and pool-split kernels too.
 				dir := t.TempDir()
 				wcfg := base
 				wcfg.CheckpointEvery, wcfg.CheckpointDir = 7, dir
-				wcfg.CheckpointFullEvery, wcfg.Tile, wcfg.TileBits = fullEvery, fullEvery > 1, 3
+				wcfg.Tile, wcfg.TileBits = wtile, 3
 				if _, err := mk(wcfg).Run(c); err != nil {
-					t.Fatalf("%s %s full-every=%d: %v", name, pol, fullEvery, err)
+					t.Fatalf("%s %s wtile=%v: %v", name, pol, wtile, err)
 				}
 				for _, ck := range ckptDirs(t, dir) {
 					_, m, err := ckpt.Resolve(ck)
@@ -108,19 +105,19 @@ func TestOneRankCheckpointInterop(t *testing.T) {
 						t.Fatal(err)
 					}
 					if m.Backend != ref.Backend || m.PEs != 1 || m.Step != m.OpsDone || len(m.Perm) != 0 {
-						t.Errorf("%s %s full-every=%d: manifest backend=%q pes=%d step=%d ops=%d perm=%v",
-							name, pol, fullEvery, m.Backend, m.PEs, m.Step, m.OpsDone, m.Perm)
+						t.Errorf("%s %s wtile=%v: manifest backend=%q pes=%d step=%d ops=%d perm=%v",
+							name, pol, wtile, m.Backend, m.PEs, m.Step, m.OpsDone, m.Perm)
 					}
 					for _, tile := range []bool{false, true} {
 						rcfg := base
 						rcfg.Resume, rcfg.Tile, rcfg.TileBits = ck, tile, 3
 						got, err := mk(rcfg).Run(c)
 						if err != nil {
-							t.Fatalf("%s %s full-every=%d: resume %s tile=%v: %v", name, pol, fullEvery, ck, tile, err)
+							t.Fatalf("%s %s wtile=%v: resume %s tile=%v: %v", name, pol, wtile, ck, tile, err)
 						}
 						if d := got.State.MaxAbsDiff(ref.State); d != 0 || got.Cbits != ref.Cbits {
-							t.Errorf("%s %s full-every=%d: resume %s tile=%v off by %g, cbits %b vs %b",
-								name, pol, fullEvery, ck, tile, d, got.Cbits, ref.Cbits)
+							t.Errorf("%s %s wtile=%v: resume %s tile=%v off by %g, cbits %b vs %b",
+								name, pol, wtile, ck, tile, d, got.Cbits, ref.Cbits)
 						}
 					}
 				}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"svsim/internal/circuit"
-	"svsim/internal/ckpt"
 	"svsim/internal/fault"
 	"svsim/internal/pgas"
 	"svsim/internal/qasmbench"
@@ -45,52 +44,6 @@ func TestMPILazySchedIsHonoured(t *testing.T) {
 	}
 	if d := res.State.MaxAbsDiff(ref.State); d != 0 {
 		t.Fatalf("mpi lazy deviates from single by %g", d)
-	}
-}
-
-// TestMPIAsyncCheckpointDeltaChain: CheckpointFullEvery compacts the
-// mpi backend's chain — written, like every chain, by the background
-// writer — every N-th checkpoint, with deltas in between, and resuming
-// from the latest replays the chain bit-identical.
-func TestMPIAsyncCheckpointDeltaChain(t *testing.T) {
-	c := measuredCircuit(41, 7, 70)
-	for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
-		t.Run(string(pol), func(t *testing.T) {
-			base := Config{PEs: 4, Seed: 9, Sched: pol}
-			ref, err := runMPI(t, base, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := ckptTestDir(t)
-			cfg := base
-			cfg.CheckpointEvery, cfg.CheckpointDir = 5, dir
-			cfg.CheckpointFullEvery = 4
-			if _, err := runMPI(t, cfg, c); err != nil {
-				t.Fatal(err)
-			}
-			kinds := readKinds(t, dir) // newest first
-			if len(kinds) < 5 {
-				t.Fatalf("only %d checkpoints (%v); the chain needs a second full", len(kinds), kinds)
-			}
-			for i, k := range kinds {
-				want := ckpt.KindDelta
-				if (len(kinds)-1-i)%4 == 0 {
-					want = ckpt.KindFull
-				}
-				if k != want {
-					t.Fatalf("kinds %v (newest first): checkpoint %d is %q, want %q", kinds, len(kinds)-1-i, k, want)
-				}
-			}
-			rcfg := base
-			rcfg.Resume = dir
-			got, err := runMPI(t, rcfg, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := got.State.MaxAbsDiff(ref.State); d != 0 || got.Cbits != ref.Cbits {
-				t.Fatalf("resumed run deviates by %g, cbits %b vs %b", d, got.Cbits, ref.Cbits)
-			}
-		})
 	}
 }
 

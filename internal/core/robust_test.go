@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"svsim/internal/circuit"
@@ -14,94 +13,10 @@ import (
 	"svsim/internal/sched"
 )
 
-// readKinds returns the Kind of every complete checkpoint under base.
-func readKinds(t *testing.T, base string) []string {
-	t.Helper()
-	steps, err := ckpt.CompleteSteps(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := make([]string, 0, len(steps))
-	for _, s := range steps {
-		_, m, err := ckpt.Resolve(ckpt.StepDir(base, s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		kinds = append(kinds, m.Kind)
-	}
-	return kinds
-}
-
-// TestAsyncCheckpointDeltaChainResume is the incremental-checkpoint
-// round trip: a run with a short full cadence emits delta manifests
-// chained onto fulls, and resuming from the latest (delta) checkpoint
-// replays the chain into a state bit-identical to an uninterrupted run —
-// on both distributed backends and both schedules.
-func TestAsyncCheckpointDeltaChainResume(t *testing.T) {
-	c := measuredCircuit(41, 7, 70)
-	backends := []struct {
-		name string
-		run  func(Config) (*Result, error)
-	}{
-		{"scale-up", func(cfg Config) (*Result, error) { return NewScaleUp(cfg).Run(c) }},
-		{"scale-out", func(cfg Config) (*Result, error) { return NewScaleOut(cfg).Run(c) }},
-	}
-	for _, b := range backends {
-		for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
-			t.Run(b.name+"/"+string(pol), func(t *testing.T) {
-				base := Config{PEs: 4, Seed: 9, Sched: pol}
-				ref, err := b.run(base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dir := ckptTestDir(t)
-				cfg := base
-				cfg.CheckpointEvery = 5
-				cfg.CheckpointDir = dir
-				cfg.CheckpointFullEvery = 3
-				mid, err := b.run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mid.Ckpt.Count == 0 {
-					t.Fatal("expected checkpoints to be written")
-				}
-				kinds := readKinds(t, dir)
-				if len(kinds) == 0 {
-					t.Fatal("no complete checkpoints on disk")
-				}
-				if pol == sched.Lazy {
-					var deltas int
-					for _, k := range kinds {
-						if k == ckpt.KindDelta {
-							deltas++
-						}
-					}
-					if deltas == 0 {
-						t.Fatalf("lazy run wrote no delta checkpoints (kinds %v)", kinds)
-					}
-				}
-				rcfg := base
-				rcfg.Resume = dir
-				got, err := b.run(rcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := got.State.MaxAbsDiff(ref.State); d != 0 {
-					t.Fatalf("resumed run deviates by %g (want bit-identical)", d)
-				}
-				if got.Cbits != ref.Cbits {
-					t.Fatalf("cbits %b vs %b", got.Cbits, ref.Cbits)
-				}
-			})
-		}
-	}
-}
-
-// TestAsyncCrashEquivalence is TestCrashEquivalence over a delta chain:
-// a kill mid-run (possibly with a checkpoint write still in flight — the
-// writer drains before recovery) auto-restarts from the latest complete
-// checkpoint, replaying its chain, and finishes bit-identical.
+// TestAsyncCrashEquivalence: a kill mid-run, possibly with a checkpoint
+// write still in flight (the writer drains before recovery),
+// auto-restarts from the latest complete checkpoint and finishes
+// bit-identical.
 func TestAsyncCrashEquivalence(t *testing.T) {
 	seed := faultSeed(t)
 	c := measuredCircuit(42, 6, 60)
@@ -118,7 +33,6 @@ func TestAsyncCrashEquivalence(t *testing.T) {
 			cfg.Fault = in
 			cfg.CheckpointEvery = 5
 			cfg.CheckpointDir = ckptTestDir(t)
-			cfg.CheckpointFullEvery = 2
 			cfg.MaxRestarts = 2
 			got, err := NewScaleOut(cfg).Run(c)
 			if err != nil {
@@ -498,9 +412,8 @@ func TestThreadedCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestTiledAsyncCheckpointInterop extends the tile/checkpoint interop
-// property to delta chains: checkpoints written by a tiled run
-// (quantized to group boundaries, every other one a delta) resume
+// TestTiledAsyncCheckpointInterop: checkpoints written by a tiled run
+// through the background writer (quantized to group boundaries) resume
 // correctly on both the tiled and per-gate single-device paths.
 func TestTiledAsyncCheckpointInterop(t *testing.T) {
 	c := qftCircuit(8)
@@ -511,16 +424,13 @@ func TestTiledAsyncCheckpointInterop(t *testing.T) {
 	dir := ckptTestDir(t)
 	tiled, err := NewSingleDevice(Config{
 		Seed: 3, Tile: true, TileBits: 3,
-		CheckpointEvery: 7, CheckpointDir: dir, CheckpointFullEvery: 2,
+		CheckpointEvery: 7, CheckpointDir: dir,
 	}).Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tiled.Ckpt.Count == 0 {
 		t.Fatal("expected checkpoints to be written")
-	}
-	if kinds := readKinds(t, dir); !slices.Contains(kinds, ckpt.KindDelta) {
-		t.Fatalf("tiled run wrote no delta checkpoints (kinds %v)", kinds)
 	}
 	steps, err := ckpt.CompleteSteps(dir)
 	if err != nil {

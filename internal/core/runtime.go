@@ -126,21 +126,12 @@ type Rank struct {
 	draws int64 // uniform variates consumed, for checkpointed RNG replay
 	cbits uint64
 	perm  circuit.Permutation
-	dirty *ckpt.Dirty // write tracking for delta checkpoints; nil until a full one makes deltas possible
 	// Diagonal-run scratch, sized on first use: the normal form of the
 	// run being prepared, and one prepared slot per run in flight (one,
 	// or as many as a tiled group holds).
 	terms  []gate.DiagTerm
 	tables []*statevec.DiagTables
 	_      [64]byte
-}
-
-// markAll feeds the delta-checkpoint write tracker; a no-op when
-// tracking is off.
-func (r *Rank) markAll() {
-	if r.dirty != nil {
-		r.dirty.MarkAll()
-	}
 }
 
 // draw consumes one uniform variate from the replicated stream.
@@ -425,7 +416,6 @@ func (rt *runtime) run() (*Result, error) {
 			case sched.StepRemap:
 				// Always executed, always on every rank.
 				tr.label = remapLabel(st.Swaps)
-				r.markAll() // the exchange rewrites the whole partition
 				c0 := rt.t.Counters(pe.Rank)
 				if rt.t.Exchange(pe, r, st.Swaps, rt.Compiled.Exchanges[si-1], tr) {
 					b0 := time.Now()
@@ -573,7 +563,6 @@ func (rt *runtime) tileGroup(r *Rank, grp compile.TileGroup, runs []compile.Run,
 	if len(members) == 0 {
 		return
 	}
-	r.markAll()
 	st := r.Local
 	tb := uint(rt.Compiled.Tiles.TileBits)
 	tile := func(t int) (amps, flops int64) {
@@ -650,7 +639,6 @@ func (rt *runtime) runStep(pe *pgas.PE, r *Rank, run *compile.Run, tr StepTrace)
 		if rot.X >= rt.S {
 			return false
 		}
-		r.markAll()
 		if rt.pool != nil {
 			rt.pool.ApplyPauliRotShared(r.Local, &rot)
 		} else {
@@ -658,11 +646,6 @@ func (rt *runtime) runStep(pe *pgas.PE, r *Rank, run *compile.Run, tr StepTrace)
 		}
 	} else {
 		d := rt.prepare(r, 0, run)
-		if r.dirty != nil {
-			// Only amplitudes with every pinned qubit set can change; the
-			// pinned qubits held in the rank bits merely gate the partition.
-			r.dirty.MarkCtrls(physMask(run.Pinned, r.perm) & (rt.S - 1))
-		}
 		if rt.pool != nil {
 			rt.pool.ApplyRunShared(r.Local, d)
 		} else {
@@ -752,20 +735,7 @@ func (rt *runtime) apply(pe *pgas.PE, r *Rank, g *gate.Gate, cls *gate.Class, tr
 		}
 	}
 	if remote {
-		r.markAll() // peers may write into this partition
 		return rt.t.RemoteGate(pe, r, g, tr)
-	}
-	if r.dirty != nil {
-		// Write tracking: only amplitudes satisfying every LOCAL control
-		// bit can change (global controls merely gate the whole
-		// partition, conservatively ignored).
-		var localMask int
-		for _, c := range g.Qubits[:g.Kind.NumControls()] {
-			if int(c) < rt.LocalBits {
-				localMask |= 1 << uint(c)
-			}
-		}
-		r.dirty.MarkCtrls(localMask)
 	}
 	if rt.pool != nil {
 		rt.pool.ApplyShared(r.Local, g)
@@ -784,7 +754,6 @@ func (rt *runtime) apply(pe *pgas.PE, r *Rank, g *gate.Gate, cls *gate.Class, tr
 // space, so the probability does not depend on how many ranks hold it.
 func (rt *runtime) measure(pe *pgas.PE, r *Rank, q int) int {
 	phys := r.perm[q]
-	r.markAll() // collapse renormalizes the whole partition
 	p1 := r.Local.ProbOne(phys)
 	if rt.P > 1 {
 		p1 = pe.AllReduceSum(p1)

@@ -29,10 +29,9 @@ func mpiQFT(n int) *circuit.Circuit {
 	return c
 }
 
-// TestMpiAsyncCheckpointResume round-trips the baseline's delta chain
-// (TestResumeMatchesUninterrupted is its all-full twin): the background
-// writer leaves complete manifests, and resuming from the latest
-// matches an uninterrupted run bit-for-bit.
+// TestMpiAsyncCheckpointResume: the background writer leaves complete
+// manifests, and resuming from the latest matches an uninterrupted run
+// bit-for-bit.
 func TestMpiAsyncCheckpointResume(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(21)), 6, 60)
 	c.Measure(3, 0)
@@ -43,7 +42,7 @@ func TestMpiAsyncCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	mid, err := mpi(core.Config{
 		PEs: 4, Seed: 7,
-		CheckpointEvery: 10, CheckpointDir: dir, CheckpointFullEvery: 2,
+		CheckpointEvery: 10, CheckpointDir: dir,
 	}, c)
 	if err != nil {
 		t.Fatal(err)
@@ -63,9 +62,8 @@ func TestMpiAsyncCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestMpiAsyncCrashEquivalence kills a rank of a run writing a delta
-// chain (TestCheckpointKillRestore is its all-full twin): the writer
-// drains before recovery, so the restart resumes from a complete
+// TestMpiAsyncCrashEquivalence kills a rank of a checkpointing run: the
+// writer drains before recovery, so the restart resumes from a complete
 // checkpoint and finishes bit-identical.
 func TestMpiAsyncCrashEquivalence(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(22)), 6, 60)
@@ -78,7 +76,7 @@ func TestMpiAsyncCrashEquivalence(t *testing.T) {
 	in.KillAt(1, fault.Barrier, 30)
 	got, err := mpi(core.Config{
 		PEs: 4, Seed: 7, Fault: in,
-		CheckpointEvery: 5, CheckpointDir: t.TempDir(), CheckpointFullEvery: 2,
+		CheckpointEvery: 5, CheckpointDir: t.TempDir(),
 		MaxRestarts: 2,
 	}, c)
 	if err != nil {
@@ -240,32 +238,30 @@ func TestRemapHonoursResilienceConfig(t *testing.T) {
 		t.Fatalf("root cause should be rank 1's kill, got %v", err)
 	}
 
-	for _, fullEvery := range []int{0, 2} {
-		dir := t.TempDir()
-		got, err := remap(core.Config{
-			PEs: 4, Seed: 7, Fault: kill(),
-			CheckpointEvery: 4, CheckpointDir: dir, CheckpointFullEvery: fullEvery, MaxRestarts: 2,
-		}, c)
-		if err != nil {
-			t.Fatalf("full-every=%d: %v", fullEvery, err)
-		}
-		if got.Recoveries != 1 || got.Ckpt.Count == 0 {
-			t.Fatalf("full-every=%d: recoveries=%d checkpoints=%d, want 1 and > 0", fullEvery, got.Recoveries, got.Ckpt.Count)
-		}
-		if d := got.State.MaxAbsDiff(ref.State); d != 0 || got.Cbits != ref.Cbits {
-			t.Fatalf("full-every=%d: recovered run deviates by %g, cbits %b vs %b", fullEvery, d, got.Cbits, ref.Cbits)
-		}
-		_, m, ok, err := ckpt.Latest(dir)
-		if err != nil || !ok {
-			t.Fatalf("full-every=%d: no checkpoint on disk: ok=%v err=%v", fullEvery, ok, err)
-		}
-		if m.Backend != "mpi" || m.Sched != "lazy" || len(m.Perm) != c.NumQubits {
-			t.Fatalf("full-every=%d: manifest backend=%q sched=%q perm=%v, want mpi/lazy and a %d-qubit permutation",
-				fullEvery, m.Backend, m.Sched, m.Perm, c.NumQubits)
-		}
+	dir := t.TempDir()
+	got, err := remap(core.Config{
+		PEs: 4, Seed: 7, Fault: kill(),
+		CheckpointEvery: 4, CheckpointDir: dir, MaxRestarts: 2,
+	}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Recoveries != 1 || got.Ckpt.Count == 0 {
+		t.Fatalf("recoveries=%d checkpoints=%d, want 1 and > 0", got.Recoveries, got.Ckpt.Count)
+	}
+	if d := got.State.MaxAbsDiff(ref.State); d != 0 || got.Cbits != ref.Cbits {
+		t.Fatalf("recovered run deviates by %g, cbits %b vs %b", d, got.Cbits, ref.Cbits)
+	}
+	_, m, ok, err := ckpt.Latest(dir)
+	if err != nil || !ok {
+		t.Fatalf("no checkpoint on disk: ok=%v err=%v", ok, err)
+	}
+	if m.Backend != "mpi" || m.Sched != "lazy" || len(m.Perm) != c.NumQubits {
+		t.Fatalf("manifest backend=%q sched=%q perm=%v, want mpi/lazy and a %d-qubit permutation",
+			m.Backend, m.Sched, m.Perm, c.NumQubits)
 	}
 
-	dir := t.TempDir()
+	dir = t.TempDir()
 	stop := &core.StopLatch{}
 	stop.Trigger()
 	_, err = remap(core.Config{PEs: 4, Seed: 7, CheckpointEvery: 4, CheckpointDir: dir, Stop: stop}, c)
@@ -276,7 +272,7 @@ func TestRemapHonoursResilienceConfig(t *testing.T) {
 	if err != nil || len(steps) != 1 {
 		t.Fatalf("interrupted run left checkpoints %v (err %v), want exactly one", steps, err)
 	}
-	got, err := remap(core.Config{PEs: 4, Seed: 7, Resume: dir}, c)
+	got, err = remap(core.Config{PEs: 4, Seed: 7, Resume: dir}, c)
 	if err != nil {
 		t.Fatal(err)
 	}

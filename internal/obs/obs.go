@@ -67,8 +67,6 @@ const (
 	// writer spends serializing shards and manifests — time hidden behind
 	// compute, the counterpart of MetricCkptNS.
 	MetricCkptWriterNS = "ckpt_writer_ns"
-	// MetricCkptDeltaTiles counts tiles captured into delta shards.
-	MetricCkptDeltaTiles = "ckpt_delta_tiles"
 	// MetricPlanCacheHits counts compile plan-cache hits (rebinds).
 	MetricPlanCacheHits = "plan_cache_hits"
 	// MetricPlanCacheMisses counts compile plan-cache misses (including

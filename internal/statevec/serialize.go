@@ -35,20 +35,20 @@ var (
 // the stream actually delivered, not the 2^n the header promised.
 const readChunkFloats = 32768
 
-// writeChunk is how many encoded bytes a ChunkWriter hands its writer at
+// writeChunk is how many encoded bytes a chunkWriter hands its writer at
 // a time.
 const writeChunk = 64 << 10
 
-// chunks recycles ChunkWriter buffers, so a steady stream of shard writes
+// chunks recycles chunkWriter buffers, so a steady stream of shard writes
 // allocates nothing.
 var chunks = sync.Pool{New: func() any { return new([writeChunk]byte) }}
 
-// ChunkWriter encodes little-endian words into one pooled 64 KiB chunk
+// chunkWriter encodes little-endian words into one pooled 64 KiB chunk
 // and writes the chunk each time it fills: one Write per chunk instead of
 // one binary.Write (a reflective encode and an allocation) per word. The
 // first write error latches and turns every later call into a no-op;
 // Close reports it with the byte count written.
-type ChunkWriter struct {
+type chunkWriter struct {
 	w   io.Writer
 	buf *[writeChunk]byte
 	off int
@@ -56,14 +56,14 @@ type ChunkWriter struct {
 	err error
 }
 
-// NewChunkWriter starts encoding into w; the caller must Close it.
-func NewChunkWriter(w io.Writer) *ChunkWriter {
-	return &ChunkWriter{w: w, buf: chunks.Get().(*[writeChunk]byte)}
+// newChunkWriter starts encoding into w; the caller must Close it.
+func newChunkWriter(w io.Writer) *chunkWriter {
+	return &chunkWriter{w: w, buf: chunks.Get().(*[writeChunk]byte)}
 }
 
 // next reserves k bytes of the chunk, writing the chunk out first when
 // they do not fit.
-func (c *ChunkWriter) next(k int) []byte {
+func (c *chunkWriter) next(k int) []byte {
 	if c.off+k > writeChunk {
 		c.flush()
 	}
@@ -71,7 +71,7 @@ func (c *ChunkWriter) next(k int) []byte {
 	return c.buf[c.off-k : c.off]
 }
 
-func (c *ChunkWriter) flush() {
+func (c *chunkWriter) flush() {
 	if c.err == nil && c.off > 0 {
 		var m int
 		m, c.err = c.w.Write(c.buf[:c.off])
@@ -81,16 +81,13 @@ func (c *ChunkWriter) flush() {
 }
 
 // Bytes encodes b verbatim (a header field no longer than a chunk).
-func (c *ChunkWriter) Bytes(b []byte) { copy(c.next(len(b)), b) }
+func (c *chunkWriter) Bytes(b []byte) { copy(c.next(len(b)), b) }
 
 // U32 encodes v.
-func (c *ChunkWriter) U32(v uint32) { binary.LittleEndian.PutUint32(c.next(4), v) }
-
-// U64 encodes v.
-func (c *ChunkWriter) U64(v uint64) { binary.LittleEndian.PutUint64(c.next(8), v) }
+func (c *chunkWriter) U32(v uint32) { binary.LittleEndian.PutUint32(c.next(4), v) }
 
 // Floats encodes the IEEE-754 bits of every value of vals.
-func (c *ChunkWriter) Floats(vals []float64) {
+func (c *chunkWriter) Floats(vals []float64) {
 	for len(vals) > 0 {
 		k := min(len(vals), (writeChunk-c.off)/8)
 		if k == 0 {
@@ -107,7 +104,7 @@ func (c *ChunkWriter) Floats(vals []float64) {
 
 // Close writes what the chunk holds, returns the chunk to the pool and
 // reports the bytes written and the first error.
-func (c *ChunkWriter) Close() (int64, error) {
+func (c *chunkWriter) Close() (int64, error) {
 	c.flush()
 	chunks.Put(c.buf)
 	c.buf = nil
@@ -116,7 +113,7 @@ func (c *ChunkWriter) Close() (int64, error) {
 
 // WriteTo serializes the state. It returns the byte count written.
 func (s *State) WriteTo(w io.Writer) (int64, error) {
-	c := NewChunkWriter(w)
+	c := newChunkWriter(w)
 	c.Bytes(stateMagic[:])
 	c.U32(uint32(s.N))
 	c.Floats(s.Re)
