@@ -105,22 +105,22 @@ var pinnedCounters = []struct {
 		DiagRuns: 91, MergedGates: 182,
 		CommRemoteBytes: 42467328, CommRemoteMsgs: 1296, Barriers: 4240}},
 	{counterCell{"qft_n15", "scale-out", 8, false, sched.Lazy, false, false}, runCounters{
-		Qubits: 15, Gates: 540, KernelGates: 4320, AmpsTouched: 9158656, BytesTouched: 146538496, Sweeps: 3592,
+		Qubits: 15, Gates: 540, KernelGates: 4320, AmpsTouched: 9150464, BytesTouched: 146407424, Sweeps: 3592,
 		DiagRuns: 91, MergedGates: 182, Remaps: 2,
-		CommLocalBytes: 65536, CommRemoteBytes: 458752, CommRemoteMsgs: 56, Barriers: 16}},
+		CommRemoteBytes: 458752, CommRemoteMsgs: 56, Barriers: 56}},
 	{counterCell{"qft_n15", "scale-out", 8, false, sched.Lazy, false, true}, runCounters{
-		Qubits: 15, Gates: 540, KernelGates: 4320, AmpsTouched: 9043968, BytesTouched: 144703488, Sweeps: 3488,
+		Qubits: 15, Gates: 540, KernelGates: 4320, AmpsTouched: 9027584, BytesTouched: 144441344, Sweeps: 3488,
 		DiagRuns: 93, MergedGates: 197, FusedGates: 540, Remaps: 2,
-		CommLocalBytes: 131072, CommRemoteBytes: 917504, CommRemoteMsgs: 112, Barriers: 32}},
+		CommRemoteBytes: 917504, CommRemoteMsgs: 112, Barriers: 112}},
 	{counterCell{"bv_n14", "scale-out", 4, true, sched.Naive, false, false}, runCounters{
 		Qubits: 14, Gates: 41, KernelGates: 164, AmpsTouched: 565248, BytesTouched: 9043968, Sweeps: 96,
 		CommRemoteBytes: 4456448, CommRemoteMsgs: 136, Barriers: 232}},
 	{counterCell{"bv_n14", "scale-out", 4, false, sched.Lazy, false, false}, runCounters{
-		Qubits: 14, Gates: 41, KernelGates: 164, AmpsTouched: 630784, BytesTouched: 10092544, Sweeps: 164,
-		Remaps: 2, CommLocalBytes: 131072, CommRemoteBytes: 393216, CommRemoteMsgs: 24, Barriers: 16}},
+		Qubits: 14, Gates: 41, KernelGates: 164, AmpsTouched: 614400, BytesTouched: 9830400, Sweeps: 164,
+		Remaps: 2, CommRemoteBytes: 393216, CommRemoteMsgs: 24, Barriers: 24}},
 	{counterCell{"bv_n14", "scale-out", 4, false, sched.Lazy, false, true}, runCounters{
-		Qubits: 14, Gates: 41, KernelGates: 160, AmpsTouched: 614400, BytesTouched: 9830400, Sweeps: 160,
-		FusedGates: 40, Remaps: 2, CommLocalBytes: 131072, CommRemoteBytes: 393216, CommRemoteMsgs: 24, Barriers: 16}},
+		Qubits: 14, Gates: 41, KernelGates: 160, AmpsTouched: 598016, BytesTouched: 9568256, Sweeps: 160,
+		FusedGates: 40, Remaps: 2, CommRemoteBytes: 393216, CommRemoteMsgs: 24, Barriers: 24}},
 	{counterCell{"ghz_state", "single", 1, false, sched.Naive, false, false}, runCounters{
 		Qubits: 23, Gates: 23, KernelGates: 23, AmpsTouched: 100663296, BytesTouched: 1610612736, Sweeps: 23}},
 	{counterCell{sweepWorkload, "batch-single", 1, false, "", false, true}, runCounters{

@@ -61,9 +61,9 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 	// The remap baseline is the mpi row under the lazy plan: -sched
 	// reaches it like every other backend (its first remap precedes every
-	// gate, so the run folds it).
+	// gate, so the run folds it; the other is three pairwise rounds).
 	out = runTool(t, svsim, "-circuit", "qft_n15", "-backend", "mpi", "-pes", "4", "-sched", "lazy")
-	if !strings.Contains(out, "mpi     : msgs=8 bytes=524288 ") || !strings.Contains(out, " syncs=4") {
+	if !strings.Contains(out, "mpi     : msgs=12 bytes=393216 ") || !strings.Contains(out, " syncs=0") {
 		t.Fatalf("svsim mpi -sched lazy output:\n%s", out)
 	}
 	out = runTool(t, svsim, "-list")

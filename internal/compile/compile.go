@@ -3,7 +3,7 @@
 // scheduling into one locality-aware pass and emits a single immutable
 // artifact — the CompiledPlan: the executable (possibly fused) gate
 // stream, the precomputed gate classifications, the sched step list, the
-// coalesced all-to-all of every remap, the logical-to-physical
+// pairwise exchange geometry of every remap, the logical-to-physical
 // permutation trace, and fingerprints of the circuit, its parameter-free
 // skeleton, and the schedule itself.
 //
@@ -100,7 +100,7 @@ type CompiledPlan struct {
 	// GPHASE (the upload step of the paper's Listing 4/5).
 	Classes []*gate.Class
 	Plan    *sched.Plan
-	// Exchanges holds each remap's coalesced all-to-all geometry,
+	// Exchanges holds each remap's pairwise exchange geometry,
 	// parallel to Plan.Steps: nil except at remap steps, and nil
 	// entirely for single-partition compiles.
 	Exchanges []*sched.Exchange
@@ -363,7 +363,9 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 			step := &plan.Steps[si]
 			switch step.Kind {
 			case sched.StepRemap:
-				exchanges[si] = sched.NewExchange(step.Swaps, n, localBits, p)
+				if exchanges[si], err = sched.NewExchange(step.Swaps, n, localBits); err != nil {
+					return nil, nil, err
+				}
 				for _, sw := range step.Swaps {
 					perm.SwapPhysical(sw.Global, sw.Local)
 				}

@@ -55,7 +55,7 @@ type Config struct {
 	// Sched selects the distributed gate schedule: sched.Naive (the
 	// default; every global-qubit gate pays its remote traffic) or
 	// sched.Lazy (communication-avoiding qubit remapping: gates run in
-	// local blocks separated by coalesced all-to-all exchanges). Ignored
+	// local blocks separated by pairwise remap exchanges). Ignored
 	// by the single-device backend.
 	Sched sched.Policy
 	// Tile enables cache-blocked execution on a one-rank grid (single,

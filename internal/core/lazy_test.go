@@ -202,8 +202,8 @@ func remapPEs(sizes ...int) []int {
 // TestLazyTracedRunMatchesUntraced guards the single exchange routine:
 // a tracer only records spans, so the state and the communication
 // counters of a traced run must equal the untraced run's exactly, at
-// every fleet size, and every PE's timeline must show one unpack span
-// per remap the run executed.
+// every fleet size, and every PE's timeline must show unpack spans in
+// as many schedule blocks as the run executed remaps.
 func TestLazyTracedRunMatchesUntraced(t *testing.T) {
 	c := measuredCircuit(41, 8, 120)
 	for _, pes := range remapPEs(2, 4, 8) {
@@ -227,13 +227,13 @@ func TestLazyTracedRunMatchesUntraced(t *testing.T) {
 			t.Fatalf("PEs=%d: run exercised no exchange", pes)
 		}
 		for _, trk := range cfg.Trace.Tracks() {
-			var unpacks int64
+			blocks := map[int]bool{}
 			for _, ev := range trk.Events() {
 				if ev.Args.Phase == obs.PhaseUnpack {
-					unpacks++
+					blocks[ev.Args.Block] = true
 				}
 			}
-			if unpacks != int64(plain.Compile.Remaps) {
+			if unpacks := len(blocks); unpacks != plain.Compile.Remaps {
 				t.Fatalf("PEs=%d PE %d: timeline shows %d exchanges, run executed %d",
 					pes, trk.PE(), unpacks, plain.Compile.Remaps)
 			}
@@ -242,64 +242,70 @@ func TestLazyTracedRunMatchesUntraced(t *testing.T) {
 }
 
 // TestRemapOverlapPackWire asserts the double-buffered pipeline
-// structurally: in the span timeline of a remap exchange, the pack span
-// of block k+1 must start inside the wire span of block k: the put of
-// block k is joined only after block k+1 is packed, so this holds
-// deterministically, not probabilistically.
+// structurally, on both transports: in the span timeline of a remap
+// exchange, the pack span of chunk j+1 must start inside the wire span
+// of chunk j: the wire of chunk j is joined only after chunk j+1 is
+// packed, so this holds deterministically, not probabilistically.
 func TestRemapOverlapPackWire(t *testing.T) {
 	e, err := qasmbench.ByName("qft_n15")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pes := range remapPEs(8) {
-		tr := obs.NewTracer()
-		if _, err := NewScaleOut(Config{PEs: pes, Sched: sched.Lazy, Trace: tr}).Run(e.Build()); err != nil {
-			t.Fatal(err)
-		}
-		for _, trk := range tr.Tracks() {
-			overlaps := 0
-			var lastWire *obs.SpanEvent
-			for i := range trk.Events() {
-				ev := &trk.Events()[i]
-				switch ev.Args.Phase {
-				case obs.PhaseWire:
-					lastWire = ev
-				case obs.PhasePack:
-					if lastWire != nil && ev.TS >= lastWire.TS && ev.TS <= lastWire.TS+lastWire.Dur {
-						overlaps++
+	for _, backend := range []string{"scale-out", "mpi"} {
+		for _, pes := range remapPEs(8) {
+			tr := obs.NewTracer()
+			b, err := NewBackend(backend, Config{PEs: pes, Sched: sched.Lazy, Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Run(e.Build()); err != nil {
+				t.Fatal(err)
+			}
+			for _, trk := range tr.Tracks() {
+				overlaps := 0
+				var lastWire *obs.SpanEvent
+				for i := range trk.Events() {
+					ev := &trk.Events()[i]
+					switch ev.Args.Phase {
+					case obs.PhaseWire:
+						lastWire = ev
+					case obs.PhasePack:
+						if lastWire != nil && ev.TS >= lastWire.TS && ev.TS <= lastWire.TS+lastWire.Dur {
+							overlaps++
+						}
 					}
 				}
-			}
-			if overlaps == 0 {
-				t.Fatalf("PEs=%d PE %d: no pack span starts inside a wire span (pipeline not overlapped)", pes, trk.PE())
+				if overlaps == 0 {
+					t.Fatalf("%s PEs=%d PE %d: no pack span starts inside a wire span (pipeline not overlapped)", backend, pes, trk.PE())
+				}
 			}
 		}
 	}
 }
 
-// entryProbe is the PGAS transport recording, per remap exchange, how
-// many barriers rank had passed on entering it: the exchange's entry
-// barrier is its next one, the mid barrier the one after.
-type entryProbe struct {
+// wireProbe is the PGAS transport recording, for every exchange step
+// of rank, how many barriers rank had passed on entering it: the step's
+// barrier is the next one.
+type wireProbe struct {
 	Transport
 	g       *Grid
 	rank    int
 	entries *[]int64
 }
 
-func (p entryProbe) Exchange(pe *pgas.PE, r *Rank, swaps []sched.Swap, ex *sched.Exchange, tr StepTrace) bool {
+func (p wireProbe) Wire(pe *pgas.PE, peer, step int, buf []float64) []float64 {
 	if pe.Rank == p.rank {
 		*p.entries = append(*p.entries, p.g.Comm.StatsOf(p.rank).Barriers)
 	}
-	return p.Transport.Exchange(pe, r, swaps, ex, tr)
+	return p.Transport.Wire(pe, peer, step, buf)
 }
 
 // TestRemapFaultKillRecovers: a PE killed mid-run — including inside a
-// remap exchange, whose entry and mid barriers are fault-injection
-// points — aborts the fleet without hanging any barrier, restarts from
+// remap exchange, every one of whose step barriers is a fault-injection
+// point — aborts the fleet without hanging any barrier, restarts from
 // the last checkpoint, and finishes bit-identical to the clean run.
-// Every fleet size is killed at a fixed barrier and at the entry and
-// the mid barrier of its last exchange.
+// Every fleet size is killed at a fixed barrier and at each barrier of
+// its last exchange.
 func TestRemapFaultKillRecovers(t *testing.T) {
 	seed := faultSeed(t)
 	c := measuredCircuit(78, 8, 60)
@@ -317,16 +323,28 @@ func TestRemapFaultKillRecovers(t *testing.T) {
 			return cfg
 		}
 		var entries []int64
+		var last *sched.Exchange
 		if _, err := run("scale-out", ckptCfg(), c, func(g *Grid) Transport {
-			return entryProbe{oneSidedTransport(g), g, 1, &entries}
+			for si, st := range g.Compiled.Plan.Steps {
+				if st.Kind == sched.StepRemap && si >= g.Start {
+					last = g.Compiled.Exchanges[si]
+				}
+			}
+			return wireProbe{oneSidedTransport(g), g, 1, &entries}
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if len(entries) == 0 {
+		if last == nil || len(entries) < last.Steps() {
 			t.Fatalf("%dPE: the run executed no exchange", pes)
 		}
-		entry := entries[len(entries)-1] + 1
-		for _, after := range []int64{25, entry, entry + 1} {
+		kills := []int64{25}
+		for _, before := range entries[len(entries)-last.Steps():] {
+			kills = append(kills, before+1)
+		}
+		if len(kills) < 3 {
+			t.Fatalf("%dPE: last exchange has %d barriers, want several", pes, len(kills)-1)
+		}
+		for _, after := range kills {
 			in := fault.NewInjector(seed)
 			in.KillAt(1, fault.Barrier, after)
 			cfg := ckptCfg()

@@ -18,10 +18,11 @@ import (
 // every other backend's.
 
 // TestMPILazySchedIsHonoured: Sched picks the plan on mpi too. QFT(15)
-// on 4 ranks under the lazy plan exchanges 8 messages of S/2 complex
-// amplitudes with 4 grid syncs — not the naive plan's 224 messages. Its
-// first remap precedes every gate: the classical prefix a fresh run
-// folds, which halves what the plan used to pay.
+// on 4 ranks under the lazy plan exchanges 12 messages of S/4 complex
+// amplitudes and no grid sync — not the naive plan's 224 messages: its
+// one live remap swaps two bit pairs, three XOR rounds of one chunk per
+// rank, each a pairwise send-receive. Its first remap precedes every
+// gate: the classical prefix a fresh run folds.
 func TestMPILazySchedIsHonoured(t *testing.T) {
 	e, err := qasmbench.ByName("qft_n15")
 	if err != nil {
@@ -32,8 +33,8 @@ func TestMPILazySchedIsHonoured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := res.MPI; m.Messages != 8 || m.MsgBytes != 1<<19 || m.Syncs != 4 {
-		t.Fatalf("mpi lazy qft_n15 x4: %v, want msgs=8 bytes=524288 syncs=4", m)
+	if m := res.MPI; m.Messages != 12 || m.MsgBytes != 393216 || m.Syncs != 0 {
+		t.Fatalf("mpi lazy qft_n15 x4: %v, want msgs=12 bytes=393216 syncs=0", m)
 	}
 	if res.Compile.Remaps == 0 || res.Compile.BitSwaps == 0 {
 		t.Fatalf("compile stats report no remaps: %+v", res.Compile)

@@ -70,7 +70,8 @@ func newMsgComm(fleet *pgas.Comm, m *obs.Metrics) *msgComm {
 		c.chans[s] = make([]chan []float64, p)
 		for d := range c.chans[s] {
 			// Capacity covers eager sends so symmetric SendRecv pairs
-			// cannot deadlock.
+			// cannot deadlock; a sendRecvInto queues at most its payload
+			// and its completion handoff.
 			c.chans[s][d] = make(chan []float64, 4)
 		}
 	}
@@ -110,6 +111,12 @@ func (c *msgComm) send(pe *pgas.PE, dst int, buf []float64) {
 	if h := c.msgBytes; h != nil {
 		h.Observe(float64(len(buf)) * 8)
 	}
+	c.handoff(pe, dst, buf)
+}
+
+// handoff puts buf on the wire to dst, or unwinds pe if the fleet fails
+// first.
+func (c *msgComm) handoff(pe *pgas.PE, dst int, buf []float64) {
 	select {
 	case c.chans[pe.Rank][dst] <- buf:
 	case <-pe.Aborted():
@@ -134,6 +141,18 @@ func (c *msgComm) recv(pe *pgas.PE, src int) []float64 {
 func (c *msgComm) sendRecv(pe *pgas.PE, peer int, send []float64) []float64 {
 	c.send(pe, peer, send)
 	return c.recv(pe, peer)
+}
+
+// sendRecvInto is a send-receive into the caller's buffer: it sends buf
+// to peer, copies the message peer sent into dst, and returns once peer
+// has copied buf too, so the caller may repack buf at once. The wire
+// hands over references, so that last wait — the send completion a real
+// MPI_Sendrecv reports — is one payload-free handoff each way; it is not
+// a message and is not counted.
+func (c *msgComm) sendRecvInto(pe *pgas.PE, peer int, buf, dst []float64) {
+	copy(dst, c.sendRecv(pe, peer, buf))
+	c.handoff(pe, peer, nil)
+	c.recv(pe, peer)
 }
 
 // notePack charges one pack/unpack pass of n bytes plus the modeled

@@ -7,26 +7,28 @@ import (
 	"svsim/internal/obs"
 	"svsim/internal/pgas"
 	"svsim/internal/sched"
-	"svsim/internal/statevec"
 )
 
 // twoSided is the message-passing transport of the mpi backend:
 // partitions are plain per-rank arrays, a gate that pairs amplitudes
 // across partitions is handled by the traditional pack–exchange–compute
-// scheme, and a remap step is realized as pairwise half-partition
-// exchanges (JUQCS: "swap local qubits with remote qubits by tracking and
-// updating the permutation of the qubit indices", §6). The difference
-// from the PGAS transport is exactly the communication mechanism, which
-// is what the paper's comparison isolates.
+// scheme, and a remap chunk crosses as one pairwise send-receive
+// (JUQCS: "swap local qubits with remote qubits by tracking and updating
+// the permutation of the qubit indices", §6; the exchange body is the
+// PGAS transport's too). The difference from the PGAS transport is
+// exactly the communication mechanism, which is what the paper's
+// comparison isolates.
 type twoSided struct {
 	*Grid
 	comm *msgComm
-	pack [][]float64 // per rank: 2S pack buffer (re then im), on first use
+	pack [][]float64 // per rank: a remote gate's 2S pack buffer (re then im), on first use
 	win  [][]float64 // per rank: a remote gate's group window, on first use
+	in   [][]float64 // per rank: a remap chunk's receive buffer, on first use
 }
 
 func twoSidedTransport(g *Grid) Transport {
-	return &twoSided{Grid: g, comm: newMsgComm(g.Comm, g.Metrics), pack: make([][]float64, g.P), win: make([][]float64, g.P)}
+	return &twoSided{Grid: g, comm: newMsgComm(g.Comm, g.Metrics),
+		pack: make([][]float64, g.P), win: make([][]float64, g.P), in: make([][]float64, g.P)}
 }
 
 // Partition hands out plain private arrays: no rank ever addresses
@@ -93,50 +95,17 @@ func (t *twoSided) packPartition(rank int, r *Rank) []float64 {
 	return pack
 }
 
-// Exchange realizes a remap as pairwise half-partition exchanges, one
-// per bit swap of the step. A pairwise exchange synchronizes only its
-// pair: the loop's grid sync closes the step.
-func (t *twoSided) Exchange(pe *pgas.PE, r *Rank, swaps []sched.Swap, _ *sched.Exchange, tr StepTrace) bool {
-	for _, sw := range swaps {
-		t.swapBits(pe, r, sw.Global, sw.Local, tr)
-	}
-	return true
-}
-
-// swapBits physically exchanges global bit gBit with local bit lBit: each
-// rank swaps the half of its partition where the local bit differs from
-// its rank bit with its partner rank.
-func (t *twoSided) swapBits(pe *pgas.PE, r *Rank, gBit, lBit int, tr StepTrace) {
-	b := gBit - t.LocalBits
-	beta := pe.Rank >> uint(b) & 1
-	partner := pe.Rank ^ 1<<uint(b)
-	half := int64(t.S) * 8
-
-	// The half to trade is the subcube with the local bit pinned to the
-	// complement of the rank bit and every other local bit free.
-	pinned := (1 - beta) << uint(lBit)
-	free := make([]int, 0, t.LocalBits)
-	for q := 0; q < t.LocalBits; q++ {
-		if q != lBit {
-			free = append(free, q)
-		}
-	}
-	h := t.S / 2
-	// A fresh buffer per swap: the partner still reads it after this rank
-	// has moved on.
-	buf := make([]float64, t.S) // S/2 re + S/2 im
-	p0 := time.Now()
-	statevec.GatherBits(buf[:h], r.Local.Re, pinned, free)
-	statevec.GatherBits(buf[h:], r.Local.Im, pinned, free)
-	t.comm.notePack(pe.Rank, half)
-	p1 := time.Now()
-	tr.Span(" pack", p0, p1, obs.SpanArgs{Kind: "pack", Phase: obs.PhasePack, PackBytes: half})
-	in := t.comm.sendRecv(pe, partner, buf)
-	w1 := time.Now()
-	tr.Span(" wire", p1, w1, obs.SpanArgs{Kind: "wire", Phase: obs.PhaseWire, Msgs: 1, MsgBytes: half})
-	// Unpack into the vacated slots (same enumeration order).
-	statevec.ScatterBits(r.Local.Re, in[:h], pinned, free)
-	statevec.ScatterBits(r.Local.Im, in[h:], pinned, free)
-	t.comm.notePack(pe.Rank, half)
-	tr.Span(" unpack", w1, time.Now(), obs.SpanArgs{Kind: "unpack", Phase: obs.PhaseUnpack, PackBytes: half})
+// Wire is a two-sided send-receive with peer: buf goes out, peer's
+// chunk lands in this rank's receive buffer, and it returns once peer
+// has taken buf. Each chunk is charged a pack and an unpack pass
+// (notePack), the staging the traditional scheme pays around a message.
+// The receive buffer is private, so one suffices: the rank unpacks it
+// before its next Wire.
+func (t *twoSided) Wire(pe *pgas.PE, peer, _ int, buf []float64) []float64 {
+	in := scratch(&t.in[pe.Rank], 2*sched.ChunkAmps)[:len(buf)]
+	n := int64(len(buf)) * 8
+	t.comm.notePack(pe.Rank, n)
+	t.comm.sendRecvInto(pe, peer, buf, in)
+	t.comm.notePack(pe.Rank, n)
+	return in
 }

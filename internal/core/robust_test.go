@@ -300,7 +300,8 @@ func TestStopLatchDistributed(t *testing.T) {
 // multi-rank run — any rank that reads it unwinds the fleet — and
 // polling it must not cost an uninterrupted run a single barrier
 // (qft_n15 at 8 PEs keeps its 3592 naive — one per step, a diagonal run
-// being one step — / 16 lazy, its first remap folded into the start).
+// being one step — / 56 lazy: its first remap folded into the start, the
+// second one exchange of seven steps, each one barrier on every PE).
 func TestStopLatchNoCheckpoint(t *testing.T) {
 	c := measuredCircuit(46, 6, 60)
 	for _, pes := range []int{2, 4} {
@@ -318,7 +319,7 @@ func TestStopLatchNoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	qft := e.Build()
-	for pol, want := range map[sched.Policy]int64{sched.Naive: 3592, sched.Lazy: 16} {
+	for pol, want := range map[sched.Policy]int64{sched.Naive: 3592, sched.Lazy: 56} {
 		res, err := NewScaleOut(Config{PEs: 8, Sched: pol, Stop: &StopLatch{}}).Run(qft)
 		if err != nil {
 			t.Fatal(err)

@@ -31,12 +31,14 @@ import (
 // identity permutation, so a gate with a pairing target at or above
 // localBits = n - log2(P) crosses at that gate; the lazy plan keeps every
 // pairing target local and crosses only at its remap steps, each one
-// coalesced all-to-all (compile.CompiledPlan.Exchanges). The transport
-// decides HOW they cross — not at all on a one-rank grid (local),
-// one-sided get/put over the symmetric heap (pgastransport.go) or
-// two-sided pack–exchange (mpitransport.go) — which is exactly the
-// comparison the paper isolates; the backend table (backend.go) picks
-// it. Everything else (set-up, conditions, measurement, tile groups,
+// pairwise in-place exchange in fixed-size chunks (exchange.go, over
+// compile.CompiledPlan.Exchanges). The transport decides HOW they cross
+// — not at all on a one-rank grid (local), one-sided get/put over the
+// symmetric heap (pgastransport.go) or two-sided pack–exchange
+// (mpitransport.go) — which is exactly the comparison the paper
+// isolates; the backend table (backend.go) picks it. A remap's chunk
+// crosses by the transport's Wire, inside the one exchange body.
+// Everything else (set-up, conditions, measurement, tile groups,
 // checkpoint cuts, stop polls, spans, recovery, tear-down) exists once,
 // here.
 //
@@ -62,12 +64,14 @@ type Transport interface {
 	// reports whether it recorded sub-spans of its own through tr, in
 	// which case the loop drops the parent span.
 	RemoteGate(pe *pgas.PE, r *Rank, g *gate.Gate, tr StepTrace) bool
-	// Exchange runs a remap step: it moves every amplitude to where swaps
-	// put it, ex being the swaps' all-to-all geometry. It reports whether
-	// the step still needs a grid sync to close it (pairwise exchanges
-	// synchronize only pairs), which the loop then pays. The permutation
-	// bookkeeping is the loop's.
-	Exchange(pe *pgas.PE, r *Rank, swaps []sched.Swap, ex *sched.Exchange, tr StepTrace) (gridSync bool)
+	// Wire moves one chunk of a remap exchange (exchange.go), the only
+	// part of a remap that differs between transports: buf, the chunk
+	// this rank packed for peer, goes to peer, and Wire returns the chunk
+	// peer packed for this rank in the same step. step counts the
+	// attempt's exchange steps, equal on every rank. On return buf may be
+	// repacked; the returned chunk stays valid until the rank's next Wire.
+	// It runs on a helper goroutine while the rank packs its next chunk.
+	Wire(pe *pgas.PE, peer, step int, buf []float64) []float64
 	// Counters samples rank's cumulative traffic counters as span
 	// arguments; the loop attributes the difference of two samples to
 	// the span between them.
@@ -93,7 +97,7 @@ func (local) RemoteGate(*pgas.PE, *Rank, *gate.Gate, StepTrace) bool {
 	panic("core: remote gate on a one-rank grid")
 }
 
-func (local) Exchange(*pgas.PE, *Rank, []sched.Swap, *sched.Exchange, StepTrace) bool {
+func (local) Wire(*pgas.PE, int, int, []float64) []float64 {
 	panic("core: remap on a one-rank grid")
 }
 
@@ -131,7 +135,11 @@ type Rank struct {
 	// or as many as a tiled group holds).
 	terms  []gate.DiagTerm
 	tables []*statevec.DiagTables
-	_      [64]byte
+	// Remap exchange scratch (exchange.go): two chunk pack buffers,
+	// sized on first use, and the exchange steps run so far.
+	xpack [2][]float64
+	xstep int
+	_     [64]byte
 }
 
 // draw consumes one uniform variate from the replicated stream.
@@ -417,11 +425,7 @@ func (rt *runtime) run() (*Result, error) {
 				// Always executed, always on every rank.
 				tr.label = remapLabel(st.Swaps)
 				c0 := rt.t.Counters(pe.Rank)
-				if rt.t.Exchange(pe, r, st.Swaps, rt.Compiled.Exchanges[si-1], tr) {
-					b0 := time.Now()
-					pe.Barrier()
-					tr.Barrier("", b0)
-				}
+				rt.exchange(pe, r, rt.Compiled.Exchanges[si-1], tr)
 				d := spanDelta(c0, rt.t.Counters(pe.Rank))
 				moved := d.RemoteBytes + d.MsgBytes
 				rt.remapBytes.Observe(float64(moved))

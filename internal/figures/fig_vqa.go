@@ -125,7 +125,9 @@ func Headline() *Table {
 // CommComparison is the repo's ablation table: the same circuit under the
 // fine-grained PGAS backend (element and coalesced modes) versus the
 // coarse-grained MPI baseline, in measured message/byte terms — the
-// structural difference the whole paper is about (§2.1).
+// structural difference the whole paper is about (§2.1). The remap
+// columns are the MPI baseline under the lazy plan: remap-MB counts each
+// amplitude a remap moves once, as the pairwise exchange moves it.
 func CommComparison(pes int) *Table {
 	t := &Table{
 		ID:    "comm",

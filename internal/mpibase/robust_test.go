@@ -222,9 +222,11 @@ func TestRemapHonoursResilienceConfig(t *testing.T) {
 	if ref.Compile.Remaps == 0 {
 		t.Fatal("test circuit never remaps; pick one that does")
 	}
+	// A remap is pairwise send-receives and pays no barrier: rank 1's
+	// fourth barrier is the second measurement's all-reduce.
 	kill := func() *fault.Injector {
 		in := fault.NewInjector(1)
-		in.KillAt(1, fault.Barrier, 12)
+		in.KillAt(1, fault.Barrier, 4)
 		return in
 	}
 

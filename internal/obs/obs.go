@@ -83,7 +83,7 @@ const (
 	// MetricCompileClassifyNS accumulates time classifying gates.
 	MetricCompileClassifyNS = "compile_classify_ns"
 	// MetricCompileExchangeNS accumulates time precomputing remap
-	// all-to-all geometry.
+	// exchange geometry.
 	MetricCompileExchangeNS = "compile_exchange_ns"
 	// MetricCompileBindNS accumulates time binding parameters into cached
 	// plan templates: all a plan-cache hit does (its stage counters above

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"svsim/internal/compile"
+	"svsim/internal/core"
 	"svsim/internal/qasmbench"
 	"svsim/internal/sched"
 )
@@ -23,16 +24,23 @@ func compiledLazy(t *testing.T, name string, pes int) *compile.CompiledPlan {
 }
 
 func TestEstimateCommPlanMatchesLazy(t *testing.T) {
-	// The plan-based estimator is the same computation EstimateCommLazy
-	// performs after compiling; handing it an existing plan must agree.
-	cp := compiledLazy(t, "qft_n15", 8)
-	fromPlan := EstimateCommPlan(cp)
-	direct, err := EstimateCommLazy(cp.Source, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromPlan != direct {
-		t.Fatalf("plan-based estimate %+v, direct %+v", fromPlan, direct)
+	// The plan-based estimator prices each remap at one put of one chunk
+	// and one barrier per exchange step on every PE; an executed scale-out
+	// lazy run of the same plan must show exactly that traffic.
+	for _, cell := range []struct {
+		name string
+		pes  int
+	}{{"qft_n15", 8}, {"bv_n14", 4}} {
+		cp := compiledLazy(t, cell.name, cell.pes)
+		est := EstimateCommPlan(cp)
+		res, err := core.NewScaleOut(core.Config{PEs: cell.pes, Sched: sched.Lazy}).Run(cp.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := CommEstimate{RemoteMsgs: res.Comm.RemoteMessages(), RemoteBytes: res.Comm.RemoteBytes, Barriers: res.Comm.Barriers}
+		if est != got || est.RemoteMsgs == 0 {
+			t.Fatalf("%s x%d: plan-based estimate %+v, executed run %+v", cell.name, cell.pes, est, got)
+		}
 	}
 }
 

@@ -171,7 +171,7 @@ func EstimateComm(c *circuit.Circuit, p int) CommEstimate {
 // EstimateCommLazy predicts the one-sided traffic of running c on p PEs
 // under the lazy communication-avoiding schedule (internal/sched): gates
 // between block boundaries are free, and each remap step costs one
-// coalesced all-to-all whose volume the exchange plan gives exactly. The
+// pairwise exchange whose chunks the exchange geometry gives exactly. The
 // prediction is exact for the PGAS lazy executor (the package tests hold
 // it to the measured counters). The plan comes from the shared compile
 // pipeline; pass a cache via EstimateCommPlan to amortize it.
@@ -187,9 +187,9 @@ func EstimateCommLazy(c *circuit.Circuit, p int) (CommEstimate, error) {
 }
 
 // EstimateCommPlan reads the exact one-sided traffic off an already
-// compiled plan: each remap step's exchange geometry gives the coalesced
-// put count (one per compatible remote (src, dst) pair) and byte volume
-// directly, with no re-planning.
+// compiled plan: each remap step's exchange geometry gives its steps —
+// one put of one chunk and one barrier per step on every PE — and the
+// amplitudes each PE moves, with no re-planning.
 func EstimateCommPlan(cp *compile.CompiledPlan) CommEstimate {
 	var est CommEstimate
 	p := cp.PEs
@@ -203,12 +203,10 @@ func EstimateCommPlan(cp *compile.CompiledPlan) CommEstimate {
 		if step.Kind != sched.StepRemap || i < cp.Plan.Prefix {
 			continue
 		}
-		// One coalesced put per compatible remote (src, dst) pair, plus
-		// the entry and mid barriers every PE pays per exchange.
 		ex := cp.Exchanges[i]
-		est.RemoteMsgs += ex.RemoteElems / int64(ex.BlockLen)
-		est.RemoteBytes += ex.RemoteBytes()
-		est.Barriers += int64(2 * p)
+		est.RemoteMsgs += int64(p * ex.Steps())
+		est.RemoteBytes += int64(p) * ex.MovedAmps() * 16
+		est.Barriers += int64(p * ex.Steps())
 	}
 	return est
 }

@@ -1,143 +1,101 @@
 package sched
 
-// Exchange precomputes the coalesced all-to-all realizing one remap
-// step. A remap is a permutation sigma of physical bit positions
-// (composed from the step's pairwise swaps): the amplitude at old
-// physical index y moves to the index whose bit sigma[b] equals bit b of
-// y. Because sigma is a bit permutation, the elements one PE sends to
-// one peer form an affine subcube of its partition, so the whole remap
-// is realized as one put of a packed block per destination — the PGAS
-// analogue of a batched MPI_Alltoallv — instead of element-grained
-// traffic.
+import "fmt"
+
+// Exchange is the geometry of one remap step, realized as a pairwise,
+// in-place exchange. A remap's swaps are disjoint transpositions of a
+// local bit Local[i] with the rank bit Rank[i] (the planner uses every
+// global position and every victim once per step), so the amplitudes
+// rank s holds with bit Local[i] equal to bit Rank[i] of rank d, for
+// every i, are exactly the ones that move to d — and they land on d at
+// the local indices whose bit Local[i] equals bit Rank[i] of s: the
+// region d sends to s. Each pair of ranks in a group of 2^k (k swaps)
+// therefore trades one region of S/2^k amplitudes both ways, indexed
+// alike on both sides by the Free bits, and the region a rank trades
+// with itself never moves.
 //
-// Terminology: m = local bits, k = rank bits, a partition holds S = 2^m
-// amplitudes. Splitting a local source index i by where sigma sends its
-// bits: FreeBits stay local (they select the destination-local index),
-// OutBits become rank bits (they select the destination PE, so they are
-// pinned per destination block).
+// The exchange runs in steps: XOR rounds over the group (round r pairs
+// rank s with s ^ Spread(r, Rank)), each moving its region in chunks of
+// at most ChunkAmps amplitudes. Every rank runs the same steps.
 type Exchange struct {
-	Sigma []int // old physical bit -> new physical bit
-
-	FreeBits []int // source-local bits with local image, ascending
-	ImgFree  []int // sigma images of FreeBits
-	OutBits  []int // source-local bits whose image is a rank bit
-
-	BlockLen int      // elements per (src,dst) block = 1 << len(FreeBits)
-	Compat   [][]bool // [src][dst]: does src send a block to dst?
-	OffElems [][]int  // [src][dst]: element offset of src's block in dst's staging
-	InBase   []int    // [src]: rank-bit contribution of src to destination-local indices
-
-	LocalElems  int64 // elements that stay on their PE
-	RemoteElems int64 // elements that cross PE boundaries
+	Local []int // swapped local bit positions, in swap order
+	Rank  []int // Rank[i]: the rank bit Local[i] trades with (global position - local bits)
+	Free  []int // the other local bits, ascending: the index inside a region
 }
 
-// NewExchange builds the all-to-all plan for one remap step's swap list
-// over n physical bits with the given partitioning.
-func NewExchange(swaps []Swap, n, localBits, p int) *Exchange {
-	sigma := make([]int, n)
-	for b := range sigma {
-		sigma[b] = b
-	}
-	// Swaps apply in order: each transposes two current positions, so
-	// the image of every bit currently mapping onto either position
-	// flips to the other.
+// ChunkAmps is the most amplitudes one exchange step moves per rank: the
+// size of the fixed pack buffers and landing slots, so a remap's scratch
+// does not grow with the partition. Measured on RQC(20,16) over two PEs,
+// 2^14, 2^16 and 2^18 run alike on the clock and only the scratch
+// differs (2, 8 and 32 MiB over the fleet; EXPERIMENTS.md), so it is
+// the smallest.
+const ChunkAmps = 1 << chunkLog
+
+const chunkLog = 14
+
+// NewExchange builds the pairwise geometry of one remap step's swap list
+// over n physical bits, localBits of them local. It rejects a list whose
+// swaps are not disjoint transpositions of a local and a global bit.
+func NewExchange(swaps []Swap, n, localBits int) (*Exchange, error) {
+	used := make([]bool, n)
+	e := &Exchange{}
 	for _, sw := range swaps {
-		for b := range sigma {
-			switch sigma[b] {
-			case sw.Global:
-				sigma[b] = sw.Local
-			case sw.Local:
-				sigma[b] = sw.Global
-			}
+		if sw.Local < 0 || sw.Local >= localBits || sw.Global < localBits || sw.Global >= n {
+			return nil, fmt.Errorf("sched: remap swap b%d<->b%d is not a local/global pair over %d local of %d bits",
+				sw.Global, sw.Local, localBits, n)
+		}
+		if used[sw.Local] || used[sw.Global] {
+			return nil, fmt.Errorf("sched: remap swap b%d<->b%d reuses a bit of the step", sw.Global, sw.Local)
+		}
+		used[sw.Local], used[sw.Global] = true, true
+		e.Local = append(e.Local, sw.Local)
+		e.Rank = append(e.Rank, sw.Global-localBits)
+	}
+	for b := 0; b < localBits; b++ {
+		if !used[b] {
+			e.Free = append(e.Free, b)
 		}
 	}
-	return newExchangeSigma(sigma, n, localBits, p)
+	return e, nil
 }
 
-func newExchangeSigma(sigma []int, n, localBits, p int) *Exchange {
-	m := localBits
-	e := &Exchange{Sigma: sigma}
-	for l := 0; l < m; l++ {
-		if sigma[l] < m {
-			e.FreeBits = append(e.FreeBits, l)
-			e.ImgFree = append(e.ImgFree, sigma[l])
-		} else {
-			e.OutBits = append(e.OutBits, l)
-		}
-	}
-	e.BlockLen = 1 << uint(len(e.FreeBits))
-
-	// Destination-rank constraints imposed by the source rank: rank bit
-	// b of the destination equals bit sigma^-1(m+b) of the old index;
-	// when that preimage is itself a rank bit the constraint pins d to s.
-	sigmaInv := make([]int, n)
-	for b, img := range sigma {
-		sigmaInv[img] = b
-	}
-	k := n - m
-	type cons struct{ dBit, sBit int }
-	var fixed []cons
-	for b := 0; b < k; b++ {
-		if a := sigmaInv[m+b]; a >= m {
-			fixed = append(fixed, cons{dBit: b, sBit: a - m})
-		}
-	}
-
-	e.Compat = make([][]bool, p)
-	e.OffElems = make([][]int, p)
-	e.InBase = make([]int, p)
-	for s := 0; s < p; s++ {
-		e.Compat[s] = make([]bool, p)
-		for d := 0; d < p; d++ {
-			ok := true
-			for _, c := range fixed {
-				if (d>>uint(c.dBit))&1 != (s>>uint(c.sBit))&1 {
-					ok = false
-					break
-				}
-			}
-			e.Compat[s][d] = ok
-		}
-		// Rank bits of s whose image is a local position contribute a
-		// fixed term to every destination-local index of s's elements.
-		base := 0
-		for a := m; a < n; a++ {
-			if sigma[a] < m && (s>>uint(a-m))&1 == 1 {
-				base |= 1 << uint(sigma[a])
-			}
-		}
-		e.InBase[s] = base
-	}
-	for d := 0; d < p; d++ {
-		off := 0
-		for s := 0; s < p; s++ {
-			if e.OffElems[s] == nil {
-				e.OffElems[s] = make([]int, p)
-			}
-			if e.Compat[s][d] {
-				e.OffElems[s][d] = off
-				off += e.BlockLen
-				if s == d {
-					e.LocalElems += int64(e.BlockLen)
-				} else {
-					e.RemoteElems += int64(e.BlockLen)
-				}
-			}
-		}
-	}
-	return e
-}
-
-// PinnedVal returns the source-local bits pinned by destination d: each
-// OutBit must match the rank bit of d it maps to.
-func (e *Exchange) PinnedVal(d, localBits int) int {
+// region returns the pinned local bits of the region a rank trades with
+// peer: bit Local[i] set to bit Rank[i] of peer.
+func (e *Exchange) region(peer int) int {
 	v := 0
-	for _, l := range e.OutBits {
-		if (d>>uint(e.Sigma[l]-localBits))&1 == 1 {
-			v |= 1 << uint(l)
-		}
+	for i, l := range e.Local {
+		v |= peer >> uint(e.Rank[i]) & 1 << uint(l)
 	}
 	return v
+}
+
+// chunkBits is log2 of the amplitudes one step moves.
+func (e *Exchange) chunkBits() int { return min(len(e.Free), chunkLog) }
+
+// ChunkLen is the number of amplitudes one step moves per rank.
+func (e *Exchange) ChunkLen() int { return 1 << uint(e.chunkBits()) }
+
+// Steps is the number of exchange steps: 2^k - 1 rounds of one region,
+// 2^len(Free) amplitudes, in chunks of ChunkLen.
+func (e *Exchange) Steps() int {
+	return (1<<uint(len(e.Local)) - 1) << uint(len(e.Free)-e.chunkBits())
+}
+
+// Step returns step j of rank's exchange: the peer it trades with, and
+// the chunk of their shared region as the base and bit positions of
+// statevec.GatherBits / ScatterBits. The peer's Step j names rank and the
+// same chunk of its own region, enumerated in the same order.
+func (e *Exchange) Step(rank, j int) (peer, base int, pos []int) {
+	cb := e.chunkBits()
+	chunks := len(e.Free) - cb
+	peer = rank ^ Spread(j>>uint(chunks)+1, e.Rank)
+	return peer, e.region(peer) | Spread(j&(1<<uint(chunks)-1), e.Free[cb:]), e.Free[:cb]
+}
+
+// MovedAmps is the number of amplitudes each rank sends (and receives):
+// every region but the one a rank trades with itself.
+func (e *Exchange) MovedAmps() int64 {
+	return int64(1<<uint(len(e.Local))-1) << uint(len(e.Free))
 }
 
 // Spread deposits the low bits of t into the given bit positions:
@@ -150,18 +108,4 @@ func Spread(t int, bits []int) int {
 		}
 	}
 	return v
-}
-
-// RemoteBytes returns the one-sided remote byte volume of this exchange
-// (16 bytes per amplitude: re and im planes).
-func (e *Exchange) RemoteBytes() int64 { return e.RemoteElems * 16 }
-
-// Identity reports whether the exchange moves nothing.
-func (e *Exchange) Identity() bool {
-	for b, img := range e.Sigma {
-		if b != img {
-			return false
-		}
-	}
-	return true
 }

@@ -58,8 +58,8 @@ const (
 	// qubit positions.
 	StepGate StepKind = iota
 	// StepRemap physically exchanges global bits with local bits: one
-	// coalesced all-to-all (NewExchange) on the PGAS backends, pairwise
-	// partition exchanges on the message-passing baseline.
+	// pairwise in-place exchange (NewExchange gives its geometry), run in
+	// fixed-size chunks by the same body on every distributed transport.
 	StepRemap
 	// StepAlias relabels two logical qubits in the permutation with no
 	// data movement (a SWAP gate absorbed by the scheduler).
@@ -200,7 +200,7 @@ func (p *Plan) PrefixState(c *circuit.Circuit) (basis int, perm circuit.Permutat
 				perm.SwapPhysical(sw.Global, sw.Local)
 			}
 		case StepAlias:
-			basis = swapBits(basis, st.A, st.B)
+			basis = swapIndexBits(basis, st.A, st.B)
 			perm.SwapLogical(st.A, st.B)
 		case StepGate:
 			g := &c.Ops[st.Op].G
@@ -214,15 +214,15 @@ func (p *Plan) PrefixState(c *circuit.Circuit) (basis int, perm circuit.Permutat
 			case g.Kind.BaseKind() == gate.X:
 				basis ^= 1 << uint(g.Qubits[nc])
 			default:
-				basis = swapBits(basis, int(g.Qubits[nc]), int(g.Qubits[nc+1]))
+				basis = swapIndexBits(basis, int(g.Qubits[nc]), int(g.Qubits[nc+1]))
 			}
 		}
 	}
 	return basis, perm
 }
 
-// swapBits exchanges bits a and b of x.
-func swapBits(x, a, b int) int {
+// swapIndexBits exchanges bits a and b of x.
+func swapIndexBits(x, a, b int) int {
 	if x>>uint(a)&1 != x>>uint(b)&1 {
 		x ^= 1<<uint(a) | 1<<uint(b)
 	}
