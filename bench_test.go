@@ -226,7 +226,8 @@ func BenchmarkAblationSpecializedVsGeneric(b *testing.B) {
 	b.Run("specialized-T", func(b *testing.B) {
 		s := statevec.New(n)
 		for i := 0; i < b.N; i++ {
-			s.ApplyT(i % n)
+			t := gate.NewT(i % n)
+			s.Apply(&t)
 		}
 	})
 	b.Run("generic-T", func(b *testing.B) {
@@ -250,7 +251,8 @@ func BenchmarkAblationLoopStyle(b *testing.B) {
 			s := statevec.New(n)
 			s.Style = style.s
 			for i := 0; i < b.N; i++ {
-				s.ApplyH(i % n)
+				h := gate.NewH(i % n)
+				s.Apply(&h)
 			}
 		})
 	}

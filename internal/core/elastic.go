@@ -59,12 +59,11 @@ func runElastic(backend string, cfg Config, cp *compile.CompiledPlan, dir string
 	ecfg.Fuse = false
 	ecfg.Plans = nil
 	ecfg.Resume = ""
-	ecfg.warm = ws
 	ecfg.Elastic = false // one shrink per failure; the rerun recovers normally
 	if cfg.CheckpointDir != "" {
 		ecfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, fmt.Sprintf("elastic-p%d", newPEs))
 	}
-	res, err := run(backend, ecfg, residual, nt)
+	res, err := run(backend, ecfg, residual, ws, nt)
 	if err != nil {
 		return nil, err
 	}

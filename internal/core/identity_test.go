@@ -240,7 +240,8 @@ func replayPlan(cp *compile.CompiledPlan, seed int64) (*statevec.State, uint64) 
 			cbits = setCbit(cbits, int(g.Cbit), measure(int(g.Qubits[0])))
 		case gate.RESET:
 			if measure(int(g.Qubits[0])) == 1 {
-				st.ApplyX(int(g.Qubits[0]))
+				x := gate.NewX(int(g.Qubits[0]))
+				st.Apply(&x)
 			}
 		default:
 			st.Apply(g)

@@ -324,7 +324,7 @@ func TestRemapFaultKillRecovers(t *testing.T) {
 		}
 		var entries []int64
 		var last *sched.Exchange
-		if _, err := run("scale-out", ckptCfg(), c, func(g *Grid) Transport {
+		if _, err := run("scale-out", ckptCfg(), c, nil, func(g *Grid) Transport {
 			for si, st := range g.Compiled.Plan.Steps {
 				if st.Kind == sched.StepRemap && si >= g.Start {
 					last = g.Compiled.Exchanges[si]

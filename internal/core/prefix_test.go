@@ -154,8 +154,9 @@ func TestClassicalPrefixResumeEveryStep(t *testing.T) {
 		// parent did, and cuts inside the prefix too.
 		parent := cell.cfg
 		parent.CheckpointEvery, parent.CheckpointDir = 1, ckptTestDir(t)
-		parent.warm = &ckpt.WarmStart{State: statevec.New(c.NumQubits)}
-		runCell(t, cell.backend, parent, c)
+		if _, err := RunFrom(cell.backend, parent, c, &ckpt.WarmStart{State: statevec.New(c.NumQubits)}); err != nil {
+			t.Fatalf("%s: %v", cell.backend, err)
+		}
 
 		inside := false
 		for _, dir := range []string{fresh.CheckpointDir, parent.CheckpointDir} {

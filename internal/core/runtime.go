@@ -791,20 +791,31 @@ func runOnce(name string, cfg Config, cp *compile.CompiledPlan, nt newTransport,
 // threaded), and backend names the run in results and checkpoint
 // manifests.
 func Run(backend string, cfg Config, c *circuit.Circuit) (*Result, error) {
+	return RunFrom(backend, cfg, c, nil)
+}
+
+// RunFrom is Run continuing from start — a full logical state and the
+// classical side that led to it — in place of |0...0>: the grid scatters
+// the state across its partitions and every rank replays start.Draws of
+// the seed's stream, so measurements continue where start's left off. A
+// reshard starts its residual the same way (runElastic). A nil start is
+// a fresh run.
+func RunFrom(backend string, cfg Config, c *circuit.Circuit, start *ckpt.WarmStart) (*Result, error) {
 	rw, err := lookup(backend)
 	if err != nil {
 		return nil, err
 	}
 	cfg, done := rw.configure(cfg)
 	defer done()
-	res, err := run(backend, cfg, c, rw.nt)
+	res, err := run(backend, cfg, c, start, rw.nt)
 	if err == nil && cfg.Pool != nil {
 		res.PEs = cfg.Pool.Workers()
 	}
 	return res, err
 }
 
-// run executes c on cfg.PEs ranks over the transport nt builds. A
+// run executes c on cfg.PEs ranks over the transport nt builds, from
+// start when it is non-nil (Config.warm) and from |0...0> otherwise. A
 // cfg.Resume checkpoint continues on this grid whatever grid it was
 // taken on, and this is the one place that decides how: taken on as
 // many ranks, each rank restores its shard in place; taken on another
@@ -818,7 +829,8 @@ func Run(backend string, cfg Config, c *circuit.Circuit) (*Result, error) {
 // cfg.Elastic, re-shards it onto half the fleet; without a checkpoint to
 // restart from, or past the budget, the run reports a structured
 // RunFailure.
-func run(backend string, cfg Config, c *circuit.Circuit, nt newTransport) (*Result, error) {
+func run(backend string, cfg Config, c *circuit.Circuit, start *ckpt.WarmStart, nt newTransport) (*Result, error) {
+	cfg.warm = start
 	if err := checkCircuit(c, 64); err != nil {
 		return nil, err
 	}

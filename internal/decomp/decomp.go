@@ -8,6 +8,7 @@ package decomp
 
 import (
 	"math"
+	"math/cmplx"
 
 	"svsim/internal/circuit"
 	"svsim/internal/gate"
@@ -204,6 +205,54 @@ func MCX(ctrls []int, t int) []gate.Gate {
 	out = append(out, MCX(rest, last)...)
 	out = append(out, mcxPow(0.5, rest, t)...)
 	return out
+}
+
+// Controlled lowers the one-qubit gate g — x y z h s sdg t tdg u1 rx ry
+// rz — or the global phase g under every qubit in ctrls. A kind that
+// names the controlled gate is that kind (cx, cy, …, cu1; ccx, c3x and
+// c4x for x). Wider ones take MCX's recursion: RX(theta) is
+// e^{-i theta/2} X^{theta/pi}, a diagonal phase diag(1, e^{i lambda}) is
+// H X^{lambda/pi} H, and Y, Z, H, RY and RZ are x or rx conjugated by a
+// gate that needs no control. A controlled global phase is a u1 on one
+// control under the others. Like gate.New it panics on a repeated qubit.
+func Controlled(g gate.Gate, ctrls []int) []gate.Gate {
+	nc := len(ctrls)
+	if nc == 0 {
+		return []gate.Gate{g}
+	}
+	if g.Kind == gate.GPHASE {
+		return Controlled(gate.NewU1(g.Params[0], ctrls[nc-1]), ctrls[:nc-1])
+	}
+	t := int(g.Qubits[0])
+	for k := gate.Kind(0); int(k) < gate.NumKinds; k++ {
+		if k.NumControls() == nc && k.BaseKind() == g.Kind {
+			return []gate.Gate{gate.New(k, append(append([]int(nil), ctrls...), t), g.ParamSlice()...)}
+		}
+	}
+	inner := gate.NewX(t)
+	var w, wdg gate.Gate // inner's conjugation: g = wdg · inner · w
+	switch g.Kind {
+	case gate.X:
+		return MCX(ctrls, t)
+	case gate.RX:
+		th := g.Params[0]
+		return append(mcxPow(th/math.Pi, ctrls, t), Controlled(gate.NewGPhase(-th/2), ctrls)...)
+	case gate.S, gate.SDG, gate.T, gate.TDG, gate.U1:
+		lambda := cmplx.Phase(gate.Unitary(g).At(1, 1))
+		return append(append([]gate.Gate{gate.NewH(t)}, mcxPow(lambda/math.Pi, ctrls, t)...), gate.NewH(t))
+	case gate.Y, gate.RY:
+		w, wdg = gate.NewSDG(t), gate.NewS(t)
+	case gate.Z, gate.RZ:
+		w, wdg = gate.NewH(t), gate.NewH(t)
+	case gate.H:
+		w, wdg = gate.NewRY(math.Pi/4, t), gate.NewRY(-math.Pi/4, t)
+	default:
+		panic("decomp: no controlled lowering for kind " + g.Kind.String())
+	}
+	if g.NP == 1 {
+		inner = gate.NewRX(g.Params[0], t)
+	}
+	return append(append([]gate.Gate{w}, Controlled(inner, ctrls)...), wdg)
 }
 
 // cxPow emits a controlled X^alpha: X^a = e^{i pi a/2} RX(pi a), so the

@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -91,7 +92,7 @@ func TestMCXArbitraryWidth(t *testing.T) {
 		tgt := perm[nc]
 		direct := randomState(rng, n)
 		lowered := direct.Clone()
-		direct.ApplyMCX(ctrls, tgt)
+		denseControlled(gate.Unitary(gate.NewX(0)), n, ctrls, tgt).Apply(direct.Re, direct.Im)
 		for _, sub := range MCX(ctrls, tgt) {
 			for _, g := range ExpandGate(sub) {
 				lowered.Apply(&g)
@@ -100,6 +101,104 @@ func TestMCXArbitraryWidth(t *testing.T) {
 		if d := direct.MaxAbsDiff(lowered); d > 1e-9 {
 			t.Fatalf("MCX with %d controls deviates by %g", nc, d)
 		}
+	}
+}
+
+// denseControlled is the 2^n-square matrix applying the 2x2 u to qubit
+// t where every control is 1.
+func denseControlled(u gate.Matrix, n int, ctrls []int, t int) gate.Matrix {
+	m := gate.Identity(1 << uint(n))
+	var cmask int
+	for _, c := range ctrls {
+		cmask |= 1 << uint(c)
+	}
+	tbit := 1 << uint(t)
+	for i := 0; i < m.N; i++ {
+		if i&cmask != cmask {
+			continue
+		}
+		a := i >> uint(t) & 1
+		for b := 0; b < 2; b++ {
+			m.Set(i, i&^tbit|b*tbit, u.At(a, b))
+		}
+	}
+	return m
+}
+
+// TestControlledAgainstDense: every kind Controlled lowers, under 0 to 5
+// controls, equals the dense controlled matrix; one control is the one
+// gate of the kind that names it, and so are 2 to 4 controls on x.
+func TestControlledAgainstDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	named := map[gate.Kind]gate.Kind{
+		gate.X: gate.CX, gate.Y: gate.CY, gate.Z: gate.CZ, gate.H: gate.CH,
+		gate.S: gate.CS, gate.SDG: gate.CSDG, gate.T: gate.CT, gate.TDG: gate.CTDG,
+		gate.U1: gate.CU1, gate.RX: gate.CRX, gate.RY: gate.CRY, gate.RZ: gate.CRZ,
+	}
+	kinds := []gate.Kind{gate.GPHASE}
+	for k := range named {
+		kinds = append(kinds, k)
+	}
+	for _, k := range kinds {
+		for nc := 0; nc <= 5; nc++ {
+			n := nc + 2
+			perm := rng.Perm(n)
+			ctrls, tgt := perm[:nc], perm[nc]
+			theta := (rng.Float64()*2 - 1) * 2 * math.Pi
+			var g gate.Gate
+			u := gate.Identity(2).Scale(cmplx.Exp(complex(0, theta)))
+			if k == gate.GPHASE {
+				g = gate.NewGPhase(theta)
+			} else {
+				qs, ps := []int{tgt}, []float64{theta}
+				g = gate.New(k, qs, ps[:k.NumParams()]...)
+				u = gate.Unitary(g)
+			}
+			direct := randomState(rng, n)
+			lowered := direct.Clone()
+			denseControlled(u, n, ctrls, tgt).Apply(direct.Re, direct.Im)
+			out := Controlled(g, ctrls)
+			for i := range out {
+				lowered.Apply(&out[i])
+			}
+			if d := direct.MaxAbsDiff(lowered); d > 1e-11 {
+				t.Fatalf("%s under %d controls deviates by %g", k, nc, d)
+			}
+			want, ok := named[k]
+			switch {
+			case k == gate.X && nc >= 2 && nc <= 4:
+				want, ok = []gate.Kind{gate.CCX, gate.C3X, gate.C4X}[nc-2], true
+			case nc != 1:
+				ok = false
+			}
+			if ok && (len(out) != 1 || out[0].Kind != want) {
+				t.Fatalf("%s under %d controls lowers to %d gates, want one %s", k, nc, len(out), want)
+			}
+		}
+	}
+}
+
+// TestControlledRejectsARepeatedQubit: a control named twice, or equal to
+// the target, panics on every lowering path.
+func TestControlledRejectsARepeatedQubit(t *testing.T) {
+	for _, c := range []struct {
+		g     gate.Gate
+		ctrls []int
+	}{
+		{gate.NewX(1), []int{1}},
+		{gate.NewH(1), []int{0, 0}},
+		{gate.NewS(2), []int{0, 2, 1}},
+		{gate.NewRY(0.3, 4), []int{0, 1, 2, 3, 3}},
+		{gate.NewX(5), []int{0, 1, 2, 3, 4, 0}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s under %v was lowered", c.g.Kind, c.ctrls)
+				}
+			}()
+			Controlled(c.g, c.ctrls)
+		}()
 	}
 }
 

@@ -108,8 +108,8 @@ func (d *Density) ApplyKraus(q int, kraus []gate.Matrix) {
 	}
 	for _, k := range kraus {
 		term := d.vec.Clone()
-		term.ApplyMC1Q(k, nil, q)
-		term.ApplyMC1Q(conjMatrix(k), nil, q+d.N)
+		term.ApplyMatrix(k, []int{q})
+		term.ApplyMatrix(conjMatrix(k), []int{q + d.N})
 		for i := range acc.Re {
 			acc.Re[i] += term.Re[i]
 			acc.Im[i] += term.Im[i]

@@ -10,8 +10,12 @@ import (
 	"testing"
 
 	"svsim/internal/circuit"
+	"svsim/internal/gate"
 	"svsim/internal/statevec"
 )
+
+// apply runs g on s: the state's one entry point for a gate.
+func apply(s *statevec.State, g gate.Gate) { s.Apply(&g) }
 
 func randomState(rng *rand.Rand, n int) *statevec.State {
 	s := statevec.New(n)
@@ -80,14 +84,14 @@ func TestSimpleEigenstates(t *testing.T) {
 	if e := h.Expectation(s); math.Abs(e-1) > 1e-12 {
 		t.Fatalf("<00|Z0|00> = %g", e)
 	}
-	s.ApplyX(0)
+	apply(s, gate.NewX(0))
 	if e := h.Expectation(s); math.Abs(e+1) > 1e-12 {
 		t.Fatalf("<01|Z0|01> = %g", e)
 	}
 	hx := &Hamiltonian{N: 1}
 	hx.Add(2.0, "X")
 	p := statevec.New(1)
-	p.ApplyH(0) // |+> is the +1 eigenstate of X
+	apply(p, gate.NewH(0)) // |+> is the +1 eigenstate of X
 	if e := hx.Expectation(p); math.Abs(e-2) > 1e-12 {
 		t.Fatalf("<+|2X|+> = %g", e)
 	}
@@ -121,8 +125,8 @@ func TestH2HartreeFockEnergy(t *testing.T) {
 	// The HF reference |0011> (occupied low orbitals) must sit above the
 	// ground state but in the right region (~ -1.117 Ha).
 	s := statevec.New(4)
-	s.ApplyX(0)
-	s.ApplyX(1)
+	apply(s, gate.NewX(0))
+	apply(s, gate.NewX(1))
 	e := H2().Expectation(s)
 	if e < -1.137 || e > -1.05 {
 		t.Fatalf("HF energy %g out of the expected band", e)
@@ -149,8 +153,8 @@ func TestAddValidatesLabels(t *testing.T) {
 func TestOneTermExpectationBellPair(t *testing.T) {
 	// On a Bell pair <ZZ> = <XX> = 1, <YY> = -1 and <ZI> = 0.
 	s := statevec.New(2)
-	s.ApplyH(0)
-	s.ApplyCX(0, 1)
+	apply(s, gate.NewH(0))
+	apply(s, gate.NewCX(0, 1))
 	for _, c := range []struct {
 		label string
 		want  float64
@@ -441,10 +445,10 @@ func TestSampleExpectationUnbiased(t *testing.T) {
 // statevecNewHF prepares the Hartree-Fock state |0011> for H2.
 func statevecNewHF() *statevec.State {
 	s := statevec.New(4)
-	s.ApplyX(0)
-	s.ApplyX(1)
-	s.ApplyRY(0.3, 2) // mix in some excitation so X/Y terms contribute
-	s.ApplyCX(2, 3)
+	apply(s, gate.NewX(0))
+	apply(s, gate.NewX(1))
+	apply(s, gate.NewRY(0.3, 2)) // mix in some excitation so X/Y terms contribute
+	apply(s, gate.NewCX(2, 3))
 	return s
 }
 

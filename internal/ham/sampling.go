@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"svsim/internal/circuit"
+	"svsim/internal/gate"
 	"svsim/internal/statevec"
 )
 
@@ -26,11 +27,13 @@ func (h *Hamiltonian) SampleExpectation(s *statevec.State, shotsPerGroup int, rn
 		work := s.Clone()
 		for q, p := range g.Basis {
 			switch p {
-			case circuit.PauliX:
-				work.ApplyH(q)
 			case circuit.PauliY:
-				work.ApplySDG(q)
-				work.ApplyH(q)
+				sdg := gate.NewSDG(q)
+				work.Apply(&sdg)
+				fallthrough
+			case circuit.PauliX:
+				had := gate.NewH(q)
+				work.Apply(&had)
 			}
 		}
 		samples := work.Sample(rng, shotsPerGroup)

@@ -106,9 +106,9 @@ func TestIsingTrotterConservesEnergy(t *testing.T) {
 	}
 	prep := func() *statevec.State {
 		s := statevec.New(n)
-		s.ApplyH(0)
-		s.ApplyCX(0, 1)
-		s.ApplyRY(0.7, 3)
+		apply(s, gate.NewH(0))
+		apply(s, gate.NewCX(0, 1))
+		apply(s, gate.NewRY(0.7, 3))
 		return s
 	}
 	before := H.Expectation(prep())

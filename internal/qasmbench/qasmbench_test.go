@@ -11,6 +11,9 @@ import (
 )
 
 // runCircuit simulates a generated circuit on the single-device kernels.
+// apply runs g on s: the state's one entry point for a gate.
+func apply(s *statevec.State, g gate.Gate) { s.Apply(&g) }
+
 func runCircuit(t *testing.T, c interface {
 	Gates() []gate.Gate
 	Validate() error
@@ -144,7 +147,7 @@ func TestQFTCountsAndInverse(t *testing.T) {
 		s := statevec.New(n)
 		for q := 0; q < n; q++ {
 			if x>>uint(q)&1 == 1 {
-				s.ApplyX(q)
+				apply(s, gate.NewX(q))
 			}
 		}
 		fw := QFT(n)

@@ -1,15 +1,28 @@
 package qir
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"svsim/internal/circuit"
 	"svsim/internal/gate"
 )
 
+// newSim is an n-qubit simulator on single.
+func newSim(tb testing.TB, n int, seed int64) *Simulator {
+	tb.Helper()
+	s, err := NewSimulator("single", 1, n, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// randomize writes a random normalized state where the program stands.
 func randomize(rng *rand.Rand, s *Simulator) {
 	st := s.State()
 	var norm float64
@@ -42,7 +55,7 @@ func TestElementaryVerbsMatchKinds(t *testing.T) {
 		{func(s *Simulator) { s.AdjointT(2) }, gate.TDG},
 	}
 	for _, c := range cases {
-		s := NewSimulator(4, 0)
+		s := newSim(t, 4, 0)
 		randomize(rng, s)
 		want := s.State().Clone()
 		c.call(s)
@@ -57,7 +70,7 @@ func TestElementaryVerbsMatchKinds(t *testing.T) {
 func TestRVerb(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, axis := range []Pauli{PauliX, PauliY, PauliZ} {
-		s := NewSimulator(3, 0)
+		s := newSim(t, 3, 0)
 		randomize(rng, s)
 		want := s.State().Clone()
 		theta := 0.873
@@ -77,7 +90,7 @@ func TestRVerb(t *testing.T) {
 		}
 	}
 	// R about the identity is a global phase exp(-i theta/2).
-	s := NewSimulator(2, 0)
+	s := newSim(t, 2, 0)
 	randomize(rng, s)
 	want := s.State().Clone()
 	s.R(PauliI, 1.2, 0)
@@ -107,7 +120,7 @@ func TestControlledVerbsAgainstDense(t *testing.T) {
 	}
 	for _, cse := range cases {
 		for _, nc := range []int{1, 2, 3} {
-			s := NewSimulator(5, 0)
+			s := newSim(t, 5, 0)
 			randomize(rng, s)
 			want := s.State().Clone()
 			perm := rng.Perm(5)
@@ -150,18 +163,18 @@ func denseControlled(u gate.Matrix, n int, ctrls []int, t int) gate.Matrix {
 func TestControlledR(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, axis := range []Pauli{PauliX, PauliY, PauliZ} {
-		s := NewSimulator(4, 0)
+		s := newSim(t, 4, 0)
 		randomize(rng, s)
 		want := s.State().Clone()
 		s.ControlledR([]int{0, 3}, axis, 0.6, 1)
-		full := denseControlled(rotationMatrix(axis, 0.6), 4, []int{0, 3}, 1)
+		full := denseControlled(gate.Unitary(rotation(axis, 0.6, 0)), 4, []int{0, 3}, 1)
 		full.Apply(want.Re, want.Im)
 		if d := s.State().MaxAbsDiff(want); d > 1e-11 {
 			t.Fatalf("ControlledR(%s) deviates by %g", string(axis), d)
 		}
 	}
 	// Controlled R(I) = controlled global phase on the control subspace.
-	s := NewSimulator(3, 0)
+	s := newSim(t, 3, 0)
 	randomize(rng, s)
 	want := s.State().Clone()
 	s.ControlledR([]int{0, 2}, PauliI, 1.0, 1)
@@ -179,7 +192,8 @@ func TestControlledR(t *testing.T) {
 
 func TestExpIsPauliExponential(t *testing.T) {
 	// e^{i theta P} = cos(theta) I + i sin(theta) P, verified densely and
-	// against the lowered window (circuit.ExpPauli) the verb used to run.
+	// against the window (circuit.ExpPauli) applied gate by gate, which the
+	// verb appends and the flush runs as one pass.
 	rng := rand.New(rand.NewSource(5))
 	cases := []struct {
 		paulis []Pauli
@@ -192,17 +206,23 @@ func TestExpIsPauliExponential(t *testing.T) {
 	}
 	for _, cse := range cases {
 		theta := rng.Float64()*2 - 1
-		s := NewSimulator(4, 0)
+		s := newSim(t, 4, 0)
 		randomize(rng, s)
 		want := s.State().Clone()
 		lowered := want.Clone()
 		s.Exp(cse.paulis, theta, cse.qubits)
-		if st := s.State().Stats; st.Gates != want.Stats.Gates+1 || st.Sweeps != want.Stats.Sweeps+1 {
-			t.Fatalf("Exp(%v) is %d gates in %d sweeps, want one pass", cse.paulis, st.Gates-want.Stats.Gates, st.Sweeps-want.Stats.Sweeps)
+		window := new(circuit.Circuit).ExpPauli(-2*theta, pauliTerms(cse.paulis, cse.qubits)).Ops
+		// The flush runs the window as one gadget step, a weight-1 window
+		// as one fused gate: one sweep either way.
+		gadgets := 0
+		if len(cse.qubits)-strings.Count(string(cse.paulis), "I") > 1 {
+			gadgets = 1
 		}
-		window := circuit.New("exp", 4).ExpPauli(-2*theta, expTerms(cse.paulis, cse.qubits))
-		for i := range window.Ops {
-			lowered.Apply(&window.Ops[i].G)
+		if res := s.flush(); res.SV.Sweeps != 1 || res.Compile.Gadgets != gadgets {
+			t.Fatalf("Exp(%v) runs %d gadgets in %d sweeps, want %d in one", cse.paulis, res.Compile.Gadgets, res.SV.Sweeps, gadgets)
+		}
+		for i := range window {
+			lowered.Apply(&window[i].G)
 		}
 		if d := s.State().MaxAbsDiff(lowered); d > 1e-12 {
 			t.Fatalf("Exp(%v, %g) deviates from the lowered window by %g", cse.paulis, theta, d)
@@ -251,7 +271,7 @@ func TestControlledExp(t *testing.T) {
 	paulis := []Pauli{PauliX, PauliZ}
 	qubits := []int{1, 3}
 	theta := 0.77
-	s := NewSimulator(5, 0)
+	s := newSim(t, 5, 0)
 	randomize(rng, s)
 	want := s.State().Clone()
 	s.ControlledExp([]int{0, 4}, paulis, theta, qubits)
@@ -281,14 +301,14 @@ func TestControlledExp(t *testing.T) {
 		t.Fatalf("ControlledExp deviates by %g", d)
 	}
 	// With a control held at 0 the operation must be the identity.
-	s2 := NewSimulator(3, 0)
+	s2 := newSim(t, 3, 0)
 	randomize(rng, s2)
 	before := s2.State().Clone()
 	s2.ControlledExp([]int{2}, []Pauli{PauliY}, 0.5, []int{0})
 	// Zero out the control=1 half for comparison: control qubit 2 of a
 	// random state is not |0>, so instead verify on a fresh |0> state.
 	_ = before
-	s3 := NewSimulator(3, 0)
+	s3 := newSim(t, 3, 0)
 	s3.H(0)
 	ref := s3.State().Clone()
 	s3.ControlledExp([]int{2}, []Pauli{PauliY}, 0.5, []int{0})
@@ -299,7 +319,7 @@ func TestControlledExp(t *testing.T) {
 
 func TestExpAllIdentityIsGlobalPhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewSimulator(2, 0)
+	s := newSim(t, 2, 0)
 	randomize(rng, s)
 	want := s.State().Clone()
 	s.Exp([]Pauli{PauliI, PauliI}, 0.9, []int{0, 1})
@@ -316,14 +336,14 @@ func TestExpRejectsARepeatedQubit(t *testing.T) {
 			t.Fatal("Exp naming qubit 1 twice was accepted")
 		}
 	}()
-	NewSimulator(2, 0).Exp([]Pauli{PauliX, PauliZ}, 0.3, []int{1, 1})
+	newSim(t, 2, 0).Exp([]Pauli{PauliX, PauliZ}, 0.3, []int{1, 1})
 }
 
 func TestMeasurementAndReset(t *testing.T) {
 	ones := 0
 	const trials = 4000
 	for seed := int64(0); seed < trials; seed++ {
-		s := NewSimulator(2, seed)
+		s := newSim(t, 2, seed)
 		s.H(0)
 		ones += s.M(0)
 	}
@@ -331,7 +351,7 @@ func TestMeasurementAndReset(t *testing.T) {
 	if math.Abs(f-0.5) > 0.03 {
 		t.Fatalf("M on |+> frequency %g", f)
 	}
-	s := NewSimulator(2, 1)
+	s := newSim(t, 2, 1)
 	s.X(1)
 	s.Reset(1)
 	if p := s.Probability(1); p > 1e-12 {
@@ -347,7 +367,7 @@ func TestQIRTeleportProgram(t *testing.T) {
 	got := 0.0
 	const trials = 2000
 	for seed := int64(0); seed < trials; seed++ {
-		s := NewSimulator(3, seed)
+		s := newSim(t, 3, seed)
 		s.R(PauliY, 0.9, 0)
 		s.H(1)
 		s.ControlledX([]int{1}, 2)
@@ -366,5 +386,71 @@ func TestQIRTeleportProgram(t *testing.T) {
 	got /= trials
 	if math.Abs(got-want) > 0.02 {
 		t.Fatalf("teleported P(1) = %g, want %g", got, want)
+	}
+}
+
+// TestGoldenOutcomes: the outcomes of seeds 0–63 of the teleport program
+// and of M on |+>, as the immediate-mode simulator drew them — a flush
+// replays the draws of the measurements and resets before it, so each M
+// takes the seed stream's next variate, as a per-call draw did.
+func TestGoldenOutcomes(t *testing.T) {
+	const (
+		teleport = "01 00 11 00 11 00 10 01 10 11 01 10 01 10 00 11 00 01 10 00 11 00 11 00 10 01 10 11 00 10 01 10 " +
+			"01 10 00 01 10 01 11 00 11 00 11 10 00 11 00 11 01 10 01 10 01 01 10 01 10 00 11 00 01 10 00 11"
+		plus = "0010101011010101001010101011010101001010101101010101001010100101"
+	)
+	var gotTele []string
+	var gotPlus string
+	for seed := int64(0); seed < 64; seed++ {
+		s := newSim(t, 3, seed)
+		s.R(PauliY, 0.9, 0)
+		s.H(1)
+		s.ControlledX([]int{1}, 2)
+		s.ControlledX([]int{0}, 1)
+		s.H(0)
+		m1 := s.M(1)
+		m0 := s.M(0)
+		gotTele = append(gotTele, fmt.Sprintf("%d%d", m1, m0))
+		p := newSim(t, 2, seed)
+		p.H(0)
+		gotPlus += fmt.Sprint(p.M(0))
+	}
+	if got := strings.Join(gotTele, " "); got != teleport {
+		t.Errorf("teleport outcomes\n got %s\nwant %s", got, teleport)
+	}
+	if gotPlus != plus {
+		t.Errorf("M on |+>\n got %s\nwant %s", gotPlus, plus)
+	}
+}
+
+// TestBadOperandPanicsAtTheVerb: an operand outside the register or named
+// twice panics at the call, naming the verb, and leaves nothing pending.
+func TestBadOperandPanicsAtTheVerb(t *testing.T) {
+	for _, c := range []struct {
+		call func(s *Simulator)
+		want []string
+	}{
+		{func(s *Simulator) { s.ControlledX([]int{1}, 1) }, []string{"qir: ControlledX: ", "duplicate qubit operand 1"}},
+		{func(s *Simulator) { s.ControlledZ([]int{3}, 0) }, []string{"qir: ControlledZ: ", "qubit 3 outside register of size 2"}},
+		{func(s *Simulator) { s.ControlledH([]int{0, 0}, 1) }, []string{"qir: ControlledH: ", "duplicate qubit operand 0"}},
+	} {
+		s := newSim(t, 2, 0)
+		s.H(0)
+		want := s.State().Clone()
+		s.X(1)
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			c.call(s)
+			return
+		}()
+		for _, w := range c.want {
+			if !strings.Contains(msg, w) {
+				t.Errorf("panic %q, want it to contain %q", msg, w)
+			}
+		}
+		s.X(1)
+		if d := s.State().MaxAbsDiff(want); d != 0 {
+			t.Errorf("%s: the rejected verb left gates pending (state moved by %g)", c.want[0], d)
+		}
 	}
 }

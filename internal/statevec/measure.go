@@ -46,27 +46,6 @@ func (s *State) ProbOne(q int) float64 {
 	return sub[s.N]
 }
 
-// MeasureQubit performs a projective measurement of qubit q using the
-// uniform draw r in [0,1), collapses the state, and returns the outcome.
-func (s *State) MeasureQubit(q int, r float64) int {
-	p1 := s.ProbOne(q)
-	outcome := 0
-	if r < p1 {
-		outcome = 1
-	}
-	s.Project(q, outcome, p1)
-	s.Stats.add(int64(s.Dim), int64(2*s.Dim))
-	return outcome
-}
-
-// ResetQubit measures qubit q (using draw r) and flips it to |0> if the
-// outcome was 1, implementing the OpenQASM reset statement.
-func (s *State) ResetQubit(q int, r float64) {
-	if s.MeasureQubit(q, r) == 1 {
-		s.ApplyX(q)
-	}
-}
-
 // Project collapses this window onto qubit q == outcome: the matching
 // amplitudes are renormalized, the others zeroed. p1 is the probability
 // of q == 1 over the WHOLE register (for a window, the reduced sum of

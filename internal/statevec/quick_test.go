@@ -132,9 +132,9 @@ func TestQuickCollapseIsIdempotent(t *testing.T) {
 		r = math.Abs(math.Mod(r, 1))
 		s := randomState(rng, 4, Scalar)
 		q := rng.Intn(4)
-		o1 := s.MeasureQubit(q, r)
+		o1 := measure(s, q, r)
 		snap := s.Clone()
-		o2 := s.MeasureQubit(q, rng.Float64())
+		o2 := measure(s, q, rng.Float64())
 		return o1 == o2 && s.MaxAbsDiff(snap) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

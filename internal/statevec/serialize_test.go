@@ -126,11 +126,11 @@ func TestSerializedStateResumesSimulation(t *testing.T) {
 	full := randomState(rng, 6, Scalar)
 	resumed := full.Clone()
 
-	full.ApplyH(0)
-	full.ApplyCX(0, 5)
-	full.ApplyT(3)
+	apply(full, gate.NewH(0))
+	apply(full, gate.NewCX(0, 5))
+	apply(full, gate.NewT(3))
 
-	resumed.ApplyH(0)
+	apply(resumed, gate.NewH(0))
 	var buf bytes.Buffer
 	if _, err := resumed.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -139,8 +139,8 @@ func TestSerializedStateResumesSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored.ApplyCX(0, 5)
-	restored.ApplyT(3)
+	apply(restored, gate.NewCX(0, 5))
+	apply(restored, gate.NewT(3))
 	if d := full.MaxAbsDiff(restored); d != 0 {
 		t.Fatalf("resumed simulation deviates by %g", d)
 	}

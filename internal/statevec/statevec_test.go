@@ -29,6 +29,21 @@ func randomState(rng *rand.Rand, n int, style KernelStyle) *State {
 
 // applyDense applies gate g to the state via the dense reference matrix
 // (gate.Unitary embedded in the full space), the independent oracle.
+// apply runs g on s.
+func apply(s *State, g gate.Gate) { s.Apply(&g) }
+
+// measure collapses qubit q with draw r as the runtime does — ProbOne,
+// then Project onto the outcome the draw picks — and returns the outcome.
+func measure(s *State, q int, r float64) int {
+	p1 := s.ProbOne(q)
+	outcome := 0
+	if r < p1 {
+		outcome = 1
+	}
+	s.Project(q, outcome, p1)
+	return outcome
+}
+
 func applyDense(s *State, g gate.Gate) {
 	pos := make([]int, g.NQ)
 	for i := range pos {
@@ -194,7 +209,7 @@ func TestMeasureCollapse(t *testing.T) {
 		cx := gate.NewCX(0, 1)
 		s.Apply(&h)
 		s.Apply(&cx)
-		out := s.MeasureQubit(0, r)
+		out := measure(s, 0, r)
 		if p := s.ProbOne(1); math.Abs(p-float64(out)) > 1e-12 {
 			t.Fatalf("after measuring %d on qubit 0, P(q1=1) = %g", out, p)
 		}
@@ -216,7 +231,7 @@ func TestMeasureStatistics(t *testing.T) {
 	base.Apply(&ry)
 	for i := 0; i < trials; i++ {
 		s := base.Clone()
-		ones += s.MeasureQubit(0, rng.Float64())
+		ones += measure(s, 0, rng.Float64())
 	}
 	got := float64(ones) / float64(trials)
 	if math.Abs(got-want) > 0.015 {
@@ -228,7 +243,9 @@ func TestResetQubit(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 20; trial++ {
 		s := randomState(rng, 4, Scalar)
-		s.ResetQubit(2, rng.Float64())
+		if measure(s, 2, rng.Float64()) == 1 {
+			apply(s, gate.NewX(2))
+		}
 		if p := s.ProbOne(2); p > 1e-12 {
 			t.Fatalf("after reset, P(q2=1) = %g", p)
 		}
@@ -401,45 +418,6 @@ func TestApplyMatrixAgainstKernels(t *testing.T) {
 	if d := spec.MaxAbsDiff(genr); d > 1e-10 {
 		t.Fatalf("generic matrix path deviates from kernels by %g", d)
 	}
-}
-
-func TestApplyMC1QMultiControl(t *testing.T) {
-	// 2-controlled H via ApplyMC1Q must equal dense reference.
-	rng := rand.New(rand.NewSource(43))
-	s := randomState(rng, 5, Scalar)
-	want := s.Clone()
-	hU := gate.Unitary(gate.NewH(0))
-	s.ApplyMC1Q(hU, []int{1, 3}, 0)
-	full := controlledDense(hU, 5, []int{1, 3}, 0)
-	full.Apply(want.Re, want.Im)
-	if d := s.MaxAbsDiff(want); d > 1e-12 {
-		t.Fatalf("multi-controlled H deviates by %g", d)
-	}
-}
-
-// controlledDense builds the dense controlled-U on an n-qubit register.
-func controlledDense(u gate.Matrix, n int, ctrls []int, t int) gate.Matrix {
-	dim := 1 << uint(n)
-	m := gate.Identity(dim)
-	var cmask int
-	for _, c := range ctrls {
-		cmask |= 1 << uint(c)
-	}
-	tbit := 1 << uint(t)
-	for i := 0; i < dim; i++ {
-		if i&cmask != cmask {
-			continue
-		}
-		a := 0
-		if i&tbit != 0 {
-			a = 1
-		}
-		for b := 0; b < 2; b++ {
-			col := i&^tbit | b*tbit
-			m.Set(i, col, u.At(a, b))
-		}
-	}
-	return m
 }
 
 func TestStatsCounters(t *testing.T) {
