@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"svsim/internal/fault"
 	"svsim/internal/obs"
+	"svsim/internal/pgas"
 	"svsim/internal/qasmbench"
+	"svsim/internal/sched"
 )
 
 // TestScaleOutTracing is the acceptance check of the telemetry layer: a
@@ -73,7 +76,8 @@ func TestScaleOutTracing(t *testing.T) {
 	}
 
 	// Gate latency histograms must have recorded every gate execution,
-	// and the pgas histograms must have seen traffic.
+	// the barrier histogram must have seen waits, and the published pgas
+	// traffic must be the substrate's own count.
 	snap := metrics.Snapshot()
 	var latCount int64
 	for name, h := range snap.Histograms {
@@ -84,11 +88,10 @@ func TestScaleOutTracing(t *testing.T) {
 	if latCount != int64(gates*pes) {
 		t.Fatalf("gate latency observations = %d, want gates*pes = %d", latCount, gates*pes)
 	}
-	for _, name := range []string{obs.MetricGetBytes, obs.MetricBarrierWaitNS} {
-		if snap.Histograms[name].Count == 0 {
-			t.Fatalf("histogram %q recorded nothing", name)
-		}
+	if snap.Histograms[obs.MetricBarrierWaitNS].Count == 0 {
+		t.Fatalf("histogram %q recorded nothing", obs.MetricBarrierWaitNS)
 	}
+	checkPublishedComm(t, snap, traced.Comm)
 	if traced.Mem == nil {
 		t.Fatal("traced run result is missing the memory snapshot")
 	}
@@ -123,6 +126,118 @@ func TestScaleOutTracing(t *testing.T) {
 	}
 }
 
+// checkPublishedComm fails unless the registry's pgas traffic counters
+// equal comm exactly.
+func checkPublishedComm(t *testing.T, snap obs.Snapshot, comm pgas.Stats) {
+	t.Helper()
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{obs.MetricRemoteBytes, comm.RemoteBytes},
+		{obs.MetricLocalBytes, comm.LocalBytes},
+		{obs.MetricOpRetries, comm.Retries},
+	} {
+		got, ok := snap.Counters[c.name]
+		if !ok || got != c.want {
+			t.Errorf("published %s = %d (registered %v), want Result.Comm's %d", c.name, got, ok, c.want)
+		}
+	}
+}
+
+// TestPublishedTrafficEqualsComm: on every backend of the table, under
+// both plans, the run publishes its one-sided traffic to the registry
+// once, equal to Result.Comm — the per-PE count is the only count.
+func TestPublishedTrafficEqualsComm(t *testing.T) {
+	e, err := qasmbench.ByName("qft_n15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := e.Build()
+	type cell struct {
+		backend   string
+		pol       sched.Policy
+		coalesced bool
+	}
+	var cells []cell
+	for _, b := range BackendNames(nil) {
+		for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
+			cells = append(cells, cell{b, pol, false})
+		}
+	}
+	cells = append(cells, cell{"scale-out", sched.Naive, true})
+	for _, cl := range cells {
+		name := cl.backend + "/" + string(cl.pol)
+		if cl.coalesced {
+			name += "/coalesced"
+		}
+		t.Run(name, func(t *testing.T) {
+			m := obs.NewMetrics()
+			res, err := Run(cl.backend, Config{
+				Seed: 5, PEs: 4, Sched: cl.pol, Coalesced: cl.coalesced, Metrics: m,
+			}, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPublishedComm(t, m.Snapshot(), res.Comm)
+		})
+	}
+}
+
+// TestPublishedOpRetries: one-sided ops re-issued after injected drops
+// reach the registry as pgas_op_retries, equal to Result.Comm.Retries.
+func TestPublishedOpRetries(t *testing.T) {
+	in, err := fault.ParseSpec("drop:rank=0:op=put:after=5:count=2", faultSeed(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.NewMetrics()
+	res, err := NewScaleOut(Config{
+		Seed: 5, PEs: 4, Fault: in, Metrics: m,
+		Timeouts: pgas.Timeouts{OpRetries: 4},
+	}).Run(measuredCircuit(42, 6, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Comm.Retries == 0 {
+		t.Fatal("the drops caused no retry")
+	}
+	checkPublishedComm(t, m.Snapshot(), res.Comm)
+}
+
+// TestPublishedTrafficSumsAttempts: a run restarted from a checkpoint
+// publishes every attempt's traffic, the killed one's included, so the
+// registry holds more than the last attempt's Result.Comm and no less
+// than a clean run moves.
+func TestPublishedTrafficSumsAttempts(t *testing.T) {
+	c := measuredCircuit(42, 6, 60)
+	base := Config{PEs: 4, Seed: 7}
+	clean, err := NewScaleOut(base).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := fault.NewInjector(faultSeed(t))
+	in.KillAt(1, fault.Barrier, 30)
+	cfg := base
+	cfg.Fault = in
+	cfg.CheckpointEvery = 5
+	cfg.CheckpointDir = ckptTestDir(t)
+	cfg.MaxRestarts = 2
+	cfg.Metrics = obs.NewMetrics()
+	res, err := NewScaleOut(cfg).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recoveries != 1 {
+		t.Fatalf("want 1 recovery, got %d", res.Recoveries)
+	}
+	got := cfg.Metrics.Snapshot().Counters[obs.MetricRemoteBytes]
+	if got <= res.Comm.RemoteBytes || got < clean.Comm.RemoteBytes {
+		t.Fatalf("published remote bytes %d: want > the last attempt's %d and >= a clean run's %d",
+			got, res.Comm.RemoteBytes, clean.Comm.RemoteBytes)
+	}
+}
+
 // TestSingleDeviceTracing covers the non-distributed observed loop.
 func TestSingleDeviceTracing(t *testing.T) {
 	e, err := qasmbench.ByName("cc_n12")
@@ -150,5 +265,30 @@ func TestSingleDeviceTracing(t *testing.T) {
 	}
 	if got := len(tracks[0].Events()); got != c.NumGates() {
 		t.Fatalf("spans = %d, want %d", got, c.NumGates())
+	}
+}
+
+// BenchmarkObservedNaive: the paper's element-grained one-sided path
+// (scale-out ×2, naive plan, QFT(16)) plain and with a tracer and a
+// metrics registry attached; the two rows differ by the per-gate
+// observation alone, no registry handle being touched per element op.
+func BenchmarkObservedNaive(b *testing.B) {
+	c := qasmbench.QFT(16)
+	for _, observed := range []bool{false, true} {
+		name := "plain"
+		if observed {
+			name = "observed"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cfg := Config{PEs: 2}
+				if observed {
+					cfg.Trace, cfg.Metrics = obs.NewTracer(), obs.NewMetrics()
+				}
+				if _, err := NewScaleOut(cfg).Run(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -401,10 +401,11 @@ func (rt *runtime) run() (*Result, error) {
 				}
 				// Observed path: time the gate and attribute this rank's
 				// traffic delta to the span.
+				var c0 obs.SpanArgs
 				if tr.On() {
 					tr.label = gateLabel(&op.G)
+					c0 = rt.t.Counters(pe.Rank)
 				}
-				c0 := rt.t.Counters(pe.Rank)
 				g0 := time.Now()
 				spanned := rt.gateStep(pe, r, st.Op, tr)
 				g1 := time.Now()
@@ -443,13 +444,19 @@ func (rt *runtime) run() (*Result, error) {
 	if ferr := rt.ck.finish(); err == nil {
 		err = ferr
 	}
+	// The one count of one-sided traffic is each PE's own Stats: the
+	// registry gets every attempt's totals, an aborted one's too.
+	comm := rt.Comm.TotalStats()
+	rt.metrics.Counter(obs.MetricRemoteBytes).Add(comm.RemoteBytes)
+	rt.metrics.Counter(obs.MetricLocalBytes).Add(comm.LocalBytes)
+	rt.metrics.Counter(obs.MetricOpRetries).Add(comm.Retries)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
 		Backend: rt.name,
 		Cbits:   rt.ranks[0].cbits,
-		Comm:    rt.Comm.TotalStats(),
+		Comm:    comm,
 		Elapsed: time.Since(startT),
 		PEs:     rt.P,
 	}

@@ -17,8 +17,11 @@
 // The design contract with the execution backends is "nil means off": a
 // nil *Tracer, *Metrics, *Track, *Counter, *Gauge, *Histogram, or
 // *FlightRecorder is a valid receiver on every recording method and does
-// nothing, so hot loops carry only a branch-predictable nil check when
-// observability is disabled.
+// nothing, so instrumented code carries only a branch-predictable nil
+// check when observability is disabled. No registry handle is touched
+// per state-vector element: a backend records per gate, per barrier or
+// per exchange, and publishes per-element traffic totals (the pgas byte
+// counters) from its own unshared counts once per run.
 // All recording methods on non-nil receivers are safe for concurrent use
 // except Track.SpanAt, which is owned by one PE goroutine by construction
 // (each PE records only onto its own track).
@@ -30,10 +33,6 @@ const (
 	// MetricGateKernelNS is the per-kind gate kernel latency histogram
 	// family, in nanoseconds: "gate_kernel_ns.h", "gate_kernel_ns.cx", ...
 	MetricGateKernelNS = "gate_kernel_ns"
-	// MetricPutBytes is the one-sided put size distribution (pgas).
-	MetricPutBytes = "put_bytes"
-	// MetricGetBytes is the one-sided get size distribution (pgas).
-	MetricGetBytes = "get_bytes"
 	// MetricBarrierWaitNS is the barrier wait-time distribution.
 	MetricBarrierWaitNS = "barrier_wait_ns"
 	// MetricMsgBytes is the two-sided message size distribution (mpi backend).
@@ -43,12 +42,15 @@ const (
 	MetricRemapBytes = "remap_exchange_bytes"
 	// MetricRemapCount counts remap exchanges executed.
 	MetricRemapCount = "remap_count"
-	// MetricRemoteBytes accumulates one-sided remote traffic volume (pgas).
+	// MetricRemoteBytes accumulates one-sided remote traffic volume (pgas),
+	// added once per run attempt when its SPMD region ends.
 	MetricRemoteBytes = "pgas_remote_bytes"
-	// MetricLocalBytes accumulates one-sided local traffic volume (pgas).
+	// MetricLocalBytes accumulates one-sided local traffic volume (pgas),
+	// added once per run attempt like MetricRemoteBytes.
 	MetricLocalBytes = "pgas_local_bytes"
 	// MetricOpRetries counts one-sided operations re-issued after a
-	// transient completion failure (fault injection).
+	// transient completion failure (fault injection), added once per run
+	// attempt like MetricRemoteBytes.
 	MetricOpRetries = "pgas_op_retries"
 	// MetricPEFailures counts PE deaths observed by the runtime.
 	MetricPEFailures = "fault_pe_failures"
@@ -112,7 +114,7 @@ const (
 func LatencyBuckets() []float64 { return ExpBuckets(100, 2, 24) }
 
 // SizeBuckets returns the standard transfer-size histogram bounds:
-// 12 power-of-four buckets from 8B to ~128MiB, so the element-grained
-// 8/16-byte one-sided accesses and the coalesced whole-partition
-// transfers land in clearly separated buckets.
+// 12 power-of-four buckets from 8B to ~128MiB, so small two-sided
+// messages and whole-partition remap exchanges land in clearly
+// separated buckets.
 func SizeBuckets() []float64 { return ExpBuckets(8, 4, 12) }

@@ -22,7 +22,7 @@ func goldenRegistry() *Metrics {
 	m.Counter("gate_count.h").Add(120)
 	m.Gauge(MetricGoroutines).Set(12)
 	m.Gauge("queue_depth.put").Set(4.5)
-	h := m.Histogram(MetricPutBytes, []float64{8, 64, 512})
+	h := m.Histogram(MetricMsgBytes, []float64{8, 64, 512})
 	h.Observe(4)    // first bucket
 	h.Observe(64)   // inclusive upper bound: second bucket
 	h.Observe(4096) // overflow: +Inf only
@@ -75,7 +75,7 @@ func TestOpenMetricsParseRoundTrip(t *testing.T) {
 		t.Fatalf("renderer output rejected: %v\n%s", err, buf.Bytes())
 	}
 	// 4 counter samples + 2 gauges + 2 histograms × (buckets + +Inf + sum
-	// + count): put_bytes has 3 bounds (6 lines), gate_kernel_ns.h has 2
+	// + count): msg_bytes has 3 bounds (6 lines), gate_kernel_ns.h has 2
 	// bounds (5 lines).
 	if want := 4 + 2 + 6 + 5; samples != want {
 		t.Fatalf("parsed %d samples, want %d", samples, want)

@@ -35,7 +35,7 @@ func get(t *testing.T, url string) (string, string) {
 func TestServerScrape(t *testing.T) {
 	m := NewMetrics()
 	m.Counter(MetricRemoteBytes).Add(12345)
-	m.Histogram(MetricPutBytes, SizeBuckets()).Observe(512)
+	m.Histogram(MetricMsgBytes, SizeBuckets()).Observe(512)
 	f := NewFlightRecorder(64)
 	f.Record(-1, EventRunStart, "scrape-test", 1)
 

@@ -79,7 +79,6 @@ type Comm struct {
 	bar        *barrier
 	pes        []peState
 	scratchF   [2][]float64 // double-buffered collective scratch
-	scratchU   [2][]uint64
 	launchOnce sync.Once
 	groupState // sub-communicator barrier registry (group.go)
 
@@ -91,30 +90,18 @@ type Comm struct {
 	tmo       Timeouts
 	rec       *obs.FlightRecorder
 
-	// Optional metrics handles, nil when no registry is attached; the
-	// one-sided ops and Barrier pay only a nil check then.
-	putBytes    *obs.Histogram
-	getBytes    *obs.Histogram
-	barrierNS   *obs.Histogram
-	remoteBytes *obs.Counter
-	localBytes  *obs.Counter
+	// Barrier wait-time histogram, nil when no registry is attached;
+	// Barrier pays only a nil check then.
+	barrierNS *obs.Histogram
 }
 
-// SetMetrics attaches a metrics registry: one-sided put/get sizes and
-// barrier wait times are recorded as histograms, and local/remote byte
-// volumes as counters, from then on. Call before entering an SPMD
+// SetMetrics attaches a metrics registry: barrier wait times are
+// recorded as a histogram from then on. One-sided traffic is counted
+// once, in each PE's unshared Stats; a caller publishes the totals
+// (TotalStats) when its SPMD region ends. Call before entering an SPMD
 // region; a nil registry detaches.
 func (c *Comm) SetMetrics(m *obs.Metrics) {
-	if m == nil {
-		c.putBytes, c.getBytes, c.barrierNS = nil, nil, nil
-		c.remoteBytes, c.localBytes = nil, nil
-		return
-	}
-	c.putBytes = m.Histogram(obs.MetricPutBytes, obs.SizeBuckets())
-	c.getBytes = m.Histogram(obs.MetricGetBytes, obs.SizeBuckets())
 	c.barrierNS = m.Histogram(obs.MetricBarrierWaitNS, obs.LatencyBuckets())
-	c.remoteBytes = m.Counter(obs.MetricRemoteBytes)
-	c.localBytes = m.Counter(obs.MetricLocalBytes)
 }
 
 // NewComm creates a communicator with p processing elements (p >= 1).
@@ -130,7 +117,6 @@ func NewComm(p int) *Comm {
 	}
 	for i := range c.scratchF {
 		c.scratchF[i] = make([]float64, p)
-		c.scratchU[i] = make([]uint64, p)
 	}
 	return c
 }
@@ -158,13 +144,6 @@ func (c *Comm) TotalStats() Stats {
 
 // StatsOf returns the counters of a single PE.
 func (c *Comm) StatsOf(rank int) Stats { return c.pes[rank].stats }
-
-// ResetStats zeroes all counters.
-func (c *Comm) ResetStats() {
-	for i := range c.pes {
-		c.pes[i].stats = Stats{}
-	}
-}
 
 // PE is the handle a processing element uses inside an SPMD region. All
 // methods are to be called only from that PE's goroutine.
@@ -310,52 +289,4 @@ func treeSum(xs []float64) float64 {
 	}
 	h := len(xs) / 2
 	return treeSum(xs[:h]) + treeSum(xs[h:])
-}
-
-// AllReduceMax returns the maximum of v over all PEs.
-func (pe *PE) AllReduceMax(v float64) float64 {
-	c := pe.comm
-	buf := c.scratchF[pe.collSeq&1]
-	pe.collSeq++
-	pe.comm.pes[pe.Rank].stats.Collectives++
-	buf[pe.Rank] = v
-	pe.Barrier()
-	m := buf[0]
-	for _, x := range buf[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	pe.Barrier()
-	return m
-}
-
-// BroadcastU64 distributes v from the root PE to every PE.
-func (pe *PE) BroadcastU64(root int, v uint64) uint64 {
-	c := pe.comm
-	buf := c.scratchU[pe.collSeq&1]
-	pe.collSeq++
-	pe.comm.pes[pe.Rank].stats.Collectives++
-	if pe.Rank == root {
-		buf[root] = v
-	}
-	pe.Barrier()
-	out := buf[root]
-	pe.Barrier()
-	return out
-}
-
-// BroadcastF64 distributes v from the root PE to every PE.
-func (pe *PE) BroadcastF64(root int, v float64) float64 {
-	c := pe.comm
-	buf := c.scratchF[pe.collSeq&1]
-	pe.collSeq++
-	pe.comm.pes[pe.Rank].stats.Collectives++
-	if pe.Rank == root {
-		buf[root] = v
-	}
-	pe.Barrier()
-	out := buf[root]
-	pe.Barrier()
-	return out
 }

@@ -43,14 +43,9 @@ func (pe *PE) Get(s *SymF64, peer, idx int) float64 {
 	if peer == pe.Rank {
 		st.LocalGets++
 		st.LocalBytes += 8
-		pe.comm.localBytes.Add(8)
 	} else {
 		st.RemoteGets++
 		st.RemoteBytes += 8
-		pe.comm.remoteBytes.Add(8)
-	}
-	if h := pe.comm.getBytes; h != nil {
-		h.Observe(8)
 	}
 	val := s.parts[peer][idx]
 	if pe.comm.inj != nil {
@@ -68,14 +63,9 @@ func (pe *PE) Put(s *SymF64, peer, idx int, v float64) {
 	if peer == pe.Rank {
 		st.LocalPuts++
 		st.LocalBytes += 8
-		pe.comm.localBytes.Add(8)
 	} else {
 		st.RemotePuts++
 		st.RemoteBytes += 8
-		pe.comm.remoteBytes.Add(8)
-	}
-	if h := pe.comm.putBytes; h != nil {
-		h.Observe(8)
 	}
 	if pe.comm.inj != nil {
 		// Corruption lands on the transferred value, never the caller's
@@ -98,14 +88,9 @@ func (pe *PE) GetV(s *SymF64, peer, idx int, dst []float64) {
 	if peer == pe.Rank {
 		st.LocalGets++
 		st.LocalBytes += 8 * n
-		pe.comm.localBytes.Add(8 * n)
 	} else {
 		st.RemoteGets++
 		st.RemoteBytes += 8 * n
-		pe.comm.remoteBytes.Add(8 * n)
-	}
-	if h := pe.comm.getBytes; h != nil {
-		h.Observe(float64(8 * n))
 	}
 	copy(dst, s.parts[peer][idx:idx+len(dst)])
 	if pe.comm.inj != nil {
@@ -121,14 +106,9 @@ func (pe *PE) PutV(s *SymF64, peer, idx int, src []float64) {
 	if peer == pe.Rank {
 		st.LocalPuts++
 		st.LocalBytes += 8 * n
-		pe.comm.localBytes.Add(8 * n)
 	} else {
 		st.RemotePuts++
 		st.RemoteBytes += 8 * n
-		pe.comm.remoteBytes.Add(8 * n)
-	}
-	if h := pe.comm.putBytes; h != nil {
-		h.Observe(float64(8 * n))
 	}
 	copy(s.parts[peer][idx:idx+len(src)], src)
 	if pe.comm.inj != nil {
