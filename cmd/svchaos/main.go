@@ -26,8 +26,12 @@
 //     dimension: wire-level corruption lands silently by design — see
 //     internal/pgas — so corruption is exercised where detection is
 //     the contract);
-//   - tile: checkpoint/resume round-trips through the cache-blocked
-//     one-rank grid (single, threaded).
+//   - tile: checkpoint/resume round-trips through small cache-blocked
+//     tiles (tile size exponent 2 or 3) on any backend.
+//
+// The other kinds tile too, by seed: a third of them run per-rank tile
+// groups of 2^2 amplitudes and a third of 2^3, so kills, stalls and
+// corrupt shards land inside tiled groups as well as between gates.
 //
 // On violation the harness greedily minimizes the fault plan to the
 // smallest subset that still reproduces, prints it in the -fault
@@ -63,8 +67,7 @@ type scenario struct {
 	backend  string // scale-up | scale-out | mpi | single | threaded
 	pes      int
 	lazy     bool
-	tile     bool
-	tileBits int
+	tileBits int // 0 derives the tile, which covers these small windows
 
 	qubits   int
 	gates    int
@@ -163,10 +166,12 @@ func buildScenario(seed int64, gateScale int, stallDeadline time.Duration) *scen
 	switch sc.kind {
 	case "tile":
 		sc.backend = pick("single", "threaded")
-		sc.tile = true
-		if rng.Intn(2) == 0 {
-			sc.tileBits = 3
+		if rng.Intn(2) == 0 { // a fleet instead of the one-rank grid
+			sc.backend = pick("scale-up", "scale-out", "mpi")
+			sc.pes = 1 << uint(1+rng.Intn(2))
+			sc.lazy = rng.Intn(2) == 0
 		}
+		sc.tileBits = 2 + rng.Intn(2)
 		sc.ckptEvery = 5 + 2*rng.Intn(2)
 		// Discarded: the draw that once picked a delta-checkpoint
 		// cadence. Consuming it keeps every seed's scenario unchanged.
@@ -255,6 +260,10 @@ func buildScenario(seed int64, gateScale int, stallDeadline time.Duration) *scen
 		}
 	}
 
+	if sc.kind != "tile" {
+		// From the seed, not the stream: every seed keeps its scenario.
+		sc.tileBits = [3]int{0, 2, 3}[uint64(seed)%3]
+	}
 	sc.circ = chaosCircuit(rng, sc.qubits, sc.gates, sc.measured)
 	return sc
 }
@@ -268,8 +277,8 @@ func (sc *scenario) String() string {
 	if sc.lazy {
 		b.WriteString(" sched=lazy")
 	}
-	if sc.tile {
-		fmt.Fprintf(&b, " tile=on tile-bits=%d", sc.tileBits)
+	if sc.tileBits > 0 {
+		fmt.Fprintf(&b, " tile-bits=%d", sc.tileBits)
 	}
 	fmt.Fprintf(&b, " ckpt-every=%d elastic=%v circuit=%s/%dq/%dg",
 		sc.ckptEvery, sc.elastic,
@@ -327,7 +336,6 @@ func (sc *scenario) coreConfig(dir string, flight *obs.FlightRecorder) core.Conf
 	// Dropped one-sided ops are expected to be absorbed by the retry
 	// path (svsim's default budget), not to fail the fleet.
 	cfg.Timeouts.OpRetries = 8
-	cfg.Tile = sc.tile
 	cfg.TileBits = sc.tileBits
 	return cfg
 }

@@ -20,8 +20,6 @@ type runOpts struct {
 	seed            int64
 	fuse            bool
 	coalesced       bool
-	tile            bool
-	tileBits        int
 	checkpointEvery int
 	checkpointDir   string
 	resume          string
@@ -59,16 +57,6 @@ func (o *runOpts) validate() error {
 	}
 	if err := cliutil.ValidateCoalesced(o.coalesced, o.backend); err != nil {
 		return err
-	}
-	if o.tile && b.Distributed {
-		oneRank := cliutil.Backends(func(b core.BackendInfo) bool { return !b.Distributed })
-		return fmt.Errorf("-tile is a single-node execution mode (%s); backend %q partitions the state instead", oneRank, o.backend)
-	}
-	if o.tileBits != 0 && !o.tile {
-		return fmt.Errorf("-tile-bits %d has no effect without -tile", o.tileBits)
-	}
-	if o.tileBits < 0 {
-		return fmt.Errorf("-tile-bits %d: tile size exponent cannot be negative", o.tileBits)
 	}
 	if o.barrierTimeout < 0 {
 		return fmt.Errorf("-barrier-timeout %v: deadline cannot be negative", o.barrierTimeout)

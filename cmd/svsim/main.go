@@ -49,8 +49,7 @@ func main() {
 		printState  = flag.Bool("state", false, "print non-negligible final amplitudes")
 		compact     = flag.Bool("compact", false, "run the compact (compound-gate) form of a named workload")
 		fuse        = flag.Bool("fuse", false, "apply the gate-fusion optimization pass before running")
-		tile        = flag.Bool("tile", false, "cache-blocked execution on the single-node backends: apply whole gate runs per cache-resident tile instead of one full state sweep per gate (bit-identical result)")
-		tileBits    = flag.Int("tile-bits", 0, "tile size exponent (amplitudes per tile = 2^N); 0 derives it from the circuit's target strides")
+		tileBits    = flag.Int("tile-bits", 0, "tile size exponent (amplitudes per tile = 2^N) of the cache-blocked gate runs every rank applies; 0 derives it from the circuit's target strides, and N at or above a rank's window (n - log2 pes) runs every gate as its own sweep")
 		submitURL   = flag.String("submit", "", "submit the job to a running svserved instance at URL (e.g. localhost:9470) instead of executing locally; the report uses the exact binary state fetched back")
 		tenantName  = flag.String("tenant", "", "tenant name for -submit (empty = the anonymous default tenant)")
 		priority    = flag.Int("priority", 0, "scheduling priority for -submit; higher dispatches first and may preempt lower-priority jobs")
@@ -78,7 +77,7 @@ func main() {
 	// The job spec is the same construction path the service decodes
 	// from POST /v1/jobs: one description of what to run and how, used
 	// both to drive a local backend and as the -submit wire payload.
-	spec, err := buildSpec(*circuitName, *qasmFile, *compact, *schedName, *seed, *shots, *fuse, *tile, *tileBits)
+	spec, err := buildSpec(*circuitName, *qasmFile, *compact, *schedName, *seed, *shots, *fuse, *tileBits)
 	if err != nil {
 		fatal(err)
 	}
@@ -108,8 +107,7 @@ func main() {
 
 	opts := runOpts{
 		backend: *backendName, pes: *pes, sched: string(policy), seed: *seed, fuse: *fuse,
-		coalesced: *coalesced, tile: *tile, tileBits: *tileBits,
-		checkpointEvery: *ckptEvery, checkpointDir: *ckptDir,
+		coalesced: *coalesced, checkpointEvery: *ckptEvery, checkpointDir: *ckptDir,
 		resume: *resume, elastic: *elastic,
 		maxRestarts: *maxRestarts, faultSpec: *faultSpec,
 		barrierTimeout: *barrierTmo, opRetries: *opRetries, obsDir: *obsDir,

@@ -19,18 +19,15 @@ import (
 // buildSpec assembles the shared job spec from the CLI flags — the same
 // construction path the service decodes from POST /v1/jobs, so a flag
 // combination and a JSON body describe a run identically.
-func buildSpec(circuitName, qasmFile string, compact bool, schedName string, seed int64, shots int, fuse, tile bool, tileBits int) (serve.JobSpec, error) {
+func buildSpec(circuitName, qasmFile string, compact bool, schedName string, seed int64, shots int, fuse bool, tileBits int) (serve.JobSpec, error) {
 	spec := serve.JobSpec{
-		Circuit: circuitName,
-		Compact: compact,
-		Sched:   schedName,
-		Seed:    seed,
-		Shots:   shots,
-		Fuse:    fuse,
-		Tile:    tile,
-	}
-	if tile {
-		spec.TileBits = tileBits
+		Circuit:  circuitName,
+		Compact:  compact,
+		Sched:    schedName,
+		Seed:     seed,
+		Shots:    shots,
+		Fuse:     fuse,
+		TileBits: tileBits,
 	}
 	if qasmFile != "" {
 		src, err := os.ReadFile(qasmFile)

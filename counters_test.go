@@ -21,7 +21,9 @@ type counterCell struct {
 	pes               int
 	coalesced         bool
 	sched             sched.Policy
-	tile, fuse        bool
+	// untiled runs every gate as its own sweep (a tile as large as the
+	// window); the other cells tile wherever a window holds several tiles.
+	untiled, fuse bool
 }
 
 func (c counterCell) String() string {
@@ -32,8 +34,8 @@ func (c counterCell) String() string {
 	if c.coalesced {
 		s += " coalesced"
 	}
-	if c.tile {
-		s += " tile"
+	if c.untiled {
+		s += " untiled"
 	}
 	if c.fuse {
 		s += " fuse"
@@ -61,13 +63,15 @@ type runCounters struct {
 	PlanCacheHits, PlanCacheMisses int64
 }
 
-// sweepWorkload is the one cell that is not a qasmbench circuit: a
-// batched VQE energy sweep over sweepPoints parameter points of the H2
-// UCCSD ansatz, four workers sharing one plan cache. Every point after
-// the first rebinds the cached plan.
+// sweepWorkload is a cell that is not a suite circuit: a batched VQE
+// energy sweep over sweepPoints parameter points of the H2 UCCSD ansatz,
+// four workers sharing one plan cache. Every point after the first
+// rebinds the cached plan. rqcFleetWorkload is the other: RQC(16, 8), the
+// smallest random circuit whose two-rank windows hold several tiles.
 const (
-	sweepWorkload = "vqe_h2_sweep64"
-	sweepPoints   = 64
+	sweepWorkload    = "vqe_h2_sweep64"
+	sweepPoints      = 64
+	rqcFleetWorkload = "rqc16x8"
 )
 
 // pinnedCounters is the table TestCountersPinned holds the simulator to,
@@ -79,22 +83,22 @@ var pinnedCounters = []struct {
 	want runCounters
 }{
 	{counterCell{"qft_n15", "single", 1, false, sched.Naive, false, false}, runCounters{
-		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 9093120, BytesTouched: 145489920, Sweeps: 449,
+		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 9093120, BytesTouched: 19136512, Sweeps: 58,
 		DiagRuns: 91, MergedGates: 182}},
 	{counterCell{"qft_n15", "single", 1, false, sched.Naive, false, true}, runCounters{
-		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 8896512, BytesTouched: 142344192, Sweeps: 436,
+		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 8896512, BytesTouched: 19136512, Sweeps: 58,
 		DiagRuns: 92, MergedGates: 196, FusedGates: 540}},
 	{counterCell{"qft_n15", "single", 1, false, sched.Naive, true, false}, runCounters{
-		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 9093120, BytesTouched: 19136512, Sweeps: 58,
-		DiagRuns: 91, MergedGates: 182, PlanCacheHit: true}},
-	{counterCell{"qft_n15", "single", 1, false, sched.Naive, true, true}, runCounters{
-		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 8896512, BytesTouched: 19136512, Sweeps: 58,
-		DiagRuns: 92, MergedGates: 196, FusedGates: 540, PlanCacheHit: true}},
-	{counterCell{"qft_n15", "threaded", 4, false, sched.Naive, false, false}, runCounters{
 		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 9093120, BytesTouched: 145489920, Sweeps: 449,
 		DiagRuns: 91, MergedGates: 182, PlanCacheHit: true}},
-	{counterCell{"qft_n15", "threaded", 4, false, sched.Naive, true, false}, runCounters{
+	{counterCell{"qft_n15", "single", 1, false, sched.Naive, true, true}, runCounters{
+		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 8896512, BytesTouched: 142344192, Sweeps: 436,
+		DiagRuns: 92, MergedGates: 196, FusedGates: 540, PlanCacheHit: true}},
+	{counterCell{"qft_n15", "threaded", 4, false, sched.Naive, false, false}, runCounters{
 		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 9093120, BytesTouched: 19136512, Sweeps: 58,
+		DiagRuns: 91, MergedGates: 182, PlanCacheHit: true}},
+	{counterCell{"qft_n15", "threaded", 4, false, sched.Naive, true, false}, runCounters{
+		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 9093120, BytesTouched: 145489920, Sweeps: 449,
 		DiagRuns: 91, MergedGates: 182, PlanCacheHit: true}},
 	{counterCell{"qft_n15", "scale-up", 4, false, sched.Naive, false, false}, runCounters{
 		Qubits: 15, Gates: 540, KernelGates: 2160, AmpsTouched: 9093120, BytesTouched: 145489920, Sweeps: 1572,
@@ -122,7 +126,15 @@ var pinnedCounters = []struct {
 		Qubits: 14, Gates: 41, KernelGates: 160, AmpsTouched: 598016, BytesTouched: 9568256, Sweeps: 160,
 		FusedGates: 40, Remaps: 2, CommRemoteBytes: 393216, CommRemoteMsgs: 24, Barriers: 24}},
 	{counterCell{"ghz_state", "single", 1, false, sched.Naive, false, false}, runCounters{
-		Qubits: 23, Gates: 23, KernelGates: 23, AmpsTouched: 100663296, BytesTouched: 1610612736, Sweeps: 23}},
+		Qubits: 23, Gates: 23, KernelGates: 23, AmpsTouched: 100663296, BytesTouched: 738197504, Sweeps: 10}},
+	{counterCell{rqcFleetWorkload, "scale-out", 2, false, sched.Naive, false, false}, runCounters{
+		Qubits: 16, Gates: 204, KernelGates: 408, AmpsTouched: 7962624, BytesTouched: 22020096, Sweeps: 32,
+		DiagRuns: 18, MergedGates: 93,
+		CommLocalBytes: 5242880, CommRemoteBytes: 5242880, CommRemoteMsgs: 655360, Barriers: 42}},
+	{counterCell{rqcFleetWorkload, "scale-out", 2, false, sched.Lazy, false, false}, runCounters{
+		Qubits: 16, Gates: 204, KernelGates: 408, AmpsTouched: 8290304, BytesTouched: 23068672, Sweeps: 34,
+		DiagRuns: 18, MergedGates: 93, Remaps: 5,
+		CommRemoteBytes: 2621440, CommRemoteMsgs: 10, Barriers: 10}},
 	{counterCell{sweepWorkload, "batch-single", 1, false, "", false, true}, runCounters{
 		Qubits: 4, Gates: 242, PlanCacheHits: 63, PlanCacheMisses: 1}},
 }
@@ -131,7 +143,7 @@ var pinnedCounters = []struct {
 // counters to equal the table exactly: the traffic the paper argues from
 // is deterministic, so there is no tolerance.
 func TestCountersPinned(t *testing.T) {
-	const cells = 15
+	const cells = 17
 	if len(pinnedCounters) != cells {
 		t.Errorf("pinned cells = %d, want %d: a cell was added or dropped", len(pinnedCounters), cells)
 	}
@@ -165,16 +177,23 @@ func TestCountersPinned(t *testing.T) {
 
 // cellCounters runs one qasmbench workload under the cell's configuration.
 func cellCounters(cell counterCell, plans *compile.Cache) (runCounters, error) {
-	e, err := qasmbench.ByName(cell.workload)
-	if err != nil {
-		return runCounters{}, err
+	c := qasmbench.RQC(16, 8, 1)
+	if cell.workload != rqcFleetWorkload {
+		e, err := qasmbench.ByName(cell.workload)
+		if err != nil {
+			return runCounters{}, err
+		}
+		c = e.Build()
 	}
-	c := e.Build()
-	backend, err := core.NewBackend(cell.backend, core.Config{
+	cfg := core.Config{
 		Seed: 1, Style: statevec.Vectorized, PEs: cell.pes,
-		Coalesced: cell.coalesced, Fuse: cell.fuse, Sched: cell.sched, Tile: cell.tile,
+		Coalesced: cell.coalesced, Fuse: cell.fuse, Sched: cell.sched,
 		Plans: plans,
-	})
+	}
+	if cell.untiled {
+		cfg.TileBits = c.NumQubits
+	}
+	backend, err := core.NewBackend(cell.backend, cfg)
 	if err != nil {
 		return runCounters{}, err
 	}

@@ -210,12 +210,16 @@ func (c *Cache) put(key uint64, e *entry) {
 }
 
 // begin claims the right to compile key; false means another goroutine
-// already holds it (wait on it with wait, then re-look-up).
+// already holds it, or finished it since the caller's lookup missed
+// (wait on it with wait, then re-look-up).
 func (c *Cache) begin(key uint64) bool {
 	s := c.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, busy := s.inflight[key]; busy {
+		return false
+	}
+	if _, cached := s.byKey[key]; cached {
 		return false
 	}
 	s.inflight[key] = make(chan struct{})

@@ -40,16 +40,16 @@
 // an rx(0), a run collapsing to the identity, a global phase appearing —
 // is compiled fresh and counted as a miss.
 //
-// With Config.Tile set, the pipeline additionally attaches a TilePlan
-// (tile.go): per schedule block, maximal runs of gates whose kernels
-// stay inside one cache-resident tile of the amplitude arrays, so the
+// Every plan whose rank window spans more than one tile additionally
+// carries a TilePlan (tile.go): maximal runs of gates whose kernels stay
+// inside one cache-resident tile of a rank's amplitude arrays, so the
 // step loop's tile-group step can apply a whole run of gates to each tile
-// before moving to the next — one pass over the state vector per run
-// instead of one per gate. Tile runs never split a fused gate and never
-// cross a remap or relabeling boundary; gates that straddle tiles
-// (a non-diagonal target at or above the tile size) fall back to
-// per-gate execution. The TilePlan is derived per compile call, so a
-// cache hit still tiles according to the hitting caller's Config.
+// before moving to the next — one pass over the window per run instead
+// of one per gate, on every rank of every grid. Tile runs never split a
+// fused gate and never cross a remap or relabeling boundary; gates that
+// straddle tiles (a non-diagonal target at or above the tile size) fall
+// back to per-gate execution. The TilePlan is derived per compile call,
+// so a cache hit still tiles according to the hitting caller's Config.
 package compile
 
 import (
@@ -74,11 +74,10 @@ type Config struct {
 	// PEs is the partition count the plan targets (a power of two;
 	// values <= 1 compile for a single device).
 	PEs int
-	// Tile attaches a cache-blocking TilePlan to the compiled plan for
-	// the step loop's tile groups on a one-rank grid (see tile.go).
-	Tile bool
 	// TileBits overrides the tile size exponent when > 0; zero derives
-	// it from the plan's target-qubit strides. Ignored unless Tile.
+	// it from the plan's target-qubit strides. A tile as large as the
+	// partition (TileBits >= LocalBits) attaches no TilePlan: every gate
+	// then sweeps the window on its own.
 	TileBits int
 	// Cache, when non-nil, memoizes plans keyed on the circuit skeleton
 	// so parameter re-binds skip planning.
@@ -120,8 +119,8 @@ type CompiledPlan struct {
 	// property of the executable stream's skeleton and the schedule, so a
 	// cache hit shares the template's.
 	Runs []Run
-	// Tiles is the cache-blocking schedule for the tiled executors; nil
-	// unless the plan was compiled with Config.Tile.
+	// Tiles is the cache-blocking schedule of the step loop's tile
+	// groups; nil when a rank's window is a single tile.
 	Tiles *TilePlan
 
 	Fusion fusion.Stats
@@ -220,11 +219,9 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 					continue
 				}
 				st.BindNS = time.Since(tb).Nanoseconds()
-				if cfg.Tile {
-					// bind builds a fresh CompiledPlan per hit, so attaching
-					// the tile schedule is hit-local.
-					cp.Tiles = BuildTilePlan(cp, cfg.TileBits)
-				}
+				// bind builds a fresh CompiledPlan per hit, so attaching
+				// the tile schedule is hit-local.
+				cp.Tiles = BuildTilePlan(cp, cfg.TileBits)
 				st.CacheHit = true
 				st.Fusion = cp.Fusion
 				st.planStats(cp.Plan)
@@ -252,9 +249,7 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if cfg.Tile {
-		cp.Tiles = BuildTilePlan(cp, cfg.TileBits)
-	}
+	cp.Tiles = BuildTilePlan(cp, cfg.TileBits)
 	if cfg.Cache != nil {
 		cfg.Cache.recordMiss()
 		cfg.Cache.put(key, e)

@@ -641,34 +641,38 @@ func TestCompileRejectsInvalidGeometry(t *testing.T) {
 // TestConcurrentCompileSingleFlight pins the property the batch sweep
 // acceptance depends on: N workers compiling one shape concurrently
 // through a shared cache produce exactly one miss, no matter how the
-// goroutines interleave.
+// goroutines interleave — a worker whose lookup missed just before
+// another's compile landed included. Rounds of fresh caches give the
+// interleavings a chance to differ.
 func TestConcurrentCompileSingleFlight(t *testing.T) {
-	cache := NewCache(DefaultCacheSize)
 	rng := rand.New(rand.NewSource(53))
-	const workers = 8
+	const workers, rounds = 8, 200
 	circs := make([]*circuit.Circuit, workers)
 	for i := range circs {
-		circs[i] = testAnsatz(8, randomParams(rng, 6))
+		circs[i] = testAnsatz(6, randomParams(rng, 3))
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, errs[i] = Compile(circs[i], Config{
-				Fuse: true, Sched: sched.Lazy, PEs: 4, Cache: cache,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
+	for round := 0; round < rounds; round++ {
+		cache := NewCache(DefaultCacheSize)
+		var wg sync.WaitGroup
+		errs := make([]error, workers)
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_, _, errs[i] = Compile(circs[i], Config{
+					Fuse: true, Sched: sched.Lazy, PEs: 4, Cache: cache,
+				})
+			}(i)
 		}
-	}
-	if st := cache.Stats(); st.Misses != 1 || st.Hits != workers-1 {
-		t.Fatalf("concurrent fixed-shape sweep: want 1 miss / %d hits, got %d / %d",
-			workers-1, st.Misses, st.Hits)
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("worker %d: %v", i, err)
+			}
+		}
+		if st := cache.Stats(); st.Misses != 1 || st.Hits != workers-1 {
+			t.Fatalf("round %d: concurrent fixed-shape sweep: want 1 miss / %d hits, got %d / %d",
+				round, workers-1, st.Misses, st.Hits)
+		}
 	}
 }

@@ -67,13 +67,13 @@ func TestDiagRunsDependOnCircuitOnly(t *testing.T) {
 		}
 		for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
 			for _, pes := range []int{1, 2, 8} {
-				for _, tile := range []bool{false, true} {
-					cp, st, err := Compile(c, Config{Sched: pol, PEs: pes, Tile: tile})
+				for _, tileBits := range []int{0, 3} {
+					cp, st, err := Compile(c, Config{Sched: pol, PEs: pes, TileBits: tileBits})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(shape(cp.Runs), shape(want)) {
-						t.Fatalf("%s %s pes=%d tile=%v: runs %+v, want %+v", c.Name, pol, pes, tile, cp.Runs, want)
+						t.Fatalf("%s %s pes=%d tile-bits=%d: runs %+v, want %+v", c.Name, pol, pes, tileBits, cp.Runs, want)
 					}
 					if _, merged, _, _ := countRuns(want); st.DiagRuns != len(want) || st.Merged != merged {
 						t.Fatalf("%s: stats report %d runs / %d gates", c.Name, st.DiagRuns, st.Merged)

@@ -55,8 +55,8 @@ func TestGadgetRunsInThePlan(t *testing.T) {
 	for _, c := range circuits {
 		for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
 			for _, pes := range []int{1, 2, 4} {
-				for _, tile := range []bool{false, true} {
-					plain, pst, err := Compile(c, Config{Sched: pol, PEs: pes, Tile: tile})
+				for _, tileBits := range []int{0, 2} {
+					plain, pst, err := Compile(c, Config{Sched: pol, PEs: pes, TileBits: tileBits})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -64,7 +64,7 @@ func TestGadgetRunsInThePlan(t *testing.T) {
 						t.Fatalf("%s %s pes=%d: an unfused plan holds %d gadgets, runs %+v", c.Name, pol, pes, pst.Gadgets, plain.Runs)
 					}
 
-					cp, st, err := Compile(c, Config{Fuse: true, Sched: pol, PEs: pes, Tile: tile})
+					cp, st, err := Compile(c, Config{Fuse: true, Sched: pol, PEs: pes, TileBits: tileBits})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -94,7 +94,7 @@ func TestGadgetRunsInThePlan(t *testing.T) {
 						if p.First != run.Op || p.Gates() != run.Gates || cp.Circuit.Ops[p.Core].G.Kind != gate.RZ {
 							t.Fatalf("%s %s pes=%d: run %+v does not sit on its gadget %+v", c.Name, pol, pes, run, *p)
 						}
-						if !tile || pes > 1 {
+						if cp.Tiles == nil {
 							continue
 						}
 						own := false

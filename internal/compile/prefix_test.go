@@ -67,8 +67,8 @@ func TestClassicalPrefixShare(t *testing.T) {
 	}
 	uccsd := qasmbench.BuildUCCSD(10, make([]float64, qasmbench.UCCSDNumParams(10)))
 	rows := []row{
-		{name: "qft22_single", c: qftX(22, 1), prefix: 11, before: 54, after: 43},
-		{name: "qft22_tiled_mt", c: qftX(22, 1), cfg: Config{Tile: true}, prefix: 11, before: 54, after: 43, tileSweeps: 16},
+		// qft22_single and qft22_tiled_mt compile to the one tiled plan.
+		{name: "qft22", c: qftX(22, 1), prefix: 11, before: 54, after: 43, tileSweeps: 16},
 		{name: "vqe_sweep", c: uccsd, cfg: Config{Fuse: true}, prefix: 5, before: 855, after: 850},
 	}
 	for _, seed := range []int64{1, 7, 3001} {
@@ -143,7 +143,7 @@ func TestClassicalPrefixRule(t *testing.T) {
 	full := len(c.Ops)
 	c.H(0).X(1)
 	for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
-		cp, _, err := Compile(c, Config{Sched: pol, PEs: 4, Tile: pol == sched.Naive})
+		cp, _, err := Compile(c, Config{Sched: pol, PEs: 4, TileBits: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

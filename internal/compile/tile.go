@@ -5,12 +5,11 @@ import (
 	"svsim/internal/sched"
 )
 
-// Tile planning for cache-blocked execution (the single-node analogue of
-// the paper's one-homogeneous-pass design): instead of sweeping the full
-// state vector once per gate, the executor walks cache-resident tiles of
-// the SoA amplitude arrays and applies a whole run of gates to each tile
-// before moving on, so a run of G gates costs one memory sweep instead
-// of G.
+// Tile planning for cache-blocked execution (the paper's one homogeneous
+// pass per device): instead of sweeping its window of the state once per
+// gate, each rank walks cache-resident tiles of its SoA amplitude arrays
+// and applies a whole run of gates to each tile before moving on, so a
+// run of G gates costs one memory sweep instead of G.
 //
 // A gate can join a tiled run only if every amplitude it couples stays
 // inside one tile. That holds when all of its non-diagonal target bits
@@ -72,26 +71,26 @@ type TilePlan struct {
 	Straddlers int
 }
 
-// BuildTilePlan derives the cache-blocking schedule for a compiled plan.
-// tileBits <= 0 derives the tile size from the plan's target-qubit
-// strides (see deriveTileBits); an explicit value is clamped to the
-// partition's local bits. The walk tracks the logical-to-physical
-// permutation across remap and alias steps, so compatibility is judged
-// against the physical bit positions gates actually execute at. Groups
-// start after the plan's classical prefix, which a fresh run folds: a
-// run that executes the prefix (a resume inside it, a warm start) takes
-// its steps one by one.
+// BuildTilePlan derives the cache-blocking schedule for a compiled plan,
+// or nil when a rank's window is a single tile: a plan tiles iff its tile
+// is smaller than the window. tileBits <= 0 derives the tile size from
+// the plan's target strides (see deriveTileBits) — without walking the
+// plan when even the default tile covers the window. The walk tracks the
+// logical-to-physical permutation across remap and alias steps, so
+// compatibility is judged against the physical bit positions gates
+// actually execute at. Groups start after the plan's classical prefix,
+// which a fresh run folds: a run that executes the prefix (a resume
+// inside it, a warm start) takes its steps one by one.
 func BuildTilePlan(cp *CompiledPlan, tileBits int) *TilePlan {
+	if tileBits >= cp.LocalBits || tileBits <= 0 && DefaultTileBits >= cp.LocalBits {
+		return nil
+	}
 	steps := cp.Plan.Steps
 	maxT := stepMaxTargets(cp)
 	if tileBits <= 0 {
-		tileBits = deriveTileBits(cp.LocalBits, maxT)
-	}
-	if tileBits > cp.LocalBits {
-		tileBits = cp.LocalBits
-	}
-	if tileBits < 1 {
-		tileBits = 1
+		if tileBits = deriveTileBits(cp.LocalBits, maxT); tileBits >= cp.LocalBits {
+			return nil
+		}
 	}
 	tp := &TilePlan{TileBits: tileBits}
 	ri := 0 // first run not yet behind the walk
@@ -184,7 +183,7 @@ func stepMaxTargets(cp *CompiledPlan) []int {
 // the number of straddling gates. A straddler costs a full extra state
 // sweep, so trading a 2x larger (still cache-resident) tile for fewer
 // sweeps is always worth it; widening past the last profitable stride
-// is not.
+// is not. The default is below localBits (BuildTilePlan asks no earlier).
 func deriveTileBits(localBits int, maxT []int) int {
 	straddlers := func(tb int) int {
 		n := 0
@@ -195,14 +194,7 @@ func deriveTileBits(localBits int, maxT []int) int {
 		}
 		return n
 	}
-	tb := DefaultTileBits
-	if tb > localBits {
-		return localBits
-	}
-	limit := MaxTileBits
-	if limit > localBits {
-		limit = localBits
-	}
+	tb, limit := DefaultTileBits, min(MaxTileBits, localBits)
 	for tb < limit && straddlers(tb+1) < straddlers(tb) {
 		tb++
 	}

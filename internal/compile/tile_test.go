@@ -19,10 +19,10 @@ func checkTileInvariants(t *testing.T, cp *CompiledPlan) {
 	t.Helper()
 	tp := cp.Tiles
 	if tp == nil {
-		t.Fatal("compiled with Tile: Tiles is nil")
+		t.Fatal("compiled with a tile below the window: Tiles is nil")
 	}
-	if tp.TileBits < 1 || tp.TileBits > cp.LocalBits {
-		t.Fatalf("tile bits %d outside [1, %d]", tp.TileBits, cp.LocalBits)
+	if tp.TileBits < 1 || tp.TileBits >= cp.LocalBits {
+		t.Fatalf("tile bits %d outside [1, %d)", tp.TileBits, cp.LocalBits)
 	}
 	steps := cp.Plan.Steps
 	pos := cp.Plan.Prefix
@@ -128,7 +128,7 @@ func TestTilePlanInvariants(t *testing.T) {
 			for _, fuse := range []bool{false, true} {
 				for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
 					cp, _, err := Compile(c, Config{
-						Fuse: fuse, Sched: pol, PEs: pes, Tile: true,
+						Fuse: fuse, Sched: pol, PEs: pes, TileBits: 3,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -149,7 +149,7 @@ func TestTilePlanRespectsRemapBoundaries(t *testing.T) {
 	sawRemap := false
 	for trial := 0; trial < 10; trial++ {
 		c := testAnsatz(8, randomParams(rng, 5))
-		cp, _, err := Compile(c, Config{Fuse: true, Sched: sched.Lazy, PEs: 4, Tile: true})
+		cp, _, err := Compile(c, Config{Fuse: true, Sched: sched.Lazy, PEs: 4, TileBits: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestTilePlanRespectsRemapBoundaries(t *testing.T) {
 func TestTilePlanNeverSplitsFusedGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	c := testAnsatz(8, randomParams(rng, 7))
-	cp, _, err := Compile(c, Config{Fuse: true, Tile: true, PEs: 1})
+	cp, _, err := Compile(c, Config{Fuse: true, TileBits: 3, PEs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestDeriveTileBitsWidens(t *testing.T) {
 		c.H(0)
 		c.H(1)
 	}
-	cp, _, err := Compile(c, Config{Tile: true, PEs: 1})
+	cp, _, err := Compile(c, Config{PEs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestDeriveTileBitsWidens(t *testing.T) {
 		c2.H(0)
 		c2.H(1)
 	}
-	cp2, _, err := Compile(c2, Config{Tile: true, PEs: 1})
+	cp2, _, err := Compile(c2, Config{PEs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,39 +239,41 @@ func TestDeriveTileBitsWidens(t *testing.T) {
 	}
 }
 
-// TestTileBitsOverrideClamped checks explicit TileBits handling: small
-// registers clamp the tile to the local partition size.
+// TestTileBitsOverrideClamped checks explicit TileBits handling: a tile
+// at least as large as the rank's window (on one rank or several) is the
+// whole window, which attaches no tile plan; a smaller one is kept.
 func TestTileBitsOverrideClamped(t *testing.T) {
 	c := circuit.New("small", 4)
 	c.H(0).H(1).H(2)
-	cp, _, err := Compile(c, Config{Tile: true, TileBits: 20, PEs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Tiles.TileBits != 4 {
-		t.Fatalf("tile bits = %d, want clamp to 4 local bits", cp.Tiles.TileBits)
-	}
-	cp, _, err = Compile(c, Config{Tile: true, TileBits: 2, PEs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Tiles.TileBits != 2 {
-		t.Fatalf("tile bits = %d, want explicit 2", cp.Tiles.TileBits)
+	for _, tc := range []struct{ pes, tileBits, want int }{
+		{1, 20, 0}, {1, 4, 0}, {1, 2, 2}, {1, 3, 3}, {4, 2, 0}, {4, 1, 1}, {2, 0, 0},
+	} {
+		cp, _, err := Compile(c, Config{TileBits: tc.tileBits, PEs: tc.pes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		if cp.Tiles != nil {
+			got = cp.Tiles.TileBits
+		}
+		if got != tc.want {
+			t.Errorf("pes=%d TileBits=%d: tile bits %d, want %d (0 = no tile plan)", tc.pes, tc.tileBits, got, tc.want)
+		}
 	}
 }
 
 // TestTilePlanOnCacheHit: tile plans are built per compile call, so a
-// cache hit with Tile set must still carry a TilePlan, and one without
-// must not.
+// cache hit with a tile smaller than the window must still carry a
+// TilePlan, and one whose window is a single tile must not.
 func TestTilePlanOnCacheHit(t *testing.T) {
 	cache := NewCache(DefaultCacheSize)
 	c := testAnsatz(6, []float64{0.3})
-	cp, _, err := Compile(c, Config{Tile: true, PEs: 1, Cache: cache})
+	cp, _, err := Compile(c, Config{TileBits: 2, PEs: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkTileInvariants(t, cp)
-	cp2, cst, err := Compile(testAnsatz(6, []float64{0.7}), Config{Tile: true, PEs: 1, Cache: cache})
+	cp2, cst, err := Compile(testAnsatz(6, []float64{0.7}), Config{TileBits: 2, PEs: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,7 @@ func TestTilePlanOnCacheHit(t *testing.T) {
 		t.Fatal("expected a cache hit")
 	}
 	if cp3.Tiles != nil {
-		t.Fatal("Tile off: hit must not carry the previous run's tile plan")
+		t.Fatal("one-tile window: hit must not carry the previous run's tile plan")
 	}
 }
 
@@ -300,7 +302,7 @@ func TestTileGroupRunCap(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		c.H(0).T(1).T(2)
 	}
-	cp, _, err := Compile(c, Config{Tile: true})
+	cp, _, err := Compile(c, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

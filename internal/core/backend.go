@@ -15,7 +15,7 @@ type BackendInfo struct {
 	Name string
 	// Distributed partitions the state across cfg.PEs communicating
 	// ranks: faults, elastic restore and exchange staging apply. The
-	// others are the one-rank grid, where tile groups apply.
+	// others are the one-rank grid.
 	Distributed bool
 	// OneSided moves remote amplitudes by one-sided get/put (the get/put
 	// fault surface); a distributed backend without it sends two-sided

@@ -379,12 +379,12 @@ func TestCheckpointCadenceAcrossGroupedSteps(t *testing.T) {
 	c := e.Build()
 	const every = 16
 	for _, tile := range []bool{false, true} {
-		base := Config{Tile: tile}
+		base := Config{TileBits: tileBitsIf(tile, 0)} // derived: qft_n15 tiles at 2^13
 		ref, err := NewSingleDevice(base).Run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp, _, err := compile.Compile(c, compile.Config{Tile: tile})
+		cp, _, err := compile.Compile(c, compile.Config{TileBits: base.TileBits})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,16 +58,17 @@ type Config struct {
 	// local blocks separated by pairwise remap exchanges). Ignored
 	// by the single-device backend.
 	Sched sched.Policy
-	// Tile enables cache-blocked execution on a one-rank grid (single,
-	// threaded): compatible gate runs execute as one homogeneous pass
-	// over cache-resident tiles of the state instead of one full state
-	// sweep per gate. A tile runs the per-gate kernels on a window of the
-	// state, so the final state is bit-identical to the per-gate path.
-	// Ignored on several ranks.
+	// Tile is ignored: every run tiles whenever a rank's window holds
+	// more than one tile (see TileBits). It is kept only for the frozen
+	// benchmark harness, which still sets it.
 	Tile bool
 	// TileBits overrides the tile size (amplitudes per tile = 1<<TileBits)
 	// when > 0; 0 lets the planner derive it from the circuit's target
-	// strides. Only meaningful with Tile.
+	// strides. On every backend, compatible gate runs execute as one
+	// homogeneous pass over cache-resident tiles of each rank's window
+	// instead of one window sweep per gate, bit-identical to the per-gate
+	// path. A tile as large as the window (TileBits >= n - log2 PEs, or a
+	// derived size that reaches it) leaves every gate its own sweep.
 	TileBits int
 	// Pool, when non-nil, is a persistent shared-memory worker pool the
 	// threaded backend executes on instead of building (and tearing
@@ -226,13 +227,12 @@ func checkPEs(p, n int) error {
 
 // compileCircuit routes a backend's circuit preparation through the
 // shared pipeline: fusion (when cfg.Fuse), scheduling, classification,
-// and exchange geometry, consulting cfg.Plans when set.
+// exchange geometry and the tile plan, consulting cfg.Plans when set.
 func compileCircuit(cfg Config, c *circuit.Circuit, pes int) (*compile.CompiledPlan, compile.Stats, error) {
 	return compile.Compile(c, compile.Config{
 		Fuse:     cfg.Fuse,
 		Sched:    cfg.Sched,
 		PEs:      pes,
-		Tile:     cfg.Tile && pes == 1, // tile groups apply gates as written: one-rank plans only
 		TileBits: cfg.TileBits,
 		Cache:    cfg.Plans,
 		Metrics:  cfg.Metrics,

@@ -36,8 +36,6 @@ type JobConfig struct {
 	Fuse bool
 	// Sched selects the distributed gate schedule for this job.
 	Sched sched.Policy
-	// Tile enables cache-blocked execution (single-node backends).
-	Tile bool
 	// TileBits overrides the tile size exponent when > 0.
 	TileBits int
 	// Plans, when non-nil, overrides the fleet's plan cache — the
@@ -111,7 +109,6 @@ func (f *Fleet) config(job JobConfig) Config {
 	cfg.Seed = job.Seed
 	cfg.Fuse = job.Fuse
 	cfg.Sched = job.Sched
-	cfg.Tile = job.Tile
 	cfg.TileBits = job.TileBits
 	if job.Plans != nil {
 		cfg.Plans = job.Plans

@@ -32,7 +32,7 @@ func TestOneRankGridMeasured(t *testing.T) {
 		}
 		for _, tile := range []bool{false, true} {
 			for name, mk := range oneRankCells {
-				got, err := mk(Config{Seed: 5, Fuse: fuse, Tile: tile, TileBits: 3}).Run(c)
+				got, err := mk(Config{Seed: 5, Fuse: fuse, TileBits: tileBitsIf(tile, 3)}).Run(c)
 				if err != nil {
 					t.Fatalf("%s fuse=%v tile=%v: %v", name, fuse, tile, err)
 				}
@@ -95,7 +95,7 @@ func TestOneRankCheckpointInterop(t *testing.T) {
 				dir := t.TempDir()
 				wcfg := base
 				wcfg.CheckpointEvery, wcfg.CheckpointDir = 7, dir
-				wcfg.Tile, wcfg.TileBits = wtile, 3
+				wcfg.TileBits = tileBitsIf(wtile, 3)
 				if _, err := mk(wcfg).Run(c); err != nil {
 					t.Fatalf("%s %s wtile=%v: %v", name, pol, wtile, err)
 				}
@@ -110,7 +110,7 @@ func TestOneRankCheckpointInterop(t *testing.T) {
 					}
 					for _, tile := range []bool{false, true} {
 						rcfg := base
-						rcfg.Resume, rcfg.Tile, rcfg.TileBits = ck, tile, 3
+						rcfg.Resume, rcfg.TileBits = ck, tileBitsIf(tile, 3)
 						got, err := mk(rcfg).Run(c)
 						if err != nil {
 							t.Fatalf("%s %s wtile=%v: resume %s tile=%v: %v", name, pol, wtile, ck, tile, err)

@@ -74,7 +74,7 @@ func TestGadgetsMatchUnfused(t *testing.T) {
 			cfg  Config
 		}{
 			{"single", NewSingleDevice, Config{}},
-			{"single tiled", NewSingleDevice, Config{Tile: true, TileBits: 2}},
+			{"single tiled", NewSingleDevice, Config{TileBits: 2}},
 			{"threaded x3", NewThreaded, Config{PEs: 3}},
 		} {
 			cfg := cell.cfg
@@ -89,7 +89,7 @@ func TestGadgetsMatchUnfused(t *testing.T) {
 			if got.Compile.Gadgets == 0 || passes(cfg.Metrics, 1) != got.Compile.Gadgets {
 				t.Fatalf("circuit %d (%s) %s: %d gadgets in the plan, %d executed as one pass", i, c.Name, cell.name, got.Compile.Gadgets, passes(cfg.Metrics, 1))
 			}
-			if c.Name == "uccsd" && !cfg.Tile {
+			if c.Name == "uccsd" && cfg.TileBits == 0 {
 				// 850 sweeps for UCCSD(10): one per gadget. The n/2 x of the
 				// Hartree-Fock reference are the classical prefix, folded.
 				gates := int64(c.NumGates() - c.NumQubits/2)
@@ -190,7 +190,7 @@ func TestGadgetCheckpointResume(t *testing.T) {
 		c    *circuit.Circuit
 	}{
 		{"single", NewSingleDevice, Config{}, uccsdPoint(rng, 4)},
-		{"single tiled", NewSingleDevice, Config{Tile: true, TileBits: 2}, splicedCircuit(rng, 5, 5)},
+		{"single tiled", NewSingleDevice, Config{TileBits: 2}, splicedCircuit(rng, 5, 5)},
 		{"scale-out x2", NewScaleOut, Config{PEs: 2, Coalesced: true}, splicedCircuit(rng, 5, 5)},
 	} {
 		base := cell.cfg

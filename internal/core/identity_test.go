@@ -44,13 +44,13 @@ func TestBackendsBitIdenticalToSingle(t *testing.T) {
 			if fuse {
 				cells = &fused
 			}
-			cfg := Config{Tile: tile, Fuse: fuse}
+			cfg := Config{TileBits: tileBitsIf(tile, 3), Fuse: fuse}
 			*cells = append(*cells, variant{
 				fmt.Sprintf("single tile=%v fuse=%v", tile, fuse),
 				func(c *circuit.Circuit) (*Result, error) { return NewSingleDevice(cfg).Run(c) },
 			})
 			for _, workers := range []int{1, 2, 3} {
-				cfg := Config{PEs: workers, Tile: tile, Fuse: fuse}
+				cfg := Config{PEs: workers, TileBits: tileBitsIf(tile, 3), Fuse: fuse}
 				*cells = append(*cells, variant{
 					fmt.Sprintf("threaded workers=%d tile=%v fuse=%v", workers, tile, fuse),
 					func(c *circuit.Circuit) (*Result, error) { return NewThreaded(cfg).Run(c) },
@@ -143,8 +143,8 @@ func TestRunsCutByConditionAndMeasure(t *testing.T) {
 	want, cbits := replayPlan(cp, seed)
 	cells := map[string]Backend{}
 	for _, tile := range []bool{false, true} {
-		cells[fmt.Sprintf("single tile=%v", tile)] = NewSingleDevice(Config{Seed: seed, Tile: tile, TileBits: 3})
-		cells[fmt.Sprintf("threaded tile=%v", tile)] = NewThreaded(Config{Seed: seed, PEs: 3, Tile: tile, TileBits: 3})
+		cells[fmt.Sprintf("single tile=%v", tile)] = NewSingleDevice(Config{Seed: seed, TileBits: tileBitsIf(tile, 3)})
+		cells[fmt.Sprintf("threaded tile=%v", tile)] = NewThreaded(Config{Seed: seed, PEs: 3, TileBits: tileBitsIf(tile, 3)})
 	}
 	for _, pes := range []int{2, 4, 8} {
 		cells[fmt.Sprintf("scale-out pes=%d", pes)] = NewScaleOut(Config{Seed: seed, PEs: pes})

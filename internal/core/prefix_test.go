@@ -63,9 +63,9 @@ var prefixCells = []struct {
 	cfg     Config
 }{
 	{"single", "single", Config{}},
-	{"single tiled", "single", Config{Tile: true, TileBits: 3}},
+	{"single tiled", "single", Config{TileBits: 3}},
 	{"threaded x2", "threaded", Config{PEs: 2}},
-	{"threaded x2 tiled", "threaded", Config{PEs: 2, Tile: true, TileBits: 3}},
+	{"threaded x2 tiled", "threaded", Config{PEs: 2, TileBits: 3}},
 	{"scale-up x4", "scale-up", Config{PEs: 4}},
 	{"scale-out x4 naive", "scale-out", Config{PEs: 4}},
 	{"scale-out x4 coalesced", "scale-out", Config{PEs: 4, Coalesced: true}},
@@ -137,7 +137,7 @@ func TestClassicalPrefixResumeEveryStep(t *testing.T) {
 		other   int // PE count a checkpoint is resharded onto; 0 = none
 	}{
 		{"single", "single", Config{}, 0},
-		{"threaded x2 tiled", "threaded", Config{PEs: 2, Tile: true, TileBits: 2}, 0},
+		{"threaded x2 tiled", "threaded", Config{PEs: 2, TileBits: 2}, 0},
 		{"scale-out x4 naive", "scale-out", Config{PEs: 4}, 2},
 		{"scale-out x4 lazy", "scale-out", Config{PEs: 4, Sched: sched.Lazy}, 2},
 		{"scale-out x2 lazy", "scale-out", Config{PEs: 2, Sched: sched.Lazy}, 4},

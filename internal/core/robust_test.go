@@ -375,7 +375,7 @@ func TestThreadedCheckpointResume(t *testing.T) {
 			name = "tiled"
 		}
 		t.Run(name, func(t *testing.T) {
-			base := Config{PEs: 2, Seed: 13, Tile: tile, TileBits: 3}
+			base := Config{PEs: 2, Seed: 13, TileBits: tileBitsIf(tile, 3)}
 			ref, err := NewThreaded(base).Run(c)
 			if err != nil {
 				t.Fatal(err)
@@ -424,7 +424,7 @@ func TestTiledAsyncCheckpointInterop(t *testing.T) {
 	}
 	dir := ckptTestDir(t)
 	tiled, err := NewSingleDevice(Config{
-		Seed: 3, Tile: true, TileBits: 3,
+		Seed: 3, TileBits: 3,
 		CheckpointEvery: 7, CheckpointDir: dir,
 	}).Run(c)
 	if err != nil {
@@ -443,7 +443,7 @@ func TestTiledAsyncCheckpointInterop(t *testing.T) {
 	for _, s := range steps {
 		for _, tile := range []bool{false, true} {
 			got, err := NewSingleDevice(Config{
-				Seed: 3, Tile: tile, TileBits: 3, Resume: ckpt.StepDir(dir, s),
+				Seed: 3, TileBits: tileBitsIf(tile, 3), Resume: ckpt.StepDir(dir, s),
 			}).Run(c)
 			if err != nil {
 				t.Fatalf("resume step %d tile=%v: %v", s, tile, err)

@@ -135,11 +135,20 @@ type Rank struct {
 	// or as many as a tiled group holds).
 	terms  []gate.DiagTerm
 	tables []*statevec.DiagTables
+	// Tile-group scratch: the members of the group being applied.
+	members []tileMember
 	// Remap exchange scratch (exchange.go): two chunk pack buffers,
 	// sized on first use, and the exchange steps run so far.
 	xpack [2][]float64
 	xstep int
 	_     [64]byte
+}
+
+// tileMember is one member of a tiled group: a gate at its physical
+// positions whose condition holds, or a prepared diagonal run.
+type tileMember struct {
+	g   gate.Gate
+	run *statevec.DiagTables
 }
 
 // draw consumes one uniform variate from the replicated stream.
@@ -375,7 +384,7 @@ func (rt *runtime) run() (*Result, error) {
 			if gi < len(groups) && groups[gi].Tiled && groups[gi].Start == si {
 				// A resume that lands inside a tiled group misses its start
 				// and finishes the group per gate (same kernels).
-				rt.tileGroup(r, groups[gi], runs[ri:], tr)
+				rt.tileGroup(pe, r, groups[gi], runs[ri:], tr)
 				si = groups[gi].End
 				continue
 			}
@@ -538,25 +547,24 @@ func (rt *runtime) cutPoint(pe *pgas.PE, r *Rank, si, last int, tr StepTrace) in
 // gate run replayed over it before the next, so the group costs one
 // memory sweep instead of one per gate. Conditions are evaluated once up
 // front — the planner never admits a MEASURE, so the classical register
-// cannot change mid-group — and gates apply as written (a tiled plan
-// never leaves the identity permutation). A diagonal run inside the
-// group (runs holds the plan's runs from the group's start on) is
-// prepared once and replays over each tile as one call. With a pool the
-// tile index space is split across the workers — parallelism over tiles,
-// not over one gate's index space. A tile is a window of the state and
-// runs the step loop's kernels, so the result is bit-identical to the
-// untiled path.
-func (rt *runtime) tileGroup(r *Rank, grp compile.TileGroup, runs []compile.Run, tr StepTrace) {
-	type member struct {
-		g   *gate.Gate           // a gate whose condition holds, or
-		run *statevec.DiagTables // a prepared diagonal run
-	}
-	members := make([]member, 0, grp.End-grp.Start)
+// cannot change mid-group — and each gate applies at its physical
+// positions (no group spans a remap or an alias, so the permutation holds
+// still). A diagonal run inside the group (runs holds the plan's runs
+// from the group's start on) is prepared once and replays over each tile
+// as one call. The member list is rank scratch, like the prepared runs.
+// With a pool the tile index space is split across the workers —
+// parallelism over tiles, not over one gate's index space. A tile is a
+// window of the state and runs the step loop's kernels, so the result is
+// bit-identical to the untiled path. Under the naive plan on several
+// ranks the group closes with the one grid sync a gate step closes with:
+// the next remote gate reads these windows.
+func (rt *runtime) tileGroup(pe *pgas.PE, r *Rank, grp compile.TileGroup, runs []compile.Run, tr StepTrace) {
+	members := r.members[:0]
 	var gates int64
 	slot := 0
 	for si := grp.Start; si < grp.End; si++ {
 		if len(runs) > 0 && runs[0].Step == si {
-			members = append(members, member{run: rt.prepare(r, slot, &runs[0])})
+			members = append(members, tileMember{run: rt.prepare(r, slot, &runs[0])})
 			gates += int64(runs[0].Gates)
 			si += runs[0].Gates - 1
 			runs = runs[1:]
@@ -564,39 +572,30 @@ func (rt *runtime) tileGroup(r *Rank, grp compile.TileGroup, runs []compile.Run,
 			continue
 		}
 		op := &rt.c.Ops[rt.plan.Steps[si].Op]
-		if condSatisfied(op.Cond, r.cbits) {
-			members = append(members, member{g: &op.G})
-			if op.G.Kind != gate.BARRIER {
-				gates++
-			}
+		if !condSatisfied(op.Cond, r.cbits) {
+			continue
+		}
+		m := tileMember{g: op.G}
+		if !rt.identity {
+			m.g = r.perm.PhysicalGate(&op.G)
+		}
+		members = append(members, m)
+		if op.G.Kind != gate.BARRIER {
+			gates++
 		}
 	}
+	r.members = members
 	if len(members) == 0 {
 		return
 	}
-	st := r.Local
-	tb := uint(rt.Compiled.Tiles.TileBits)
-	tile := func(t int) (amps, flops int64) {
-		lo := t << tb
-		for _, m := range members {
-			var a, f int64
-			if m.run != nil {
-				a, f = st.ApplyRunTile(m.run, lo, lo+1<<tb)
-			} else {
-				a, f = st.ApplyTile(m.g, lo, lo+1<<tb)
-			}
-			amps += a
-			flops += f
-		}
-		return amps, flops
-	}
+	st, tb := r.Local, uint(rt.Compiled.Tiles.TileBits)
 	g0 := time.Now()
 	var amps, flops int64
 	if rt.pool != nil {
-		amps, flops = rt.pool.ForTiles(st.Dim>>tb, tile)
+		amps, flops = rt.pool.ForTiles(st.Dim>>tb, func(t int) (int64, int64) { return r.tile(t<<tb, 1<<tb) })
 	} else {
-		for t := 0; t < st.Dim>>tb; t++ {
-			a, f := tile(t)
+		for lo := 0; lo < st.Dim; lo += 1 << tb {
+			a, f := r.tile(lo, 1<<tb)
 			amps += a
 			flops += f
 		}
@@ -612,6 +611,28 @@ func (rt *runtime) tileGroup(r *Rank, grp compile.TileGroup, runs []compile.Run,
 	if rt.metrics != nil {
 		rt.metrics.Counter(obs.MetricBytesTouched + ".block" + strconv.Itoa(tr.block)).Add(int64(st.Dim) * 16)
 	}
+	if rt.gateSync {
+		b0 := time.Now()
+		pe.Barrier()
+		tr.Barrier("", b0)
+	}
+}
+
+// tile replays the tile group's members over the window's aligned tile
+// [lo, lo+size) and returns the amplitudes and flops visited.
+func (r *Rank) tile(lo, size int) (amps, flops int64) {
+	for i := range r.members {
+		m := &r.members[i]
+		var a, f int64
+		if m.run != nil {
+			a, f = r.Local.ApplyRunTile(m.run, lo, lo+size)
+		} else {
+			a, f = r.Local.ApplyTile(&m.g, lo, lo+size)
+		}
+		amps += a
+		flops += f
+	}
+	return amps, flops
 }
 
 // prepare loads diagonal run run into the rank's prepared slot: the

@@ -113,7 +113,7 @@ func formatVal(v float64) string {
 // runTrace executes a circuit on the single-device backend and returns the
 // measured trace.
 func runTrace(c *circuit.Circuit) perfmodel.Trace {
-	res, err := core.NewSingleDevice(core.Config{}).Run(perGate(c))
+	res, err := core.NewSingleDevice(core.Config{TileBits: c.NumQubits}).Run(perGate(c))
 	if err != nil {
 		panic(err)
 	}
@@ -126,7 +126,7 @@ func distTrace(c *circuit.Circuit, p int) perfmodel.Trace {
 	if p <= 1 {
 		return runTrace(c)
 	}
-	res, err := core.NewScaleUp(core.Config{PEs: p}).Run(perGate(c))
+	res, err := core.NewScaleUp(core.Config{PEs: p, TileBits: c.NumQubits}).Run(perGate(c))
 	if err != nil {
 		panic(err)
 	}
@@ -134,10 +134,12 @@ func distTrace(c *circuit.Circuit, p int) perfmodel.Trace {
 }
 
 // perGate is the unitary part of c behind one barrier. The paper's
-// simulator executes every gate of the stream, so the figures measure
-// runs that do too: the barrier ends the classical prefix a fresh run
-// would fold, which would leave the all-classical arithmetic circuits
-// (multiply, multiplier) with no work at all.
+// simulator executes every gate of the stream, one sweep each, so the
+// figures measure runs that do too: the barrier ends the classical prefix
+// a fresh run would fold, which would leave the all-classical arithmetic
+// circuits (multiply, multiplier) with no work at all, and the runs ask
+// for a tile as large as the state (TileBits = n), which leaves every
+// gate its own sweep.
 func perGate(c *circuit.Circuit) *circuit.Circuit {
 	u := c.StripNonUnitary()
 	u.Ops = append([]circuit.Op{{G: gate.NewBarrier()}}, u.Ops...)

@@ -20,9 +20,9 @@ import (
 const (
 	PhaseCompile = "compile"
 	PhaseCompute = "compute"
-	// PhaseTile is cache-blocked tiled group execution (the single-node
-	// -tile path): one span covers a whole gate run replayed tile by
-	// tile, so it is attributed separately from per-gate compute.
+	// PhaseTile is cache-blocked tiled group execution on a rank's
+	// window: one span covers a whole gate run replayed tile by tile, so
+	// it is attributed separately from per-gate compute.
 	PhaseTile   = "tile"
 	PhasePack   = "pack"
 	PhaseWire   = "wire"

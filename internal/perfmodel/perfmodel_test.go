@@ -48,7 +48,8 @@ func TestEstimateCommLazyIsExact(t *testing.T) {
 }
 
 // perGate is c behind one barrier. The analytic models price every gate,
-// as the paper's simulator runs them; the barrier ends the classical
+// one sweep each, as the paper's simulator runs them (the runs ask for a
+// tile as large as the state, TileBits = n); the barrier ends the classical
 // prefix a fresh run would fold, so the measured run executes every gate
 // of c too (multiply and multiplier in compact form are classical end to
 // end and would otherwise do no work).
@@ -67,7 +68,7 @@ func TestTraceEstimateMatchesMeasuredExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 		circ := e.Build().StripNonUnitary()
-		res, err := core.NewSingleDevice(core.Config{}).Run(perGate(circ))
+		res, err := core.NewSingleDevice(core.Config{TileBits: circ.NumQubits}).Run(perGate(circ))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func TestTraceEstimateMatchesMeasuredExactly(t *testing.T) {
 		}
 		// And the compact (compound-gate) form.
 		circ = e.Compact().StripNonUnitary()
-		res, err = core.NewSingleDevice(core.Config{}).Run(perGate(circ))
+		res, err = core.NewSingleDevice(core.Config{TileBits: circ.NumQubits}).Run(perGate(circ))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,10 +214,11 @@ func TestScaleOutModelShape(t *testing.T) {
 
 func TestArithmeticIntensityBelowHalf(t *testing.T) {
 	// The paper's roofline premise: QC simulation has arithmetic intensity
-	// below 1/2 FLOP/byte on every suite workload.
+	// below 1/2 FLOP/byte on every suite workload, run as the paper's
+	// simulator runs it, one sweep per gate (a tile as large as the state).
 	for _, e := range qasmbench.All() {
 		c := e.Build().StripNonUnitary()
-		res, err := core.NewSingleDevice(core.Config{}).Run(c)
+		res, err := core.NewSingleDevice(core.Config{TileBits: c.NumQubits}).Run(c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -339,9 +339,6 @@ func fleetCompatible(fs *fleetState, spec *JobSpec, qubits int) bool {
 	if spec.PEs > 0 && spec.PEs != fs.fleet.PEs() {
 		return false
 	}
-	if spec.Tile && fs.distributed {
-		return false
-	}
 	if fs.distributed && 1<<uint(qubits-1) < fs.fleet.PEs() {
 		return false
 	}

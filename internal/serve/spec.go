@@ -49,9 +49,8 @@ type JobSpec struct {
 	Sched string `json:"sched,omitempty"`
 	// Fuse applies the gate-fusion pass before execution.
 	Fuse bool `json:"fuse,omitempty"`
-	// Tile enables cache-blocked execution on single-node fleets.
-	Tile bool `json:"tile,omitempty"`
-	// TileBits overrides the tile size exponent when > 0.
+	// TileBits overrides the tile size exponent when > 0; a tile as
+	// large as a rank's window runs every gate as its own sweep.
 	TileBits int `json:"tile_bits,omitempty"`
 	// Seed drives measurement randomness and shot sampling.
 	Seed int64 `json:"seed,omitempty"`
@@ -75,8 +74,7 @@ func (s *JobSpec) Validate() error {
 	case s.Circuit == "" && s.QASM == "":
 		return fmt.Errorf("job spec: nothing to run — set circuit (a suite name) or qasm (inline source)")
 	}
-	b, known := core.LookupBackend(s.Backend)
-	if s.Backend != "" && !known {
+	if _, known := core.LookupBackend(s.Backend); s.Backend != "" && !known {
 		return fmt.Errorf("job spec: unknown backend %q (want %s)", s.Backend, strings.Join(core.BackendNames(nil), ", "))
 	}
 	if s.PEs < 0 || (s.PEs > 0 && s.PEs&(s.PEs-1) != 0) {
@@ -85,14 +83,8 @@ func (s *JobSpec) Validate() error {
 	if _, err := s.Policy(); err != nil {
 		return err
 	}
-	if s.Tile && b.Distributed {
-		return fmt.Errorf("job spec: tile is a single-node execution mode; backend %q partitions the state instead", s.Backend)
-	}
 	if s.TileBits < 0 {
 		return fmt.Errorf("job spec: tile_bits %d cannot be negative", s.TileBits)
-	}
-	if s.TileBits != 0 && !s.Tile {
-		return fmt.Errorf("job spec: tile_bits %d has no effect without tile", s.TileBits)
 	}
 	if s.Shots < 0 {
 		return fmt.Errorf("job spec: shots %d cannot be negative", s.Shots)
@@ -147,7 +139,6 @@ func (s *JobSpec) coreJob() core.JobConfig {
 		Seed:     s.Seed,
 		Fuse:     s.Fuse,
 		Sched:    pol,
-		Tile:     s.Tile,
 		TileBits: s.TileBits,
 	}
 }
@@ -160,7 +151,6 @@ func (s *JobSpec) ApplyCore(cfg *core.Config) {
 	cfg.Seed = s.Seed
 	cfg.Fuse = s.Fuse
 	cfg.Sched = pol
-	cfg.Tile = s.Tile
 	cfg.TileBits = s.TileBits
 	if s.PEs > 0 {
 		cfg.PEs = s.PEs
