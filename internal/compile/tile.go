@@ -143,6 +143,21 @@ func BuildTilePlan(cp *CompiledPlan, tileBits int) *TilePlan {
 	return tp
 }
 
+// CircuitTilePlan is BuildTilePlan for the plan one rank runs an unfused
+// circuit by — one gate step per op, its diagonal runs, no remaps — made
+// without compiling: it prices a job before any plan of it exists.
+func CircuitTilePlan(c *circuit.Circuit, tileBits int) *TilePlan {
+	n := c.NumQubits
+	if tileBits >= n || tileBits <= 0 && DefaultTileBits >= n { // BuildTilePlan's nil, before a step list is built
+		return nil
+	}
+	plan, err := sched.Build(c, n, sched.Naive)
+	if err != nil { // every bit is local: Build cannot refuse
+		return nil
+	}
+	return BuildTilePlan(&CompiledPlan{Circuit: c, Plan: plan, Runs: DiagRuns(c), NumQubits: n, PEs: 1, LocalBits: n}, tileBits)
+}
+
 // stepMaxTargets returns, per plan step, the highest physical
 // non-diagonal target bit of the step's gate, or -1 for steps without
 // locality demands (non-gate steps, element-wise gates, MEASURE/RESET).

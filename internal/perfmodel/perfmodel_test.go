@@ -91,6 +91,45 @@ func TestTraceEstimateMatchesMeasuredExactly(t *testing.T) {
 	}
 }
 
+// TestTiledTraceEstimateTracksMeasured: the tiled arm prices a default
+// single-device run — which tiles from n = 14 — within 1.5x of the bytes
+// it measures, where the per-gate arm reads up to 188x (qf21).
+func TestTiledTraceEstimateTracksMeasured(t *testing.T) {
+	checked := 0
+	for _, e := range qasmbench.Medium() {
+		if e.Qubits < 14 {
+			continue
+		}
+		circ := e.Build()
+		res, err := core.NewSingleDevice(core.Config{}).Run(circ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := TiledTraceEstimate(circ, 0).Bytes, TraceOf(res).Bytes
+		if r := float64(got) / float64(want); r > 1.5 || r < 1/1.5 {
+			t.Errorf("%s: tiled estimate %d bytes, measured %d (ratio %.2f)", e.Name, got, want, r)
+		}
+		checked++
+	}
+	if checked < 4 { // bv_n14, qf21, qft_n15, multiplier
+		t.Fatalf("only %d medium circuits of 14+ qubits", checked)
+	}
+	// An explicit tile exponent is the one the run is given.
+	e, _ := qasmbench.ByName("qft_n15")
+	circ := e.Build()
+	res, err := core.NewSingleDevice(core.Config{TileBits: 13}).Run(circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := TiledTraceEstimate(circ, 13).Bytes, TraceOf(res).Bytes
+	if r := float64(got) / float64(want); r > 1.5 || r < 1/1.5 {
+		t.Errorf("qft_n15 at tile bits 13: tiled estimate %d bytes, measured %d (ratio %.2f)", got, want, r)
+	}
+	if TiledTraceEstimate(circ, circ.NumQubits) != TraceEstimate(circ) {
+		t.Error("a tile as large as the state is not the per-gate estimate")
+	}
+}
+
 func TestEstimateCommTracksMeasurement(t *testing.T) {
 	// The analytic one-sided traffic model must agree with the real PGAS
 	// accounting within a factor of 2 (the locality fraction is

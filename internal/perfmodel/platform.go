@@ -18,6 +18,7 @@ type Trace struct {
 	Amps        int64 // amplitudes read+written by kernels
 	Bytes       int64 // kernel memory traffic (16 B per amplitude)
 	FlopEst     int64 // floating-point operation estimate
+	TileAmps    int64 // of Amps, those visited inside cache-resident tiles
 	StateBytes  int64 // resident state-vector size
 	RemoteBytes int64 // one-sided remote traffic (distributed runs)
 	RemoteMsgs  int64 // one-sided remote messages
@@ -152,21 +153,18 @@ func Fig6Platforms() []Platform {
 
 // SingleDeviceSeconds models the single-device latency of a traced run
 // (Fig. 6): per-gate fixed cost plus amplitude traffic at the device's
-// effective rate.
+// effective rate — the cache rate for amplitudes a tiled group visits
+// inside its tiles (TileAmps) and for a state that fits the cache.
 func (p Platform) SingleDeviceSeconds(tr Trace) float64 {
 	switch p.Class {
 	case ClassCPU, ClassMIC:
-		amp := p.AmpNs / p.VectorFactor
-		if tr.StateBytes <= p.CacheBytes {
-			amp /= p.CacheBoost
-		} else {
+		cached := p.AmpNs / p.VectorFactor / p.CacheBoost
+		amp := cached
+		if tr.StateBytes > p.CacheBytes {
 			// DRAM streaming floor.
-			memNs := 16.0 / p.DRAMGBps
-			if memNs > amp {
-				amp = memNs
-			}
+			amp = max(p.AmpNs/p.VectorFactor, 16.0/p.DRAMGBps)
 		}
-		return (float64(tr.Gates)*p.GateNs + float64(tr.Amps)*amp) * 1e-9
+		return (float64(tr.Gates)*p.GateNs + float64(tr.Amps-tr.TileAmps)*amp + float64(tr.TileAmps)*cached) * 1e-9
 	default: // GPU
 		bwNs := float64(tr.Bytes) / p.DeviceGBps
 		return (p.LaunchNs + float64(tr.Gates)*p.GateNs + bwNs) * 1e-9

@@ -18,7 +18,9 @@ const maxSpecBytes = 8 << 20
 //	POST   /v1/jobs          submit a JobSpec, 202 + JobStatus
 //	GET    /v1/jobs          list jobs (?tenant= filters)
 //	GET    /v1/jobs/{id}     one job's status
-//	GET    /v1/jobs/{id}/state  final state vector (binary, bit-exact)
+//	GET    /v1/jobs/{id}/state  final state vector (binary, bit-exact),
+//	                         handed over: once written in full the server
+//	                         drops its copy and later fetches get 410
 //	DELETE /v1/jobs/{id}     cancel (queued: immediate; running: at the
 //	                         next checkpoint boundary)
 //	GET    /v1/tenants       quota and usage per tenant
@@ -107,17 +109,30 @@ func (s *Server) handleJobState(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	sv, err := s.JobResultState(id)
-	if err != nil {
-		if !st.State.terminalHTTP() {
-			writeError(w, http.StatusConflict, err.Error())
-			return
-		}
+	sv, err := s.takeState(id)
+	switch {
+	case errors.Is(err, ErrStateGone):
+		writeError(w, http.StatusGone, err.Error())
+		return
+	case err != nil && !st.State.terminalHTTP():
+		writeError(w, http.StatusConflict, err.Error())
+		return
+	case err != nil:
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
+	// The state is handed over only once it has reached the connection in
+	// full; a failed write leaves it kept for the client's retry.
+	written := false
+	defer func() { s.handOver(id, sv, written) }()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	sv.WriteTo(w) //nolint:errcheck // client went away
+	if _, err := sv.WriteTo(w); err != nil {
+		return
+	}
+	if err := http.NewResponseController(w).Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		return
+	}
+	written = true
 }
 
 // terminalHTTP reports whether a state can no longer yield a state

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/list"
 	"fmt"
 	"math/rand"
 	"time"
@@ -55,8 +56,12 @@ type job struct {
 	ckptBackend string
 	ckptPEs     int
 
-	result *core.Result   // retained when ReturnState allows it
+	result *core.Result   // its State is kept when ReturnState allows it, until fetched or evicted
 	counts map[string]int // shot histogram, when Shots > 0
+
+	kept      *list.Element // in the server's result store while the state is kept
+	handing   bool          // a fetch is writing the kept state out
+	stateGone string        // why a once-kept state is not kept any more
 }
 
 // JobStatus is the wire form of a job (GET /v1/jobs/{id}).

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"os"
@@ -49,14 +50,11 @@ type Options struct {
 	// fingerprints -> compiled plans). Defaults to 128.
 	PlanCacheSize int
 	// StateQubitLimit caps the qubit count for which ReturnState jobs
-	// retain their final state vector. Defaults to 26 (1 GiB).
+	// retain their final state vector, and so sizes the result store:
+	// the states nobody has fetched yet are kept within
+	// FootprintBytes(StateQubitLimit, false) — one state at the limit —
+	// evicting the oldest-finished first. Defaults to 26 (1 GiB).
 	StateQubitLimit int
-	// KernelStyle selects the gate-kernel loop style for all fleets. The
-	// zero value is statevec.Scalar — the strided Listing 3 loop, which
-	// never reaches the AVX2 run bodies — and that is what svserved runs:
-	// making Vectorized the default waits on a bounded result store
-	// (ROADMAP items 8(a) and 9(i)).
-	KernelStyle statevec.KernelStyle
 	// Metrics, when non-nil, receives service counters and gauges
 	// (per-tenant job counts, queue depth, plan-cache attribution).
 	Metrics *obs.Metrics
@@ -143,15 +141,17 @@ type Server struct {
 	opts  Options
 	plans *compile.Cache
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	jobs    map[string]*job
-	queue   []*job
-	tenants map[string]*tenantState
-	fleets  []*fleetState
-	nextSeq int64
-	closed  bool
-	paused  bool // test hook: freeze dispatch to observe queue order
+	mu        sync.Mutex
+	cond      *sync.Cond
+	jobs      map[string]*job
+	queue     []*job
+	kept      list.List // *job whose state is retained, oldest-finished first
+	keptBytes int64     // state bytes of kept
+	tenants   map[string]*tenantState
+	fleets    []*fleetState
+	nextSeq   int64
+	closed    bool
+	paused    bool // test hook: freeze dispatch to observe queue order
 
 	running sync.WaitGroup // live job goroutines
 	loop    sync.WaitGroup // the dispatcher
@@ -187,7 +187,6 @@ func New(opts Options) (*Server, error) {
 	for i, def := range opts.Fleets {
 		f, err := core.NewFleet(def.Backend, core.Config{
 			PEs:     def.PEs,
-			Style:   opts.KernelStyle,
 			Metrics: opts.Metrics,
 			Flight:  opts.Flight,
 		})
@@ -251,7 +250,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 
 	// Price at the cheapest compatible placement: if even that exceeds
 	// a budget the job can never run, which is a 413, not backpressure.
-	est := EstimateJob(c, cheapestIsDistributed(compatible))
+	est := EstimateJob(c, spec.TileBits, cheapestIsDistributed(compatible))
 	if s.opts.MaxBytes > 0 && est.Bytes > s.opts.MaxBytes {
 		return s.rejectLocked(spec.Tenant, submitErrf(413,
 			"predicted footprint %d bytes exceeds the server budget of %d bytes", est.Bytes, s.opts.MaxBytes))
@@ -595,6 +594,7 @@ func (s *Server) runJob(j *job, fs *fleetState) {
 	case err == nil:
 		j.finish(StateDone, "")
 		j.finalize(res, s.opts.StateQubitLimit)
+		s.keepStateLocked(j)
 		s.countTenant(MetricJobsCompleted, tenant)
 		s.opts.Flight.Record(-1, EventJobDone, fmt.Sprintf("%s on %s", j.id, fs.label), res.Elapsed.Nanoseconds())
 	case isInterrupted(err) && j.cancelAsked:
@@ -680,11 +680,26 @@ func (s *Server) Job(id string) (JobStatus, error) {
 	return j.status(), nil
 }
 
+// ErrStateGone marks a state the server kept once and no longer does:
+// a fetch took it over, or it was evicted unfetched.
+var ErrStateGone = errors.New("state no longer kept")
+
 // JobResultState returns a done job's retained state vector (an error
-// when not retained or not finished).
+// when not retained or not finished; one wrapping ErrStateGone when it
+// was retained and is not any more). It leaves the state in place:
+// GET /v1/jobs/{id}/state is what hands it over.
 func (s *Server) JobResultState(id string) (*statevec.State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	j, err := s.keptLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	return j.result.State, nil
+}
+
+// keptLocked returns the done job id whose state is kept, or why not.
+func (s *Server) keptLocked(id string) (*job, error) {
 	j := s.jobs[id]
 	if j == nil {
 		return nil, fmt.Errorf("no such job %s", id)
@@ -692,11 +707,73 @@ func (s *Server) JobResultState(id string) (*statevec.State, error) {
 	if j.state != StateDone {
 		return nil, fmt.Errorf("job %s is %s, not done", id, j.state)
 	}
+	if j.stateGone != "" {
+		return nil, fmt.Errorf("job %s: %w: %s", id, ErrStateGone, j.stateGone)
+	}
 	if j.result == nil || j.result.State == nil {
 		return nil, fmt.Errorf("job %s did not retain its state (set return_state and stay within the qubit limit)", id)
 	}
+	return j, nil
+}
+
+// takeState starts handing job id's state over to one fetch: until
+// handOver ends it, every other fetch finds the state gone, so a client
+// that has read it and fetches again never receives it twice.
+func (s *Server) takeState(id string) (*statevec.State, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, err := s.keptLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	if j.handing {
+		return nil, fmt.Errorf("job %s: %w: being handed over to another fetch", id, ErrStateGone)
+	}
+	j.handing = true
 	return j.result.State, nil
 }
+
+// keepStateLocked enters a just-finished job's state into the result
+// store, then evicts the oldest-finished unfetched states until the
+// store fits its budget, FootprintBytes(StateQubitLimit, false): no
+// state over the limit is kept, so the newest always stays.
+func (s *Server) keepStateLocked(j *job) {
+	if j.result.State == nil {
+		return
+	}
+	j.kept = s.kept.PushBack(j)
+	s.keptBytes += stateBytes(j.result.State)
+	budget := FootprintBytes(s.opts.StateQubitLimit, false)
+	for s.keptBytes > budget {
+		s.dropStateLocked(s.kept.Front().Value.(*job),
+			fmt.Sprintf("evicted unfetched: the server keeps the newest unfetched states within %d bytes", budget))
+	}
+}
+
+// handOver ends the hand-over takeState began: once the fetch has
+// written sv in full the client holds it and the server drops its copy
+// (unless it was evicted meanwhile); a failed write keeps it for the
+// next fetch.
+func (s *Server) handOver(id string, sv *statevec.State, written bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.jobs[id]
+	j.handing = false
+	if written && j.result.State == sv {
+		s.dropStateLocked(j, "handed over to an earlier fetch")
+	}
+}
+
+// dropStateLocked removes a kept state from the store, recording why
+// later fetches find it gone.
+func (s *Server) dropStateLocked(j *job, why string) {
+	s.kept.Remove(j.kept)
+	s.keptBytes -= stateBytes(j.result.State)
+	j.kept, j.result.State, j.stateGone = nil, nil, why
+}
+
+// stateBytes is the amplitude memory a kept state holds.
+func stateBytes(sv *statevec.State) int64 { return FootprintBytes(sv.N, false) }
 
 // Jobs lists job statuses, newest first, optionally filtered by tenant.
 func (s *Server) Jobs(tenant string) []JobStatus {

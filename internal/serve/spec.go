@@ -181,9 +181,11 @@ func FootprintBytes(n int, distributed bool) int64 {
 
 // EstimateJob prices a circuit at submit time. distributed selects the
 // staging-buffer footprint; the seconds estimate uses the trace-based
-// single-device model (a scheduling weight, not a promise).
-func EstimateJob(c *circuit.Circuit, distributed bool) Estimate {
-	tr := perfmodel.TraceEstimate(c)
+// single-device model (a scheduling weight, not a promise) of the tiled
+// run the job's tile exponent makes (tileBits <= 0: the one the runtime
+// derives), read off the circuit without compiling it.
+func EstimateJob(c *circuit.Circuit, tileBits int, distributed bool) Estimate {
+	tr := perfmodel.TiledTraceEstimate(c, tileBits)
 	return Estimate{
 		Qubits:  c.NumQubits,
 		Bytes:   FootprintBytes(c.NumQubits, distributed),

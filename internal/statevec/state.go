@@ -22,17 +22,19 @@ import (
 // whose runs execute four amplitudes per instruction on an amd64 CPU with
 // AVX2 (run_amd64.s) and as the same Go loop elsewhere. Results are
 // bit-identical; the bench harness uses the pair for the vectorization
-// ablation (the paper's ~2x AVX-512 observation). Scalar is the zero
-// value, so a Config that does not set Style runs Listing 3.
+// ablation (the paper's ~2x AVX-512 observation). Vectorized is the zero
+// value, so a Config that does not set Style runs Listing 2; Scalar runs
+// only where it is named. The style is never serialized, hashed or
+// checkpointed, so the order of the two is free to change.
 type KernelStyle uint8
 
 const (
-	// Scalar uses the paper's Listing 3 strided index loop: runs of one
-	// amplitude, never vectorized.
-	Scalar KernelStyle = iota
 	// Vectorized uses blocked unit-stride runs (Listing 2): AVX2 where the
 	// CPU has it, for every run of at least four amplitudes.
-	Vectorized
+	Vectorized KernelStyle = iota
+	// Scalar uses the paper's Listing 3 strided index loop: runs of one
+	// amplitude, never vectorized.
+	Scalar
 )
 
 // Stats accumulates the per-run work and traffic counters that feed the

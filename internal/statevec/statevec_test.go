@@ -117,6 +117,19 @@ func TestGPhaseKernel(t *testing.T) {
 	}
 }
 
+// TestZeroStyleIsVectorized pins the contract every caller that leaves
+// Style unset relies on: it runs the Listing 2 kernels (AVX2 on amd64),
+// and Scalar runs only where it is named.
+func TestZeroStyleIsVectorized(t *testing.T) {
+	var zero KernelStyle
+	if zero != Vectorized {
+		t.Fatalf("zero KernelStyle = %d, want Vectorized (%d)", zero, Vectorized)
+	}
+	if New(3).Style != Vectorized {
+		t.Fatal("New leaves Style at something other than Vectorized")
+	}
+}
+
 func TestStylesProduceIdenticalStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 8
