@@ -18,7 +18,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"sort"
@@ -45,7 +44,7 @@ func main() {
 		schedName   = flag.String("sched", "naive", "gate schedule for distributed backends: naive | lazy (communication-avoiding remap)")
 		style       = flag.String("style", "vector", "kernel loop style: scalar | vector")
 		seed        = flag.Int64("seed", 1, "measurement random seed")
-		shots       = flag.Int("shots", 0, "sample the final state this many times")
+		shots       = flag.Int("shots", 0, "run this many shots and print the counts: by classical register when the program measures, else by basis state")
 		printState  = flag.Bool("state", false, "print non-negligible final amplitudes")
 		compact     = flag.Bool("compact", false, "run the compact (compound-gate) form of a named workload")
 		fuse        = flag.Bool("fuse", false, "apply the gate-fusion optimization pass before running")
@@ -90,8 +89,8 @@ func main() {
 		spec.Tenant = *tenantName
 		spec.Priority = *priority
 		spec.Backend, spec.PEs = submitHints(*backendName, *pes)
-		spec.ReturnState = *printState || *shots > 0
-		runSubmit(*submitURL, spec, c, *seed, *shots, *printState)
+		spec.ReturnState = *printState
+		runSubmit(*submitURL, spec, c, *shots, *printState)
 		return
 	}
 
@@ -173,6 +172,23 @@ func main() {
 	if c.NumClbits > 0 {
 		fmt.Printf("cbits   : %0*b\n", c.NumClbits, res.Cbits)
 	}
+	var counts map[string]int
+	if *shots > 0 {
+		// The shots run on the run's backend and execution settings,
+		// without its checkpoints, faults and observability sinks.
+		scfg := core.Config{Style: ks, PEs: *pes, Coalesced: *coalesced, Stop: latch, Timeouts: opts.timeouts()}
+		spec.ApplyCore(&scfg)
+		sb, err := core.NewBackend(*backendName, scfg)
+		var raw map[uint64]int
+		if err == nil {
+			raw, err = core.RunShots(sb, c, *shots, *seed)
+		}
+		if err != nil {
+			phases.WallNS = time.Since(start).Nanoseconds()
+			abort(sinks, phases, err)
+		}
+		counts = core.ShotCounts(c, raw)
+	}
 	phases.WallNS, phases.CompileNS = res.Elapsed.Nanoseconds(), res.Compile.TotalNS
 	if err := sinks.Flush(os.Stdout, phases); err != nil {
 		fatal(err)
@@ -180,7 +196,7 @@ func main() {
 	if res.Mem != nil {
 		fmt.Printf("mem     : %s\n", res.Mem)
 	}
-	report(res.State, *seed, *shots, *printState)
+	report(res.State, counts, *shots, *printState)
 }
 
 // abort flushes the sinks before exiting: the abort path is exactly when
@@ -202,8 +218,10 @@ func abort(sinks *obs.Sinks, phases obs.PhaseReportOpts, err error) {
 	os.Exit(code)
 }
 
-func report(st *statevec.State, seed int64, shots int, printState bool) {
-	if printState {
+// report prints the final state's non-negligible amplitudes when asked
+// and the shot histogram, most frequent first.
+func report(st *statevec.State, counts map[string]int, shots int, printState bool) {
+	if printState && st != nil {
 		fmt.Println("state   :")
 		for i := 0; i < st.Dim; i++ {
 			if p := st.Probability(i); p > 1e-9 {
@@ -213,20 +231,23 @@ func report(st *statevec.State, seed int64, shots int, printState bool) {
 		}
 	}
 	if shots > 0 {
-		rng := newRNG(seed)
-		counts := st.Counts(rng, shots)
-		keys := make([]int, 0, len(counts))
+		keys := make([]string, 0, len(counts))
 		for k := range counts {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return counts[keys[i]] > counts[keys[j]] })
+		sort.Slice(keys, func(i, j int) bool {
+			if counts[keys[i]] != counts[keys[j]] {
+				return counts[keys[i]] > counts[keys[j]]
+			}
+			return keys[i] < keys[j]
+		})
 		fmt.Printf("samples : %d shots\n", shots)
 		for i, k := range keys {
 			if i >= 16 {
 				fmt.Printf("  ... %d more outcomes\n", len(keys)-16)
 				break
 			}
-			fmt.Printf("  |%0*b>  %d\n", st.N, k, counts[k])
+			fmt.Printf("  |%s>  %d\n", k, counts[k])
 		}
 	}
 }
@@ -274,8 +295,6 @@ func installStopHandler(rec *obs.FlightRecorder) *core.StopLatch {
 	}()
 	return latch
 }
-
-func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "svsim:", err)

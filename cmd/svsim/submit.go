@@ -58,9 +58,10 @@ func submitHints(backendName string, pes int) (string, int) {
 
 // runSubmit sends the job to a running svserved instance, waits for it,
 // and prints the same report a local run would — the final state is
-// fetched in its exact binary form, so amplitudes, probabilities, and
-// shot samples are bit-identical to executing the circuit here.
-func runSubmit(url string, spec serve.JobSpec, c *circuit.Circuit, seed int64, shots int, printState bool) {
+// fetched in its exact binary form, so amplitudes and probabilities are
+// bit-identical to executing the circuit here, and the shot counts are
+// the job's, drawn by the same core.RunShots from the same seed.
+func runSubmit(url string, spec serve.JobSpec, c *circuit.Circuit, shots int, printState bool) {
 	if err := spec.Validate(); err != nil {
 		fatal(err)
 	}
@@ -105,6 +106,7 @@ func runSubmit(url string, spec serve.JobSpec, c *circuit.Circuit, seed int64, s
 	if st.Preemptions > 0 {
 		fmt.Printf("sched   : preempted %d time(s), wait %.3fs\n", st.Preemptions, st.WaitSeconds)
 	}
+	var sv *statevec.State
 	if spec.ReturnState {
 		sresp, err := http.Get(base + "/v1/jobs/" + st.ID + "/state")
 		if err != nil {
@@ -115,12 +117,11 @@ func runSubmit(url string, spec serve.JobSpec, c *circuit.Circuit, seed int64, s
 			msg, _ := io.ReadAll(sresp.Body)
 			fatal(fmt.Errorf("state fetch: %d: %s", sresp.StatusCode, strings.TrimSpace(string(msg))))
 		}
-		sv, err := statevec.ReadState(sresp.Body)
-		if err != nil {
+		if sv, err = statevec.ReadState(sresp.Body); err != nil {
 			fatal(err)
 		}
-		report(sv, seed, shots, printState)
 	}
+	report(sv, st.Counts, shots, printState)
 }
 
 func terminal(s serve.JobState) bool {

@@ -3,10 +3,13 @@ package svsim_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -111,6 +114,38 @@ func TestCLIEndToEnd(t *testing.T) {
 // JSONL; a run aborted by an injected kill must leave the same set
 // rather than losing it — with the flight trail naming the fault and
 // the phase report's per-PE rows summing to the wall time they split.
+// svsim -shots samples every shot's own collapse: `h; measure; if(c==1)
+// x` reads cbits 00 and 01 near 500 times each in 1,000 shots (within 4
+// sigma) on seeds 1-3, where sampling one run's final state would read
+// one of them 1,000 times.
+func TestCLIShotsArePerShot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e skipped in -short mode")
+	}
+	dir := t.TempDir()
+	svsim := buildTool(t, dir, "svsim/cmd/svsim")
+	prog := filepath.Join(dir, "ff.qasm")
+	src := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\nh q[0];\nmeasure q[0] -> c[0];\nif(c==1) x q[1];\n"
+	if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const shots = 1000
+	for _, seed := range []string{"1", "2", "3"} {
+		out := runTool(t, svsim, "-qasm", prog, "-shots", strconv.Itoa(shots), "-seed", seed)
+		counts := map[string]int{}
+		for _, line := range strings.Split(out, "\n") {
+			var key string
+			var n int
+			if _, err := fmt.Sscanf(strings.TrimSpace(line), "|%2s>  %d", &key, &n); err == nil {
+				counts[key] = n
+			}
+		}
+		if d := math.Abs(float64(counts["00"]) - shots/2); d > 4*math.Sqrt(shots*0.25) || counts["00"]+counts["01"] != shots {
+			t.Fatalf("seed %s: counts %v, want 00 and 01 near %d each:\n%s", seed, counts, shots/2, out)
+		}
+	}
+}
+
 func TestTelemetryArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e skipped in -short mode")

@@ -5,7 +5,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"svsim/internal/circuit"
 	"svsim/internal/core"
@@ -35,9 +34,12 @@ func main() {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(7))
+	counts, err := core.RunShots(backend, c, 1000, 7)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("\n1000 shots:")
-	for idx, n := range res.State.Counts(rng, 1000) {
+	for idx, n := range counts {
 		fmt.Printf("  |%03b>  %d\n", idx, n)
 	}
 

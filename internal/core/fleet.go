@@ -140,6 +140,23 @@ func (f *Fleet) Run(c *circuit.Circuit, job JobConfig) (*Result, error) {
 	return res, err
 }
 
+// RunShots samples c shots times on this fleet (core.RunShots) with the
+// job's seed. The shot runs write no checkpoint and resume from none: a
+// preempted shot job starts its shots over.
+func (f *Fleet) RunShots(c *circuit.Circuit, job JobConfig, shots int) (map[uint64]int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return nil, fmt.Errorf("core: fleet %s/%d is closed", f.backend, f.PEs())
+	}
+	job.CheckpointEvery, job.CheckpointDir, job.Resume = 0, "", ""
+	backend, err := NewBackend(f.backend, f.config(job))
+	if err != nil {
+		return nil, err
+	}
+	return RunShots(backend, c, shots, job.Seed)
+}
+
 // Close releases the fleet's persistent resources. Waits for an
 // in-flight job to finish; further Run calls fail.
 func (f *Fleet) Close() {

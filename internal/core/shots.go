@@ -1,18 +1,25 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 
 	"svsim/internal/circuit"
 	"svsim/internal/gate"
 )
 
 // RunShots executes a circuit for repeated sampling — the paper's "need
-// to repeatedly sample from the resulting QC state" workload. For purely
-// unitary circuits (possibly with trailing measurements) the state is
-// simulated once and sampled `shots` times; circuits with mid-circuit
+// to repeatedly sample from the resulting QC state" workload — and is the
+// one sampling path: `svsim -shots`, a served job's Shots and the
+// examples all come here. A count is keyed by the classical register when
+// the circuit measures and by the basis state when it does not
+// (ShotCounts spells the keys). For purely unitary circuits (possibly
+// with trailing measurements) the state is simulated once and sampled
+// `shots` times with rand.NewSource(seed); circuits with mid-circuit
 // measurement, reset, or classical control are re-simulated per shot with
-// a fresh random stream, since each shot may collapse differently.
+// the fresh random stream seed+s, since each shot may collapse
+// differently.
 func RunShots(b Backend, c *circuit.Circuit, shots int, seed int64) (map[uint64]int, error) {
 	counts := make(map[uint64]int, 16)
 	if reusableState(c) {
@@ -24,9 +31,14 @@ func RunShots(b Backend, c *circuit.Circuit, shots int, seed int64) (map[uint64]
 		rng := rand.New(rand.NewSource(seed))
 		samples := res.State.Sample(rng, shots)
 		for _, idx := range samples {
-			counts[classicalValue(idx, measures, c.NumClbits)]++
+			counts[classicalValue(idx, measures)]++
 		}
 		return counts, nil
+	}
+	if !hasMeasure(c) {
+		// Nothing lands in the cbits: a shot reads every qubit at the end.
+		m := &circuit.Circuit{Name: c.Name, NumQubits: c.NumQubits, NumClbits: c.NumClbits, Ops: slices.Clone(c.Ops)}
+		c = m.MeasureAll()
 	}
 	cb, _ := b.(*backend)
 	for s := 0; s < shots; s++ {
@@ -43,6 +55,40 @@ func RunShots(b Backend, c *circuit.Circuit, shots int, seed int64) (map[uint64]
 		counts[res.Cbits]++
 	}
 	return counts, nil
+}
+
+// ShotCounts keys RunShots' counts for c by bit string: its classical
+// register when it measures, else its quantum register, most significant
+// bit first.
+func ShotCounts(c *circuit.Circuit, counts map[uint64]int) map[string]int {
+	bits := c.NumQubits
+	if hasMeasure(c) {
+		bits = c.NumClbits
+	}
+	out := make(map[string]int, len(counts))
+	for k, n := range counts {
+		out[fmt.Sprintf("%0*b", bits, k)] = n
+	}
+	return out
+}
+
+// ShotRuns is how many simulations RunShots makes of c: one when a single
+// final state serves every shot, else one per shot.
+func ShotRuns(c *circuit.Circuit, shots int) int {
+	if reusableState(c) {
+		return 1
+	}
+	return shots
+}
+
+// hasMeasure reports whether c has a measurement.
+func hasMeasure(c *circuit.Circuit) bool {
+	for i := range c.Ops {
+		if c.Ops[i].G.Kind == gate.MEASURE {
+			return true
+		}
+	}
+	return false
 }
 
 // reusableState reports whether one simulation suffices for all shots:
@@ -89,13 +135,12 @@ func splitTrailingMeasures(c *circuit.Circuit) (*circuit.Circuit, map[int]int) {
 }
 
 // classicalValue maps a sampled basis index through the measurement map.
-func classicalValue(idx int, measures map[int]int, numClbits int) uint64 {
+func classicalValue(idx int, measures map[int]int) uint64 {
 	var v uint64
 	for q, cb := range measures {
 		if idx>>uint(q)&1 == 1 {
 			v |= uint64(1) << uint(cb)
 		}
 	}
-	_ = numClbits
 	return v
 }

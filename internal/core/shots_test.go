@@ -110,6 +110,27 @@ func TestRunShotsResetForcesPerShot(t *testing.T) {
 	}
 }
 
+// A measure-free program that still runs per shot (a reset) counts each
+// shot's basis state, as a trailing-only one does: reset, then H, reads
+// |0> and |1> about equally, keyed by the 2-qubit register.
+func TestRunShotsMeasureFreePerShotKeysBasisStates(t *testing.T) {
+	c := circuit.New("rh", 2)
+	c.X(0)
+	c.Reset(0)
+	c.H(0)
+	c.X(1)
+	counts, err := RunShots(NewSingleDevice(Config{}), c, 400, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts[0b10]+counts[0b11] != 400 || counts[0b10] < 140 || counts[0b11] < 140 {
+		t.Fatalf("reset then H on q0, X on q1: %v", counts)
+	}
+	if got := ShotCounts(c, counts); got["10"] != counts[0b10] || got["11"] != counts[0b11] {
+		t.Fatalf("keys %v for counts %v", got, counts)
+	}
+}
+
 // TestRunShotsAcrossBackends pins per-shot re-seeding on every backend:
 // a gate after a measurement forces one simulation per shot, and each
 // must draw from its own stream — the same one on every backend, so the

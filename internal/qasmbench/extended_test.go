@@ -221,7 +221,7 @@ func TestRQCAntiConcentrates(t *testing.T) {
 	n := 10
 	c := RQC(n, 20, 7)
 	s := runCircuit(t, c, n)
-	probs := s.Probabilities()
+	probs := probabilities(s)
 	maxP, support := 0.0, 0
 	for _, p := range probs {
 		if p > maxP {

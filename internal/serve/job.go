@@ -2,13 +2,10 @@ package serve
 
 import (
 	"container/list"
-	"fmt"
-	"math/rand"
 	"time"
 
 	"svsim/internal/circuit"
 	"svsim/internal/core"
-	"svsim/internal/statevec"
 )
 
 // JobState is a job's position in its lifecycle.
@@ -138,17 +135,4 @@ func (j *job) terminal() bool {
 		return true
 	}
 	return false
-}
-
-// sampleCounts draws the job's shot histogram from the final state the
-// same way the CLI does (same seed, same RNG stream), keyed by the
-// basis-state bit string.
-func sampleCounts(st *statevec.State, seed int64, shots int) map[string]int {
-	rng := rand.New(rand.NewSource(seed))
-	counts := st.Counts(rng, shots)
-	out := make(map[string]int, len(counts))
-	for k, v := range counts {
-		out[fmt.Sprintf("%0*b", st.N, k)] = v
-	}
-	return out
 }

@@ -250,7 +250,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 
 	// Price at the cheapest compatible placement: if even that exceeds
 	// a budget the job can never run, which is a 413, not backpressure.
-	est := EstimateJob(c, spec.TileBits, cheapestIsDistributed(compatible))
+	est := EstimateJob(c, spec.TileBits, cheapestIsDistributed(compatible), spec.Shots)
 	if s.opts.MaxBytes > 0 && est.Bytes > s.opts.MaxBytes {
 		return s.rejectLocked(spec.Tenant, submitErrf(413,
 			"predicted footprint %d bytes exceeds the server budget of %d bytes", est.Bytes, s.opts.MaxBytes))
@@ -582,6 +582,13 @@ func (s *Server) runJob(j *job, fs *fleetState) {
 	jc.Resume = resume
 
 	res, err := fs.fleet.Run(circ, jc)
+	var shots map[string]int
+	if err == nil && spec.Shots > 0 {
+		var counts map[uint64]int
+		if counts, err = fs.fleet.RunShots(circ, jc, spec.Shots); err == nil {
+			shots = core.ShotCounts(circ, counts)
+		}
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -593,7 +600,7 @@ func (s *Server) runJob(j *job, fs *fleetState) {
 	switch {
 	case err == nil:
 		j.finish(StateDone, "")
-		j.finalize(res, s.opts.StateQubitLimit)
+		j.finalize(res, shots, s.opts.StateQubitLimit)
 		s.keepStateLocked(j)
 		s.countTenant(MetricJobsCompleted, tenant)
 		s.opts.Flight.Record(-1, EventJobDone, fmt.Sprintf("%s on %s", j.id, fs.label), res.Elapsed.Nanoseconds())
@@ -628,10 +635,8 @@ func (s *Server) runJob(j *job, fs *fleetState) {
 
 // finalize stores a completed job's outputs: shot counts, and the
 // state vector when requested and within the retention limit.
-func (j *job) finalize(res *core.Result, qubitLimit int) {
-	if j.spec.Shots > 0 && res.State != nil {
-		j.counts = sampleCounts(res.State, j.spec.Seed, j.spec.Shots)
-	}
+func (j *job) finalize(res *core.Result, counts map[string]int, qubitLimit int) {
+	j.counts = counts
 	if !j.spec.ReturnState || res.State == nil || res.State.N > qubitLimit {
 		res.State = nil
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"testing"
 	"time"
@@ -406,11 +407,33 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// directShots is what `svsim -shots` prints for a spec: core.RunShots
+// on a local backend, keyed as a job's Counts are.
+func directShots(t *testing.T, spec JobSpec) map[string]int {
+	t.Helper()
+	c, err := spec.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Style: statevec.Vectorized}
+	spec.ApplyCore(&cfg)
+	b, err := core.NewBackend("single", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := core.RunShots(b, c, spec.Shots, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.ShotCounts(c, counts)
+}
+
 // Shots ride the job status and match the CLI's sampling for the same
-// seed.
+// seed: both are core.RunShots.
 func TestShotsMatchDirectSampling(t *testing.T) {
 	s := newTestServer(t, Options{Fleets: []FleetDef{{Backend: "single", PEs: 1}}})
-	st, err := s.Submit(JobSpec{Circuit: "cc_n12", Seed: 11, Shots: 32})
+	spec := JobSpec{Circuit: "cc_n12", Seed: 11, Shots: 32}
+	st, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,11 +448,45 @@ func TestShotsMatchDirectSampling(t *testing.T) {
 	if total != 32 {
 		t.Fatalf("counts sum to %d, want 32", total)
 	}
-	direct := directRun(t, "single", 1, "cc_n12", 11, "")
-	want := sampleCounts(direct, 11, 32)
-	for k, v := range want {
-		if fin.Counts[k] != v {
-			t.Fatalf("counts[%s] = %d, want %d (CLI-equivalent sampling)", k, fin.Counts[k], v)
+	if want := directShots(t, spec); !maps.Equal(fin.Counts, want) {
+		t.Fatalf("counts %v, want %v (CLI-equivalent sampling)", fin.Counts, want)
+	}
+}
+
+// feedForward measures |+> and flips q1 on a 1: its cbits read 00 or 01
+// with probability 1/2 each, one shot at a time.
+const feedForward = `OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[2];
+creg c[2];
+h q[0];
+measure q[0] -> c[0];
+if(c==1) x q[1];
+`
+
+// A shot is a shot: a served job with mid-circuit measurement samples
+// every shot's own collapse (a run sampled 1,000 times would read one
+// outcome 1,000 times), within 4 sigma of 500 each way on seeds 1-3, and
+// equals the CLI's counts.
+func TestShotsArePerShot(t *testing.T) {
+	s := newTestServer(t, Options{Fleets: []FleetDef{{Backend: "single", PEs: 1}}})
+	const shots = 1000
+	sigma := math.Sqrt(shots * 0.25)
+	for seed := int64(1); seed <= 3; seed++ {
+		spec := JobSpec{QASM: feedForward, Name: "ff.qasm", Seed: seed, Shots: shots}
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin := waitJob(t, s, st.ID)
+		if fin.State != StateDone {
+			t.Fatalf("seed %d: job %s (%s)", seed, fin.State, fin.Detail)
+		}
+		if n := fin.Counts["00"]; math.Abs(float64(n)-shots/2) > 4*sigma || n+fin.Counts["01"] != shots {
+			t.Fatalf("seed %d: counts %v, want 00 and 01 near %d each", seed, fin.Counts, shots/2)
+		}
+		if want := directShots(t, spec); !maps.Equal(fin.Counts, want) {
+			t.Fatalf("seed %d: served counts %v, CLI counts %v", seed, fin.Counts, want)
 		}
 	}
 }

@@ -54,8 +54,9 @@ type JobSpec struct {
 	TileBits int `json:"tile_bits,omitempty"`
 	// Seed drives measurement randomness and shot sampling.
 	Seed int64 `json:"seed,omitempty"`
-	// Shots samples the final state this many times; the counts land in
-	// the job status.
+	// Shots runs this many shots after the job's run (core.RunShots);
+	// the counts land in the job status, keyed by the classical register
+	// when the program measures and by the basis state when it does not.
 	Shots int `json:"shots,omitempty"`
 	// Priority orders dispatch; a strictly higher-priority job may
 	// preempt a running lower-priority one (checkpoint + requeue).
@@ -183,13 +184,19 @@ func FootprintBytes(n int, distributed bool) int64 {
 // staging-buffer footprint; the seconds estimate uses the trace-based
 // single-device model (a scheduling weight, not a promise) of the tiled
 // run the job's tile exponent makes (tileBits <= 0: the one the runtime
-// derives), read off the circuit without compiling it.
-func EstimateJob(c *circuit.Circuit, tileBits int, distributed bool) Estimate {
+// derives), read off the circuit without compiling it, times the runs
+// the job makes: its own and, with shots, core.RunShots' (one, or one per
+// shot when a shot may collapse differently).
+func EstimateJob(c *circuit.Circuit, tileBits int, distributed bool, shots int) Estimate {
 	tr := perfmodel.TiledTraceEstimate(c, tileBits)
+	runs := 1
+	if shots > 0 {
+		runs += core.ShotRuns(c, shots)
+	}
 	return Estimate{
 		Qubits:  c.NumQubits,
 		Bytes:   FootprintBytes(c.NumQubits, distributed),
-		Seconds: perfmodel.EPYC7742.SingleDeviceSeconds(tr),
+		Seconds: float64(runs) * perfmodel.EPYC7742.SingleDeviceSeconds(tr),
 		Gates:   len(c.Ops),
 	}
 }

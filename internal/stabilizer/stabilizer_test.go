@@ -68,7 +68,10 @@ func TestTableauMatchesStateVectorDistribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probs := ref.State.Probabilities()
+		probs := make([]float64, ref.State.Dim)
+		for i := range probs {
+			probs[i] = ref.State.Probability(i)
+		}
 		const shots = 4000
 		counts := measureAllDistribution(tab, shots, int64(trial))
 		// Support check: tableau outcomes only where the state vector has

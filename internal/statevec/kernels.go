@@ -18,15 +18,18 @@ import (
 // closure body measured 1.3-3x the ns/amp of the same arithmetic inlined
 // (kernels_test.go keeps func literals out of this file).
 //
-// Listing 2 is the same loop with a wider step: when the runs are unit
-// stride and at least four long (iter.simd, asked once per call) a body
-// hands the 4-aligned part of each run to its AVX2 twin in run_amd64.s
-// and its own Go loop finishes the 0-3 amplitudes left — and takes every
-// strided or shorter run, the whole Scalar style, and every run on a CPU
-// without AVX2. The twin is the loop's arithmetic at four lanes, equal to
-// it to the bit, so a body still has exactly one Go loop and one result.
-// The diagonal-run pass (diagrun.go) and the Pauli rotation (paulirot.go)
-// hand off to their twins the same way.
+// Listing 2 is the same arithmetic four lanes wide. A Vectorized call on
+// an AVX2 CPU that leaves one of bits 0 and 1 free (iter.twin, decided
+// once per call) hands every visit to the body's twin in run_amd64.s as
+// whole aligned 4-amplitude blocks (iter.blocks): a run of blocks per
+// call, with a target on qubit 0 or 1 paired inside the blocks by
+// shuffle and a control there blended in. Every other call — both low
+// bits pinned, the whole Scalar style, a window under four amplitudes,
+// any CPU without AVX2 — runs the body's Go loop. The twin is the loop's
+// arithmetic at four lanes, equal to it to the bit, so a body still has
+// exactly one Go loop and one result. The diagonal-run pass (diagrun.go)
+// and the Pauli rotation (paulirot.go) hand off to their twins in the
+// same spirit.
 
 const s2i = math.Sqrt2 / 2
 
@@ -35,16 +38,17 @@ const s2i = math.Sqrt2 / 2
 func (it iter) x(d int) (amps, flops int64) {
 	re, im := it.re, it.im
 	pairs := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r0, i0 := it.at(p, n)
-			r1, i1 := it.at(p+d, n)
-			xAVX2(r0, i0, r1, i1, n)
-			p += n
+	if it.twin {
+		b, l := it.blocks(d)
+		for b.left > 0 {
+			p, end := b.next()
+			r, i := b.reach(p, end, l.delta)
+			xAVX2(r, i, p, end, b.inc, &l)
 		}
-		for ; p < end; p += it.inc {
+		return 2 * pairs, 0
+	}
+	for it.left > 0 {
+		for p, end := it.next(); p < end; p += it.inc {
 			re[p], re[p+d] = re[p+d], re[p]
 			im[p], im[p+d] = im[p+d], im[p]
 		}
@@ -56,16 +60,17 @@ func (it iter) x(d int) (amps, flops int64) {
 func (it iter) y(d int) (amps, flops int64) {
 	re, im := it.re, it.im
 	pairs := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r0, i0 := it.at(p, n)
-			r1, i1 := it.at(p+d, n)
-			yAVX2(r0, i0, r1, i1, n)
-			p += n
+	if it.twin {
+		b, l := it.blocks(d)
+		for b.left > 0 {
+			p, end := b.next()
+			r, i := b.reach(p, end, l.delta)
+			yAVX2(r, i, p, end, b.inc, &l)
 		}
-		for ; p < end; p += it.inc {
+		return 2 * pairs, 2 * pairs
+	}
+	for it.left > 0 {
+		for p, end := it.next(); p < end; p += it.inc {
 			r0, i0 := re[p], im[p]
 			r1, i1 := re[p+d], im[p+d]
 			re[p], im[p] = i1, -r1
@@ -79,16 +84,17 @@ func (it iter) y(d int) (amps, flops int64) {
 func (it iter) h(d int) (amps, flops int64) {
 	re, im := it.re, it.im
 	pairs := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r0, i0 := it.at(p, n)
-			r1, i1 := it.at(p+d, n)
-			hAVX2(r0, i0, r1, i1, n)
-			p += n
+	if it.twin {
+		b, l := it.blocks(d)
+		for b.left > 0 {
+			p, end := b.next()
+			r, i := b.reach(p, end, l.delta)
+			hAVX2(r, i, p, end, b.inc, &l)
 		}
-		for ; p < end; p += it.inc {
+		return 2 * pairs, 8 * pairs
+	}
+	for it.left > 0 {
+		for p, end := it.next(); p < end; p += it.inc {
 			r0, i0 := re[p], im[p]
 			r1, i1 := re[p+d], im[p+d]
 			re[p], im[p] = s2i*(r0+r1), s2i*(i0+i1)
@@ -109,16 +115,17 @@ func (it iter) sx(d int, dg bool) (amps, flops int64) {
 		o0, o1 = d, 0
 	}
 	pairs := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r0, i0 := it.at(p, n)
-			r1, i1 := it.at(p+d, n)
-			sxAVX2(r0, i0, r1, i1, n, dg)
-			p += n
+	if it.twin {
+		b, l := it.blocks(d)
+		for b.left > 0 {
+			p, end := b.next()
+			r, i := b.reach(p, end, l.delta)
+			sxAVX2(r, i, p, end, b.inc, &l, dg)
 		}
-		for ; p < end; p += it.inc {
+		return 2 * pairs, 12 * pairs
+	}
+	for it.left > 0 {
+		for p, end := it.next(); p < end; p += it.inc {
 			r0, i0 := re[p], im[p]
 			r1, i1 := re[p+d], im[p+d]
 			sr, si, dr, di := r0+r1, i0+i1, r0-r1, i0-i1
@@ -134,16 +141,17 @@ func (it iter) rx(d int, theta float64) (amps, flops int64) {
 	c, sn := math.Cos(theta/2), math.Sin(theta/2)
 	re, im := it.re, it.im
 	pairs := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r0, i0 := it.at(p, n)
-			r1, i1 := it.at(p+d, n)
-			rxAVX2(r0, i0, r1, i1, n, c, sn)
-			p += n
+	if it.twin {
+		b, l := it.blocks(d)
+		for b.left > 0 {
+			p, end := b.next()
+			r, i := b.reach(p, end, l.delta)
+			rxAVX2(r, i, p, end, b.inc, &l, c, sn)
 		}
-		for ; p < end; p += it.inc {
+		return 2 * pairs, 12 * pairs
+	}
+	for it.left > 0 {
+		for p, end := it.next(); p < end; p += it.inc {
 			r0, i0 := re[p], im[p]
 			r1, i1 := re[p+d], im[p+d]
 			re[p] = c*r0 + sn*i1
@@ -160,16 +168,17 @@ func (it iter) ry(d int, theta float64) (amps, flops int64) {
 	c, sn := math.Cos(theta/2), math.Sin(theta/2)
 	re, im := it.re, it.im
 	pairs := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r0, i0 := it.at(p, n)
-			r1, i1 := it.at(p+d, n)
-			ryAVX2(r0, i0, r1, i1, n, c, sn)
-			p += n
+	if it.twin {
+		b, l := it.blocks(d)
+		for b.left > 0 {
+			p, end := b.next()
+			r, i := b.reach(p, end, l.delta)
+			ryAVX2(r, i, p, end, b.inc, &l, c, sn)
 		}
-		for ; p < end; p += it.inc {
+		return 2 * pairs, 12 * pairs
+	}
+	for it.left > 0 {
+		for p, end := it.next(); p < end; p += it.inc {
 			r0, i0 := re[p], im[p]
 			r1, i1 := re[p+d], im[p+d]
 			re[p] = c*r0 - sn*r1
@@ -198,16 +207,21 @@ func (it iter) u2(d int, u [8]float64) (amps, flops int64) {
 	ar, ai, br, bi, cr, ci, dr, di := u[0], u[1], u[2], u[3], u[4], u[5], u[6], u[7]
 	re, im := it.re, it.im
 	pairs := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r0, i0 := it.at(p, n)
-			r1, i1 := it.at(p+d, n)
-			u2AVX2(r0, i0, r1, i1, n, &u)
-			p += n
+	if it.twin {
+		b, l := it.blocks(d)
+		var uv [8][4]float64 // u broadcast, which the twin reads from memory
+		for j, v := range u {
+			uv[j] = [4]float64{v, v, v, v}
 		}
-		for ; p < end; p += it.inc {
+		for b.left > 0 {
+			p, end := b.next()
+			r, i := b.reach(p, end, l.delta)
+			u2AVX2(r, i, p, end, b.inc, &l, &uv)
+		}
+		return 2 * pairs, 28 * pairs
+	}
+	for it.left > 0 {
+		for p, end := it.next(); p < end; p += it.inc {
 			r0, i0 := re[p], im[p]
 			r1, i1 := re[p+d], im[p+d]
 			re[p] = ar*r0 - ai*i0 + br*r1 - bi*i1
@@ -233,15 +247,17 @@ func (it iter) u2(d int, u [8]float64) (amps, flops int64) {
 func (it iter) phase(c, sn float64) (amps, flops int64) {
 	re, im := it.re, it.im
 	m := int64(it.left)
-	simd := it.simd()
-	for it.left > 0 {
-		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 {
-			r, i := it.at(p, n)
-			phaseAVX2(r, i, n, c, sn)
-			p += n
+	if it.twin {
+		b, l := it.blocks(0)
+		for b.left > 0 {
+			p, end := b.next()
+			r, i := b.reach(p, end, l.delta)
+			phaseAVX2(r, i, p, end, b.inc, &l, c, sn)
 		}
-		for ; p < end; p += it.inc {
+		return m, 6 * m
+	}
+	for it.left > 0 {
+		for p, end := it.next(); p < end; p += it.inc {
 			r, i := re[p], im[p]
 			re[p] = c*r - sn*i
 			im[p] = sn*r + c*i

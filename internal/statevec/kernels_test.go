@@ -283,15 +283,21 @@ func operandsAround(k gate.Kind, t, dir, n int) []int {
 
 // BenchmarkBodies is the per-body number behind "a specialized body
 // costs only its own arithmetic" (paper §3.2.1): every base kind, the
-// target on qubit 0, in the middle and on top, on an in-cache state
-// (n = 13, 128 KiB) and a DRAM-sized one (n = 22, 64 MiB), each on the
-// body's Go loop (/go) and on its AVX2 twin (/avx2, run_amd64.s; at "lo"
-// the runs are too short for the twin and both take the Go loop). ns/amp
-// is per amplitude of the state, as the svperf kernel probes report it.
+// target on qubit 0, in the middle and on top, and cx, ccx and cu1 with a
+// control on qubit 0 or 1 (c0, c1; ccx's other control above) and the
+// target in the middle, on an in-cache state (n = 13, 128 KiB) and a
+// DRAM-sized one (n = 22, 64 MiB), each on the body's Go loop (/go) and
+// on its AVX2 twin (/avx2, run_amd64.s: pairs of blocks where the target
+// is the low pin, blended blocks where a control is). ns/amp is per
+// amplitude of the state, as the svperf kernel probes report it.
 func BenchmarkBodies(b *testing.B) {
 	for _, n := range []int{13, 22} {
 		rng := rand.New(rand.NewSource(1))
 		s := randomState(rng, n, Vectorized)
+		var cases []struct {
+			name string
+			g    gate.Gate
+		}
 		for i := 0; i < gate.NumKinds; i++ {
 			k := gate.Kind(i)
 			if !k.Unitary() || k.BaseKind() != k || k.NumQubits() == 0 {
@@ -302,15 +308,33 @@ func BenchmarkBodies(b *testing.B) {
 				pos  int
 			}{{"lo", 0}, {"mid", n / 2}, {"hi", n - 1}} {
 				g := gate.New(k, operandsAround(k, at.pos, 1, n), randAngles(rng, k.NumParams())...)
-				forEachBodyPath(func(path string) {
-					b.Run(fmt.Sprintf("%s_%s_n%d/%s", k, at.name, n, path), func(b *testing.B) {
-						for range b.N {
-							s.Apply(&g)
-						}
-						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Dim), "ns/amp")
-					})
-				})
+				cases = append(cases, struct {
+					name string
+					g    gate.Gate
+				}{fmt.Sprintf("%s_%s", k, at.name), g})
 			}
+		}
+		for _, k := range []gate.Kind{gate.CX, gate.CCX, gate.CU1} {
+			for c := range 2 {
+				ops := []int{c, n / 2}
+				if k == gate.CCX {
+					ops = []int{c, n/2 + 1, n / 2}
+				}
+				cases = append(cases, struct {
+					name string
+					g    gate.Gate
+				}{fmt.Sprintf("%s_c%d", k, c), gate.New(k, ops, randAngles(rng, k.NumParams())...)})
+			}
+		}
+		for _, c := range cases {
+			forEachBodyPath(func(path string) {
+				b.Run(fmt.Sprintf("%s_n%d/%s", c.name, n, path), func(b *testing.B) {
+					for range b.N {
+						s.Apply(&c.g)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Dim), "ns/amp")
+				})
+			})
 		}
 	}
 }

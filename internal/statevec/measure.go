@@ -78,15 +78,6 @@ func (s *State) Project(q, outcome int, p1 float64) {
 	}
 }
 
-// Probabilities returns the full probability vector (length Dim).
-func (s *State) Probabilities() []float64 {
-	p := make([]float64, s.Dim)
-	for i := range p {
-		p[i] = s.Re[i]*s.Re[i] + s.Im[i]*s.Im[i]
-	}
-	return p
-}
-
 // Sample draws shots basis states from the current distribution without
 // collapsing the state, returning basis indices. It builds the cumulative
 // distribution once and binary-searches per shot, the standard approach for
@@ -107,15 +98,6 @@ func (s *State) Sample(rng *rand.Rand, shots int) []int {
 		}
 	}
 	return out
-}
-
-// Counts draws shots samples and histograms them by basis index.
-func (s *State) Counts(rng *rand.Rand, shots int) map[int]int {
-	counts := make(map[int]int)
-	for _, idx := range s.Sample(rng, shots) {
-		counts[idx]++
-	}
-	return counts
 }
 
 // ExpPauliGroup writes to out[k] (len(out) >= len(zs)) the expectation

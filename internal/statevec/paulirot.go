@@ -76,10 +76,10 @@ func (w window) pauliRot(r *PauliRot) (amps, flops int64) {
 // arrays the real and imaginary results read).
 //
 // Like the bodies in kernels.go it hands the 4-aligned part of each run
-// to its AVX2 twin, with one more condition: the run must start on a
-// multiple of 4, so that its 4-chunks P pair with whole 4-chunks
-// Q = (P^x) &^ 3 — every X bit but the pivot lies below it. Every run
-// does but the first of a pool share, which stays on the Go loop.
+// to its AVX2 twin. Its 4-chunks P pair with whole 4-chunks
+// Q = (P^x) &^ 3 — every X bit but the pivot lies below it — because
+// every run starts on a multiple of 4, a pool share's first included:
+// shares are cut on multiples of four compressed indices.
 func (it iter) pauliRot(x, z, odd int, c float64, f [2]float64) {
 	re, im := it.re, it.im
 	cross := f[0] == 0
@@ -101,13 +101,13 @@ func (it iter) pauliRot(x, z, odd int, c float64, f [2]float64) {
 		}
 		// The twin indexes the whole window, as partners lie anywhere in
 		// it: slicing im to re's length checks that without reading an
-		// amplitude, which another pool share may be writing (iter.at
-		// would read the last one).
+		// amplitude, which another pool share may be writing (indexing
+		// the last one would read it).
 		r0, i0 = &re[0], &im[:len(re)][0]
 	}
 	for it.left > 0 {
 		p, end := it.next()
-		if n := (end - p) &^ 3; simd && n > 0 && p&3 == 0 {
+		if n := (end - p) &^ 3; simd && n > 0 {
 			pauliRotAVX2(r0, i0, p, n, x, z&^3, c, &lanes, cross)
 			p += n
 		}

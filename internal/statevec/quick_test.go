@@ -101,7 +101,7 @@ func TestQuickMeasurementProbabilitiesSumToOne(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomState(rng, 5, Scalar)
 		var sum float64
-		for _, p := range s.Probabilities() {
+		for _, p := range probabilities(s) {
 			if p < 0 {
 				return false
 			}

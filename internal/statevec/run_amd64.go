@@ -1,21 +1,27 @@
 package statevec
 
-// The AVX2 run bodies (paper Listing 2): one twin in run_amd64.s for the
-// inner run of each body in kernels.go, of iter.pauliRot and of a
-// diagonal run's block (one table and two), four amplitudes (pairs, for
-// pauliRot) per instruction.
-// A body hands a unit-stride run's 4-aligned length to its twin and
-// finishes the remainder in its own Go loop, so the contract is that a
-// twin computes what that loop computes, to the bit, on every lane: the
-// same multiplies, adds and subtracts in the same association order, no
-// fused multiply-add, negation as a sign-bit flip. n is a positive
-// multiple of 4 and the caller has bounds-checked n elements behind
-// every pointer (iter.at; the whole window for the Pauli rotation, whose
-// partners lie anywhere in it; for a diagonal run, the first and last
-// visited amplitude and the largest key of each table, DiagTables.steps);
-// the pointers need no alignment.
+// The AVX2 run bodies (paper Listing 2): twins in run_amd64.s for each
+// body in kernels.go, for iter.pauliRot and for a diagonal run's block
+// (one table and two), four amplitudes (pairs, for pauliRot) per
+// instruction. A body hands its twin every visit of a Vectorized call
+// that leaves one of bits 0 and 1 free (iter.twin), as whole aligned
+// 4-amplitude blocks, and the twin moves lanes only around the body's
+// arithmetic (one macro each in run_amd64.s): pairing lanes by shuffle,
+// blending back the ones the gate leaves. So the contract is that a twin
+// computes what the body's Go loop computes, to the bit, on every lane:
+// the same multiplies, adds and subtracts in the same association order,
+// no fused multiply-add, negation as a sign-bit flip. A body twin stores
+// every lane of a block it visits, so a block is one caller's: pool
+// shares are cut on multiples of four compressed indices (window.iter),
+// and a share's blocks and their partner blocks are its own. A body
+// twin's caller has checked the first and last block of each run and of
+// its partners (iter.reach); the Pauli rotation's has checked the whole
+// window, whose partners lie anywhere in it, and n is a positive
+// multiple of 4; a diagonal run's, the first and last visited amplitude
+// and the largest key of each table (DiagTables.steps). The pointers
+// need no alignment.
 
-// haveAVX2 routes unit-stride runs to the twins. It is read from the CPU
+// haveAVX2 routes runs to the twins. It is read from the CPU
 // once, here; only tests write it, to compare the two paths.
 var haveAVX2 = detectAVX2()
 
@@ -41,29 +47,36 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// Pairing twins: a0 = (r0, i0) and a1 = (r1, i1) are the two halves of n
-// pairs, a1 lying d amplitudes from a0.
+// The body twins: the arithmetic of kernels.go's bodies over the whole
+// blocks [p, end) with stride of a window addressed from re, im, in the
+// mode l gives (blockLanes): mode 0 one block and its partner block a
+// step, modes 1 and 2 two blocks (the middle block of an odd run pairs
+// with itself), mode 3 one block and its partner block, blending back
+// the lanes the gate leaves.
 
 //go:noescape
-func xAVX2(r0, i0, r1, i1 *float64, n int)
+func xAVX2(re, im *float64, p, end, stride int, l *blockLanes)
 
 //go:noescape
-func yAVX2(r0, i0, r1, i1 *float64, n int)
+func yAVX2(re, im *float64, p, end, stride int, l *blockLanes)
 
 //go:noescape
-func hAVX2(r0, i0, r1, i1 *float64, n int)
+func hAVX2(re, im *float64, p, end, stride int, l *blockLanes)
 
 //go:noescape
-func sxAVX2(r0, i0, r1, i1 *float64, n int, dg bool)
+func sxAVX2(re, im *float64, p, end, stride int, l *blockLanes, dg bool)
 
 //go:noescape
-func rxAVX2(r0, i0, r1, i1 *float64, n int, c, sn float64)
+func rxAVX2(re, im *float64, p, end, stride int, l *blockLanes, c, sn float64)
 
 //go:noescape
-func ryAVX2(r0, i0, r1, i1 *float64, n int, c, sn float64)
+func ryAVX2(re, im *float64, p, end, stride int, l *blockLanes, c, sn float64)
 
 //go:noescape
-func u2AVX2(r0, i0, r1, i1 *float64, n int, u *[8]float64)
+func u2AVX2(re, im *float64, p, end, stride int, l *blockLanes, u *[8][4]float64)
+
+//go:noescape
+func phaseAVX2(re, im *float64, p, end, stride int, l *blockLanes, c, sn float64)
 
 // The Pauli rotation's twin: re, im address the whole window, p is the
 // 4-aligned start of n pairs, x and z the string's masks (z without its
@@ -71,11 +84,6 @@ func u2AVX2(r0, i0, r1, i1 *float64, n int, u *[8]float64)
 //
 //go:noescape
 func pauliRotAVX2(re, im *float64, p, n, x, z int, c float64, k *pauliLanes, cross bool)
-
-// The element-wise twin over n amplitudes (r, i).
-
-//go:noescape
-func phaseAVX2(r, i *float64, n int, c, sn float64)
 
 // The diagonal run's twins, over the n/4 steps of visit: a step's first
 // value v names the four amplitudes (r, i) at off+v .. off+v+3, and the

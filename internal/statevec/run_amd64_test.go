@@ -1,6 +1,7 @@
 package statevec
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -23,25 +24,17 @@ func forEachBodyPath(f func(path string)) {
 	}
 }
 
-// TestAsmBodiesMatchGo is the contract of run_amd64.s: an AVX2 twin
-// leaves the bits its body's Go loop leaves, and reports the same work.
-// Every unitary kind (each body bare and under controls) × the target on
-// every qubit × the other operands below and above it × the four ways a
-// body is reached — the full state, aligned tiles, partitions of a larger
-// register (Base != 0), and the shares of a 3-worker pool, which cut runs
-// mid-way so the twins start unaligned and leave 1-3 amplitude remainders
-// to the Go loop — on 3, 6 and 12 qubits.
-func TestAsmBodiesMatchGo(t *testing.T) {
-	if !haveAVX2 {
-		t.Skip("no AVX2 on this CPU")
-	}
-	defer func() { haveAVX2 = true }()
-	pool := NewPool(3)
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(97))
+// bodyLayout is one of the four ways a body is reached.
+type bodyLayout struct {
+	name  string
+	apply func(s *State, g *gate.Gate)
+}
 
-	// A window of 2^wbits amplitudes holds g's pairing targets; at least 8
-	// amplitudes, so a tile has runs the twins take.
+// bodyLayouts are the full state, aligned tiles, partitions of a larger
+// register (Base != 0), each of 2^w amplitudes with w the smallest width
+// of at least 3 (8 amplitudes, so a tile has runs the twins take) that
+// holds g's pairing targets, and the shares of pool.
+func bodyLayouts(pool *Pool) []bodyLayout {
 	windowBits := func(g *gate.Gate, n int) int {
 		wbits := 3
 		for !windowFits(g, wbits) {
@@ -49,10 +42,7 @@ func TestAsmBodiesMatchGo(t *testing.T) {
 		}
 		return min(wbits, n)
 	}
-	layouts := []struct {
-		name  string
-		apply func(s *State, g *gate.Gate)
-	}{
+	return []bodyLayout{
 		{"full", func(s *State, g *gate.Gate) { s.Apply(g) }},
 		{"tiles", func(s *State, g *gate.Gate) {
 			size := 1 << windowBits(g, s.N)
@@ -71,6 +61,45 @@ func TestAsmBodiesMatchGo(t *testing.T) {
 		}},
 		{"pool shares", func(s *State, g *gate.Gate) { pool.ApplyShared(s, g) }},
 	}
+}
+
+// twinMatchesGo applies g to copies of start through l on the twins and
+// on the Go loops, and returns what differs: the first amplitude whose
+// bits do, or the work reported.
+func twinMatchesGo(start *State, g *gate.Gate, l bodyLayout) error {
+	detected := haveAVX2
+	defer func() { haveAVX2 = detected }()
+	asm, plain := start.Clone(), start.Clone()
+	haveAVX2 = true
+	l.apply(asm, g)
+	haveAVX2 = false
+	l.apply(plain, g)
+	if i := firstBitDiff(asm, plain); i >= 0 {
+		return fmt.Errorf("n=%d %s, %s: amplitude %d is (%x, %x) from the twin, (%x, %x) from the Go loop", start.N, g, l.name, i,
+			math.Float64bits(asm.Re[i]), math.Float64bits(asm.Im[i]), math.Float64bits(plain.Re[i]), math.Float64bits(plain.Im[i]))
+	}
+	if asm.Stats != plain.Stats {
+		return fmt.Errorf("n=%d %s, %s: the twin reports %+v, the Go loop %+v", start.N, g, l.name, asm.Stats, plain.Stats)
+	}
+	return nil
+}
+
+// TestAsmBodiesMatchGo is the contract of run_amd64.s: an AVX2 twin
+// leaves the bits its body's Go loop leaves, and reports the same work.
+// Every unitary kind (each body bare and under controls) × the target on
+// every qubit × the other operands below and above it × the four ways a
+// body is reached — the full state, aligned tiles, partitions of a larger
+// register (Base != 0), and the shares of a 3-worker pool — on 3, 6 and
+// 12 qubits. TestLowPlacementsMatchGo covers every placement on the low
+// qubits.
+func TestAsmBodiesMatchGo(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this CPU")
+	}
+	pool := NewPool(3)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(97))
+	layouts := bodyLayouts(pool)
 
 	for _, n := range []int{3, 6, 12} {
 		for _, k := range windowKinds() {
@@ -83,24 +112,14 @@ func TestAsmBodiesMatchGo(t *testing.T) {
 					start := randomState(rng, n, Vectorized)
 					spice(rng, start)
 					for _, l := range layouts {
-						asm, plain := start.Clone(), start.Clone()
-						haveAVX2 = true
-						l.apply(asm, &g)
-						haveAVX2 = false
-						l.apply(plain, &g)
-						if i := firstBitDiff(asm, plain); i >= 0 {
-							t.Fatalf("n=%d %s, %s: amplitude %d is (%x, %x) from the twin, (%x, %x) from the Go loop", n, g, l.name, i,
-								math.Float64bits(asm.Re[i]), math.Float64bits(asm.Im[i]), math.Float64bits(plain.Re[i]), math.Float64bits(plain.Im[i]))
-						}
-						if asm.Stats != plain.Stats {
-							t.Fatalf("n=%d %s, %s: the twin reports %+v, the Go loop %+v", n, g, l.name, asm.Stats, plain.Stats)
+						if err := twinMatchesGo(start, &g, l); err != nil {
+							t.Fatal(err)
 						}
 					}
 				}
 			}
 		}
 	}
-	haveAVX2 = true
 
 	// sx·sxdg and t·tdg restore the state on either path (each loses at
 	// most an ulp of an amplitude below 1), with the target below the
@@ -127,8 +146,7 @@ func TestAsmBodiesMatchGo(t *testing.T) {
 // (#Y even and odd, which makes f imaginary and real) × the pivot on q2
 // (runs of 4, the shortest the twin takes) up to the top qubit, plus
 // all-Z strings (x = 0) × degenerate and generic angles × the full state,
-// partitions with Base != 0 and the shares of a 3-worker pool (whose
-// first runs start unaligned and stay on the Go loop), on 3, 6 and 12
+// partitions with Base != 0 and the shares of a 3-worker pool, on 3, 6 and 12
 // qubits of spiced amplitudes. Qubits 2 and up other than the pivot draw
 // I, X, Y or Z below it and I or Z above it.
 func TestAsmPauliRotMatchesGo(t *testing.T) {
@@ -345,4 +363,185 @@ func TestAsmDiagRunMatchesGo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lowKinds are the controlled and 2-target kinds, whose operands pin or
+// pair the low qubits in every combination a twin's modes take.
+var lowKinds = []gate.Kind{
+	gate.CX, gate.CY, gate.CZ, gate.CH, gate.CRX, gate.CRY, gate.CRZ, gate.CU1, gate.CU3, gate.CS, gate.CT,
+	gate.CCX, gate.CSWAP, gate.C3X, gate.C3SQRTX, gate.C4X, gate.SWAP, gate.RXX, gate.RZZ,
+}
+
+// placements calls f with every ordered choice of k distinct qubits of n
+// that puts at least one on qubit 0 or 1.
+func placements(n, k int, f func(ops []int)) {
+	ops := make([]int, 0, k)
+	var used uint
+	var walk func()
+	walk = func() {
+		if len(ops) == k {
+			if used&3 != 0 {
+				f(ops)
+			}
+			return
+		}
+		for q := range n {
+			if used>>uint(q)&1 == 0 {
+				used |= 1 << uint(q)
+				ops = append(ops, q)
+				walk()
+				ops = ops[:len(ops)-1]
+				used &^= 1 << uint(q)
+			}
+		}
+	}
+	walk()
+}
+
+// TestLowPlacementsMatchGo is the contract where the twins shuffle and
+// blend: on 5 and 7 qubits, every ordered placement of every controlled
+// and 2-target kind's operands with at least one on qubit 0 or 1 — a
+// target there (the paired modes), a control or a SWAP/RXX operand there
+// (the masked mode) and both bits pinned (the Go loop) — with its angles
+// at 0, π and 2π and at random, through the four layouts of
+// TestAsmBodiesMatchGo, whose pool shares cut a call's blocks between
+// workers, leaves the bits and the work of the Go loop.
+func TestLowPlacementsMatchGo(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this CPU")
+	}
+	pool := NewPool(3)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(107))
+	layouts := bodyLayouts(pool)
+	for _, n := range []int{5, 7} {
+		for _, k := range lowKinds {
+			angles := [][]float64{nil}
+			if np := k.NumParams(); np > 0 {
+				angles = nil
+				for _, a := range []float64{0, math.Pi, 2 * math.Pi} {
+					same := make([]float64, np)
+					for i := range same {
+						same[i] = a
+					}
+					angles = append(angles, same)
+				}
+				angles = append(angles, randAngles(rng, np))
+			}
+			placements(n, k.NumQubits(), func(ops []int) {
+				for _, a := range angles {
+					g := gate.New(k, ops, a...)
+					start := randomState(rng, n, Vectorized)
+					spice(rng, start)
+					for _, l := range layouts {
+						if err := twinMatchesGo(start, &g, l); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestScalarReachesNoTwin: a body hands its visits to its twin only when
+// its iter says so (iter.twin; the Pauli rotation asks iter.simd), so
+// Scalar never reaches a twin if no Scalar iter says so — over every way
+// a gate pins the bits of a window of 2..32 amplitudes, whole and in
+// pool shares. A Vectorized iter on an AVX2 CPU takes the body twin
+// exactly when the window has a whole block and bits 0 and 1 are not
+// both pinned.
+func TestScalarReachesNoTwin(t *testing.T) {
+	detected := haveAVX2
+	defer func() { haveAVX2 = detected }()
+	haveAVX2 = true
+	s := New(5)
+	for w := 1; w <= 5; w++ {
+		for fixed := 0; fixed < 1<<w; fixed++ {
+			for ones := fixed; ; ones = (ones - 1) & fixed {
+				for _, style := range []KernelStyle{Scalar, Vectorized} {
+					for parts := 1; parts <= 3; parts++ {
+						for part := range parts {
+							s.Style = style
+							win := s.window(0, 1<<w)
+							win.part, win.parts = part, parts
+							it := win.iter(ones, fixed&^ones)
+							if style == Scalar && (it.simd() || it.twin) {
+								t.Fatalf("Scalar window of %d, pins %b=%b: simd %v, twin %v", 1<<w, fixed, ones, it.simd(), it.twin)
+							}
+							if want := w >= 2 && fixed&3 != 3; style == Vectorized && it.twin != want {
+								t.Fatalf("Vectorized window of %d, pins %b=%b: twin %v, want %v", 1<<w, fixed, ones, it.twin, want)
+							}
+						}
+					}
+				}
+				if ones == 0 {
+					break
+				}
+			}
+		}
+	}
+}
+
+// FuzzBodies asserts the twin == Go loop contract on placements the
+// fixed tests do not enumerate: a byte seed picks the register (5-9
+// qubits), the kind, each operand (biased to qubits 0-2), the angles
+// (0, ±π/2, π, 2π or random), the layout, and the amplitudes.
+func FuzzBodies(f *testing.F) {
+	if !haveAVX2 {
+		f.Skip("no AVX2 on this CPU")
+	}
+	pool := NewPool(3)
+	f.Cleanup(pool.Close)
+	layouts := bodyLayouts(pool)
+	kinds := windowKinds()
+	f.Add([]byte{0, 1, 0, 2, 0, 0, 0, 0})
+	f.Add([]byte{2, 7, 4, 1, 9, 3, 2, 5, 1})
+	f.Add([]byte{4, 30, 0, 2, 4, 6, 8, 1, 3, 7})
+	f.Fuzz(func(t *testing.T, seed []byte) {
+		at := 0
+		next := func() int {
+			if at >= len(seed) {
+				return 0
+			}
+			at++
+			return int(seed[at-1])
+		}
+		n := 5 + next()%5
+		k := kinds[next()%len(kinds)]
+		if k.NumQubits() > n {
+			return
+		}
+		var ops []int
+		var used uint
+		for len(ops) < k.NumQubits() {
+			b := next()
+			q := b >> 1 % n
+			if b&1 == 0 {
+				q = b >> 1 % 3
+			}
+			for used>>uint(q)&1 == 1 {
+				q = (q + 1) % n
+			}
+			used |= 1 << uint(q)
+			ops = append(ops, q)
+		}
+		rng := rand.New(rand.NewSource(int64(next())<<8 | int64(next())))
+		angles := make([]float64, k.NumParams())
+		for i := range angles {
+			special := []float64{0, math.Pi / 2, -math.Pi / 2, math.Pi, 2 * math.Pi}
+			if b := next(); b < len(special) {
+				angles[i] = special[b]
+			} else {
+				angles[i] = randAngles(rng, 1)[0]
+			}
+		}
+		g := gate.New(k, ops, angles...)
+		l := layouts[next()%len(layouts)]
+		start := randomState(rng, n, Vectorized)
+		spice(rng, start)
+		if err := twinMatchesGo(start, &g, l); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

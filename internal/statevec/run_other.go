@@ -8,14 +8,22 @@ const haveAVX2 = false
 
 const noTwin = "statevec: AVX2 run body called off amd64"
 
-func xAVX2(r0, i0, r1, i1 *float64, n int)                 { panic(noTwin) }
-func yAVX2(r0, i0, r1, i1 *float64, n int)                 { panic(noTwin) }
-func hAVX2(r0, i0, r1, i1 *float64, n int)                 { panic(noTwin) }
-func sxAVX2(r0, i0, r1, i1 *float64, n int, dg bool)       { panic(noTwin) }
-func rxAVX2(r0, i0, r1, i1 *float64, n int, c, sn float64) { panic(noTwin) }
-func ryAVX2(r0, i0, r1, i1 *float64, n int, c, sn float64) { panic(noTwin) }
-func u2AVX2(r0, i0, r1, i1 *float64, n int, u *[8]float64) { panic(noTwin) }
-func phaseAVX2(r, i *float64, n int, c, sn float64)        { panic(noTwin) }
+func xAVX2(re, im *float64, p, end, stride int, l *blockLanes)           { panic(noTwin) }
+func yAVX2(re, im *float64, p, end, stride int, l *blockLanes)           { panic(noTwin) }
+func hAVX2(re, im *float64, p, end, stride int, l *blockLanes)           { panic(noTwin) }
+func sxAVX2(re, im *float64, p, end, stride int, l *blockLanes, dg bool) { panic(noTwin) }
+func rxAVX2(re, im *float64, p, end, stride int, l *blockLanes, c, sn float64) {
+	panic(noTwin)
+}
+func ryAVX2(re, im *float64, p, end, stride int, l *blockLanes, c, sn float64) {
+	panic(noTwin)
+}
+func u2AVX2(re, im *float64, p, end, stride int, l *blockLanes, u *[8][4]float64) {
+	panic(noTwin)
+}
+func phaseAVX2(re, im *float64, p, end, stride int, l *blockLanes, c, sn float64) {
+	panic(noTwin)
+}
 
 func pauliRotAVX2(re, im *float64, p, n, x, z int, c float64, k *pauliLanes, cross bool) {
 	panic(noTwin)

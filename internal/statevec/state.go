@@ -176,16 +176,6 @@ func (s *State) Fidelity(o *State) float64 {
 	return real(ip)*real(ip) + imag(ip)*imag(ip)
 }
 
-// DistanceUpToGlobalPhase returns the trace-like distance sqrt(1 - |<s|o>|^2),
-// a phase-insensitive mismatch measure used by the equivalence tests.
-func (s *State) DistanceUpToGlobalPhase(o *State) float64 {
-	f := s.Fidelity(o)
-	if f > 1 {
-		f = 1
-	}
-	return math.Sqrt(1 - f)
-}
-
 // MaxAbsDiff returns the largest element-wise amplitude difference; the
 // strict comparison used when two simulation paths must agree exactly
 // (including global phase).
@@ -215,15 +205,6 @@ func (s *State) SetAmplitudes(amps []complex128) {
 		s.Re[i] = real(a)
 		s.Im[i] = imag(a)
 	}
-}
-
-// Amplitudes returns a fresh copy of the state as complex numbers.
-func (s *State) Amplitudes() []complex128 {
-	out := make([]complex128, s.Dim)
-	for i := range out {
-		out[i] = complex(s.Re[i], s.Im[i])
-	}
-	return out
 }
 
 // InsertZeroBit spreads x so that a zero bit appears at position b:

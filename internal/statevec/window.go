@@ -51,12 +51,16 @@ type iter struct {
 	sh         uint // log2(inc)
 	step       int  // span of a run: inc (Scalar) or the lowest pinned bit above inc (Vectorized)
 	cur, left  int  // next index with pinned bits clear; indices still to visit
+	twin       bool // a body hands its whole 4-amplitude blocks to its AVX2 twin (iter.blocks)
 }
 
 // iter pins the bits of ones to 1 and the bits of zeros to 0. Pinned
 // bits above the window are resolved against base: a mismatch leaves
 // nothing to visit. The window's share (part of parts) of the compressed
-// space is cut here, so kernels never see the split.
+// space is cut here, so kernels never see the split. Cuts fall on
+// multiples of four compressed indices, so an aligned 4-amplitude block
+// never straddles two shares: a body twin stores whole blocks, and each
+// has one owner.
 func (w window) iter(ones, zeros int) iter {
 	in := len(w.re) - 1
 	if w.base&ones != ones&^in || w.base&zeros != 0 {
@@ -66,22 +70,32 @@ func (w window) iter(ones, zeros int) iter {
 	total := len(w.re) >> uint(bits.OnesCount(uint(it.fixed)))
 	lo, hi := 0, total
 	if w.parts > 1 {
-		lo, hi = total*w.part/w.parts, total*(w.part+1)/w.parts
+		lo = total * w.part / w.parts &^ 3
+		if w.part+1 < w.parts {
+			hi = total * (w.part + 1) / w.parts &^ 3
+		}
 	}
 	it.cur, it.left = lo, hi-lo
 	for m := it.fixed; m != 0; m &= m - 1 {
 		it.cur = InsertZeroBit(it.cur, bits.TrailingZeros(uint(m)))
 	}
+	it.shape(w.style == Vectorized)
+	it.twin = haveAVX2 && w.style == Vectorized && it.fixed&3 != 3 && len(w.re) >= 4
+	return it
+}
+
+// shape sets the run geometry of it's pinned bits: the stride, and the
+// span of a run in the loop style vec (Vectorized) or not.
+func (it *iter) shape(vec bool) {
 	it.inc = ^it.fixed & (it.fixed + 1)
 	it.sh = uint(bits.TrailingZeros(uint(it.inc)))
 	it.step = it.inc
-	if w.style == Vectorized {
-		it.step = len(w.re)
+	if vec {
+		it.step = len(it.re)
 		if above := it.fixed &^ (it.inc - 1); above != 0 {
 			it.step = above & -above
 		}
 	}
-	return it
 }
 
 // next returns the next run of visited indices: p, p+inc, ... below end.
@@ -97,20 +111,74 @@ func (it *iter) next() (p, end int) {
 	return p, p + span
 }
 
-// simd reports whether the runs of it go to the AVX2 run bodies (run_amd64.s):
-// unit stride and runs long enough for one four-amplitude step. A pinned
-// bit 0, a target on qubit 0 or 1 and the whole Scalar style (runs of one)
-// stay in the bodies' Go loops. A body asks once per call.
+// simd reports whether the runs of it go to the Pauli rotation's AVX2
+// twin (run_amd64.s): unit stride and runs long enough for one
+// four-amplitude step. A body asks once per call.
 func (it *iter) simd() bool {
 	return haveAVX2 && it.inc == 1 && it.step >= 4
 }
 
-// at returns the addresses of amplitude p's two components after
-// bounds-checking the n amplitudes from p, which is all the checking an
-// AVX2 run body's operands get.
-func (it *iter) at(p, n int) (re, im *float64) {
-	_, _ = it.re[p+n-1], it.im[p+n-1]
-	return &it.re[p], &it.im[p]
+// blockLanes is the per-call part of a body twin's operands
+// (run_amd64.go), which walks whole aligned 4-amplitude blocks. Mode 0
+// (run: bits 0 and 1 free) pairs every lane of a block with the same
+// lane of the partner block delta away. Modes 1 and 2 pair the lanes of
+// two visited blocks over bit 0 or 1: the target is the one low pin, so
+// every lane is visited or a partner. Mode 3 (masked) is for a control
+// (or a SWAP or RXX operand) on the low pin: block p and its partner
+// block at p+delta, perm the VPERMD indices that bring partner lane
+// l^(x&3) to lane l, and keep[0], keep[1] all ones on the lanes of the
+// block and of the partner block that the gate leaves, which the twin
+// blends back in before it stores.
+type blockLanes struct {
+	mode, delta int
+	perm        [8]uint32
+	keep        [2][4]uint64
+}
+
+// blocks returns the walk of a twin call (iter.twin) over its aligned
+// 4-amplitude blocks — it with bits 0 and 1 pinned to 0 as well — and
+// the lanes its twin computes: a visited index p pairs with p+d (d = 0
+// for the element-wise phase). A call that pins both bits visits one
+// amplitude (pair) of every four, which the Go loop strides over faster
+// than a twin can gather and blend it, so it is never a twin call.
+// Every block a share visits is whole, as shares are cut on multiples
+// of four compressed indices.
+func (it iter) blocks(d int) (iter, blockLanes) {
+	lo, lv := it.fixed&3, it.val&3
+	x := (it.val + d) ^ it.val // p+d = p^x: d only flips pinned bits
+	l := blockLanes{delta: (it.val^x)&x&^3 - it.val&x&^3}
+	switch {
+	case lo == 0:
+	case x == lo:
+		l.mode = x
+	default:
+		l.mode = 3
+		for lane := range 4 {
+			src := lane ^ x&3
+			l.perm[2*lane], l.perm[2*lane+1] = uint32(2*src), uint32(2*src+1)
+			if lane&lo != lv {
+				l.keep[0][lane] = ^uint64(0)
+			}
+			if src&lo != lv {
+				l.keep[1][lane] = ^uint64(0)
+			}
+		}
+	}
+	it.left >>= 2 - bits.OnesCount(uint(lo))
+	it.fixed |= 3
+	it.val &^= 3
+	it.shape(true)
+	return it, l
+}
+
+// reach bounds-checks the blocks of the run [p, end) and their partners
+// delta away, which is all the checking a body twin's operands get, and
+// returns the window's first amplitude, from which the twin indexes.
+func (it *iter) reach(p, end, delta int) (re, im *float64) {
+	last := end - it.inc + 3
+	_, _, _, _ = it.re[p], it.re[last], it.re[p+delta], it.re[last+delta]
+	_, _, _, _ = it.im[p], it.im[last], it.im[p+delta], it.im[last+delta]
+	return &it.re[0], &it.im[0]
 }
 
 // apply executes one unitary gate on the window with its kind's kernel

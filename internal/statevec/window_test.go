@@ -179,14 +179,20 @@ func TestDiagonalBindingAboveWindow(t *testing.T) {
 // kernel allocates, whether applied to the whole state or tile by tile,
 // on the bodies' Go loops or their AVX2 twins (u2 hands its twin the
 // address of a stack array) — the matrix kinds keep their scratch on the
-// stack.
+// stack — and u2's other modes (u3 on q0 and q1, cu3 with a control on
+// q0), whose twin reads a stack array of broadcast coefficients.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	const n, wbits = 8, 5
 	rng := rand.New(rand.NewSource(71))
 	s := randomState(rng, n, Vectorized)
+	var gates []gate.Gate
 	for _, k := range windowKinds() {
 		ops := rng.Perm(wbits)[:k.NumQubits()] // every operand below the tile boundary
-		g := gate.New(k, ops, randAngles(rng, k.NumParams())...)
+		gates = append(gates, gate.New(k, ops, randAngles(rng, k.NumParams())...))
+	}
+	gates = append(gates, gate.NewU3(0.1, 0.2, 0.3, 0), gate.NewU3(0.1, 0.2, 0.3, 1), gate.New(gate.CU3, []int{0, 4}, 0.1, 0.2, 0.3))
+	for _, g := range gates {
+		k := g.Kind
 		tiled := func() {
 			for lo := 0; lo < s.Dim; lo += 1 << wbits {
 				s.ApplyTile(&g, lo, lo+1<<wbits)
