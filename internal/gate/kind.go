@@ -188,24 +188,26 @@ func (k Kind) Unitary() bool { return k < MEASURE }
 // KindByName looks up a kind by its OpenQASM mnemonic. It also accepts the
 // common aliases "p" (phase, u1), "u" (u3), and "toffoli"/"fredkin".
 func KindByName(name string) (Kind, bool) {
-	switch name {
-	case "p", "phase":
-		return U1, true
-	case "u", "U":
-		return U3, true
-	case "cnot", "CX":
-		return CX, true
-	case "toffoli":
-		return CCX, true
-	case "fredkin":
-		return CSWAP, true
-	case "cp", "cphase":
-		return CU1, true
+	k, ok := kindByName[name]
+	return k, ok
+}
+
+// kindByName maps every mnemonic and alias KindByName accepts to its kind.
+var kindByName = func() map[string]Kind {
+	m := map[string]Kind{
+		"p":       U1,
+		"phase":   U1,
+		"u":       U3,
+		"U":       U3,
+		"cnot":    CX,
+		"CX":      CX,
+		"toffoli": CCX,
+		"fredkin": CSWAP,
+		"cp":      CU1,
+		"cphase":  CU1,
 	}
 	for k := Kind(0); k < numKinds; k++ {
-		if kindTable[k].name == name {
-			return k, true
-		}
+		m[kindTable[k].name] = k
 	}
-	return 0, false
-}
+	return m
+}()

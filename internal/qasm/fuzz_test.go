@@ -49,10 +49,16 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzDumpRoundTrip: any circuit the parser accepts must survive
-// Dump -> Parse with the same op count.
+// Dump -> Parse unchanged: the same registers, and the same ops with the
+// same parameter bits, conditions and classical bits.
 func FuzzDumpRoundTrip(f *testing.F) {
 	f.Add("qreg q[3]; creg c[2]; h q; cu3(0.1,0.2,0.3) q[0],q[2]; measure q[1] -> c[0]; if (c == 1) z q[2];")
 	f.Add("qreg a[2]; qreg b[2]; cx a,b; rzz(0.5) a[0],b[1];")
+	f.Add("qreg q[2]; creg a[1]; creg b[2]; measure q -> b; if (b == 3) reset q[0]; if (a == 1) measure q[1] -> a[0];")
+	f.Add("gate g(t) x, y { rz(-t/3) x; cx x, y; } qreg q[2]; g(0.1e-3) q[0], q[1]; rx(-0.0) q[1];")
+	for _, empty := range []string{"", "gphase(0.5);", "barrier;"} { // no qreg, no creg
+		f.Add(empty)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := Parse(src)
 		if err != nil {
@@ -62,8 +68,8 @@ func FuzzDumpRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("dump does not re-parse: %v\n%s", err, Dump(c))
 		}
-		if back.NumGates() != c.NumGates() {
-			t.Fatalf("round trip changed op count: %d -> %d", c.NumGates(), back.NumGates())
+		if err := sameCircuit(c, back); err != nil {
+			t.Fatalf("round trip changed the circuit: %v\n%s", err, Dump(c))
 		}
 	})
 }

@@ -2,6 +2,9 @@ package qasm
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 
 	"svsim/internal/circuit"
 	"svsim/internal/gate"
@@ -14,18 +17,21 @@ func Parse(src string) (*circuit.Circuit, error) { return ParseNamed("qasm", src
 
 // ParseNamed is Parse with an explicit circuit name.
 func ParseNamed(name, src string) (*circuit.Circuit, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
 	p := &parser{
-		toks:  toks,
+		lex:   newLexer(src),
 		gdefs: map[string]*gateDef{},
 		qregs: map[string]reg{},
 		cregs: map[string]reg{},
-		circ:  &circuit.Circuit{Name: name},
+		// Every statement ends in ';', and most emit one op; the hint is
+		// capped because comments may hold any number of ';'.
+		circ: &circuit.Circuit{Name: name, Ops: make([]circuit.Op, 0, min(strings.Count(src, ";"), maxOpsHint))},
 	}
-	if err := p.parseProgram(); err != nil {
+	p.tok = p.lex.next()
+	err := p.parseProgram()
+	if lerr := p.lex.drain(); lerr != nil {
+		return nil, lerr
+	}
+	if err != nil {
 		return nil, err
 	}
 	if err := p.circ.Validate(); err != nil {
@@ -60,36 +66,54 @@ type gateDef struct {
 }
 
 type bodyStmt struct {
-	name  string // callee gate name, or "barrier"
+	name  string // callee gate name
 	exprs []expr
-	args  []string
+	args  []int // indices into the definition's qargs
 	line  int
 }
 
 // argRef is a resolved top-level operand: a register and an optional index
 // (-1 means the whole register, triggering broadcast).
 type argRef struct {
-	r   reg
-	idx int
+	offset, size int // the register's
+	idx          int
+}
+
+// frame is the scratch one level of gate expansion hands to the next:
+// the callee's parameters and qubits (gate.New copies both).
+type frame struct {
+	params []float64
+	qubits []int
 }
 
 type parser struct {
-	toks []token
-	pos  int
+	lex lexer
+	tok token // one token of lookahead
 
 	qregs map[string]reg
 	cregs map[string]reg
 	gdefs map[string]*gateDef
 	circ  *circuit.Circuit
+
+	spent int // gate calls and operations so far, bounded by maxOps
+
+	// Scratch reused across statements: the expression being compiled and
+	// the formals it may name, the evaluation stack, a top-level call's
+	// operands, and one frame per expansion depth (frames[0] is the
+	// top-level call's).
+	code    expr
+	formals []string
+	stack   []float64
+	args    []argRef
+	frames  [maxExpandDepth + 2]frame
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) peek() token { return p.tok }
 
+// next consumes the lookahead; past the end it stays at end of input.
 func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tEOF {
-		p.pos++
-	}
+	t := p.tok
+	p.tok = p.lex.next()
 	return t
 }
 
@@ -97,14 +121,6 @@ func (p *parser) expect(k tokKind) error {
 	t := p.next()
 	if t.kind != k {
 		return fmt.Errorf("line %d: expected %s, found %s %q", t.line, k, t.kind, t.text)
-	}
-	return nil
-}
-
-func (p *parser) expectIdent(word string) error {
-	t := p.next()
-	if t.kind != tIdent || t.text != word {
-		return fmt.Errorf("line %d: expected %q, found %q", t.line, word, t.text)
 	}
 	return nil
 }
@@ -192,8 +208,10 @@ func (p *parser) parseReg(quantum bool) error {
 	if sizeTok.kind != tInt {
 		return fmt.Errorf("line %d: expected register size", sizeTok.line)
 	}
-	size := 0
-	fmt.Sscanf(sizeTok.text, "%d", &size)
+	size, err := intLit(sizeTok)
+	if err != nil {
+		return err
+	}
 	if size <= 0 {
 		return fmt.Errorf("line %d: register %q has non-positive size %d", sizeTok.line, nameTok.text, size)
 	}
@@ -209,13 +227,16 @@ func (p *parser) parseReg(quantum bool) error {
 	if _, dup := p.cregs[nameTok.text]; dup {
 		return fmt.Errorf("line %d: register %q redeclared", nameTok.line, nameTok.text)
 	}
+	regs, count := p.cregs, &p.circ.NumClbits
 	if quantum {
-		p.qregs[nameTok.text] = reg{nameTok.text, p.circ.NumQubits, size}
-		p.circ.NumQubits += size
-	} else {
-		p.cregs[nameTok.text] = reg{nameTok.text, p.circ.NumClbits, size}
-		p.circ.NumClbits += size
+		regs, count = p.qregs, &p.circ.NumQubits
 	}
+	// Gate operands and classical bits are int32.
+	if size > math.MaxInt32-*count {
+		return fmt.Errorf("line %d: register %q of size %d takes the declared bits past %d", sizeTok.line, nameTok.text, size, math.MaxInt32)
+	}
+	regs[nameTok.text] = reg{nameTok.text, *count, size}
+	*count += size
 	return nil
 }
 
@@ -286,21 +307,19 @@ func (p *parser) parseBodyStmt(def *gateDef) (bodyStmt, error) {
 	stmt := bodyStmt{name: t.text, line: t.line}
 	if t.text == "barrier" {
 		// Consume the operand list; barriers are scheduling hints only.
-		for p.peek().kind != tSemi {
+		for k := p.peek().kind; k != tSemi && k != tEOF; k = p.peek().kind {
 			p.next()
 		}
-		p.next()
 		stmt.name = "" // dropped from the body
-		return stmt, nil
+		return stmt, p.expect(tSemi)
 	}
 	if p.peek().kind == tLParen {
 		p.next()
 		for p.peek().kind != tRParen {
-			e, err := p.parseExpr()
-			if err != nil {
+			if err := p.parseExpr(def.params); err != nil {
 				return bodyStmt{}, err
 			}
-			stmt.exprs = append(stmt.exprs, e)
+			stmt.exprs = append(stmt.exprs, append(expr(nil), p.code...))
 			if p.peek().kind == tComma {
 				p.next()
 			}
@@ -312,17 +331,15 @@ func (p *parser) parseBodyStmt(def *gateDef) (bodyStmt, error) {
 		if a.kind != tIdent {
 			return bodyStmt{}, fmt.Errorf("line %d: expected qubit argument in body of %q", a.line, def.name)
 		}
-		found := false
-		for _, qa := range def.qargs {
-			if qa == a.text {
-				found = true
-				break
-			}
+		// A repeated argument name binds its last position.
+		idx := len(def.qargs) - 1
+		for idx >= 0 && def.qargs[idx] != a.text {
+			idx--
 		}
-		if !found {
+		if idx < 0 {
 			return bodyStmt{}, fmt.Errorf("line %d: %q is not an argument of gate %q", a.line, a.text, def.name)
 		}
-		stmt.args = append(stmt.args, a.text)
+		stmt.args = append(stmt.args, idx)
 		if p.peek().kind != tComma {
 			break
 		}
@@ -340,13 +357,11 @@ func (p *parser) parseArg(quantum bool) (argRef, error) {
 	if t.kind != tIdent {
 		return argRef{}, fmt.Errorf("line %d: expected register operand", t.line)
 	}
-	var r reg
-	var ok bool
+	regs := p.cregs
 	if quantum {
-		r, ok = p.qregs[t.text]
-	} else {
-		r, ok = p.cregs[t.text]
+		regs = p.qregs
 	}
+	r, ok := regs[t.text]
 	if !ok {
 		return argRef{}, fmt.Errorf("line %d: undeclared register %q", t.line, t.text)
 	}
@@ -357,29 +372,31 @@ func (p *parser) parseArg(quantum bool) (argRef, error) {
 		if it.kind != tInt {
 			return argRef{}, fmt.Errorf("line %d: expected index", it.line)
 		}
-		fmt.Sscanf(it.text, "%d", &idx)
-		if idx < 0 || idx >= r.size {
+		var err error
+		if idx, err = intLit(it); err != nil {
+			return argRef{}, err
+		}
+		if idx >= r.size {
 			return argRef{}, fmt.Errorf("line %d: index %d out of range for %q[%d]", it.line, idx, r.name, r.size)
 		}
 		if err := p.expect(tRBracket); err != nil {
 			return argRef{}, err
 		}
 	}
-	return argRef{r, idx}, nil
+	return argRef{r.offset, r.size, idx}, nil
 }
 
 func (p *parser) parseGateCall(cond *circuit.Condition) error {
 	nameTok := p.next()
 	name := nameTok.text
-	var params []float64
+	params := p.frames[0].params[:0]
 	if p.peek().kind == tLParen {
 		p.next()
 		for p.peek().kind != tRParen {
-			e, err := p.parseExpr()
-			if err != nil {
+			if err := p.parseExpr(nil); err != nil {
 				return err
 			}
-			v, err := e.eval(nil)
+			v, err := p.eval(p.code, nil)
 			if err != nil {
 				return err
 			}
@@ -390,7 +407,8 @@ func (p *parser) parseGateCall(cond *circuit.Condition) error {
 		}
 		p.next()
 	}
-	var args []argRef
+	p.frames[0].params = params
+	args := p.args[:0]
 	if p.peek().kind != tSemi { // gphase takes no qubit operands
 		for {
 			a, err := p.parseArg(true)
@@ -404,6 +422,7 @@ func (p *parser) parseGateCall(cond *circuit.Condition) error {
 			p.next()
 		}
 	}
+	p.args = args
 	if err := p.expect(tSemi); err != nil {
 		return err
 	}
@@ -417,10 +436,10 @@ func (p *parser) broadcast(line int, name string, params []float64, args []argRe
 	for _, a := range args {
 		if a.idx < 0 {
 			if bsize == 0 {
-				bsize = a.r.size
-			} else if a.r.size != bsize {
+				bsize = a.size
+			} else if a.size != bsize {
 				return fmt.Errorf("line %d: mismatched register sizes in broadcast call of %q (%d vs %d)",
-					line, name, bsize, a.r.size)
+					line, name, bsize, a.size)
 			}
 		}
 	}
@@ -428,16 +447,17 @@ func (p *parser) broadcast(line int, name string, params []float64, args []argRe
 	if reps == 0 {
 		reps = 1
 	}
+	f := &p.frames[0]
 	for i := 0; i < reps; i++ {
-		qubits := make([]int, len(args))
-		for j, a := range args {
+		f.qubits = f.qubits[:0]
+		for _, a := range args {
 			if a.idx < 0 {
-				qubits[j] = a.r.offset + i
+				f.qubits = append(f.qubits, a.offset+i)
 			} else {
-				qubits[j] = a.r.offset + a.idx
+				f.qubits = append(f.qubits, a.offset+a.idx)
 			}
 		}
-		if err := p.emit(line, name, params, qubits, cond, 0); err != nil {
+		if err := p.emit(line, name, params, f.qubits, cond, 0); err != nil {
 			return err
 		}
 	}
@@ -446,11 +466,32 @@ func (p *parser) broadcast(line int, name string, params []float64, args []argRe
 
 const maxExpandDepth = 64
 
+// maxOps bounds the gate calls (native or macro) and broadcast measures
+// and resets one program may expand to: a broadcast over a huge register
+// or doubling macros turn a few bytes of source into more work than any
+// simulation holds (4M ops take about 270 MB).
+const maxOps = 1 << 22
+
+// maxOpsHint caps the initial capacity of a parsed circuit's ops; larger
+// programs grow past it by append.
+const maxOpsHint = 1 << 16
+
+// spend counts one gate call or operation against maxOps.
+func (p *parser) spend(line int) error {
+	if p.spent++; p.spent > maxOps {
+		return fmt.Errorf("line %d: program expands past %d gate calls and operations", line, maxOps)
+	}
+	return nil
+}
+
 // emit resolves a gate call against user definitions first (macros expand
 // recursively), then the native SV-Sim ISA.
 func (p *parser) emit(line int, name string, params []float64, qubits []int, cond *circuit.Condition, depth int) error {
 	if depth > maxExpandDepth {
 		return fmt.Errorf("line %d: gate %q expands too deep (recursive definition?)", line, name)
+	}
+	if err := p.spend(line); err != nil {
+		return err
 	}
 	if def, ok := p.gdefs[name]; ok {
 		if def.opaque {
@@ -462,28 +503,21 @@ func (p *parser) emit(line int, name string, params []float64, qubits []int, con
 		if len(qubits) != len(def.qargs) {
 			return fmt.Errorf("line %d: gate %q wants %d qubits, got %d", line, name, len(def.qargs), len(qubits))
 		}
-		env := make(map[string]float64, len(params))
-		for i, pn := range def.params {
-			env[pn] = params[i]
-		}
-		argIdx := make(map[string]int, len(qubits))
-		for i, an := range def.qargs {
-			argIdx[an] = qubits[i]
-		}
+		f := &p.frames[depth+1]
 		for _, stmt := range def.body {
-			vals := make([]float64, len(stmt.exprs))
-			for i, e := range stmt.exprs {
-				v, err := e.eval(env)
+			f.params = f.params[:0]
+			for _, e := range stmt.exprs {
+				v, err := p.eval(e, params)
 				if err != nil {
 					return err
 				}
-				vals[i] = v
+				f.params = append(f.params, v)
 			}
-			qs := make([]int, len(stmt.args))
-			for i, an := range stmt.args {
-				qs[i] = argIdx[an]
+			f.qubits = f.qubits[:0]
+			for _, a := range stmt.args {
+				f.qubits = append(f.qubits, qubits[a])
 			}
-			if err := p.emit(stmt.line, stmt.name, vals, qs, cond, depth+1); err != nil {
+			if err := p.emit(stmt.line, stmt.name, f.params, f.qubits, cond, depth+1); err != nil {
 				return err
 			}
 		}
@@ -493,16 +527,16 @@ func (p *parser) emit(line int, name string, params []float64, qubits []int, con
 }
 
 func (p *parser) emitNative(line int, name string, params []float64, qubits []int, cond *circuit.Condition) error {
-	// The u0 idle gate takes a duration parameter and does nothing.
-	if name == "u0" {
-		if len(qubits) != 1 {
-			return fmt.Errorf("line %d: u0 takes one qubit", line)
-		}
-		p.appendOp(gate.NewID(qubits[0]), cond)
-		return nil
-	}
 	k, ok := gate.KindByName(name)
 	if !ok {
+		// The u0 idle gate takes a duration parameter and does nothing.
+		if name == "u0" {
+			if len(qubits) != 1 {
+				return fmt.Errorf("line %d: u0 takes one qubit", line)
+			}
+			p.appendOp(gate.NewID(qubits[0]), cond)
+			return nil
+		}
 		return fmt.Errorf("line %d: unknown gate %q", line, name)
 	}
 	if len(params) != k.NumParams() {
@@ -518,6 +552,11 @@ func (p *parser) emitNative(line int, name string, params []float64, qubits []in
 			}
 		}
 	}
+	for _, v := range params {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return fmt.Errorf("line %d: gate %q has a non-finite parameter %g", line, name, v)
+		}
+	}
 	p.appendOp(gate.New(k, qubits, params...), cond)
 	return nil
 }
@@ -526,7 +565,7 @@ func (p *parser) appendOp(g gate.Gate, cond *circuit.Condition) {
 	if cond != nil {
 		p.circ.AppendCond(g, *cond)
 	} else {
-		p.circ.Append(g)
+		p.circ.Ops = append(p.circ.Ops, circuit.Op{G: g})
 	}
 }
 
@@ -548,13 +587,16 @@ func (p *parser) parseMeasure(cond *circuit.Condition) error {
 	}
 	switch {
 	case src.idx >= 0 && dst.idx >= 0:
-		p.appendOp(gate.NewMeasure(src.r.offset+src.idx, dst.r.offset+dst.idx), cond)
+		p.appendOp(gate.NewMeasure(src.offset+src.idx, dst.offset+dst.idx), cond)
 	case src.idx < 0 && dst.idx < 0:
-		if src.r.size != dst.r.size {
-			return fmt.Errorf("line %d: measure register size mismatch %d vs %d", mTok.line, src.r.size, dst.r.size)
+		if src.size != dst.size {
+			return fmt.Errorf("line %d: measure register size mismatch %d vs %d", mTok.line, src.size, dst.size)
 		}
-		for i := 0; i < src.r.size; i++ {
-			p.appendOp(gate.NewMeasure(src.r.offset+i, dst.r.offset+i), cond)
+		for i := 0; i < src.size; i++ {
+			if err := p.spend(mTok.line); err != nil {
+				return err
+			}
+			p.appendOp(gate.NewMeasure(src.offset+i, dst.offset+i), cond)
 		}
 	default:
 		return fmt.Errorf("line %d: measure must be fully indexed or fully broadcast", mTok.line)
@@ -563,7 +605,7 @@ func (p *parser) parseMeasure(cond *circuit.Condition) error {
 }
 
 func (p *parser) parseReset(cond *circuit.Condition) error {
-	p.next() // reset
+	rTok := p.next() // reset
 	a, err := p.parseArg(true)
 	if err != nil {
 		return err
@@ -572,10 +614,13 @@ func (p *parser) parseReset(cond *circuit.Condition) error {
 		return err
 	}
 	if a.idx >= 0 {
-		p.appendOp(gate.NewReset(a.r.offset+a.idx), cond)
+		p.appendOp(gate.NewReset(a.offset+a.idx), cond)
 	} else {
-		for i := 0; i < a.r.size; i++ {
-			p.appendOp(gate.NewReset(a.r.offset+i), cond)
+		for i := 0; i < a.size; i++ {
+			if err := p.spend(rTok.line); err != nil {
+				return err
+			}
+			p.appendOp(gate.NewReset(a.offset+i), cond)
 		}
 	}
 	return nil
@@ -616,8 +661,10 @@ func (p *parser) parseIf() error {
 	if vTok.kind != tInt {
 		return fmt.Errorf("line %d: expected integer in if condition", vTok.line)
 	}
-	var val uint64
-	fmt.Sscanf(vTok.text, "%d", &val)
+	val, err := strconv.ParseUint(vTok.text, 10, 64)
+	if err != nil {
+		return outOfRange(vTok)
+	}
 	if err := p.expect(tRParen); err != nil {
 		return err
 	}
@@ -636,4 +683,18 @@ func (p *parser) parseIf() error {
 	default:
 		return p.parseGateCall(cond)
 	}
+}
+
+// intLit is the value of integer token t as an int, or an error naming
+// the literal when it does not fit.
+func intLit(t token) (int, error) {
+	v, err := strconv.Atoi(t.text)
+	if err != nil {
+		return 0, outOfRange(t)
+	}
+	return v, nil
+}
+
+func outOfRange(t token) error {
+	return fmt.Errorf("line %d: integer literal %s is out of range", t.line, t.text)
 }

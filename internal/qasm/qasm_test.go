@@ -1,11 +1,13 @@
 package qasm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"svsim/internal/circuit"
 	"svsim/internal/gate"
 	"svsim/internal/statevec"
 )
@@ -117,13 +119,15 @@ rz(3-1-1) q[0];
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The same operations in float64, in the same order: bit-equal.
+	pi, one := math.Pi, 1.0
 	wants := []float64{
-		math.Pi / 2, -math.Pi / 4, 2 * math.Pi, math.Pi * math.Pi,
-		0.5, 1, 2, 1, 7, 9, 0, 1,
+		pi / 2, -pi / 4, 2 * pi, math.Pow(pi, 2),
+		math.Sin(pi / 6), math.Cos(0), math.Sqrt(4), math.Log(math.Exp(one)), 1 + 2*3, (1 + 2) * 3, math.Tan(0), 3 - 1 - 1,
 	}
 	for i, w := range wants {
-		if got := c.Ops[i].G.Params[0]; math.Abs(got-w) > 1e-12 {
-			t.Errorf("expr %d: got %g, want %g", i, got, w)
+		if got := c.Ops[i].G.Params[0]; math.Float64bits(got) != math.Float64bits(w) {
+			t.Errorf("expr %d: got %v, want %v", i, got, w)
 		}
 	}
 }
@@ -288,6 +292,11 @@ func TestParseErrors(t *testing.T) {
 		{"unterminated", `include "qelib1`, "unterminated"},
 		{"neg size", "qreg q[0];", "non-positive"},
 		{"cond gate def", "creg c[1]; if (c == 0) qreg q[1];", "cannot be conditioned"},
+		{"if value overflow", "qreg q[1]; creg c[1];\nif (c == 18446744073709551616) x q[0];",
+			"line 2: integer literal 18446744073709551616 is out of range"},
+		{"size overflow", "qreg q[99999999999999999999];", "line 1: integer literal 99999999999999999999 is out of range"},
+		{"index overflow", "qreg q[1];\n\nh q[99999999999999999999];", "line 3: integer literal 99999999999999999999 is out of range"},
+		{"size past int32", "qreg a[2147483647]; qreg b[1];", `register "b" of size 1 takes the declared bits past 2147483647`},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
@@ -470,6 +479,12 @@ func TestMoreParseErrorPaths(t *testing.T) {
 		{"trailing junk", "qreg q[1]; ;", "expected statement"},
 		{"bad index token", "qreg q[2]; h q[x];", "expected index"},
 		{"broadcast mismatch", "qreg a[2]; qreg b[3]; cx a,b;", "mismatched register sizes"},
+		{"body barrier unterminated", "gate f x { barrier x", "expected ';', found end of input"},
+		{"infinite param", "qreg q[1]; rz(exp(1000)) q[0];", `gate "rz" has a non-finite parameter +Inf`},
+		{"nan param in body", "qreg q[1]; gate f(a) x { rz(a-a) x; } f(exp(1000)) q[0];", `gate "rz" has a non-finite parameter NaN`},
+		{"bad number", "qreg q[1]; rz(1e999) q[0];", "bad number"},
+		{"lex error outranks parse error", "qreg q[1]; h q[0] foo;\n@", "line 2: unexpected character"},
+		{"non-ASCII identifier", "qreg \xc3\xaa[1];", "unexpected character"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.src); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -494,5 +509,92 @@ func TestParsePowerAssociativity(t *testing.T) {
 	}
 	if c2.Ops[0].G.Params[0] != 1 {
 		t.Fatal("unary plus mishandled")
+	}
+}
+
+func TestDumpKeepsConditionRegisters(t *testing.T) {
+	src := `
+qreg q[2];
+creg a[1];
+creg b[2];
+creg d[1];
+measure q[0] -> b[1];
+if (b == 1) x q[0];
+if (a == 1) measure q[1] -> d[0];
+`
+	orig, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := Dump(orig)
+	back, err := Parse(dump)
+	if err != nil {
+		t.Fatalf("re-parse: %v\n%s", err, dump)
+	}
+	if err := sameCircuit(orig, back); err != nil {
+		t.Fatalf("%v\n%s", err, dump)
+	}
+	want := circuit.Condition{Offset: 1, Width: 2, Value: 1}
+	if got := back.Ops[1].Cond; got == nil || *got != want {
+		t.Fatalf("condition on b became %+v, want %+v\n%s", got, want, dump)
+	}
+	// One register over every bit when every condition covers it.
+	one := MustParse("one", "qreg q[1]; creg c[2]; if (c == 2) x q[0]; measure q[0] -> c[1];")
+	if got := Dump(one); !strings.Contains(got, "creg c[2];\nif (c == 2) x q[0];\nmeasure q[0] -> c[1];\n") {
+		t.Fatalf("whole-register dump changed:\n%s", got)
+	}
+}
+
+// TestParseAllocsIndependentOfGates: the lexer hands out tokens without
+// allocating and a call's operands live in parser scratch, so a program
+// of plain gate lines costs the same allocations at any length.
+func TestParseAllocsIndependentOfGates(t *testing.T) {
+	program := func(gates int) string {
+		var b strings.Builder
+		b.WriteString("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\ncreg c[4];\n")
+		lines := []string{"h q[0];\n", "cx q[0],q[1];\n", "rz(-pi/4) q[2]; // comment\n", "u3(0.1,0.2,0.3) q[3];\n", "cu1(1.5707963267948966) q[3],q[1];\n"}
+		for i := 0; i < gates; i++ {
+			b.WriteString(lines[i%len(lines)])
+		}
+		return b.String()
+	}
+	allocs := func(src string) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Parse(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(program(100)), allocs(program(2000))
+	if large > small+2 {
+		t.Fatalf("parse allocations grow with gate count: %v at 100 gates, %v at 2000", small, large)
+	}
+}
+
+// TestOpsHintIgnoresCommentSemicolons: the ops slice is sized from the
+// ';' count, which a comment can inflate without bound; the hint is capped.
+func TestOpsHintIgnoresCommentSemicolons(t *testing.T) {
+	src := "qreg q[1]; x q[0]; // " + strings.Repeat(";", 1<<20) + "\n"
+	c, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NumGates() != 1 || cap(c.Ops) > maxOpsHint {
+		t.Fatalf("%d gates, cap(Ops) = %d; want 1 gate and cap at most %d", c.NumGates(), cap(c.Ops), maxOpsHint)
+	}
+}
+
+func TestExpansionIsBounded(t *testing.T) {
+	// g23 doubles g22 ... down to the empty g0: 2^24 calls from a few
+	// hundred bytes, past maxOps without one op or allocation per call.
+	var b strings.Builder
+	b.WriteString("qreg q[1];\ngate g0 x { }\n")
+	for i := 1; i < 24; i++ {
+		fmt.Fprintf(&b, "gate g%d x { g%d x; g%d x; }\n", i, i-1, i-1)
+	}
+	b.WriteString("g23 q[0];\n")
+	_, err := Parse(b.String())
+	if err == nil || !strings.Contains(err.Error(), "program expands past 4194304") {
+		t.Fatalf("doubling macros: %v", err)
 	}
 }
