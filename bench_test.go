@@ -376,7 +376,10 @@ func BenchmarkThreadedBackend(b *testing.B) {
 	c := e.Build().StripNonUnitary()
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			backend := core.NewThreaded(core.Config{PEs: workers})
+			backend, err := core.NewBackend("threaded", core.Config{PEs: workers})
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
 				if _, err := backend.Run(c); err != nil {
 					b.Fatal(err)

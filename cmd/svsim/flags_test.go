@@ -24,7 +24,7 @@ func TestFlagValidation(t *testing.T) {
 	// A threaded checkpoint records its one rank, whatever -pes workers
 	// wrote it.
 	threaded := t.TempDir()
-	if _, err := core.NewThreaded(core.Config{PEs: 4, CheckpointEvery: 4, CheckpointDir: threaded}).Run(probeCircuit()); err != nil {
+	if _, err := core.Run("threaded", core.Config{PEs: 4, CheckpointEvery: 4, CheckpointDir: threaded}, probeCircuit()); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {

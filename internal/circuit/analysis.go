@@ -64,57 +64,6 @@ func (c *Circuit) Depth() int {
 	return depth
 }
 
-// Layers returns the ASAP schedule: operation indices grouped by layer.
-// Barriers and conditions follow the same rules as Depth.
-func (c *Circuit) Layers() [][]int {
-	frontier := make([]int, c.NumQubits)
-	var layers [][]int
-	assign := func(opIdx int, qs []int) {
-		layer := 0
-		for _, q := range qs {
-			if frontier[q] > layer {
-				layer = frontier[q]
-			}
-		}
-		for _, q := range qs {
-			frontier[q] = layer + 1
-		}
-		for len(layers) <= layer {
-			layers = append(layers, nil)
-		}
-		layers[layer] = append(layers[layer], opIdx)
-	}
-	all := make([]int, c.NumQubits)
-	for i := range all {
-		all[i] = i
-	}
-	for i := range c.Ops {
-		op := &c.Ops[i]
-		g := &op.G
-		switch {
-		case g.Kind == gate.BARRIER:
-			layer := 0
-			for _, f := range frontier {
-				if f > layer {
-					layer = f
-				}
-			}
-			for q := range frontier {
-				frontier[q] = layer
-			}
-		case op.Cond != nil || g.NQ == 0:
-			assign(i, all)
-		default:
-			qs := make([]int, g.NQ)
-			for j := range qs {
-				qs[j] = int(g.Qubits[j])
-			}
-			assign(i, qs)
-		}
-	}
-	return layers
-}
-
 // Parallelism returns the average operations per layer (gate-level
 // parallelism available to a width-split executor).
 func (c *Circuit) Parallelism() float64 {

@@ -27,9 +27,6 @@ func (c *Circuit) Sdg(q int) *Circuit { c.Append(gate.NewSDG(q)); return c }
 // T appends a T gate.
 func (c *Circuit) T(q int) *Circuit { c.Append(gate.NewT(q)); return c }
 
-// Tdg appends a T-dagger gate.
-func (c *Circuit) Tdg(q int) *Circuit { c.Append(gate.NewTDG(q)); return c }
-
 // ID appends an identity gate.
 func (c *Circuit) ID(q int) *Circuit { c.Append(gate.NewID(q)); return c }
 
@@ -74,9 +71,6 @@ func (c *Circuit) Swap(a, b int) *Circuit { c.Append(gate.NewSWAP(a, b)); return
 
 // CCX appends a Toffoli.
 func (c *Circuit) CCX(a, b, tgt int) *Circuit { c.Append(gate.NewCCX(a, b, tgt)); return c }
-
-// CSwap appends a Fredkin gate.
-func (c *Circuit) CSwap(ctrl, a, b int) *Circuit { c.Append(gate.NewCSWAP(ctrl, a, b)); return c }
 
 // CRX appends a controlled X rotation.
 func (c *Circuit) CRX(theta float64, ctrl, tgt int) *Circuit {

@@ -93,7 +93,7 @@ func (c *Circuit) Validate() error {
 func (c *Circuit) ValidateOp(i int) error {
 	op := &c.Ops[i]
 	for _, q := range op.G.OperandQubits() {
-		if int(q) >= c.NumQubits {
+		if q < 0 || int(q) >= c.NumQubits {
 			return fmt.Errorf("circuit %q op %d (%s): qubit %d outside register of size %d",
 				c.Name, i, op.G.Kind, q, c.NumQubits)
 		}

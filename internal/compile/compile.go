@@ -544,15 +544,6 @@ func recordMetrics(m *obs.Metrics, st *Stats, hit bool) {
 	m.Counter(obs.MetricCompileNS).Add(st.TotalNS)
 }
 
-// SkeletonFingerprint hashes the parameter-free structure of a circuit:
-// register sizes and per-op gate kind, operand qubits, classical bit,
-// and condition. Parameter values and the circuit name are excluded, so
-// all bindings of one ansatz shape share a fingerprint.
-func SkeletonFingerprint(c *circuit.Circuit) uint64 {
-	fp, _, _ := skeletonHashes(c)
-	return fp
-}
-
 // skeletonHashes is the one whole-circuit walk a cache hit pays. Neither
 // hash is ever persisted, so both fold a word at a time (two or three
 // words per op) rather than FNV's byte at a time. fp keys the cache. A
@@ -581,10 +572,10 @@ func skeletonHashes(c *circuit.Circuit) (fp, check uint64, err error) {
 		ok := g.Kind != gate.MEASURE || g.Cbit >= 0 && int(g.Cbit) < nc
 		for q := 0; q < int(g.NQ); q += 2 {
 			w := uint64(uint32(g.Qubits[q]))
-			ok = ok && int(g.Qubits[q]) < nq
+			ok = ok && uint(g.Qubits[q]) < uint(nq) // a negative index wraps above nq
 			if q+1 < int(g.NQ) {
 				w |= uint64(uint32(g.Qubits[q+1])) << 32
-				ok = ok && int(g.Qubits[q+1]) < nq
+				ok = ok && uint(g.Qubits[q+1]) < uint(nq)
 			}
 			h, k = mix(h, w), mix2(k, w)
 		}

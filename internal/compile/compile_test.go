@@ -50,21 +50,29 @@ func randomParams(rng *rand.Rand, n int) []float64 {
 	return ps
 }
 
+// skeletonFingerprint is the plan cache's key for c: its
+// parameter-free structure (register sizes and per-op gate kind, operand
+// qubits, classical bit and condition).
+func skeletonFingerprint(c *circuit.Circuit) uint64 {
+	fp, _, _ := skeletonHashes(c)
+	return fp
+}
+
 func TestSkeletonFingerprintIgnoresParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := testAnsatz(6, randomParams(rng, 9))
 	b := testAnsatz(6, randomParams(rng, 9))
-	if SkeletonFingerprint(a) != SkeletonFingerprint(b) {
+	if skeletonFingerprint(a) != skeletonFingerprint(b) {
 		t.Fatal("same shape, different parameters: skeleton fingerprints differ")
 	}
 	c := testAnsatz(6, randomParams(rng, 9))
 	c.H(0)
-	if SkeletonFingerprint(a) == SkeletonFingerprint(c) {
+	if skeletonFingerprint(a) == skeletonFingerprint(c) {
 		t.Fatal("different shapes share a skeleton fingerprint")
 	}
 	if a.Name == b.Name {
 		b.Name = "renamed"
-		if SkeletonFingerprint(a) != SkeletonFingerprint(b) {
+		if skeletonFingerprint(a) != skeletonFingerprint(b) {
 			t.Fatal("circuit name leaked into the skeleton fingerprint")
 		}
 	}
@@ -390,9 +398,9 @@ func TestKeyCollisionIsAMiss(t *testing.T) {
 		inv *= 2 - m*inv
 	}
 	unmix := func(h uint64) uint64 { return (h ^ h>>32) * inv }
-	value := unmix(SkeletonFingerprint(shape(0.3, gate.NewZ(1), 0))) ^ unmix(SkeletonFingerprint(a))
+	value := unmix(skeletonFingerprint(shape(0.3, gate.NewZ(1), 0))) ^ unmix(skeletonFingerprint(a))
 	b := shape(0.3, gate.NewZ(1), value)
-	if SkeletonFingerprint(a) != SkeletonFingerprint(b) {
+	if skeletonFingerprint(a) != skeletonFingerprint(b) {
 		t.Fatal("the constructed pair does not collide; the test is vacuous")
 	}
 	root := NewCache(DefaultCacheSize)

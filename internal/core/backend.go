@@ -140,11 +140,6 @@ func NewBackend(name string, cfg Config) (Backend, error) {
 // one-rank grid; cfg.PEs is ignored.
 func NewSingleDevice(cfg Config) Backend { return &backend{name: "single", cfg: cfg} }
 
-// NewThreaded creates the single-node CPU scale-up backend of §3.2.2's
-// CPU path (Listing 3): the one-rank grid with a worker pool; cfg.PEs
-// sets the worker count.
-func NewThreaded(cfg Config) Backend { return &backend{name: "threaded", cfg: cfg} }
-
 // NewScaleUp creates the single-node multi-device backend of §3.2.2
 // (Listing 4) over cfg.PEs devices.
 func NewScaleUp(cfg Config) Backend { return &backend{name: "scale-up", cfg: cfg} }

@@ -83,7 +83,7 @@ func TestCrashEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				in := fault.NewInjector(seed)
-				in.KillAt(1, fault.Barrier, 30)
+				in.Arm(fault.Fault{Kind: fault.Kill, Rank: 1, Op: fault.Barrier, After: 30})
 				cfg := base
 				cfg.Fault = in
 				cfg.CheckpointEvery = 5
@@ -177,7 +177,7 @@ func TestDistributedResumeExplicit(t *testing.T) {
 func TestRunFailureWhenNoCheckpoint(t *testing.T) {
 	c := measuredCircuit(34, 6, 40)
 	in := fault.NewInjector(faultSeed(t))
-	in.KillAt(0, fault.Barrier, 10)
+	in.Arm(fault.Fault{Kind: fault.Kill, Rank: 0, Op: fault.Barrier, After: 10})
 	_, err := NewScaleUp(Config{PEs: 4, Seed: 7, Fault: in}).Run(c)
 	var rf *RunFailure
 	if !errors.As(err, &rf) {

@@ -172,8 +172,8 @@ type Result struct {
 }
 
 // Backend runs circuits. NewBackend builds one by its table name;
-// NewSingleDevice, NewThreaded, NewScaleUp, NewScaleOut and NewMPI name
-// the rows.
+// NewSingleDevice, NewScaleUp, NewScaleOut and NewMPI are shorthands for
+// four of the rows.
 type Backend interface {
 	Name() string
 	Run(c *circuit.Circuit) (*Result, error)

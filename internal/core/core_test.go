@@ -398,7 +398,7 @@ func TestThreadedBackendMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 7, 16} {
-			got, err := NewThreaded(Config{Seed: 6, PEs: workers}).Run(c)
+			got, err := Run("threaded", Config{Seed: 6, PEs: workers}, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -421,7 +421,7 @@ func TestThreadedBackendWithFeedback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewThreaded(Config{Seed: seed, PEs: 4}).Run(c)
+		got, err := Run("threaded", Config{Seed: seed, PEs: 4}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +437,7 @@ func TestThreadedGPhaseAndBarrier(t *testing.T) {
 	c.Append(gate.NewGPhase(0.37))
 	c.ID(2)
 	ref, _ := NewSingleDevice(Config{}).Run(c)
-	got, err := NewThreaded(Config{PEs: 3}).Run(c)
+	got, err := Run("threaded", Config{PEs: 3}, c)
 	if err != nil {
 		t.Fatal(err)
 	}

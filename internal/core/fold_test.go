@@ -13,8 +13,8 @@ import (
 // step loop runs with nobody to talk to.
 var oneRankCells = map[string]func(Config) Backend{
 	"single":      NewSingleDevice,
-	"threaded/1":  func(cfg Config) Backend { cfg.PEs = 1; return NewThreaded(cfg) },
-	"threaded/2":  func(cfg Config) Backend { cfg.PEs = 2; return NewThreaded(cfg) },
+	"threaded/1":  func(cfg Config) Backend { cfg.PEs = 1; return &backend{name: "threaded", cfg: cfg} },
+	"threaded/2":  func(cfg Config) Backend { cfg.PEs = 2; return &backend{name: "threaded", cfg: cfg} },
 	"scale-out/1": func(cfg Config) Backend { cfg.PEs = 1; return NewScaleOut(cfg) },
 }
 

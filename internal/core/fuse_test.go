@@ -58,7 +58,7 @@ func TestFusedBackendsAgree(t *testing.T) {
 				}
 			}
 		}
-		th, err := NewThreaded(Config{Seed: 5, PEs: 4, Fuse: true}).Run(c)
+		th, err := Run("threaded", Config{Seed: 5, PEs: 4, Fuse: true}, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,7 +75,7 @@ func TestGadgetsMatchUnfused(t *testing.T) {
 		}{
 			{"single", NewSingleDevice, Config{}},
 			{"single tiled", NewSingleDevice, Config{TileBits: 2}},
-			{"threaded x3", NewThreaded, Config{PEs: 3}},
+			{"threaded x3", func(cfg Config) Backend { return &backend{name: "threaded", cfg: cfg} }, Config{PEs: 3}},
 		} {
 			cfg := cell.cfg
 			cfg.Seed, cfg.Fuse, cfg.Metrics = 3, true, obs.NewMetrics()
@@ -166,7 +166,7 @@ func TestGadgetFleets(t *testing.T) {
 			}
 		}
 		cfg := Config{Seed: 5, PEs: 4, Fuse: true, Metrics: obs.NewMetrics()}
-		th, err := NewThreaded(cfg).Run(c)
+		th, err := Run("threaded", cfg, c)
 		if err != nil {
 			t.Fatal(err)
 		}

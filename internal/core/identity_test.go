@@ -53,7 +53,7 @@ func TestBackendsBitIdenticalToSingle(t *testing.T) {
 				cfg := Config{PEs: workers, TileBits: tileBitsIf(tile, 3), Fuse: fuse}
 				*cells = append(*cells, variant{
 					fmt.Sprintf("threaded workers=%d tile=%v fuse=%v", workers, tile, fuse),
-					func(c *circuit.Circuit) (*Result, error) { return NewThreaded(cfg).Run(c) },
+					func(c *circuit.Circuit) (*Result, error) { return Run("threaded", cfg, c) },
 				})
 			}
 		}
@@ -144,7 +144,7 @@ func TestRunsCutByConditionAndMeasure(t *testing.T) {
 	cells := map[string]Backend{}
 	for _, tile := range []bool{false, true} {
 		cells[fmt.Sprintf("single tile=%v", tile)] = NewSingleDevice(Config{Seed: seed, TileBits: tileBitsIf(tile, 3)})
-		cells[fmt.Sprintf("threaded tile=%v", tile)] = NewThreaded(Config{Seed: seed, PEs: 3, TileBits: tileBitsIf(tile, 3)})
+		cells[fmt.Sprintf("threaded tile=%v", tile)] = &backend{name: "threaded", cfg: Config{Seed: seed, PEs: 3, TileBits: tileBitsIf(tile, 3)}}
 	}
 	for _, pes := range []int{2, 4, 8} {
 		cells[fmt.Sprintf("scale-out pes=%d", pes)] = NewScaleOut(Config{Seed: seed, PEs: pes})

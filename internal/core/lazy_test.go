@@ -346,7 +346,7 @@ func TestRemapFaultKillRecovers(t *testing.T) {
 		}
 		for _, after := range kills {
 			in := fault.NewInjector(seed)
-			in.KillAt(1, fault.Barrier, after)
+			in.Arm(fault.Fault{Kind: fault.Kill, Rank: 1, Op: fault.Barrier, After: after})
 			cfg := ckptCfg()
 			cfg.Fault = in
 			got, err := NewScaleOut(cfg).Run(c)

@@ -54,7 +54,7 @@ func TestMPILazySchedIsHonoured(t *testing.T) {
 func TestMPIBarrierTimeoutIsRunFailure(t *testing.T) {
 	c := measuredCircuit(34, 6, 40)
 	in := fault.NewInjector(faultSeed(t))
-	in.StallBarrier(2, 10, time.Second)
+	in.Arm(fault.Fault{Kind: fault.Stall, Rank: 2, Op: fault.Barrier, After: 10, Delay: time.Second})
 	cfg := Config{PEs: 4, Seed: 7, Fault: in}
 	cfg.Timeouts.Barrier = 100 * time.Millisecond
 	_, err := runMPI(t, cfg, c)

@@ -217,7 +217,7 @@ func TestPublishedTrafficSumsAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := fault.NewInjector(faultSeed(t))
-	in.KillAt(1, fault.Barrier, 30)
+	in.Arm(fault.Fault{Kind: fault.Kill, Rank: 1, Op: fault.Barrier, After: 30})
 	cfg := base
 	cfg.Fault = in
 	cfg.CheckpointEvery = 5

@@ -28,7 +28,7 @@ func TestAsyncCrashEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := fault.NewInjector(seed)
-			in.KillAt(1, fault.Barrier, 30)
+			in.Arm(fault.Fault{Kind: fault.Kill, Rank: 1, Op: fault.Barrier, After: 30})
 			cfg := base
 			cfg.Fault = in
 			cfg.CheckpointEvery = 5
@@ -176,7 +176,7 @@ func TestElasticShrinkOnKill(t *testing.T) {
 			in := fault.NewInjector(faultSeed(t))
 			// A rank passes 40 barriers under the lazy plan (QFT's CU1
 			// ladders are one step each): die after the first few cuts.
-			in.KillAt(1, fault.Barrier, 25)
+			in.Arm(fault.Fault{Kind: fault.Kill, Rank: 1, Op: fault.Barrier, After: 25})
 			cfg := base
 			cfg.Fault = in
 			cfg.CheckpointEvery = 5
@@ -228,7 +228,7 @@ func TestElasticShrinkAcrossMeasurement(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := fault.NewInjector(faultSeed(t))
-	in.KillAt(1, fault.Barrier, 50)
+	in.Arm(fault.Fault{Kind: fault.Kill, Rank: 1, Op: fault.Barrier, After: 50})
 	cfg := base
 	cfg.Fault = in
 	cfg.CheckpointEvery = 5
@@ -342,10 +342,10 @@ func TestStopLatchSingleNode(t *testing.T) {
 	}{
 		{"single", func(cfg Config) (*Result, error) { return NewSingleDevice(cfg).Run(c) }},
 		{"threaded", func(cfg Config) (*Result, error) {
-			return NewThreaded(Config{
+			return Run("threaded", Config{
 				PEs: 2, Seed: cfg.Seed, CheckpointEvery: cfg.CheckpointEvery,
 				CheckpointDir: cfg.CheckpointDir, Resume: cfg.Resume, Stop: cfg.Stop,
-			}).Run(c)
+			}, c)
 		}},
 	}
 	for _, b := range backends {
@@ -376,7 +376,7 @@ func TestThreadedCheckpointResume(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			base := Config{PEs: 2, Seed: 13, TileBits: tileBitsIf(tile, 3)}
-			ref, err := NewThreaded(base).Run(c)
+			ref, err := Run("threaded", base, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -384,7 +384,7 @@ func TestThreadedCheckpointResume(t *testing.T) {
 			cfg := base
 			cfg.CheckpointEvery = 13
 			cfg.CheckpointDir = dir
-			mid, err := NewThreaded(cfg).Run(c)
+			mid, err := Run("threaded", cfg, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -398,7 +398,7 @@ func TestThreadedCheckpointResume(t *testing.T) {
 			for _, s := range steps {
 				rcfg := base
 				rcfg.Resume = ckpt.StepDir(dir, s)
-				got, err := NewThreaded(rcfg).Run(c)
+				got, err := Run("threaded", rcfg, c)
 				if err != nil {
 					t.Fatalf("resume from step %d: %v", s, err)
 				}

@@ -58,11 +58,11 @@ func TestScrapeDuringThreadedRun(t *testing.T) {
 		}
 	}()
 
-	plain, err := NewThreaded(Config{Seed: 5, PEs: 4}).Run(c)
+	plain, err := Run("threaded", Config{Seed: 5, PEs: 4}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scraped, err := NewThreaded(Config{Seed: 5, PEs: 4, Metrics: metrics, Flight: flight}).Run(c)
+	scraped, err := Run("threaded", Config{Seed: 5, PEs: 4, Metrics: metrics, Flight: flight}, c)
 	close(done)
 	if err != nil {
 		t.Fatal(err)

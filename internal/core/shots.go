@@ -18,7 +18,7 @@ import (
 // with trailing measurements) the state is simulated once and sampled
 // `shots` times with rand.NewSource(seed); circuits with mid-circuit
 // measurement, reset, or classical control are re-simulated per shot with
-// the fresh random stream seed+s, since each shot may collapse
+// the fresh random stream shotSeed(seed, s), since each shot may collapse
 // differently.
 func RunShots(b Backend, c *circuit.Circuit, shots int, seed int64) (map[uint64]int, error) {
 	counts := make(map[uint64]int, 16)
@@ -45,7 +45,7 @@ func RunShots(b Backend, c *circuit.Circuit, shots int, seed int64) (map[uint64]
 		if cb != nil {
 			// A fresh random stream per shot, the configuration kept.
 			sb := *cb
-			sb.cfg.Seed = seed + int64(s)
+			sb.cfg.Seed = shotSeed(seed, s)
 			b = &sb
 		}
 		res, err := b.Run(c)
@@ -55,6 +55,20 @@ func RunShots(b Backend, c *circuit.Circuit, shots int, seed int64) (map[uint64]
 		counts[res.Cbits]++
 	}
 	return counts, nil
+}
+
+// shotSeed is the seed of shot s of a per-shot run under seed.
+// math/rand keeps only a seed's residue modulo 2^31−1, so that residue
+// is a shot's stream: shot s gets h + s, h being seed's splitmix64 hash
+// reduced modulo 2^31−1. One seed's shots never share a stream, and
+// nearby seeds' shots start at unrelated residues instead of one shot
+// apart.
+func shotSeed(seed int64, s int) int64 {
+	z := uint64(seed) + 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return int64(z%(1<<31-1)) + int64(s)
 }
 
 // ShotCounts keys RunShots' counts for c by bit string: its classical

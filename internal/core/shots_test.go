@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"svsim/internal/circuit"
 	"svsim/internal/gate"
+	"svsim/internal/sched"
 )
 
 func TestRunShotsUnitaryFastPath(t *testing.T) {
@@ -149,7 +152,7 @@ func TestRunShotsAcrossBackends(t *testing.T) {
 		t.Fatalf("single: two fair coins gave %v", want)
 	}
 	for _, b := range []Backend{
-		NewThreaded(Config{PEs: 2}),
+		&backend{name: "threaded", cfg: Config{PEs: 2}},
 		NewScaleUp(Config{PEs: 2}),
 		NewScaleOut(Config{PEs: 2}),
 	} {
@@ -159,6 +162,76 @@ func TestRunShotsAcrossBackends(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: histogram %v, single gives %v", b.Name(), got, want)
+		}
+	}
+}
+
+// TestShotSeedsDoNotCollide: math/rand keeps only a seed's residue
+// modulo 2^31−1 (the first check shows it), so two shots share a stream
+// exactly when their seeds share a residue. Over seeds 0–63 × shots
+// 0–4095 none do, where seeds one apart once shared all but one shot.
+func TestShotSeedsDoNotCollide(t *testing.T) {
+	const m = 1<<31 - 1
+	if rand.NewSource(5).Int63() != rand.NewSource(5+m).Int63() {
+		t.Fatal("math/rand no longer seeds by the residue modulo 2^31-1: this test keys the wrong thing")
+	}
+	seen := make(map[int64]string, 64*4096)
+	for seed := int64(0); seed < 64; seed++ {
+		for s := 0; s < 4096; s++ {
+			r := shotSeed(seed, s) % m
+			if r < 0 {
+				r += m
+			}
+			if r == 0 {
+				r = 89482311 // math/rand's stand-in for a zero residue
+			}
+			who := fmt.Sprintf("seed %d shot %d", seed, s)
+			if prev, ok := seen[r]; ok {
+				t.Fatalf("%s draws the stream of %s", who, prev)
+			}
+			seen[r] = who
+		}
+	}
+}
+
+// TestShotCountsGolden pins the per-shot histogram of `h q[0]; measure
+// q[0] -> c[0]; if(c==1) x q[1];` over 1,000 shots on seeds 1–3 (cbits
+// 00 and 01; the X never reaches a cbit), and requires every backend ×
+// sched cell to draw the single device's counts: shot s runs on
+// shotSeed(seed, s) whatever runs it.
+func TestShotCountsGolden(t *testing.T) {
+	c := circuit.New("ff", 2)
+	c.H(0)
+	c.Measure(0, 0)
+	c.NumClbits = 2
+	c.AppendCond(gate.NewX(1), circuit.Condition{Offset: 0, Width: 2, Value: 1})
+	golden := map[int64]map[uint64]int{
+		1: {0: 490, 1: 510},
+		2: {0: 492, 1: 508},
+		3: {0: 508, 1: 492},
+	}
+	single := NewSingleDevice(Config{})
+	for seed, want := range golden {
+		if got, err := RunShots(single, c, 1000, seed); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: counts %v (%v), want %v", seed, got, err, want)
+		}
+	}
+	cells := []struct {
+		name  string
+		sched sched.Policy
+	}{{"threaded", ""}, {"scale-up", ""},
+		{"scale-out", sched.Naive}, {"scale-out", sched.Lazy}, {"mpi", sched.Naive}, {"mpi", sched.Lazy}}
+	const shots = 100
+	for seed := int64(1); seed <= 3; seed++ {
+		want, err := RunShots(single, c, shots, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cell := range cells {
+			got, err := RunShots(&backend{name: cell.name, cfg: Config{PEs: 2, Sched: cell.sched}}, c, shots, seed)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d %s sched=%q: counts %v (%v), single gives %v", seed, cell.name, cell.sched, got, err, want)
+			}
 		}
 	}
 }

@@ -100,9 +100,9 @@ func TestTileMatchesPerGate(t *testing.T) {
 						var err error
 						if threaded {
 							base.PEs, tiled.PEs = 3, 3
-							ref, err = NewThreaded(base).Run(c)
+							ref, err = Run("threaded", base, c)
 							if err == nil {
-								got, err = NewThreaded(tiled).Run(c)
+								got, err = Run("threaded", tiled, c)
 							}
 						} else {
 							ref, err = NewSingleDevice(base).Run(c)

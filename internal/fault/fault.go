@@ -163,7 +163,6 @@ type Injector struct {
 	rng    splitmix
 	faults []Fault
 	counts map[countKey]int64
-	fired  map[Kind]int64
 }
 
 type countKey struct {
@@ -178,7 +177,6 @@ func NewInjector(seed int64) *Injector {
 		seed:   seed,
 		rng:    splitmix(uint64(seed) + 0x9e3779b97f4a7c15),
 		counts: make(map[countKey]int64),
-		fired:  make(map[Kind]int64),
 	}
 }
 
@@ -193,33 +191,6 @@ func (in *Injector) Arm(f Fault) {
 	in.mu.Lock()
 	in.faults = append(in.faults, f)
 	in.mu.Unlock()
-}
-
-// KillAt arms a kill of rank at its after-th event of class op.
-func (in *Injector) KillAt(rank int, op Op, after int64) {
-	in.Arm(Fault{Kind: Kill, Rank: rank, Op: op, After: after})
-}
-
-// StallBarrier arms a late arrival of rank at its after-th barrier.
-func (in *Injector) StallBarrier(rank int, after int64, d time.Duration) {
-	in.Arm(Fault{Kind: Stall, Rank: rank, Op: Barrier, After: after, Delay: d})
-}
-
-// DropOps arms count consecutive transient completion failures starting
-// at rank's after-th event of class op.
-func (in *Injector) DropOps(rank int, op Op, after, count int64) {
-	in.Arm(Fault{Kind: Drop, Rank: rank, Op: op, After: after, Count: count})
-}
-
-// DelayOps arms count consecutive delayed completions.
-func (in *Injector) DelayOps(rank int, op Op, after, count int64, d time.Duration) {
-	in.Arm(Fault{Kind: Delay, Rank: rank, Op: op, After: after, Count: count, Delay: d})
-}
-
-// CorruptOp arms a single-bit corruption of the in-flight payload at
-// rank's after-th event of class op.
-func (in *Injector) CorruptOp(rank int, op Op, after int64) {
-	in.Arm(Fault{Kind: Corrupt, Rank: rank, Op: op, After: after})
 }
 
 // OneSided records a one-sided event of class op (Get or Put) on rank
@@ -248,7 +219,6 @@ func (in *Injector) event(rank int, op Op, n int) Verdict {
 		if c < f.After || c >= f.After+f.Count {
 			continue
 		}
-		in.fired[f.Kind]++
 		switch f.Kind {
 		case Kill:
 			v.Kill = &KillError{Rank: rank, Op: op, N: c}
@@ -265,17 +235,6 @@ func (in *Injector) event(rank int, op Op, n int) Verdict {
 		}
 	}
 	return v
-}
-
-// Fired returns how many events each fault kind has affected so far.
-func (in *Injector) Fired() map[Kind]int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[Kind]int64, len(in.fired))
-	for k, v := range in.fired {
-		out[k] = v
-	}
-	return out
 }
 
 // Faults returns the armed fault list, in arming order.

@@ -9,7 +9,7 @@ import (
 
 func TestKillFiresOnExactEvent(t *testing.T) {
 	in := NewInjector(1)
-	in.KillAt(2, Barrier, 3)
+	in.Arm(Fault{Kind: Kill, Rank: 2, Op: Barrier, After: 3})
 	for i := 1; i <= 2; i++ {
 		if v := in.BarrierEvent(2); v.Kill != nil {
 			t.Fatalf("barrier #%d of rank 2 killed early", i)
@@ -35,7 +35,7 @@ func TestKillFiresOnExactEvent(t *testing.T) {
 
 func TestDropAffectsCountConsecutiveEvents(t *testing.T) {
 	in := NewInjector(1)
-	in.DropOps(0, Get, 2, 3)
+	in.Arm(Fault{Kind: Drop, Rank: 0, Op: Get, After: 2, Count: 3})
 	var fails []int64
 	for i := int64(1); i <= 6; i++ {
 		if v := in.OneSided(0, Get, 8); v.Fail {
@@ -54,7 +54,7 @@ func TestDropAffectsCountConsecutiveEvents(t *testing.T) {
 func TestCorruptIsDeterministicPerSeed(t *testing.T) {
 	pick := func(seed int64) (int, uint8) {
 		in := NewInjector(seed)
-		in.CorruptOp(1, Put, 1)
+		in.Arm(Fault{Kind: Corrupt, Rank: 1, Op: Put, After: 1})
 		v := in.OneSided(1, Put, 1024)
 		if !v.Corrupt {
 			t.Fatal("corruption did not fire")
@@ -73,7 +73,7 @@ func TestCorruptIsDeterministicPerSeed(t *testing.T) {
 
 func TestDelayAndAnyOp(t *testing.T) {
 	in := NewInjector(1)
-	in.DelayOps(3, AnyOp, 1, 2, 5*time.Millisecond)
+	in.Arm(Fault{Kind: Delay, Rank: 3, Op: AnyOp, After: 1, Count: 2, Delay: 5 * time.Millisecond})
 	if v := in.OneSided(3, Get, 1); v.Delay != 5*time.Millisecond {
 		t.Fatalf("first event delay %v", v.Delay)
 	}
@@ -90,13 +90,16 @@ func TestDelayAndAnyOp(t *testing.T) {
 	}
 }
 
+// TestFiredAccounting: a stall armed at the first barrier delays that
+// barrier and no later one.
 func TestFiredAccounting(t *testing.T) {
 	in := NewInjector(1)
-	in.StallBarrier(0, 1, time.Millisecond)
-	in.BarrierEvent(0)
-	in.BarrierEvent(0)
-	if got := in.Fired()[Stall]; got != 1 {
-		t.Fatalf("stall fired count %d, want 1", got)
+	in.Arm(Fault{Kind: Stall, Rank: 0, Op: Barrier, After: 1, Delay: time.Millisecond})
+	if v := in.BarrierEvent(0); v.Delay != time.Millisecond {
+		t.Fatalf("first barrier delay %v, want 1ms", v.Delay)
+	}
+	if v := in.BarrierEvent(0); v.Delay != 0 {
+		t.Fatalf("stall fired twice: second barrier delay %v", v.Delay)
 	}
 }
 

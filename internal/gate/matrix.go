@@ -54,17 +54,6 @@ func (m Matrix) Mul(o Matrix) Matrix {
 	return r
 }
 
-// Dagger returns the conjugate transpose.
-func (m Matrix) Dagger() Matrix {
-	r := NewMatrix(m.N)
-	for i := 0; i < m.N; i++ {
-		for j := 0; j < m.N; j++ {
-			r.Set(j, i, cmplx.Conj(m.At(i, j)))
-		}
-	}
-	return r
-}
-
 // Scale returns s * m.
 func (m Matrix) Scale(s complex128) Matrix {
 	r := NewMatrix(m.N)
@@ -72,23 +61,6 @@ func (m Matrix) Scale(s complex128) Matrix {
 		r.Data[i] = s * m.Data[i]
 	}
 	return r
-}
-
-// IsUnitary reports whether m is unitary within the given absolute tolerance.
-func (m Matrix) IsUnitary(tol float64) bool {
-	p := m.Dagger().Mul(m)
-	for i := 0; i < m.N; i++ {
-		for j := 0; j < m.N; j++ {
-			want := complex128(0)
-			if i == j {
-				want = 1
-			}
-			if cmplx.Abs(p.At(i, j)-want) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // EqualUpTo reports element-wise equality within tol.
@@ -102,31 +74,6 @@ func (m Matrix) EqualUpTo(o Matrix, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// EqualUpToGlobalPhase reports whether m == e^{i phi} o for some phase phi,
-// within tol. Gate identities in qelib1 often hold only up to global phase
-// (e.g. rz vs u1), so equivalence tests need this weaker comparison.
-func (m Matrix) EqualUpToGlobalPhase(o Matrix, tol float64) bool {
-	if m.N != o.N {
-		return false
-	}
-	// Find the largest-magnitude element of o to fix the phase.
-	best, bestAbs := -1, 0.0
-	for i := range o.Data {
-		if a := cmplx.Abs(o.Data[i]); a > bestAbs {
-			bestAbs, best = a, i
-		}
-	}
-	if best < 0 || bestAbs < tol {
-		return m.EqualUpTo(o, tol)
-	}
-	if cmplx.Abs(m.Data[best]) < tol {
-		return false
-	}
-	phase := m.Data[best] / o.Data[best]
-	phase /= complex(cmplx.Abs(phase), 0)
-	return m.EqualUpTo(o.Scale(phase), tol)
 }
 
 // Embed lifts a matrix acting on len(pos) local qubits into an nq-qubit
@@ -192,16 +139,6 @@ func (m Matrix) Apply(re, im []float64) {
 	}
 	copy(re, outR)
 	copy(im, outI)
-}
-
-// U3Matrix returns the generic 1-qubit unitary
-//
-//	[[cos(t/2),           -e^{i l} sin(t/2)],
-//	 [e^{i p} sin(t/2),  e^{i(p+l)} cos(t/2)]]
-//
-// in the OpenQASM convention.
-func U3Matrix(theta, phi, lambda float64) Matrix {
-	return base1Matrix(U3, []float64{theta, phi, lambda})
 }
 
 const s2i = math.Sqrt2 / 2 // 1/sqrt(2), the paper's S2I constant

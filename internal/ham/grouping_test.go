@@ -2,13 +2,10 @@ package ham
 
 import "svsim/internal/circuit"
 
-// Measurement grouping for shots: on real devices (or expensive
-// simulations) each group of qubit-wise commuting (QWC) terms can share a
-// single basis rotation and one set of shots. Two Pauli strings
-// qubit-wise commute when, on every qubit, their operators are equal or
-// one is the identity. Greedy QWC grouping is the standard
-// measurement-count reduction in variational stacks; SampleExpectation
-// draws one set of shots per group.
+// Measurement grouping for the shot estimate (sampling_test.go): each
+// group of qubit-wise commuting (QWC) terms shares one basis rotation and
+// one set of shots. Two Pauli strings qubit-wise commute when, on every
+// qubit, their operators are equal or one is the identity.
 
 // qwcCompatible reports whether a term fits a group's per-qubit basis
 // assignment.

@@ -9,13 +9,11 @@ import (
 	"svsim/internal/statevec"
 )
 
-// Shot-based expectation estimation: real devices (and the paper's NISQ
-// validation workflow) estimate <H> from finite measurement shots, not
-// from amplitudes. SampleExpectation reproduces that pipeline on the
-// simulator: for each qubit-wise-commuting group, rotate to the shared
-// measurement basis, draw shots from the resulting distribution, and
-// average the eigenvalues — giving the statistically noisy energies a
-// variational loop sees in practice.
+// A shot estimate of <H>, the route a device takes: for each qubit-wise
+// commuting group, rotate a clone to the shared measurement basis, draw
+// shots and average the eigenvalues. It reads the state through Sample
+// and gate kernels, never ExpPauliGroup, so it is an independent check
+// of Expectation.
 
 // SampleExpectation estimates <H> using the given number of shots per
 // QWC measurement group. The estimator is unbiased with variance O(1/shots).

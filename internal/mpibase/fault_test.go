@@ -18,7 +18,7 @@ import (
 func TestKillAtBarrierAbortsFleet(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(5)), 6, 40)
 	in := fault.NewInjector(1)
-	in.KillAt(2, fault.Barrier, 10)
+	in.Arm(fault.Fault{Kind: fault.Kill, Rank: 2, Op: fault.Barrier, After: 10})
 	_, err := mpi(core.Config{PEs: 4, Seed: 9, Fault: in}, c)
 	if err == nil {
 		t.Fatal("expected a failed run")
@@ -41,7 +41,7 @@ func TestKillAtBarrierAbortsFleet(t *testing.T) {
 func TestKillWithoutCheckpointIsRunFailure(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(5)), 6, 40)
 	in := fault.NewInjector(1)
-	in.KillAt(0, fault.Barrier, 5)
+	in.Arm(fault.Fault{Kind: fault.Kill, Rank: 0, Op: fault.Barrier, After: 5})
 	_, err := mpi(core.Config{PEs: 2, Seed: 9, Fault: in}, c)
 	var rf *core.RunFailure
 	if !errors.As(err, &rf) {
@@ -64,7 +64,7 @@ func TestCheckpointKillRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := fault.NewInjector(1)
-	in.KillAt(1, fault.Barrier, 30)
+	in.Arm(fault.Fault{Kind: fault.Kill, Rank: 1, Op: fault.Barrier, After: 30})
 	got, err := mpi(core.Config{
 		PEs: 4, Seed: 7, Fault: in,
 		CheckpointEvery: 10,

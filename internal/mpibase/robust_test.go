@@ -73,7 +73,7 @@ func TestMpiAsyncCrashEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := fault.NewInjector(1)
-	in.KillAt(1, fault.Barrier, 30)
+	in.Arm(fault.Fault{Kind: fault.Kill, Rank: 1, Op: fault.Barrier, After: 30})
 	got, err := mpi(core.Config{
 		PEs: 4, Seed: 7, Fault: in,
 		CheckpointEvery: 5, CheckpointDir: t.TempDir(),
@@ -132,7 +132,7 @@ func TestMpiElasticShrinkOnKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := fault.NewInjector(1)
-	in.KillAt(1, fault.Barrier, 45)
+	in.Arm(fault.Fault{Kind: fault.Kill, Rank: 1, Op: fault.Barrier, After: 45})
 	got, err := mpi(core.Config{
 		PEs: 8, Seed: 5, Fault: in,
 		CheckpointEvery: 5, CheckpointDir: t.TempDir(),
@@ -226,7 +226,7 @@ func TestRemapHonoursResilienceConfig(t *testing.T) {
 	// fourth barrier is the second measurement's all-reduce.
 	kill := func() *fault.Injector {
 		in := fault.NewInjector(1)
-		in.KillAt(1, fault.Barrier, 4)
+		in.Arm(fault.Fault{Kind: fault.Kill, Rank: 1, Op: fault.Barrier, After: 4})
 		return in
 	}
 

@@ -23,6 +23,31 @@ func compiledLazy(t *testing.T, name string, pes int) *compile.CompiledPlan {
 	return cp
 }
 
+// EstimateCommPlan reads the exact one-sided traffic off an already
+// compiled plan: each remap step's exchange geometry gives its steps —
+// one put of one chunk and one barrier per step on every PE — and the
+// amplitudes each PE moves, with no re-planning.
+func EstimateCommPlan(cp *compile.CompiledPlan) CommEstimate {
+	var est CommEstimate
+	p := cp.PEs
+	if p <= 1 || cp.Plan == nil {
+		return est
+	}
+	for i := range cp.Plan.Steps {
+		step := &cp.Plan.Steps[i]
+		// A remap in the classical prefix moves no data and synchronizes
+		// nothing: a fresh run folds it into its starting basis state.
+		if step.Kind != sched.StepRemap || i < cp.Plan.Prefix {
+			continue
+		}
+		ex := cp.Exchanges[i]
+		est.RemoteMsgs += int64(p * ex.Steps())
+		est.RemoteBytes += int64(p) * ex.MovedAmps() * 16
+		est.Barriers += int64(p * ex.Steps())
+	}
+	return est
+}
+
 func TestEstimateCommPlanMatchesLazy(t *testing.T) {
 	// The plan-based estimator prices each remap at one put of one chunk
 	// and one barrier per exchange step on every PE; an executed scale-out

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"svsim/internal/circuit"
+	"svsim/internal/compile"
 	"svsim/internal/core"
 	"svsim/internal/gate"
 	"svsim/internal/qasmbench"
@@ -27,10 +28,11 @@ func TestEstimateCommLazyIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, err := EstimateCommLazy(c, pes)
+			cp, _, err := compile.Compile(c, compile.Config{Sched: sched.Lazy, PEs: pes})
 			if err != nil {
 				t.Fatal(err)
 			}
+			est := EstimateCommPlan(cp)
 			for _, f := range []struct {
 				what           string
 				model, measure int64
@@ -262,8 +264,8 @@ func TestArithmeticIntensityBelowHalf(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := TraceOf(res)
-		ai := tr.ArithmeticIntensity()
-		if ai <= 0 || ai >= 0.5 {
+		ai := float64(tr.FlopEst) / float64(tr.Bytes) // FLOP per byte
+		if tr.Bytes == 0 || ai <= 0 || ai >= 0.5 {
 			t.Errorf("%s: arithmetic intensity %.3f outside (0, 0.5)", e.Name, ai)
 		}
 	}

@@ -170,15 +170,3 @@ func (p Platform) SingleDeviceSeconds(tr Trace) float64 {
 		return (p.LaunchNs + float64(tr.Gates)*p.GateNs + bwNs) * 1e-9
 	}
 }
-
-// ArithmeticIntensity returns the FLOP-per-byte ratio of a traced run.
-// The paper's roofline argument (§1, citing Haner & Steiger) is that
-// state-vector simulation sits below 1/2 FLOP/byte, i.e. memory-bound on
-// essentially every processor — the premise behind SV-Sim's focus on
-// memory and communication rather than compute.
-func (t Trace) ArithmeticIntensity() float64 {
-	if t.Bytes == 0 {
-		return 0
-	}
-	return float64(t.FlopEst) / float64(t.Bytes)
-}

@@ -4,9 +4,7 @@ import (
 	"math"
 
 	"svsim/internal/circuit"
-	"svsim/internal/compile"
 	"svsim/internal/gate"
-	"svsim/internal/sched"
 )
 
 // Scale-up and scale-out latency models (Figs. 7-13). Work terms come from
@@ -164,49 +162,6 @@ func EstimateComm(c *circuit.Circuit, p int) CommEstimate {
 		remote := ops - ops/int64(p)           // ~1/P of accesses land locally
 		est.RemoteMsgs += remote
 		est.RemoteBytes += remote * 8
-	}
-	return est
-}
-
-// EstimateCommLazy predicts the one-sided traffic of running c on p PEs
-// under the lazy communication-avoiding schedule (internal/sched): gates
-// between block boundaries are free, and each remap step costs one
-// pairwise exchange whose chunks the exchange geometry gives exactly. The
-// prediction is exact for the PGAS lazy executor (the package tests hold
-// it to the measured counters). The plan comes from the shared compile
-// pipeline; pass a cache via EstimateCommPlan to amortize it.
-func EstimateCommLazy(c *circuit.Circuit, p int) (CommEstimate, error) {
-	if p <= 1 {
-		return CommEstimate{}, nil
-	}
-	cp, _, err := compile.Compile(c, compile.Config{Sched: sched.Lazy, PEs: p})
-	if err != nil {
-		return CommEstimate{}, err
-	}
-	return EstimateCommPlan(cp), nil
-}
-
-// EstimateCommPlan reads the exact one-sided traffic off an already
-// compiled plan: each remap step's exchange geometry gives its steps —
-// one put of one chunk and one barrier per step on every PE — and the
-// amplitudes each PE moves, with no re-planning.
-func EstimateCommPlan(cp *compile.CompiledPlan) CommEstimate {
-	var est CommEstimate
-	p := cp.PEs
-	if p <= 1 || cp.Plan == nil {
-		return est
-	}
-	for i := range cp.Plan.Steps {
-		step := &cp.Plan.Steps[i]
-		// A remap in the classical prefix moves no data and synchronizes
-		// nothing: a fresh run folds it into its starting basis state.
-		if step.Kind != sched.StepRemap || i < cp.Plan.Prefix {
-			continue
-		}
-		ex := cp.Exchanges[i]
-		est.RemoteMsgs += int64(p * ex.Steps())
-		est.RemoteBytes += int64(p) * ex.MovedAmps() * 16
-		est.Barriers += int64(p * ex.Steps())
 	}
 	return est
 }

@@ -50,7 +50,7 @@ func TestGroupBarrierTimeoutFleetRanks(t *testing.T) {
 	const stalled = 3 // group slot 1
 	c := NewComm(p)
 	in := fault.NewInjector(1)
-	in.StallBarrier(stalled, 1, 500*time.Millisecond)
+	in.Arm(fault.Fault{Kind: fault.Stall, Rank: stalled, Op: fault.Barrier, After: 1, Delay: 500 * time.Millisecond})
 	c.SetFault(in)
 	c.SetTimeouts(Timeouts{Barrier: 30 * time.Millisecond})
 	grp := c.Group([]int{2, 3})
@@ -79,7 +79,7 @@ func TestGroupBarrierReleasedByFleetAbort(t *testing.T) {
 	const p = 4
 	c := NewComm(p)
 	in := fault.NewInjector(1)
-	in.KillAt(2, fault.Barrier, 1)
+	in.Arm(fault.Fault{Kind: fault.Kill, Rank: 2, Op: fault.Barrier, After: 1})
 	c.SetFault(in)
 	grp := c.Group([]int{0, 1, 2})
 	err := c.RunChecked(func(pe *PE) {

@@ -157,6 +157,9 @@ func TestAllReduceSum(t *testing.T) {
 	})
 }
 
+// TestGatherScatter scatters a natural-order array from one PE through
+// GlobalPut and gathers it back on another through GlobalGet: global
+// element g lives on PE g/PerPE at offset g%PerPE.
 func TestGatherScatter(t *testing.T) {
 	c := NewComm(4)
 	sym := c.NewSymF64(4)
@@ -164,9 +167,20 @@ func TestGatherScatter(t *testing.T) {
 	for i := range src {
 		src[i] = float64(i * i)
 	}
-	sym.ScatterFrom(src)
 	got := make([]float64, len(src))
-	sym.GatherInto(got)
+	c.Run(func(pe *PE) {
+		if pe.Rank == 0 {
+			for i, v := range src {
+				pe.GlobalPut(sym, i, v)
+			}
+		}
+		pe.Barrier()
+		if pe.Rank == 3 {
+			for i := range got {
+				got[i] = pe.GlobalGet(sym, i)
+			}
+		}
+	})
 	for i := range src {
 		if got[i] != src[i] {
 			t.Fatalf("gather[%d] = %g, want %g", i, got[i], src[i])

@@ -128,25 +128,3 @@ func (pe *PE) GlobalGet(s *SymF64, gidx int) float64 {
 func (pe *PE) GlobalPut(s *SymF64, gidx int, v float64) {
 	pe.Put(s, gidx/s.PerPE, gidx%s.PerPE, v)
 }
-
-// GatherInto copies the whole symmetric array into dst in natural order.
-// Host-side helper for result extraction and tests.
-func (s *SymF64) GatherInto(dst []float64) {
-	if len(dst) != s.PerPE*s.comm.P {
-		panic("pgas: GatherInto length mismatch")
-	}
-	for i, p := range s.parts {
-		copy(dst[i*s.PerPE:], p)
-	}
-}
-
-// ScatterFrom overwrites the symmetric array from one flat slice in
-// natural order. Host-side helper for initialization.
-func (s *SymF64) ScatterFrom(src []float64) {
-	if len(src) != s.PerPE*s.comm.P {
-		panic("pgas: ScatterFrom length mismatch")
-	}
-	for i, p := range s.parts {
-		copy(p, src[i*s.PerPE:(i+1)*s.PerPE])
-	}
-}

@@ -40,15 +40,6 @@ func ParseNamed(name, src string) (*circuit.Circuit, error) {
 	return p.circ, nil
 }
 
-// MustParse is Parse that panics on error; for tests and embedded sources.
-func MustParse(name, src string) *circuit.Circuit {
-	c, err := ParseNamed(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 type reg struct {
 	name   string
 	offset int

@@ -598,3 +598,12 @@ func TestExpansionIsBounded(t *testing.T) {
 		t.Fatalf("doubling macros: %v", err)
 	}
 }
+
+// MustParse is ParseNamed that panics on error.
+func MustParse(name, src string) *circuit.Circuit {
+	c, err := ParseNamed(name, src)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}

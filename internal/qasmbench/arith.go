@@ -136,8 +136,3 @@ func Multiply() *circuit.Circuit {
 func Multiplier15() *circuit.Circuit {
 	return MultiplierCircuit("multiplier", 2, 4, 3, 13)
 }
-
-// MultiplierLayout reports the product register for result decoding.
-func MultiplierLayout(wa, wb int) (prod []int) {
-	return seqRange(wa+wb, wa+wb)
-}

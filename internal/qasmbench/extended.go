@@ -150,30 +150,6 @@ func IsingTrotter(n int, j, h, t float64, steps int) *circuit.Circuit {
 	return c
 }
 
-// IsingHamiltonianLabels returns the Pauli labels and coefficients of the
-// transverse-field Ising chain (for expectation measurement).
-func IsingHamiltonianLabels(n int, j, h float64) (coeffs []float64, labels []string) {
-	for q := 0; q+1 < n; q++ {
-		l := make([]byte, n)
-		for i := range l {
-			l[i] = 'I'
-		}
-		l[q], l[q+1] = 'Z', 'Z'
-		coeffs = append(coeffs, -j)
-		labels = append(labels, string(l))
-	}
-	for q := 0; q < n; q++ {
-		l := make([]byte, n)
-		for i := range l {
-			l[i] = 'I'
-		}
-		l[q] = 'X'
-		coeffs = append(coeffs, -h)
-		labels = append(labels, string(l))
-	}
-	return
-}
-
 // QECBitFlip builds the 3-qubit bit-flip repetition code with real
 // mid-circuit syndrome measurement and classically controlled correction
 // (the feedback pattern the OpenQASM `if` statement exists for): encode

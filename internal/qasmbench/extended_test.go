@@ -253,3 +253,27 @@ func TestRQCAntiConcentrates(t *testing.T) {
 		t.Fatal("different seeds gave identical states")
 	}
 }
+
+// IsingHamiltonianLabels returns the Pauli labels and coefficients of the
+// transverse-field Ising chain (for expectation measurement).
+func IsingHamiltonianLabels(n int, j, h float64) (coeffs []float64, labels []string) {
+	for q := 0; q+1 < n; q++ {
+		l := make([]byte, n)
+		for i := range l {
+			l[i] = 'I'
+		}
+		l[q], l[q+1] = 'Z', 'Z'
+		coeffs = append(coeffs, -j)
+		labels = append(labels, string(l))
+	}
+	for q := 0; q < n; q++ {
+		l := make([]byte, n)
+		for i := range l {
+			l[i] = 'I'
+		}
+		l[q] = 'X'
+		coeffs = append(coeffs, -h)
+		labels = append(labels, string(l))
+	}
+	return
+}

@@ -17,40 +17,13 @@ type satLit struct {
 }
 
 // satInstance is the 11-qubit instance: 4 variables, 5 clauses. Satisfying
-// assignments (v3 v2 v1 v0): computed by SATSolutions.
+// assignments (v3 v2 v1 v0): the tests' SATSolutions enumerates them.
 var satInstance = []satClause{
 	{{0, false}, {1, false}},            // v0 | v1
 	{{0, true}, {2, false}},             // !v0 | v2
 	{{1, false}, {2, true}, {3, false}}, // v1 | !v2 | v3
 	{{1, true}, {3, true}},              // !v1 | !v3
 	{{2, false}, {3, false}},            // v2 | v3
-}
-
-// SATSolutions enumerates the satisfying assignments of the built-in
-// instance as 4-bit values (bit i = variable i).
-func SATSolutions() []int {
-	var sols []int
-	for x := 0; x < 16; x++ {
-		ok := true
-		for _, cl := range satInstance {
-			sat := false
-			for _, l := range cl {
-				bit := x>>uint(l.v)&1 == 1
-				if bit != l.neg {
-					sat = true
-					break
-				}
-			}
-			if !sat {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			sols = append(sols, x)
-		}
-	}
-	return sols
 }
 
 // SAT builds the Grover search for the built-in 3-SAT instance on n=11

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"svsim/internal/circuit"
 	"svsim/internal/decomp"
 	"svsim/internal/gate"
 	"svsim/internal/statevec"
@@ -452,3 +453,51 @@ func TestUCCSDConservesParticleNumber(t *testing.T) {
 		}
 	}
 }
+
+// MultiplierLayout reports the product register for result decoding.
+func MultiplierLayout(wa, wb int) (prod []int) {
+	return seqRange(wa+wb, wa+wb)
+}
+
+// SATSolutions enumerates the satisfying assignments of the built-in
+// instance as 4-bit values (bit i = variable i).
+func SATSolutions() []int {
+	var sols []int
+	for x := 0; x < 16; x++ {
+		ok := true
+		for _, cl := range satInstance {
+			sat := false
+			for _, l := range cl {
+				bit := x>>uint(l.v)&1 == 1
+				if bit != l.neg {
+					sat = true
+					break
+				}
+			}
+			if !sat {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			sols = append(sols, x)
+		}
+	}
+	return sols
+}
+
+// QF21Peak returns the ideal peak counting value (round(2^t / r)).
+func QF21Peak() int {
+	return int(math.Round(float64(int(1)<<QF21CountingBits) / QF21Order))
+}
+
+// IQFT builds the inverse quantum Fourier transform in the same lowered
+// form as QFT.
+func IQFT(n int) *circuit.Circuit {
+	c := circuit.New("iqft", n)
+	appendQFT(c, 0, n, true)
+	return c
+}
+
+// Extended returns the extra workloads beyond the paper's Table 4.
+func Extended() []Entry { return byCategory("extended") }

@@ -49,8 +49,3 @@ func QF21(n int) *circuit.Circuit {
 	appendQFT(c, 0, t, true)
 	return c
 }
-
-// QF21Peak returns the ideal peak counting value (round(2^t / r)).
-func QF21Peak() int {
-	return int(math.Round(float64(int(1)<<QF21CountingBits) / QF21Order))
-}

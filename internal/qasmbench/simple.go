@@ -85,14 +85,6 @@ func QFT(n int) *circuit.Circuit {
 	return c
 }
 
-// IQFT builds the inverse quantum Fourier transform in the same lowered
-// form as QFT.
-func IQFT(n int) *circuit.Circuit {
-	c := circuit.New("iqft", n)
-	appendQFT(c, 0, n, true)
-	return c
-}
-
 // appendQFT appends the (inverse) QFT over qubits [lo, lo+w) in lowered
 // cu1 form.
 func appendQFT(c *circuit.Circuit, lo, w int, inverse bool) {

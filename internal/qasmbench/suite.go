@@ -111,9 +111,6 @@ var suite = []Entry{
 		func() *circuit.Circuit { return RQC(14, 16, 1) }},
 }
 
-// Extended returns the extra workloads beyond the paper's Table 4.
-func Extended() []Entry { return byCategory("extended") }
-
 // All returns every suite entry.
 func All() []Entry { return append([]Entry(nil), suite...) }
 

@@ -214,7 +214,7 @@ func (s *Simulator) ControlledR(ctrls []int, axis Pauli, theta float64, q int) {
 // given qubits (Table 2's Exp). Identity factors are dropped; an all-I
 // operator is the global phase e^{i theta}.
 func (s *Simulator) Exp(paulis []Pauli, theta float64, qubits []int) {
-	s.add("Exp", func(c *circuit.Circuit) { c.ExpPauli(-2*theta, pauliTerms(paulis, qubits)) })
+	s.add("Exp", func(c *circuit.Circuit) { c.ExpPauli(-2*theta, pauliTerms(paulis, qubits, c.NumQubits)) })
 }
 
 // ControlledExp applies the controlled Pauli exponential: Exp's window
@@ -223,7 +223,7 @@ func (s *Simulator) Exp(paulis []Pauli, theta float64, qubits []int) {
 // control is 0.
 func (s *Simulator) ControlledExp(ctrls []int, paulis []Pauli, theta float64, qubits []int) {
 	s.add("ControlledExp", func(c *circuit.Circuit) {
-		for _, op := range new(circuit.Circuit).ExpPauli(-2*theta, pauliTerms(paulis, qubits)).Ops {
+		for _, op := range new(circuit.Circuit).ExpPauli(-2*theta, pauliTerms(paulis, qubits, c.NumQubits)).Ops {
 			if k := op.G.Kind; k == gate.RZ || k == gate.GPHASE {
 				c.Append(decomp.Controlled(op.G, ctrls)...)
 			} else {
@@ -233,15 +233,20 @@ func (s *Simulator) ControlledExp(ctrls []int, paulis []Pauli, theta float64, qu
 	})
 }
 
-// pauliTerms drops the identity factors of a QIR Pauli operator. Exp's
-// e^{i theta P} is exp(-i alpha P / 2) at alpha = -2 theta, the rotation
-// circuit.ExpPauli's window — one Pauli-gadget pass — applies.
-func pauliTerms(paulis []Pauli, qubits []int) []circuit.PauliTerm {
+// pauliTerms drops the identity factors of a QIR Pauli operator on an
+// n-qubit register; an identity factor's qubit never reaches a gate, so
+// its range is checked here. Exp's e^{i theta P} is exp(-i alpha P / 2)
+// at alpha = -2 theta, the rotation circuit.ExpPauli's window — one
+// Pauli-gadget pass — applies.
+func pauliTerms(paulis []Pauli, qubits []int, n int) []circuit.PauliTerm {
 	if len(paulis) != len(qubits) {
 		panic("operator/qubit length mismatch")
 	}
 	var terms []circuit.PauliTerm
 	for i, p := range paulis {
+		if q := qubits[i]; q < 0 || q >= n {
+			panic(fmt.Sprintf("qubit %d outside register of size %d", q, n))
+		}
 		switch p {
 		case PauliI:
 		case PauliX, PauliY, PauliZ:

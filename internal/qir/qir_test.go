@@ -211,7 +211,7 @@ func TestExpIsPauliExponential(t *testing.T) {
 		want := s.State().Clone()
 		lowered := want.Clone()
 		s.Exp(cse.paulis, theta, cse.qubits)
-		window := new(circuit.Circuit).ExpPauli(-2*theta, pauliTerms(cse.paulis, cse.qubits)).Ops
+		window := new(circuit.Circuit).ExpPauli(-2*theta, pauliTerms(cse.paulis, cse.qubits, 4)).Ops
 		// The flush runs the window as one gadget step, a weight-1 window
 		// as one fused gate: one sweep either way.
 		gadgets := 0
@@ -423,8 +423,9 @@ func TestGoldenOutcomes(t *testing.T) {
 	}
 }
 
-// TestBadOperandPanicsAtTheVerb: an operand outside the register or named
-// twice panics at the call, naming the verb, and leaves nothing pending.
+// TestBadOperandPanicsAtTheVerb: an operand outside the register (a
+// negative one too) or named twice panics at the call, naming the verb,
+// and leaves nothing pending.
 func TestBadOperandPanicsAtTheVerb(t *testing.T) {
 	for _, c := range []struct {
 		call func(s *Simulator)
@@ -433,6 +434,8 @@ func TestBadOperandPanicsAtTheVerb(t *testing.T) {
 		{func(s *Simulator) { s.ControlledX([]int{1}, 1) }, []string{"qir: ControlledX: ", "duplicate qubit operand 1"}},
 		{func(s *Simulator) { s.ControlledZ([]int{3}, 0) }, []string{"qir: ControlledZ: ", "qubit 3 outside register of size 2"}},
 		{func(s *Simulator) { s.ControlledH([]int{0, 0}, 1) }, []string{"qir: ControlledH: ", "duplicate qubit operand 0"}},
+		{func(s *Simulator) { s.Exp([]Pauli{PauliI, PauliX}, 0.3, []int{-1, 0}) }, []string{"qir: Exp: ", "qubit -1 outside register of size 2"}},
+		{func(s *Simulator) { s.ControlledExp([]int{1}, []Pauli{PauliI}, 0.3, []int{-1}) }, []string{"qir: ControlledExp: ", "qubit -1 outside register of size 2"}},
 	} {
 		s := newSim(t, 2, 0)
 		s.H(0)

@@ -102,14 +102,6 @@ type Plan struct {
 	Prefix int
 }
 
-// Blocks returns the number of maximal gate runs between remaps.
-func (p *Plan) Blocks() int {
-	if len(p.Steps) == 0 {
-		return 0
-	}
-	return p.Remaps + 1
-}
-
 const never = int(^uint(0) >> 1) // next-use sentinel: not demanded again
 
 // Build schedules a circuit for a partitioned state vector with the

@@ -208,7 +208,4 @@ func TestLazyNeverRemapsMoreThanNaiveGateCount(t *testing.T) {
 	if plan.Remaps > len(c.Ops) {
 		t.Fatalf("remaps %d > ops %d", plan.Remaps, len(c.Ops))
 	}
-	if plan.Blocks() != plan.Remaps+1 {
-		t.Fatalf("blocks %d with %d remaps", plan.Blocks(), plan.Remaps)
-	}
 }

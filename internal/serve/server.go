@@ -689,20 +689,6 @@ func (s *Server) Job(id string) (JobStatus, error) {
 // a fetch took it over, or it was evicted unfetched.
 var ErrStateGone = errors.New("state no longer kept")
 
-// JobResultState returns a done job's retained state vector (an error
-// when not retained or not finished; one wrapping ErrStateGone when it
-// was retained and is not any more). It leaves the state in place:
-// GET /v1/jobs/{id}/state is what hands it over.
-func (s *Server) JobResultState(id string) (*statevec.State, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, err := s.keptLocked(id)
-	if err != nil {
-		return nil, err
-	}
-	return j.result.State, nil
-}
-
 // keptLocked returns the done job id whose state is kept, or why not.
 func (s *Server) keptLocked(id string) (*job, error) {
 	j := s.jobs[id]
@@ -895,29 +881,5 @@ func (s *Server) Close() {
 	s.running.Wait()
 	for _, fs := range s.fleets {
 		fs.fleet.Close()
-	}
-}
-
-// Drain waits until no job is queued or running (for graceful
-// shutdown that completes accepted work instead of interrupting it).
-// Returns false if the timeout expires first.
-func (s *Server) Drain(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		s.mu.Lock()
-		idle := len(s.queue) == 0
-		for _, fs := range s.fleets {
-			if fs.busy != nil {
-				idle = false
-			}
-		}
-		s.mu.Unlock()
-		if idle {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -490,3 +490,17 @@ func TestShotsArePerShot(t *testing.T) {
 		}
 	}
 }
+
+// JobResultState returns a done job's retained state vector (an error
+// when not retained or not finished; one wrapping ErrStateGone when it
+// was retained and is not any more). It leaves the state in place:
+// GET /v1/jobs/{id}/state is what hands it over.
+func (s *Server) JobResultState(id string) (*statevec.State, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, err := s.keptLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	return j.result.State, nil
+}

@@ -203,16 +203,6 @@ func (t *Tableau) Measure(q int, rng *rand.Rand) int {
 	return 0
 }
 
-// IsClifford reports whether a gate kind is simulable on the tableau.
-func IsClifford(k gate.Kind) bool {
-	switch k {
-	case gate.H, gate.S, gate.SDG, gate.X, gate.Y, gate.Z, gate.CX, gate.CZ,
-		gate.SWAP, gate.ID, gate.BARRIER, gate.MEASURE, gate.GPHASE:
-		return true
-	}
-	return false
-}
-
 // Run executes a Clifford circuit (conditions supported; non-Clifford
 // gates are an error) and returns the classical bits.
 func Run(c *circuit.Circuit, seed int64) (*Tableau, uint64, error) {

@@ -198,9 +198,6 @@ func TestRejectsNonClifford(t *testing.T) {
 	if _, _, err := Run(c, 0); err == nil {
 		t.Fatal("T gate accepted")
 	}
-	if IsClifford(gate.T) || !IsClifford(gate.CX) {
-		t.Fatal("IsClifford wrong")
-	}
 }
 
 func TestThousandQubitGHZ(t *testing.T) {

@@ -79,8 +79,8 @@ func TestRunLoopBodies(t *testing.T) {
 	}
 }
 
-// TestFlopsPerPair pins FlopEst (the numerator of
-// perfmodel.ArithmeticIntensity) to what the bodies execute: flops per
+// TestFlopsPerPair pins FlopEst (the numerator of a run's arithmetic
+// intensity) to what the bodies execute: flops per
 // two visited amplitudes — a pair, for the pairing bodies — counting
 // every add, multiply and negation. A controlled kind must charge its
 // base kind's rate on the amplitudes its controls leave.

@@ -194,19 +194,6 @@ func (s *State) MaxAbsDiff(o *State) float64 {
 	return m
 }
 
-// SetAmplitudes overwrites the state with the given complex amplitudes
-// (used by tests and by the baseline simulators to cross-load states). The
-// caller is responsible for normalization.
-func (s *State) SetAmplitudes(amps []complex128) {
-	if len(amps) != s.Dim {
-		panic("statevec: SetAmplitudes dimension mismatch")
-	}
-	for i, a := range amps {
-		s.Re[i] = real(a)
-		s.Im[i] = imag(a)
-	}
-}
-
 // InsertZeroBit spreads x so that a zero bit appears at position b:
 // the paper's s_i = floor(i/2^q)*2^{q+1} + (i mod 2^q) index transform.
 func InsertZeroBit(x, b int) int {

@@ -15,7 +15,7 @@ import (
 //	dE/dt = [E(t + pi/2) - E(t - pi/2)] / 2
 //
 // evaluated on the quantum device/simulator itself. The rule is exact for
-// single-occurrence parameters (the HardwareEfficientAnsatz below); for
+// single-occurrence parameters (a hardware-efficient ansatz); for
 // ansatze that reuse one angle across several rotations (UCCSD, QAOA) the
 // two-point form is an approximation, and the chain rule over
 // per-occurrence shifts would be needed for exactness. This powers the
@@ -80,32 +80,4 @@ func GradientDescentVQE(b core.Backend, h *ham.Hamiltonian, ansatz func([]float6
 		Trajectory: traj,
 		Evals:      evals,
 	}
-}
-
-// HardwareEfficientAnsatz builds a layered ansatz in which every
-// parameter occurs in exactly one rotation (so parameter-shift gradients
-// are exact): per layer, an RY and an RZ on each qubit followed by a CX
-// entangling line. It needs 2*n*layers parameters.
-func HardwareEfficientAnsatz(n, layers int) (func([]float64) *circuit.Circuit, int) {
-	num := 2 * n * layers
-	build := func(theta []float64) *circuit.Circuit {
-		if len(theta) != num {
-			panic("vqa: HardwareEfficientAnsatz parameter count mismatch")
-		}
-		c := circuit.New("hw-eff", n)
-		k := 0
-		for l := 0; l < layers; l++ {
-			for q := 0; q < n; q++ {
-				c.RY(theta[k], q)
-				k++
-				c.RZ(theta[k], q)
-				k++
-			}
-			for q := 0; q+1 < n; q++ {
-				c.CX(q, q+1)
-			}
-		}
-		return c
-	}
-	return build, num
 }

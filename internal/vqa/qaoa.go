@@ -21,16 +21,6 @@ type Graph struct {
 	Edges [][2]int
 }
 
-// RingGraph returns the n-cycle (a standard QAOA benchmark whose MaxCut
-// value is n for even n and n-1 for odd n).
-func RingGraph(n int) Graph {
-	g := Graph{N: n}
-	for i := 0; i < n; i++ {
-		g.Edges = append(g.Edges, [2]int{i, (i + 1) % n})
-	}
-	return g
-}
-
 // RandomGraph returns an Erdos-Renyi-style graph with the given edge
 // probability.
 func RandomGraph(rng *rand.Rand, n int, p float64) Graph {

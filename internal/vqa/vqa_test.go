@@ -246,55 +246,40 @@ func TestGradientDescentVQEOnH2(t *testing.T) {
 	}
 }
 
-func TestSPSAQuadratic(t *testing.T) {
-	f := func(x []float64) float64 {
-		return (x[0]-1)*(x[0]-1) + 3*(x[1]+2)*(x[1]+2)
+// RingGraph returns the n-cycle (a standard QAOA benchmark whose MaxCut
+// value is n for even n and n-1 for odd n).
+func RingGraph(n int) Graph {
+	g := Graph{N: n}
+	for i := 0; i < n; i++ {
+		g.Edges = append(g.Edges, [2]int{i, (i + 1) % n})
 	}
-	res := SPSA(f, []float64{4, 4}, SPSAOpts{Iters: 800, A: 0.5, Seed: 1})
-	if res.F > 0.05 {
-		t.Fatalf("SPSA minimum %g at %v", res.F, res.X)
-	}
-	if res.Evals < 800*3 {
-		t.Fatalf("evals = %d", res.Evals)
-	}
-	for i := 1; i < len(res.Trajectory); i++ {
-		if res.Trajectory[i] > res.Trajectory[i-1]+1e-12 {
-			t.Fatal("best-so-far trajectory rose")
-		}
-	}
+	return g
 }
 
-func TestSPSAToleratesNoisyObjective(t *testing.T) {
-	// Noise of the scale that breaks Nelder-Mead should leave SPSA's
-	// best-found value near the optimum.
-	rng := rand.New(rand.NewSource(2))
-	noisy := func(x []float64) float64 {
-		return x[0]*x[0] + x[1]*x[1] + 0.02*rng.NormFloat64()
-	}
-	res := SPSA(noisy, []float64{2, -2}, SPSAOpts{Iters: 600, A: 0.4, Seed: 3})
-	clean := res.X[0]*res.X[0] + res.X[1]*res.X[1]
-	if clean > 0.15 {
-		t.Fatalf("noisy SPSA landed at %v (clean value %g)", res.X, clean)
-	}
-}
-
-func TestShotBasedVQEWithSPSA(t *testing.T) {
-	// The full NISQ pipeline: finite-shot energy estimates + SPSA on the
-	// H2 ansatz must reach the chemically relevant region.
-	h := ham.H2()
-	backend := core.NewSingleDevice(core.Config{})
-	rng := rand.New(rand.NewSource(4))
-	energy := func(theta []float64) float64 {
-		res, err := backend.Run(H2Ansatz(theta))
-		if err != nil {
-			t.Fatal(err)
+// HardwareEfficientAnsatz builds a layered ansatz in which every
+// parameter occurs in exactly one rotation (so parameter-shift gradients
+// are exact): per layer, an RY and an RZ on each qubit followed by a CX
+// entangling line. It needs 2*n*layers parameters.
+func HardwareEfficientAnsatz(n, layers int) (func([]float64) *circuit.Circuit, int) {
+	num := 2 * n * layers
+	build := func(theta []float64) *circuit.Circuit {
+		if len(theta) != num {
+			panic("vqa: HardwareEfficientAnsatz parameter count mismatch")
 		}
-		return h.SampleExpectation(res.State, 512, rng)
+		c := circuit.New("hw-eff", n)
+		k := 0
+		for l := 0; l < layers; l++ {
+			for q := 0; q < n; q++ {
+				c.RY(theta[k], q)
+				k++
+				c.RZ(theta[k], q)
+				k++
+			}
+			for q := 0; q+1 < n; q++ {
+				c.CX(q, q+1)
+			}
+		}
+		return c
 	}
-	res := SPSA(energy, make([]float64, H2NumParams()), SPSAOpts{Iters: 150, A: 0.3, Seed: 5})
-	// Evaluate the found parameters exactly.
-	exact := Energy(backend, h, H2Ansatz, res.X)
-	if exact > -1.11 {
-		t.Fatalf("shot-based SPSA VQE reached only %g Ha", exact)
-	}
+	return build, num
 }

@@ -26,6 +26,10 @@ func goFiles(t *testing.T, mode parser.Mode, roots ...string) map[string]*ast.Fi
 			if d.IsDir() && (d.Name() == "bench" || d.Name() == ".git") && path != root {
 				return filepath.SkipDir
 			}
+			// bench/run.sh's build (binary and Go caches) and work dir.
+			if d.IsDir() && (path == filepath.Join("bench", "bin") || path == filepath.Join("bench", "out")) {
+				return filepath.SkipDir
+			}
 			if d.IsDir() || !strings.HasSuffix(path, ".go") {
 				return nil
 			}
@@ -92,5 +96,118 @@ func TestNoBackendNameComparisons(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// exportAllowlist names the exported internal/ functions and methods
+// that stay without a production caller, each with why. A key is
+// "pkg.Func" or "pkg.Type.Method", pkg being the directory under
+// internal/; "pkg.Type.*" covers every method of Type.
+var exportAllowlist = map[string]string{
+	"gate.NewCS":       "Table 1 constructor; QASM programs reach cs through the kind table",
+	"gate.NewCSDG":     "Table 1 constructor; QASM programs reach csdg through the kind table",
+	"gate.NewCT":       "Table 1 constructor; QASM programs reach ct through the kind table",
+	"gate.NewCTDG":     "Table 1 constructor; QASM programs reach ctdg through the kind table",
+	"gate.NewSXDG":     "Table 1 constructor; QASM programs reach sxdg through the kind table",
+	"gate.NewCSWAP":    "Table 1 constructor; QASM programs reach cswap through the kind table",
+	"gate.NewC3SQRTX":  "Table 1 constructor; QASM programs reach c3sqrtx through the kind table",
+	"qir.NewSimulator": "Table 2: the QIR runtime a Q# program binds to (§3.3)",
+	"qir.Simulator.*":  "Table 2: the QIR verbs a Q# program calls (§3.3)",
+
+	"core.RunFailure.Unwrap": "called through errors.Is/As",
+	"pgas.AbortError.Unwrap": "called through errors.Is/As",
+	"pgas.RunError.Unwrap":   "called through errors.Is/As",
+
+	"density.FromState":             "the density oracle ROADMAP item 2(b) checks measured programs against",
+	"density.Density.ApplyCircuit":  "the density oracle ROADMAP item 2(b) checks measured programs against",
+	"density.Density.AmplitudeDamp": "a Kraus channel of item 2(b)'s density oracle",
+	"density.Density.Dephase":       "a Kraus channel of item 2(b)'s density oracle",
+	"gate.Matrix.EqualUpTo":         "oracle of the gate, circuit and fusion tests",
+	"fusion.Span.Crosses":           "oracle of the fusion, compile and core tests: no fused span straddles a remap",
+	"obs.ParseOpenMetrics":          "oracle of the obs, core and e2e tests: every metrics.om parses strictly",
+	"batch.Runner.EnergySweep":      "TestCountersPinned's vqe_h2_sweep64 cell; ROADMAP item 1(c)'s sweep seam",
+	"circuit.Circuit.Inverse":       "ROADMAP item 2(c)'s C·C† relation",
+	"vqa.GradientDescentVQE":        "ROADMAP item 7's gate-count target",
+}
+
+// TestExportsHaveProductionCallers: every exported top-level function or
+// method declared in a non-test file under internal/ is referenced by
+// some non-test file of the system (internal/, cmd/, examples/, bench/
+// or the repo root) — a .Name selector anywhere, or a bare Name inside
+// its own package — or is on exportAllowlist. An export only tests call
+// is deleted with its tests or moved into its package's _test.go. A
+// stale allowlist entry (the export is gone or has a caller) and an
+// entry without a reason fail too. bench/ is walked here because the
+// root module's tests never build it.
+func TestExportsHaveProductionCallers(t *testing.T) {
+	type export struct{ key, dir, name, path string }
+	var exports []export
+	selected := map[string]bool{}        // every .Name selector
+	bare := map[string]map[string]bool{} // directory -> bare names
+	for path, f := range goFiles(t, 0, ".", "bench") {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		dir := filepath.Dir(path)
+		notBare := map[*ast.Ident]bool{} // declared names and selectors' Sel
+		if pkg, ok := strings.CutPrefix(filepath.ToSlash(dir), "internal/"); ok {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				notBare[fd.Name] = true
+				key := pkg + "." + fd.Name.Name
+				if fd.Recv != nil {
+					recv := fd.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if ix, ok := recv.(*ast.IndexExpr); ok { // a generic receiver
+						recv = ix.X
+					}
+					key = pkg + "." + recv.(*ast.Ident).Name + "." + fd.Name.Name
+				}
+				exports = append(exports, export{key, dir, fd.Name.Name, path})
+			}
+		}
+		if bare[dir] == nil {
+			bare[dir] = map[string]bool{}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				selected[n.Sel.Name] = true
+				notBare[n.Sel] = true
+			case *ast.Ident:
+				if !notBare[n] {
+					bare[dir][n.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	matched := map[string]bool{} // allowlist entries an export without a caller matched
+	for _, e := range exports {
+		if selected[e.name] || bare[e.dir][e.name] {
+			continue
+		}
+		entry := e.key
+		if _, ok := exportAllowlist[entry]; !ok {
+			entry = e.key[:strings.LastIndex(e.key, ".")] + ".*"
+		}
+		if _, ok := exportAllowlist[entry]; !ok {
+			t.Errorf("%s: %s has no production caller; delete it with its tests, or move it into its package's _test.go", e.path, e.key)
+			continue
+		}
+		matched[entry] = true
+	}
+	for entry, reason := range exportAllowlist {
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("exportAllowlist: %s has no reason", entry)
+		}
+		if !matched[entry] {
+			t.Errorf("exportAllowlist: %s matches no export without a production caller (gone, or called now); drop it", entry)
+		}
 	}
 }
