@@ -74,6 +74,9 @@ const gatherAmps = 1024
 // amplitudes of its orbits one-sided, a batch at a time, applies the
 // gate's kernel, and scatters the results back (Listing 5's
 // nvshmem_double_g / nvshmem_double_p around the specialized gate body).
+// The element ops of a run of orbits are issued as one strided
+// GetRun/PutRun per target row and array; pgas counts them per element,
+// so the traffic is Listing 5's.
 // A batch is a window of its own: the orbit's index in the batch is the
 // low bits, the targets sit right above them, and the controls — pinned
 // to 1 by the orbit enumeration — sit above the window in its Base.
@@ -100,28 +103,36 @@ func (t *oneSided) applyRemoteGeneric(pe *pgas.PE, r *Rank, g *gate.Gate) {
 	win := statevec.State{N: lb + k, Dim: batch << uint(k), Base: (1<<uint(nc) - 1) << uint(lb+k), Style: r.Local.Style}
 	win.Re, win.Im = buf[:win.Dim], buf[gatherAmps:][:win.Dim]
 
+	// Consecutive orbits differ in the free bits from f0, the lowest one,
+	// up to the next operand bit, so a run of them — capped at the batch —
+	// finds each target row's elements stride apart.
+	fixed := cmask | tmask
+	f0 := bits.TrailingZeros(uint(^fixed))
+	stride := 1 << uint(f0)
+	run := min(batch, 1<<uint(bits.TrailingZeros(uint(fixed>>uint(f0))|1<<uint(t.N-f0))))
+
 	// move gathers (or scatters) the batch of orbits starting at orbit i.
 	move := func(i int, scatter bool) {
-		re, im, fixed := win.Re, win.Im, cmask|tmask
 		for m := fixed; m != 0; m &= m - 1 {
 			i = statevec.InsertZeroBit(i, bits.TrailingZeros(uint(m)))
 		}
-		for j := 0; j < batch; j++ {
+		for j := 0; j < batch; j += run {
 			// Operand enumeration: controls pin to 1, targets run through
-			// their settings in numeric order.
+			// their settings in numeric order, a window row each.
 			sub := 0
-			for w := j; w < len(re); w += batch {
+			for w := j; w < win.Dim; w += batch {
 				gidx := i | cmask | sub
+				re, im := win.Re[w:][:run], win.Im[w:][:run]
 				if scatter {
-					pe.GlobalPut(t.svRe, gidx, re[w])
-					pe.GlobalPut(t.svIm, gidx, im[w])
+					pe.PutRun(t.svRe, gidx, stride, re)
+					pe.PutRun(t.svIm, gidx, stride, im)
 				} else {
-					re[w] = pe.GlobalGet(t.svRe, gidx)
-					im[w] = pe.GlobalGet(t.svIm, gidx)
+					pe.GetRun(t.svRe, gidx, stride, re)
+					pe.GetRun(t.svIm, gidx, stride, im)
 				}
 				sub = (sub - tmask) & tmask
 			}
-			i = ((i | fixed) + 1) &^ fixed // the carry skips the operand bits
+			i = ((i | fixed | (stride*run - 1)) + 1) &^ fixed // the carry skips the operand bits
 		}
 	}
 	var amps, flops int64

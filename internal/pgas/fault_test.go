@@ -295,3 +295,83 @@ func TestBarrierTimeoutBlamesOnlyStalled(t *testing.T) {
 		}
 	}
 }
+
+// TestRunOpsCorruptOneElement: with an injector attached a GetRun or
+// PutRun is its element ops one by one, so corrupt:…:after=N flips
+// exactly the N-th element of the run — on the value handed back for a
+// get, on the landed value for a put — and nothing else.
+func TestRunOpsCorruptOneElement(t *testing.T) {
+	const after = 5
+	for _, op := range []fault.Op{fault.Get, fault.Put} {
+		c := NewComm(2)
+		in := fault.NewInjector(7)
+		in.Arm(fault.Fault{Kind: fault.Corrupt, Rank: 0, Op: op, After: after})
+		c.SetFault(in)
+		s := c.NewSymF64(8)
+		for r := 0; r < 2; r++ {
+			for i := range s.PartitionUnsafe(r) {
+				s.PartitionUnsafe(r)[i] = float64(8*r + i + 1)
+			}
+		}
+		src := []float64{-1, -2, -3, -4, -5, -6, -7}
+		dst := make([]float64, len(src))
+		err := c.RunChecked(func(pe *PE) {
+			if pe.Rank == 0 {
+				if op == fault.Get {
+					pe.GetRun(s, 3, 2, dst) // elements 3, 5, …, 15: both partitions
+				} else {
+					pe.PutRun(s, 3, 2, src)
+				}
+			}
+			pe.Barrier()
+		})
+		if err != nil {
+			t.Fatalf("%s: corrupting run failed: %v", op, err)
+		}
+		for k := range src {
+			g := 3 + 2*k
+			landed, want := s.PartitionUnsafe(g / 8)[g%8], src[k]
+			if op == fault.Get {
+				landed, want = dst[k], float64(g+1)
+			}
+			if bad := landed != want; bad != (k == after-1) {
+				t.Errorf("%s: element %d = %g, want %g (only element %d corrupted)", op, k, landed, want, after-1)
+			}
+		}
+	}
+}
+
+// TestRunOpsDropRetriesThenLand drops two consecutive completions of an
+// element inside a PutRun and of one inside a GetRun: each is re-issued
+// within the retry budget, every element lands, and Stats count the four
+// retries beside the ops a fault-free run counts.
+func TestRunOpsDropRetriesThenLand(t *testing.T) {
+	c := NewComm(2)
+	in := fault.NewInjector(1)
+	in.Arm(fault.Fault{Kind: fault.Drop, Rank: 0, Op: fault.Put, After: 3, Count: 2})
+	in.Arm(fault.Fault{Kind: fault.Drop, Rank: 0, Op: fault.Get, After: 6, Count: 2})
+	c.SetFault(in)
+	c.SetTimeouts(Timeouts{OpRetries: 5, BackoffBase: time.Microsecond, BackoffMax: 10 * time.Microsecond})
+	s := c.NewSymF64(4)
+	src := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	dst := make([]float64, len(src))
+	err := c.RunChecked(func(pe *PE) {
+		if pe.Rank == 0 {
+			pe.PutRun(s, 0, 1, src)
+			pe.GetRun(s, 0, 1, dst)
+		}
+		pe.Barrier()
+	})
+	if err != nil {
+		t.Fatalf("run with retry budget failed: %v", err)
+	}
+	for k, v := range src {
+		if dst[k] != v || s.PartitionUnsafe(k / 4)[k%4] != v {
+			t.Fatalf("element %d: landed %g, read back %g, want %g", k, s.PartitionUnsafe(k / 4)[k%4], dst[k], v)
+		}
+	}
+	want := Stats{LocalGets: 4, LocalPuts: 4, RemoteGets: 4, RemotePuts: 4, LocalBytes: 64, RemoteBytes: 64, Barriers: 1, Retries: 4}
+	if got := c.StatsOf(0); got != want {
+		t.Fatalf("rank 0 stats = %+v, want %+v", got, want)
+	}
+}

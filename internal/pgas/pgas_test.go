@@ -56,16 +56,20 @@ func TestGlobalAddressing(t *testing.T) {
 	sym := c.NewSymF64(perPE)
 	c.Run(func(pe *PE) {
 		// PE r owns global indices [r*perPE, (r+1)*perPE); every PE writes
-		// the global index value into a disjoint quarter of global space.
+		// the global index value into the next PE's quarter of global space.
 		lo := pe.Rank * perPE
-		for g := lo; g < lo+perPE; g++ {
-			target := (g + perPE) % (p * perPE) // someone else's element
-			pe.GlobalPut(sym, target, float64(target))
+		target := (lo + perPE) % (p * perPE) // someone else's elements
+		vals := make([]float64, perPE)
+		for k := range vals {
+			vals[k] = float64(target + k)
 		}
+		pe.PutRun(sym, target, 1, vals)
 		pe.Barrier()
-		for g := lo; g < lo+perPE; g++ {
-			if got := pe.GlobalGet(sym, g); got != float64(g) {
-				t.Errorf("global idx %d: got %g", g, got)
+		got := make([]float64, perPE)
+		pe.GetRun(sym, lo, 1, got)
+		for k, v := range got {
+			if v != float64(lo+k) {
+				t.Errorf("global idx %d: got %g", lo+k, v)
 				return
 			}
 		}
@@ -158,8 +162,9 @@ func TestAllReduceSum(t *testing.T) {
 }
 
 // TestGatherScatter scatters a natural-order array from one PE through
-// GlobalPut and gathers it back on another through GlobalGet: global
-// element g lives on PE g/PerPE at offset g%PerPE.
+// one PutRun and gathers it back on another through GetRuns of stride 1
+// and 2, all crossing partitions: global element g lives on PE g/PerPE
+// at offset g%PerPE.
 func TestGatherScatter(t *testing.T) {
 	c := NewComm(4)
 	sym := c.NewSymF64(4)
@@ -168,26 +173,102 @@ func TestGatherScatter(t *testing.T) {
 		src[i] = float64(i * i)
 	}
 	got := make([]float64, len(src))
+	even, odd := make([]float64, len(src)/2), make([]float64, len(src)/2)
 	c.Run(func(pe *PE) {
 		if pe.Rank == 0 {
-			for i, v := range src {
-				pe.GlobalPut(sym, i, v)
-			}
+			pe.PutRun(sym, 0, 1, src)
 		}
 		pe.Barrier()
 		if pe.Rank == 3 {
-			for i := range got {
-				got[i] = pe.GlobalGet(sym, i)
-			}
+			pe.GetRun(sym, 0, 1, got)
+			pe.GetRun(sym, 0, 2, even)
+			pe.GetRun(sym, 1, 2, odd)
 		}
 	})
 	for i := range src {
 		if got[i] != src[i] {
 			t.Fatalf("gather[%d] = %g, want %g", i, got[i], src[i])
 		}
+		if h := []float64{even[i/2], odd[i/2]}[i%2]; h != src[i] {
+			t.Fatalf("strided gather of %d = %g, want %g", i, h, src[i])
+		}
 	}
 	if sym.PartitionUnsafe(2)[1] != float64(9*9) {
 		t.Fatal("partition view wrong")
+	}
+}
+
+// TestRunOpsMatchElementOps: a GetRun/PutRun is its len(dst) element
+// Gets/Puts. Every PE issues the same runs — stride 1 and 2^k, inside
+// one partition and across partition boundaries — on one communicator
+// and the element-by-element twin on another; the arrays and each PE's
+// Stats must come out equal.
+func TestRunOpsMatchElementOps(t *testing.T) {
+	const p, perPE = 4, 16
+	runs := []struct{ gidx, stride, n int }{
+		{0, 1, 16},  // one whole partition
+		{3, 1, 5},   // inside one partition
+		{13, 1, 22}, // crosses two boundaries
+		{1, 2, 8},   // stride 2 inside one partition
+		{6, 2, 20},  // stride 2 across three
+		{5, 4, 14},  // stride 4 across four
+		{2, 16, 4},  // one element per partition
+		{0, 32, 2},  // every other partition
+		{63, 1, 1},  // the last element
+	}
+	for _, rn := range runs {
+		bulk, elem := NewComm(p), NewComm(p)
+		bs, es := bulk.NewSymF64(perPE), elem.NewSymF64(perPE)
+		for r := 0; r < p; r++ {
+			for i := range bs.PartitionUnsafe(r) {
+				bs.PartitionUnsafe(r)[i] = float64(r*perPE + i)
+				es.PartitionUnsafe(r)[i] = float64(r*perPE + i)
+			}
+		}
+		var got, want [p][]float64
+		bulk.Run(func(pe *PE) {
+			dst := make([]float64, rn.n)
+			pe.GetRun(bs, rn.gidx, rn.stride, dst)
+			got[pe.Rank] = dst
+			pe.Barrier()
+			if pe.Rank == 1 {
+				neg := make([]float64, len(dst))
+				for k, v := range dst {
+					neg[k] = -v
+				}
+				pe.PutRun(bs, rn.gidx, rn.stride, neg)
+			}
+		})
+		elem.Run(func(pe *PE) {
+			dst := make([]float64, rn.n)
+			for k := range dst {
+				g := rn.gidx + k*rn.stride
+				dst[k] = pe.Get(es, g/perPE, g%perPE)
+			}
+			want[pe.Rank] = dst
+			pe.Barrier()
+			if pe.Rank == 1 {
+				for k, v := range dst {
+					g := rn.gidx + k*rn.stride
+					pe.Put(es, g/perPE, g%perPE, -v)
+				}
+			}
+		})
+		for r := 0; r < p; r++ {
+			for k := range want[r] {
+				if got[r][k] != want[r][k] || want[r][k] != float64(rn.gidx+k*rn.stride) {
+					t.Fatalf("run %+v: PE %d element %d = %g, want %g", rn, r, k, got[r][k], want[r][k])
+				}
+			}
+			for i, v := range es.PartitionUnsafe(r) {
+				if bs.PartitionUnsafe(r)[i] != v {
+					t.Fatalf("run %+v: partition %d[%d] = %g after PutRun, want %g", rn, r, i, bs.PartitionUnsafe(r)[i], v)
+				}
+			}
+			if b, e := bulk.StatsOf(r), elem.StatsOf(r); b != e {
+				t.Fatalf("run %+v: PE %d stats\n run ops:     %+v\n element ops: %+v", rn, r, b, e)
+			}
+		}
 	}
 }
 

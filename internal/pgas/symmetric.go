@@ -117,14 +117,81 @@ func (pe *PE) PutV(s *SymF64, peer, idx int, src []float64) {
 	}
 }
 
-// GlobalGet loads global element gidx of a symmetric array laid out in
-// natural array order (partition = gidx / PerPE, the paper's
-// "pos1_gid = pos / sv_num_per_gpu").
-func (pe *PE) GlobalGet(s *SymF64, gidx int) float64 {
-	return pe.Get(s, gidx/s.PerPE, gidx%s.PerPE)
+// GetRun performs len(dst) one-sided element loads (shmem_double_g):
+// dst[k] is global element gidx + k*stride (stride ≥ 1) of a symmetric
+// array laid out in natural array order (partition = gidx / PerPE, the
+// paper's "pos1_gid = pos / sv_num_per_gpu"). It is counted exactly as
+// len(dst) Gets — one message and 8 bytes per element, local or remote
+// by the element's partition — and with an injector attached each
+// element is a Get of its own, so a fault plan sees the same ops. Only
+// the emulator's bookkeeping is batched: each piece that lies in one
+// partition is resolved once and copied.
+func (pe *PE) GetRun(s *SymF64, gidx, stride int, dst []float64) {
+	if pe.comm.inj != nil {
+		for k := range dst {
+			g := gidx + k*stride
+			dst[k] = pe.Get(s, g/s.PerPE, g%s.PerPE)
+		}
+		return
+	}
+	st := &pe.comm.pes[pe.Rank].stats
+	for len(dst) > 0 {
+		peer, idx, m := s.piece(gidx, stride, len(dst))
+		if peer == pe.Rank {
+			st.LocalGets += int64(m)
+			st.LocalBytes += 8 * int64(m)
+		} else {
+			st.RemoteGets += int64(m)
+			st.RemoteBytes += 8 * int64(m)
+		}
+		part := s.parts[peer][idx:]
+		if stride == 1 {
+			copy(dst[:m], part)
+		} else {
+			for k := range dst[:m] {
+				dst[k] = part[k*stride]
+			}
+		}
+		dst, gidx = dst[m:], gidx+m*stride
+	}
 }
 
-// GlobalPut stores v at global element gidx in natural array order.
-func (pe *PE) GlobalPut(s *SymF64, gidx int, v float64) {
-	pe.Put(s, gidx/s.PerPE, gidx%s.PerPE, v)
+// PutRun performs len(src) one-sided element stores (shmem_double_p) of
+// src[k] into global element gidx + k*stride, counted and fault-injected
+// exactly as len(src) Puts, like GetRun.
+func (pe *PE) PutRun(s *SymF64, gidx, stride int, src []float64) {
+	if pe.comm.inj != nil {
+		for k, v := range src {
+			g := gidx + k*stride
+			pe.Put(s, g/s.PerPE, g%s.PerPE, v)
+		}
+		return
+	}
+	st := &pe.comm.pes[pe.Rank].stats
+	for len(src) > 0 {
+		peer, idx, m := s.piece(gidx, stride, len(src))
+		if peer == pe.Rank {
+			st.LocalPuts += int64(m)
+			st.LocalBytes += 8 * int64(m)
+		} else {
+			st.RemotePuts += int64(m)
+			st.RemoteBytes += 8 * int64(m)
+		}
+		part := s.parts[peer][idx:]
+		if stride == 1 {
+			copy(part, src[:m])
+		} else {
+			for k, v := range src[:m] {
+				part[k*stride] = v
+			}
+		}
+		src, gidx = src[m:], gidx+m*stride
+	}
+}
+
+// piece locates global element gidx (partition and offset) and counts how
+// many of the n elements gidx, gidx+stride, … lie in that partition.
+func (s *SymF64) piece(gidx, stride, n int) (peer, idx, m int) {
+	peer, idx = gidx/s.PerPE, gidx%s.PerPE
+	return peer, idx, min(n, (s.PerPE-idx+stride-1)/stride)
 }

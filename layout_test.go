@@ -130,6 +130,13 @@ var exportAllowlist = map[string]string{
 	"vqa.GradientDescentVQE":        "ROADMAP item 7's gate-count target",
 }
 
+// packageAllowlist names the internal/ packages that stay without a
+// production importer, each with why.
+var packageAllowlist = map[string]string{
+	"qir":        "Table 2: the QIR runtime a Q# program binds to (§3.3), which no Go code imports",
+	"stabilizer": "the Clifford oracle ROADMAP item 2(b) checks n = 20–24 fleets against",
+}
+
 // TestExportsHaveProductionCallers: every exported top-level function or
 // method declared in a non-test file under internal/ is referenced by
 // some non-test file of the system (internal/, cmd/, examples/, bench/
@@ -138,19 +145,31 @@ var exportAllowlist = map[string]string{
 // is deleted with its tests or moved into its package's _test.go. A
 // stale allowlist entry (the export is gone or has a caller) and an
 // entry without a reason fail too. bench/ is walked here because the
-// root module's tests never build it.
+// root module's tests never build it. Names are matched, not objects,
+// so a package no production file imports could pass on names others
+// share: every internal/ package must also be imported by a non-test
+// file outside it, or be on packageAllowlist (by the same rules).
 func TestExportsHaveProductionCallers(t *testing.T) {
 	type export struct{ key, dir, name, path string }
 	var exports []export
 	selected := map[string]bool{}        // every .Name selector
 	bare := map[string]map[string]bool{} // directory -> bare names
+	pkgs := map[string]string{}          // internal/ package -> a file of it
+	imported := map[string]bool{}        // internal/ packages imported from outside
 	for path, f := range goFiles(t, 0, ".", "bench") {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
 		dir := filepath.Dir(path)
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if pkg, ok := strings.CutPrefix(p, "svsim/internal/"); ok && filepath.ToSlash(dir) != "internal/"+pkg {
+				imported[pkg] = true
+			}
+		}
 		notBare := map[*ast.Ident]bool{} // declared names and selectors' Sel
 		if pkg, ok := strings.CutPrefix(filepath.ToSlash(dir), "internal/"); ok {
+			pkgs[pkg] = path
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || !fd.Name.IsExported() {
@@ -208,6 +227,19 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 		}
 		if !matched[entry] {
 			t.Errorf("exportAllowlist: %s matches no export without a production caller (gone, or called now); drop it", entry)
+		}
+	}
+	for pkg, path := range pkgs {
+		if _, ok := packageAllowlist[pkg]; !imported[pkg] && !ok {
+			t.Errorf("%s: package internal/%s has no production importer; delete it, or import it where it is used", path, pkg)
+		}
+	}
+	for pkg, reason := range packageAllowlist {
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("packageAllowlist: %s has no reason", pkg)
+		}
+		if _, ok := pkgs[pkg]; !ok || imported[pkg] {
+			t.Errorf("packageAllowlist: internal/%s is gone or imported now; drop it", pkg)
 		}
 	}
 }
