@@ -266,10 +266,10 @@ func printCompile(cst compile.Stats, fuse, freshStart bool) {
 	}
 	line := "compile : "
 	if fuse {
-		line += fmt.Sprintf("fuse %d->%d gates (%d runs, %d cancelled, %d gadgets of %d gates), ",
+		line += fmt.Sprintf("fuse %d->%d gates (%d fused 1q runs, %d cancelled, %d gadgets of %d gates), %d diagonal runs (%d through CX), ",
 			cst.Fusion.InputGates, cst.Fusion.OutputGates,
 			cst.Fusion.FusedRuns, cst.Fusion.Cancellations,
-			cst.Gadgets, cst.GadgetGates)
+			cst.Gadgets, cst.GadgetGates, cst.DiagRuns, cst.ThroughCX)
 	}
 	if folded {
 		line += fmt.Sprintf("prefix %d gates + %d remaps folded, ", cst.PrefixGates, cst.PrefixRemaps)

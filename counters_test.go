@@ -86,14 +86,14 @@ var pinnedCounters = []struct {
 		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 9093120, BytesTouched: 19136512, Sweeps: 58,
 		DiagRuns: 91, MergedGates: 182}},
 	{counterCell{"qft_n15", "single", 1, false, sched.Naive, false, true}, runCounters{
-		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 8896512, BytesTouched: 19136512, Sweeps: 58,
-		DiagRuns: 92, MergedGates: 196, FusedGates: 540}},
+		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 999424, BytesTouched: 1310720, Sweeps: 3,
+		DiagRuns: 15, MergedGates: 524, FusedGates: 540}},
 	{counterCell{"qft_n15", "single", 1, false, sched.Naive, true, false}, runCounters{
 		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 9093120, BytesTouched: 145489920, Sweeps: 449,
 		DiagRuns: 91, MergedGates: 182, PlanCacheHit: true}},
 	{counterCell{"qft_n15", "single", 1, false, sched.Naive, true, true}, runCounters{
-		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 8896512, BytesTouched: 142344192, Sweeps: 436,
-		DiagRuns: 92, MergedGates: 196, FusedGates: 540, PlanCacheHit: true}},
+		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 999424, BytesTouched: 15990784, Sweeps: 31,
+		DiagRuns: 15, MergedGates: 524, FusedGates: 540, PlanCacheHit: true}},
 	{counterCell{"qft_n15", "threaded", 4, false, sched.Naive, false, false}, runCounters{
 		Qubits: 15, Gates: 540, KernelGates: 540, AmpsTouched: 9093120, BytesTouched: 19136512, Sweeps: 58,
 		DiagRuns: 91, MergedGates: 182, PlanCacheHit: true}},
@@ -113,8 +113,8 @@ var pinnedCounters = []struct {
 		DiagRuns: 91, MergedGates: 182, Remaps: 2,
 		CommRemoteBytes: 458752, CommRemoteMsgs: 56, Barriers: 56}},
 	{counterCell{"qft_n15", "scale-out", 8, false, sched.Lazy, false, true}, runCounters{
-		Qubits: 15, Gates: 540, KernelGates: 4320, AmpsTouched: 9027584, BytesTouched: 144441344, Sweeps: 3488,
-		DiagRuns: 93, MergedGates: 197, FusedGates: 540, Remaps: 2,
+		Qubits: 15, Gates: 540, KernelGates: 4320, AmpsTouched: 1114112, BytesTouched: 17825792, Sweeps: 248,
+		DiagRuns: 15, MergedGates: 524, FusedGates: 540, Remaps: 2,
 		CommRemoteBytes: 917504, CommRemoteMsgs: 112, Barriers: 112}},
 	{counterCell{"bv_n14", "scale-out", 4, true, sched.Naive, false, false}, runCounters{
 		Qubits: 14, Gates: 41, KernelGates: 164, AmpsTouched: 565248, BytesTouched: 9043968, Sweeps: 96,

@@ -149,6 +149,7 @@ type Stats struct {
 	PrefixGates  int
 	PrefixRemaps int
 	DiagRuns     int // diagonal runs in the plan
+	ThroughCX    int // those of them with cx members (fused plans only)
 	Merged       int // gates executing inside them
 	FuseNS       int64
 	PlanNS       int64
@@ -225,7 +226,7 @@ func Compile(c *circuit.Circuit, cfg Config) (*CompiledPlan, Stats, error) {
 				st.CacheHit = true
 				st.Fusion = cp.Fusion
 				st.planStats(cp.Plan)
-				st.DiagRuns, st.Merged, st.Gadgets, st.GadgetGates = countRuns(cp.Runs)
+				st.runStats(cp.Runs)
 				st.TotalNS = time.Since(t0).Nanoseconds()
 				cfg.Cache.recordHit(e)
 				recordMetrics(cfg.Metrics, &st, true)
@@ -375,11 +376,14 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 	if e.recipe != nil {
 		gadgets = e.recipe.Gadgets
 	}
-	runs := markRuns(exec, gadgets)
+	runs := markRuns(exec, gadgets, cfg.Fuse)
 	if len(plan.Steps) != len(exec.Ops) {
-		// Remap and alias steps shift the gate steps. A diagonal run's own
-		// steps stay consecutive; a gadget a remap or alias falls into is
-		// dropped, and its members execute as the gates they are.
+		// Remap and alias steps shift the gate steps. A run of diagonal
+		// gates keeps its steps consecutive (the schedulers emit nothing
+		// between two of them); a window a remap falls into — a gadget,
+		// or a diagonal run through a cx whose target a lazy plan moves
+		// first — is dropped, and its members execute as the gates they
+		// are.
 		ri, kept := 0, runs[:0]
 		for si := range plan.Steps {
 			if ri == len(runs) {
@@ -391,8 +395,8 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 			run := runs[ri]
 			ri++
 			run.Step = si
-			if last := si + run.Gates - 1; run.Pauli != nil &&
-				(last >= len(plan.Steps) || plan.Steps[last].Kind != sched.StepGate || plan.Steps[last].Op != run.Op+run.Gates-1) {
+			last := si + run.Gates - 1
+			if last >= len(plan.Steps) || plan.Steps[last].Kind != sched.StepGate || plan.Steps[last].Op != run.Op+run.Gates-1 {
 				continue
 			}
 			kept = append(kept, run)
@@ -401,13 +405,13 @@ func compileFresh(c *circuit.Circuit, cfg Config, skel, check uint64, pol sched.
 	}
 	if len(runs) > 0 {
 		// A run is one step, which a fresh start must not land inside: the
-		// prefix stops at a gadget's first gate (a diagonal run holds no
-		// classical gate).
+		// prefix stops at a run's first gate (a gadget's, or a window's
+		// leading cx).
 		plan.Prefix = min(plan.Prefix, runs[0].Step)
 	}
 	st.Fusion = fstats
 	st.planStats(plan)
-	st.DiagRuns, st.Merged, st.Gadgets, st.GadgetGates = countRuns(runs)
+	st.runStats(runs)
 
 	cp := &CompiledPlan{
 		Source:     c,

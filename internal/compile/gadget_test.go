@@ -60,7 +60,7 @@ func TestGadgetRunsInThePlan(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if pst.Gadgets != 0 || !reflect.DeepEqual(shape(plain.Runs), shape(DiagRuns(c))) {
+					if pst.Gadgets != 0 || !reflect.DeepEqual(shape(plain.Runs), shape(DiagRuns(c, false))) {
 						t.Fatalf("%s %s pes=%d: an unfused plan holds %d gadgets, runs %+v", c.Name, pol, pes, pst.Gadgets, plain.Runs)
 					}
 
@@ -68,8 +68,9 @@ func TestGadgetRunsInThePlan(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					diag, merged, gadgets, gadgetGates := countRuns(cp.Runs)
-					if st.DiagRuns != diag || st.Merged != merged || st.Gadgets != gadgets || st.GadgetGates != gadgetGates {
+					rs := runCounts(cp.Runs)
+					gadgets := rs.Gadgets
+					if st.DiagRuns != rs.DiagRuns || st.ThroughCX != rs.ThroughCX || st.Merged != rs.Merged || st.Gadgets != gadgets || st.GadgetGates != rs.GadgetGates {
 						t.Fatalf("%s %s pes=%d: stats %+v do not count the runs %+v", c.Name, pol, pes, st, cp.Runs)
 					}
 					if gadgets == 0 || gadgets > st.Fusion.Gadgets || len(cp.Plan.Steps) == len(cp.Circuit.Ops) && gadgets != st.Fusion.Gadgets {

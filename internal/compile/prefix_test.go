@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"svsim/internal/circuit"
+	"svsim/internal/fusion"
 	"svsim/internal/gate"
 	"svsim/internal/qasmbench"
 	"svsim/internal/sched"
@@ -225,5 +226,94 @@ func TestClassicalPrefixRule(t *testing.T) {
 	}
 	if st.Gadgets != 1 || cp.Plan.Prefix != cp.Runs[0].Step || cp.Plan.Prefix >= 3 {
 		t.Fatalf("%d gadgets, first at step %d: prefix %d steps", st.Gadgets, cp.Runs[0].Step, cp.Plan.Prefix)
+	}
+}
+
+// tiledSweeps counts the passes a fresh run of cp makes over the state
+// when it tiles: one per tiled group, the passes of every other group.
+func tiledSweeps(cp *CompiledPlan) int {
+	sweeps := 0
+	for _, g := range cp.Tiles.Groups {
+		if g.Tiled {
+			sweeps++
+		} else {
+			sweeps += passes(cp, g.Start, g.End)
+		}
+	}
+	return sweeps
+}
+
+// TestThroughCXShare counts what diagonal runs through cx save a fused
+// plan of each circuit svc_mixed submits: the passes of a fresh run
+// (steps past the classical prefix, a run one pass) and the sweeps of its
+// tiled run, before — the same plan with its stretches marked by the
+// unfused rule — and after. It also pins the windows a lazy plan of
+// qft_n15 on 8 ranks drops because a remap lands inside them. A
+// compile-only count.
+func TestThroughCXShare(t *testing.T) {
+	// Sweeps are -1 where the plan does not tile (n <= 13, or a derived
+	// tile as wide as the state).
+	want := map[string][4]int{ // passes before, after; sweeps before, after
+		"seca": {187, 108, -1, -1}, "sat": {1282, 830, -1, -1}, "cc_n12": {22, 22, -1, -1},
+		"multiply": {338, 105, -1, -1}, "bv_n14": {40, 40, -1, -1}, "qf21": {286, 45, 1, 1},
+		"qft_n15": {436, 31, 58, 3}, "multiplier": {450, 134, 17, 17}, "rqc": {321, 321, -1, -1},
+	}
+	rqc, err := qasmbench.ByName("rqc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%-12s %6s %14s %14s %s", "circuit", "gates", "passes", "sweeps", "through cx")
+	for _, e := range append(qasmbench.Medium(), rqc) {
+		w, ok := want[e.Name]
+		if !ok {
+			t.Fatalf("suite circuit %s has no row", e.Name)
+		}
+		c := e.Build()
+		cp, st, err := Compile(c, Config{Fuse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The same plan under the unfused marking rule.
+		var gadgets []fusion.Gadget
+		for _, r := range cp.Runs {
+			if r.Pauli != nil {
+				gadgets = append(gadgets, *r.Pauli)
+			}
+		}
+		old := *cp
+		old.Runs = markRuns(cp.Circuit, gadgets, false)
+		old.Tiles = BuildTilePlan(&old, 0)
+		end := len(cp.Plan.Steps)
+		got := [4]int{passes(&old, cp.Plan.Prefix, end), passes(cp, cp.Plan.Prefix, end), -1, -1}
+		if cp.Tiles != nil {
+			got[2], got[3] = tiledSweeps(&old), tiledSweeps(cp)
+		}
+		t.Logf("%-12s %6d %6d -> %-5d %6d -> %-5d %d of %d runs", e.Name, c.NumGates(), got[0], got[1], got[2], got[3], st.ThroughCX, st.DiagRuns)
+		if got != w {
+			t.Errorf("%s: passes %d -> %d, sweeps %d -> %d; want %v", e.Name, got[0], got[1], got[2], got[3], w)
+		}
+		if got[1] > got[0] || got[3] > got[2] {
+			t.Errorf("%s: runs through cx add passes", e.Name)
+		}
+	}
+
+	// qft_n15 runs as 15 h and 16 diagonal passes: the 14 ladders, each
+	// one window of its lowered cu1s, the stretch of u1s fusion leaves
+	// behind the last h, and one lone u1 ahead of the first. A lazy plan
+	// on 8 ranks remaps twice, both times between windows, so it drops
+	// none.
+	lowered, err := qasmbench.ByName("qft_n15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := lowered.Build()
+	cp, st, err := Compile(c, Config{Fuse: true, Sched: sched.Lazy, PEs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := len(DiagRuns(cp.Circuit, true)) - st.DiagRuns
+	t.Logf("qft_n15 scale-out x8 lazy: %d runs (%d through cx), %d windows dropped, %d remaps", st.DiagRuns, st.ThroughCX, dropped, st.Remaps)
+	if dropped != 0 || st.ThroughCX != 14 || st.Remaps != 2 {
+		t.Errorf("qft_n15 lazy x8: %d windows dropped", dropped)
 	}
 }

@@ -143,10 +143,12 @@ func BuildTilePlan(cp *CompiledPlan, tileBits int) *TilePlan {
 	return tp
 }
 
-// CircuitTilePlan is BuildTilePlan for the plan one rank runs an unfused
-// circuit by — one gate step per op, its diagonal runs, no remaps — made
-// without compiling: it prices a job before any plan of it exists.
-func CircuitTilePlan(c *circuit.Circuit, tileBits int) *TilePlan {
+// CircuitTilePlan is BuildTilePlan for the plan one rank runs circuit c
+// by — one gate step per op, its diagonal runs under the fused or the
+// unfused rule, no remaps — made without compiling: it prices a job
+// before any plan of it exists. A fused job's stream is priced before
+// fusion rewrites it.
+func CircuitTilePlan(c *circuit.Circuit, tileBits int, fused bool) *TilePlan {
 	n := c.NumQubits
 	if tileBits >= n || tileBits <= 0 && DefaultTileBits >= n { // BuildTilePlan's nil, before a step list is built
 		return nil
@@ -155,14 +157,20 @@ func CircuitTilePlan(c *circuit.Circuit, tileBits int) *TilePlan {
 	if err != nil { // every bit is local: Build cannot refuse
 		return nil
 	}
-	return BuildTilePlan(&CompiledPlan{Circuit: c, Plan: plan, Runs: DiagRuns(c), NumQubits: n, PEs: 1, LocalBits: n}, tileBits)
+	runs := DiagRuns(c, fused)
+	if len(runs) > 0 { // as compileFresh: the prefix stops at a run
+		plan.Prefix = min(plan.Prefix, runs[0].Step)
+	}
+	return BuildTilePlan(&CompiledPlan{Circuit: c, Plan: plan, Runs: runs, NumQubits: n, PEs: 1, LocalBits: n}, tileBits)
 }
 
 // stepMaxTargets returns, per plan step, the highest physical
 // non-diagonal target bit of the step's gate, or -1 for steps without
-// locality demands (non-gate steps, element-wise gates, MEASURE/RESET).
-// The permutation is replayed across remap and alias steps exactly as
-// the distributed executors do.
+// locality demands (non-gate steps, element-wise gates, MEASURE/RESET,
+// and every step of a diagonal run: a window's cx is part of one
+// position-free pass, wherever its target sits). The permutation is
+// replayed across remap and alias steps exactly as the distributed
+// executors do.
 func stepMaxTargets(cp *CompiledPlan) []int {
 	steps := cp.Plan.Steps
 	maxT := make([]int, len(steps))
@@ -186,6 +194,13 @@ func stepMaxTargets(cp *CompiledPlan) []int {
 				if pos := perm[int(t)]; pos > maxT[si] {
 					maxT[si] = pos
 				}
+			}
+		}
+	}
+	for i := range cp.Runs {
+		if r := &cp.Runs[i]; r.ThroughCX {
+			for si := r.Step; si < r.Step+r.Gates; si++ {
+				maxT[si] = -1
 			}
 		}
 	}

@@ -18,7 +18,9 @@ import (
 // residual stream's diagonal runs are the original's past the cut (a
 // checkpoint cuts at a step boundary, where compile.DiagRuns restarts),
 // so a measurement-free circuit ends bit-identical at any fleet size
-// under either plan. A measurement sums its probability as one balanced tree
+// under either plan. A fused plan's residual is planned unfused (below),
+// so its gadgets and its diagonal runs through cx run gate by gate after
+// the shrink, which agrees with the uninterrupted run within rounding. A measurement sums its probability as one balanced tree
 // over the physical index space, of which a partition is a subtree:
 // under the naive plan that tree is the same at every fleet size, so
 // measured runs are bit-identical too, outcomes and state. A lazy plan

@@ -66,6 +66,38 @@ func TestFusedBackendsAgree(t *testing.T) {
 			t.Fatalf("trial %d threaded fused: deviates by %g", trial, d)
 		}
 	}
+	// Lowered circuits, whose fused plans run their cu1 and ccx windows
+	// as diagonal passes through cx: on a naive fleet a window's cx on a
+	// rank bit runs inside a local diagonal step, on a lazy one a window
+	// a remap falls into runs gate by gate.
+	for _, name := range []string{"qft_n15", "multiplier"} {
+		c := lowered(t, name)
+		ref, err := NewSingleDevice(Config{Seed: 5, Fuse: true}).Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Compile.ThroughCX == 0 {
+			t.Fatalf("%s: the fused plan holds no run through cx", name)
+		}
+		for _, pol := range []sched.Policy{sched.Naive, sched.Lazy} {
+			for _, pes := range []int{2, 4} {
+				got, err := Run("scale-out", Config{Seed: 5, PEs: pes, Fuse: true, Sched: pol}, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := got.State.MaxAbsDiff(ref.State); d > 1e-10 {
+					t.Fatalf("%s scale-out pes=%d sched=%s fused: deviates by %g", name, pes, pol, d)
+				}
+			}
+		}
+		th, err := Run("threaded", Config{Seed: 5, PEs: 2, Fuse: true}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := th.State.MaxAbsDiff(ref.State); d > 1e-10 {
+			t.Fatalf("%s threaded fused: deviates by %g", name, d)
+		}
+	}
 }
 
 // TestLazyFusedMatchesNaiveFused pins the -fuse/-sched lazy interaction

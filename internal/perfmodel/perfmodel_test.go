@@ -107,7 +107,7 @@ func TestTiledTraceEstimateTracksMeasured(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := TiledTraceEstimate(circ, 0).Bytes, TraceOf(res).Bytes
+		got, want := TiledTraceEstimate(circ, 0, false).Bytes, TraceOf(res).Bytes
 		if r := float64(got) / float64(want); r > 1.5 || r < 1/1.5 {
 			t.Errorf("%s: tiled estimate %d bytes, measured %d (ratio %.2f)", e.Name, got, want, r)
 		}
@@ -123,12 +123,29 @@ func TestTiledTraceEstimateTracksMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := TiledTraceEstimate(circ, 13).Bytes, TraceOf(res).Bytes
+	got, want := TiledTraceEstimate(circ, 13, false).Bytes, TraceOf(res).Bytes
 	if r := float64(got) / float64(want); r > 1.5 || r < 1/1.5 {
 		t.Errorf("qft_n15 at tile bits 13: tiled estimate %d bytes, measured %d (ratio %.2f)", got, want, r)
 	}
-	if TiledTraceEstimate(circ, circ.NumQubits) != TraceEstimate(circ) {
+	if TiledTraceEstimate(circ, circ.NumQubits, false) != TraceEstimate(circ) {
 		t.Error("a tile as large as the state is not the per-gate estimate")
+	}
+	// A fused job is priced by the fused rule: the lowered QFT's cu1
+	// ladders are one pass each (fusion leaves its stream as it is, so
+	// the estimate's passes are the run's), tiled and per gate; the unfused
+	// rule would price it at many times the bytes it moves.
+	for _, tb := range []int{0, circ.NumQubits} {
+		res, err := core.NewSingleDevice(core.Config{Fuse: true, TileBits: tb}).Run(circ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := TiledTraceEstimate(circ, tb, true), TraceOf(res)
+		if r := float64(got.Bytes) / float64(want.Bytes); r > 1.5 || r < 1/1.5 {
+			t.Errorf("fused qft_n15 at tile bits %d: estimate %d bytes, measured %d (ratio %.2f)", tb, got.Bytes, want.Bytes, r)
+		}
+		if old := TiledTraceEstimate(circ, tb, false); old.Bytes < 5*want.Bytes {
+			t.Errorf("fused qft_n15 at tile bits %d: the unfused rule prices %d bytes, measured %d", tb, old.Bytes, want.Bytes)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // gate is a sweep of its own: the per-gate path, which a run takes when
 // its tile covers the state (TileBits = n).
 func TraceEstimate(c *circuit.Circuit) Trace {
-	return traceWalk(c, nil)
+	return traceWalk(c, nil, false)
 }
 
 // TiledTraceEstimate is TraceEstimate for the run one rank makes by
@@ -29,22 +29,24 @@ func TraceEstimate(c *circuit.Circuit) Trace {
 // once however many gates it holds, its amplitudes visited in
 // cache-resident tiles (TileAmps). The classical prefix, which a fresh
 // run folds into its initial basis state, costs nothing; the ops outside
-// a tiled group past it are priced per gate.
-func TiledTraceEstimate(c *circuit.Circuit, tileBits int) Trace {
-	return traceWalk(c, compile.CircuitTilePlan(c, tileBits))
+// a tiled group past it are priced per gate. fused prices the runs a
+// fused plan makes, whose windows see through cx.
+func TiledTraceEstimate(c *circuit.Circuit, tileBits int, fused bool) Trace {
+	return traceWalk(c, compile.CircuitTilePlan(c, tileBits, fused), fused)
 }
 
 // traceWalk prices the circuit's ops in order, one diagonal run or gate
-// at a time; tp, when non-nil, names the tiled groups.
-func traceWalk(c *circuit.Circuit, tp *compile.TilePlan) Trace {
+// at a time under the fused or the unfused rule; tp, when non-nil, names
+// the tiled groups.
+func traceWalk(c *circuit.Circuit, tp *compile.TilePlan, fused bool) Trace {
 	dim := int64(1) << uint(c.NumQubits)
 	tr := Trace{StateBytes: dim * 16}
-	runs := compile.DiagRuns(c)
+	runs := compile.DiagRuns(c, fused)
 	var groups []compile.TileGroup
 	i := 0
 	if tp != nil {
 		// The groups start past the prefix and cover every op after it;
-		// the prefix holds no diagonal gate, so no run starts inside it.
+		// the prefix stops at the first run, so no run starts inside it.
 		groups, i = tp.Groups, len(c.Ops)
 		if len(groups) > 0 {
 			i = groups[0].Start

@@ -250,7 +250,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 
 	// Price at the cheapest compatible placement: if even that exceeds
 	// a budget the job can never run, which is a 413, not backpressure.
-	est := EstimateJob(c, spec.TileBits, cheapestIsDistributed(compatible), spec.Shots)
+	est := EstimateJob(c, spec.TileBits, cheapestIsDistributed(compatible), spec.Shots, spec.Fuse)
 	if s.opts.MaxBytes > 0 && est.Bytes > s.opts.MaxBytes {
 		return s.rejectLocked(spec.Tenant, submitErrf(413,
 			"predicted footprint %d bytes exceeds the server budget of %d bytes", est.Bytes, s.opts.MaxBytes))

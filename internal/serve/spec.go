@@ -186,9 +186,10 @@ func FootprintBytes(n int, distributed bool) int64 {
 // run the job's tile exponent makes (tileBits <= 0: the one the runtime
 // derives), read off the circuit without compiling it, times the runs
 // the job makes: its own and, with shots, core.RunShots' (one, or one per
-// shot when a shot may collapse differently).
-func EstimateJob(c *circuit.Circuit, tileBits int, distributed bool, shots int) Estimate {
-	tr := perfmodel.TiledTraceEstimate(c, tileBits)
+// shot when a shot may collapse differently). fuse prices the diagonal
+// runs a fused plan makes.
+func EstimateJob(c *circuit.Circuit, tileBits int, distributed bool, shots int, fuse bool) Estimate {
+	tr := perfmodel.TiledTraceEstimate(c, tileBits, fuse)
 	runs := 1
 	if shots > 0 {
 		runs += core.ShotRuns(c, shots)

@@ -84,8 +84,12 @@ func prepareRun(d *statevec.DiagTables, c *circuit.Circuit, run *compile.Run, pe
 // through apply, every other gate (a stretch the marker left open)
 // through the per-gate kernel at its physical operands.
 func applyStretch(s *statevec.State, c *circuit.Circuit, perm circuit.Permutation, apply func(d *statevec.DiagTables)) {
+	applyRuns(s, c, compile.DiagRuns(c, false), perm, apply)
+}
+
+// applyRuns is applyStretch with the runs given.
+func applyRuns(s *statevec.State, c *circuit.Circuit, runs []compile.Run, perm circuit.Permutation, apply func(d *statevec.DiagTables)) {
 	var d statevec.DiagTables
-	runs := compile.DiagRuns(c)
 	for i := 0; i < len(c.Ops); i++ {
 		if len(runs) > 0 && runs[0].Op == i {
 			prepareRun(&d, c, &runs[0], perm)
@@ -121,7 +125,7 @@ func TestDiagRunKernel(t *testing.T) {
 	for n := 2; n <= 14; n++ {
 		for trial := 0; trial < 4; trial++ {
 			c := randomStretch(rng, n, trial%2 == 0)
-			runs := compile.DiagRuns(c)
+			runs := compile.DiagRuns(c, false)
 			merged += len(runs)
 			if len(runs) > 1 {
 				split++
@@ -230,6 +234,139 @@ func TestDiagRunKernel(t *testing.T) {
 	}
 }
 
+// randomWindows draws a stream of cx-and-phase windows on n >= 4 qubits:
+// each a random cx network, then the same network reversed, with t, tdg,
+// s, sdg, z, u1 and rz between the cx and a cu1, crz or rzz on random
+// operands after the reversal. One window in two is a near miss: an x, an
+// h or a barrier inside it, a network that does not end at the identity,
+// a parity widened past three qubits, or a two-qubit phase inside it.
+func randomWindows(rng *rand.Rand, n int) *circuit.Circuit {
+	c := circuit.New("windows", n)
+	phases := []gate.Kind{gate.T, gate.TDG, gate.S, gate.SDG, gate.Z, gate.U1, gate.RZ}
+	pairs := []gate.Kind{gate.CU1, gate.CRZ, gate.RZZ}
+	draw := func(kinds []gate.Kind) {
+		k := kinds[rng.Intn(len(kinds))]
+		ps := make([]float64, k.NumParams())
+		for i := range ps {
+			ps[i] = (rng.Float64()*2 - 1) * 2 * math.Pi
+		}
+		c.Append(gate.New(k, rng.Perm(n)[:k.NumQubits()], ps...))
+	}
+	phase := func() {
+		for i := rng.Intn(3); i > 0; i-- {
+			draw(phases)
+		}
+	}
+	for w := 0; w < 8; w++ {
+		var net [][2]int
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			p := rng.Perm(n)
+			net = append(net, [2]int{p[0], p[1]})
+		}
+		for _, e := range net {
+			c.CX(e[0], e[1])
+			phase()
+		}
+		miss := rng.Intn(12)
+		switch miss {
+		case 0:
+			c.X(rng.Intn(n))
+		case 1:
+			c.H(rng.Intn(n))
+		case 2:
+			c.Barrier()
+		case 3:
+			p := rng.Perm(n) // three cx onto one target: the third passes the cap
+			c.CX(p[0], p[3]).CX(p[1], p[3]).CX(p[2], p[3])
+			draw(phases)
+		case 4:
+			draw(pairs)
+		}
+		for i := len(net) - 1; i >= 0; i-- {
+			if miss == 5 && i == 0 {
+				break // the network does not return to the identity
+			}
+			c.CX(net[i][0], net[i][1])
+			phase()
+		}
+		draw(pairs)
+	}
+	return c
+}
+
+// TestThroughCXWindows is the property test of the fused rule: seeded
+// cx-and-phase windows and their near misses on 4..10 qubits, executed as
+// the fused plan's runs (every other op gate by gate) from a random
+// state, agree with the generic-matrix oracle and with the gates applied
+// one by one within 1e-12, and are bit-identical under a random layout.
+func TestThroughCXWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	through, runs := 0, 0
+	for n := 4; n <= 10; n++ {
+		for trial := 0; trial < 6; trial++ {
+			c := randomWindows(rng, n)
+			rs := compile.DiagRuns(c, true)
+			for _, r := range rs {
+				if r.ThroughCX {
+					through++
+				}
+			}
+			runs += len(rs)
+			prep := circuit.New("prep", n)
+			for q := 0; q < n; q++ {
+				prep.H(q)
+				prep.RY(0.3+float64(q), q)
+			}
+			st := statevec.New(n)
+			for i := range prep.Ops {
+				st.Apply(&prep.Ops[i].G)
+			}
+			start := st.Clone()
+			applyRuns(st, c, rs, circuit.IdentityPermutation(n), st.ApplyRun)
+
+			perGate := start.Clone()
+			for i := range c.Ops {
+				perGate.Apply(&c.Ops[i].G)
+			}
+			if d := st.MaxAbsDiff(perGate); d > 1e-12 {
+				t.Fatalf("n=%d trial=%d: runs deviate from gate by gate by %g", n, trial, d)
+			}
+			full := circuit.New("oracle", n) // the oracle takes no barrier
+			full.Ops = append(full.Ops, prep.Ops...)
+			for _, op := range c.Ops {
+				if op.G.Kind != gate.BARRIER {
+					full.Ops = append(full.Ops, op)
+				}
+			}
+			oracle, err := baseline.NewGenericMatrix().Run(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, a := range oracle {
+				if d := cmplx.Abs(a - st.Amplitude(i)); d > 1e-12 {
+					t.Fatalf("n=%d trial=%d: amplitude %d deviates from the generic-matrix oracle by %g", n, trial, i, d)
+				}
+			}
+
+			perm := circuit.Permutation(rng.Perm(n))
+			phys := statevec.New(n)
+			for x := 0; x < start.Dim; x++ {
+				phys.Re[perm.PhysicalIndex(x)], phys.Im[perm.PhysicalIndex(x)] = start.Re[x], start.Im[x]
+			}
+			applyRuns(phys, c, rs, perm, phys.ApplyRun)
+			got := statevec.New(n)
+			statevec.Unpermute(got.Re, phys.Re, 0, perm)
+			statevec.Unpermute(got.Im, phys.Im, 0, perm)
+			if d := got.MaxAbsDiff(st); d != 0 {
+				t.Fatalf("n=%d trial=%d: layout %v deviates from the identity layout by %g", n, trial, perm, d)
+			}
+		}
+	}
+	if through < 100 {
+		t.Fatalf("the draws must exercise the rule: %d of %d runs through cx", through, runs)
+	}
+}
+
 // BenchmarkDiagRun measures the run kernel on the shapes the svperf
 // workloads execute — QFT(22)'s CU1 ladders onto q21 (21 gates, two
 // tables) and q11 (11 gates, one table), whose pinned qubit lies above
@@ -245,7 +382,7 @@ func BenchmarkDiagRun(b *testing.B) {
 	qft := qasmbench.QFT(22)
 	// QFT's ladder onto q_i is its run of i gates.
 	ladder := func(i int) compile.Run {
-		for _, r := range compile.DiagRuns(qft) {
+		for _, r := range compile.DiagRuns(qft, false) {
 			if r.Gates == i {
 				return r
 			}
@@ -267,8 +404,8 @@ func BenchmarkDiagRun(b *testing.B) {
 		{"qft22_cu1x21", qft, ladder(21)},
 		{"qft22_cu1x11", qft, ladder(11)},
 		{"qft22_cu1x5", qft, ladder(5)},
-		{"rqc20_czx10", rqc, compile.DiagRuns(rqc)[0]},
-		{"n22_czx2", pair, compile.DiagRuns(pair)[0]},
+		{"rqc20_czx10", rqc, compile.DiagRuns(rqc, false)[0]},
+		{"n22_czx2", pair, compile.DiagRuns(pair, false)[0]},
 	} {
 		n, run := bc.c.NumQubits, bc.run
 		statevec.ForEachBodyPath(func(path string) {
